@@ -1,27 +1,23 @@
-(* E22 — seed-batched lockstep execution and intra-run sharding.
+(* E22 — seed-batched execution.
 
    Two throughput claims go into BENCH_batch.json:
 
-   1. Seed batching: executing S consecutive seeds of one (world, algo,
-      k) config through [Seed_batch.run] beats S sequential
-      [Scenario.run] calls. On deterministic families with the
-      draw-free bfdn policy the identical-lane collapse makes the
-      batch degenerate to ONE execution plus S-1 replications, so
-      seeds/sec grows nearly linearly in S; the perf gate requires
-      >= 2x at S=64 vs the measured S=1 baseline of the same run.
+   1. Collapse: executing S consecutive seeds of one (world, algo, k)
+      config through [Seed_batch.run] beats S sequential [Scenario.run]
+      calls. On deterministic families with the draw-free bfdn policy
+      the identical-lane collapse makes the batch degenerate to ONE
+      execution plus S-1 replications, so seeds/sec grows nearly
+      linearly in S; the perf gate requires >= 2x at S=64 vs the
+      measured S=1 baseline of the same run.
 
-   2. Intra-run sharding: [Scenario.run ~shards:N] spreads the
-      per-robot route-computation pass over a domain team with a
-      deterministic robot-index-order merge. Results are bit-for-bit
-      identical for every N (the smoke check re-proves it); on a
-      multi-core machine the wall clock of one big run drops, and the
-      perf gate requires > 1x there. On a single-core runner the rows
-      are still recorded but the speedup criterion is skipped — there
-      is nothing to shard onto.
+   2. Sequential lanes lose nothing: on the randomized [random] family
+      no world is shared and nothing collapses, so every lane runs the
+      plain round loop one after another. The perf gate requires S=8
+      seeds/sec >= 0.8x the S=1 baseline of the same run.
 
    `--det-check --jobs=N` (the CI determinism lane) reuses this module:
-   sequential runs, the N-worker job pool, the seed batch and the
-   sharded path must agree outcome-for-outcome over a config matrix. *)
+   sequential runs, the N-worker job pool and the seed batch must agree
+   outcome-for-outcome over a config matrix. *)
 
 open Bench_common
 module Seed_batch = Bfdn_engine.Seed_batch
@@ -29,19 +25,25 @@ module Seed_batch = Bfdn_engine.Seed_batch
 let report_path = "BENCH_batch.json"
 let nominal_n = 4000
 
-(* (family, depth_hint) — all three are deterministic families, so the
-   batched rows exercise the shared-world and collapse tiers; the
-   determinism lane below covers the randomized ones. *)
-let families = [ ("binary", 12); ("comb", 60); ("spider", 30) ]
+(* (family, depth_hint). The first three are deterministic families, so
+   their batched rows exercise the shared-world and collapse tiers;
+   [random] is the non-collapsing row, where every lane executes. *)
+let depth_hints =
+  [ ("binary", 12); ("comb", 60); ("spider", 30); ("random", 12) ]
+let families = [ "binary"; "comb"; "spider" ]
 let ks = [ 64; 512 ]
 let batch_sizes = [ 1; 8; 64 ]
+
+(* The non-collapsing cell (family, k) and its batch size. *)
+let random_cell = ("random", 64)
+let random_batch = 8
 
 let spec ?(batch_seeds = 1) family k =
   Scenario.make ~algo:"bfdn" ~k ~seed ~batch_seeds
     (Scenario.world
        ~params:
          [
-           ("depth_hint", Param.Int (List.assoc family families));
+           ("depth_hint", Param.Int (List.assoc family depth_hints));
            ("n", Param.Int (sized nominal_n));
          ]
        family)
@@ -94,53 +96,12 @@ let measure family k s =
     b_speedup = 1.0;
   }
 
-let measure_cell family k =
-  let rows = List.map (measure family k) batch_sizes in
+let measure_cell ?(sizes = batch_sizes) family k =
+  let rows = List.map (measure family k) sizes in
   let base =
     match rows with r :: _ -> r.b_seeds_s | [] -> assert false
   in
   List.iter (fun r -> r.b_speedup <- r.b_seeds_s /. Float.max 1e-9 base) rows;
-  rows
-
-(* ---- intra-run sharding: one big single run, plain vs sharded ---- *)
-
-type shard_row = {
-  h_shards : int;
-  h_wall : float;
-  mutable h_speedup : float; (* vs the shards=1 row *)
-}
-
-let shard_spec () =
-  Scenario.make ~algo:"bfdn" ~k:512 ~seed
-    (Scenario.world
-       ~params:
-         [ ("depth_hint", Param.Int 60); ("n", Param.Int (sized (4 * nominal_n))) ]
-       "comb")
-
-let measure_sharded shards =
-  let t = shard_spec () in
-  ignore (Scenario.run ~shards t : Scenario.outcome);
-  let t0 = Batch.now () in
-  let reps = ref 0 in
-  while Batch.now () -. t0 < min_total () || !reps = 0 do
-    ignore (Scenario.run ~shards t : Scenario.outcome);
-    incr reps
-  done;
-  { h_shards = shards; h_wall = (Batch.now () -. t0) /. float_of_int !reps;
-    h_speedup = 1.0 }
-
-let shard_counts () =
-  let cores = Domain.recommended_domain_count () in
-  List.sort_uniq compare [ 1; min 2 cores; cores ]
-
-let measure_shard_rows () =
-  let rows = List.map measure_sharded (shard_counts ()) in
-  let base =
-    match rows with r :: _ -> r.h_wall | [] -> assert false
-  in
-  List.iter
-    (fun r -> r.h_speedup <- base /. Float.max 1e-9 r.h_wall)
-    rows;
   rows
 
 (* ---- report ---- *)
@@ -158,24 +119,18 @@ let json_of_row r =
       ("speedup_vs_s1", Engine_report.Float r.b_speedup);
     ]
 
-let json_of_shard_row r =
-  Engine_report.Obj
-    [
-      ("shards", Engine_report.Int r.h_shards);
-      ("wall_s", Engine_report.Float r.h_wall);
-      ("speedup_vs_unsharded", Engine_report.Float r.h_speedup);
-    ]
-
 let scale_name () =
   match !scale with Quick -> "quick" | Normal -> "normal" | Full -> "full"
 
 let run () =
-  header "E22 (seed batching + sharding)"
-    "lockstep seed batches and intra-run sharded route computation";
+  header "E22 (seed batching)"
+    "seed batches: identical-lane collapse and sequential lanes";
   let rows =
-    List.concat_map
-      (fun (family, _) -> List.concat_map (measure_cell family) ks)
+    List.concat_map (fun family -> List.concat_map (measure_cell family) ks)
       families
+    @
+    let family, k = random_cell in
+    measure_cell ~sizes:[ 1; random_batch ] family k
   in
   let t =
     Table.create
@@ -200,51 +155,23 @@ let run () =
         ])
     rows;
   Table.print t;
-  let shard_rows = measure_shard_rows () in
-  let st =
-    Table.create
-      ~caption:
-        (Printf.sprintf
-           "one comb n=%d k=512 run, route phase sharded over domains \
-            (%d core(s) here); results bit-identical for every row"
-           (sized (4 * nominal_n))
-           (Domain.recommended_domain_count ()))
-      [
-        ("shards", Table.Right); ("wall", Table.Right);
-        ("speedup", Table.Right);
-      ]
-  in
-  List.iter
-    (fun r ->
-      Table.add_row st
-        [
-          Table.fint r.h_shards;
-          Printf.sprintf "%.4fs" r.h_wall;
-          Table.fratio r.h_speedup;
-        ])
-    shard_rows;
-  Table.print st;
   Engine_report.write ~path:report_path
     (Engine_report.Obj
        (Engine_report.meta ~seed ~workers:1
        @ [
-           ( "label",
-             Engine_report.String
-               "E22 seed-batched lockstep execution + intra-run sharding" );
+           ("label", Engine_report.String "E22 seed-batched execution");
            ("scale", Engine_report.String (scale_name ()));
            ( "cores",
              Engine_report.Int (Domain.recommended_domain_count ()) );
            ("configs", Engine_report.List (List.map json_of_row rows));
-           ( "sharded",
-             Engine_report.List (List.map json_of_shard_row shard_rows) );
          ]));
   Printf.printf "report written to %s\n" report_path
 
 (* ---- smoke (--smoke / @runtest-quick) ----
 
-   Tiny batch and shard runs that must agree byte-for-byte with their
-   sequential counterparts, and the collapse must engage on a
-   deterministic family. *)
+   A tiny batch that must agree byte-for-byte with its sequential
+   counterpart, and the collapse must engage on a deterministic
+   family. *)
 let smoke () =
   let t =
     Scenario.make ~algo:"bfdn" ~k:8 ~seed:3 ~batch_seeds:4
@@ -260,34 +187,23 @@ let smoke () =
          r.Seed_batch.outcomes
          (Array.init 4 (Scenario.unbatch t))
   in
-  let single =
-    Scenario.make ~algo:"bfdn" ~k:16 ~seed:4
-      (Scenario.world
-         ~params:[ ("depth_hint", Param.Int 12); ("n", Param.Int 200) ]
-         "comb")
-  in
-  let plain = Scenario.run single in
-  let shard_ok =
-    List.for_all
-      (fun shards ->
-        Scenario.equal_outcome plain (Scenario.run ~shards single))
-      [ 2; 3 ]
-  in
-  batch_ok && r.Seed_batch.collapsed && r.Seed_batch.shared_world && shard_ok
+  batch_ok && r.Seed_batch.collapsed && r.Seed_batch.shared_world
 
 (* ---- perf gate (--perf-gate) ----
 
    Three kinds of rows:
    - committed-baseline floors (0.6x) on a subset of seeds/sec configs,
      like every other gate;
-   - the machine-independent batching claim, re-measured fresh: S=64
+   - the machine-independent collapse claim, re-measured fresh: S=64
      seeds/sec must be >= 2x the S=1 baseline measured in the same
      process — this holds on any machine because it is a ratio;
-   - the sharding claim, only enforceable with > 1 core: the sharded
-     single run must beat the unsharded one. *)
+   - the sequential-lane claim, also a same-process ratio: on the
+     non-collapsing random cell, S=8 seeds/sec must be >= 0.8x S=1
+     ([fastest_speedup]). *)
 
 let gate_floor = 0.6
 let batch_speedup_floor = 2.0
+let sequential_lanes_floor = 0.8
 let gate_subset = [ ("comb", 64); ("binary", 512) ]
 
 let committed_seeds_s j (family, k, s) =
@@ -311,13 +227,33 @@ let committed_seeds_s j (family, k, s) =
         rows
   | _ -> failwith (report_path ^ ": no configs member")
 
+(* Seeds/sec of an S-seed batch over S=1 from the fastest execution of
+   each, with the two sides alternating: ambient load on a shared
+   machine only ever slows an execution down, and it reaches both sides
+   of an alternating pair alike. Window-averaged rows swing by +-15%
+   between passes here; this ratio holds within a few percent. *)
+let fastest_speedup family k s =
+  let one = spec family k and batch = spec ~batch_seeds:s family k in
+  let timed t =
+    let t0 = Batch.now () in
+    ignore (exec t : bool * bool);
+    Batch.now () -. t0
+  in
+  let best1 = ref infinity and best_s = ref infinity in
+  let t0 = Batch.now () in
+  while Batch.now () -. t0 < 3.0 *. min_total () || !best1 = infinity do
+    best1 := Float.min !best1 (timed one);
+    best_s := Float.min !best_s (timed batch)
+  done;
+  float_of_int s *. !best1 /. Float.max 1e-9 !best_s
+
 let perf_gate () =
   scale := Normal;
   header "PERF GATE (batch)"
     (Printf.sprintf
-       "seeds/s >= %.2fx committed %s; S=64 >= %.1fx S=1; sharded > 1x on \
-        multi-core"
-       gate_floor report_path batch_speedup_floor);
+       "seeds/s >= %.2fx committed %s; S=64 >= %.1fx S=1; random S=8 >= \
+        %.1fx S=1"
+       gate_floor report_path batch_speedup_floor sequential_lanes_floor);
   let j =
     let raw = In_channel.with_open_text report_path In_channel.input_all in
     match Bfdn_obs.Json.of_string raw with
@@ -360,28 +296,21 @@ let perf_gate () =
         (if ok then "ok  " else "FAIL")
         s64.b_speedup batch_speedup_floor)
     gate_subset;
-  let cores = Domain.recommended_domain_count () in
-  if cores > 1 then begin
-    let rows = measure_shard_rows () in
-    let best =
-      List.fold_left (fun acc r -> Float.max acc r.h_speedup) 0.0 rows
-    in
-    let ok = best > 1.0 in
-    record_gate ~gate:"E22" ~name:"sharded single-run speedup" ~measured:best
-      ~baseline:1.0 ~ok;
-    Printf.printf "  sharded single run       %s %.2fx on %d cores\n"
-      (if ok then "ok  " else "FAIL")
-      best cores
-  end
-  else
-    Printf.printf
-      "  sharded single run       single core here, speedup check skipped\n"
+  let family, k = random_cell in
+  let speedup = fastest_speedup family k random_batch in
+  let ok = speedup >= sequential_lanes_floor in
+  record_gate ~gate:"E22"
+    ~name:(Printf.sprintf "%s k=%d S=%d speedup vs S=1" family k random_batch)
+    ~measured:speedup ~baseline:sequential_lanes_floor ~ok;
+  Printf.printf "  %-6s k=%-3d S=%d/S=1      %s %.2fx (floor %.1fx)\n" family k
+    random_batch
+    (if ok then "ok  " else "FAIL")
+    speedup sequential_lanes_floor
 
 (* ---- determinism lane (--det-check --jobs=N) ----
 
-   Sequential Scenario.run, the N-worker job pool, Seed_batch and the
-   sharded select must agree outcome-for-outcome over a matrix that
-   covers deterministic and randomized families, draw-free and drawing
+   Sequential Scenario.run, the N-worker job pool and Seed_batch must
+   agree outcome-for-outcome over a matrix that covers deterministic and randomized families, draw-free and drawing
    policies, fault schedules and the collapse/fallback tiers. *)
 
 let det_specs () =
@@ -410,9 +339,7 @@ let det_specs () =
 
 let det_check ~jobs () =
   header "DET CHECK"
-    (Printf.sprintf
-       "sequential vs %d-worker pool vs seed batch vs %d-shard select" jobs
-       jobs);
+    (Printf.sprintf "sequential vs %d-worker pool vs seed batch" jobs);
   let ok_all = ref true in
   List.iter
     (fun (label, t) ->
@@ -433,22 +360,11 @@ let det_check ~jobs () =
         List.for_all2 Scenario.equal_outcome seq
           (Array.to_list r.Seed_batch.outcomes)
       in
-      let shard_ok =
-        (* sharding only touches the tree path; lane 0 suffices *)
-        match (lanes, seq) with
-        | lane :: _, o :: _ -> (
-            match t.Scenario.instance with
-            | Scenario.World _ ->
-                Scenario.equal_outcome o (Scenario.run ~shards:jobs lane)
-            | Scenario.Adversarial _ -> true)
-        | _ -> true
-      in
-      let ok = pool_ok && batch_ok && shard_ok in
+      let ok = pool_ok && batch_ok in
       if not ok then ok_all := false;
-      Printf.printf "  %-26s pool=%s batch=%s shards=%s\n" label
+      Printf.printf "  %-26s pool=%s batch=%s\n" label
         (if pool_ok then "ok" else "FAIL")
-        (if batch_ok then "ok" else "FAIL")
-        (if shard_ok then "ok" else "FAIL"))
+        (if batch_ok then "ok" else "FAIL"))
     (det_specs ());
   if !ok_all then Printf.printf "det check: all lanes agree\n"
   else Printf.printf "det check: DISAGREEMENT\n";

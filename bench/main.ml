@@ -117,8 +117,8 @@ let () =
           exit 2)
     args;
   if !det_check then begin
-    (* CI determinism lane: sequential vs N-worker pool vs seed batch vs
-       sharded select, outcome-for-outcome over a config matrix. *)
+    (* CI determinism lane: sequential vs N-worker pool vs seed batch,
+       outcome-for-outcome over a config matrix. *)
     if not (E_batch.det_check ~jobs:!Bench_common.workers ()) then exit 1
   end
   else if !perf_gate then begin

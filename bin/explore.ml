@@ -232,17 +232,8 @@ let run_cmd =
       & opt (some string) None
       & info [ "dump-tree" ] ~docv:"FILE" ~doc:"Write the instance to a file for later replay.")
   in
-  let shards =
-    Arg.(
-      value & opt int 1
-      & info [ "shards" ] ~docv:"S"
-          ~doc:
-            "Shard the per-robot route-computation phase over $(docv) \
-             domains. Results are bit-for-bit identical for every value — \
-             a pure latency knob for big single runs.")
-  in
   let action spec_file dump_spec smoke family algo_name n depth params k seed
-      max_rounds scale rss trace watch metrics tree_file dump_tree shards =
+      max_rounds scale rss trace watch metrics tree_file dump_tree =
     let spec =
       match spec_file with
       | Some file -> (
@@ -316,7 +307,7 @@ let run_cmd =
               close_in ic;
               Scenario.run_on_tree ~probe ~on_round spec
                 (Bfdn_trees.Tree.of_string (String.trim contents))
-          | None -> Scenario.run ~probe ~on_round ~shards spec
+          | None -> Scenario.run ~probe ~on_round spec
         in
         let result = outcome.Scenario.result in
         (match (trace_oc, trace) with
@@ -364,7 +355,7 @@ let run_cmd =
     Term.(
       const action $ spec_file $ dump_spec $ smoke $ family $ algo_name $ n
       $ depth $ params $ k_arg $ seed_arg $ max_rounds $ scale $ rss $ trace
-      $ watch $ metrics $ tree_file $ dump_tree $ shards)
+      $ watch $ metrics $ tree_file $ dump_tree)
   in
   Cmd.v
     (Cmd.info "run"
@@ -505,7 +496,7 @@ let sweep_cmd =
       value & flag
       & info [ "seed-batch" ]
           ~doc:
-            "Run each (family, algo, k) cell's repeat seeds as one lockstep \
+            "Run each (family, algo, k) cell's repeat seeds as one \
              seed batch instead of R independent jobs. Results are \
              bit-for-bit identical to the per-job sweep; deterministic cells \
              collapse to a single execution per cell.")
@@ -581,7 +572,7 @@ let sweep_cmd =
     let t0 = Batch.now () in
     let results =
       if seed_batch then begin
-        (* One lockstep batch per cell, expanded back into the per-job
+        (* One seed batch per cell, expanded back into the per-job
            result shape so the table, aggregate and report code below is
            oblivious to how the jobs were executed — the batch oracle
            guarantees the rows are byte-identical either way. *)

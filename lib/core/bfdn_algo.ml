@@ -38,12 +38,6 @@ type t = {
   shortcut : bool;
   ft : ft option;
   probe : Bfdn_obs.Probe.t; (* anchor-switch and idle-robot hooks *)
-  (* Optional domain team for the route-computation pass of select; the
-     decision passes stay sequential (see [select_sharded]). *)
-  shard : Bfdn_util.Shard_pool.t option;
-  (* Robots whose breadth-first route is deferred to the sharded fill
-     pass this round: indices [0, pending_n) in robot order. *)
-  pending : int array;
   robots : rstate array;
   (* Per-node scratch tracks the view's growable id space
      ({!Partial_tree.id_bound}), re-ensured at the top of every select:
@@ -75,7 +69,7 @@ type t = {
 
 let make ?(policy = Least_loaded) ?(shortcut = false)
     ?(probe = Bfdn_obs.Probe.noop) ?(fault_tolerant = false) ?(suspect_after = 4)
-    ?drop ?shard_pool env =
+    ?drop env =
   let n = Partial_tree.id_bound (Env.view env) in
   let root = Partial_tree.root (Env.view env) in
   if suspect_after < 1 then
@@ -96,8 +90,6 @@ let make ?(policy = Least_loaded) ?(shortcut = false)
              revived = 0;
            });
     probe;
-    shard = shard_pool;
-    pending = Array.make (Env.k env) 0;
     robots =
       Array.init (Env.k env) (fun _ ->
           { anchor = root; route = Array.make 8 0; route_pos = 0; route_len = 0 });
@@ -237,14 +229,10 @@ let fill_route view r src dst =
   r.route_pos <- 0;
   r.route_len <- len
 
-(* The shared-state half of a re-anchor: anchor-load accounting, the
-   anchor pick and the reanchor statistics. Everything here reads and
-   writes state shared across robots, so it always runs in the
-   sequential decision pass (in robot-index order); the route fill —
-   a pure function of the view writing only the robot's own buffer —
-   can then run out of line (and out of order). *)
-let reanchor_decide t view i =
+let reanchor t i =
+  let view = Env.view t.env in
   let r = t.robots.(i) in
+  let pos = Env.position t.env i in
   t.anchor_load.(r.anchor) <- t.anchor_load.(r.anchor) - 1;
   let v = pick_anchor t view in
   r.anchor <- v;
@@ -253,13 +241,6 @@ let reanchor_decide t view i =
   ensure_depth t d;
   t.reanchor_counts.(d) <- t.reanchor_counts.(d) + 1;
   t.reanchors_total <- t.reanchors_total + 1;
-  d
-
-let reanchor t i =
-  let view = Env.view t.env in
-  let r = t.robots.(i) in
-  let pos = Env.position t.env i in
-  let d = reanchor_decide t view i in
   fill_route view r pos r.anchor;
   (* Per-event hook only under [events]: a trap instance reanchors ~100
      robots per round at k = 512, so even no-op calls here would break
@@ -313,7 +294,7 @@ let ft_prepass t f root =
     end
   done
 
-let select_seq t =
+let select t =
   let view = Env.view t.env in
   let root = Partial_tree.root view in
   ensure_nodes t;
@@ -361,102 +342,6 @@ let select_seq t =
     t.probe.Bfdn_obs.Probe.on_select ~idle:!idle
   end;
   moves
-
-(* Sharded select: same decisions as [select_seq], bit for bit, with the
-   route computation spread over a domain team. Three passes —
-
-   A. sequential, robot order: every read/write of cross-robot state
-      (anchor loads in [pick_anchor], the per-node selected-dangling
-      counters, the dangle cursors). A robot that re-anchors to a node
-      other than its position has its route {e deferred}: only the fact
-      that the route will be non-empty matters for this round's control
-      flow (it will pop, not depth-next), and that is exactly
-      [anchor <> position].
-   B. parallel: [fill_route] for the deferred robots. The fill is a pure
-      function of the (frozen-during-select) view writing only the
-      robot's own buffer, so chunk scheduling cannot be observed.
-   C. sequential, robot order: pop the first route move. Kept out of the
-      parallel pass because popping grows the shared [via] cache; the
-      cache's contents are index-deterministic, so a sequential pass in
-      robot order reproduces the unsharded layout exactly.
-
-   The merge is therefore "stable robot-index order" by construction:
-   every shared-state mutation happens in the same order as in
-   [select_seq], and 1-vs-N shards is byte-identical (asserted by the
-   determinism suite). Per-event probes still use the sequential path —
-   their [on_reanchor] hook wants the route length at decision time. *)
-let select_sharded t pool =
-  let view = Env.view t.env in
-  let root = Partial_tree.root view in
-  ensure_nodes t;
-  let k = Env.k t.env in
-  let moves = t.moves in
-  Array.fill moves 0 k Env.Stay;
-  t.sel_epoch <- t.sel_epoch + 1;
-  (match t.ft with None -> () | Some f -> ft_prepass t f root);
-  let pending = t.pending in
-  let np = ref 0 in
-  let defer_or_depth_next i r pos =
-    if r.anchor <> pos then begin
-      pending.(!np) <- i;
-      incr np;
-      true
-    end
-    else begin
-      (* Re-anchored to its own position: the route is empty, exactly as
-         [fill_route view r pos pos] would leave it. *)
-      r.route_pos <- 0;
-      r.route_len <- 0;
-      false
-    end
-  in
-  for i = 0 to k - 1 do
-    if Env.allowed t.env i then begin
-      let r = t.robots.(i) in
-      let pos = Env.position t.env i in
-      if pos = root then begin
-        ignore (reanchor_decide t view i : int);
-        if not (defer_or_depth_next i r pos) then begin
-          (* Anchor is the root itself: depth-next at the root. *)
-          let p = next_dangling t view pos in
-          if p >= 0 then begin
-            mark_selected t pos;
-            moves.(i) <- via t p
-          end
-        end
-      end
-      else if r.route_pos < r.route_len then moves.(i) <- pop_route t r
-      else begin
-        let p = next_dangling t view pos in
-        if p >= 0 then begin
-          mark_selected t pos;
-          moves.(i) <- via t p
-        end
-        else if t.shortcut && Partial_tree.min_open_depth_raw view >= 0 then begin
-          ignore (reanchor_decide t view i : int);
-          if not (defer_or_depth_next i r pos) then moves.(i) <- Env.Up
-        end
-        else moves.(i) <- Env.Up
-      end
-    end
-  done;
-  if !np > 0 then begin
-    let robots = t.robots and env = t.env in
-    Bfdn_util.Shard_pool.run pool ~n:!np (fun idx ->
-        let i = pending.(idx) in
-        let r = robots.(i) in
-        fill_route view r (Env.position env i) r.anchor);
-    for idx = 0 to !np - 1 do
-      let i = pending.(idx) in
-      moves.(i) <- pop_route t robots.(i)
-    done
-  end;
-  moves
-
-let select t =
-  match t.shard with
-  | Some pool when not t.probe.Bfdn_obs.Probe.events -> select_sharded t pool
-  | _ -> select_seq t
 
 (* Fired once, the first time [finished] holds: hand the probe the
    reanchor statistics accumulated (at zero marginal cost) during the

@@ -33,7 +33,6 @@ val make :
   ?fault_tolerant:bool ->
   ?suspect_after:int ->
   ?drop:(round:int -> robot:int -> bool) ->
-  ?shard_pool:Bfdn_util.Shard_pool.t ->
   Bfdn_sim.Env.t ->
   t
 (** [probe] (default {!Bfdn_obs.Probe.noop}) receives [on_reanchor] at
@@ -60,15 +59,7 @@ val make :
     The probe's [on_robot_lost]/[on_robot_revived] hooks fire at each
     transition. Theorem 1 is {e not} claimed under faults; the property
     kept (and tested) is that exploration completes whenever at least
-    one robot survives.
-
-    [shard_pool] spreads the route-computation pass of every selection
-    round over the pool's domain team. The decision passes stay
-    sequential in robot-index order, so sharded and unsharded runs are
-    bit-for-bit identical — sharding is a pure latency optimization for
-    big single runs (route fills dominate at large k and depth). The
-    pool is borrowed, not owned: the caller shuts it down. Per-event
-    probes ([events]) fall back to the sequential path. *)
+    one robot survives. *)
 
 val algo : t -> Bfdn_sim.Runner.algo
 (** Runner hook. [finished] is "tree explored and all robots at the root"

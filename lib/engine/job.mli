@@ -68,5 +68,5 @@ val equal_outcome : outcome -> outcome -> bool
 
 val run : t -> outcome
 (** [Scenario.run] — derive the instance and algorithm RNG streams from
-    [seed], build the environment, drive {!Bfdn_sim.Runner.run}.
+    [seed], build the environment, drive {!Bfdn_sim.Exec_env.run}.
     @raise Invalid_argument on an unknown algorithm/policy/family name. *)

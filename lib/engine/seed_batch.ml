@@ -1,11 +1,9 @@
-(* Seed-batched lockstep execution.
+(* Seed-batched execution.
 
    A batched spec ([Scenario.batch_seeds = S]) stands for the S plain
-   specs [unbatch t 0 .. unbatch t (S-1)]. Executing them one by one
-   pays the full dispatch cost S times: validation, world construction,
-   the O(n) stat scans behind the termination bound, and S cold round
-   loops. This module advances all S lanes through ONE fused round loop
-   instead, with three stacked savings — each proved sound by the
+   specs [unbatch t 0 .. unbatch t (S-1)]. Every lane that executes goes
+   through the one round loop ([Exec_env.run]), one lane after another;
+   the batch saves work through two mechanisms, each proved sound by the
    determinism oracle, never assumed:
 
    1. {b Shared world}: for tree families whose generator ignores the
@@ -24,254 +22,86 @@
       applied within a batch, and it is what makes multi-seed validation
       sweeps of the (deterministic) paper algorithms nearly free.
 
-   3. {b Lockstep}: lanes that do have to run share one fused loop and
-      flat Bigarray lane-control state (status / rounds / moves / edge
-      events as structure-of-arrays), amortizing loop dispatch; the
-      per-lane robot and node state is already flat int arrays (the
-      zero-allocation hot path), so the batch adds no boxed per-round
-      state of its own.
-
-   Per lane the loop body replicates [Runner.run]'s uninstrumented loop
-   statement for statement, and the RNG streams are derived through the
-   exact [Scenario] helpers — batched outcomes are byte-identical to S
-   sequential [Scenario.run] calls (QCheck-asserted across random
-   configs, and re-checked in CI's determinism lane). Shapes the fused
-   loop does not cover (graph/async/adversarial/lazy worlds, enabled
-   probes) fall back to exactly those sequential calls, so [run] is
-   total over valid specs. *)
+   The RNG streams are derived through the exact [Scenario] helpers, so
+   batched outcomes are byte-identical to S sequential [Scenario.run]
+   calls (QCheck-asserted across random configs, and re-checked in CI's
+   determinism lane). Shapes with no shareable world (randomized
+   families, graph/async/adversarial/lazy worlds) are exactly those
+   sequential calls. *)
 
 module Scenario = Bfdn_scenario.Scenario
 module World_registry = Bfdn_scenario.World_registry
 module Algo_registry = Bfdn_scenario.Algo_registry
 module Env = Bfdn_sim.Env
-module Runner = Bfdn_sim.Runner
 module Rng = Bfdn_util.Rng
 module Probe = Bfdn_obs.Probe
 
 type report = {
   outcomes : Scenario.outcome array;
-  lockstep : bool;
   shared_world : bool;
   collapsed : bool;
 }
 
-(* Lane status codes in the SoA control plane. *)
-let st_running = 0
-let st_done = 1
-let st_limit = 2
-
-type lanes = {
-  envs : Env.t option array;
-  algos : Runner.algo option array;
-  limits : int array;
-  (* Bigarray-backed lane control state: one int8 status plus int
-     counters per lane, contiguous across lanes so the fused loop's
-     working set is S bytes + 3S words regardless of world size. *)
-  status : (int, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t;
-  rounds : (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t;
-  moves : (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t;
-  edges : (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t;
-  hit_limit : bool array;
-}
-
-let make_lanes s =
-  {
-    envs = Array.make s None;
-    algos = Array.make s None;
-    limits = Array.make s 0;
-    status = Bigarray.Array1.create Bigarray.int8_unsigned Bigarray.c_layout s;
-    rounds = Bigarray.Array1.create Bigarray.int Bigarray.c_layout s;
-    moves = Bigarray.Array1.create Bigarray.int Bigarray.c_layout s;
-    edges = Bigarray.Array1.create Bigarray.int Bigarray.c_layout s;
-    hit_limit = Array.make s false;
-  }
-
-let lane_env lanes l =
-  match lanes.envs.(l) with Some e -> e | None -> assert false
-
-let lane_algo lanes l =
-  match lanes.algos.(l) with Some a -> a | None -> assert false
-
-let finish lanes l st =
-  let env = lane_env lanes l in
-  Bigarray.Array1.set lanes.status l st;
-  Bigarray.Array1.set lanes.rounds l (Env.round env);
-  Bigarray.Array1.set lanes.moves l (Env.moves_total env);
-  Bigarray.Array1.set lanes.edges l (Env.edge_events env);
-  lanes.hit_limit.(l) <- st = st_limit
-
-(* One lane step of the fused loop — [Runner.run]'s plain (probe-less)
-   loop body, statement for statement. Returns [true] while running. *)
-let step lanes l =
-  let env = lane_env lanes l and algo = lane_algo lanes l in
-  if algo.Runner.finished env then begin
-    finish lanes l st_done;
-    false
-  end
-  else if Env.round env >= lanes.limits.(l) then begin
-    finish lanes l st_limit;
-    false
-  end
-  else begin
-    Env.apply env (algo.Runner.select env);
-    true
-  end
-
-let outcome_of_lane lanes l =
-  let env = lane_env lanes l in
-  {
-    Scenario.result =
-      {
-        Runner.rounds = Bigarray.Array1.get lanes.rounds l;
-        explored = Env.fully_explored env;
-        at_root = Env.all_at_root env;
-        moves = Bigarray.Array1.get lanes.moves l;
-        edge_events = Bigarray.Array1.get lanes.edges l;
-        hit_round_limit = lanes.hit_limit.(l);
-      };
-    replay_rounds = None;
-    n = Env.oracle_n env;
-    depth = Env.oracle_depth env;
-    max_degree = Env.oracle_max_degree env;
-  }
-
 let no_tick ~round:_ ~active:_ = ()
 
-(* The fused-loop path handles exactly the synchronous eager tree-runner
-   shape with no observers; everything else is executed as the S
-   sequential runs it is defined to equal. *)
-let lockstep_shape probe t =
-  (not probe.Probe.enabled)
-  &&
+(* The world record every lane can share: the spec's hidden tree, when
+   the spec runs on the eager tree runner over a deterministic family. *)
+let shared_world t =
   match t.Scenario.instance with
-  | Scenario.Adversarial _ -> false
-  | Scenario.World { world; params } -> (
-      (match Algo_registry.find t.Scenario.algo with
-      | Some e -> e.Algo_registry.make_tree <> None
-      | None -> false)
-      &&
-      match World_registry.find world with
-      | Some { World_registry.kind = World_registry.Tree _; _ } ->
-          World_registry.scale_of_params params = "eager"
-      | _ -> false)
+  | Scenario.Adversarial _ -> None
+  | Scenario.World { world; params } ->
+      let tree_runner =
+        match Algo_registry.find t.Scenario.algo with
+        | Some e -> e.Algo_registry.make_tree <> None
+        | None -> false
+      in
+      if tree_runner && World_registry.deterministic_tree ~params world then
+        Some
+          (Env.world_of_tree
+             (World_registry.build_tree
+                ~rng:(Scenario.instance_stream (Rng.create t.Scenario.seed))
+                ~params world))
+      else None
 
-let sequential ?shards ~probe ~tick t =
-  let s = t.Scenario.batch_seeds in
-  let outcomes =
-    Array.init s (fun l ->
-        let o = Scenario.run ~probe ?shards (Scenario.unbatch t l) in
-        tick ~round:l ~active:(s - 1 - l);
-        o)
-  in
-  { outcomes; lockstep = false; shared_world = false; collapsed = false }
-
-let run ?(probe = Probe.noop) ?shards ?(tick = no_tick) t =
+let run ?(probe = Probe.noop) ?(tick = no_tick) t =
   (match Scenario.validate t with
   | Ok () -> ()
   | Error msg ->
       invalid_arg ("Seed_batch: " ^ msg ^ " in " ^ Scenario.describe t));
   let s = t.Scenario.batch_seeds in
-  if not (lockstep_shape probe t) then sequential ?shards ~probe ~tick t
-  else begin
-    let world_name, params =
-      match t.Scenario.instance with
-      | Scenario.World { world; params } -> (world, params)
-      | Scenario.Adversarial _ -> assert false (* lockstep_shape *)
+  let world = shared_world t in
+  (* Lane [l] through the one round loop; [tick] fires after every round.
+     Returns the outcome and whether the run drew nothing from its
+     algorithm stream (only tracked on the shared world). *)
+  let lane l =
+    let spec = Scenario.unbatch t l in
+    let on_round (x : Bfdn_sim.Exec_env.t) =
+      tick ~round:(x.round ()) ~active:(s - l)
     in
-    let shared = World_registry.deterministic_tree ~params world_name in
-    let pool =
-      match shards with
-      | Some n when n > 1 -> Some (Bfdn_util.Shard_pool.create ~shards:n)
-      | _ -> None
-    in
-    Fun.protect ~finally:(fun () ->
-        match pool with
-        | Some p -> Bfdn_util.Shard_pool.shutdown p
-        | None -> ())
-    @@ fun () ->
-    (* One world record for every lane when the family is deterministic:
-       the O(n) build and the lazily memoized stat scan happen once. *)
-    let shared_world =
-      if not shared then None
-      else
-        Some
-          (Env.world_of_tree
-             (World_registry.build_tree
-                ~rng:(Scenario.instance_stream (Rng.create t.Scenario.seed))
-                ~params world_name))
-    in
-    let lanes = make_lanes s in
-    let setup_lane l =
-      let root = Rng.create (t.Scenario.seed + l) in
-      let fault = Scenario.fault_plan t root in
-      let fault_hook = Bfdn_faults.Injector.hook_opt fault in
-      let env =
-        match shared_world with
-        | Some w -> Env.of_world ~fixed:true w ~k:t.Scenario.k ~fault:fault_hook
-        | None ->
-            Env.create
-              (World_registry.build_tree
-                 ~rng:(Scenario.instance_stream root) ~params world_name)
-              ~k:t.Scenario.k ~fault:fault_hook
-      in
-      let rng = Scenario.algo_stream root in
-      let before = Rng.copy rng in
-      let algo =
-        Scenario.instantiate ~probe:Probe.noop ~rng ?fault ?shard_pool:pool t
-          env
-      in
-      lanes.envs.(l) <- Some env;
-      lanes.algos.(l) <- Some algo;
-      lanes.limits.(l) <-
-        (match t.Scenario.max_rounds with
-        | Some m -> m
-        | None -> Runner.default_max_rounds env);
-      Bigarray.Array1.set lanes.status l st_running;
-      (rng, before)
-    in
-    (* Lane 0 runs to completion first: it doubles as the collapse
-       witness, so when the batch provably degenerates the other S-1
-       lanes are never even constructed. *)
-    let rng0, before0 = setup_lane 0 in
-    let r = ref 0 in
-    while step lanes 0 do
-      incr r;
-      tick ~round:!r ~active:1
-    done;
-    let draw_free = Rng.equal rng0 before0 in
-    let collapsed = s > 1 && shared && t.Scenario.faults = [] && draw_free in
-    let outcome0 = outcome_of_lane lanes 0 in
-    if collapsed then
-      {
-        outcomes = Array.make s outcome0;
-        lockstep = true;
-        shared_world = shared;
-        collapsed = true;
-      }
-    else begin
-      (* Fused lockstep sweep over the remaining lanes. Lanes share no
-         mutable state (the shared world record is read-only), so the
-         sweep order cannot be observed; per lane the step sequence is
-         exactly the sequential loop's. *)
-      for l = 1 to s - 1 do
-        ignore (setup_lane l : Rng.t * Rng.t)
-      done;
-      let active = ref (s - 1) in
-      let sweep = ref 0 in
-      while !active > 0 do
-        incr sweep;
-        for l = 1 to s - 1 do
-          if
-            Bigarray.Array1.get lanes.status l = st_running
-            && not (step lanes l)
-          then decr active
-        done;
-        tick ~round:!sweep ~active:!active
-      done;
-      let outcomes =
-        Array.init s (fun l ->
-            if l = 0 then outcome0 else outcome_of_lane lanes l)
-      in
-      { outcomes; lockstep = true; shared_world = shared; collapsed = false }
-    end
-  end
+    match world with
+    | None -> (Scenario.run ~probe ~on_round spec, false)
+    | Some w ->
+        let root = Rng.create spec.Scenario.seed in
+        let fault = Scenario.fault_plan spec root in
+        let env =
+          Env.of_world ~fixed:true w ~k:t.Scenario.k ~probe
+            ~fault:(Bfdn_faults.Injector.hook_opt fault)
+        in
+        let rng = Scenario.algo_stream root in
+        let before = Rng.copy rng in
+        let algo = Scenario.instantiate ~probe ~rng ?fault spec env in
+        let o = Scenario.run_env ~probe ~on_round spec algo env in
+        (o, Rng.equal rng before)
+  in
+  (* Lane 0 runs first: it doubles as the collapse witness, so when the
+     batch provably degenerates the other S-1 lanes are never even
+     constructed. *)
+  let outcome0, draw_free = lane 0 in
+  let collapsed =
+    s > 1 && draw_free && t.Scenario.faults = [] && not probe.Probe.enabled
+  in
+  let outcomes =
+    if collapsed then Array.make s outcome0
+    else Array.init s (fun l -> if l = 0 then outcome0 else fst (lane l))
+  in
+  { outcomes; shared_world = world <> None; collapsed }

@@ -40,7 +40,7 @@ type t = {
           round. *)
   on_phase : phase -> int -> unit;
       (** Phase duration in monotonic nanoseconds, once per round and
-          phase (fired by [Runner.run]). *)
+          phase (fired by the round loop, [Exec_env.run]). *)
   on_reanchor : robot:int -> depth:int -> route_len:int -> unit;
       (** Per-event ([events] only) — BFDN anchor switch: target depth
           and length of the freshly computed breadth-first route. *)

@@ -13,10 +13,6 @@ type ctx = {
   probe : Probe.t;
   params : Param.binding list;
   fault : Bfdn_faults.Fault_plan.t option;
-  shard_pool : Bfdn_util.Shard_pool.t option;
-      (* borrowed domain team for algorithms with a sharded phase;
-         entries without one simply ignore it (sharding never alters
-         results, so accepting and dropping it is sound) *)
 }
 
 type graph_ctx = {
@@ -156,7 +152,7 @@ let all =
         in
         Bfdn.Bfdn_algo.algo
           (Bfdn.Bfdn_algo.make ~policy ~shortcut ~fault_tolerant ~suspect_after
-             ?drop ?shard_pool:c.shard_pool ~probe:c.probe c.env));
+             ?drop ~probe:c.probe c.env));
     tree_entry ~name:"bfdn-wr" ~aliases:[ "bfdn-planner" ]
       ~doc:
         "BFDN in the write-read/restricted-memory model, Algorithm 2 — \
@@ -298,8 +294,7 @@ let resolve name =
 
 let default_rng rng = match rng with Some r -> r | None -> Rng.create 0
 
-let instantiate ?(probe = Probe.noop) ?rng ?(params = []) ?fault ?shard_pool
-    name env =
+let instantiate ?(probe = Probe.noop) ?rng ?(params = []) ?fault name env =
   let e = resolve name in
   match e.make_tree with
   | None ->
@@ -308,7 +303,7 @@ let instantiate ?(probe = Probe.noop) ?rng ?(params = []) ?fault ?shard_pool
        ^ " does not run on the synchronous tree environment")
   | Some make ->
       checked_params e params;
-      make { env; rng = default_rng rng; probe; params; fault; shard_pool }
+      make { env; rng = default_rng rng; probe; params; fault }
 
 let instantiate_graph ?rng ?(params = []) name g_env =
   let e = resolve name in

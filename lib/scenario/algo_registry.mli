@@ -3,7 +3,7 @@
     Every exploration-algorithm variant registers a canonical name
     (plus aliases), a documentation string, a {!Param} schema and one
     constructor {e per environment it can drive}: synchronous trees
-    ({!Bfdn_sim.Env}, the fast path), graphs
+    ({!Bfdn_sim.Env}), graphs
     ({!Bfdn_graphs.Graph_env}), and the continuous-time relaxation
     ({!Bfdn_sim.Async_env}). Capability flags are {e derived} from the
     constructors that exist ({!caps}), so listings can never drift from
@@ -36,10 +36,6 @@ type ctx = {
           Crashes and masks already act through the environment; this is
           for algorithm-side fault models (today: the whiteboard
           write-drop predicate read by crash-tolerant BFDN). *)
-  shard_pool : Bfdn_util.Shard_pool.t option;
-      (** borrowed domain team for sharding a data-parallel phase (today:
-          BFDN's route computation). Sharding never alters results, so
-          entries without such a phase drop it. *)
 }
 
 type graph_ctx = {
@@ -115,14 +111,12 @@ val instantiate :
   ?rng:Bfdn_util.Rng.t ->
   ?params:Param.binding list ->
   ?fault:Bfdn_faults.Fault_plan.t ->
-  ?shard_pool:Bfdn_util.Shard_pool.t ->
   string ->
   Bfdn_sim.Env.t ->
   Bfdn_sim.Runner.algo
 (** Construct a named algorithm on a tree environment. [rng] defaults to
     a fresh deterministic stream (seed 0) — deterministic algorithms
-    never touch it. [shard_pool] reaches algorithms with a sharded
-    phase (see {!ctx}). @raise Invalid_argument on an unknown name, an
+    never touch it. @raise Invalid_argument on an unknown name, an
     algorithm with no tree constructor, or parameters violating the
     schema. *)
 

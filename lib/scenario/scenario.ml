@@ -527,66 +527,93 @@ let checked t =
    every execution of a spec injects the identical schedule. *)
 let fault_plan t root = Fault_spec.plan ~rng:(fault_stream root) ~k:t.k t.faults
 
-let instantiate ~probe ~rng ?fault ?shard_pool t env =
-  Algo_registry.instantiate ~probe ~rng ~params:t.algo_params ?fault ?shard_pool
-    t.algo env
+let instantiate ~probe ~rng ?fault t env =
+  Algo_registry.instantiate ~probe ~rng ~params:t.algo_params ?fault t.algo
+    env
 
-(* The tree path wraps the scenario-level [on_round] (which receives the
-   uniform execution view) back into Runner's [Env.t] callback; when no
-   observer is installed nothing is allocated and Runner's plain loop
-   runs untouched. *)
-let tree_on_round ~on_round ~algo env =
-  match on_round with
-  | None -> None
-  | Some f ->
-      let view = Exec_env.of_env algo env in
-      Some (fun (_ : Env.t) -> f view)
+(* What each world kind contributes to a run: an execution view, and the
+   oracle stats (n, depth, max degree) of its hidden instance — read
+   after the run, since a lazy world only knows them once explored. The
+   one shared step [execute] drives every view through
+   [Exec_env.run]. *)
+type view = { exec : Exec_env.t; stats : unit -> int * int * int }
 
-(* Graph worlds: build the port-labeled graph from the instance stream,
-   thread probe + fault hook into the graph environment, and drive the
-   algorithm's execution view with the generic round loop. *)
-let run_graph ~probe ~on_round ~root ~fault_hook t ~world ~params =
+let execute ~probe ?on_round t v =
+  let result = Exec_env.run ?max_rounds:t.max_rounds ?on_round ~probe v.exec in
+  let n, depth, max_degree = v.stats () in
+  { result; replay_rounds = None; n; depth; max_degree }
+
+let env_view algo env =
+  {
+    exec = Exec_env.of_env algo env;
+    stats =
+      (fun () ->
+        (Env.oracle_n env, Env.oracle_depth env, Env.oracle_max_degree env));
+  }
+
+let run_env ?(probe = Probe.noop) ?on_round t algo env =
+  execute ~probe ?on_round t (env_view algo env)
+
+(* A hidden tree world — eager, lazily materialized or adversarial —
+   driven by the spec's tree algorithm. *)
+let world_view ~probe ~root ~fault ?fixed t w =
+  let env =
+    Env.of_world ?fixed w ~k:t.k ~probe
+      ~fault:(Bfdn_faults.Injector.hook_opt fault)
+  in
+  env_view (instantiate ~probe ~rng:(algo_stream root) ?fault t env) env
+
+(* Graph worlds: build the port-labeled graph from the instance stream
+   and thread probe + fault hook into the graph environment. *)
+let graph_view ~probe ~root ~fault t ~world ~params =
   let module Genv = Bfdn_graphs.Graph_env in
   let g, origin =
     World_registry.build_graph ~rng:(instance_stream root) ~params world
   in
-  let genv = Genv.create ~probe ~fault:fault_hook g ~origin ~k:t.k in
-  let exec =
-    Algo_registry.instantiate_graph ~rng:(algo_stream root)
-      ~params:t.algo_params t.algo genv
+  let genv =
+    Genv.create ~probe ~fault:(Bfdn_faults.Injector.hook_opt fault) g ~origin
+      ~k:t.k
   in
-  let result = Exec_env.run ?max_rounds:t.max_rounds ?on_round ~probe exec in
   {
-    result;
-    replay_rounds = None;
-    n = Genv.oracle_n_nodes genv;
-    depth = Genv.oracle_radius genv;
-    max_degree = Genv.oracle_max_degree genv;
+    exec =
+      Algo_registry.instantiate_graph ~rng:(algo_stream root)
+        ~params:t.algo_params t.algo genv;
+    stats =
+      (fun () ->
+        ( Genv.oracle_n_nodes genv,
+          Genv.oracle_radius genv,
+          Genv.oracle_max_degree genv ));
   }
 
-(* Tree worlds driven by an async-only algorithm: same hidden instance
-   as the synchronous path (identical instance-stream draw), stepped in
-   unit-time horizons. *)
-let run_async ~probe ~on_round ~root ~fault_hook t tree =
-  let exec =
-    Algo_registry.instantiate_async ~probe ~rng:(algo_stream root)
-      ~params:t.algo_params ~fault:fault_hook t.algo tree ~k:t.k
+(* An explicit hidden tree: the synchronous tree runner, or — for an
+   async-only algorithm — the same instance stepped in unit-time
+   horizons. *)
+let tree_view ~probe ~root ~fault t tree =
+  let tree_capable =
+    match Algo_registry.find t.algo with
+    | Some e -> e.Algo_registry.make_tree <> None
+    | None -> false
   in
-  let result = Exec_env.run ?max_rounds:t.max_rounds ?on_round ~probe exec in
-  let stats = Bfdn_trees.Tree_stats.compute tree in
-  {
-    result;
-    replay_rounds = None;
-    n = stats.n;
-    depth = stats.depth;
-    max_degree = stats.max_degree;
-  }
+  if tree_capable then
+    world_view ~probe ~root ~fault ~fixed:true t (Env.world_of_tree tree)
+  else
+    let stats = Bfdn_trees.Tree_stats.compute tree in
+    {
+      exec =
+        Algo_registry.instantiate_async ~probe ~rng:(algo_stream root)
+          ~params:t.algo_params
+          ~fault:(Bfdn_faults.Injector.hook_opt fault)
+          t.algo tree ~k:t.k;
+      stats = (fun () -> (stats.n, stats.depth, stats.max_degree));
+    }
 
-(* [shards]: an advisory, non-wire execution hint — sharding is
-   bit-for-bit invisible in results (asserted by the determinism suite),
-   so it lives beside [probe]/[on_round] rather than in the spec. The
-   domain team is created for the run and torn down with it. *)
-let run ?(probe = Probe.noop) ?on_round ?shards t =
+let run_on_tree ?(probe = Probe.noop) ?on_round t tree =
+  checked t;
+  let root = Rng.create t.seed in
+  execute ~probe ?on_round t
+    (tree_view ~probe ~root ~fault:(fault_plan t root) t tree)
+
+let run ?(probe = Probe.noop) ?on_round t =
   checked t;
   if t.batch_seeds > 1 then
     invalid_arg
@@ -595,110 +622,46 @@ let run ?(probe = Probe.noop) ?on_round ?shards t =
       ^ "); execute it with Seed_batch.run (lib/engine), or run one lane \
          via unbatch: "
       ^ describe t);
-  let pool =
-    match shards with
-    | Some s when s > 1 -> Some (Bfdn_util.Shard_pool.create ~shards:s)
-    | _ -> None
-  in
-  Fun.protect ~finally:(fun () ->
-      match pool with
-      | Some p -> Bfdn_util.Shard_pool.shutdown p
-      | None -> ())
-  @@ fun () ->
   let root = Rng.create t.seed in
   let fault = fault_plan t root in
-  let fault_hook = Bfdn_faults.Injector.hook_opt fault in
   match t.instance with
   | World { world; params } -> (
-      let entry =
-        match Algo_registry.find t.algo with
-        | Some e -> e
-        | None -> assert false (* checked *)
-      in
-      let kind =
-        match World_registry.find world with
-        | Some e -> e.World_registry.kind
-        | None -> assert false (* checked *)
-      in
-      match kind with
-      | World_registry.Grid _ | World_registry.Graph _ ->
-          run_graph ~probe ~on_round ~root ~fault_hook t ~world ~params
-      | World_registry.Tree _ when entry.Algo_registry.make_tree = None ->
-          let tree =
-            World_registry.build_tree ~rng:(instance_stream root) ~params world
+      match World_registry.find world with
+      | Some { World_registry.kind = Grid _ | Graph _; _ } ->
+          execute ~probe ?on_round t
+            (graph_view ~probe ~root ~fault t ~world ~params)
+      | _ when World_registry.scale_of_params params = "lazy" ->
+          (* Huge tier: the hidden tree is generated at reveal, so the run
+             holds O(explored) state. The lazy seed is one draw off the
+             instance stream — the same stream the eager build would
+             consume — keeping the derivation spec-deterministic. *)
+          let seed =
+            Int64.to_int (Rng.bits64 (instance_stream root)) land max_int
           in
-          run_async ~probe ~on_round ~root ~fault_hook t tree
-      | World_registry.Tree _ ->
-          let env =
-            match World_registry.scale_of_params params with
-            | "lazy" ->
-                (* Huge tier: the hidden tree is generated at reveal, so the
-                   run holds O(explored) state. The lazy seed is one draw off
-                   the instance stream — the same stream the eager build
-                   would consume — keeping the derivation spec-deterministic. *)
-                let seed =
-                  Int64.to_int (Rng.bits64 (instance_stream root)) land max_int
-                in
-                let lw = World_registry.build_lazy ~seed ~params world in
-                Env.of_world (Bfdn_sim.Lazy_world.world lw) ~k:t.k ~probe
-                  ~fault:fault_hook
-            | _ ->
-                let tree =
-                  World_registry.build_tree ~rng:(instance_stream root) ~params
-                    world
-                in
-                Env.create tree ~k:t.k ~probe ~fault:fault_hook
-          in
-          let algo =
-            instantiate ~probe ~rng:(algo_stream root) ?fault ?shard_pool:pool
-              t env
-          in
-          let result =
-            Runner.run ?max_rounds:t.max_rounds
-              ?on_round:(tree_on_round ~on_round ~algo env)
-              ~probe algo env
-          in
-          {
-            result;
-            replay_rounds = None;
-            n = Env.oracle_n env;
-            depth = Env.oracle_depth env;
-            max_degree = Env.oracle_max_degree env;
-          })
+          let lw = World_registry.build_lazy ~seed ~params world in
+          execute ~probe ?on_round t
+            (world_view ~probe ~root ~fault t (Bfdn_sim.Lazy_world.world lw))
+      | _ ->
+          execute ~probe ?on_round t
+            (tree_view ~probe ~root ~fault t
+               (World_registry.build_tree ~rng:(instance_stream root) ~params
+                  world)))
   | Adversarial { policy; params } ->
       let adv =
         World_registry.build_adversary ~rng:(instance_stream root) ~params
           policy
       in
-      let env =
-        Env.of_world (Adversary.world adv) ~k:t.k ~probe ~fault:fault_hook
+      let adaptive =
+        execute ~probe ?on_round t
+          (world_view ~probe ~root ~fault t (Adversary.world adv))
       in
-      let algo =
-        instantiate ~probe ~rng:(algo_stream root) ?fault ?shard_pool:pool t
-          env
-      in
-      let result =
-        Runner.run ?max_rounds:t.max_rounds
-          ?on_round:(tree_on_round ~on_round ~algo env)
-          ~probe algo env
-      in
-      let tree = Adversary.frozen adv in
-      let stats = Bfdn_trees.Tree_stats.compute tree in
-      let fault2 = fault_plan t root in
-      let env2 =
-        Env.create tree ~k:t.k ~fault:(Bfdn_faults.Injector.hook_opt fault2)
-      in
-      let algo2 =
-        instantiate ~probe:Probe.noop ~rng:(algo_stream root) ?fault:fault2 t
-          env2
-      in
-      let replay = Runner.run ?max_rounds:t.max_rounds algo2 env2 in
+      (* Replay on the frozen tree: the same spec, so the same algorithm
+         and fault streams, re-derived from the seed. *)
+      let replay = run_on_tree t (Adversary.frozen adv) in
       {
-        result;
-        replay_rounds = Some replay.rounds;
-        n = stats.n;
-        depth = stats.depth;
-        max_degree = stats.max_degree;
+        replay with
+        result = adaptive.result;
+        replay_rounds = Some replay.result.rounds;
       }
 
 let materialize t =
@@ -730,36 +693,3 @@ let materialize t =
               World_registry.build_tree
                 ~rng:(instance_stream (Rng.create t.seed))
                 ~params world))
-
-let run_on_tree ?(probe = Probe.noop) ?on_round t tree =
-  checked t;
-  let root = Rng.create t.seed in
-  let fault = fault_plan t root in
-  let tree_capable =
-    match Algo_registry.find t.algo with
-    | Some e -> e.Algo_registry.make_tree <> None
-    | None -> false
-  in
-  if not tree_capable then
-    (* Async-only algorithm on an explicit hidden tree: same derivation
-       as [run] on a tree world. *)
-    run_async ~probe ~on_round ~root
-      ~fault_hook:(Bfdn_faults.Injector.hook_opt fault)
-      t tree
-  else
-    let env =
-      Env.create tree ~k:t.k ~probe ~fault:(Bfdn_faults.Injector.hook_opt fault)
-    in
-    let algo = instantiate ~probe ~rng:(algo_stream root) ?fault t env in
-    let result =
-      Runner.run ?max_rounds:t.max_rounds
-        ?on_round:(tree_on_round ~on_round ~algo env)
-        ~probe algo env
-    in
-    {
-      result;
-      replay_rounds = None;
-      n = Env.oracle_n env;
-      depth = Env.oracle_depth env;
-      max_degree = Env.oracle_max_degree env;
-    }

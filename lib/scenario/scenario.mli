@@ -44,7 +44,7 @@ type t = {
           stream, so the schedule replays identically everywhere. *)
   batch_seeds : int;
       (** S >= 1: the spec stands for the S consecutive seeds
-          [seed, seed + S), executed in lockstep by the batch engine
+          [seed, seed + S), executed by the batch engine
           ([Bfdn_engine.Seed_batch]). [1] (the default) is the plain
           single-seed spec, byte-identical on the wire to pre-batch
           specs; values above 1 are emitted as a version-2
@@ -169,7 +169,6 @@ val instantiate :
   probe:Bfdn_obs.Probe.t ->
   rng:Bfdn_util.Rng.t ->
   ?fault:Bfdn_faults.Fault_plan.t ->
-  ?shard_pool:Bfdn_util.Shard_pool.t ->
   t ->
   Bfdn_sim.Env.t ->
   Bfdn_sim.Runner.algo
@@ -177,33 +176,37 @@ val instantiate :
     {!Algo_registry.instantiate} with the spec's name and parameters.
     [rng] must be the spec's algorithm stream for the run to replay. *)
 
+val run_env :
+  ?probe:Bfdn_obs.Probe.t ->
+  ?on_round:(Bfdn_sim.Exec_env.t -> unit) ->
+  t ->
+  Bfdn_sim.Runner.algo ->
+  Bfdn_sim.Env.t ->
+  outcome
+(** The shared execution step on a prepared tree environment: drive
+    [Exec_env.of_env algo env] through {!Bfdn_sim.Exec_env.run} under
+    the spec's round cap and read the outcome, with the oracle stats
+    taken from [env] after the run. [algo] should come from
+    {!instantiate} on [env] with the spec's streams for the run to
+    replay — the batch engine uses this to run lanes on one shared world
+    record. *)
+
 val run :
   ?probe:Bfdn_obs.Probe.t ->
   ?on_round:(Bfdn_sim.Exec_env.t -> unit) ->
-  ?shards:int ->
   t ->
   outcome
 (** Execute the spec — the single executor for every world kind. Derive
     the instance and algorithm RNG streams from [seed] ([Rng.split]
-    indices 0 and 1), build the environment, construct the algorithm
-    through {!Algo_registry} and drive the matching loop: synchronous
-    tree worlds run through the monomorphic {!Bfdn_sim.Runner.run} fast
-    path, grid/graph worlds through {!Bfdn_graphs.Graph_env} and
-    tree worlds paired with an async-only algorithm through
-    {!Bfdn_sim.Async_env} — the latter two via the uniform
-    {!Bfdn_sim.Exec_env.run} loop. Adversarial scenarios additionally
-    re-run the algorithm on the frozen tree and report [replay_rounds].
-    [probe]/[on_round] observe the run without altering it; [on_round]
-    receives the uniform {!Bfdn_sim.Exec_env.t} execution view on every
-    path (on the tree path it is a wrapper over the live [Env.t], built
-    only when an observer is installed).
-
-    [shards] (advisory, not part of the spec) spreads the
-    route-computation pass of algorithms with a sharded phase over
-    [shards] domains ({!Bfdn_util.Shard_pool}); results are bit-for-bit
-    identical for every value, so it is a pure latency knob for big
-    single runs. Ignored on graph/async paths and by algorithms without
-    a sharded phase.
+    indices 0 and 1), build the world's execution view — a tree
+    environment (eager or lazily materialized) with the algorithm from
+    {!Algo_registry}, a {!Bfdn_graphs.Graph_env} for grid/graph worlds,
+    or a {!Bfdn_sim.Async_env} for tree worlds paired with an async-only
+    algorithm — and drive it through the one round loop,
+    {!Bfdn_sim.Exec_env.run}. Adversarial scenarios additionally replay
+    the spec on the frozen tree ({!run_on_tree}) and report
+    [replay_rounds]. [probe]/[on_round] observe the run without altering
+    it; [on_round] receives the execution view after every round.
     @raise Invalid_argument when {!validate} fails, and for batched
     specs ([batch_seeds > 1] — execute those with the batch engine's
     [Seed_batch.run], or lane-by-lane via {!unbatch}). *)

@@ -265,7 +265,7 @@ let exec t (job : Q.job) =
       Q.settle t.adm job st
     in
     (* Batched specs fan out through the batch engine: one admission
-       ticket, one execute span, S lockstep lanes. Each lane's outcome
+       ticket, one execute span, S lanes. Each lane's outcome
        is streamed as it is known and cached under the lane's own
        (unbatched) fingerprint, so a later plain request for any single
        seed is a cache hit; the combined body is cached under the batch
@@ -303,7 +303,6 @@ let exec t (job : Q.job) =
         (Json.Obj
            [
              ("seeds", Json.Int spec.Scenario.batch_seeds);
-             ("lockstep", Json.Bool report.Seed_batch.lockstep);
              ("shared_world", Json.Bool report.Seed_batch.shared_world);
              ("collapsed", Json.Bool report.Seed_batch.collapsed);
              ("outcomes", Json.List (Array.to_list lanes));

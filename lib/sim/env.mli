@@ -98,8 +98,9 @@ val of_world :
   k:int ->
   t
 (** [fixed] (default [false]) declares that the world's [w_stats] never
-    change after creation, letting {!Runner.run} compute its termination
-    bound once instead of every round. {!create} sets it. *)
+    change after creation, letting the round loop ({!Exec_env.of_env})
+    compute its termination bound once instead of every round.
+    {!create} sets it. *)
 
 val world_of_tree : Bfdn_trees.Tree.t -> world
 

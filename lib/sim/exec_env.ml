@@ -1,6 +1,21 @@
 module Clock = Bfdn_util.Clock
 module Probe = Bfdn_obs.Probe
 
+type algo = {
+  name : string;
+  select : Env.t -> Env.move array;
+  finished : Env.t -> bool;
+}
+
+type result = {
+  rounds : int;
+  explored : bool;
+  at_root : bool;
+  moves : int;
+  edge_events : int;
+  hit_round_limit : bool;
+}
+
 type t = {
   kind : string;
   k : int;
@@ -18,54 +33,48 @@ type t = {
   render : unit -> string;
 }
 
+(* The termination bound of Section 2.1: the divergence guard of every
+   tree-shaped world. *)
+let round_bound ~n ~depth = (3 * n * (depth + 2)) + 100
+
+let default_max_rounds env =
+  round_bound ~n:(Env.oracle_n env) ~depth:(Env.oracle_depth env)
+
 let run ?max_rounds ?(on_round = fun _ -> ()) ?(probe = Probe.noop) x =
   let limit =
     match max_rounds with Some m -> fun () -> m | None -> x.round_limit
   in
+  (* With an enabled probe, each round's three phases (finished-check,
+     select, apply) are bracketed with monotonic clock reads. The phases
+     are contiguous, so each end stamp doubles as the next start: 3 clock
+     reads per round. The plain loop reads no clock at all. *)
+  let timed = probe.Probe.enabled in
+  let t = ref (if timed then Clock.now_ns () else 0) in
+  let stamp phase =
+    let now = Clock.now_ns () in
+    probe.Probe.on_phase phase (now - !t);
+    t := now
+  in
   let hit_limit = ref false in
   let continue = ref true in
-  if probe.Probe.enabled then begin
-    (* Same phase bracketing as {!Runner.run}'s instrumented loop: the
-       phases are contiguous, so each end stamp doubles as the next
-       start — 3 clock reads per round. *)
-    let t = ref (Clock.now_ns ()) in
-    while !continue do
-      let fin = x.finished () in
-      let t1 = Clock.now_ns () in
-      probe.Probe.on_phase Probe.Finished_check (t1 - !t);
-      t := t1;
-      if fin then continue := false
-      else if x.round () >= limit () then begin
-        hit_limit := true;
-        continue := false
-      end
-      else begin
-        x.select ();
-        let t2 = Clock.now_ns () in
-        probe.Probe.on_phase Probe.Select (t2 - !t);
-        x.apply ();
-        let t3 = Clock.now_ns () in
-        probe.Probe.on_phase Probe.Apply (t3 - t2);
-        t := t3;
-        on_round x
-      end
-    done
-  end
-  else
-    while !continue do
-      if x.finished () then continue := false
-      else if x.round () >= limit () then begin
-        hit_limit := true;
-        continue := false
-      end
-      else begin
-        x.select ();
-        x.apply ();
-        on_round x
-      end
-    done;
+  while !continue do
+    let fin = x.finished () in
+    if timed then stamp Probe.Finished_check;
+    if fin then continue := false
+    else if x.round () >= limit () then begin
+      hit_limit := true;
+      continue := false
+    end
+    else begin
+      x.select ();
+      if timed then stamp Probe.Select;
+      x.apply ();
+      if timed then stamp Probe.Apply;
+      on_round x
+    end
+  done;
   {
-    Runner.rounds = x.round ();
+    rounds = x.round ();
     explored = x.explored ();
     at_root = x.at_home ();
     moves = x.moves_total ();
@@ -73,22 +82,25 @@ let run ?max_rounds ?(on_round = fun _ -> ()) ?(probe = Probe.noop) x =
     hit_round_limit = !hit_limit;
   }
 
-let of_env algo env =
+let of_env (algo : algo) env =
   let pending = ref [||] in
+  (* The bound only needs recomputing against a lazily materialized
+     world, where it grows as nodes are revealed; for fixed-tree worlds
+     it is memoized at the first round. *)
   let round_limit =
     if Env.fixed_world env then begin
-      let m = lazy (Runner.default_max_rounds env) in
+      let m = lazy (default_max_rounds env) in
       fun () -> Lazy.force m
     end
-    else fun () -> Runner.default_max_rounds env
+    else fun () -> default_max_rounds env
   in
   {
     kind = "tree";
     k = Env.k env;
     round = (fun () -> Env.round env);
-    select = (fun () -> pending := algo.Runner.select env);
+    select = (fun () -> pending := algo.select env);
     apply = (fun () -> Env.apply env !pending);
-    finished = (fun () -> algo.Runner.finished env);
+    finished = (fun () -> algo.finished env);
     round_limit;
     explored = (fun () -> Env.fully_explored env);
     at_home = (fun () -> Env.all_at_root env);
@@ -112,9 +124,10 @@ let of_async ?(fault = Env.fault_noop) ?(probe = Probe.noop) ?on_restart
     (* The synchronous divergence guard, stretched by the slowest robot:
        a unit edge takes [1/speed] horizons. *)
     lazy
-      (let n = Async_env.capacity aenv in
-       let depth = Async_env.oracle_depth aenv in
-       let base = (3 * n * (depth + 2)) + 100 in
+      (let base =
+         round_bound ~n:(Async_env.capacity aenv)
+           ~depth:(Async_env.oracle_depth aenv)
+       in
        int_of_float (ceil (float_of_int base /. Async_env.min_speed aenv)))
   in
   {

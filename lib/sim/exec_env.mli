@@ -1,25 +1,41 @@
-(** First-class execution environments: one round-loop for every world.
+(** The round loop: one executor for every world.
 
-    {!Runner.run} is the tree fast path — monomorphic over {!Env.t}, with
-    a zero-allocation uninstrumented loop — and stays that way. This
-    module is its generalized sibling: an {!t} packages the operations
-    the round loop, fault injection and the obs probes actually need
-    (select/apply phases, termination test, round accounting, positions,
-    trace frames) behind closures, so grid/graph environments
-    ([Bfdn_graphs.Graph_env]) and the continuous-time relaxation
-    ({!Async_env}, Remark 8) run through the same executor shape —
-    including the probed loop's clock-bracketed
+    BFDN is one synchronous loop — each round every robot selects a
+    move, then all moves are applied. {!run} is that loop, and the only
+    one in the codebase: {!Runner.run} is [run (of_env algo env)], and
+    the scenario layer, the seed batch engine and the graph runner drive
+    it directly. An {!t} packages the operations the loop, fault
+    injection and the obs probes need (select/apply phases, termination
+    test, round accounting, positions, trace frames) behind closures, so
+    tree environments ({!of_env}), grid/graph environments
+    ([Bfdn_graphs.Graph_env], adapted by [Bfdn_graph.exec_env] in
+    [lib/core] because [lib/sim] does not see [bfdn_graphs]) and the
+    continuous-time relaxation ({!of_async}, Remark 8) run through the
+    same code — including the probed loop's clock-bracketed
     [Finished_check]/[Select]/[Apply] phases that feed span trees and
-    [/metrics].
+    [/metrics]. *)
 
-    Adapters: {!of_env} wraps a tree algorithm/environment pair (used
-    when a caller needs the uniform interface for observation — the
-    scenario layer still dispatches trees to {!Runner.run});
-    {!of_async} wraps an event-driven async run as a sequence of
-    unit-time horizons so the synchronous round loop, round limits,
-    probes and fault plans apply unchanged. Graph adapters live in
-    [lib/core] ([Bfdn_graph.exec_env]) because [lib/sim] does not see
-    [bfdn_graphs]. *)
+type algo = {
+  name : string;
+  select : Env.t -> Env.move array;
+      (** Produce this round's selection for every robot. Must not mutate
+          the environment. *)
+  finished : Env.t -> bool;
+      (** The algorithm's own termination condition, evaluated before each
+          round. *)
+}
+(** An online algorithm over a tree {!Env}; re-exported as
+    {!Runner.algo}. *)
+
+type result = {
+  rounds : int;
+  explored : bool;  (** all edges discovered and traversed *)
+  at_root : bool;  (** all robots back at the root on termination *)
+  moves : int;  (** total edge traversals *)
+  edge_events : int;
+  hit_round_limit : bool;
+}
+(** Re-exported as {!Runner.result}. *)
 
 type t = {
   kind : string;  (** ["tree"], ["graph"] or ["async"] — for display. *)
@@ -28,7 +44,7 @@ type t = {
   select : unit -> unit;
       (** Compute this round's moves (held internally until {!apply}).
           Separate from [apply] so the probed loop can bracket the two
-          phases with distinct clock stamps, as {!Runner.run} does. *)
+          phases with distinct clock stamps. *)
   apply : unit -> unit;  (** Commit the selected moves: one round. *)
   finished : unit -> bool;  (** The algorithm's own termination test. *)
   round_limit : unit -> int;
@@ -47,18 +63,24 @@ val run :
   ?on_round:(t -> unit) ->
   ?probe:Bfdn_obs.Probe.t ->
   t ->
-  Runner.result
-(** Same contract and loop structure as {!Runner.run} — an
-    uninstrumented loop with no clock reads, and a probed loop with 3
-    monotonic-clock reads per round bracketing the
-    [Finished_check]/[Select]/[Apply] phases — over the closure record
-    instead of a concrete environment. *)
+  result
+(** Repeatedly [select] and [apply] until [finished] holds or
+    [max_rounds] is reached (default: [round_limit]). [on_round] is
+    invoked after every applied round.
 
-val of_env : Runner.algo -> Env.t -> t
-(** Tree adapter. [run (of_env algo env)] computes the same result as
-    [Runner.run algo env]; the scenario layer keeps calling
-    {!Runner.run} directly on the tree path so that path stays
-    monomorphic. *)
+    When an enabled [probe] is given, every round's three phases
+    (finished-check, select, apply) are bracketed with monotonic clock
+    reads and reported through [probe.on_phase]; with the default
+    {!Bfdn_obs.Probe.noop} the loop reads no clock at all. The probe does
+    not alter the loop's decisions, so results are identical with and
+    without it. *)
+
+val of_env : algo -> Env.t -> t
+(** Tree adapter. The divergence guard is the termination bound
+    [3 * n * (D + 2) + 100] of Section 2.1 at the environment's oracle
+    [n] and depth, far above any correct run: memoized on fixed-tree
+    worlds, recomputed every round on lazily materialized ones, where it
+    grows as nodes are revealed. *)
 
 val of_async :
   ?fault:Env.fault_hook ->
@@ -69,10 +91,11 @@ val of_async :
   t
 (** Async adapter: each {!t.apply} advances the event-driven simulation
     by one unit-time horizon ([Async_env.advance]), so "round [r]" covers
-    continuous time [(r-1, r]]. [fault] is interpreted against the
-    integer horizon clock: a down robot is forced to park (it keeps any
-    in-flight traversal — crashes ground a robot only at a node), and
-    restarts teleport a grounded robot to the root, notifying the
-    algorithm via [on_restart] so it can discard stale route state. The
-    [probe]'s [on_round] fires once per horizon with per-horizon deltas,
-    which is what puts async runs on [/metrics]. *)
+    continuous time [(r-1, r]]. The divergence guard is the tree bound
+    (see {!of_env}) stretched by [1 / min_speed]. [fault] is interpreted
+    against the integer horizon clock: a down robot is forced to park (it
+    keeps any in-flight traversal — crashes ground a robot only at a
+    node), and restarts teleport a grounded robot to the root, notifying
+    the algorithm via [on_restart] so it can discard stale route state.
+    The [probe]'s [on_round] fires once per horizon with per-horizon
+    deltas, which is what puts async runs on [/metrics]. *)

@@ -1,13 +1,10 @@
-module Clock = Bfdn_util.Clock
-module Probe = Bfdn_obs.Probe
-
-type algo = {
+type algo = Exec_env.algo = {
   name : string;
   select : Env.t -> Env.move array;
   finished : Env.t -> bool;
 }
 
-type result = {
+type result = Exec_env.result = {
   rounds : int;
   explored : bool;
   at_root : bool;
@@ -16,72 +13,9 @@ type result = {
   hit_round_limit : bool;
 }
 
-let default_max_rounds env =
-  (3 * Env.oracle_n env * (Env.oracle_depth env + 2)) + 100
-
-let run ?max_rounds ?(on_round = fun _ -> ()) ?(probe = Probe.noop) algo env =
-  (* The bound only needs recomputing against a lazily materialized world,
-     where it grows as nodes are revealed; for fixed-tree worlds it is
-     memoized at the first round. *)
-  let limit =
-    match max_rounds with
-    | Some m -> fun () -> m
-    | None when Env.fixed_world env ->
-        let m = lazy (default_max_rounds env) in
-        fun () -> Lazy.force m
-    | None -> fun () -> default_max_rounds env
-  in
-  let hit_limit = ref false in
-  let continue = ref true in
-  if probe.Probe.enabled then begin
-    (* Instrumented loop: monotonic-clock brackets around the three
-       phases of each round. Kept separate from the default loop so the
-       uninstrumented hot path performs no clock reads at all. The
-       phases are contiguous, so each phase's end stamp doubles as the
-       next one's start — 3 clock reads per round, not 6. *)
-    let t = ref (Clock.now_ns ()) in
-    while !continue do
-      let fin = algo.finished env in
-      let t1 = Clock.now_ns () in
-      probe.Probe.on_phase Probe.Finished_check (t1 - !t);
-      t := t1;
-      if fin then continue := false
-      else if Env.round env >= limit () then begin
-        hit_limit := true;
-        continue := false
-      end
-      else begin
-        let moves = algo.select env in
-        let t2 = Clock.now_ns () in
-        probe.Probe.on_phase Probe.Select (t2 - !t);
-        Env.apply env moves;
-        let t3 = Clock.now_ns () in
-        probe.Probe.on_phase Probe.Apply (t3 - t2);
-        t := t3;
-        on_round env
-      end
-    done
-  end
-  else
-    while !continue do
-      if algo.finished env then continue := false
-      else if Env.round env >= limit () then begin
-        hit_limit := true;
-        continue := false
-      end
-      else begin
-        Env.apply env (algo.select env);
-        on_round env
-      end
-    done;
-  {
-    rounds = Env.round env;
-    explored = Env.fully_explored env;
-    at_root = Env.all_at_root env;
-    moves = Env.moves_total env;
-    edge_events = Env.edge_events env;
-    hit_round_limit = !hit_limit;
-  }
+let run ?max_rounds ?on_round ?probe algo env =
+  let on_round = Option.map (fun f (_ : Exec_env.t) -> f env) on_round in
+  Exec_env.run ?max_rounds ?on_round ?probe (Exec_env.of_env algo env)
 
 let pp_result ppf r =
   Format.fprintf ppf "rounds=%d explored=%b at_root=%b moves=%d events=%d%s"

@@ -1,6 +1,7 @@
-(** Round loop driving an online algorithm against an {!Env}. *)
+(** Driving an online algorithm against a tree {!Env}: the tree-typed
+    front of the one round loop, {!Exec_env.run}. *)
 
-type algo = {
+type algo = Exec_env.algo = {
   name : string;
   select : Env.t -> Env.move array;
       (** Produce this round's selection for every robot. Must not mutate
@@ -10,7 +11,7 @@ type algo = {
           round. *)
 }
 
-type result = {
+type result = Exec_env.result = {
   rounds : int;
   explored : bool;  (** all edges discovered and traversed *)
   at_root : bool;  (** all robots back at the root on termination *)
@@ -19,11 +20,6 @@ type result = {
   hit_round_limit : bool;
 }
 
-val default_max_rounds : Env.t -> int
-(** The divergence guard used when [max_rounds] is not given: the
-    termination bound [3 * n * (D + 2) + 100] of Section 2.1, far above
-    any correct run. Also used by {!Exec_env.of_env}. *)
-
 val run :
   ?max_rounds:int ->
   ?on_round:(Env.t -> unit) ->
@@ -31,17 +27,10 @@ val run :
   algo ->
   Env.t ->
   result
-(** Repeatedly query [select] and {!Env.apply} until [finished], the
-    environment is fully explored with the algorithm finished, or
-    [max_rounds] is reached (default: the termination bound
-    [3 * n * (D + 2) + 100] of Section 2.1, far above any correct run).
-    [on_round] is invoked after every applied round.
-
-    When an enabled [probe] is given, every round's three phases
-    (finished-check, select, apply) are bracketed with monotonic clock
-    reads and reported through [probe.on_phase]; the default
-    {!Bfdn_obs.Probe.noop} runs a separate loop with no clock reads at
-    all. The probe does not alter the round loop's decisions, so results
-    are identical with and without it. *)
+(** [Exec_env.run (Exec_env.of_env algo env)]: query [select] and
+    {!Env.apply} until [finished] or [max_rounds] is reached (default:
+    the termination bound). [on_round] is invoked after every applied
+    round; an enabled [probe] receives the per-phase clock brackets
+    without altering the run. *)
 
 val pp_result : Format.formatter -> result -> unit

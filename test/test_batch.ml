@@ -1,14 +1,10 @@
-(* Tests for seed-batched lockstep execution and intra-run sharding.
+(* Tests for seed-batched execution.
 
-   The two contracts under test are determinism contracts:
-
-   - batch oracle: every lane of [Seed_batch.run] is byte-identical to
-     the sequential [Scenario.run] of the unbatched lane spec — across
-     random configs (QCheck), including shapes served by the sequential
-     fallback (adversarial, faults, randomized algorithms);
-   - shard oracle: [Scenario.run ~shards:n] is byte-identical to the
-     unsharded run for every n — the sharded select's merge is stable
-     robot-index order by construction.
+   The contract under test is a determinism contract — the batch
+   oracle: every lane of [Seed_batch.run] is byte-identical to the
+   sequential [Scenario.run] of the unbatched lane spec, across random
+   configs (QCheck), including shapes with no shared world
+   (adversarial, randomized families) and drawing algorithms or faults.
 
    Plus the soundness premises of the identical-lane collapse: the
    deterministic-family predicate is asserted against the generators
@@ -22,7 +18,6 @@ module Seed_batch = Bfdn_engine.Seed_batch
 module Tree_gen = Bfdn_trees.Tree_gen
 module Tree = Bfdn_trees.Tree
 module Rng = Bfdn_util.Rng
-module Shard_pool = Bfdn_util.Shard_pool
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -94,7 +89,6 @@ let test_collapse_flags () =
   in
   checkb "binary/bfdn collapses" true r.Seed_batch.collapsed;
   checkb "binary/bfdn shares the world" true r.Seed_batch.shared_world;
-  checkb "binary/bfdn lockstep" true r.Seed_batch.lockstep;
   (* Randomized instance: no shared world, no collapse, still equal. *)
   let r =
     check_batch_equals_sequential "random/bfdn"
@@ -102,7 +96,6 @@ let test_collapse_flags () =
   in
   checkb "random/bfdn does not share" false r.Seed_batch.shared_world;
   checkb "random/bfdn does not collapse" false r.Seed_batch.collapsed;
-  checkb "random/bfdn still lockstep" true r.Seed_batch.lockstep;
   (* Drawing algorithm on a deterministic family: lanes genuinely
      differ, so the draw-free proof must fail. *)
   let r =
@@ -124,13 +117,13 @@ let test_collapse_flags () =
   checkb "faulty batch still shares the world" true r.Seed_batch.shared_world
 
 let test_fallback_shapes () =
-  (* Adversarial: sequential fallback, still lane-identical. *)
+  (* Adversarial: no shared world, still lane-identical. *)
   let t =
     Scenario.make ~algo:"bfdn" ~k:4 ~seed:11 ~batch_seeds:3
       (Scenario.adversarial ~policy:"corridor" ~capacity:120 ~depth_budget:10)
   in
   let r = check_batch_equals_sequential "adversarial" t in
-  checkb "adversarial falls back" false r.Seed_batch.lockstep;
+  checkb "adversarial shares no world" false r.Seed_batch.shared_world;
   (* Round cap: hit_round_limit lanes stay identical. *)
   let t =
     {
@@ -180,51 +173,6 @@ let prop_batch_equals_sequential =
         (fun a b -> Scenario.equal_outcome a b)
         report.Seed_batch.outcomes seq)
 
-(* ---- sharding: bit-for-bit across shard counts ---- *)
-
-let test_shard_equality () =
-  List.iter
-    (fun (what, t) ->
-      let plain = Scenario.run t in
-      List.iter
-        (fun shards ->
-          let sharded = Scenario.run ~shards t in
-          checkb
-            (Printf.sprintf "%s: %d shards = unsharded" what shards)
-            true
-            (Scenario.equal_outcome plain sharded))
-        [ 1; 2; 3 ])
-    [
-      ("comb k=64", gen_spec ~family:"comb" ~n:400 ~k:64 ~seed:3 ());
-      ("trap k=32", gen_spec ~family:"trap" ~n:300 ~k:32 ~seed:4 ());
-      ( "shortcut spider",
-        gen_spec ~family:"spider" ~n:300 ~k:16 ~seed:5
-          ~algo_params:[ ("shortcut", Param.Bool true) ]
-          () );
-      ( "fault-tolerant binary",
-        gen_spec ~family:"binary" ~n:200 ~k:8 ~seed:6
-          ~algo_params:[ ("fault_tolerant", Param.Bool true) ]
-          ~faults:[ ("crashes", Param.String "1@8,3@20+25") ]
-          () );
-    ]
-
-let test_shard_pool () =
-  let pool = Shard_pool.create ~shards:3 in
-  checki "shards" 3 (Shard_pool.shards pool);
-  let hits = Array.make 100 0 in
-  Shard_pool.run pool ~n:100 (fun i -> hits.(i) <- hits.(i) + 1);
-  checkb "every index exactly once" true (Array.for_all (( = ) 1) hits);
-  (* Worker exceptions surface at the caller and the pool survives. *)
-  checkb "exception propagates" true
-    (try
-       Shard_pool.run pool ~n:10 (fun i -> if i = 7 then failwith "boom");
-       false
-     with Failure _ -> true);
-  Shard_pool.run pool ~n:100 (fun i -> hits.(i) <- hits.(i) + 1);
-  checkb "pool alive after exception" true (Array.for_all (( = ) 2) hits);
-  Shard_pool.shutdown pool;
-  Shard_pool.shutdown pool (* idempotent *)
-
 (* ---- batched specs on the wire ---- *)
 
 let test_batch_wire () =
@@ -270,8 +218,6 @@ let suite =
         test_deterministic_families;
       Alcotest.test_case "collapse flags" `Quick test_collapse_flags;
       Alcotest.test_case "fallback shapes" `Quick test_fallback_shapes;
-      Alcotest.test_case "shard equality" `Quick test_shard_equality;
-      Alcotest.test_case "shard pool" `Quick test_shard_pool;
       Alcotest.test_case "batched wire form" `Quick test_batch_wire;
       QCheck_alcotest.to_alcotest prop_batch_equals_sequential;
     ] )

@@ -278,7 +278,64 @@ let test_probe_does_not_perturb () =
   let a = run false and b = run true in
   checki "same rounds" a.Runner.rounds b.Runner.rounds;
   checki "same moves" a.Runner.moves b.Runner.moves;
-  checki "same events" a.Runner.edge_events b.Runner.edge_events
+  checki "same events" a.Runner.edge_events b.Runner.edge_events;
+  (* Every compatible algorithm on every world shape, through
+     Scenario.run: the one round loop, plain and probed, must produce
+     identical full outcomes. Async-only algorithms on the tree world
+     take the continuous-time path. *)
+  let module Scenario = Bfdn_scenario.Scenario in
+  let module Param = Bfdn_scenario.Param in
+  let module Algo_registry = Bfdn_scenario.Algo_registry in
+  let tree_params = [ ("depth_hint", Param.Int 8); ("n", Param.Int 150) ] in
+  let worlds =
+    [
+      ("eager tree", Scenario.world ~params:tree_params "comb");
+      ( "lazy tree",
+        Scenario.world
+          ~params:(("scale", Param.String "lazy") :: tree_params)
+          "binary" );
+      ( "adversarial",
+        Scenario.adversarial ~policy:"corridor" ~capacity:120 ~depth_budget:10
+      );
+      ( "grid",
+        Scenario.world
+          ~params:
+            [
+              ("height", Param.Int 8);
+              ("obstacles", Param.Int 3);
+              ("width", Param.Int 10);
+            ]
+          "grid" );
+    ]
+  in
+  let ran = Hashtbl.create 8 in
+  List.iter
+    (fun (world, instance) ->
+      List.iter
+        (fun (e : Algo_registry.entry) ->
+          let spec =
+            Scenario.make ~algo:e.name ~k:4 ~seed:7 ~max_rounds:50_000 instance
+          in
+          if Result.is_ok (Scenario.validate spec) then begin
+            let path =
+              if (Algo_registry.caps e).tree || world <> "eager tree" then world
+              else "async"
+            in
+            Hashtbl.replace ran path ();
+            let plain = Scenario.run ~probe:Probe.noop spec in
+            let probed =
+              Scenario.run ~probe:(Probe.of_metrics (Metrics.create ())) spec
+            in
+            checkb
+              (Printf.sprintf "%s on %s: probed outcome identical" e.name path)
+              true
+              (Scenario.equal_outcome plain probed)
+          end)
+        Algo_registry.all)
+    worlds;
+  List.iter
+    (fun path -> checkb (path ^ " covered") true (Hashtbl.mem ran path))
+    [ "eager tree"; "lazy tree"; "adversarial"; "grid"; "async" ]
 
 (* ---- probes through the engine pool ---- *)
 

@@ -441,6 +441,23 @@ let test_e2e_timeout_cancels_cleanly () =
       let ok = post_run port (Scenario.to_string spec_small) in
       checki "pool survives the cancel" 200 ok.Client.status)
 
+(* The deadline reaches a batched spec through the batch engine's
+   per-round tick: a non-collapsing batch (randomized family, every lane
+   executes) times out cleanly and leaves the pool usable. *)
+let test_e2e_batched_timeout () =
+  with_server ~workers:1 ~cache_cap:0 (fun port ->
+      let big =
+        Scenario.to_string
+          (Scenario.make ~k:4 ~seed:5 ~batch_seeds:8
+             (Scenario.generated ~family:"random" ~n:50000 ~depth_hint:60))
+      in
+      let resp = post_run ~query:"?timeout_s=0.005" port big in
+      checki "timed-out batch is 504" 504 resp.Client.status;
+      checkb "reported as timeout" true
+        (member_string "status" resp.Client.body = Some "timeout");
+      let ok = post_run port (Scenario.to_string spec_small) in
+      checki "pool survives the cancel" 200 ok.Client.status)
+
 let test_e2e_stream_and_status () =
   with_server ~workers:1 (fun port ->
       let wire = Scenario.to_string spec_small in
@@ -827,6 +844,8 @@ let suite =
       Alcotest.test_case "e2e full queue is 429" `Quick test_e2e_backpressure_429;
       Alcotest.test_case "e2e timeout cancels cleanly" `Quick
         test_e2e_timeout_cancels_cleanly;
+      Alcotest.test_case "e2e batched timeout cancels cleanly" `Quick
+        test_e2e_batched_timeout;
       Alcotest.test_case "e2e stream and job status" `Quick
         test_e2e_stream_and_status;
       Alcotest.test_case "e2e registry and metrics endpoints" `Quick
