@@ -153,17 +153,24 @@ let next_dangling t view pos =
      port selected by an earlier robot of the same round is only skipped
      transiently: if that robot's move is vetoed (reactive blocking,
      Remark 8) the port stays dangling and must remain reachable. *)
-  let skip0 = if t.sel_stamp.(pos) = t.sel_epoch then t.sel_cnt.(pos) else 0 in
-  let rec scan c ~skip ~commit =
-    if c >= nports then -1
-    else if Partial_tree.is_port_dangling view pos c then
-      if skip > 0 then scan (c + 1) ~skip:(skip - 1) ~commit:false else c
-    else begin
-      if commit then t.dangle_cursor.(pos) <- c + 1;
-      scan (c + 1) ~skip ~commit
-    end
+  let skip =
+    ref (if t.sel_stamp.(pos) = t.sel_epoch then t.sel_cnt.(pos) else 0)
   in
-  scan t.dangle_cursor.(pos) ~skip:skip0 ~commit:true
+  let commit = ref true in
+  let c = ref t.dangle_cursor.(pos) in
+  let found = ref (-1) in
+  while !found < 0 && !c < nports do
+    if Partial_tree.is_port_dangling view pos !c then begin
+      if !skip > 0 then begin
+        decr skip;
+        commit := false
+      end
+      else found := !c
+    end
+    else if !commit then t.dangle_cursor.(pos) <- !c + 1;
+    incr c
+  done;
+  !found
 
 let mark_selected t pos =
   if t.sel_stamp.(pos) = t.sel_epoch then t.sel_cnt.(pos) <- t.sel_cnt.(pos) + 1
@@ -179,14 +186,22 @@ let pick_anchor t view =
     match t.policy with
     | Least_loaded ->
         (* Unique minimum (load, then id): independent of bucket order. *)
-        Partial_tree.fold_open_at_depth view d ~init:(-1) ~f:(fun b v ->
-            if
-              b < 0
-              || t.anchor_load.(v) < t.anchor_load.(b)
-              || (t.anchor_load.(v) = t.anchor_load.(b) && v < b)
-            then v
-            else b)
-    | First_open -> Partial_tree.fold_open_at_depth view d ~init:max_int ~f:min
+        let load = t.anchor_load in
+        let best = ref (-1) in
+        for i = 0 to Partial_tree.num_open_at_depth view d - 1 do
+          let v = Partial_tree.nth_open_at_depth view d i in
+          let b = !best in
+          if b < 0 || load.(v) < load.(b) || (load.(v) = load.(b) && v < b)
+          then best := v
+        done;
+        !best
+    | First_open ->
+        let best = ref max_int in
+        for i = 0 to Partial_tree.num_open_at_depth view d - 1 do
+          let v = Partial_tree.nth_open_at_depth view d i in
+          if v < !best then best := v
+        done;
+        !best
     | Random_open rng ->
         (* Canonical order: the draw maps to the sorted candidate set, so
            the result is independent of the open-bucket iteration order. *)
@@ -206,17 +221,24 @@ let ensure_route r needed =
    port path read off the parent-port cache. With [src = root] this is the
    plain Algorithm 1 stack. *)
 let fill_route view r src dst =
-  let rec lift u du w dw ups =
-    if u = w then (u, ups)
-    else if du >= dw then
-      lift (Partial_tree.parent_id view u) (du - 1) w dw (ups + 1)
-    else lift u du (Partial_tree.parent_id view w) (dw - 1) ups
-  in
-  let lca, ups =
-    lift src (Partial_tree.depth_of view src) dst (Partial_tree.depth_of view dst) 0
-  in
-  let downs = Partial_tree.depth_of view dst - Partial_tree.depth_of view lca in
-  let len = ups + downs in
+  (* Lift the deeper endpoint until both meet at the LCA, counting the
+     source side's steps. *)
+  let u = ref src and du = ref (Partial_tree.depth_of view src) in
+  let w = ref dst and dw = ref (Partial_tree.depth_of view dst) in
+  let ups = ref 0 in
+  while !u <> !w do
+    if !du >= !dw then begin
+      u := Partial_tree.parent_id view !u;
+      decr du;
+      incr ups
+    end
+    else begin
+      w := Partial_tree.parent_id view !w;
+      decr dw
+    end
+  done;
+  let ups = !ups in
+  let len = ups + Partial_tree.depth_of view dst - !du in
   ensure_route r len;
   Array.fill r.route 0 ups (-1);
   let w = ref dst in

@@ -36,7 +36,7 @@ let create ?speeds hidden ~k =
   in
   let root = Tree.root hidden in
   let view = Partial_tree.Internal.create ~hidden_n:(Tree.n hidden) ~root in
-  Partial_tree.Internal.reveal view root ~parent:None ~num_ports:(Tree.degree hidden root);
+  Partial_tree.Internal.reveal_root view ~num_ports:(Tree.degree hidden root);
   {
     hidden;
     view;
@@ -173,8 +173,7 @@ let advance d ~until =
               | None -> false
               | Some p ->
                   Hashtbl.remove t.claims (src, p);
-                  Partial_tree.Internal.resolve_dangling t.view src p dst;
-                  Partial_tree.Internal.reveal t.view dst ~parent:(Some src)
+                  Partial_tree.Internal.reveal_child t.view src p dst
                     ~num_ports:(Tree.degree t.hidden dst);
                   true
             in

@@ -103,7 +103,7 @@ let of_world ?(mask = fun ~round:_ ~robot:_ -> true) ?(fixed = false)
     ?(probe = Bfdn_obs.Probe.noop) ?(fault = fault_noop) world ~k =
   if k < 1 then invalid_arg "Env.create: k must be >= 1";
   let view = Partial_tree.Internal.create ~hidden_n:world.w_capacity ~root:world.w_root in
-  Partial_tree.Internal.reveal view world.w_root ~parent:None
+  Partial_tree.Internal.reveal_root view
     ~num_ports:(world.w_degree ~node:world.w_root ~arriving:k ~round:0);
   let scratch_cap = Partial_tree.id_bound view in
   {
@@ -149,7 +149,11 @@ let fully_explored t = Partial_tree.complete t.view
 
 let all_at_root t =
   let root = Partial_tree.root t.view in
-  Array.for_all (fun p -> p = root) t.positions
+  let i = ref 0 in
+  while !i < t.k && t.positions.(!i) = root do
+    incr i
+  done;
+  !i = t.k
 
 let restarts t = t.restarts
 let moves_total t = t.moves_total
@@ -265,11 +269,10 @@ let apply t moves =
         end
       end
       else begin
-        (* New node: resolve the crossed dangling port and reveal. *)
+        (* New node: reveal it through the crossed dangling port. *)
         let arriving = arr.(dst) in
         if arriving > 1 then t.multi_reveals <- t.multi_reveals + 1;
-        Partial_tree.Internal.resolve_dangling t.view src ports.(i) dst;
-        Partial_tree.Internal.reveal t.view dst ~parent:(Some src)
+        Partial_tree.Internal.reveal_child t.view src ports.(i) dst
           ~num_ports:(t.world.w_degree ~node:dst ~arriving ~round:t.round);
         t.edge_events <- t.edge_events + 1
       end

@@ -85,14 +85,24 @@ let run ?max_rounds ?(on_round = fun _ -> ()) ?(probe = Probe.noop) x =
 let of_env (algo : algo) env =
   let pending = ref [||] in
   (* The bound only needs recomputing against a lazily materialized
-     world, where it grows as nodes are revealed; for fixed-tree worlds
-     it is memoized at the first round. *)
+     world, where it grows as nodes are revealed, and only in a round
+     that revealed one (the world's stats change at reveals alone); for
+     fixed-tree worlds it is memoized at the first round. *)
   let round_limit =
     if Env.fixed_world env then begin
       let m = lazy (default_max_rounds env) in
       fun () -> Lazy.force m
     end
-    else fun () -> default_max_rounds env
+    else begin
+      let seen = ref (-1) and m = ref 0 in
+      fun () ->
+        let explored = Partial_tree.num_explored (Env.view env) in
+        if explored <> !seen then begin
+          seen := explored;
+          m := default_max_rounds env
+        end;
+        !m
+    end
   in
   {
     kind = "tree";

@@ -35,12 +35,13 @@ type t = {
   mutable nports : int array; (* -1 = unexplored (replaces the bool array) *)
   mutable parents : int array;
   mutable parent_ports : int array;
-      (* port on the parent leading down to the node; -1 for the root and
-         for nodes whose parent edge was never resolved (fixtures only) *)
+      (* port on the parent leading down to the node; -1 for the root *)
   mutable depths : int array;
   mutable port_base : int array; (* start of the node's slice in port_pool *)
   mutable dangling_cnt : int array;
-  mutable subtree_dangling : int array;
+  mutable open_cnt : int array;
+      (* open-branch counter: dangling ports plus explored children whose
+         subtree is still open; > 0 iff the subtree holds a dangling edge *)
   mutable in_bucket : int array; (* index inside its depth bucket; -1 *)
   mutable port_pool : int array;
   mutable pool_len : int;
@@ -74,7 +75,7 @@ let ensure_node t v =
     t.depths <- grow_int_array t.depths old cap (-1);
     t.port_base <- grow_int_array t.port_base old cap (-1);
     t.dangling_cnt <- grow_int_array t.dangling_cnt old cap 0;
-    t.subtree_dangling <- grow_int_array t.subtree_dangling old cap 0;
+    t.open_cnt <- grow_int_array t.open_cnt old cap 0;
     t.in_bucket <- grow_int_array t.in_bucket old cap (-1);
     t.cap <- cap
   end
@@ -168,7 +169,7 @@ let is_open t v = is_explored t v && t.dangling_cnt.(v) > 0
 let is_closed t v = is_explored t v && t.dangling_cnt.(v) = 0
 let subtree_open t v =
   check_explored t v "Partial_tree.subtree_open";
-  t.subtree_dangling.(v) > 0
+  t.open_cnt.(v) > 0
 
 let max_depth_index t = Array.length t.open_at - 1
 
@@ -193,22 +194,16 @@ let min_open_depth t =
 let num_open_at_depth t d =
   if d < 0 || d > max_depth_index t then 0 else bucket_len t d
 
-let fold_open_at_depth t d ~init ~f =
-  if d < 0 || d > max_depth_index t then init
-  else
-    match t.open_at.(d) with
-    | None -> init
-    | Some b ->
-        let acc = ref init in
-        for i = 0 to b.len - 1 do
-          acc := f !acc b.nodes.(i)
-        done;
-        !acc
+let nth_open_at_depth t d i =
+  if i < 0 || i >= num_open_at_depth t d then
+    invalid_arg "Partial_tree.nth_open_at_depth: index out of range";
+  match t.open_at.(d) with None -> assert false | Some b -> b.nodes.(i)
 
 let open_nodes_at_depth t d =
   (* Canonical (sorted) order, independent of the bucket's internal
      swap-remove order. *)
-  List.sort compare (fold_open_at_depth t d ~init:[] ~f:(fun acc v -> v :: acc))
+  List.sort compare
+    (List.init (num_open_at_depth t d) (nth_open_at_depth t d))
 
 let open_nodes_at_min_depth t =
   match min_open_depth t with None -> [] | Some d -> open_nodes_at_depth t d
@@ -281,12 +276,19 @@ let remove_open t v =
         t.in_bucket.(v) <- -1
   end
 
-let bump_path t v delta =
+(* One branch of [v] stopped being open: its dangling port was crossed
+   into a leaf, or the child behind it closed. Closing is absorbing (no
+   dangling edge can appear below a node whose subtree has none), so each
+   counter reaches 0 exactly once and only then charges its parent: the
+   walk stops at the first ancestor that stays open, and a whole run
+   costs O(n), not O(n·depth). *)
+let close_branch t v =
   let u = ref v in
   let continue = ref true in
   while !continue do
-    t.subtree_dangling.(!u) <- t.subtree_dangling.(!u) + delta;
-    if !u = t.root then continue := false else u := t.parents.(!u)
+    let c = t.open_cnt.(!u) - 1 in
+    t.open_cnt.(!u) <- c;
+    if c > 0 || !u = t.root then continue := false else u := t.parents.(!u)
   done
 
 let check_invariants t =
@@ -302,38 +304,21 @@ let check_invariants t =
     done;
     !cnt
   in
-  let pool_has v x =
-    let base = t.port_base.(v) in
-    let found = ref false in
-    for p = 0 to t.nports.(v) - 1 do
-      if t.port_pool.(base + p) = x then found := true
-    done;
-    !found
-  in
   for v = 0 to n - 1 do
     if t.nports.(v) >= 0 then begin
       let cnt = count_dangling v in
       if cnt <> t.dangling_cnt.(v) then fail "dangling_cnt mismatch";
       expected_total := !expected_total + cnt;
-      (* Charge the dangling edges of [v] to every ancestor. *)
-      let u = ref v in
-      let continue = ref true in
-      while !continue do
-        expected_sub.(!u) <- expected_sub.(!u) + cnt;
-        if !u = t.root then continue := false else u := t.parents.(!u)
-      done;
-      (* Parent-port cache: when set, the parent's port must lead back. *)
+      expected_sub.(v) <- cnt;
+      (* Parent-port cache: the parent's port must lead back. *)
       if v <> t.root then begin
         let pp = t.parent_ports.(v) in
         let pr = t.parents.(v) in
-        if pp >= 0 then begin
-          if
-            pp >= t.nports.(pr)
-            || t.port_pool.(t.port_base.(pr) + pp) <> v
-          then fail "parent_port cache points to the wrong port"
-        end
-        else if pool_has pr v then
-          fail "parent_port cache missing for a resolved child"
+        if
+          pp < 0
+          || pp >= t.nports.(pr)
+          || t.port_pool.(t.port_base.(pr) + pp) <> v
+        then fail "parent_port cache points to the wrong port"
       end
       else if t.parent_ports.(v) <> -1 then fail "root has a parent_port";
       (* Open-node index: in the bucket iff open, at the recorded slot. *)
@@ -363,10 +348,32 @@ let check_invariants t =
           done)
     t.open_at;
   if !expected_total <> t.total_dangling then fail "total_dangling mismatch";
-  for v = 0 to n - 1 do
-    if t.nports.(v) >= 0 && expected_sub.(v) <> t.subtree_dangling.(v) then
-      fail "subtree_dangling mismatch"
-  done;
+  (* Dangling edges per subtree, from scratch: deepest nodes first, each
+     adds its sum into its parent's. *)
+  let by_depth =
+    Array.of_list (fold_explored t ~init:[] ~f:(fun acc v -> v :: acc))
+  in
+  Array.stable_sort (fun a b -> compare t.depths.(b) t.depths.(a)) by_depth;
+  Array.iter
+    (fun v ->
+      if v <> t.root then begin
+        let p = t.parents.(v) in
+        expected_sub.(p) <- expected_sub.(p) + expected_sub.(v)
+      end)
+    by_depth;
+  (* The counter is the node's dangling ports plus its explored children
+     with an open subtree, and it is positive exactly when the subtree
+     still holds a dangling edge. *)
+  Array.iter
+    (fun v ->
+      let open_children = ref 0 in
+      iter_explored_children t v (fun _ c ->
+          if expected_sub.(c) > 0 then incr open_children);
+      if t.open_cnt.(v) <> t.dangling_cnt.(v) + !open_children then
+        fail "open-branch counter mismatch";
+      if subtree_open t v <> (expected_sub.(v) > 0) then
+        fail "subtree_open disagrees with the dangling-descendant sum")
+    by_depth;
   (match min_open_depth t with
   | None -> if t.total_dangling <> 0 then fail "min_open_depth = None too early"
   | Some d ->
@@ -398,7 +405,7 @@ module Internal = struct
       depths = Array.make cap (-1);
       port_base = Array.make cap (-1);
       dangling_cnt = Array.make cap 0;
-      subtree_dangling = Array.make cap 0;
+      open_cnt = Array.make cap 0;
       in_bucket = Array.make cap (-1);
       port_pool = Array.make pool_cap enc_dangling;
       pool_len = 0;
@@ -408,52 +415,54 @@ module Internal = struct
       num_explored = 0;
     }
 
-  let reveal t v ~parent ~num_ports =
-    if v < 0 || v >= t.hidden_n then invalid_arg "Partial_tree.reveal: bad node id";
-    ensure_node t v;
-    if t.nports.(v) >= 0 then invalid_arg "Partial_tree.reveal: already explored";
-    (match parent with
-    | None ->
-        if v <> t.root then invalid_arg "Partial_tree.reveal: only the root has no parent";
-        t.depths.(v) <- 0
-    | Some p ->
-        if not (is_explored t p) then
-          invalid_arg "Partial_tree.reveal: parent must be explored";
-        t.parents.(v) <- p;
-        t.depths.(v) <- t.depths.(p) + 1);
+  (* Append a freshly explored node whose depth, parent and parent port
+     are already set: all ports dangling except port 0 of a non-root. *)
+  let admit t v ~num_ports =
     let base = pool_alloc t num_ports in
     for p = 0 to num_ports - 1 do
       t.port_pool.(base + p) <- enc_dangling
     done;
-    if v <> t.root then begin
-      if num_ports < 1 then invalid_arg "Partial_tree.reveal: non-root needs a parent port";
-      t.port_pool.(base) <- enc_parent
-    end;
+    if v <> t.root then t.port_pool.(base) <- enc_parent;
     t.port_base.(v) <- base;
     t.nports.(v) <- num_ports;
     let cnt = num_ports - if v = t.root then 0 else 1 in
     t.dangling_cnt.(v) <- cnt;
+    t.open_cnt.(v) <- cnt;
     t.num_explored <- t.num_explored + 1;
     if cnt > 0 then begin
       t.total_dangling <- t.total_dangling + cnt;
-      bump_path t v cnt;
       add_open t v
     end
 
-  let resolve_dangling t v p c =
-    check_explored t v "Partial_tree.resolve_dangling";
+  let reveal_root t ~num_ports =
+    if t.nports.(t.root) >= 0 then
+      invalid_arg "Partial_tree.reveal_root: already explored";
+    if num_ports < 0 then
+      invalid_arg "Partial_tree.reveal_root: negative degree";
+    t.depths.(t.root) <- 0;
+    admit t t.root ~num_ports
+
+  let reveal_child t v p c ~num_ports =
+    check_explored t v "Partial_tree.reveal_child";
     if p < 0 || p >= t.nports.(v) then
-      invalid_arg "Partial_tree.resolve_dangling: bad port";
+      invalid_arg "Partial_tree.reveal_child: bad port";
     if t.port_pool.(t.port_base.(v) + p) <> enc_dangling then
-      invalid_arg "Partial_tree.resolve_dangling: port not dangling";
+      invalid_arg "Partial_tree.reveal_child: port not dangling";
     if c < 0 || c >= t.hidden_n then
-      invalid_arg "Partial_tree.resolve_dangling: bad child id";
+      invalid_arg "Partial_tree.reveal_child: bad child id";
+    if num_ports < 1 then
+      invalid_arg "Partial_tree.reveal_child: a child needs a parent port";
     ensure_node t c;
+    if t.nports.(c) >= 0 then
+      invalid_arg "Partial_tree.reveal_child: already explored";
     t.port_pool.(t.port_base.(v) + p) <- c;
     t.parents.(c) <- v;
     t.parent_ports.(c) <- p;
+    t.depths.(c) <- t.depths.(v) + 1;
     t.dangling_cnt.(v) <- t.dangling_cnt.(v) - 1;
     t.total_dangling <- t.total_dangling - 1;
-    bump_path t v (-1);
-    if t.dangling_cnt.(v) = 0 then remove_open t v
+    if t.dangling_cnt.(v) = 0 then remove_open t v;
+    admit t c ~num_ports;
+    (* The branch through [p] stays open iff [c] has a dangling port. *)
+    if num_ports = 1 then close_branch t v
 end

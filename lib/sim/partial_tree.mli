@@ -82,8 +82,7 @@ val parent_id : t -> node -> node
 
 val parent_port : t -> node -> int
 (** The port {e on the parent} that leads down to the node, cached when the
-    node's parent edge was resolved; [-1] for the root (and for fixture
-    nodes revealed without {!Internal.resolve_dangling}). O(1). *)
+    node was revealed through it; [-1] for the root. O(1). *)
 
 val depth_of : t -> node -> int
 (** Distance to the root (known online: nodes are reached along discovered
@@ -99,7 +98,10 @@ val is_closed : t -> node -> bool
 val subtree_open : t -> node -> bool
 (** Whether the discovered subtree below the node (inclusive) still contains
     a dangling edge — i.e. whether [T(v)] is possibly not fully explored.
-    O(1): maintained incrementally. *)
+    O(1): each node keeps an open-branch counter (its dangling ports plus
+    its explored children whose subtree is still open). Closing is
+    absorbing, so a counter reaches 0 once and only then decrements its
+    parent's: maintaining all counters costs O(n) over a whole run. *)
 
 val min_open_depth : t -> int option
 (** Minimum depth of an open node, [None] when exploration is complete. *)
@@ -110,7 +112,7 @@ val min_open_depth_raw : t -> int
 val open_nodes_at_depth : t -> int -> node list
 (** All open nodes at one depth, sorted by node id (the canonical order —
     independent of the internal bucket layout). Builds a fresh list; use
-    {!fold_open_at_depth} on hot paths. *)
+    {!nth_open_at_depth} on hot paths. *)
 
 val open_nodes_at_min_depth : t -> node list
 (** [open_nodes_at_depth] at {!min_open_depth}; [[]] when complete. *)
@@ -118,15 +120,18 @@ val open_nodes_at_min_depth : t -> node list
 val num_open_at_depth : t -> int -> int
 (** Number of open nodes at one depth. O(1). *)
 
-val fold_open_at_depth : t -> int -> init:'a -> f:('a -> node -> 'a) -> 'a
-(** Fold over the open nodes of one depth without allocating, in the
-    bucket's internal order. That order is deterministic — a pure function
-    of the reveal/resolve call sequence (insertion order, with removals
+val nth_open_at_depth : t -> int -> int -> node
+(** [nth_open_at_depth t d i] is the [i]-th open node of depth [d], for
+    [0 <= i < num_open_at_depth t d], in the bucket's internal order. O(1)
+    and allocation-free: hot paths loop over the indices instead of
+    building {!open_nodes_at_depth}. That order is deterministic — a pure
+    function of the reveal call sequence (insertion order, with removals
     moving the bucket's last node into the freed slot) — but {e not}
     canonical: it is not sorted and may differ between two discovery
     histories of the same frontier. Reductions over it must therefore be
     order-independent (min/max/count/uniquely-tie-broken argmin); anything
-    order-sensitive must sort first, as {!open_nodes_at_depth} does. *)
+    order-sensitive must sort first, as {!open_nodes_at_depth} does.
+    @raise Invalid_argument if [i] is out of range. *)
 
 val is_ancestor : t -> node -> node -> bool
 (** [is_ancestor t a v]: [a] lies on the (discovered) path from [v] to the
@@ -140,15 +145,19 @@ val ports_from_root : t -> node -> int list
 val fold_explored : t -> init:'a -> f:('a -> node -> 'a) -> 'a
 
 val id_bound : t -> int
-(** Exclusive upper bound on every node id revealed or resolved so far
+(** Exclusive upper bound on every node id revealed so far
     (the current capacity of the growable per-node arrays — O(explored)
     by geometric growth). Algorithms size their own per-node scratch
     arrays from it and re-check it each round; it only ever grows. *)
 
 val check_invariants : t -> unit
-(** Exhaustive O(n·D) re-verification of the incremental bookkeeping
-    (dangling counters, open-node buckets and their back-indices, the
-    parent-port cache). For tests.
+(** Exhaustive re-verification of the incremental bookkeeping (dangling
+    counters, open-node buckets and their back-indices, the parent-port
+    cache), recomputed from scratch. The open-branch counters are checked
+    against per-subtree dangling-edge sums: each must equal the node's
+    dangling ports plus its explored children with a positive sum, and
+    {!subtree_open} must hold exactly when the node's own sum is positive.
+    O(n log n). For tests.
     @raise Invalid_argument on a broken invariant. *)
 
 (** Mutators, reserved to {!Env}: the simulator is the only component that
@@ -159,12 +168,14 @@ module Internal : sig
   val create : hidden_n:int -> root:node -> t
   (** Empty discovery state; the root is not yet revealed. *)
 
-  val reveal : t -> node -> parent:node option -> num_ports:int -> unit
-  (** Mark a node explored, with its full port count; all child ports start
-      dangling. [parent = None] only for the root. Idempotence is an error:
-      the caller must reveal each node exactly once. *)
+  val reveal_root : t -> num_ports:int -> unit
+  (** Mark the root explored with its full port count; all its ports start
+      dangling. Must be the first reveal, and happens once. *)
 
-  val resolve_dangling : t -> node -> int -> node -> unit
-  (** [resolve_dangling t v p c] records that the dangling port [p] of [v]
-      leads to [c]. The caller must then {!reveal} [c] (same round). *)
+  val reveal_child : t -> node -> int -> node -> num_ports:int -> unit
+  (** [reveal_child t v p c ~num_ports] records that the dangling port [p]
+      of the explored node [v] leads to [c], and marks [c] explored with
+      its full port count: port [0] leads back to [v], every other port
+      starts dangling. One call does both, so no node is ever linked but
+      unexplored. Revealing a node twice is an error. *)
 end

@@ -1,12 +1,14 @@
 (* Differential oracle for Partial_tree: a naive list-based reference
-   implementation is driven through the same randomized reveal/resolve
-   traces as the real structure, and every observable — port states,
-   parents, depths, ports_from_root, min_open_depth, sorted open-node
+   implementation is driven through the same randomized reveal traces as
+   the real structure, and every observable — port states, parents,
+   depths, ports_from_root, subtree_open, min_open_depth, sorted open-node
    buckets — must agree at every step. This is what licenses the
-   swap-remove bucket and parent-port-cache internals: any bookkeeping bug
-   diverges from the reference within a few steps. *)
+   swap-remove bucket, parent-port-cache and open-branch-counter
+   internals: any bookkeeping bug diverges from the reference within a
+   few steps. *)
 
 module Partial_tree = Bfdn_sim.Partial_tree
+module Env = Bfdn_sim.Env
 module Rng = Bfdn_util.Rng
 
 let checkb = Alcotest.(check bool)
@@ -72,6 +74,13 @@ module Ref_tree = struct
 
   let is_open t v = dangling_ports t v <> []
 
+  let children t v =
+    List.filter_map (fun (w, _, c) -> if w = v then Some c else None) t.resolved
+
+  (* The node or an explored descendant has a dangling port. *)
+  let rec subtree_open t v =
+    is_open t v || List.exists (subtree_open t) (children t v)
+
   let num_dangling t =
     List.fold_left (fun acc v -> acc + List.length (dangling_ports t v)) 0 (explored t)
 
@@ -117,7 +126,9 @@ let compare_states pt rt =
       checki "parent_port" (Ref_tree.parent_port rt v) (Partial_tree.parent_port pt v);
       check_ints "ports_from_root" (Ref_tree.ports_from_root rt v)
         (Partial_tree.ports_from_root pt v);
-      checkb "is_open" (Ref_tree.is_open rt v) (Partial_tree.is_open pt v))
+      checkb "is_open" (Ref_tree.is_open rt v) (Partial_tree.is_open pt v);
+      checkb "subtree_open" (Ref_tree.subtree_open rt v)
+        (Partial_tree.subtree_open pt v))
     expl;
   checkb "min_open_depth" true
     (Ref_tree.min_open_depth rt = Partial_tree.min_open_depth pt);
@@ -129,18 +140,24 @@ let compare_states pt rt =
       (Partial_tree.num_open_at_depth pt d)
   done
 
-(* ---- randomized reveal/resolve traces ---- *)
+(* ---- randomized reveal traces ---- *)
+
+(* Reveal one child in both structures. *)
+let reveal_child pt rt v p c ~num_ports =
+  Partial_tree.Internal.reveal_child pt v p c ~num_ports;
+  Ref_tree.resolve rt v p c;
+  Ref_tree.reveal rt c ~parent:(Some v) ~num_ports
 
 (* Grow a random tree one node per step: pick a uniformly random dangling
-   (node, port), resolve it to a fresh id, reveal the new node with a
-   random degree. Exactly the call sequence Env issues during a run. *)
+   (node, port) and reveal a fresh id behind it with a random degree.
+   Exactly the call sequence Env issues during a run. *)
 let run_trace ~seed ~steps ~check_every =
   let rng = Rng.create seed in
   let capacity = steps + 1 in
   let pt = Partial_tree.Internal.create ~hidden_n:capacity ~root:0 in
   let rt = Ref_tree.create ~root:0 in
   let root_ports = 1 + Rng.int rng 3 in
-  Partial_tree.Internal.reveal pt 0 ~parent:None ~num_ports:root_ports;
+  Partial_tree.Internal.reveal_root pt ~num_ports:root_ports;
   Ref_tree.reveal rt 0 ~parent:None ~num_ports:root_ports;
   compare_states pt rt;
   (* The frontier mirror only drives trace generation; the structures
@@ -156,10 +173,7 @@ let run_trace ~seed ~steps ~check_every =
         let c = !next_id in
         incr next_id;
         let np = 1 + Rng.int rng 4 in
-        Partial_tree.Internal.resolve_dangling pt v p c;
-        Partial_tree.Internal.reveal pt c ~parent:(Some v) ~num_ports:np;
-        Ref_tree.resolve rt v p c;
-        Ref_tree.reveal rt c ~parent:(Some v) ~num_ports:np;
+        reveal_child pt rt v p c ~num_ports:np;
         frontier :=
           List.filteri (fun j _ -> j <> i) fr
           @ List.map (fun q -> (c, q)) (List.init (np - 1) (fun q -> q + 1));
@@ -187,7 +201,7 @@ let test_chain_heavy () =
   let steps = 120 in
   let pt = Partial_tree.Internal.create ~hidden_n:(steps + 1) ~root:0 in
   let rt = Ref_tree.create ~root:0 in
-  Partial_tree.Internal.reveal pt 0 ~parent:None ~num_ports:1;
+  Partial_tree.Internal.reveal_root pt ~num_ports:1;
   Ref_tree.reveal rt 0 ~parent:None ~num_ports:1;
   let tip = ref (0, 0) in
   for c = 1 to steps do
@@ -196,14 +210,95 @@ let test_chain_heavy () =
        burst that closes the path and reopens it elsewhere is skipped to
        keep a single frontier port. *)
     let np = if Rng.int rng 10 = 0 then 3 else 2 in
-    Partial_tree.Internal.resolve_dangling pt v p c;
-    Partial_tree.Internal.reveal pt c ~parent:(Some v) ~num_ports:np;
-    Ref_tree.resolve rt v p c;
-    Ref_tree.reveal rt c ~parent:(Some v) ~num_ports:np;
+    reveal_child pt rt v p c ~num_ports:np;
     tip := (c, 1);
     if c mod 10 = 0 then compare_states pt rt
   done;
   compare_states pt rt
+
+let test_deep_leaf_closes_ancestors () =
+  (* A spine of [depth] nodes, each with a side leaf (its branch closes at
+     once) and a child further down. One mid-spine node keeps an extra
+     dangling port: closing the bottom leaf must close the spine only up
+     to that node, and closing its extra port then closes every ancestor
+     up to the root. *)
+  let depth = 150 and mid = 75 in
+  let pt = Partial_tree.Internal.create ~hidden_n:((2 * depth) + 3) ~root:0 in
+  let rt = Ref_tree.create ~root:0 in
+  Partial_tree.Internal.reveal_root pt ~num_ports:1;
+  Ref_tree.reveal rt 0 ~parent:None ~num_ports:1;
+  let next_id = ref 1 in
+  let reveal v p ~num_ports =
+    let c = !next_id in
+    incr next_id;
+    reveal_child pt rt v p c ~num_ports;
+    c
+  in
+  let spine = Array.make (depth + 1) 0 in
+  spine.(1) <- reveal 0 0 ~num_ports:3;
+  for d = 1 to depth - 1 do
+    ignore (reveal spine.(d) 2 ~num_ports:1);
+    spine.(d + 1) <- reveal spine.(d) 1 ~num_ports:(if d + 1 = mid then 4 else 3)
+  done;
+  ignore (reveal spine.(depth) 2 ~num_ports:1);
+  compare_states pt rt;
+  checkb "bottom open" true (Partial_tree.subtree_open pt spine.(depth));
+  ignore (reveal spine.(depth) 1 ~num_ports:1);
+  compare_states pt rt;
+  for d = 1 to depth do
+    checkb
+      (Printf.sprintf "depth %d open iff at or above the mid node" d)
+      (d <= mid)
+      (Partial_tree.subtree_open pt spine.(d))
+  done;
+  checkb "root open" true (Partial_tree.subtree_open pt 0);
+  ignore (reveal spine.(mid) 3 ~num_ports:1);
+  compare_states pt rt;
+  checkb "complete" true (Partial_tree.complete pt);
+  checkb "root closed" false (Partial_tree.subtree_open pt 0);
+  for d = 1 to depth do
+    checkb "spine closed" false (Partial_tree.subtree_open pt spine.(d))
+  done
+
+(* ---- the round loop allocates nothing in steady state ---- *)
+
+(* Minor-heap words per robot-round between the end of round 1 and the
+   end of the run. Round 1 is excluded so one-time setup (env, algorithm
+   scratch, first routes) does not count; geometric scratch growth after
+   it amortizes to nothing over the run. *)
+let minor_words_per_robot_round env algo =
+  let w0 = ref 0.0 in
+  let on_round env = if Env.round env = 1 then w0 := Gc.minor_words () in
+  let r = Bfdn_sim.Runner.run ~on_round algo env in
+  let words = Gc.minor_words () -. !w0 in
+  checkb "explored" true r.Bfdn_sim.Runner.explored;
+  words /. float_of_int (Env.k env * max 1 (r.Bfdn_sim.Runner.rounds - 1))
+
+let test_round_loop_allocation_free () =
+  let check label env algo_name =
+    let algo = Bfdn_scenario.Algo_registry.instantiate algo_name env in
+    let w = minor_words_per_robot_round env algo in
+    if w >= 1.0 then
+      Alcotest.failf "%s/%s k=%d: %.2f minor words per robot-round (want < 1)"
+        label algo_name (Env.k env) w
+  in
+  List.iter
+    (fun (family, depth_hint) ->
+      let tree =
+        Bfdn_trees.Tree_gen.of_family family ~rng:(Rng.create 7) ~n:5000
+          ~depth_hint
+      in
+      List.iter
+        (fun k ->
+          List.iter
+            (fun algo -> check family (Env.create tree ~k) algo)
+            [ "bfdn"; "cte" ])
+        [ 8; 64 ])
+    [ ("comb", 70); ("trap", 40); ("random", 25) ];
+  let lw =
+    Bfdn_sim.Lazy_world.make ~family:"binary" ~n:100_000 ~depth_hint:17 ~seed:7
+  in
+  check "lazy binary" (Env.of_world (Bfdn_sim.Lazy_world.world lw) ~k:256) "bfdn"
 
 let suite =
   let tc name f = Alcotest.test_case name `Quick f in
@@ -212,4 +307,7 @@ let suite =
       tc "random traces, checked every step" test_small_every_step;
       tc "random traces, sampled checks" test_medium_sampled;
       tc "chain-heavy trace" test_chain_heavy;
+      tc "deep leaf closes every ancestor" test_deep_leaf_closes_ancestors;
+      tc "round loop allocates < 1 word per robot-round"
+        test_round_loop_allocation_free;
     ] )

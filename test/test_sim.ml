@@ -395,12 +395,11 @@ let test_partial_tree_grows_above_threshold () =
   let hidden_n = 200_000 and m = 70_000 in
   let pt = Partial_tree.Internal.create ~hidden_n ~root:0 in
   checkb "starts below hidden_n" true (Partial_tree.id_bound pt < hidden_n);
-  Partial_tree.Internal.reveal pt 0 ~parent:None ~num_ports:1;
+  Partial_tree.Internal.reveal_root pt ~num_ports:1;
   for v = 1 to m do
-    Partial_tree.Internal.resolve_dangling pt (v - 1)
+    Partial_tree.Internal.reveal_child pt (v - 1)
       (if v - 1 = 0 then 0 else 1)
-      v;
-    Partial_tree.Internal.reveal pt v ~parent:(Some (v - 1))
+      v
       ~num_ports:(if v = m then 1 else 2)
   done;
   checki "explored count" (m + 1) (Partial_tree.num_explored pt);
