@@ -7,7 +7,6 @@ module Env = Bfdn_sim.Env
 module Runner = Bfdn_sim.Runner
 module Rng = Bfdn_util.Rng
 module Table = Bfdn_util.Table
-module Job = Bfdn_engine.Job
 module Batch = Bfdn_engine.Batch
 module Engine_report = Bfdn_engine.Report
 module Metrics = Bfdn_obs.Metrics
@@ -146,13 +145,16 @@ let run_jobs jobs = Batch.run ~workers:!workers jobs
 
 let ok_outcome (job, res) =
   match res with
-  | Ok (o : Job.outcome) -> o
-  | Error e -> failwith (Printf.sprintf "engine job %s failed: %s" (Job.describe job) e)
+  | Ok (o : Scenario.outcome) -> o
+  | Error e ->
+      failwith
+        (Printf.sprintf "engine job %s failed: %s" (Scenario.describe job) e)
 
 let family_of_job = Scenario.instance_label
 
 (* Bound formulas from an outcome's frozen-instance statistics. *)
-let thm1_bound_of (o : Job.outcome) k =
+let thm1_bound_of (o : Scenario.outcome) k =
   Bfdn.Bounds.bfdn ~n:o.n ~k ~d:o.depth ~delta:o.max_degree
 
-let offline_lb_of (o : Job.outcome) k = Bfdn.Bounds.offline_lb ~n:o.n ~k ~d:(max 1 o.depth)
+let offline_lb_of (o : Scenario.outcome) k =
+  Bfdn.Bounds.offline_lb ~n:o.n ~k ~d:(max 1 o.depth)

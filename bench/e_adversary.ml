@@ -13,16 +13,17 @@ module Table = Bfdn_util.Table
 let adversaries () =
   [
     ( "thick comb (11-style)",
-      Job.Adversarial
-        { policy = "thick-comb"; capacity = sized 4000; depth_budget = sized 1200 } );
+      Scenario.adversarial ~policy:"thick-comb" ~capacity:(sized 4000)
+        ~depth_budget:(sized 1200) );
     ( "corridor crowds",
-      Job.Adversarial
-        { policy = "corridor"; capacity = sized 4000; depth_budget = 80 } );
+      Scenario.adversarial ~policy:"corridor" ~capacity:(sized 4000)
+        ~depth_budget:80 );
     ( "budget bomb",
-      Job.Adversarial { policy = "bomb"; capacity = sized 4000; depth_budget = 6 } );
+      Scenario.adversarial ~policy:"bomb" ~capacity:(sized 4000)
+        ~depth_budget:6 );
     ( "random grower",
-      Job.Adversarial
-        { policy = "random"; capacity = sized 4000; depth_budget = 60 } );
+      Scenario.adversarial ~policy:"random" ~capacity:(sized 4000)
+        ~depth_budget:60 );
   ]
 
 let algos = [ "bfdn"; "cte" ]
@@ -50,12 +51,12 @@ let run () =
         List.concat_map
           (fun algo ->
             List.map
-              (fun k -> Job.make ~algo ~k ~seed:(seed + 11) instance)
+              (fun k -> Scenario.make ~algo ~k ~seed:(seed + 11) instance)
               ks)
           algos
       in
       List.iter
-        (fun ((job : Job.t), _ as cell) ->
+        (fun ((job : Scenario.t), _ as cell) ->
           let o = ok_outcome cell in
           let replay = Option.get o.replay_rounds in
           let lb = offline_lb_of o job.k in

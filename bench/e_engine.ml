@@ -15,8 +15,8 @@ let jobs () =
           (fun k ->
             List.map
               (fun s ->
-                Job.make ~algo:"bfdn" ~k ~seed:(seed + s)
-                  (Job.Generated { family; n = sized 600; depth_hint = 20 }))
+                Scenario.make ~algo:"bfdn" ~k ~seed:(seed + s)
+                  (Scenario.generated ~family ~n:(sized 600) ~depth_hint:20))
               [ 0; 1 ])
           [ 4; 64 ])
       Bfdn_trees.Tree_gen.families
@@ -26,8 +26,8 @@ let jobs () =
       (fun algo ->
         List.map
           (fun k ->
-            Job.make ~algo ~k ~seed
-              (Job.Generated { family = "random"; n = sized 600; depth_hint = 20 }))
+            Scenario.make ~algo ~k ~seed
+              (Scenario.generated ~family:"random" ~n:(sized 600) ~depth_hint:20))
           [ 4; 64 ])
       [ "cte"; "offline"; "bfdn-wr" ]
   in
@@ -37,7 +37,7 @@ let same_results a b =
   List.for_all2
     (fun (_, x) (_, y) ->
       match (x, y) with
-      | Ok ox, Ok oy -> Job.equal_outcome ox oy
+      | Ok ox, Ok oy -> Scenario.equal_outcome ox oy
       | Error ex, Error ey -> ex = ey
       | _ -> false)
     a b

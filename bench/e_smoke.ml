@@ -1,23 +1,23 @@
 (* SMOKE — one tiny engine batch per experiment (seconds, not minutes):
    `bench/main.exe --smoke`, also wired to `dune build @runtest-quick`.
    Every experiment family is exercised through the engine — tree-based
-   ones as Job specs, the rest (regions, urn, grids, alloc, async) as
+   ones as Scenario specs, the rest (regions, urn, grids, alloc, async) as
    pure thunks under Batch.map — so a regression in the pool, the seed
    sharding or any simulator layer trips CI before a full bench run. *)
 
 open Bench_common
 
 let gen family algo k s =
-  Job.make ~algo ~k ~seed:s (Job.Generated { family; n = 120; depth_hint = 10 })
+  Scenario.make ~algo ~k ~seed:s (Scenario.generated ~family ~n:120 ~depth_hint:10)
 
 let explored_within_thm1 cell =
   let o = ok_outcome cell in
   let job, _ = cell in
   o.result.explored && o.result.at_root
-  && float_of_int o.result.rounds <= thm1_bound_of o job.Job.k
+  && float_of_int o.result.rounds <= thm1_bound_of o job.Scenario.k
 
 let all_explored jobs =
-  List.for_all (fun (cell : Job.t * _) -> (ok_outcome cell).result.explored)
+  List.for_all (fun (cell : Scenario.t * _) -> (ok_outcome cell).result.explored)
     (run_jobs jobs)
 
 let map_ok f xs =
@@ -103,9 +103,9 @@ let checks : (string * (unit -> bool)) list =
           (run_jobs
              (List.map
                 (fun policy ->
-                  Job.make ~algo:"bfdn" ~k:4 ~seed:12
-                    (Job.Adversarial { policy; capacity = 100; depth_budget = 12 }))
-                Job.policies)) );
+                  Scenario.make ~algo:"bfdn" ~k:4 ~seed:12
+                    (Scenario.adversarial ~policy ~capacity:100 ~depth_budget:12))
+                Bfdn_scenario.World_registry.policy_names)) );
     ( "E12 overhead",
       fun () -> all_explored [ gen "random" "bfdn" 4 13; gen "random" "bfdn" 32 14 ] );
     ( "E13 async",
@@ -137,7 +137,7 @@ let checks : (string * (unit -> bool)) list =
         List.for_all2
           (fun (_, x) (_, y) ->
             match (x, y) with
-            | Ok ox, Ok oy -> Job.equal_outcome ox oy
+            | Ok ox, Ok oy -> Scenario.equal_outcome ox oy
             | _ -> false)
           a b );
   ]

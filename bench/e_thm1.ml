@@ -1,7 +1,7 @@
 (* E2 — Theorem 1: BFDN completes in at most
    2n/k + D^2 (min(log k, log Δ) + 3) rounds, on every instance family.
    The (family, k) sweep runs as one engine batch: each cell is a pure
-   Job spec, executed across the worker pool and collected in order. *)
+   Scenario spec, executed across the worker pool and collected in order. *)
 
 open Bench_common
 module Table = Bfdn_util.Table
@@ -13,8 +13,8 @@ let jobs () =
     (fun fam ->
       List.map
         (fun k ->
-          Job.make ~algo:"bfdn" ~k ~seed
-            (Job.Generated { family = fam; n = sized 5000; depth_hint = 40 }))
+          Scenario.make ~algo:"bfdn" ~k ~seed
+            (Scenario.generated ~family:fam ~n:(sized 5000) ~depth_hint:40))
         ks)
     Bfdn_trees.Tree_gen.families
 
@@ -35,7 +35,7 @@ let run () =
   in
   let worst = ref 0.0 in
   List.iter
-    (fun ((job : Job.t), _ as cell) ->
+    (fun ((job : Scenario.t), _ as cell) ->
       let o = ok_outcome cell in
       let bound = thm1_bound_of o job.k in
       let ratio = float_of_int o.result.rounds /. bound in

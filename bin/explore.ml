@@ -22,7 +22,6 @@ module Env = Bfdn_sim.Env
 module Runner = Bfdn_sim.Runner
 module Trace = Bfdn_sim.Trace
 module Rng = Bfdn_util.Rng
-module Job = Bfdn_engine.Job
 module Batch = Bfdn_engine.Batch
 module Seed_batch = Bfdn_engine.Seed_batch
 module Report = Bfdn_engine.Report
@@ -540,16 +539,16 @@ let sweep_cmd =
             (fun algo ->
               List.map
                 (fun k ->
-                  Job.make ~algo ~k ~seed
-                    (Job.Generated { family; n; depth_hint = depth }))
+                  Scenario.make ~algo ~k ~seed
+                    (Scenario.generated ~family ~n ~depth_hint:depth))
                 ks)
             algos)
         families
     in
     let specs =
       List.concat_map
-        (fun (cell : Job.t) ->
-          List.init repeats (fun r -> { cell with Job.seed = seed + r }))
+        (fun (cell : Scenario.t) ->
+          List.init repeats (fun r -> { cell with Scenario.seed = seed + r }))
         cells
     in
     let total = List.length specs in
@@ -579,8 +578,8 @@ let sweep_cmd =
         let total_cells = List.length cells in
         let completed = ref 0 in
         List.concat_map
-          (fun (cell : Job.t) ->
-            let batched = { cell with Job.batch_seeds = repeats } in
+          (fun (cell : Scenario.t) ->
+            let batched = { cell with Scenario.batch_seeds = repeats } in
             let rows =
               match Seed_batch.run batched with
               | report ->
@@ -634,18 +633,18 @@ let sweep_cmd =
       (fun cell ->
         match cell with
         | [] -> ()
-        | ((job : Job.t), _) :: _ ->
+        | ((job : Scenario.t), _) :: _ ->
             let outcomes =
               List.filter_map (fun (_, r) -> Result.to_option r) cell
             in
             let errors = List.length cell - List.length outcomes in
             if errors > 0 then
               Printf.eprintf "warning: %d failed job(s) in cell %s\n" errors
-                (Job.describe job);
+                (Scenario.describe job);
             let rounds =
               Array.of_list
                 (List.map
-                   (fun (o : Job.outcome) -> float_of_int o.result.rounds)
+                   (fun (o : Scenario.outcome) -> float_of_int o.result.rounds)
                    outcomes)
             in
             if Array.length rounds > 0 then begin
@@ -659,7 +658,7 @@ let sweep_cmd =
                   Table.fint o.depth; Table.ffloat ~decimals:0 s.p50;
                   Table.ffloat ~decimals:0 s.max;
                   Table.fbool
-                    (List.for_all (fun (o : Job.outcome) -> o.result.explored)
+                    (List.for_all (fun (o : Scenario.outcome) -> o.result.explored)
                        outcomes);
                 ]
             end)

@@ -9,7 +9,7 @@ let unfinished view v p =
   let c = Partial_tree.port_child_id view v p in
   c >= 0 && Partial_tree.subtree_open view c
 
-let make ?(probe = Bfdn_obs.Probe.noop) env =
+let make env =
   let view = Env.view env in
   let n = Env.capacity env in
   let k = Env.k env in
@@ -87,17 +87,6 @@ let make ?(probe = Bfdn_obs.Probe.noop) env =
         (if m = 0 then if pos <> root then Env.Up else Env.Stay
          else via (!br_buf).(br_off.(pos) + (j mod m)))
     done;
-    (* The O(k) idle scan is per-event instrumentation ([events] only):
-       aggregate consumers get the idle count for free from Env.apply's
-       on_round. Pattern match, not [=]: polymorphic equality on the
-       move variant would cost a caml_compare call per robot. *)
-    if probe.Bfdn_obs.Probe.events then begin
-      let idle = ref 0 in
-      for i = 0 to k - 1 do
-        match moves.(i) with Env.Stay -> incr idle | _ -> ()
-      done;
-      probe.Bfdn_obs.Probe.on_select ~idle:!idle
-    end;
     moves
   in
   {

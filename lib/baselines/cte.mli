@@ -11,10 +11,7 @@
     competitive ratio; tight on sequential-breadth instances such as
     {!Bfdn_trees.Tree_gen.hidden_path} ([11]). *)
 
-val make : ?probe:Bfdn_obs.Probe.t -> Bfdn_sim.Env.t -> Bfdn_sim.Runner.algo
-(** [probe] (default {!Bfdn_obs.Probe.noop}) receives [on_select ~idle]
-    after every selection round with the number of robots left on
-    [Stay]. *)
+val make : Bfdn_sim.Env.t -> Bfdn_sim.Runner.algo
 
 val bound : n:int -> k:int -> depth:int -> float
 (** The comparison formula used in Figure 1: [n / log2 k + depth] (the

@@ -37,7 +37,7 @@ type t = {
   policy : policy;
   shortcut : bool;
   ft : ft option;
-  probe : Bfdn_obs.Probe.t; (* anchor-switch and idle-robot hooks *)
+  probe : Bfdn_obs.Probe.t; (* reanchor summary and fault hooks *)
   robots : rstate array;
   (* Per-node scratch tracks the view's growable id space
      ({!Partial_tree.id_bound}), re-ensured at the top of every select:
@@ -263,13 +263,7 @@ let reanchor t i =
   ensure_depth t d;
   t.reanchor_counts.(d) <- t.reanchor_counts.(d) + 1;
   t.reanchors_total <- t.reanchors_total + 1;
-  fill_route view r pos r.anchor;
-  (* Per-event hook only under [events]: a trap instance reanchors ~100
-     robots per round at k = 512, so even no-op calls here would break
-     the aggregate probe's overhead budget. Aggregate consumers get the
-     counts from the end-of-run summary instead. *)
-  if t.probe.Bfdn_obs.Probe.events then
-    t.probe.Bfdn_obs.Probe.on_reanchor ~robot:i ~depth:d ~route_len:r.route_len
+  fill_route view r pos r.anchor
 
 (* Pop the next breadth-first move off the robot's route. *)
 let pop_route t r =
@@ -352,17 +346,6 @@ let select t =
       end
     end
   done;
-  (* The O(k) idle scan is per-event instrumentation ([events] only):
-     aggregate consumers get the idle count for free from Env.apply's
-     on_round. Pattern match, not [=]: polymorphic equality on the move
-     variant would cost a caml_compare call per robot. *)
-  if t.probe.Bfdn_obs.Probe.events then begin
-    let idle = ref 0 in
-    for i = 0 to k - 1 do
-      match moves.(i) with Env.Stay -> incr idle | _ -> ()
-    done;
-    t.probe.Bfdn_obs.Probe.on_select ~idle:!idle
-  end;
   moves
 
 (* Fired once, the first time [finished] holds: hand the probe the
@@ -418,16 +401,6 @@ let reanchors_total t = t.reanchors_total
 let fault_tolerant t = t.ft <> None
 let robots_lost t = match t.ft with None -> 0 | Some f -> f.lost
 let robots_revived t = match t.ft with None -> 0 | Some f -> f.revived
-
-let presumed_lost t =
-  match t.ft with
-  | None -> [||]
-  | Some f ->
-      let acc = ref [] in
-      for i = Array.length f.buried - 1 downto 0 do
-        if f.buried.(i) then acc := i :: !acc
-      done;
-      Array.of_list !acc
 
 let check_claim4 t =
   let view = Env.view t.env in

@@ -35,9 +35,10 @@ val make :
   ?drop:(round:int -> robot:int -> bool) ->
   Bfdn_sim.Env.t ->
   t
-(** [probe] (default {!Bfdn_obs.Probe.noop}) receives [on_reanchor] at
-    every anchor switch (with the anchor's depth and the breadth-first
-    route length) and [on_select ~idle] after every selection round.
+(** [probe] (default {!Bfdn_obs.Probe.noop}) receives
+    [on_reanchor_summary] once, the first time the algorithm reports
+    finished, and the fault-tolerance hooks ([on_robot_lost],
+    [on_robot_revived]).
 
     [shortcut] (default [false]) enables the ablation variant that
     re-anchors a robot the moment its depth-next excursion stalls, routing
@@ -86,9 +87,6 @@ val robots_lost : t -> int
     buried, revived and buried again counts twice. *)
 
 val robots_revived : t -> int
-
-val presumed_lost : t -> int array
-(** Robots currently buried, in increasing id order. *)
 
 val check_claim4 : t -> bool
 (** Claim 4: every open node of the discovered tree lies in the subtree of

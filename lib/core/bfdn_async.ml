@@ -11,7 +11,6 @@ type t = {
      commitment since their traversal always completes (no vetoes in the
      continuous-time model). *)
   dangle_cursor : int array;
-  mutable reanchors : int;
 }
 
 let make env =
@@ -27,7 +26,6 @@ let make env =
        load.(root) <- k;
        load);
     dangle_cursor = Array.make n 0;
-    reanchors = 0;
   }
 
 let next_unclaimed t pos =
@@ -75,7 +73,6 @@ let reanchor t i =
       r.anchor <- best;
       t.anchor_load.(best) <- t.anchor_load.(best) + 1;
       r.stack <- Partial_tree.ports_from_root view best;
-      t.reanchors <- t.reanchors + 1;
       true
 
 let decide t env i =
@@ -108,5 +105,3 @@ let notify_restart t i =
   r.anchor <- root;
   t.anchor_load.(root) <- t.anchor_load.(root) + 1;
   r.stack <- []
-
-let reanchors_total t = t.reanchors

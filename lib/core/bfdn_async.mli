@@ -24,4 +24,3 @@ val notify_restart : t -> Bfdn_sim.Async_env.robot -> unit
     {!Bfdn_sim.Exec_env.of_async}): the stale stack described a walk
     from the crash site, not from the root. *)
 
-val reanchors_total : t -> int

@@ -14,7 +14,6 @@ type t = {
      round is applied. *)
   cursor : int array;
   selected : (int * int, unit) Hashtbl.t;
-  mutable reanchors : int;
 }
 
 let make env =
@@ -29,10 +28,8 @@ let make env =
        a);
     cursor = Array.make n 0;
     selected = Hashtbl.create 16;
-    reanchors = 0;
   }
 
-let reanchors_total t = t.reanchors
 
 let next_unknown t pos =
   let nports = Genv.num_ports t.env pos in
@@ -67,8 +64,7 @@ let reanchor t i =
   in
   r.anchor <- v;
   t.anchor_load.(v) <- t.anchor_load.(v) + 1;
-  r.stack <- Genv.ports_from_origin t.env v;
-  t.reanchors <- t.reanchors + 1
+  r.stack <- Genv.ports_from_origin t.env v
 
 let select t =
   let origin = Genv.origin t.env in
@@ -116,8 +112,7 @@ let exec_env t =
   let env = t.env in
   let pending = ref [||] in
   {
-    Bfdn_sim.Exec_env.kind = "graph";
-    k = Genv.k env;
+    Bfdn_sim.Exec_env.k = Genv.k env;
     round = (fun () -> Genv.round env);
     select = (fun () -> pending := select t);
     apply = (fun () -> Genv.apply env !pending);
@@ -127,7 +122,6 @@ let exec_env t =
     at_home = (fun () -> Genv.all_at_origin env);
     moves_total = (fun () -> Genv.moves_total env);
     edge_events = (fun () -> Genv.traversed_edges env);
-    positions = (fun () -> Genv.positions env);
     frame =
       (fun () ->
         {

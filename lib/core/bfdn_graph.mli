@@ -38,4 +38,3 @@ val run : ?max_rounds:int -> t -> result
 (** The graph environment has its own move type, so the driving loop lives
     here rather than in {!Bfdn_sim.Runner}. *)
 
-val reanchors_total : t -> int

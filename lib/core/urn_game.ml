@@ -25,7 +25,6 @@ let create_custom ~delta ~loads ~virgin =
 let k b = Array.length b.loads
 let delta b = b.delta
 let load b i = b.loads.(i)
-let is_virgin b i = b.virgin.(i)
 let steps b = b.steps
 
 let virgin_count b =

@@ -25,7 +25,6 @@ val create_custom : delta:int -> loads:int array -> virgin:bool array -> board
 val k : board -> int
 val delta : board -> int
 val load : board -> int -> int
-val is_virgin : board -> int -> bool
 val steps : board -> int
 
 val virgin_count : board -> int

@@ -53,7 +53,9 @@ let map ?(probe = Probe.noop) ?workers
 
 let run ?probe ?workers ?progress ?on_pool_stats jobs =
   let arr = Array.of_list jobs in
-  let res = map ?probe ?workers ?progress ?on_pool_stats Job.run arr in
+  let res =
+    map ?probe ?workers ?progress ?on_pool_stats Bfdn_scenario.Scenario.run arr
+  in
   List.mapi (fun i j -> (j, res.(i))) jobs
 
 type agg = {
@@ -69,10 +71,10 @@ let aggregate results =
   let order = ref [] (* algo names, first-seen order *) in
   let rounds : (string, int list ref) Hashtbl.t = Hashtbl.create 8 in
   List.iter
-    (fun ((job : Job.t), res) ->
+    (fun ((job : Bfdn_scenario.Scenario.t), res) ->
       match res with
       | Error _ -> incr errors
-      | Ok (o : Job.outcome) ->
+      | Ok (o : Bfdn_scenario.Scenario.outcome) ->
           if o.result.explored then incr explored;
           total_rounds := !total_rounds + o.result.rounds;
           let cell =

@@ -2,11 +2,12 @@
 
     The determinism contract: results are collected into a slot indexed
     by the job's position in the input, every job derives its randomness
-    from its own spec ({!Job.run} is pure), and nothing a worker computes
-    depends on any other worker. Hence a batch's output is a function of
-    the input list alone — identical for 1 worker, [N] workers, or any
-    scheduling order — which {!val:run} with worker counts 1 vs N (see
-    [test/test_engine.ml]) verifies job-for-job. *)
+    from its own spec ({!Bfdn_scenario.Scenario.run} is pure), and
+    nothing a worker computes depends on any other worker. Hence a
+    batch's output is a function of the input list alone — identical
+    for 1 worker, [N] workers, or any scheduling order — which
+    {!val:run} with worker counts 1 vs N (see [test/test_engine.ml])
+    verifies job-for-job. *)
 
 val map :
   ?probe:Bfdn_obs.Probe.t ->
@@ -38,9 +39,11 @@ val run :
   ?workers:int ->
   ?progress:(completed:int -> total:int -> unit) ->
   ?on_pool_stats:(int array -> unit) ->
-  Job.t list ->
-  (Job.t * (Job.outcome, string) result) list
-(** [map] specialized to {!Job.run}, pairing each outcome with its spec. *)
+  Bfdn_scenario.Scenario.t list ->
+  (Bfdn_scenario.Scenario.t * (Bfdn_scenario.Scenario.outcome, string) result)
+  list
+(** [map] specialized to {!Bfdn_scenario.Scenario.run}, pairing each
+    outcome with its spec. *)
 
 type agg = {
   jobs : int;
@@ -52,7 +55,10 @@ type agg = {
           order *)
 }
 
-val aggregate : (Job.t * (Job.outcome, string) result) list -> agg
+val aggregate :
+  (Bfdn_scenario.Scenario.t * (Bfdn_scenario.Scenario.outcome, string) result)
+  list ->
+  agg
 
 val now : unit -> float
 (** Wall-clock seconds ([Unix.gettimeofday]); here so engine clients time

@@ -49,8 +49,6 @@ val token : unit -> token
 val cancel : token -> unit
 (** Flip the flag (idempotent; callable from any domain). *)
 
-val is_cancelled : token -> bool
-
 val check : token -> unit
 (** @raise Cancelled when the token has been cancelled. *)
 

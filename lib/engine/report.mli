@@ -53,7 +53,8 @@ val of_sweep :
   seed:int ->
   wall:float ->
   ?sequential_wall:float ->
-  (Job.t * (Job.outcome, string) result) list ->
+  (Bfdn_scenario.Scenario.t * (Bfdn_scenario.Scenario.outcome, string) result)
+  list ->
   json
 (** Standard report body for one batch: the {!meta} stamp, label,
     core count, wall-time, jobs/sec, error count, per-algo round

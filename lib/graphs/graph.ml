@@ -46,8 +46,6 @@ let neighbor t v p =
   if p < 0 || p >= degree t v then invalid_arg "Graph.neighbor: bad port";
   t.adj.(v).(p)
 
-let neighbors t v = t.adj.(v)
-
 let reverse_port t v p =
   if p < 0 || p >= degree t v then invalid_arg "Graph.reverse_port: bad port";
   t.rev.(v).(p)

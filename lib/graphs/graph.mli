@@ -24,9 +24,6 @@ val max_degree : t -> int
 val neighbor : t -> node -> int -> node
 (** [neighbor g v p] follows port [p] of [v]. *)
 
-val neighbors : t -> node -> node array
-(** Neighbours in port order; do not mutate. *)
-
 val reverse_port : t -> node -> int -> int
 (** [reverse_port g v p] is the port at the far endpoint leading back to
     [v]. O(1): precomputed. *)

@@ -99,9 +99,6 @@ let port t v p =
   | 1 -> Tree
   | _ -> Closed
 
-let port_target t v p =
-  if t.states.(v).(p) = st_unknown then None else Some t.targets.(v).(p)
-
 let tree_parent t v =
   if not t.explored.(v) then invalid_arg "Graph_env.tree_parent: unexplored node";
   t.tree_parent.(v)

@@ -63,8 +63,6 @@ val dist : t -> Graph.node -> int
 
 val num_ports : t -> Graph.node -> int
 val port : t -> Graph.node -> int -> port_state
-val port_target : t -> Graph.node -> int -> Graph.node option
-(** Far endpoint of a [Tree] or [Closed] port ([None] while [Unknown]). *)
 
 val tree_parent : t -> Graph.node -> (Graph.node * int) option
 (** [(parent, port-to-parent)] of an explored node in the grown BFS tree;

@@ -4,13 +4,10 @@ type phase = Select | Apply | Finished_check
 
 type t = {
   enabled : bool;
-  events : bool;
   on_round :
     round:int -> moved:int -> idle:int -> revealed:int -> edge_events:int -> unit;
   on_phase : phase -> int -> unit;
-  on_reanchor : robot:int -> depth:int -> route_len:int -> unit;
   on_reanchor_summary : total:int -> by_depth:int array -> unit;
-  on_select : idle:int -> unit;
   on_robot_lost : robot:int -> round:int -> latency:int -> unit;
   on_robot_revived : robot:int -> round:int -> unit;
   on_job : worker:int -> wait_ns:int -> run_ns:int -> unit;
@@ -19,29 +16,22 @@ type t = {
 let noop =
   {
     enabled = false;
-    events = false;
     on_round = (fun ~round:_ ~moved:_ ~idle:_ ~revealed:_ ~edge_events:_ -> ());
     on_phase = (fun _ _ -> ());
-    on_reanchor = (fun ~robot:_ ~depth:_ ~route_len:_ -> ());
     on_reanchor_summary = (fun ~total:_ ~by_depth:_ -> ());
-    on_select = (fun ~idle:_ -> ());
     on_robot_lost = (fun ~robot:_ ~round:_ ~latency:_ -> ());
     on_robot_revived = (fun ~robot:_ ~round:_ -> ());
     on_job = (fun ~worker:_ ~wait_ns:_ ~run_ns:_ -> ());
   }
 
-let make ?(events = false) ?on_round ?on_phase ?on_reanchor
-    ?on_reanchor_summary ?on_select ?on_robot_lost ?on_robot_revived ?on_job
-    () =
+let make ?on_round ?on_phase ?on_reanchor_summary ?on_robot_lost
+    ?on_robot_revived ?on_job () =
   {
     enabled = true;
-    events;
     on_round = Option.value on_round ~default:noop.on_round;
     on_phase = Option.value on_phase ~default:noop.on_phase;
-    on_reanchor = Option.value on_reanchor ~default:noop.on_reanchor;
     on_reanchor_summary =
       Option.value on_reanchor_summary ~default:noop.on_reanchor_summary;
-    on_select = Option.value on_select ~default:noop.on_select;
     on_robot_lost = Option.value on_robot_lost ~default:noop.on_robot_lost;
     on_robot_revived =
       Option.value on_robot_revived ~default:noop.on_robot_revived;
@@ -49,9 +39,9 @@ let make ?(events = false) ?on_round ?on_phase ?on_reanchor
   }
 
 (* Standard metric names for a single-domain run. Handles are resolved
-   here, once; the closures below only touch handles. Aggregate-only:
-   no per-event hooks, so the per-round cost is a fixed handful of
-   counter bumps however hard the instance drives the robots. *)
+   here, once; the closures below only touch handles, so the per-round
+   cost is a fixed handful of counter bumps however hard the instance
+   drives the robots. *)
 let of_metrics m =
   let rounds = Metrics.counter m "rounds" in
   let moves = Metrics.counter m "moves" in

@@ -12,9 +12,6 @@
 val content_type : string
 (** The exposition content type, ["text/plain; version=0.0.4"]. *)
 
-val metric_name_ok : string -> bool
-(** [[a-zA-Z_:][a-zA-Z0-9_:]*]. *)
-
 val render : ?namespace:string -> Metrics.t -> string
 (** The registry in exposition format, metrics in registration order,
     one [# TYPE] comment per family. *)

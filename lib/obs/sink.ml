@@ -1,119 +1,79 @@
 module Ring = struct
   type 'a t = {
-    buf : 'a option array;
-    mutable head : int; (* next write slot *)
+    buf : 'a option array; (* the [i]-th push lives at [i mod capacity] *)
     mutable pushed : int; (* total ever pushed *)
+    mutable closed : bool;
+    m : Mutex.t;
+    grew : Condition.t; (* broadcast on every push and on close *)
   }
+
+  type cursor = { mutable pos : int (* push index of the next element to read *) }
 
   let create capacity =
     if capacity < 1 then invalid_arg "Sink.Ring.create: capacity must be >= 1";
-    { buf = Array.make capacity None; head = 0; pushed = 0 }
+    {
+      buf = Array.make capacity None;
+      pushed = 0;
+      closed = false;
+      m = Mutex.create ();
+      grew = Condition.create ();
+    }
 
   let capacity t = Array.length t.buf
 
+  let locked t f =
+    Mutex.lock t.m;
+    Fun.protect ~finally:(fun () -> Mutex.unlock t.m) f
+
   let push t x =
-    t.buf.(t.head) <- Some x;
-    t.head <- (t.head + 1) mod Array.length t.buf;
-    t.pushed <- t.pushed + 1
-
-  let length t = min t.pushed (Array.length t.buf)
-
-  let pushed t = t.pushed
-
-  let dropped t = t.pushed - length t
-
-  (* Oldest retained element first. *)
-  let iter f t =
-    let cap = Array.length t.buf in
-    let n = length t in
-    let start = (t.head - n + cap) mod cap in
-    for i = 0 to n - 1 do
-      match t.buf.((start + i) mod cap) with
-      | Some x -> f x
-      | None -> assert false
-    done
-
-  let to_list t =
-    let acc = ref [] in
-    iter (fun x -> acc := x :: !acc) t;
-    List.rev !acc
-
-  let clear t =
-    Array.fill t.buf 0 (Array.length t.buf) None;
-    t.head <- 0;
-    t.pushed <- 0
-end
-
-module Stream = struct
-  type t = {
-    capacity : int;
-    q : Json.t Queue.t;
-    m : Mutex.t;
-    nonempty : Condition.t;
-    mutable pushed : int;
-    mutable dropped : int;
-    mutable closed : bool;
-  }
-
-  let create ?(capacity = 1024) () =
-    if capacity < 1 then invalid_arg "Sink.Stream.create: capacity must be >= 1";
-    {
-      capacity;
-      q = Queue.create ();
-      m = Mutex.create ();
-      nonempty = Condition.create ();
-      pushed = 0;
-      dropped = 0;
-      closed = false;
-    }
-
-  let capacity t = t.capacity
-
-  let push t j =
     Mutex.lock t.m;
     if not t.closed then begin
-      if Queue.length t.q >= t.capacity then begin
-        ignore (Queue.pop t.q);
-        t.dropped <- t.dropped + 1
-      end;
-      Queue.push j t.q;
+      t.buf.(t.pushed mod Array.length t.buf) <- Some x;
       t.pushed <- t.pushed + 1;
-      Condition.signal t.nonempty
+      Condition.broadcast t.grew
     end;
     Mutex.unlock t.m
 
   let close t =
     Mutex.lock t.m;
     t.closed <- true;
-    Condition.broadcast t.nonempty;
+    Condition.broadcast t.grew;
     Mutex.unlock t.m
 
-  let closed t =
-    Mutex.lock t.m;
-    let c = t.closed in
-    Mutex.unlock t.m;
-    c
+  (* The helpers below run under the lock. *)
+  let oldest t = max 0 (t.pushed - Array.length t.buf)
 
-  let pushed t =
-    Mutex.lock t.m;
-    let n = t.pushed in
-    Mutex.unlock t.m;
-    n
+  let get t i =
+    match t.buf.(i mod Array.length t.buf) with
+    | Some x -> x
+    | None -> assert false
 
-  let dropped t =
-    Mutex.lock t.m;
-    let n = t.dropped in
-    Mutex.unlock t.m;
-    n
+  let length t = locked t (fun () -> t.pushed - oldest t)
+  let pushed t = locked t (fun () -> t.pushed)
+  let dropped t = locked t (fun () -> oldest t)
 
-  let next t =
-    Mutex.lock t.m;
-    while Queue.is_empty t.q && not t.closed do
-      Condition.wait t.nonempty t.m
-    done;
-    let r = if Queue.is_empty t.q then None else Some (Queue.pop t.q) in
-    Mutex.unlock t.m;
-    r
+  let last t n =
+    locked t (fun () ->
+        let lo = max (oldest t) (t.pushed - n) in
+        List.init (t.pushed - lo) (fun j -> get t (lo + j)))
+
+  let to_list t = last t (capacity t)
+
+  let cursor _ = { pos = 0 }
+
+  let next t c =
+    locked t (fun () ->
+        while c.pos >= t.pushed && not t.closed do
+          Condition.wait t.grew t.m
+        done;
+        if c.pos >= t.pushed then None
+        else begin
+          (* A reader that fell more than a capacity behind resumes at
+             the oldest element still retained. *)
+          let i = max c.pos (oldest t) in
+          c.pos <- i + 1;
+          Some (get t i)
+        end)
 end
 
 let write_jsonl oc j =

@@ -2,8 +2,14 @@
     an ASCII dashboard. *)
 
 (** Bounded ring buffer: pushing past capacity overwrites the oldest
-    element. Backs {!Bfdn_sim.Trace} so long runs record in O(capacity)
-    memory instead of an unbounded list. *)
+    element, so a producer (a round loop) is never blocked and memory
+    stays O(capacity) however long the run. Backs {!Bfdn_sim.Trace} and
+    the serve layer's per-job frame buffer.
+
+    All operations are mutex-guarded and safe across domains and
+    threads. Readers either snapshot the retained elements ({!last},
+    {!to_list}) or follow the ring with a {!cursor}: reading never
+    consumes, so any number of readers see the same elements. *)
 module Ring : sig
   type 'a t
 
@@ -13,6 +19,12 @@ module Ring : sig
   val capacity : 'a t -> int
 
   val push : 'a t -> 'a -> unit
+  (** Never blocks: overwrites the oldest element when full; a no-op
+      after {!close}. *)
+
+  val close : 'a t -> unit
+  (** Wakes every reader blocked in {!next}; further pushes are
+      dropped. Idempotent. *)
 
   val length : 'a t -> int
   (** Elements currently retained ([min pushed capacity]). *)
@@ -23,49 +35,23 @@ module Ring : sig
   val dropped : 'a t -> int
   (** [pushed - length]: elements overwritten so far. *)
 
-  val iter : ('a -> unit) -> 'a t -> unit
-  (** Oldest retained element first. *)
+  val last : 'a t -> int -> 'a list
+  (** The newest [n] retained elements, oldest first. *)
 
   val to_list : 'a t -> 'a list
-  (** Oldest retained element first. *)
+  (** Every retained element, oldest first. *)
 
-  val clear : 'a t -> unit
-end
+  type cursor
+  (** One reader's position in a ring. *)
 
-(** Bounded producer/consumer handoff of JSON frames between the domain
-    executing a run and a consumer streaming them out (the serve layer's
-    [GET /jobs/:id/stream]). Pushing past capacity drops the {e oldest}
-    frame — the producer (a round loop) is never blocked by a slow
-    consumer, matching the {!Ring} philosophy. All operations are
-    mutex-guarded and safe across domains and threads. *)
-module Stream : sig
-  type t
+  val cursor : 'a t -> cursor
+  (** A fresh cursor at the oldest retained element. *)
 
-  val create : ?capacity:int -> unit -> t
-  (** Default capacity 1024 frames.
-      @raise Invalid_argument when capacity < 1. *)
-
-  val capacity : t -> int
-
-  val push : t -> Json.t -> unit
-  (** Never blocks: drops the oldest queued frame when full; a no-op
-      after {!close}. *)
-
-  val close : t -> unit
-  (** Wakes every blocked {!next}; further pushes are dropped.
-      Idempotent. *)
-
-  val closed : t -> bool
-
-  val pushed : t -> int
-  (** Total frames ever accepted (dropped ones included). *)
-
-  val dropped : t -> int
-  (** Frames discarded because the consumer lagged past capacity. *)
-
-  val next : t -> Json.t option
-  (** Block until a frame is available or the stream is closed; [None]
-      means closed-and-drained (the consumer's end-of-stream). *)
+  val next : 'a t -> cursor -> 'a option
+  (** The element at the cursor, advancing it. Blocks until one is
+      pushed or the ring is closed; [None] means closed and fully read.
+      A cursor that fell behind past capacity resumes at the oldest
+      element still retained. *)
 end
 
 val write_jsonl : out_channel -> Json.t -> unit

@@ -13,7 +13,6 @@ type span = {
   name : string;
   start_ns : int; (* relative to the recorder's t0 *)
   mutable dur_ns : int;
-  mutable accumulated : bool; (* duration built by add_ns, not elapsed *)
   mutable attrs : attr list;
   mutable closed : bool;
 }
@@ -83,7 +82,6 @@ let start ?(parent = none) t name =
                   name = "";
                   start_ns = 0;
                   dur_ns = 0;
-                  accumulated = false;
                   attrs = [];
                   closed = false;
                 }
@@ -99,7 +97,6 @@ let start ?(parent = none) t name =
               name;
               start_ns = Clock.now_ns () - t.t0_ns;
               dur_ns = 0;
-              accumulated = false;
               attrs = [];
               closed = false;
             };
@@ -108,17 +105,6 @@ let start ?(parent = none) t name =
         end)
 
 let valid t id = id >= 0 && id < t.len
-
-let add_ns t id ns =
-  if t.enabled && id >= 0 then
-    locked t (fun () ->
-        if valid t id then begin
-          let s = t.spans.(id) in
-          if not s.closed then begin
-            s.dur_ns <- s.dur_ns + ns;
-            s.accumulated <- true
-          end
-        end)
 
 let json_of_value = function
   | Int i -> Json.Int i
@@ -143,7 +129,7 @@ let flat_json t (s : span) =
      ]
     @ if s.attrs = [] then [] else [ ("attrs", json_of_attrs s.attrs) ])
 
-let finish ?(attrs = []) t id =
+let finish ?dur_ns ?(attrs = []) t id =
   if t.enabled && id >= 0 then begin
     let emit =
       locked t (fun () ->
@@ -151,8 +137,10 @@ let finish ?(attrs = []) t id =
             let s = t.spans.(id) in
             if s.closed then None
             else begin
-              if not s.accumulated then
-                s.dur_ns <- Clock.now_ns () - t.t0_ns - s.start_ns;
+              s.dur_ns <-
+                (match dur_ns with
+                | Some d -> d
+                | None -> Clock.now_ns () - t.t0_ns - s.start_ns);
               s.attrs <- attrs;
               s.closed <- true;
               match t.sink with None -> None | Some _ -> Some (flat_json t s)
@@ -213,24 +201,3 @@ let tree_json t =
             ("dropped", Json.Int t.dropped);
             ("spans", Json.List (List.map render !roots));
           ])
-
-let phase_probe t ~parent (probe : Probe.t) =
-  if not t.enabled then (probe, ignore)
-  else begin
-    let sel = start ~parent t "phase:select" in
-    let app = start ~parent t "phase:apply" in
-    let fin = start ~parent t "phase:finished_check" in
-    let base = probe.Probe.on_phase in
-    let on_phase ph ns =
-      base ph ns;
-      match ph with
-      | Probe.Select -> add_ns t sel ns
-      | Probe.Apply -> add_ns t app ns
-      | Probe.Finished_check -> add_ns t fin ns
-    in
-    ( { probe with Probe.enabled = true; on_phase },
-      fun () ->
-        finish t sel;
-        finish t app;
-        finish t fin )
-  end

@@ -17,8 +17,8 @@
 
     All operations are mutex-guarded: a recorder is shared between the
     connection thread that minted it and the worker domain executing
-    the job. Operations are boundary-frequency (per request, per
-    phase-close), never per-robot. *)
+    the job. Operations are boundary-frequency (per request, per job),
+    never per-round. *)
 
 type id = int
 (** Span identifier, unique within one recorder. {!none} (= [-1]) is
@@ -52,17 +52,12 @@ val start : ?parent:id -> t -> string -> id
     {!none} (a root span). Returns {!none} when the recorder is
     disabled or full (then counted in {!dropped}). *)
 
-val add_ns : t -> id -> int -> unit
-(** Accumulate [ns] nanoseconds into an open span's duration. A span
-    with at least one [add_ns] keeps the accumulated total at
-    {!finish} instead of wall-clock elapsed — this is how the three
-    per-round runner phases fold O(rounds) measurements into three
-    spans. *)
-
-val finish : ?attrs:attr list -> t -> id -> unit
-(** Close a span: fix its duration (elapsed since {!start}, or the
-    {!add_ns} total), attach [attrs], emit it to the sink. Idempotent;
-    no-op on {!none}. *)
+val finish : ?dur_ns:int -> ?attrs:attr list -> t -> id -> unit
+(** Close a span: fix its duration ([dur_ns] when given, else the time
+    elapsed since {!start}), attach [attrs], emit it to the sink.
+    [dur_ns] is for spans whose time was measured elsewhere, e.g. a
+    phase total summed over every round of a run. Idempotent; no-op on
+    {!none}. *)
 
 val length : t -> int
 (** Spans started (and retained) so far. *)
@@ -76,14 +71,3 @@ val tree_json : t -> Json.t
     children} ...]}] with [spans] the root spans, [start_ns] relative
     to the recorder's creation. Spans still open are included with
     their duration so far and ["open": true]. *)
-
-val phase_probe : t -> parent:id -> Probe.t -> Probe.t * (unit -> unit)
-(** Wrap a probe so its {!Probe.t.on_phase} hook also accumulates each
-    per-round phase duration into three spans ([phase:select],
-    [phase:apply], [phase:finished_check]) under [parent]. Returns the
-    wrapped probe and a closer that {!finish}es the three spans; their
-    durations then sum to the instrumented loop's wall time. On a
-    {!disabled} recorder the probe is returned untouched and the
-    closer is a no-op. *)
-
-val json_of_attrs : attr list -> Json.t

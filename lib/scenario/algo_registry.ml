@@ -170,7 +170,7 @@ let all =
       ~doc:
         "Collective Tree Exploration of Fraigniaud et al. [10] — O(n/log k + \
          D) rounds, proportional branch splitting"
-      (fun c -> Bfdn_baselines.Cte.make ~probe:c.probe c.env);
+      (fun c -> Bfdn_baselines.Cte.make c.env);
     tree_entry ~name:"cte-writeread"
       ~doc:
         "CTE with whiteboard-only communication — completion marks propagate \

@@ -8,7 +8,7 @@
     ({!Bfdn_sim.Async_env}). Capability flags are {e derived} from the
     constructors that exist ({!caps}), so listings can never drift from
     what [instantiate*] accepts. The CLI ([bin/explore.ml]), the bench
-    harness and the engine's {!Bfdn_engine.Job} all resolve algorithm
+    harness and the engine's {!Bfdn_engine.Batch} all resolve algorithm
     names here — none of them carries its own name→constructor match
     any more, so a variant registered once is reachable everywhere
     (asserted in [test/test_scenario.ml]). *)

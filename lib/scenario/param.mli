@@ -17,9 +17,6 @@ type spec = { key : string; doc : string; default : value }
 (** The default also fixes the parameter's type: a binding for [key]
     must carry the same [value] constructor. *)
 
-val type_name : value -> string
-(** ["int"], ["float"], ["bool"] or ["string"]. *)
-
 val canon : binding list -> binding list
 (** Sort bindings by key (the canonical form used by the JSON codec, so
     that decode ∘ encode is the identity on canonical specs).
@@ -41,8 +38,6 @@ val get_string : schema:spec list -> binding list -> string -> string
 val get_float : schema:spec list -> binding list -> string -> float
 
 (** {2 Rendering and JSON} *)
-
-val value_to_string : value -> string
 
 val describe_schema : spec list -> string
 (** One line per parameter: [key : type = default — doc]. Empty string

@@ -505,7 +505,7 @@ let load path =
    stream, split index 1 the algorithm stream, and an adversarial replay
    re-derives the algorithm stream from scratch so the frozen-tree re-run
    sees exactly the stream the adaptive run saw. This matches the engine's
-   historical Job.run wiring bit for bit (asserted by the golden
+   historical engine wiring bit for bit (asserted by the golden
    equivalence suite in test/test_scenario.ml). *)
 
 let instance_stream root = Rng.split root 0

@@ -157,7 +157,6 @@ val registry_json : unit -> Bfdn_obs.Json.t
 
 val instance_stream : Bfdn_util.Rng.t -> Bfdn_util.Rng.t
 val algo_stream : Bfdn_util.Rng.t -> Bfdn_util.Rng.t
-val fault_stream : Bfdn_util.Rng.t -> Bfdn_util.Rng.t
 
 val fault_plan :
   t -> Bfdn_util.Rng.t -> Bfdn_faults.Fault_plan.t option

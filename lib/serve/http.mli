@@ -67,9 +67,6 @@ val write_all : Unix.file_descr -> string -> unit
 
 (** {2 Writing} *)
 
-val status_reason : int -> string
-(** ["OK"], ["Too Many Requests"], ... (["Unknown"] for unmapped codes). *)
-
 val write_response :
   Unix.file_descr ->
   status:int ->

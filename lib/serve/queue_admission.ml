@@ -1,5 +1,4 @@
 module Scenario = Bfdn_scenario.Scenario
-module Stream = Bfdn_obs.Sink.Stream
 module Ring = Bfdn_obs.Sink.Ring
 module Span = Bfdn_obs.Span
 module Pool = Bfdn_engine.Pool
@@ -29,13 +28,12 @@ type job = {
   spec : Scenario.t;
   fingerprint : string;
   timeout_s : float;
-  stream : Stream.t;
+  stream : Bfdn_obs.Json.t Ring.t;
   token : Pool.token;
   trace : string;
   span : Span.t;
   root_span : Span.id;
   queue_span : Span.id;
-  frames : Bfdn_obs.Json.t Ring.t;
   mutable state : state;
   mutable timed_out : bool;
   mutable postmortem : string option;
@@ -98,7 +96,7 @@ let prune t =
   Queue.transfer t.order parked;
   Queue.transfer parked t.order
 
-let frame_ring_cap = 64
+let stream_cap = 1024
 
 let admit ?(trace = "") ?(span = Span.disabled) ?(parent = Span.none) t
     ~timeout_s ~fingerprint spec =
@@ -114,7 +112,7 @@ let admit ?(trace = "") ?(span = Span.disabled) ?(parent = Span.none) t
             spec;
             fingerprint;
             timeout_s;
-            stream = Stream.create ();
+            stream = Ring.create stream_cap;
             token = Pool.token ();
             trace;
             span;
@@ -122,7 +120,6 @@ let admit ?(trace = "") ?(span = Span.disabled) ?(parent = Span.none) t
             (* Opened here so the span covers admission-to-execution
                latency; the executor closes it at [mark_running]. *)
             queue_span = Span.start ~parent span "queue";
-            frames = Ring.create frame_ring_cap;
             state = Queued;
             timed_out = false;
             postmortem = None;
@@ -155,9 +152,9 @@ let settle t job st =
         t.inflight <- t.inflight - 1;
         Condition.broadcast t.changed
       end);
-  (* Close outside the table lock: closing broadcasts the stream's own
+  (* Close outside the table lock: closing broadcasts the ring's own
      condition and must never deadlock against a pushing producer. *)
-  Stream.close job.stream
+  Ring.close job.stream
 
 let await t job =
   locked t (fun () ->

@@ -24,14 +24,17 @@ val state_name : state -> string
 (** ["queued"], ["running"], ["done"], ["failed"], ["timeout"],
     ["cancelled"]. *)
 
-val is_terminal : state -> bool
-
 type job = {
   id : int;
   spec : Bfdn_scenario.Scenario.t;
   fingerprint : string;
   timeout_s : float;
-  stream : Bfdn_obs.Sink.Stream.t;  (** live trace frames of the run *)
+  stream : Bfdn_obs.Json.t Bfdn_obs.Sink.Ring.t;
+      (** the run's trace frames (lane rows for a batched spec), the
+          newest 1024 retained; written only by the executing worker,
+          closed at {!settle}. Readers follow it by cursor without
+          consuming, so [GET /jobs/:id/stream] readers and the
+          postmortem bundle all see the same frames. *)
   token : Bfdn_engine.Pool.token;
   trace : string;  (** correlation id minted at the HTTP edge *)
   span : Bfdn_obs.Span.t;
@@ -41,10 +44,6 @@ type job = {
   queue_span : Bfdn_obs.Span.id;
       (** opened by {!admit}, closed by the executor at
           {!mark_running}: admission-to-execution latency *)
-  frames : Bfdn_obs.Json.t Bfdn_obs.Sink.Ring.t;
-      (** last N trace frames, kept for the postmortem bundle (the
-          consumable {!stream} cannot be replayed); written only by
-          the executing worker *)
   mutable state : state;  (** read/written under the table's lock only *)
   mutable timed_out : bool;
       (** set (before cancelling the token) by the deadline check, so

@@ -1,7 +1,6 @@
 module Json = Bfdn_obs.Json
 module Metrics = Bfdn_obs.Metrics
 module Probe = Bfdn_obs.Probe
-module Stream = Bfdn_obs.Sink.Stream
 module Ring = Bfdn_obs.Sink.Ring
 module Span = Bfdn_obs.Span
 module Log = Bfdn_obs.Log
@@ -66,7 +65,6 @@ type t = {
   conn_m : Mutex.t;
   conn_done : Condition.t;
   mutable open_conns : int;
-  mutable requests : int;
 }
 
 let create config =
@@ -109,11 +107,9 @@ let create config =
     conn_m = Mutex.create ();
     conn_done = Condition.create ();
     open_conns = 0;
-    requests = 0;
   }
 
 let port t = t.bound_port
-let request_count t = Mutex.lock t.conn_m; let n = t.requests in Mutex.unlock t.conn_m; n
 
 let count t name =
   Mutex.lock t.http_m;
@@ -159,6 +155,9 @@ let rec mkdir_p dir =
     try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
   end
 
+(* Frames a postmortem bundle keeps: the newest of the job's stream. *)
+let postmortem_frames = 64
+
 (* Written by the executing worker after the run ends but before the job
    settles, so by the time a waiter sees the terminal state the bundle
    path is already linked from the job. *)
@@ -170,6 +169,7 @@ let write_postmortem t (job : Q.job) reg ~reason ~state_name =
         Filename.concat dir
           (Printf.sprintf "job-%d-%s.json" job.Q.id job.Q.fingerprint)
       in
+      let frames = Ring.last job.Q.stream postmortem_frames in
       let bundle =
         Json.Obj
           [
@@ -182,8 +182,9 @@ let write_postmortem t (job : Q.job) reg ~reason ~state_name =
             ("seed", Json.Int job.Q.spec.Scenario.seed);
             ("spec", Scenario.to_json job.Q.spec);
             ("metrics", Metrics.to_json reg);
-            ("frames", Json.List (Ring.to_list job.Q.frames));
-            ("frames_dropped", Json.Int (Ring.dropped job.Q.frames));
+            ("frames", Json.List frames);
+            ( "frames_dropped",
+              Json.Int (Ring.pushed job.Q.stream - List.length frames) );
             ("spans", Span.tree_json job.Q.span);
           ]
       in
@@ -215,46 +216,52 @@ let exec t (job : Q.job) =
       Clock.now_ns () + int_of_float (job.Q.timeout_s *. 1e9)
     in
     let on_round (exec : Bfdn_sim.Exec_env.t) =
-      let frame = Trace.json_of_frame (exec.Bfdn_sim.Exec_env.frame ()) in
-      Stream.push job.Q.stream frame;
-      Ring.push job.Q.frames frame;
+      Ring.push job.Q.stream
+        (Trace.json_of_frame (exec.Bfdn_sim.Exec_env.frame ()));
       if Clock.now_ns () > deadline then begin
         job.Q.timed_out <- true;
         Pool.cancel job.Q.token
       end;
       Pool.check job.Q.token
     in
-    let phased, close_phases =
-      Span.phase_probe job.Q.span ~parent:exe (Probe.of_metrics reg)
+    let counter name =
+      match Metrics.find_counter reg name with
+      | Some c -> Metrics.value c
+      | None -> 0
     in
+    (* The phase spans are closed with the totals the metrics probe
+       sums from the round loop's clock stamps: phase time is measured
+       once, into the job registry. *)
+    let phase name = Span.start ~parent:exe job.Q.span name in
+    let sel = phase "phase:select" in
+    let app = phase "phase:apply" in
+    let fin = phase "phase:finished_check" in
+    let metered = Probe.of_metrics reg in
     (* Bracket the runner loop itself: [Scenario.run] spends setup time
        (world generation, env and algorithm construction) before its
        first round, so the execute span alone cannot anchor the
        phase-sum invariant. The run span opens at the loop's first
        phase measurement and closes with the phases, so the three
-       accumulated phase durations sum to its wall time. *)
+       phase durations sum to its wall time. *)
     let run_span = ref Span.none in
     let probe =
       if Span.enabled job.Q.span then begin
-        let base = phased.Probe.on_phase in
+        let base = metered.Probe.on_phase in
         let on_phase ph ns =
           if !run_span = Span.none then
             run_span := Span.start ~parent:exe job.Q.span "run";
           base ph ns
         in
-        { phased with Probe.on_phase }
+        { metered with Probe.on_phase }
       end
-      else phased
+      else metered
     in
     let finish_exe state_name =
-      close_phases ();
+      Span.finish ~dur_ns:(counter "select_ns") job.Q.span sel;
+      Span.finish ~dur_ns:(counter "apply_ns") job.Q.span app;
+      Span.finish ~dur_ns:(counter "finished_check_ns") job.Q.span fin;
       Span.finish job.Q.span !run_span;
       Span.finish ~attrs:[ ("state", Span.Str state_name) ] job.Q.span exe
-    in
-    let lost_robots () =
-      match Metrics.find_counter reg "robots_lost" with
-      | Some c -> Metrics.value c
-      | None -> 0
     in
     (* Merge the job's registry before settling: the waiter wakes at
        settle and may scrape /metrics immediately. *)
@@ -294,8 +301,7 @@ let exec t (job : Q.job) =
                   ("outcome", oj);
                 ]
             in
-            Stream.push job.Q.stream row;
-            Ring.push job.Q.frames row;
+            Ring.push job.Q.stream row;
             row)
           report.Seed_batch.outcomes
       in
@@ -320,7 +326,7 @@ let exec t (job : Q.job) =
         Result_cache.put t.cache job.Q.fingerprint body;
         (* Fault-tolerant runs that lost robots finish, but are exactly
            the runs an operator wants a bundle for. *)
-        let lost = lost_robots () in
+        let lost = counter "robots_lost" in
         if lost > 0 then
           write_postmortem t job reg
             ~reason:(Printf.sprintf "robots_lost=%d" lost)
@@ -546,8 +552,9 @@ let handle_job_stream t _req params ~trace:_ fd =
   with_job t params fd (fun job ->
       Http.start_chunked fd ~status:200 ();
       let send j = Http.send_chunk fd (Json.to_string j ^ "\n") in
+      let cursor = Ring.cursor job.Q.stream in
       let rec pump () =
-        match Stream.next job.Q.stream with
+        match Ring.next job.Q.stream cursor with
         | Some frame ->
             send frame;
             pump ()
@@ -685,7 +692,6 @@ let handle_connection t routes fd =
   (try Unix.close fd with Unix.Unix_error _ -> ());
   Mutex.lock t.conn_m;
   t.open_conns <- t.open_conns - 1;
-  t.requests <- t.requests + 1;
   if t.open_conns = 0 then Condition.broadcast t.conn_done;
   Mutex.unlock t.conn_m
 

@@ -32,7 +32,9 @@
       ({!Bfdn_obs.Span.tree_json}), live (open spans carry their
       duration so far).
     - [GET /jobs/:id/stream] — chunked JSONL: one trace frame per
-      executed round, live, then a final status line.
+      executed round (the newest 1024 retained), live, then a final
+      status line. Reading does not consume: every reader, concurrent
+      or after the job settled, gets the same frames.
     - [GET /metrics] — merged obs registries (HTTP counters, per-job
       simulation metrics, GC pauses, pool latency histograms) plus
       cache and admission statistics; [?format=prometheus] renders the
@@ -84,6 +86,3 @@ val run : t -> unit
 val stop : t -> unit
 (** Idempotent, callable from any thread or signal handler: stop
     accepting, then let {!run} drain and return. *)
-
-val request_count : t -> int
-(** Requests handled so far (tests). *)

@@ -18,7 +18,6 @@ type t = {
   mutable now : float;
   mutable makespan : float;
   travelled : int array;
-  mutable restarts : int;
 }
 
 type decide = t -> robot -> action
@@ -49,7 +48,6 @@ let create ?speeds hidden ~k =
     now = 0.0;
     makespan = 0.0;
     travelled = Array.make k 0;
-    restarts = 0;
   }
 
 let view t = t.view
@@ -68,7 +66,6 @@ let makespan t = t.makespan
 let distance_travelled t i = t.travelled.(i)
 let moves_total t = Array.fold_left ( + ) 0 t.travelled
 let positions t = Array.copy t.positions
-let restarts t = t.restarts
 let min_speed t = Array.fold_left min t.speeds.(0) t.speeds
 let oracle_depth t = Tree.depth t.hidden
 
@@ -204,7 +201,6 @@ let advance d ~until =
           (* Replacement robot at the root; a teleport, not a traversal,
              so move metrics stay untouched. *)
           t.positions.(i) <- root;
-          t.restarts <- t.restarts + 1;
           (match d.d_on_restart with None -> () | Some f -> f i);
           d.d_parked.(i) <- true
         end

@@ -76,8 +76,6 @@ val idle : driver -> bool
 (** No pending arrival and every robot parked: nothing further happens
     without an external wake (restart or a later horizon). *)
 
-val restarts : t -> int
-
 val run : ?max_events:int -> decide -> t -> unit
 (** Drive events until every robot is parked and no arrival is pending.
     @raise Failure on [max_events] (default [10_000_000]) — a live-lock. *)

@@ -17,7 +17,6 @@ type result = {
 }
 
 type t = {
-  kind : string;
   k : int;
   round : unit -> int;
   select : unit -> unit;
@@ -28,7 +27,6 @@ type t = {
   at_home : unit -> bool;
   moves_total : unit -> int;
   edge_events : unit -> int;
-  positions : unit -> int array;
   frame : unit -> Trace.frame;
   render : unit -> string;
 }
@@ -105,7 +103,6 @@ let of_env (algo : algo) env =
     end
   in
   {
-    kind = "tree";
     k = Env.k env;
     round = (fun () -> Env.round env);
     select = (fun () -> pending := algo.select env);
@@ -116,7 +113,6 @@ let of_env (algo : algo) env =
     at_home = (fun () -> Env.all_at_root env);
     moves_total = (fun () -> Env.moves_total env);
     edge_events = (fun () -> Env.edge_events env);
-    positions = (fun () -> Env.positions env);
     frame = (fun () -> Trace.frame_of_env env);
     render = (fun () -> Trace.render_frame env);
   }
@@ -141,7 +137,6 @@ let of_async ?(fault = Env.fault_noop) ?(probe = Probe.noop) ?on_restart
        int_of_float (ceil (float_of_int base /. Async_env.min_speed aenv)))
   in
   {
-    kind = "async";
     k;
     round = (fun () -> !round);
     select = (fun () -> ());
@@ -166,7 +161,6 @@ let of_async ?(fault = Env.fault_noop) ?(probe = Probe.noop) ?on_restart
     at_home = (fun () -> Async_env.all_at_root aenv);
     moves_total = (fun () -> Async_env.moves_total aenv);
     edge_events = (fun () -> Partial_tree.num_explored view - 1);
-    positions = (fun () -> Async_env.positions aenv);
     frame =
       (fun () ->
         {

@@ -6,7 +6,7 @@
     the scenario layer, the seed batch engine and the graph runner drive
     it directly. An {!t} packages the operations the loop, fault
     injection and the obs probes need (select/apply phases, termination
-    test, round accounting, positions, trace frames) behind closures, so
+    test, round accounting, trace frames) behind closures, so
     tree environments ({!of_env}), grid/graph environments
     ([Bfdn_graphs.Graph_env], adapted by [Bfdn_graph.exec_env] in
     [lib/core] because [lib/sim] does not see [bfdn_graphs]) and the
@@ -38,7 +38,6 @@ type result = {
 (** Re-exported as {!Runner.result}. *)
 
 type t = {
-  kind : string;  (** ["tree"], ["graph"] or ["async"] — for display. *)
   k : int;
   round : unit -> int;
   select : unit -> unit;
@@ -53,7 +52,6 @@ type t = {
   at_home : unit -> bool;  (** Every robot back at the origin/root. *)
   moves_total : unit -> int;
   edge_events : unit -> int;
-  positions : unit -> int array;  (** Fresh copy. *)
   frame : unit -> Trace.frame;  (** Current state as a trace frame. *)
   render : unit -> string;  (** Small-scale ASCII rendering. *)
 }

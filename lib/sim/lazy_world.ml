@@ -146,7 +146,6 @@ let make ~family:name ~n ~depth_hint ~seed =
   t
 
 let capacity t = t.capacity
-let nodes_built t = t.next_id
 let nodes_revealed t = t.revealed
 let stats t = Tree_stats.Acc.stats t.acc
 

@@ -43,9 +43,6 @@ val world : t -> Env.world
 val capacity : t -> int
 (** Exact node count of the fully expanded instance. *)
 
-val nodes_built : t -> int
-(** Ids promised so far (revealed nodes plus their promised children). *)
-
 val nodes_revealed : t -> int
 
 val stats : t -> Bfdn_trees.Tree_stats.t

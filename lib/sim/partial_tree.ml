@@ -139,16 +139,6 @@ let dangling_ports t v =
   done;
   !acc
 
-let explored_children t v =
-  check_explored t v "Partial_tree.explored_children";
-  let base = t.port_base.(v) in
-  let acc = ref [] in
-  for p = t.nports.(v) - 1 downto 0 do
-    let e = t.port_pool.(base + p) in
-    if e >= 0 then acc := (p, e) :: !acc
-  done;
-  !acc
-
 let parent t v =
   check_explored t v "Partial_tree.parent";
   if v = t.root then None else Some t.parents.(v)
@@ -166,7 +156,6 @@ let depth_of t v =
   t.depths.(v)
 
 let is_open t v = is_explored t v && t.dangling_cnt.(v) > 0
-let is_closed t v = is_explored t v && t.dangling_cnt.(v) = 0
 let subtree_open t v =
   check_explored t v "Partial_tree.subtree_open";
   t.open_cnt.(v) > 0

@@ -64,11 +64,6 @@ val iter_dangling_ports : t -> node -> (int -> unit) -> unit
 (** Apply a function to each dangling port in increasing order, without
     building a list. *)
 
-val explored_children : t -> node -> (int * node) list
-(** [(port, child)] pairs for explored children, in increasing port order.
-    Builds a fresh list; iterate with {!iter_explored_children} on hot
-    paths. *)
-
 val iter_explored_children : t -> node -> (int -> node -> unit) -> unit
 (** Apply [f port child] to each explored child in increasing port order,
     without building a list. *)
@@ -90,10 +85,6 @@ val depth_of : t -> node -> int
 
 val is_open : t -> node -> bool
 (** Adjacent to at least one dangling edge (the paper's "open node"). *)
-
-val is_closed : t -> node -> bool
-(** Explored and not open. A node of the {e fully discovered} frontierless
-    region may still have open descendants; see {!subtree_open}. *)
 
 val subtree_open : t -> node -> bool
 (** Whether the discovered subtree below the node (inclusive) still contains

@@ -8,13 +8,12 @@ type frame = {
 }
 
 (* Bounded ring: a long run keeps the newest [capacity] frames instead
-   of growing a list forever (and [frames] no longer pays a List.rev per
-   call — the ring iterates oldest-first directly). *)
-type t = { ring : frame Ring.t }
+   of growing a list forever. *)
+type t = frame Ring.t
 
 let default_capacity = 4096
 
-let create ?(capacity = default_capacity) () = { ring = Ring.create capacity }
+let create ?(capacity = default_capacity) () = Ring.create capacity
 
 let frame_of_env env =
   let view = Env.view env in
@@ -25,19 +24,19 @@ let frame_of_env env =
     dangling = Partial_tree.num_dangling view;
   }
 
-let record t env = Ring.push t.ring (frame_of_env env)
+let record t env = Ring.push t (frame_of_env env)
 
 let recorder t env = record t env
 
-let push t frame = Ring.push t.ring frame
+let push = Ring.push
 
-let frames t = Ring.to_list t.ring
+let frames = Ring.to_list
 
-let length t = Ring.pushed t.ring
+let length = Ring.pushed
 
-let retained t = Ring.length t.ring
+let retained = Ring.length
 
-let dropped t = Ring.dropped t.ring
+let dropped = Ring.dropped
 
 let json_of_frame f =
   let module J = Bfdn_obs.Json in

@@ -89,11 +89,6 @@ let iter_nodes t f =
     f v
   done
 
-let fold_nodes t ~init ~f =
-  let acc = ref init in
-  iter_nodes t (fun v -> acc := f !acc v);
-  !acc
-
 let compute_subtree_sizes t =
   match t.subtree_sizes with
   | Some s -> s

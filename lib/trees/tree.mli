@@ -95,8 +95,6 @@ val subtree_nodes : t -> node -> node list
 
 val iter_nodes : t -> (node -> unit) -> unit
 
-val fold_nodes : t -> init:'a -> f:('a -> node -> 'a) -> 'a
-
 val euler_tour : t -> node list
 (** The depth-first traversal of all edges: the sequence of nodes visited by
     a single-robot DFS starting and ending at the root. Its length is

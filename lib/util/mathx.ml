@@ -67,6 +67,4 @@ let iroot x l =
     !r
   end
 
-let fpow = ( ** )
-
 let clamp lo hi x = if x < lo then lo else if x > hi then hi else x

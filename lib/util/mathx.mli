@@ -33,9 +33,5 @@ val iroot : int -> int -> int
 (** [iroot x l] is the largest [r >= 1] with [r^l <= x], for [x >= 1],
     [l >= 1]. *)
 
-val fpow : float -> float -> float
-(** Floating-point power (alias of [( ** )], named to avoid precedence
-    surprises inside formulas). *)
-
 val clamp : int -> int -> int -> int
 (** [clamp lo hi x] limits [x] to the interval [\[lo, hi\]]. *)

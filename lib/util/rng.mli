@@ -48,8 +48,5 @@ val coin : t -> float -> bool
 val pick : t -> 'a array -> 'a
 (** Uniform element of a non-empty array. *)
 
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher–Yates shuffle. *)
-
 val permutation : t -> int -> int array
 (** [permutation t n] is a uniform permutation of [0..n-1]. *)

@@ -20,8 +20,6 @@ let min_max xs =
     (xs.(0), xs.(0))
     xs
 
-let maxf xs = snd (min_max xs)
-
 let percentile xs p =
   if Array.length xs = 0 then invalid_arg "Stats.percentile: empty array";
   if p < 0.0 || p > 100.0 then invalid_arg "Stats.percentile: p out of range";
@@ -68,7 +66,3 @@ let summarize xs =
     p50 = percentile xs 50.0;
     p95 = percentile xs 95.0;
   }
-
-let pp_summary ppf s =
-  Format.fprintf ppf "n=%d mean=%.2f sd=%.2f min=%.2f p50=%.2f p95=%.2f max=%.2f"
-    s.count s.mean s.stddev s.min s.p50 s.p95 s.max

@@ -6,17 +6,11 @@ val mean : float array -> float
 val stddev : float array -> float
 (** Population standard deviation; 0 on arrays of length < 2. *)
 
-val min_max : float array -> float * float
-(** Smallest and largest element. Requires a non-empty array. *)
-
 val percentile : float array -> float -> float
 (** [percentile xs p] with [p] in [\[0,100\]], nearest-rank on a sorted copy.
     Requires a non-empty array. *)
 
 val sum : float array -> float
-
-val maxf : float array -> float
-(** Largest element. Requires a non-empty array. *)
 
 val linear_fit : (float * float) list -> float * float
 (** Ordinary least-squares fit of [y = a x + b]; returns [(a, b)].
@@ -39,5 +33,3 @@ type summary = {
 
 val summarize : float array -> summary
 (** Full summary of a non-empty array. *)
-
-val pp_summary : Format.formatter -> summary -> unit

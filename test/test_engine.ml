@@ -2,10 +2,10 @@
    are deterministic across worker counts (the sharded-replay contract),
    and failures are contained per job. *)
 
-module Job = Bfdn_engine.Job
 module Pool = Bfdn_engine.Pool
 module Batch = Bfdn_engine.Batch
 module Report = Bfdn_engine.Report
+module Scenario = Bfdn_scenario.Scenario
 
 let check = Alcotest.check
 let checkb = Alcotest.(check bool)
@@ -82,8 +82,8 @@ let oracle_jobs () =
             (fun k ->
               for _ = 1 to 2 do
                 add
-                  (Job.make ~algo ~k ~seed:(next_seed ())
-                     (Job.Generated { family; n = 60; depth_hint = 8 }))
+                  (Scenario.make ~algo ~k ~seed:(next_seed ())
+                     (Scenario.generated ~family ~n:60 ~depth_hint:8))
               done)
             [ 1; 3; 8 ])
         [ "bfdn"; "cte"; "dfs"; "offline"; "random-walk"; "bfdn-wr"; "bfdn-rec" ])
@@ -95,23 +95,22 @@ let oracle_jobs () =
           List.iter
             (fun k ->
               add
-                (Job.make ~algo ~k ~seed:(next_seed ())
-                   (Job.Adversarial
-                      { policy; capacity = 80; depth_budget = 12 })))
+                (Scenario.make ~algo ~k ~seed:(next_seed ())
+                   (Scenario.adversarial ~policy ~capacity:80 ~depth_budget:12)))
             [ 2; 6 ])
         [ "bfdn"; "cte" ])
-    Job.policies;
+    Bfdn_scenario.World_registry.policy_names;
   List.rev !jobs
 
 let result_testable =
   Alcotest.testable
     (fun ppf -> function
-      | Ok (o : Job.outcome) ->
+      | Ok (o : Scenario.outcome) ->
           Format.fprintf ppf "Ok(rounds=%d n=%d)" o.result.rounds o.n
       | Error e -> Format.fprintf ppf "Error(%s)" e)
     (fun a b ->
       match (a, b) with
-      | Ok x, Ok y -> Job.equal_outcome x y
+      | Ok x, Ok y -> Scenario.equal_outcome x y
       | Error x, Error y -> x = y
       | _ -> false)
 
@@ -125,7 +124,7 @@ let test_batch_parallel_equals_sequential () =
       List.iter2
         (fun (job, expect) (_, got) ->
           check result_testable
-            (Printf.sprintf "workers=%d %s" workers (Job.describe job))
+            (Printf.sprintf "workers=%d %s" workers (Scenario.describe job))
             expect got)
         sequential parallel)
     [ 2; max 2 (Domain.recommended_domain_count ()) ]
@@ -133,8 +132,8 @@ let test_batch_parallel_equals_sequential () =
 let test_batch_progress_and_order () =
   let jobs =
     List.init 40 (fun i ->
-        Job.make ~algo:"bfdn" ~k:3 ~seed:i
-          (Job.Generated { family = "random"; n = 30; depth_hint = 5 }))
+        Scenario.make ~algo:"bfdn" ~k:3 ~seed:i
+          (Scenario.generated ~family:"random" ~n:30 ~depth_hint:5))
   in
   let last = ref 0 in
   let monotone = ref true in
@@ -150,17 +149,17 @@ let test_batch_progress_and_order () =
   (* Ordered collection: result i corresponds to job i. *)
   List.iteri
     (fun i (job, _) ->
-      checki (Printf.sprintf "slot %d holds job %d" i i) i job.Job.seed)
+      checki (Printf.sprintf "slot %d holds job %d" i i) i job.Scenario.seed)
     results
 
 let test_batch_error_isolated () =
   let good i =
-    Job.make ~algo:"bfdn" ~k:2 ~seed:i
-      (Job.Generated { family = "star"; n = 20; depth_hint = 2 })
+    Scenario.make ~algo:"bfdn" ~k:2 ~seed:i
+      (Scenario.generated ~family:"star" ~n:20 ~depth_hint:2)
   in
   let bad =
-    Job.make ~algo:"no-such-algo" ~k:2 ~seed:99
-      (Job.Generated { family = "star"; n = 20; depth_hint = 2 })
+    Scenario.make ~algo:"no-such-algo" ~k:2 ~seed:99
+      (Scenario.generated ~family:"star" ~n:20 ~depth_hint:2)
   in
   let jobs = [ good 0; bad; good 1; bad; good 2 ] in
   let results = Batch.run ~workers:2 jobs in
@@ -198,8 +197,8 @@ let test_aggregate () =
     List.concat_map
       (fun algo ->
         List.init 3 (fun i ->
-            Job.make ~algo ~k:2 ~seed:(i + 7)
-              (Job.Generated { family = "comb"; n = 40; depth_hint = 6 })))
+            Scenario.make ~algo ~k:2 ~seed:(i + 7)
+              (Scenario.generated ~family:"comb" ~n:40 ~depth_hint:6)))
       [ "bfdn"; "cte" ]
   in
   let results = Batch.run ~workers:1 jobs in
@@ -231,8 +230,8 @@ let test_report_json () =
 let test_report_of_sweep () =
   let jobs =
     List.init 4 (fun i ->
-        Job.make ~algo:"bfdn" ~k:2 ~seed:i
-          (Job.Generated { family = "star"; n = 15; depth_hint = 2 }))
+        Scenario.make ~algo:"bfdn" ~k:2 ~seed:i
+          (Scenario.generated ~family:"star" ~n:15 ~depth_hint:2))
   in
   let results = Batch.run ~workers:1 jobs in
   let j =
@@ -255,10 +254,10 @@ let test_adversarial_replay_matches () =
   List.iter
     (fun policy ->
       let job =
-        Job.make ~algo:"bfdn" ~k:4 ~seed:5
-          (Job.Adversarial { policy; capacity = 120; depth_budget = 15 })
+        Scenario.make ~algo:"bfdn" ~k:4 ~seed:5
+          (Scenario.adversarial ~policy ~capacity:120 ~depth_budget:15)
       in
-      let o = Job.run job in
+      let o = Scenario.run job in
       match o.replay_rounds with
       | None -> Alcotest.fail "adversarial job must report replay rounds"
       | Some r ->

@@ -13,7 +13,6 @@ module Fault_spec = Bfdn_scenario.Fault_spec
 module Param = Bfdn_scenario.Param
 module Scenario = Bfdn_scenario.Scenario
 module Batch = Bfdn_engine.Batch
-module Job = Bfdn_engine.Job
 module Env = Bfdn_sim.Env
 module Runner = Bfdn_sim.Runner
 module Trace = Bfdn_sim.Trace
@@ -344,9 +343,9 @@ let test_determinism_across_workers () =
       match (a, b) with
       | Ok x, Ok y ->
           checkb
-            (Printf.sprintf "1 vs 2 workers: %s" (Job.describe job))
-            true (Job.equal_outcome x y)
-      | _ -> Alcotest.fail (Job.describe job ^ ": job failed"))
+            (Printf.sprintf "1 vs 2 workers: %s" (Scenario.describe job))
+            true (Scenario.equal_outcome x y)
+      | _ -> Alcotest.fail (Scenario.describe job ^ ": job failed"))
     seq par
 
 let test_trace_frames_identical () =

@@ -119,9 +119,9 @@ let test_ring_wraps () =
   checki "pushed" 5 (Ring.pushed r);
   checki "dropped" 2 (Ring.dropped r);
   checkb "keeps newest, oldest-first" true (Ring.to_list r = [ 3; 4; 5 ]);
-  Ring.clear r;
-  checki "cleared" 0 (Ring.length r);
-  checkb "empty list" true (Ring.to_list r = [])
+  checkb "last 2" true (Ring.last r 2 = [ 4; 5 ]);
+  checkb "last past length" true (Ring.last r 10 = [ 3; 4; 5 ]);
+  checkb "last 0" true (Ring.last r 0 = [])
 
 let test_ring_under_capacity () =
   let r = Ring.create 8 in
@@ -129,6 +129,38 @@ let test_ring_under_capacity () =
   checki "length" 1 (Ring.length r);
   checki "dropped" 0 (Ring.dropped r);
   checkb "list" true (Ring.to_list r = [ 42 ])
+
+let drain r c =
+  let rec go acc =
+    match Ring.next r c with Some x -> go (x :: acc) | None -> List.rev acc
+  in
+  go []
+
+let test_ring_cursor () =
+  let r = Ring.create 4 in
+  let early = Ring.cursor r and lagging = Ring.cursor r in
+  List.iter (Ring.push r) [ 1; 2 ];
+  checkb "reads in order" true (Ring.next r early = Some 1);
+  List.iter (Ring.push r) [ 3; 4; 5; 6; 7 ];
+  Ring.close r;
+  Ring.push r 8;
+  checki "pushes after close are dropped" 7 (Ring.pushed r);
+  checkb "a cursor behind the ring resumes at the oldest retained" true
+    (drain r early = [ 4; 5; 6; 7 ]);
+  checkb "reading does not consume" true (drain r lagging = [ 4; 5; 6; 7 ]);
+  checkb "a fresh cursor sees the same frames" true
+    (drain r (Ring.cursor r) = [ 4; 5; 6; 7 ])
+
+let test_ring_close_wakes_reader () =
+  let r = Ring.create 4 in
+  let got = ref [ -1 ] in
+  let reader = Thread.create (fun () -> got := drain r (Ring.cursor r)) () in
+  Ring.push r 1;
+  Thread.delay 0.02;
+  Ring.close r;
+  Thread.join reader;
+  checkb "blocked reader gets the frame, then end of stream" true
+    (!got = [ 1 ])
 
 (* ---- metrics ---- *)
 
@@ -222,30 +254,6 @@ let test_probe_counters_match_runner () =
   checki "summary fills reanchor_depth" (cval "reanchors")
     (Metrics.hist_count rd)
 
-let test_event_hooks_gated () =
-  (* An aggregate probe (events = false) must never fire the per-event
-     hooks; Probe.make ~events:true must. *)
-  let selects = ref 0 and reanchors = ref 0 in
-  let run ~events =
-    selects := 0;
-    reanchors := 0;
-    let probe =
-      Probe.make ~events
-        ~on_select:(fun ~idle:_ -> incr selects)
-        ~on_reanchor:(fun ~robot:_ ~depth:_ ~route_len:_ -> incr reanchors)
-        ()
-    in
-    let env = Env.create ~probe (small ()) ~k:2 in
-    Runner.run ~probe (Bfdn.Bfdn_algo.algo (Bfdn.Bfdn_algo.make ~probe env)) env
-  in
-  let r = run ~events:false in
-  checki "no select events when gated" 0 !selects;
-  checki "no reanchor events when gated" 0 !reanchors;
-  let r' = run ~events:true in
-  checki "one select event per round" r'.Runner.rounds !selects;
-  checkb "reanchor events fire" true (!reanchors > 0);
-  checki "events do not perturb" r.Runner.rounds r'.Runner.rounds
-
 let test_reanchor_summary_once () =
   let totals = ref [] in
   let probe =
@@ -273,7 +281,7 @@ let test_probe_does_not_perturb () =
       if probed then Probe.of_metrics (Metrics.create ()) else Probe.noop
     in
     let env = Env.create ~probe (small ()) ~k:3 in
-    Runner.run ~probe (Bfdn_baselines.Cte.make ~probe env) env
+    Runner.run ~probe (Bfdn_baselines.Cte.make env) env
   in
   let a = run false and b = run true in
   checki "same rounds" a.Runner.rounds b.Runner.rounds;
@@ -476,31 +484,30 @@ let test_span_tree () =
   Span.finish sp root;
   checki "all emitted" 3 (List.length !emitted)
 
-let test_span_accumulation () =
-  let sp = Span.create ~trace_id:"t" () in
+let test_span_finish_dur_ns () =
+  let emitted = ref [] in
+  let sp =
+    Span.create ~sink:(fun j -> emitted := j :: !emitted) ~trace_id:"t" ()
+  in
   let s = Span.start sp "phase" in
-  Span.add_ns sp s 10;
-  Span.add_ns sp s 32;
-  Span.finish sp s;
-  match Json.member "spans" (Span.tree_json sp) with
+  Span.finish ~dur_ns:42 sp s;
+  (match Json.member "spans" (Span.tree_json sp) with
   | Some (Json.List [ j ]) ->
-      checkb "accumulated duration, not wall" true
+      checkb "given duration, not wall" true
         (Json.member "dur_ns" j = Some (Json.Int 42))
-  | _ -> Alcotest.fail "expected one span"
+  | _ -> Alcotest.fail "expected one span");
+  checkb "sink record carries it too" true
+    (match !emitted with
+    | [ j ] -> Json.member "dur_ns" j = Some (Json.Int 42)
+    | _ -> false)
 
 let test_span_disabled_noop () =
   let sp = Span.disabled in
   checkb "disabled" false (Span.enabled sp);
   let s = Span.start sp "x" in
   checkb "start returns none" true (s = Span.none);
-  Span.add_ns sp s 5;
-  Span.finish sp s;
-  checki "nothing recorded" 0 (Span.length sp);
-  (* phase_probe on a disabled recorder returns the probe untouched. *)
-  let p = Probe.of_metrics (Metrics.create ()) in
-  let p', close = Span.phase_probe sp ~parent:Span.none p in
-  checkb "probe physically unchanged" true (p' == p);
-  close ()
+  Span.finish ~dur_ns:5 sp s;
+  checki "nothing recorded" 0 (Span.length sp)
 
 let test_span_capacity () =
   let sp = Span.create ~capacity:2 ~trace_id:"t" () in
@@ -516,41 +523,6 @@ let test_span_capacity () =
   match Json.member "dropped" (Span.tree_json sp) with
   | Some (Json.Int 1) -> ()
   | _ -> Alcotest.fail "tree_json must report dropped"
-
-let test_span_phase_probe_sums () =
-  (* The three accumulated phase spans must sum exactly to the phase
-     counters the metrics probe records from the same clock reads. *)
-  let reg = Metrics.create () in
-  let sp = Span.create ~trace_id:"t" () in
-  let parent = Span.start sp "execute" in
-  let probe, close = Span.phase_probe sp ~parent (Probe.of_metrics reg) in
-  let env = Env.create ~probe (small ()) ~k:2 in
-  let r =
-    Runner.run ~probe (Bfdn.Bfdn_algo.algo (Bfdn.Bfdn_algo.make ~probe env)) env
-  in
-  close ();
-  Span.finish sp parent;
-  checkb "explored" true r.Runner.explored;
-  let cval name = Metrics.value (Option.get (Metrics.find_counter reg name)) in
-  let expect =
-    cval "select_ns" + cval "apply_ns" + cval "finished_check_ns"
-  in
-  let spans =
-    match Json.member "spans" (Span.tree_json sp) with
-    | Some (Json.List [ root ]) -> (
-        match Json.member "children" root with
-        | Some (Json.List l) -> l
-        | _ -> [])
-    | _ -> []
-  in
-  checki "three phase spans" 3 (List.length spans);
-  let total =
-    List.fold_left
-      (fun acc j ->
-        match Json.member "dur_ns" j with Some (Json.Int d) -> acc + d | _ -> acc)
-      0 spans
-  in
-  checki "phase spans sum to counter total" expect total
 
 (* ---- log ---- *)
 
@@ -767,12 +739,13 @@ let suite =
       tc "json parse inverts emit" test_json_parse_inverts_emit;
       tc "ring wraps" test_ring_wraps;
       tc "ring under capacity" test_ring_under_capacity;
+      tc "ring cursor" test_ring_cursor;
+      tc "ring close wakes a blocked reader" test_ring_close_wakes_reader;
       tc "counter and gauge" test_counter_gauge;
       tc "histogram buckets" test_histogram_buckets;
       tc "merge registries" test_merge;
       tc "merge bounds mismatch" test_merge_bounds_mismatch;
       tc "probe counters match runner" test_probe_counters_match_runner;
-      tc "event hooks gated" test_event_hooks_gated;
       tc "reanchor summary once" test_reanchor_summary_once;
       tc "probe does not perturb" test_probe_does_not_perturb;
       tc "pool probe aggregate invariant" test_pool_probe_aggregate_invariant;
@@ -780,10 +753,9 @@ let suite =
       tc "gc probe records pauses" test_gc_probe_records;
       tc "gc probe quiet tick" test_gc_probe_quiet_tick;
       tc "span tree" test_span_tree;
-      tc "span accumulation" test_span_accumulation;
+      tc "span finish keeps dur_ns" test_span_finish_dur_ns;
       tc "span disabled no-op" test_span_disabled_noop;
       tc "span capacity and dropped" test_span_capacity;
-      tc "span phase probe sums" test_span_phase_probe_sums;
       tc "log levels and shape" test_log_levels;
       tc "histogram quantiles" test_quantiles;
       tc "prometheus render validates" test_prometheus_render_valid;

@@ -10,7 +10,6 @@ module Param = Bfdn_scenario.Param
 module Algo_registry = Bfdn_scenario.Algo_registry
 module World_registry = Bfdn_scenario.World_registry
 module Scenario = Bfdn_scenario.Scenario
-module Job = Bfdn_engine.Job
 module Tree_gen = Bfdn_trees.Tree_gen
 module Env = Bfdn_sim.Env
 module Runner = Bfdn_sim.Runner
@@ -57,10 +56,6 @@ let test_algos_reachable_from_cli () =
               (List.mem (alias, e.name) Algo_registry.cli_choices))
         e.aliases)
     Algo_registry.all
-
-let test_engine_vocabulary_is_registry () =
-  check_sl "Job.algos" Algo_registry.tree_names Job.algos;
-  check_sl "Job.policies" World_registry.policy_names Job.policies
 
 let test_caps_match_constructors () =
   (* The capability matrix is derived, so a listed capability without a
@@ -386,24 +381,26 @@ let test_golden_equivalence () =
   Alcotest.(check int) "all 42 golden configs covered" 42 !idx
 
 let test_job_run_is_scenario_run () =
-  (* the engine's Job.run and Scenario.run are one path, generated and
-     adversarial alike *)
+  (* a job run by the engine's batch path is Scenario.run, generated
+     and adversarial alike *)
   let jobs =
     [
-      Job.make ~algo:"cte" ~k:7 ~seed:11
-        (Job.Generated { family = "trap"; n = 300; depth_hint = 10 });
-      Job.make ~algo:"random-walk" ~k:3 ~seed:5
-        (Job.Generated { family = "star"; n = 60; depth_hint = 2 });
-      Job.make ~algo:"bfdn" ~k:6 ~seed:2
-        (Job.Adversarial
-           { policy = "thick-comb"; capacity = 150; depth_budget = 40 });
+      Scenario.make ~algo:"cte" ~k:7 ~seed:11
+        (Scenario.generated ~family:"trap" ~n:300 ~depth_hint:10);
+      Scenario.make ~algo:"random-walk" ~k:3 ~seed:5
+        (Scenario.generated ~family:"star" ~n:60 ~depth_hint:2);
+      Scenario.make ~algo:"bfdn" ~k:6 ~seed:2
+        (Scenario.adversarial ~policy:"thick-comb" ~capacity:150
+           ~depth_budget:40);
     ]
   in
   List.iter
-    (fun job ->
-      checkb (Job.describe job) true
-        (Scenario.equal_outcome (Job.run job) (Scenario.run job)))
-    jobs
+    (fun (job, res) ->
+      checkb (Scenario.describe job) true
+        (match res with
+        | Ok o -> Scenario.equal_outcome o (Scenario.run job)
+        | Error _ -> false))
+    (Bfdn_engine.Batch.run ~workers:1 jobs)
 
 let test_save_load_reexecute () =
   let path = Filename.temp_file "scenario" ".json" in
@@ -544,9 +541,9 @@ let test_graph_batch_determinism () =
       match (a, b) with
       | Ok x, Ok y ->
           checkb
-            (Printf.sprintf "1 vs 3 workers: %s" (Job.describe job))
-            true (Job.equal_outcome x y)
-      | _ -> Alcotest.fail (Job.describe job ^ ": job failed"))
+            (Printf.sprintf "1 vs 3 workers: %s" (Scenario.describe job))
+            true (Scenario.equal_outcome x y)
+      | _ -> Alcotest.fail (Scenario.describe job ^ ": job failed"))
     seq par
 
 let test_grid_fault_sweep () =
@@ -610,7 +607,6 @@ let suite =
     [
       tc "worlds cover Tree_gen" test_worlds_cover_tree_gen;
       tc "algorithms reachable from CLI" test_algos_reachable_from_cli;
-      tc "engine vocabulary is the registry" test_engine_vocabulary_is_registry;
       tc "caps match constructors" test_caps_match_constructors;
       tc "every world builds and explores" test_every_world_builds_and_explores;
       tc "every policy runs" test_every_policy_runs;
@@ -627,8 +623,8 @@ let suite =
       tc "lazy scale rejects unsupported" test_lazy_scale_rejects_unsupported;
       tc "every graph world explores" test_every_graph_world_explores;
       tc "async spec runs" test_async_spec_runs;
-      tc "graph batch 1 vs N workers" test_graph_batch_determinism;
       tc "grid fault sweep" test_grid_fault_sweep;
+      tc "graph batch 1 vs N workers" test_graph_batch_determinism;
       tc "materialize rejects graph worlds" test_materialize_rejects_graph_worlds;
       tc "validate rejects kind mismatch" test_validate_rejects_kind_mismatch;
       tc "probe does not change outcome" test_probe_does_not_change_outcome;

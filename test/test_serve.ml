@@ -492,6 +492,41 @@ let test_e2e_stream_and_status () =
       checkb "done with result" true
         (member_string "status" status.Client.body = Some "done"))
 
+let test_e2e_stream_readers_share_frames () =
+  (* Reading a job's stream does not consume it: two concurrent readers
+     and a third after the job settled all get every frame, then the
+     final status line. *)
+  with_server ~workers:1 (fun port ->
+      let ticket =
+        post_run ~query:"?wait=0" port (Scenario.to_string spec_small)
+      in
+      checki "async submit accepted" 202 ticket.Client.status;
+      let id =
+        match Json.of_string ticket.Client.body with
+        | Ok j -> (
+            match Json.member "id" j with
+            | Some (Json.Int id) -> id
+            | _ -> Alcotest.fail "no id in ticket")
+        | Error e -> Alcotest.fail e
+      in
+      let path = Printf.sprintf "/jobs/%d/stream" id in
+      let bodies = Array.make 2 "" in
+      let readers =
+        Array.init 2 (fun i ->
+            Thread.create (fun () -> bodies.(i) <- (get port path).Client.body) ())
+      in
+      (* A reader returns only once the job's stream is closed, which
+         happens when the job settles. *)
+      Array.iter Thread.join readers;
+      let late = (get port path).Client.body in
+      let lines = String.split_on_char '\n' (String.trim late) in
+      checkb "frames plus the status line" true (List.length lines >= 2);
+      checkb "final line settles the job" true
+        (member_string "status" (List.nth lines (List.length lines - 1))
+        = Some "done");
+      checks "concurrent readers agree" bodies.(0) bodies.(1);
+      checks "a reader after settle gets the same lines" bodies.(0) late)
+
 let test_e2e_registry_and_metrics () =
   with_server (fun port ->
       let reg = get port "/registry" in
@@ -706,10 +741,22 @@ let test_e2e_timeout_postmortem () =
                 (match Json.member "metrics" j with
                 | Some (Json.Obj _) -> true
                 | _ -> false);
-              checkb "trace frames present" true
-                (match Json.member "frames" j with
-                | Some (Json.List l) -> List.length l > 0
-                | _ -> false);
+              (* One frame per executed round: the bundle keeps the
+                 newest 64 and counts the rest as dropped. *)
+              (match
+                 ( Json.member "frames" j,
+                   Json.member "frames_dropped" j,
+                   Option.bind (Json.member "metrics" j) (Json.member "rounds")
+                 )
+               with
+              | ( Some (Json.List l),
+                  Some (Json.Int dropped),
+                  Some (Json.Int rounds) ) ->
+                  checkb "trace frames present" true (l <> []);
+                  checkb "at most 64 frames" true (List.length l <= 64);
+                  checki "frames_dropped = pushed - retained"
+                    (rounds - List.length l) dropped
+              | _ -> Alcotest.fail "bundle lacks frames accounting");
               checkb "span tree present" true
                 (match Json.member "spans" j with
                 | Some (Json.Obj _) -> true
@@ -848,6 +895,8 @@ let suite =
         test_e2e_batched_timeout;
       Alcotest.test_case "e2e stream and job status" `Quick
         test_e2e_stream_and_status;
+      Alcotest.test_case "e2e stream readers share frames" `Quick
+        test_e2e_stream_readers_share_frames;
       Alcotest.test_case "e2e registry and metrics endpoints" `Quick
         test_e2e_registry_and_metrics;
       Alcotest.test_case "e2e span tree and phase sums" `Quick
