@@ -23,12 +23,14 @@ let is_terminal = function
   | Queued | Running -> false
   | Done _ | Failed _ | Timeout | Cancelled -> true
 
+type event = Frame of Bfdn_sim.Trace.frame | Row of Bfdn_obs.Json.t
+
 type job = {
   id : int;
   spec : Scenario.t;
   fingerprint : string;
   timeout_s : float;
-  stream : Bfdn_obs.Json.t Ring.t;
+  stream : event Ring.t;
   token : Pool.token;
   trace : string;
   span : Span.t;

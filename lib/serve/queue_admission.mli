@@ -24,15 +24,24 @@ val state_name : state -> string
 (** ["queued"], ["running"], ["done"], ["failed"], ["timeout"],
     ["cancelled"]. *)
 
+(** One element of a job's stream. *)
+type event =
+  | Frame of Bfdn_sim.Trace.frame
+      (** one executed round; readers render it with
+          {!Bfdn_sim.Trace.json_of_frame} *)
+  | Row of Bfdn_obs.Json.t  (** one lane's row of a batched spec *)
+
 type job = {
   id : int;
   spec : Bfdn_scenario.Scenario.t;
   fingerprint : string;
   timeout_s : float;
-  stream : Bfdn_obs.Json.t Bfdn_obs.Sink.Ring.t;
+  stream : event Bfdn_obs.Sink.Ring.t;
       (** the run's trace frames (lane rows for a batched spec), the
           newest 1024 retained; written only by the executing worker,
-          closed at {!settle}. Readers follow it by cursor without
+          closed at {!settle}. Frames stay typed in the ring (k+8
+          words at k robots, against 5k+34 for their JSON tree) and
+          are rendered when read. Readers follow it by cursor without
           consuming, so [GET /jobs/:id/stream] readers and the
           postmortem bundle all see the same frames. *)
   token : Bfdn_engine.Pool.token;

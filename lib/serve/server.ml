@@ -146,6 +146,12 @@ let respond_json fd ~status ?headers j =
 
 let error_body msg = Json.Obj [ ("error", Json.String msg) ]
 
+(* A stream element as its readers see it: frames are kept typed in the
+   ring and rendered here, when read. *)
+let event_json = function
+  | Q.Frame f -> Trace.json_of_frame f
+  | Q.Row row -> row
+
 (* ---- postmortem bundles ---- *)
 
 let rec mkdir_p dir =
@@ -182,25 +188,30 @@ let write_postmortem t (job : Q.job) reg ~reason ~state_name =
             ("seed", Json.Int job.Q.spec.Scenario.seed);
             ("spec", Scenario.to_json job.Q.spec);
             ("metrics", Metrics.to_json reg);
-            ("frames", Json.List frames);
+            ("frames", Json.List (List.map event_json frames));
             ( "frames_dropped",
               Json.Int (Ring.pushed job.Q.stream - List.length frames) );
             ("spans", Span.tree_json job.Q.span);
           ]
       in
+      (* Written beside its final name and renamed into place, so a
+         reader of the directory never sees a torn bundle. *)
+      let tmp = path ^ ".tmp" in
       try
         mkdir_p dir;
-        let oc = open_out path in
+        let oc = open_out tmp in
         Fun.protect
           ~finally:(fun () -> close_out_noerr oc)
           (fun () ->
             output_string oc (Json.to_string bundle);
             output_char oc '\n');
+        Unix.rename tmp path;
         job.Q.postmortem <- Some path;
         Log.warn t.config.log ~trace:job.Q.trace
           ~attrs:[ ("path", Span.Str path); ("reason", Span.Str reason) ]
           "postmortem bundle written"
       with Sys_error msg | Unix.Unix_error (_, msg, _) ->
+        (try Sys.remove tmp with Sys_error _ -> ());
         Log.error t.config.log ~trace:job.Q.trace
           ~attrs:[ ("path", Span.Str path); ("detail", Span.Str msg) ]
           "postmortem bundle failed")
@@ -216,8 +227,7 @@ let exec t (job : Q.job) =
       Clock.now_ns () + int_of_float (job.Q.timeout_s *. 1e9)
     in
     let on_round (exec : Bfdn_sim.Exec_env.t) =
-      Ring.push job.Q.stream
-        (Trace.json_of_frame (exec.Bfdn_sim.Exec_env.frame ()));
+      Ring.push job.Q.stream (Q.Frame (exec.Bfdn_sim.Exec_env.frame ()));
       if Clock.now_ns () > deadline then begin
         job.Q.timed_out <- true;
         Pool.cancel job.Q.token
@@ -301,7 +311,7 @@ let exec t (job : Q.job) =
                   ("outcome", oj);
                 ]
             in
-            Ring.push job.Q.stream row;
+            Ring.push job.Q.stream (Q.Row row);
             row)
           report.Seed_batch.outcomes
       in
@@ -555,8 +565,8 @@ let handle_job_stream t _req params ~trace:_ fd =
       let cursor = Ring.cursor job.Q.stream in
       let rec pump () =
         match Ring.next job.Q.stream cursor with
-        | Some frame ->
-            send frame;
+        | Some ev ->
+            send (event_json ev);
             pump ()
         | None -> ()
       in

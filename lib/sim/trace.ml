@@ -45,7 +45,8 @@ let json_of_frame f =
       ("round", J.Int f.round);
       ("explored", J.Int f.explored);
       ("dangling", J.Int f.dangling);
-      ("positions", J.List (Array.to_list (Array.map (fun p -> J.Int p) f.positions)));
+      ( "positions",
+        J.List (Array.fold_right (fun p l -> J.Int p :: l) f.positions []) );
     ]
 
 let render_frame env =

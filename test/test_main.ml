@@ -25,4 +25,5 @@ let () =
       Test_faults.suite;
       Test_batch.suite;
       Test_serve.suite;
+      Test_serve.memory_suite;
     ]

@@ -289,6 +289,15 @@ let member_string name body =
       | _ -> None)
   | Error _ -> None
 
+(* The job id carried by a [?wait=0] ticket. *)
+let ticket_id ticket =
+  match Json.of_string ticket.Client.body with
+  | Ok j -> (
+      match Json.member "id" j with
+      | Some (Json.Int id) -> id
+      | _ -> Alcotest.fail "no id in ticket")
+  | Error e -> Alcotest.fail e
+
 let test_e2e_determinism_and_cache () =
   with_server (fun port ->
       let wire = Scenario.to_string spec_small in
@@ -463,14 +472,7 @@ let test_e2e_stream_and_status () =
       let wire = Scenario.to_string spec_small in
       let ticket = post_run ~query:"?wait=0" port wire in
       checki "async submit accepted" 202 ticket.Client.status;
-      let id =
-        match Json.of_string ticket.Client.body with
-        | Ok j -> (
-            match Json.member "id" j with
-            | Some (Json.Int id) -> id
-            | _ -> Alcotest.fail "no id in ticket")
-        | Error e -> Alcotest.fail e
-      in
+      let id = ticket_id ticket in
       let stream = get port (Printf.sprintf "/jobs/%d/stream" id) in
       checki "stream responds" 200 stream.Client.status;
       let lines =
@@ -501,14 +503,7 @@ let test_e2e_stream_readers_share_frames () =
         post_run ~query:"?wait=0" port (Scenario.to_string spec_small)
       in
       checki "async submit accepted" 202 ticket.Client.status;
-      let id =
-        match Json.of_string ticket.Client.body with
-        | Ok j -> (
-            match Json.member "id" j with
-            | Some (Json.Int id) -> id
-            | _ -> Alcotest.fail "no id in ticket")
-        | Error e -> Alcotest.fail e
-      in
+      let id = ticket_id ticket in
       let path = Printf.sprintf "/jobs/%d/stream" id in
       let bodies = Array.make 2 "" in
       let readers =
@@ -526,6 +521,80 @@ let test_e2e_stream_readers_share_frames () =
         = Some "done");
       checks "concurrent readers agree" bodies.(0) bodies.(1);
       checks "a reader after settle gets the same lines" bodies.(0) late)
+
+(* The frame lines of a job's stream: every line but the final status
+   line. *)
+let stream_frames port spec =
+  let ticket = post_run ~query:"?wait=0" port (Scenario.to_string spec) in
+  checki "async submit accepted" 202 ticket.Client.status;
+  let body =
+    (get port (Printf.sprintf "/jobs/%d/stream" (ticket_id ticket))).Client.body
+  in
+  match List.rev (String.split_on_char '\n' (String.trim body)) with
+  | status :: frames ->
+      checkb "final line settles the job" true
+        (member_string "status" status = Some "done");
+      List.rev frames
+  | [] -> Alcotest.fail "empty stream"
+
+let test_e2e_stream_fidelity () =
+  (* Frames are rendered when read, so every served line must equal the
+     JSONL an in-process run writes as it goes (the [explore run --trace]
+     format): a frame that aliased a world's mutable positions would
+     show its final state instead. The specs are short enough that the
+     1024-frame ring does not wrap. *)
+  let tree_params = [ ("depth_hint", Param.Int 8); ("n", Param.Int 120) ] in
+  let specs =
+    [
+      ( "tree",
+        Scenario.make ~k:4 ~seed:3 (Scenario.world ~params:tree_params "comb")
+      );
+      ( "grid",
+        Scenario.make ~algo:"bfdn-graph" ~k:5 ~seed:21
+          (Scenario.world
+             ~params:
+               [
+                 ("height", Param.Int 6);
+                 ("obstacles", Param.Int 2);
+                 ("width", Param.Int 8);
+               ]
+             "grid") );
+      ( "async",
+        Scenario.make ~algo:"bfdn-async" ~k:4 ~seed:7
+          (Scenario.world ~params:tree_params "comb") );
+    ]
+  in
+  with_server ~workers:1 (fun port ->
+      List.iter
+        (fun (name, spec) ->
+          let expected = ref [] in
+          let on_round (x : Bfdn_sim.Exec_env.t) =
+            expected :=
+              Json.to_string
+                (Bfdn_sim.Trace.json_of_frame (x.Bfdn_sim.Exec_env.frame ()))
+              :: !expected
+          in
+          ignore (Scenario.run ~on_round spec);
+          let expected = List.rev !expected in
+          let n = List.length expected in
+          checkb (name ^ ": moves and fits the ring") true (n > 1 && n < 1024);
+          check_sl (name ^ ": stream = in-process JSONL") expected
+            (stream_frames port spec))
+        specs;
+      (* A batched spec streams one row per lane, in lane order. *)
+      let batched = { spec_small with Scenario.batch_seeds = 3 } in
+      let rows =
+        List.init 3 (fun l ->
+            let lane = Scenario.unbatch batched l in
+            Json.to_string
+              (Json.Obj
+                 [
+                   ("seed", Json.Int lane.Scenario.seed);
+                   ("fingerprint", Json.String (Scenario.fingerprint lane));
+                   ("outcome", Scenario.outcome_to_json (Scenario.run lane));
+                 ]))
+      in
+      check_sl "batched: stream = lane rows" rows (stream_frames port batched))
 
 let test_e2e_registry_and_metrics () =
   with_server (fun port ->
@@ -581,14 +650,7 @@ let test_e2e_span_tree () =
         | None -> Alcotest.fail "ticket carries no trace id"
       in
       checkb "trace id non-empty" true (String.length trace > 0);
-      let id =
-        match Json.of_string ticket.Client.body with
-        | Ok j -> (
-            match Json.member "id" j with
-            | Some (Json.Int id) -> id
-            | _ -> Alcotest.fail "no id in ticket")
-        | Error e -> Alcotest.fail e
-      in
+      let id = ticket_id ticket in
       ignore (await_done port id);
       let resp = get port (Printf.sprintf "/jobs/%d/spans" id) in
       checki "spans endpoint" 200 resp.Client.status;
@@ -695,6 +757,12 @@ let with_postmortem_dir f =
       end)
     (fun () -> f dir)
 
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
 let test_e2e_timeout_postmortem () =
   with_postmortem_dir (fun dir ->
       with_server ~workers:1 ~cache_cap:0 ~postmortem_dir:dir (fun port ->
@@ -712,13 +780,7 @@ let test_e2e_timeout_postmortem () =
             | None -> Alcotest.fail "504 body lacks a postmortem link"
           in
           checkb "bundle exists by response time" true (Sys.file_exists path);
-          let bundle =
-            let ic = open_in_bin path in
-            Fun.protect
-              ~finally:(fun () -> close_in_noerr ic)
-              (fun () -> really_input_string ic (in_channel_length ic))
-          in
-          (match Json.of_string bundle with
+          (match Json.of_string (read_file path) with
           | Error e -> Alcotest.fail e
           | Ok j ->
               checkb "reason is timeout" true
@@ -772,7 +834,20 @@ let test_e2e_timeout_postmortem () =
           in
           let st = get port (Printf.sprintf "/jobs/%d" id) in
           checkb "status links postmortem" true
-            (member_string "postmortem" st.Client.body = Some path)))
+            (member_string "postmortem" st.Client.body = Some path);
+          (* Bundles are renamed into place: no temporary file is left
+             behind, and every bundle in the directory parses. *)
+          Array.iter
+            (fun f ->
+              checkb ("no temporary file left: " ^ f) false
+                (Filename.check_suffix f ".tmp");
+              if String.starts_with ~prefix:"job-" f
+                 && Filename.check_suffix f ".json"
+              then
+                match Json.of_string (read_file (Filename.concat dir f)) with
+                | Ok _ -> ()
+                | Error e -> Alcotest.fail (f ^ ": " ^ e))
+            (Sys.readdir dir)))
 
 let test_e2e_tracing_disabled () =
   (* trace = false: requests still work, the spans endpoint degrades to
@@ -798,14 +873,7 @@ let test_e2e_tracing_disabled () =
         post_run ~query:"?wait=0" port (Scenario.to_string spec_small)
       in
       checki "async submit accepted" 202 ticket.Client.status;
-      let id =
-        match Json.of_string ticket.Client.body with
-        | Ok j -> (
-            match Json.member "id" j with
-            | Some (Json.Int id) -> id
-            | _ -> Alcotest.fail "no id in ticket")
-        | Error e -> Alcotest.fail e
-      in
+      let id = ticket_id ticket in
       ignore (await_done port id);
       let resp = get port (Printf.sprintf "/jobs/%d/spans" id) in
       checki "spans endpoint still answers" 200 resp.Client.status;
@@ -862,6 +930,42 @@ let test_e2e_batched_fanout () =
            (post_run port (Scenario.to_string batched)).Client.body
         = Some "hit"))
 
+(* A settled job keeps its whole stream in memory (up to 256 settled
+   jobs are retained), so each retained round must stay a typed frame:
+   k + 8 words, plus 3 for its ring slot. Retained as JSON trees, the
+   same frames cost 77 words each. *)
+let test_stream_retained_words () =
+  let k = 8 in
+  let spec =
+    Scenario.make ~k ~seed:3
+      (Scenario.generated ~family:"comb" ~n:4000 ~depth_hint:40)
+  in
+  let q = Q.create () in
+  let job = Result.get_ok (Q.admit q ~timeout_s:60. ~fingerprint:"fp" spec) in
+  let on_round (x : Bfdn_sim.Exec_env.t) =
+    Bfdn_obs.Sink.Ring.push job.Q.stream
+      (Q.Frame (x.Bfdn_sim.Exec_env.frame ()))
+  in
+  ignore (Scenario.run ~on_round spec);
+  Q.settle q job (Q.Done "{}");
+  let held = Bfdn_obs.Sink.Ring.length job.Q.stream in
+  checki "the ring is full" 1024 held;
+  let per_frame =
+    float_of_int (Obj.reachable_words (Obj.repr job.Q.stream))
+    /. float_of_int held
+  in
+  if per_frame > float_of_int (k + 12) then
+    Alcotest.failf "%.1f words per retained frame at k=%d (limit %d)"
+      per_frame k (k + 12)
+
+(* Kept apart from [suite] so the fast tier can run it. *)
+let memory_suite =
+  ( "serve-mem",
+    [
+      Alcotest.test_case "stream retains typed frames" `Quick
+        test_stream_retained_words;
+    ] )
+
 let suite =
   ( "serve",
     [
@@ -909,4 +1013,6 @@ let suite =
         test_e2e_tracing_disabled;
       Alcotest.test_case "e2e batched spec fans out to lane cache" `Quick
         test_e2e_batched_fanout;
+      Alcotest.test_case "e2e stream equals the in-process trace" `Quick
+        test_e2e_stream_fidelity;
     ] )
