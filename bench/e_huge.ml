@@ -1,5 +1,5 @@
-(* E19 — huge scale tier: millions-of-nodes instances on the succinct
-   flat-array storage with lazily materialized worlds. Each measurement
+(* E19 — huge scale tier: millions-of-nodes instances on the paged node
+   store with lazily materialized worlds. Each measurement
    runs in its own subprocess (re-exec of this binary with a hidden
    --huge-probe argument) so VmHWM — the kernel's monotone per-process
    high-water mark — attributes peak RSS to exactly one configuration.
@@ -211,10 +211,11 @@ let gate_spec =
   { sp_mode = "lazy"; sp_family = "binary"; sp_n = 100_000;
     sp_depth_hint = 20; sp_k = 256; sp_max_rounds = 0 }
 
-(* CI ceiling for the gate row's peak RSS: a full n = 10^5 lazy
-   exploration holds a few tens of MB of per-node state on top of the
-   base process image. *)
-let smoke_rss_ceiling_bytes = 256 * 1024 * 1024
+(* CI ceiling for the gate row's peak RSS: about twice the 15 MB a full
+   n = 10^5 lazy exploration peaks at (2-core x86-64 VM, OCaml 5.1.1),
+   where its 131071 nodes cost about 9 words each in node-store columns
+   on top of the base process image. *)
+let smoke_rss_ceiling_bytes = 32 * 1024 * 1024
 
 let run () =
   header "E19 (huge tier)"
@@ -293,6 +294,8 @@ let run () =
                  ("ok", Engine_report.Bool (ratio <= rss_ratio_budget));
                ] );
            ("gate", gate);
+           ( "smoke_rss_ceiling_bytes",
+             Engine_report.Int smoke_rss_ceiling_bytes );
          ]));
   Printf.printf "report written to %s\n" report_path
 

@@ -161,7 +161,9 @@ let run_cmd =
           ~doc:
             "World materialization: $(b,eager) builds the instance up \
              front, $(b,lazy) generates nodes at reveal so the run holds \
-             O(explored) memory — the huge tier (supported families only).")
+             O(explored) memory — the huge tier (supported families only). \
+             Lazy node ids are int32: an instance of more than 2^30 \
+             (1073741824) nodes is rejected.")
   in
   let rss =
     Arg.(

@@ -3,6 +3,19 @@ module Partial_tree = Bfdn_sim.Partial_tree
 module Runner = Bfdn_sim.Runner
 module Rng = Bfdn_util.Rng
 module Heartbeat = Bfdn_faults.Heartbeat
+module Node_store = Bfdn_sim.Node_store
+
+(* Column access, inlined into this unit: {!Node_store.get} would be a
+   call (its interface explains why). Pages hold 2^16 entries. *)
+let () = assert (Node_store.page_bits = 16)
+
+let[@inline] get (c : Node_store.col) i =
+  let page = Array.unsafe_get (c :> Bytes.t array) (i lsr 16) in
+  Int32.to_int (Node_store.get32u page ((i land 0xffff) lsl 2))
+
+let[@inline] set (c : Node_store.col) i v =
+  let page = Array.unsafe_get (c :> Bytes.t array) (i lsr 16) in
+  Node_store.set32u page ((i land 0xffff) lsl 2) (Int32.of_int v)
 
 type policy = Least_loaded | First_open | Random_open of Rng.t
 
@@ -39,27 +52,32 @@ type t = {
   ft : ft option;
   probe : Bfdn_obs.Probe.t; (* reanchor summary and fault hooks *)
   robots : rstate array;
-  (* Per-node scratch tracks the view's growable id space
-     ({!Partial_tree.id_bound}), re-ensured at the top of every select:
-     on a lazily materialized huge world the algorithm holds O(explored)
-     state instead of O(capacity). *)
-  mutable anchor_load : int array;
+  (* Per-node scratch is columns of the view's node store
+     ({!Partial_tree.store}), which grow with the revealed id space: on a
+     lazily materialized huge world the algorithm holds O(explored) state
+     instead of O(capacity). *)
+  anchor_load : Node_store.col;
   (* Cursor over the ports of each node: everything before it is known to
      be non-dangling (or dangling-but-selected-this-round, hence resolved
      by the end of the round). Keeps the depth-next dangling lookup O(1)
      amortized even on high-degree nodes. *)
-  mutable dangle_cursor : int array;
+  dangle_cursor : Node_store.col;
   mutable reanchor_counts : int array; (* indexed by anchor depth *)
   mutable reanchors_total : int;
   mutable summary_sent : bool; (* probe reanchor summary fired once *)
   (* Round-local count of dangling edges selected by earlier robots at
-     each node, stamped per select call. It replaces a set of (node, port)
-     pairs: the ports selected at a node within one round are always the
-     first unselected dangling ports past the cursor (each robot takes the
-     next one), so a count per node identifies them exactly. *)
-  mutable sel_stamp : int array;
-  mutable sel_cnt : int array;
-  mutable sel_epoch : int;
+     each node. It replaces a set of (node, port) pairs: the ports selected
+     at a node within one round are always the first unselected dangling
+     ports past the cursor (each robot takes the next one), so a count per
+     node identifies them exactly. At most k nodes are selected at in a
+     round, so the counts live in k-sized arrays ([sel_node.(j)] has
+     [sel_cnt.(j)], j < [sel_len]), and the per-node [sel_slot] column
+     points into them: a slot is valid only if it points back, so nothing
+     is cleared between rounds but [sel_len]. *)
+  sel_slot : Node_store.col;
+  sel_node : int array;
+  sel_cnt : int array;
+  mutable sel_len : int;
   moves : Env.move array; (* returned by select, refilled each round *)
   (* Cached [Via_port p] values indexed by port, so routing and depth-next
      moves allocate nothing in steady state. Per-instance: instances may
@@ -70,7 +88,7 @@ type t = {
 let make ?(policy = Least_loaded) ?(shortcut = false)
     ?(probe = Bfdn_obs.Probe.noop) ?(fault_tolerant = false) ?(suspect_after = 4)
     ?drop env =
-  let n = Partial_tree.id_bound (Env.view env) in
+  let store = Partial_tree.store (Env.view env) in
   let root = Partial_tree.root (Env.view env) in
   if suspect_after < 1 then
     invalid_arg "Bfdn_algo.make: suspect_after must be >= 1";
@@ -94,44 +112,30 @@ let make ?(policy = Least_loaded) ?(shortcut = false)
       Array.init (Env.k env) (fun _ ->
           { anchor = root; route = Array.make 8 0; route_pos = 0; route_len = 0 });
     anchor_load =
-      (let load = Array.make n 0 in
-       load.(root) <- Env.k env;
+      (let load = Node_store.column store ~fill:0 in
+       set load root (Env.k env);
        load);
-    dangle_cursor = Array.make n 0;
-    reanchor_counts = Array.make (min (Env.capacity env + 2) (n + 2)) 0;
+    dangle_cursor = Node_store.column store ~fill:0;
+    reanchor_counts = Array.make 64 0;
     reanchors_total = 0;
     summary_sent = false;
-    sel_stamp = Array.make n (-1);
-    sel_cnt = Array.make n 0;
-    sel_epoch = 0;
+    sel_slot = Node_store.column store ~fill:(-1);
+    sel_node = Array.make (Env.k env) (-1);
+    sel_cnt = Array.make (Env.k env) 0;
+    sel_len = 0;
     moves = Array.make (Env.k env) Env.Stay;
     via = Array.init 8 (fun p -> Env.Via_port p);
   }
 
-(* Growth preserves contents and the 0/-1 defaults, so behaviour is
-   byte-identical to a full preallocation; only ids below
-   [Partial_tree.id_bound] (explored nodes) are ever indexed. *)
-let grow_int_array a cap fill =
-  let bigger = Array.make cap fill in
-  Array.blit a 0 bigger 0 (Array.length a);
-  bigger
-
-let ensure_nodes t =
-  let need = Partial_tree.id_bound (Env.view t.env) in
-  if need > Array.length t.anchor_load then begin
-    let cap = max need (2 * Array.length t.anchor_load) in
-    t.anchor_load <- grow_int_array t.anchor_load cap 0;
-    t.dangle_cursor <- grow_int_array t.dangle_cursor cap 0;
-    t.sel_stamp <- grow_int_array t.sel_stamp cap (-1);
-    t.sel_cnt <- grow_int_array t.sel_cnt cap 0
-  end
-
+(* Indexed by anchor depth, not by node: doubles when a deeper anchor
+   shows up. *)
 let ensure_depth t d =
-  if d + 1 >= Array.length t.reanchor_counts then
-    t.reanchor_counts <-
-      grow_int_array t.reanchor_counts
-        (max (d + 2) (2 * Array.length t.reanchor_counts))
-        0
+  let len = Array.length t.reanchor_counts in
+  if d + 1 >= len then begin
+    let counts = Array.make (max (d + 2) (2 * len)) 0 in
+    Array.blit t.reanchor_counts 0 counts 0 len;
+    t.reanchor_counts <- counts
+  end
 
 let via t p =
   let len = Array.length t.via in
@@ -147,6 +151,11 @@ let via t p =
   end;
   t.via.(p)
 
+(* This round's entry of [pos] in the selection counts, or -1. *)
+let sel_index t pos =
+  let j = get t.sel_slot pos in
+  if j >= 0 && j < t.sel_len && t.sel_node.(j) = pos then j else -1
+
 let next_dangling t view pos =
   let nports = Partial_tree.num_ports view pos in
   (* The cursor may permanently skip non-dangling ports, but a dangling
@@ -154,10 +163,10 @@ let next_dangling t view pos =
      transiently: if that robot's move is vetoed (reactive blocking,
      Remark 8) the port stays dangling and must remain reachable. *)
   let skip =
-    ref (if t.sel_stamp.(pos) = t.sel_epoch then t.sel_cnt.(pos) else 0)
+    ref (match sel_index t pos with -1 -> 0 | j -> t.sel_cnt.(j))
   in
   let commit = ref true in
-  let c = ref t.dangle_cursor.(pos) in
+  let c = ref (get t.dangle_cursor pos) in
   let found = ref (-1) in
   while !found < 0 && !c < nports do
     if Partial_tree.is_port_dangling view pos !c then begin
@@ -167,17 +176,20 @@ let next_dangling t view pos =
       end
       else found := !c
     end
-    else if !commit then t.dangle_cursor.(pos) <- !c + 1;
+    else if !commit then set t.dangle_cursor pos (!c + 1);
     incr c
   done;
   !found
 
 let mark_selected t pos =
-  if t.sel_stamp.(pos) = t.sel_epoch then t.sel_cnt.(pos) <- t.sel_cnt.(pos) + 1
-  else begin
-    t.sel_stamp.(pos) <- t.sel_epoch;
-    t.sel_cnt.(pos) <- 1
-  end
+  match sel_index t pos with
+  | -1 ->
+      let j = t.sel_len in
+      t.sel_node.(j) <- pos;
+      t.sel_cnt.(j) <- 1;
+      set t.sel_slot pos j;
+      t.sel_len <- j + 1
+  | j -> t.sel_cnt.(j) <- t.sel_cnt.(j) + 1
 
 let pick_anchor t view =
   let d = Partial_tree.min_open_depth_raw view in
@@ -187,12 +199,14 @@ let pick_anchor t view =
     | Least_loaded ->
         (* Unique minimum (load, then id): independent of bucket order. *)
         let load = t.anchor_load in
-        let best = ref (-1) in
+        let best = ref (-1) and best_load = ref max_int in
         for i = 0 to Partial_tree.num_open_at_depth view d - 1 do
           let v = Partial_tree.nth_open_at_depth view d i in
-          let b = !best in
-          if b < 0 || load.(v) < load.(b) || (load.(v) = load.(b) && v < b)
-          then best := v
+          let lv = get load v in
+          if lv < !best_load || (lv = !best_load && v < !best) then begin
+            best := v;
+            best_load := lv
+          end
         done;
         !best
     | First_open ->
@@ -206,6 +220,9 @@ let pick_anchor t view =
         (* Canonical order: the draw maps to the sorted candidate set, so
            the result is independent of the open-bucket iteration order. *)
         Rng.pick rng (Array.of_list (Partial_tree.open_nodes_at_depth view d))
+
+let add_load t v delta =
+  set t.anchor_load v (get t.anchor_load v + delta)
 
 let ensure_route r needed =
   if Array.length r.route < needed then begin
@@ -255,10 +272,10 @@ let reanchor t i =
   let view = Env.view t.env in
   let r = t.robots.(i) in
   let pos = Env.position t.env i in
-  t.anchor_load.(r.anchor) <- t.anchor_load.(r.anchor) - 1;
+  add_load t r.anchor (-1);
   let v = pick_anchor t view in
   r.anchor <- v;
-  t.anchor_load.(v) <- t.anchor_load.(v) + 1;
+  add_load t v 1;
   let d = Partial_tree.depth_of view v in
   ensure_depth t d;
   t.reanchor_counts.(d) <- t.reanchor_counts.(d) + 1;
@@ -295,9 +312,9 @@ let ft_prepass t f root =
       && Heartbeat.stale f.hb ~robot:i ~round ~after:f.suspect_after
     then begin
       let r = t.robots.(i) in
-      t.anchor_load.(r.anchor) <- t.anchor_load.(r.anchor) - 1;
+      add_load t r.anchor (-1);
       r.anchor <- root;
-      t.anchor_load.(root) <- t.anchor_load.(root) + 1;
+      add_load t root 1;
       (* Drop the pending route: if the robot is in fact alive it falls
          back to depth-next moves and walks home, which is always legal. *)
       r.route_pos <- 0;
@@ -313,11 +330,10 @@ let ft_prepass t f root =
 let select t =
   let view = Env.view t.env in
   let root = Partial_tree.root view in
-  ensure_nodes t;
   let k = Env.k t.env in
   let moves = t.moves in
   Array.fill moves 0 k Env.Stay;
-  t.sel_epoch <- t.sel_epoch + 1;
+  t.sel_len <- 0;
   (match t.ft with None -> () | Some f -> ft_prepass t f root);
   for i = 0 to k - 1 do
     if Env.allowed t.env i then begin

@@ -11,11 +11,23 @@ type json = Json.t =
 
 let to_string = Json.to_string
 
+(* Written beside its final name and renamed into place: a reader never
+   sees a torn report, and a failed write leaves the previous one intact
+   and no temporary file behind. *)
 let write ~path j =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_string j ^ "\n"))
+  let tmp = path ^ ".tmp" in
+  try
+    let oc = open_out tmp in
+    (try
+       output_string oc (to_string j ^ "\n");
+       close_out oc
+     with e ->
+       close_out_noerr oc;
+       raise e);
+    Sys.rename tmp path
+  with e ->
+    (try Sys.remove tmp with Sys_error _ -> ());
+    raise e
 
 (* Bump when the shape of the BENCH_*.json bodies changes incompatibly,
    so dashboards comparing perf trajectories across PRs can tell which

@@ -24,8 +24,9 @@ val to_string : json -> string
 (** Compact single-line rendering. *)
 
 val write : path:string -> json -> unit
-(** [to_string] plus a trailing newline, written atomically-enough (single
-    [output_string]) to [path]. *)
+(** [to_string] plus a trailing newline, written to [path ^ ".tmp"] and
+    renamed over [path]. On failure the previous [path] is untouched, the
+    temporary file is removed and the exception is re-raised. *)
 
 val schema_version : int
 (** Current report schema: bumped on incompatible shape changes. *)

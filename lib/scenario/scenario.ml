@@ -174,7 +174,16 @@ let validate t =
                            "algorithm %S needs an eagerly materialized world \
                             (scale=lazy is tree-runner only)"
                            t.algo)
-                    else if Bfdn_sim.Lazy_world.supported world then Ok ()
+                    else if Bfdn_sim.Lazy_world.supported world then
+                      let cap = World_registry.lazy_capacity ~params world in
+                      if cap <= Bfdn_sim.Node_store.max_ids then Ok ()
+                      else
+                        Error
+                          (Printf.sprintf
+                             "world %S: the scale=lazy instance has %d \
+                              nodes, above the %d-node id range of lazy \
+                              worlds"
+                             world cap Bfdn_sim.Node_store.max_ids)
                     else
                       Error
                         (Printf.sprintf

@@ -33,7 +33,8 @@ let tree_params =
       doc =
         "world materialization: \"eager\" builds the tree up front, \
          \"lazy\" generates nodes at reveal so a run holds O(explored) \
-         memory (the huge tier; supported families only)";
+         memory (the huge tier; supported families only, at most 2^30 \
+         nodes)";
       default = Param.String "eager";
     };
   ]
@@ -244,6 +245,11 @@ let deterministic_tree ?(params = []) name =
   | Some { kind = Tree _; _ } ->
       Tree_gen.deterministic_family name && scale_of_params params = "eager"
   | _ -> false
+
+let lazy_capacity ?(params = []) name =
+  Bfdn_sim.Lazy_world.instance_capacity ~family:name
+    ~n:(Param.get_int ~schema:tree_params params "n")
+    ~depth_hint:(Param.get_int ~schema:tree_params params "depth_hint")
 
 let build_lazy ?(seed = 0) ?(params = []) name =
   match find name with

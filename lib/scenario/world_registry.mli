@@ -74,6 +74,12 @@ val deterministic_tree : ?params:Param.binding list -> string -> bool
     where every seed of one spec hides the identical tree, so a seed
     batch may build it once and share it. *)
 
+val lazy_capacity : ?params:Param.binding list -> string -> int
+(** The node count of the named family's [scale=lazy] instance under
+    these (schema-valid) parameters, without building it — what
+    {!Scenario.validate} checks against the node store's id range.
+    @raise Invalid_argument on a family without lazy support. *)
+
 val build_lazy :
   ?seed:int -> ?params:Param.binding list -> string ->
   Bfdn_sim.Lazy_world.t

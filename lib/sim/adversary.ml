@@ -107,6 +107,7 @@ let world t =
     w_child = (fun v p -> child t v p);
     w_stats = (fun () -> (t.next_id, t.max_depth, t.max_degree));
     w_tree = (fun () -> frozen t);
+    w_store = None;
   }
 
 (* ---- stock policies ---- *)

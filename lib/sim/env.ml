@@ -2,6 +2,26 @@ module Tree = Bfdn_trees.Tree
 
 type robot = int
 
+(* Column access, inlined into this unit: {!Node_store.get} would be a
+   call (its interface explains why). Pages hold 2^16 entries. *)
+let () = assert (Node_store.page_bits = 16)
+
+let[@inline] get (c : Node_store.col) i =
+  let page = Array.unsafe_get (c :> Bytes.t array) (i lsr 16) in
+  Int32.to_int (Node_store.get32u page ((i land 0xffff) lsl 2))
+
+let[@inline] set (c : Node_store.col) i v =
+  let page = Array.unsafe_get (c :> Bytes.t array) (i lsr 16) in
+  Node_store.set32u page ((i land 0xffff) lsl 2) (Int32.of_int v)
+
+let[@inline] get_flag (c : Node_store.col) i =
+  let page = Array.unsafe_get (c :> Bytes.t array) (i lsr 16) in
+  Bytes.unsafe_get page (i land 0xffff) <> '\000'
+
+let[@inline] set_flag (c : Node_store.col) i =
+  let page = Array.unsafe_get (c :> Bytes.t array) (i lsr 16) in
+  Bytes.unsafe_set page (i land 0xffff) '\001'
+
 type move = Stay | Up | Via_port of int
 
 type mask = round:int -> robot:robot -> bool
@@ -40,6 +60,9 @@ type world = {
   w_child : int -> int -> int; (* (revealed parent, child port) -> node id *)
   w_stats : unit -> int * int * int; (* current n, depth, max degree *)
   w_tree : unit -> Tree.t;
+  w_store : Node_store.t option;
+      (* the store a world writes its own per-node columns to (a lazy
+         world); [None] gives every environment a fresh one *)
 }
 
 let world_of_tree tree =
@@ -53,6 +76,7 @@ let world_of_tree tree =
     w_child = (fun v p -> Tree.neighbor_via_port tree v p);
     w_stats = (fun () -> Lazy.force stats);
     w_tree = (fun () -> tree);
+    w_store = None;
   }
 
 type t = {
@@ -70,7 +94,8 @@ type t = {
   mutable moves_total : int;
   moves_per_robot : int array;
   mutable edge_events : int;
-  mutable up_seen : bool array; (* per-node, grows with the view *)
+  store : Node_store.t; (* the view's, holding the two columns below *)
+  up_seen : Node_store.col; (* flag: first child-to-parent crossing seen *)
   mutable allowed_total : int;
   mutable multi_reveals : int;
   (* Per-round scratch, reused across every {!apply} call so the steady
@@ -78,34 +103,23 @@ type t = {
   eff : move array; (* selected moves after masking, length k *)
   tgt_dst : int array; (* resolved target node, -1 = no move, length k *)
   tgt_port : int array; (* dangling port being crossed, -1 = none, length k *)
-  mutable arriving : int array; (* per-node arrival counts, grows *)
+  arriving : Node_store.col; (* per-node arrival counts of one round *)
 }
-
-(* The per-node scratch arrays track the view's growable id space instead
-   of being sized to w_capacity up front: on a lazily materialized huge
-   world the environment then holds O(explored) state. Fresh ids enter
-   only through dangling-port resolution, so this is the one growth
-   point; growth preserves contents and the zero/false defaults, keeping
-   observable behaviour identical. *)
-let ensure_scratch t id =
-  if id >= Array.length t.arriving then begin
-    let old = Array.length t.arriving in
-    let cap = min t.world.w_capacity (max (id + 1) (2 * old)) in
-    let arriving = Array.make cap 0 in
-    Array.blit t.arriving 0 arriving 0 old;
-    t.arriving <- arriving;
-    let up_seen = Array.make cap false in
-    Array.blit t.up_seen 0 up_seen 0 old;
-    t.up_seen <- up_seen
-  end
 
 let of_world ?(mask = fun ~round:_ ~robot:_ -> true) ?(fixed = false)
     ?(probe = Bfdn_obs.Probe.noop) ?(fault = fault_noop) world ~k =
   if k < 1 then invalid_arg "Env.create: k must be >= 1";
-  let view = Partial_tree.Internal.create ~hidden_n:world.w_capacity ~root:world.w_root in
+  (* The per-node scratch is two columns of the view's node store, so it
+     follows the revealed id space a page at a time: on a lazily
+     materialized huge world the environment holds O(explored) state. *)
+  let store =
+    match world.w_store with
+    | Some store -> store
+    | None -> Node_store.create ~capacity:world.w_capacity
+  in
+  let view = Partial_tree.Internal.on_store store ~root:world.w_root in
   Partial_tree.Internal.reveal_root view
     ~num_ports:(world.w_degree ~node:world.w_root ~arriving:k ~round:0);
-  let scratch_cap = Partial_tree.id_bound view in
   {
     world;
     fixed;
@@ -121,13 +135,14 @@ let of_world ?(mask = fun ~round:_ ~robot:_ -> true) ?(fixed = false)
     moves_total = 0;
     moves_per_robot = Array.make k 0;
     edge_events = 0;
-    up_seen = Array.make scratch_cap false;
+    store;
+    up_seen = Node_store.flags store;
     allowed_total = 0;
     multi_reveals = 0;
     eff = Array.make k Stay;
     tgt_dst = Array.make k (-1);
     tgt_port = Array.make k (-1);
-    arriving = Array.make scratch_cap 0;
+    arriving = Node_store.column store ~fill:0;
   }
 
 let create ?mask ?probe ?fault tree ~k =
@@ -229,8 +244,10 @@ let apply t moves =
         let nports = Partial_tree.num_ports t.view pos in
         if p < 0 || p >= nports then invalid_arg "Env.apply: port out of range";
         if Partial_tree.is_port_dangling t.view pos p then begin
+          (* Fresh ids enter only here: back them in every column. *)
           let dst = t.world.w_child pos p in
-          ensure_scratch t dst;
+          if dst < 0 || dst >= t.store.Node_store.bound then
+            Node_store.ensure t.store dst;
           dsts.(i) <- dst;
           ports.(i) <- p
         end
@@ -244,10 +261,11 @@ let apply t moves =
      then count. The scratch array persists across rounds. *)
   let arr = t.arriving in
   for i = 0 to t.k - 1 do
-    if dsts.(i) >= 0 then arr.(dsts.(i)) <- 0
+    if dsts.(i) >= 0 then set arr dsts.(i) 0
   done;
   for i = 0 to t.k - 1 do
-    if dsts.(i) >= 0 then arr.(dsts.(i)) <- arr.(dsts.(i)) + 1
+    let d = dsts.(i) in
+    if d >= 0 then set arr d (get arr d + 1)
   done;
   (* Apply. Dangling ports are resolved at most once even when several
      robots cross the same new edge in the same round. *)
@@ -262,15 +280,15 @@ let apply t moves =
         (* First child-to-parent crossing is an edge event. *)
         if
           Partial_tree.depth_of t.view dst < Partial_tree.depth_of t.view src
-          && not t.up_seen.(src)
+          && not (get_flag t.up_seen src)
         then begin
-          t.up_seen.(src) <- true;
+          set_flag t.up_seen src;
           t.edge_events <- t.edge_events + 1
         end
       end
       else begin
         (* New node: reveal it through the crossed dangling port. *)
-        let arriving = arr.(dst) in
+        let arriving = get arr dst in
         if arriving > 1 then t.multi_reveals <- t.multi_reveals + 1;
         Partial_tree.Internal.reveal_child t.view src ports.(i) dst
           ~num_ports:(t.world.w_degree ~node:dst ~arriving ~round:t.round);

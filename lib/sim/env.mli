@@ -87,6 +87,11 @@ type world = {
       (** materialized so far: n, depth, max degree *)
   w_tree : unit -> Bfdn_trees.Tree.t;
       (** freeze the materialized tree *)
+  w_store : Node_store.t option;
+      (** the node store the world writes its own per-node columns to —
+          a lazy world's, which the view then shares (one parent and one
+          depth column per run). Such a world serves one environment.
+          [None]: each environment creates a fresh store. *)
 }
 
 val of_world :

@@ -5,16 +5,19 @@ module Mathx = Bfdn_util.Mathx
 (* Lazily materialized generator worlds: the deterministic instance
    families of {!Bfdn_trees.Tree_gen}, produced node by node as the
    exploration reveals them instead of being built up front. Exploring a
-   prefix of an n=10^7 world then costs O(explored) memory end to end
-   (this module grows geometrically, {!Partial_tree}/{!Env}/the algorithm
-   scratch follow {!Partial_tree.id_bound}).
+   prefix of an n=10^7 world then costs O(explored) memory end to end:
+   every per-node table of the run — this module's, the view's, the
+   environment's and the algorithm's — is a column of the one
+   {!Node_store} this module creates, grown a page at a time.
 
    Mechanics follow {!Adversary}: child ids are allocated densely at the
    parent's reveal (promise time), before anything about the child's own
    subtree is decided, so the discovered tree never leaks hidden
    information. Because one reveal promises all children of a node at
    once, the children occupy consecutive ids and the per-node child table
-   is just (first_kid, nkids) — no per-node heap block.
+   is just (first_kid, nkids) — no per-node heap block. Parent and depth
+   are the store's shared columns: written here at promise time, they
+   are the values the view reads once the node is revealed.
 
    Shapes are driven by a per-node [role] decided at promise time from
    the parent's role, so every family is exploration-order independent
@@ -40,13 +43,14 @@ type t = {
   req_seed : int;
   capacity : int; (* exact node count of the family instance *)
   target_depth : int; (* Complete only *)
-  mutable parents : int array; (* -1 until promised *)
-  mutable depths : int array;
-  mutable role : int array; (* family-specific, set at promise time *)
-  mutable first_kid : int array; (* -1 until revealed *)
-  mutable nkids : int array; (* -1 until revealed *)
-  mutable len : int; (* ids 0..len-1 are promised *)
-  mutable next_id : int; (* = len; alias kept for clarity *)
+  store : Node_store.t;
+  parents : Node_store.col; (* -1 until promised *)
+  depths : Node_store.col;
+  role : Node_store.col option;
+      (* family-specific, set at promise time; Caterpillar and Comb only *)
+  first_kid : Node_store.col; (* -1 until revealed *)
+  nkids : Node_store.col; (* -1 until revealed *)
+  mutable next_id : int; (* ids 0..next_id-1 are promised *)
   mutable max_depth : int;
   mutable max_degree : int;
   mutable revealed : int;
@@ -68,8 +72,7 @@ let supported name = List.mem name families
 (* Size derivations mirror {!Tree_gen.of_family}, so [scale=lazy] and
    [scale=eager] runs of one spec describe the same instance shape. All
    arithmetic saturates: a nonsense huge parameter rejects cleanly. *)
-let make ~family:name ~n ~depth_hint ~seed =
-  let req_n = n and req_depth_hint = depth_hint in
+let shape name ~n ~depth_hint ~seed =
   let n = max 1 n in
   let d = max 1 depth_hint in
   let family, capacity, target_depth =
@@ -114,24 +117,33 @@ let make ~family:name ~n ~depth_hint ~seed =
     | "random" -> (Random seed, n, 0)
     | other -> invalid_arg ("Lazy_world.make: unsupported family " ^ other)
   in
-  if capacity > Sys.max_array_length then
-    invalid_arg "Lazy_world.make: instance exceeds Sys.max_array_length";
-  let cap0 = min capacity 1024 in
+  (family, capacity, target_depth)
+
+let instance_capacity ~family ~n ~depth_hint =
+  let _, capacity, _ = shape family ~n ~depth_hint ~seed:0 in
+  capacity
+
+let make ~family:name ~n ~depth_hint ~seed =
+  let family, capacity, target_depth = shape name ~n ~depth_hint ~seed in
+  let store = Node_store.create ~capacity in
   let t =
     {
       family;
       name;
-      req_n;
-      req_depth_hint;
+      req_n = n;
+      req_depth_hint = depth_hint;
       req_seed = seed;
       capacity;
       target_depth;
-      parents = Array.make cap0 (-1);
-      depths = Array.make cap0 0;
-      role = Array.make cap0 0;
-      first_kid = Array.make cap0 (-1);
-      nkids = Array.make cap0 (-1);
-      len = 1;
+      store;
+      parents = store.Node_store.parent;
+      depths = store.Node_store.depth;
+      role =
+        (match family with
+        | Caterpillar _ | Comb _ -> Some (Node_store.column store ~fill:0)
+        | _ -> None);
+      first_kid = Node_store.column store ~fill:(-1);
+      nkids = Node_store.column store ~fill:(-1);
       next_id = 1;
       max_depth = 0;
       max_degree = 0;
@@ -139,36 +151,21 @@ let make ~family:name ~n ~depth_hint ~seed =
       acc = Tree_stats.Acc.create ();
     }
   in
+  Node_store.set t.depths 0 0;
   (* Root roles: spine for the chained families, 0 elsewhere. *)
-  (match family with
-  | Caterpillar _ | Comb _ -> t.role.(0) <- -1
-  | _ -> ());
+  Option.iter (fun role -> Node_store.set role 0 (-1)) t.role;
   t
 
 let capacity t = t.capacity
 let nodes_revealed t = t.revealed
 let stats t = Tree_stats.Acc.stats t.acc
 
-let grow_int_array a len cap fill =
-  let bigger = Array.make cap fill in
-  Array.blit a 0 bigger 0 len;
-  bigger
-
-let ensure t id =
-  if id >= Array.length t.parents then begin
-    let cap = min t.capacity (max (id + 1) (2 * Array.length t.parents)) in
-    let old = t.len in
-    t.parents <- grow_int_array t.parents old cap (-1);
-    t.depths <- grow_int_array t.depths old cap 0;
-    t.role <- grow_int_array t.role old cap 0;
-    t.first_kid <- grow_int_array t.first_kid old cap (-1);
-    t.nkids <- grow_int_array t.nkids old cap (-1)
-  end
+let role t v = match t.role with Some c -> Node_store.get c v | None -> 0
 
 (* How many children [node] wants and, via [child_role], which role each
    promised child gets (by its index among the node's children). *)
 let wanted t node =
-  let depth = t.depths.(node) in
+  let depth = Node_store.get t.depths node in
   match t.family with
   | Path -> if depth < t.capacity - 1 then 1 else 0
   | Star -> if node = 0 then t.capacity - 1 else 0
@@ -180,15 +177,15 @@ let wanted t node =
   | Caterpillar (spine, legs) ->
       (* Spine node at depth i: [legs] leaves, plus the next spine node
          last (matching Tree_gen's port order) while i < spine. *)
-      if t.role.(node) = -1 then legs + if depth < spine then 1 else 0
+      if role t node = -1 then legs + if depth < spine then 1 else 0
       else 0
   | Comb (spine, tooth_len) ->
-      if t.role.(node) = -1 then
+      if role t node = -1 then
         (* Spine node: a tooth (unless teeth are empty) then the next
            spine node, while spine steps remain. Tree_gen's port order
            puts the tooth first. *)
         if depth < spine then (if tooth_len = 0 then 1 else 2) else 0
-      else if t.role.(node) > 0 then 1 (* tooth with edges remaining *)
+      else if role t node > 0 then 1 (* tooth with edges remaining *)
       else 0
   | Broom (handle, bristles) ->
       if depth < handle then 1 else if depth = handle then bristles else 0
@@ -198,39 +195,40 @@ let child_role t node idx =
   match t.family with
   | Caterpillar (spine, legs) ->
       ignore spine;
-      if t.role.(node) = -1 && idx = legs then -1 (* the spine child *) else 0
+      if role t node = -1 && idx = legs then -1 (* the spine child *) else 0
   | Comb (_, tooth_len) ->
-      if t.role.(node) = -1 then
+      if role t node = -1 then
         if tooth_len > 0 && idx = 0 then tooth_len - 1 (* tooth start *)
         else -1 (* the spine child *)
-      else t.role.(node) - 1 (* deeper along the tooth *)
+      else role t node - 1 (* deeper along the tooth *)
   | _ -> 0
 
 let reveal_degree t ~node ~arriving:_ ~round:_ =
-  if node < 0 || node >= t.len then
+  if node < 0 || node >= t.next_id then
     invalid_arg "Lazy_world: reveal of an unpromised node";
-  if t.nkids.(node) >= 0 then
+  if Node_store.get t.nkids node >= 0 then
     invalid_arg "Lazy_world: node revealed twice (world misuse)";
-  let depth = t.depths.(node) in
+  let depth = Node_store.get t.depths node in
   let remaining = t.capacity - t.next_id in
   (* For every family but Random the capacity is exact, so the clamp
      never binds; Random spends the budget down to zero. *)
   let promised = min (max 0 (wanted t node)) remaining in
   let first = t.next_id in
   if promised > 0 then begin
-    ensure t (first + promised - 1);
+    Node_store.ensure t.store (first + promised - 1);
     for idx = 0 to promised - 1 do
       let id = first + idx in
-      t.parents.(id) <- node;
-      t.depths.(id) <- depth + 1;
-      t.role.(id) <- child_role t node idx
+      Node_store.set t.parents id node;
+      Node_store.set t.depths id (depth + 1);
+      match t.role with
+      | Some role -> Node_store.set role id (child_role t node idx)
+      | None -> ()
     done;
     t.next_id <- first + promised;
-    t.len <- t.next_id;
     if depth + 1 > t.max_depth then t.max_depth <- depth + 1
   end;
-  t.first_kid.(node) <- (if promised > 0 then first else -1);
-  t.nkids.(node) <- promised;
+  Node_store.set t.first_kid node (if promised > 0 then first else -1);
+  Node_store.set t.nkids node promised;
   t.revealed <- t.revealed + 1;
   Tree_stats.Acc.add t.acc ~depth ~children:promised;
   let degree = promised + if node = 0 then 0 else 1 in
@@ -241,11 +239,12 @@ let child t v p =
   (* Port 0 of a non-root node is its parent; the environment only asks
      for dangling (child) ports. *)
   let idx = if v = 0 then p else p - 1 in
-  if v < 0 || v >= t.len || t.nkids.(v) < 0 || idx < 0 || idx >= t.nkids.(v)
+  if v < 0 || v >= t.next_id || idx < 0 || idx >= Node_store.get t.nkids v
   then invalid_arg "Lazy_world.child: not a promised child port";
-  t.first_kid.(v) + idx
+  Node_store.get t.first_kid v + idx
 
-let frozen t = Tree.of_parents (Array.sub t.parents 0 (max 1 t.next_id))
+let frozen t =
+  Tree.of_parents (Array.init (max 1 t.next_id) (Node_store.get t.parents))
 
 let world t =
   {
@@ -255,6 +254,7 @@ let world t =
     w_child = (fun v p -> child t v p);
     w_stats = (fun () -> (t.next_id, t.max_depth, t.max_degree));
     w_tree = (fun () -> frozen t);
+    w_store = Some t.store;
   }
 
 (* The fully expanded instance, as a plain eager tree: run the same rules

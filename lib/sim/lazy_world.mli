@@ -2,11 +2,12 @@
     families of {!Bfdn_trees.Tree_gen}, produced node by node as the
     exploration reveals them instead of being built up front.
 
-    A lazy world holds O(promised) state and grows geometrically, so an
-    exploration that visits a prefix of an n=10^7 instance costs
-    O(explored) memory end to end (the view, environment and algorithm
-    scratch all follow {!Partial_tree.id_bound}). This is the huge scale
-    tier's world backend ([scale=lazy] in scenario world specs).
+    A lazy world holds O(promised) state in a {!Node_store} it creates
+    and hands to the environment, so the view, the environment and the
+    algorithm scratch are columns of the same store and an exploration
+    that visits a prefix of an n=10^7 instance costs O(explored) memory
+    end to end. This is the huge scale tier's world backend ([scale=lazy]
+    in scenario world specs).
 
     Child ids are allocated densely at the parent's reveal, before the
     child's own subtree shape is decided (the {!Adversary} discipline),
@@ -33,8 +34,13 @@ val make : family:string -> n:int -> depth_hint:int -> seed:int -> t
 (** Build the rules for one instance. [n] and [depth_hint] are
     interpreted exactly as by {!Tree_gen.of_family}; [seed] feeds the
     ["random"] family's hash (ignored elsewhere).
-    @raise Invalid_argument on an unsupported family or an instance
-    exceeding [Sys.max_array_length]. *)
+    @raise Invalid_argument on an unsupported family or an instance of
+    more than {!Node_store.max_ids} nodes. *)
+
+val instance_capacity : family:string -> n:int -> depth_hint:int -> int
+(** The node count {!make} would give the instance (saturating at
+    [max_int]), without building anything — for validating a spec.
+    @raise Invalid_argument on an unsupported family. *)
 
 val world : t -> Env.world
 (** The environment-facing world. Pass to {!Env.of_world}; each node's

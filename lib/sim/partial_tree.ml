@@ -7,43 +7,61 @@ type port_state = To_parent | Dangling | Child of node
 let enc_parent = -1
 let enc_dangling = -2
 
-(* Above this hidden size the per-node arrays start small and grow
-   geometrically as ids are revealed, so a mostly unexplored huge world
-   costs O(explored) memory, not O(n). At or below it everything is
-   preallocated up front — one allocation, no growth checks on the hot
-   path — which keeps the small/medium tiers at their previous speed. *)
-let prealloc_threshold = 65536
+(* Open-node bucket: a swap-remove vector of int32 node ids. Iteration
+   order is deterministic — a pure function of the add/remove call
+   sequence (which the synchronous simulator fully determines): nodes
+   appear in insertion order except that removing a node moves the
+   bucket's last node into the freed slot. Consumers that need a canonical
+   order must sort (the list API does); the fold API exposes the raw order
+   for O(1)-per-node scans whose reductions are order-independent. A
+   bucket belongs to a depth, not to a node, so it grows by doubling: its
+   size is the most open nodes its depth ever held at once. *)
+type bucket = { mutable nodes : Bytes.t; mutable len : int }
 
-(* Open-node bucket: a swap-remove dynamic array. Iteration order is
-   deterministic — a pure function of the add/remove call sequence (which
-   the synchronous simulator fully determines): nodes appear in insertion
-   order except that removing a node moves the bucket's last node into the
-   freed slot. Consumers that need a canonical order must sort (the list
-   API does); the fold API exposes the raw order for O(1)-per-node scans
-   whose reductions are order-independent. *)
-type bucket = { mutable nodes : int array; mutable len : int }
+let slot b i = Int32.to_int (Bytes.get_int32_ne b.nodes (i lsl 2))
+let set_slot b i v = Bytes.set_int32_ne b.nodes (i lsl 2) (Int32.of_int v)
 
-(* Storage is succinct and growable: all per-node attributes live in flat
-   int arrays of one shared capacity [cap], and the per-port states of all
-   nodes share a single flat pool ([port_pool]) indexed through
-   [port_base] — no per-node heap block, so 10^7 explored nodes cost a
-   handful of large arrays instead of 10^7 small ones. *)
+(* Every per-node attribute is an int32 column of the run's node store,
+   which the lazy world, the environment and the algorithm share: parent
+   and depth are the store's own columns, written identically by a lazy
+   world at promise time and by [reveal_child]. The per-port states of all
+   nodes share one paged pool indexed through [port_base], so no node owns
+   a heap block and growth never copies. *)
+module S = Node_store
+
+(* Column access, inlined into this unit: {!Node_store.get} would be a
+   call (its interface explains why). Pages hold 2^16 entries. *)
+let () = assert (S.page_bits = 16)
+
+let[@inline] get (c : S.col) i =
+  let page = Array.unsafe_get (c :> Bytes.t array) (i lsr 16) in
+  Int32.to_int (S.get32u page ((i land 0xffff) lsl 2))
+
+let[@inline] set (c : S.col) i v =
+  let page = Array.unsafe_get (c :> Bytes.t array) (i lsr 16) in
+  S.set32u page ((i land 0xffff) lsl 2) (Int32.of_int v)
+
+let[@inline] vget (v : S.vector) i =
+  Int32.to_int (S.get32u v.pages.(i lsr 16) ((i land 0xffff) lsl 2))
+
+let[@inline] vset (v : S.vector) i x =
+  S.set32u v.pages.(i lsr 16) ((i land 0xffff) lsl 2) (Int32.of_int x)
+
 type t = {
   root : node;
-  hidden_n : int;
-  mutable cap : int; (* length of every per-node array below *)
-  mutable nports : int array; (* -1 = unexplored (replaces the bool array) *)
-  mutable parents : int array;
-  mutable parent_ports : int array;
+  store : S.t;
+  nports : S.col; (* -1 = unexplored *)
+  parents : S.col;
+  parent_ports : S.col;
       (* port on the parent leading down to the node; -1 for the root *)
-  mutable depths : int array;
-  mutable port_base : int array; (* start of the node's slice in port_pool *)
-  mutable dangling_cnt : int array;
-  mutable open_cnt : int array;
+  depths : S.col;
+  port_base : S.col; (* start of the node's slice in port_pool *)
+  dangling_cnt : S.col;
+  open_cnt : S.col;
       (* open-branch counter: dangling ports plus explored children whose
          subtree is still open; > 0 iff the subtree holds a dangling edge *)
-  mutable in_bucket : int array; (* index inside its depth bucket; -1 *)
-  mutable port_pool : int array;
+  in_bucket : S.col; (* index inside its depth bucket; -1 *)
+  port_pool : S.vector;
   mutable pool_len : int;
   mutable open_at : bucket option array; (* indexed by depth; growable *)
   mutable min_open_ptr : int;
@@ -52,113 +70,90 @@ type t = {
 }
 
 let root t = t.root
-let is_explored t v = v >= 0 && v < t.cap && t.nports.(v) >= 0
+let store t = t.store
+let[@inline] is_explored t v =
+  v >= 0 && v < t.store.S.bound && get t.nports v >= 0
 let num_explored t = t.num_explored
 let num_dangling t = t.total_dangling
 let complete t = t.total_dangling = 0
-let id_bound t = t.cap
-
-let grow_int_array a len cap fill =
-  let bigger = Array.make cap fill in
-  Array.blit a 0 bigger 0 len;
-  bigger
-
-(* Make every per-node array cover ids up to [v] (inclusive), preserving
-   the unexplored defaults in the new tail. *)
-let ensure_node t v =
-  if v >= t.cap then begin
-    let cap = max (v + 1) (2 * t.cap) in
-    let old = t.cap in
-    t.nports <- grow_int_array t.nports old cap (-1);
-    t.parents <- grow_int_array t.parents old cap (-1);
-    t.parent_ports <- grow_int_array t.parent_ports old cap (-1);
-    t.depths <- grow_int_array t.depths old cap (-1);
-    t.port_base <- grow_int_array t.port_base old cap (-1);
-    t.dangling_cnt <- grow_int_array t.dangling_cnt old cap 0;
-    t.open_cnt <- grow_int_array t.open_cnt old cap 0;
-    t.in_bucket <- grow_int_array t.in_bucket old cap (-1);
-    t.cap <- cap
-  end
+let id_bound t = t.store.S.bound
 
 (* Append a slice of [len] ports to the pool and return its base index. *)
 let pool_alloc t len =
-  let need = t.pool_len + len in
-  if need > Array.length t.port_pool then begin
-    let cap = max need (2 * Array.length t.port_pool) in
-    t.port_pool <- grow_int_array t.port_pool t.pool_len cap enc_dangling
-  end;
   let base = t.pool_len in
-  t.pool_len <- need;
+  t.pool_len <- base + len;
+  if t.pool_len > t.port_pool.S.backed then S.reserve t.port_pool t.pool_len;
   base
 
-let check_explored t v name =
-  if not (is_explored t v) then invalid_arg (name ^ ": unexplored node")
+let[@inline] pool t v p = vget t.port_pool (get t.port_base v + p)
+
+let unexplored name = invalid_arg (name ^ ": unexplored node")
+let[@inline] check_explored t v name = if not (is_explored t v) then unexplored name
 
 let num_ports t v =
   check_explored t v "Partial_tree.num_ports";
-  t.nports.(v)
+  get t.nports v
 
 let port t v p =
   check_explored t v "Partial_tree.port";
-  if p < 0 || p >= t.nports.(v) then invalid_arg "Partial_tree.port: bad port";
-  let e = t.port_pool.(t.port_base.(v) + p) in
+  if p < 0 || p >= get t.nports v then
+    invalid_arg "Partial_tree.port: bad port";
+  let e = pool t v p in
   if e = enc_parent then To_parent
   else if e = enc_dangling then Dangling
   else Child e
 
 let is_port_dangling t v p =
   check_explored t v "Partial_tree.is_port_dangling";
-  t.port_pool.(t.port_base.(v) + p) = enc_dangling
+  pool t v p = enc_dangling
 
 let port_child_id t v p =
   check_explored t v "Partial_tree.port_child_id";
-  let e = t.port_pool.(t.port_base.(v) + p) in
+  let e = pool t v p in
   if e >= 0 then e else -1
 
 let iter_dangling_ports t v f =
   check_explored t v "Partial_tree.iter_dangling_ports";
-  let base = t.port_base.(v) in
-  for p = 0 to t.nports.(v) - 1 do
-    if t.port_pool.(base + p) = enc_dangling then f p
+  for p = 0 to get t.nports v - 1 do
+    if pool t v p = enc_dangling then f p
   done
 
 let iter_explored_children t v f =
   check_explored t v "Partial_tree.iter_explored_children";
-  let base = t.port_base.(v) in
-  for p = 0 to t.nports.(v) - 1 do
-    let e = t.port_pool.(base + p) in
+  for p = 0 to get t.nports v - 1 do
+    let e = pool t v p in
     if e >= 0 then f p e
   done
 
 let dangling_ports t v =
   check_explored t v "Partial_tree.dangling_ports";
-  let base = t.port_base.(v) in
   let acc = ref [] in
-  for p = t.nports.(v) - 1 downto 0 do
-    if t.port_pool.(base + p) = enc_dangling then acc := p :: !acc
+  for p = get t.nports v - 1 downto 0 do
+    if pool t v p = enc_dangling then acc := p :: !acc
   done;
   !acc
 
 let parent t v =
   check_explored t v "Partial_tree.parent";
-  if v = t.root then None else Some t.parents.(v)
+  if v = t.root then None else Some (get t.parents v)
 
 let parent_id t v =
   check_explored t v "Partial_tree.parent_id";
-  if v = t.root then -1 else t.parents.(v)
+  if v = t.root then -1 else get t.parents v
 
 let parent_port t v =
   check_explored t v "Partial_tree.parent_port";
-  t.parent_ports.(v)
+  get t.parent_ports v
 
 let depth_of t v =
   check_explored t v "Partial_tree.depth_of";
-  t.depths.(v)
+  get t.depths v
 
-let is_open t v = is_explored t v && t.dangling_cnt.(v) > 0
+let is_open t v = is_explored t v && get t.dangling_cnt v > 0
+
 let subtree_open t v =
   check_explored t v "Partial_tree.subtree_open";
-  t.open_cnt.(v) > 0
+  get t.open_cnt v > 0
 
 let max_depth_index t = Array.length t.open_at - 1
 
@@ -186,7 +181,7 @@ let num_open_at_depth t d =
 let nth_open_at_depth t d i =
   if i < 0 || i >= num_open_at_depth t d then
     invalid_arg "Partial_tree.nth_open_at_depth: index out of range";
-  match t.open_at.(d) with None -> assert false | Some b -> b.nodes.(i)
+  match t.open_at.(d) with None -> assert false | Some b -> slot b i
 
 let open_nodes_at_depth t d =
   (* Canonical (sorted) order, independent of the bucket's internal
@@ -200,8 +195,10 @@ let open_nodes_at_min_depth t =
 let is_ancestor t a v =
   check_explored t a "Partial_tree.is_ancestor";
   check_explored t v "Partial_tree.is_ancestor";
-  let da = t.depths.(a) in
-  let rec up v = if t.depths.(v) < da then false else v = a || up t.parents.(v) in
+  let da = get t.depths a in
+  let rec up v =
+    if get t.depths v < da then false else v = a || up (get t.parents v)
+  in
   up v
 
 let ports_from_root t v =
@@ -210,17 +207,17 @@ let ports_from_root t v =
   let rec up v acc =
     if v = t.root then acc
     else begin
-      let p = t.parent_ports.(v) in
+      let p = get t.parent_ports v in
       if p < 0 then invalid_arg "Partial_tree.ports_from_root: broken parent link";
-      up t.parents.(v) (p :: acc)
+      up (get t.parents v) (p :: acc)
     end
   in
   up v []
 
 let fold_explored t ~init ~f =
   let acc = ref init in
-  for v = 0 to t.cap - 1 do
-    if t.nports.(v) >= 0 then acc := f !acc v
+  for v = 0 to id_bound t - 1 do
+    if get t.nports v >= 0 then acc := f !acc v
   done;
   !acc
 
@@ -234,35 +231,31 @@ let bucket t d =
   match t.open_at.(d) with
   | Some b -> b
   | None ->
-      let b = { nodes = Array.make 8 (-1); len = 0 } in
+      let b = { nodes = Bytes.create (8 * 4); len = 0 } in
       t.open_at.(d) <- Some b;
       b
 
 let add_open t v =
-  let d = t.depths.(v) in
+  let d = get t.depths v in
   let b = bucket t d in
-  let cap = Array.length b.nodes in
-  if b.len = cap then begin
-    let nodes = Array.make (2 * cap) (-1) in
-    Array.blit b.nodes 0 nodes 0 cap;
-    b.nodes <- nodes
-  end;
-  b.nodes.(b.len) <- v;
-  t.in_bucket.(v) <- b.len;
+  if 4 * b.len = Bytes.length b.nodes then
+    b.nodes <- Bytes.extend b.nodes 0 (Bytes.length b.nodes);
+  set_slot b b.len v;
+  set t.in_bucket v b.len;
   b.len <- b.len + 1;
   if d < t.min_open_ptr then t.min_open_ptr <- d
 
 let remove_open t v =
-  let i = t.in_bucket.(v) in
+  let i = get t.in_bucket v in
   if i >= 0 then begin
-    match t.open_at.(t.depths.(v)) with
+    match t.open_at.(get t.depths v) with
     | None -> ()
     | Some b ->
-        let last = b.nodes.(b.len - 1) in
-        b.nodes.(i) <- last;
-        t.in_bucket.(last) <- i;
+        let last = slot b (b.len - 1) in
+        set_slot b i last;
+        set t.in_bucket last i;
         b.len <- b.len - 1;
-        t.in_bucket.(v) <- -1
+        set t.in_bucket v (-1)
   end
 
 (* One branch of [v] stopped being open: its dangling port was crossed
@@ -275,52 +268,50 @@ let close_branch t v =
   let u = ref v in
   let continue = ref true in
   while !continue do
-    let c = t.open_cnt.(!u) - 1 in
-    t.open_cnt.(!u) <- c;
-    if c > 0 || !u = t.root then continue := false else u := t.parents.(!u)
+    let c = get t.open_cnt !u - 1 in
+    set t.open_cnt !u c;
+    if c > 0 || !u = t.root then continue := false
+    else u := get t.parents !u
   done
 
 let check_invariants t =
   let fail msg = invalid_arg ("Partial_tree.check_invariants: " ^ msg) in
-  let n = t.cap in
+  let n = id_bound t in
+  let nports v = get t.nports v and depth v = get t.depths v in
   let expected_total = ref 0 in
   let expected_sub = Array.make n 0 in
   let count_dangling v =
-    let base = t.port_base.(v) in
     let cnt = ref 0 in
-    for p = 0 to t.nports.(v) - 1 do
-      if t.port_pool.(base + p) = enc_dangling then incr cnt
+    for p = 0 to nports v - 1 do
+      if pool t v p = enc_dangling then incr cnt
     done;
     !cnt
   in
   for v = 0 to n - 1 do
-    if t.nports.(v) >= 0 then begin
+    if nports v >= 0 then begin
       let cnt = count_dangling v in
-      if cnt <> t.dangling_cnt.(v) then fail "dangling_cnt mismatch";
+      if cnt <> get t.dangling_cnt v then fail "dangling_cnt mismatch";
       expected_total := !expected_total + cnt;
       expected_sub.(v) <- cnt;
       (* Parent-port cache: the parent's port must lead back. *)
       if v <> t.root then begin
-        let pp = t.parent_ports.(v) in
-        let pr = t.parents.(v) in
-        if
-          pp < 0
-          || pp >= t.nports.(pr)
-          || t.port_pool.(t.port_base.(pr) + pp) <> v
-        then fail "parent_port cache points to the wrong port"
+        let pp = get t.parent_ports v in
+        let pr = get t.parents v in
+        if pp < 0 || pp >= nports pr || pool t pr pp <> v then
+          fail "parent_port cache points to the wrong port"
       end
-      else if t.parent_ports.(v) <> -1 then fail "root has a parent_port";
+      else if get t.parent_ports v <> -1 then fail "root has a parent_port";
       (* Open-node index: in the bucket iff open, at the recorded slot. *)
-      let i = t.in_bucket.(v) in
+      let i = get t.in_bucket v in
       if (cnt > 0) <> (i >= 0) then fail "open-node index mismatch";
       if i >= 0 then
-        match t.open_at.(t.depths.(v)) with
+        match t.open_at.(depth v) with
         | None -> fail "in_bucket set but no bucket at the node's depth"
         | Some b ->
-            if i >= b.len || b.nodes.(i) <> v then
+            if i >= b.len || slot b i <> v then
               fail "in_bucket slot does not hold the node"
     end
-    else if t.in_bucket.(v) <> -1 then fail "unexplored node indexed as open"
+    else if get t.in_bucket v <> -1 then fail "unexplored node indexed as open"
   done;
   (* Every bucket slot points back through in_bucket, at the right depth. *)
   Array.iteri
@@ -329,11 +320,11 @@ let check_invariants t =
       | None -> ()
       | Some b ->
           for i = 0 to b.len - 1 do
-            let v = b.nodes.(i) in
-            if v < 0 || v >= n || t.nports.(v) < 0 then
+            let v = slot b i in
+            if v < 0 || v >= n || nports v < 0 then
               fail "bucket holds an invalid node";
-            if t.in_bucket.(v) <> i then fail "bucket slot/in_bucket disagree";
-            if t.depths.(v) <> d then fail "bucket holds a node of another depth"
+            if get t.in_bucket v <> i then fail "bucket slot/in_bucket disagree";
+            if depth v <> d then fail "bucket holds a node of another depth"
           done)
     t.open_at;
   if !expected_total <> t.total_dangling then fail "total_dangling mismatch";
@@ -342,11 +333,11 @@ let check_invariants t =
   let by_depth =
     Array.of_list (fold_explored t ~init:[] ~f:(fun acc v -> v :: acc))
   in
-  Array.stable_sort (fun a b -> compare t.depths.(b) t.depths.(a)) by_depth;
+  Array.stable_sort (fun a b -> compare (depth b) (depth a)) by_depth;
   Array.iter
     (fun v ->
       if v <> t.root then begin
-        let p = t.parents.(v) in
+        let p = get t.parents v in
         expected_sub.(p) <- expected_sub.(p) + expected_sub.(v)
       end)
     by_depth;
@@ -358,7 +349,7 @@ let check_invariants t =
       let open_children = ref 0 in
       iter_explored_children t v (fun _ c ->
           if expected_sub.(c) > 0 then incr open_children);
-      if t.open_cnt.(v) <> t.dangling_cnt.(v) + !open_children then
+      if get t.open_cnt v <> get t.dangling_cnt v + !open_children then
         fail "open-branch counter mismatch";
       if subtree_open t v <> (expected_sub.(v) > 0) then
         fail "subtree_open disagrees with the dangling-descendant sum")
@@ -368,55 +359,56 @@ let check_invariants t =
   | Some d ->
       if open_nodes_at_depth t d = [] then fail "empty min-depth bucket";
       for d' = 0 to d - 1 do
-        if List.exists (fun v -> t.dangling_cnt.(v) > 0) (open_nodes_at_depth t d')
+        if
+          List.exists
+            (fun v -> get t.dangling_cnt v > 0)
+            (open_nodes_at_depth t d')
         then fail "min_open_depth not minimal"
       done)
 
 module Internal = struct
-  let create ~hidden_n ~root =
-    if hidden_n < 1 then invalid_arg "Partial_tree.create: empty tree";
-    if root < 0 || root >= hidden_n then invalid_arg "Partial_tree.create: bad root";
-    let cap =
-      if hidden_n <= prealloc_threshold then hidden_n
-      else max 1024 (root + 1)
-    in
-    let depth_cap = if hidden_n <= prealloc_threshold then hidden_n + 1 else 64 in
-    (* Pool: total ports over the whole tree is 2(n-1), so 2·cap slots is a
-       comfortable start even fully explored at the prealloc tier. *)
-    let pool_cap = max 16 (2 * cap) in
+  let on_store store ~root =
+    if root < 0 || root >= store.S.capacity then
+      invalid_arg "Partial_tree.create: bad root";
+    S.ensure store root;
+    let col fill = S.column store ~fill in
     {
       root;
-      hidden_n;
-      cap;
-      nports = Array.make cap (-1);
-      parents = Array.make cap (-1);
-      parent_ports = Array.make cap (-1);
-      depths = Array.make cap (-1);
-      port_base = Array.make cap (-1);
-      dangling_cnt = Array.make cap 0;
-      open_cnt = Array.make cap 0;
-      in_bucket = Array.make cap (-1);
-      port_pool = Array.make pool_cap enc_dangling;
+      store;
+      nports = col (-1);
+      parents = store.S.parent;
+      parent_ports = col (-1);
+      depths = store.S.depth;
+      port_base = col 0;
+      dangling_cnt = col 0;
+      open_cnt = col 0;
+      in_bucket = col (-1);
+      (* A tree of n nodes has 2(n-1) ports. *)
+      port_pool = S.vector ~hint:(2 * store.S.capacity);
       pool_len = 0;
-      open_at = Array.make depth_cap None;
+      open_at = Array.make (min 64 (store.S.capacity + 1)) None;
       min_open_ptr = 0;
       total_dangling = 0;
       num_explored = 0;
     }
+
+  let create ~hidden_n ~root =
+    if hidden_n < 1 then invalid_arg "Partial_tree.create: empty tree";
+    on_store (S.create ~capacity:hidden_n) ~root
 
   (* Append a freshly explored node whose depth, parent and parent port
      are already set: all ports dangling except port 0 of a non-root. *)
   let admit t v ~num_ports =
     let base = pool_alloc t num_ports in
     for p = 0 to num_ports - 1 do
-      t.port_pool.(base + p) <- enc_dangling
+      vset t.port_pool (base + p) enc_dangling
     done;
-    if v <> t.root then t.port_pool.(base) <- enc_parent;
-    t.port_base.(v) <- base;
-    t.nports.(v) <- num_ports;
+    if v <> t.root then vset t.port_pool base enc_parent;
+    set t.port_base v base;
+    set t.nports v num_ports;
     let cnt = num_ports - if v = t.root then 0 else 1 in
-    t.dangling_cnt.(v) <- cnt;
-    t.open_cnt.(v) <- cnt;
+    set t.dangling_cnt v cnt;
+    set t.open_cnt v cnt;
     t.num_explored <- t.num_explored + 1;
     if cnt > 0 then begin
       t.total_dangling <- t.total_dangling + cnt;
@@ -424,33 +416,34 @@ module Internal = struct
     end
 
   let reveal_root t ~num_ports =
-    if t.nports.(t.root) >= 0 then
+    if get t.nports t.root >= 0 then
       invalid_arg "Partial_tree.reveal_root: already explored";
     if num_ports < 0 then
       invalid_arg "Partial_tree.reveal_root: negative degree";
-    t.depths.(t.root) <- 0;
+    set t.depths t.root 0;
     admit t t.root ~num_ports
 
   let reveal_child t v p c ~num_ports =
     check_explored t v "Partial_tree.reveal_child";
-    if p < 0 || p >= t.nports.(v) then
+    if p < 0 || p >= get t.nports v then
       invalid_arg "Partial_tree.reveal_child: bad port";
-    if t.port_pool.(t.port_base.(v) + p) <> enc_dangling then
+    if pool t v p <> enc_dangling then
       invalid_arg "Partial_tree.reveal_child: port not dangling";
-    if c < 0 || c >= t.hidden_n then
+    if c < 0 || c >= t.store.S.capacity then
       invalid_arg "Partial_tree.reveal_child: bad child id";
     if num_ports < 1 then
       invalid_arg "Partial_tree.reveal_child: a child needs a parent port";
-    ensure_node t c;
-    if t.nports.(c) >= 0 then
+    if c >= t.store.S.bound then S.ensure t.store c;
+    if get t.nports c >= 0 then
       invalid_arg "Partial_tree.reveal_child: already explored";
-    t.port_pool.(t.port_base.(v) + p) <- c;
-    t.parents.(c) <- v;
-    t.parent_ports.(c) <- p;
-    t.depths.(c) <- t.depths.(v) + 1;
-    t.dangling_cnt.(v) <- t.dangling_cnt.(v) - 1;
+    vset t.port_pool (get t.port_base v + p) c;
+    set t.parents c v;
+    set t.parent_ports c p;
+    set t.depths c (get t.depths v + 1);
+    let dv = get t.dangling_cnt v - 1 in
+    set t.dangling_cnt v dv;
     t.total_dangling <- t.total_dangling - 1;
-    if t.dangling_cnt.(v) = 0 then remove_open t v;
+    if dv = 0 then remove_open t v;
     admit t c ~num_ports;
     (* The branch through [p] stays open iff [c] has a dangling port. *)
     if num_ports = 1 then close_branch t v

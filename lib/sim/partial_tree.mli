@@ -13,11 +13,12 @@
     already explored ([Child]) or dangling. Exploration is complete exactly
     when no dangling port remains.
 
-    Storage is succinct and growable: per-node attributes live in flat int
-    arrays and all port states share one flat pool (no per-node heap
-    blocks). Above a prealloc threshold the arrays start small and grow
-    geometrically as ids are revealed, so exploring a prefix of a huge
-    lazily-materialized world costs O(explored) memory, not O(n). *)
+    Storage is succinct and paged: per-node attributes are int32 columns
+    of the run's {!Node_store} (shared with the world, the environment and
+    the algorithm) and all port states share one paged pool (no per-node
+    heap blocks). The id space grows a page at a time as ids are revealed,
+    so exploring a prefix of a huge lazily-materialized world costs
+    O(explored) memory, not O(n). *)
 
 type t
 
@@ -49,8 +50,8 @@ val port : t -> node -> int -> port_state
 val is_port_dangling : t -> node -> int -> bool
 (** Allocation-free test of one port's state — equivalent to
     [port t v p = Dangling] without materializing the variant. Hot-path
-    accessor: the port index must be in range (out-of-range indices fail
-    with the array bounds check). *)
+    accessor: the port index must be in [0, num_ports t v) and is not
+    checked. *)
 
 val port_child_id : t -> node -> int -> node
 (** The explored child behind a port, or [-1] when the port leads to the
@@ -136,10 +137,13 @@ val ports_from_root : t -> node -> int list
 val fold_explored : t -> init:'a -> f:('a -> node -> 'a) -> 'a
 
 val id_bound : t -> int
-(** Exclusive upper bound on every node id revealed so far
-    (the current capacity of the growable per-node arrays — O(explored)
-    by geometric growth). Algorithms size their own per-node scratch
-    arrays from it and re-check it each round; it only ever grows. *)
+(** Exclusive upper bound on every node id revealed so far: the ids the
+    node store backs (its [bound]), at most one page past the
+    highest revealed or promised id. It only ever grows. *)
+
+val store : t -> Node_store.t
+(** The run's node store. Algorithms register their per-node scratch as
+    columns of it ({!Node_store.column}), which then grow with the view. *)
 
 val check_invariants : t -> unit
 (** Exhaustive re-verification of the incremental bookkeeping (dangling
@@ -157,7 +161,12 @@ val check_invariants : t -> unit
     build fixtures. *)
 module Internal : sig
   val create : hidden_n:int -> root:node -> t
-  (** Empty discovery state; the root is not yet revealed. *)
+  (** Empty discovery state over a fresh store of capacity [hidden_n];
+      the root is not yet revealed. *)
+
+  val on_store : Node_store.t -> root:node -> t
+  (** Empty discovery state whose columns join an existing store (a lazy
+      world's, so parents and depths are stored once). *)
 
   val reveal_root : t -> num_ports:int -> unit
   (** Mark the root explored with its full port count; all its ports start

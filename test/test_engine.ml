@@ -227,6 +227,45 @@ let test_report_json () =
     "{\"s\":\"a\\\"b\\n\",\"i\":3,\"f\":1.5,\"nan\":null,\"l\":[true,null]}"
     (Report.to_string j)
 
+(* A failed write leaves the previous report byte-identical and no
+   temporary file. Two ways to fail: a read-only directory (skipped when
+   the process may write there anyway, as root may), and a file name one
+   byte short of the limit, whose temporary name is then too long. *)
+let test_report_write_atomic () =
+  let dir = Filename.temp_dir "bfdn-report" "" in
+  let read path = In_channel.with_open_bin path In_channel.input_all in
+  let v i = Report.Obj [ ("v", Report.Int i) ] in
+  let failed_write_keeps path =
+    let before = read path in
+    (match Report.write ~path (v 2) with
+    | () -> Alcotest.fail "the write was expected to fail"
+    | exception Sys_error _ -> ());
+    check Alcotest.string "previous report byte-identical" before (read path);
+    checkb "no temporary file" false (Sys.file_exists (path ^ ".tmp"))
+  in
+  let path = Filename.concat dir "BENCH_x.json" in
+  Report.write ~path (v 0);
+  Report.write ~path (v 1);
+  check Alcotest.string "rewrite replaces" "{\"v\":1}\n" (read path);
+  checkb "no temporary file after success" false
+    (Sys.file_exists (path ^ ".tmp"));
+  Unix.chmod dir 0o555;
+  let writable =
+    match open_out (Filename.concat dir "probe") with
+    | oc ->
+        close_out oc;
+        Sys.remove (Filename.concat dir "probe");
+        true
+    | exception Sys_error _ -> false
+  in
+  if not writable then failed_write_keeps path;
+  Unix.chmod dir 0o755;
+  let long = Filename.concat dir (String.make 250 'r' ^ ".json") in
+  Out_channel.with_open_bin long (fun oc -> output_string oc "{\"v\":1}\n");
+  failed_write_keeps long;
+  List.iter (fun f -> Sys.remove (Filename.concat dir f)) (Array.to_list (Sys.readdir dir));
+  Sys.rmdir dir
+
 let test_report_of_sweep () =
   let jobs =
     List.init 4 (fun i ->
@@ -281,4 +320,5 @@ let suite =
       tc "report: json rendering" test_report_json;
       tc "report: sweep body" test_report_of_sweep;
       tc "adversarial replay matches adaptive run" test_adversarial_replay_matches;
+      tc "report: failed write keeps the previous file" test_report_write_atomic;
     ] )

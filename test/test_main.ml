@@ -26,4 +26,5 @@ let () =
       Test_batch.suite;
       Test_serve.suite;
       Test_serve.memory_suite;
+      Test_node_mem.suite;
     ]

@@ -148,13 +148,18 @@ let reveal_child pt rt v p c ~num_ports =
   Ref_tree.resolve rt v p c;
   Ref_tree.reveal rt c ~parent:(Some v) ~num_ports
 
+(* A hidden id space spanning several node-store pages, so traces reveal
+   ids on every page and the store grows by jumps of whole pages. *)
+let paged_n = (3 * Bfdn_sim.Node_store.page_size) + 17
+
 (* Grow a random tree one node per step: pick a uniformly random dangling
    (node, port) and reveal a fresh id behind it with a random degree.
-   Exactly the call sequence Env issues during a run. *)
+   Exactly the call sequence Env issues during a run. Fresh ids are drawn
+   uniformly from the unused ones, so they arrive out of order, as the
+   lazy random family's do. *)
 let run_trace ~seed ~steps ~check_every =
   let rng = Rng.create seed in
-  let capacity = steps + 1 in
-  let pt = Partial_tree.Internal.create ~hidden_n:capacity ~root:0 in
+  let pt = Partial_tree.Internal.create ~hidden_n:paged_n ~root:0 in
   let rt = Ref_tree.create ~root:0 in
   let root_ports = 1 + Rng.int rng 3 in
   Partial_tree.Internal.reveal_root pt ~num_ports:root_ports;
@@ -163,15 +168,22 @@ let run_trace ~seed ~steps ~check_every =
   (* The frontier mirror only drives trace generation; the structures
      under test never see it. *)
   let frontier = ref (List.map (fun p -> (0, p)) (List.init root_ports Fun.id)) in
-  let next_id = ref 1 in
+  let used = Hashtbl.create 64 in
+  let rec fresh_id () =
+    let c = 1 + Rng.int rng (paged_n - 1) in
+    if Hashtbl.mem used c then fresh_id ()
+    else begin
+      Hashtbl.add used c ();
+      c
+    end
+  in
   let step s =
     match !frontier with
     | [] -> false
     | fr ->
         let i = Rng.int rng (List.length fr) in
         let v, p = List.nth fr i in
-        let c = !next_id in
-        incr next_id;
+        let c = fresh_id () in
         let np = 1 + Rng.int rng 4 in
         reveal_child pt rt v p c ~num_ports:np;
         frontier :=
@@ -300,6 +312,42 @@ let test_round_loop_allocation_free () =
   in
   check "lazy binary" (Env.of_world (Bfdn_sim.Lazy_world.world lw) ~k:256) "bfdn"
 
+(* ---- page edges: a lazy run equals the run on its materialized tree ---- *)
+
+(* At n = page - 1, page and page + 1 the store's last page holds all but
+   one id, exactly one page, or a single id. Star and broom label their
+   nodes the same whatever the exploration order (a node's children are
+   promised at once, and only one node per depth has any), so the lazy
+   run and the run on the materialized tree must agree exactly. *)
+let test_lazy_equals_materialized_at_page_edges () =
+  let page = Bfdn_sim.Node_store.page_size in
+  List.iter
+    (fun (family, depth_hint) ->
+      List.iter
+        (fun n ->
+          let make () =
+            Bfdn_sim.Lazy_world.make ~family ~n ~depth_hint ~seed:0
+          in
+          let run env =
+            let algo = Bfdn.Bfdn_algo.(algo (make env)) in
+            let r = Bfdn_sim.Runner.run algo env in
+            Partial_tree.check_invariants (Env.view env);
+            (r, Partial_tree.num_explored (Env.view env))
+          in
+          let lw = make () in
+          checki (Printf.sprintf "%s n=%d capacity" family n) n
+            (Bfdn_sim.Lazy_world.capacity lw);
+          let lazy_run = run (Env.of_world (Bfdn_sim.Lazy_world.world lw) ~k:64) in
+          let eager_run =
+            run (Env.create (Bfdn_sim.Lazy_world.materialize (make ())) ~k:64)
+          in
+          checkb
+            (Printf.sprintf "%s n=%d: lazy run = materialized run" family n)
+            true (lazy_run = eager_run);
+          checki (Printf.sprintf "%s n=%d explored" family n) n (snd lazy_run))
+        [ page - 1; page; page + 1 ])
+    [ ("star", 1); ("broom", 20) ]
+
 let suite =
   let tc name f = Alcotest.test_case name `Quick f in
   ( "diff",
@@ -310,4 +358,6 @@ let suite =
       tc "deep leaf closes every ancestor" test_deep_leaf_closes_ancestors;
       tc "round loop allocates < 1 word per robot-round"
         test_round_loop_allocation_free;
+      tc "lazy run = materialized run at page edges"
+        test_lazy_equals_materialized_at_page_edges;
     ] )

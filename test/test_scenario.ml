@@ -601,6 +601,44 @@ let test_probe_does_not_change_outcome () =
     (Scenario.equal_outcome (Scenario.run spec)
        (Scenario.run ~probe:(Bfdn_obs.Probe.of_metrics m) spec))
 
+(* Lazy worlds keep node ids in int32 node-store columns: a spec whose
+   instance exceeds the id range is a validation error, not a wrapped id
+   or an exception inside the run. *)
+let test_lazy_scale_rejects_oversize () =
+  let lazy_spec ?max_rounds world n =
+    Scenario.make ~k:4 ~seed:7 ?max_rounds
+      (Scenario.world
+         ~params:
+           [
+             ("depth_hint", Param.Int 20); ("n", Param.Int n);
+             ("scale", Param.String "lazy");
+           ]
+         world)
+  in
+  let limit = Bfdn_sim.Node_store.max_ids in
+  let huge = lazy_spec ~max_rounds:5 "binary" 100_000_000_000 in
+  (match Scenario.validate huge with
+  | Ok () -> Alcotest.fail "binary n=10^11 scale=lazy must be rejected"
+  | Error msg ->
+      let needle = string_of_int limit in
+      let n = String.length needle in
+      checkb "the error names the id range" true
+        (List.exists
+           (fun i -> String.sub msg i n = needle)
+           (List.init (String.length msg - n + 1) Fun.id)));
+  (match Scenario.run huge with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "run must refuse an invalid spec");
+  checkb "random n = limit validates" true
+    (Scenario.validate (lazy_spec "random" limit) = Ok ());
+  checkb "random n = limit + 1 is rejected" true
+    (Result.is_error (Scenario.validate (lazy_spec "random" (limit + 1))));
+  checkb "eager scale is not id-limited here" true
+    (Scenario.validate
+       (Scenario.make ~k:4 ~seed:7
+          (Scenario.generated ~family:"random" ~n:(limit + 1) ~depth_hint:20))
+    = Ok ())
+
 let suite =
   let tc name f = Alcotest.test_case name `Quick f in
   ( "scenario",
@@ -628,4 +666,5 @@ let suite =
       tc "materialize rejects graph worlds" test_materialize_rejects_graph_worlds;
       tc "validate rejects kind mismatch" test_validate_rejects_kind_mismatch;
       tc "probe does not change outcome" test_probe_does_not_change_outcome;
+      tc "lazy scale rejects oversize ids" test_lazy_scale_rejects_oversize;
     ] )

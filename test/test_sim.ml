@@ -387,8 +387,8 @@ let test_trace_json_frame () =
 
 (* ---- growable flat storage (huge tier) ---- *)
 
-(* Above the preallocation threshold the partial tree starts small and
-   grows geometrically with the revealed prefix. A deep revealed path
+(* A world larger than one node-store page starts with one page and
+   grows a page at a time with the revealed prefix. A deep revealed path
    exercises per-node growth, pool growth and the by-depth bucket
    growth together; invariants must hold throughout. *)
 let test_partial_tree_grows_above_threshold () =
@@ -412,8 +412,8 @@ let test_partial_tree_grows_above_threshold () =
   Partial_tree.check_invariants pt
 
 let test_env_scratch_grows_with_view () =
-  (* A lazy world above the threshold: env + algo scratch follow
-     id_bound, and the run must still fully explore. *)
+  (* A lazy world of two pages: env + algo scratch are columns of its
+     store, and the run must still fully explore. *)
   let lw =
     Bfdn_sim.Lazy_world.make ~family:"binary" ~n:70_000 ~depth_hint:20
       ~seed:0
