@@ -811,6 +811,9 @@ let adversary_cmd =
         (Scenario.adversarial ~policy:policy_name ~capacity
            ~depth_budget)
     in
+    (match Scenario.validate spec with
+    | Ok () -> ()
+    | Error msg -> failwith msg);
     let o = Scenario.run spec in
     Format.printf "%s vs %s adversary: %a@." algo_name policy_name
       Runner.pp_result o.Scenario.result;

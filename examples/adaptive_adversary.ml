@@ -12,15 +12,16 @@
 module Env = Bfdn_sim.Env
 module Runner = Bfdn_sim.Runner
 module Adversary = Bfdn_sim.Adversary
+module Lazy_world = Bfdn_sim.Lazy_world
 
 let duel name make_adv =
   Printf.printf "--- adversary: %s ---\n" name;
   List.iter
     (fun (algo_name, make_algo) ->
       let adv = make_adv () in
-      let env = Env.of_world (Adversary.world adv) ~k:32 in
+      let env = Env.of_world (Lazy_world.world adv) ~k:32 in
       let r = Runner.run (make_algo env) env in
-      let tree = Adversary.frozen adv in
+      let tree = Lazy_world.frozen adv in
       let stats = Bfdn_trees.Tree_stats.compute tree in
       let env2 = Env.create tree ~k:32 in
       let r2 = Runner.run (make_algo env2) env2 in

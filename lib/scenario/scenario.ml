@@ -1,7 +1,6 @@
 module Env = Bfdn_sim.Env
 module Runner = Bfdn_sim.Runner
 module Exec_env = Bfdn_sim.Exec_env
-module Adversary = Bfdn_sim.Adversary
 module Rng = Bfdn_util.Rng
 module Probe = Bfdn_obs.Probe
 module Json = Bfdn_obs.Json
@@ -205,6 +204,27 @@ let validate t =
               check_params
                 ~what:(Printf.sprintf "adversary %S" policy)
                 ~schema:p.p_params params
+            in
+            (* The budgets size the adversary's node store, bounded like
+               a scale=lazy instance. *)
+            let within key lo hi =
+              let v = Param.get_int ~schema:p.p_params params key in
+              if lo <= v && v <= hi then Ok ()
+              else
+                Error
+                  (Printf.sprintf "adversary %S: %s must be %s (got %d)"
+                     policy key
+                     (if hi = max_int then Printf.sprintf ">= %d" lo
+                      else Printf.sprintf "in [%d, %d]" lo hi)
+                     v)
+            in
+            let* () = within "capacity" 1 Bfdn_sim.Node_store.max_ids in
+            let* () = within "depth_budget" 0 max_int in
+            let* () =
+              if List.exists (fun (s : Param.spec) -> s.key = "max_children")
+                   p.p_params
+              then within "max_children" 0 max_int
+              else Ok ()
             in
             if caps.adaptive then Ok ()
             else
@@ -633,6 +653,11 @@ let run ?(probe = Probe.noop) ?on_round t =
       ^ describe t);
   let root = Rng.create t.seed in
   let fault = fault_plan t root in
+  (* Lazily materialized and adversarial worlds: one online world type. *)
+  let run_lazy lw =
+    execute ~probe ?on_round t
+      (world_view ~probe ~root ~fault t (Bfdn_sim.Lazy_world.world lw))
+  in
   match t.instance with
   | World { world; params } -> (
       match World_registry.find world with
@@ -647,9 +672,7 @@ let run ?(probe = Probe.noop) ?on_round t =
           let seed =
             Int64.to_int (Rng.bits64 (instance_stream root)) land max_int
           in
-          let lw = World_registry.build_lazy ~seed ~params world in
-          execute ~probe ?on_round t
-            (world_view ~probe ~root ~fault t (Bfdn_sim.Lazy_world.world lw))
+          run_lazy (World_registry.build_lazy ~seed ~params world)
       | _ ->
           execute ~probe ?on_round t
             (tree_view ~probe ~root ~fault t
@@ -660,13 +683,10 @@ let run ?(probe = Probe.noop) ?on_round t =
         World_registry.build_adversary ~rng:(instance_stream root) ~params
           policy
       in
-      let adaptive =
-        execute ~probe ?on_round t
-          (world_view ~probe ~root ~fault t (Adversary.world adv))
-      in
+      let adaptive = run_lazy adv in
       (* Replay on the frozen tree: the same spec, so the same algorithm
          and fault streams, re-derived from the seed. *)
-      let replay = run_on_tree t (Adversary.frozen adv) in
+      let replay = run_on_tree t (Bfdn_sim.Lazy_world.frozen adv) in
       {
         replay with
         result = adaptive.result;

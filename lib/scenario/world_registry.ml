@@ -15,7 +15,7 @@ type policy_entry = {
   p_name : string;
   p_doc : string;
   p_params : Param.spec list;
-  p_make : ctx -> Adversary.t;
+  p_make : ctx -> Bfdn_sim.Lazy_world.t;
 }
 
 (* ---- tree worlds: one entry per Tree_gen family ---- *)

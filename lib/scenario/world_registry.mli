@@ -25,9 +25,9 @@ type policy_entry = {
   p_doc : string;
   p_params : Param.spec list;
       (** always includes [capacity] and [depth_budget] *)
-  p_make : ctx -> Bfdn_sim.Adversary.t;
-      (** each result must drive exactly one environment (see
-          {!Bfdn_sim.Adversary.world}) *)
+  p_make : ctx -> Bfdn_sim.Lazy_world.t;
+      (** an adaptive world ({!Bfdn_sim.Lazy_world.adaptive}); each result
+          must drive exactly one environment *)
 }
 
 val worlds : entry list
@@ -101,6 +101,7 @@ val cli_policy_choices : (string * string) list
 
 val build_adversary :
   ?rng:Bfdn_util.Rng.t -> ?params:Param.binding list -> string ->
-  Bfdn_sim.Adversary.t
-(** Instantiate a named policy (fresh adversary per call).
+  Bfdn_sim.Lazy_world.t
+(** Instantiate a named policy as an adaptive lazy world (a fresh one per
+    call).
     @raise Invalid_argument on an unknown name or bad parameters. *)

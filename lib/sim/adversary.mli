@@ -1,51 +1,37 @@
-(** Adaptive tree-building adversaries.
+(** Adaptive tree-building adversaries: budgeted policies.
 
     The tightness results the paper builds on (Higashikawa et al. [11]
     for CTE, Disser et al. [6] for the Ω(D²) lower bound) construct the
     hidden tree {e online against the algorithm}: the shape of a node's
     subtree is fixed only at the moment a robot reveals the node. This
-    module provides budgeted policies and turns them into a lazily
-    materialized {!Env.world}.
+    module holds the policies that make those decisions; a policy is one
+    more degree rule of {!Lazy_world}, which keeps the promise table and
+    serves the world to the environment ({!Lazy_world.world}).
 
     A policy sees, at each reveal, the new node's depth, how many robots
     are arriving on it this round, the current round number, and the
     remaining node budget; it returns the number of children to promise
     (clamped to the budgets). Against a {e deterministic} algorithm the
-    frozen tree is an ordinary instance on which a re-run reproduces the
-    adaptive run exactly — that is how lower-bound constructions are
-    "frozen" into concrete trees, and it is asserted in the test-suite. *)
+    frozen tree ({!Lazy_world.frozen}) is an ordinary instance on which a
+    re-run reproduces the adaptive run exactly — that is how lower-bound
+    constructions are "frozen" into concrete trees, and it is asserted in
+    the test-suite. *)
 
-type policy =
-  node:int -> depth:int -> arriving:int -> round:int -> remaining:int -> int
+type policy = Lazy_world.policy
 
-type t
+val make : capacity:int -> depth_budget:int -> policy -> Lazy_world.t
+(** {!Lazy_world.adaptive}: [capacity] bounds the total node count;
+    [depth_budget] bounds the tree depth — a node at that depth gets no
+    children regardless of the policy. Each result must drive exactly one
+    environment.
+    @raise Invalid_argument unless [1 <= capacity <= Node_store.max_ids]
+    and [depth_budget >= 0]. *)
 
-val make : capacity:int -> depth_budget:int -> policy -> t
-(** [capacity] bounds the total node count (ids are pre-allocated when
-    promised); [depth_budget] bounds the tree depth — a node at that depth
-    gets no children regardless of the policy. *)
-
-val world : t -> Env.world
-(** The lazily materialized world. Each {!make} result must drive exactly
-    one environment. *)
-
-val frozen : t -> Bfdn_trees.Tree.t
-(** The tree materialized so far (every promised node; after a completed
-    exploration this is the full frozen instance). *)
-
-val nodes_built : t -> int
-
-val make_rec : capacity:int -> depth_budget:int -> (t -> policy) -> t
+val make_rec :
+  capacity:int -> depth_budget:int -> (Lazy_world.t -> policy) -> Lazy_world.t
 (** Tie the knot for stateful policies that inspect the structure built so
-    far through the accessors below. *)
-
-val parent_of : t -> int -> int
-(** Parent of a promised node ([-1] for the root). *)
-
-val child_index : t -> int -> int
-(** Position of a promised node among its siblings (0-based). *)
-
-val depth_of_node : t -> int -> int
+    far through {!Lazy_world.parent_of}, {!Lazy_world.child_index} and
+    {!Lazy_world.depth_of_node}. *)
 
 (** {2 Stock policies} *)
 
@@ -55,7 +41,7 @@ val corridor_crowds : threshold:int -> policy
     two children (keep splitting them). Targets proportional-splitting
     explorers such as CTE. *)
 
-val thick_comb : t -> policy
+val thick_comb : Lazy_world.t -> policy
 (** [11]-style comb grown online: a spine node continues with one spine
     child plus one short tooth; teeth die immediately. Proportional
     splitters keep diverting half of every crowd into dead teeth while the

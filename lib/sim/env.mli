@@ -74,7 +74,8 @@ val create :
     {e online}: node degrees are fixed only when a node is revealed, and
     child ids are pre-allocated at promise time, so the discovered tree
     never leaks information the robots should not have. See
-    {!Adversary}, which builds such worlds from a budgeted policy. *)
+    {!Lazy_world}, which builds such worlds from a generator family or
+    from an adversary's budgeted policy ({!Adversary}). *)
 
 type world = {
   w_capacity : int;  (** upper bound on node ids, for array sizing *)

@@ -2,28 +2,35 @@ module Tree = Bfdn_trees.Tree
 module Tree_stats = Bfdn_trees.Tree_stats
 module Mathx = Bfdn_util.Mathx
 
-(* Lazily materialized generator worlds: the deterministic instance
-   families of {!Bfdn_trees.Tree_gen}, produced node by node as the
-   exploration reveals them instead of being built up front. Exploring a
-   prefix of an n=10^7 world then costs O(explored) memory end to end:
-   every per-node table of the run — this module's, the view's, the
+(* Online worlds: the hidden tree is decided node by node as the
+   exploration reveals it. Two kinds of degree rule drive it:
+   - the deterministic instance families of {!Bfdn_trees.Tree_gen},
+     produced lazily instead of being built up front, so exploring a
+     prefix of an n=10^7 world costs O(explored) memory end to end;
+   - an adaptive adversary's policy (see {!Adversary}), consulted at each
+     reveal with the crowd arriving, the round and the budget left.
+   Every per-node table of the run — this module's, the view's, the
    environment's and the algorithm's — is a column of the one
    {!Node_store} this module creates, grown a page at a time.
 
-   Mechanics follow {!Adversary}: child ids are allocated densely at the
-   parent's reveal (promise time), before anything about the child's own
-   subtree is decided, so the discovered tree never leaks hidden
-   information. Because one reveal promises all children of a node at
-   once, the children occupy consecutive ids and the per-node child table
-   is just (first_kid, nkids) — no per-node heap block. Parent and depth
-   are the store's shared columns: written here at promise time, they
-   are the values the view reads once the node is revealed.
+   Child ids are allocated densely at the parent's reveal (promise time),
+   before anything about the child's own subtree is decided, so the
+   discovered tree never leaks hidden information. Because one reveal
+   promises all children of a node at once, the children occupy
+   consecutive ids and the per-node child table is just
+   (first_kid, nkids) — no per-node heap block. Parent and depth are the
+   store's shared columns: written here at promise time, they are the
+   values the view reads once the node is revealed.
 
-   Shapes are driven by a per-node [role] decided at promise time from
-   the parent's role, so every family is exploration-order independent
-   (the "random" family derives child counts from hash(seed, id), again
-   order-independent; only its budget truncation tail can depend on
-   reveal order, and it is a deterministic function of the exploration). *)
+   Family shapes are driven by a per-node [role] decided at promise time
+   from the parent's role, so every family is exploration-order
+   independent (the "random" family derives child counts from
+   hash(seed, id), again order-independent; only its budget truncation
+   tail can depend on reveal order, and it is a deterministic function of
+   the exploration). A policy is free to depend on anything. *)
+
+type policy =
+  node:int -> depth:int -> arriving:int -> round:int -> remaining:int -> int
 
 type family =
   | Path
@@ -34,14 +41,12 @@ type family =
   | Comb of int * int (* spine, tooth_len *)
   | Broom of int * int (* handle, bristles *)
   | Random of int (* seed *)
+  | Policy of policy * int (* an adversary's rule, its depth budget *)
 
 type t = {
   family : family;
-  name : string; (* constructor arguments, for [materialize] *)
-  req_n : int;
-  req_depth_hint : int;
-  req_seed : int;
-  capacity : int; (* exact node count of the family instance *)
+  remake : (unit -> t) option; (* a fresh copy, for [materialize] *)
+  capacity : int; (* a family instance's exact node count; a policy's budget *)
   target_depth : int; (* Complete only *)
   store : Node_store.t;
   parents : Node_store.col; (* -1 until promised *)
@@ -123,16 +128,12 @@ let instance_capacity ~family ~n ~depth_hint =
   let _, capacity, _ = shape family ~n ~depth_hint ~seed:0 in
   capacity
 
-let make ~family:name ~n ~depth_hint ~seed =
-  let family, capacity, target_depth = shape name ~n ~depth_hint ~seed in
+let create family ~capacity ~target_depth ~remake =
   let store = Node_store.create ~capacity in
   let t =
     {
       family;
-      name;
-      req_n = n;
-      req_depth_hint = depth_hint;
-      req_seed = seed;
+      remake;
       capacity;
       target_depth;
       store;
@@ -156,6 +157,16 @@ let make ~family:name ~n ~depth_hint ~seed =
   Option.iter (fun role -> Node_store.set role 0 (-1)) t.role;
   t
 
+let rec make ~family:name ~n ~depth_hint ~seed =
+  let family, capacity, target_depth = shape name ~n ~depth_hint ~seed in
+  create family ~capacity ~target_depth
+    ~remake:(Some (fun () -> make ~family:name ~n ~depth_hint ~seed))
+
+let adaptive ~capacity ~depth_budget policy =
+  if depth_budget < 0 then
+    invalid_arg "Lazy_world.adaptive: negative depth budget";
+  create (Policy (policy, depth_budget)) ~capacity ~target_depth:0 ~remake:None
+
 let capacity t = t.capacity
 let nodes_revealed t = t.revealed
 let stats t = Tree_stats.Acc.stats t.acc
@@ -164,8 +175,7 @@ let role t v = match t.role with Some c -> Node_store.get c v | None -> 0
 
 (* How many children [node] wants and, via [child_role], which role each
    promised child gets (by its index among the node's children). *)
-let wanted t node =
-  let depth = Node_store.get t.depths node in
+let wanted t node ~depth ~arriving ~round ~remaining =
   match t.family with
   | Path -> if depth < t.capacity - 1 then 1 else 0
   | Star -> if node = 0 then t.capacity - 1 else 0
@@ -190,6 +200,12 @@ let wanted t node =
   | Broom (handle, bristles) ->
       if depth < handle then 1 else if depth = handle then bristles else 0
   | Random seed -> 1 + (hash2 seed node mod 3)
+  | Policy (policy, depth_budget) ->
+      (* A policy is never consulted at the depth budget: a stateful one
+         (the random policy draws from its RNG) sees exactly the reveals
+         it decides. *)
+      if depth >= depth_budget then 0
+      else policy ~node ~depth ~arriving ~round ~remaining
 
 let child_role t node idx =
   match t.family with
@@ -203,7 +219,7 @@ let child_role t node idx =
       else role t node - 1 (* deeper along the tooth *)
   | _ -> 0
 
-let reveal_degree t ~node ~arriving:_ ~round:_ =
+let reveal_degree t ~node ~arriving ~round =
   if node < 0 || node >= t.next_id then
     invalid_arg "Lazy_world: reveal of an unpromised node";
   if Node_store.get t.nkids node >= 0 then
@@ -211,8 +227,10 @@ let reveal_degree t ~node ~arriving:_ ~round:_ =
   let depth = Node_store.get t.depths node in
   let remaining = t.capacity - t.next_id in
   (* For every family but Random the capacity is exact, so the clamp
-     never binds; Random spends the budget down to zero. *)
-  let promised = min (max 0 (wanted t node)) remaining in
+     never binds; Random and the policies spend the budget down to zero. *)
+  let promised =
+    min (max 0 (wanted t node ~depth ~arriving ~round ~remaining)) remaining
+  in
   let first = t.next_id in
   if promised > 0 then begin
     Node_store.ensure t.store (first + promised - 1);
@@ -246,6 +264,12 @@ let child t v p =
 let frozen t =
   Tree.of_parents (Array.init (max 1 t.next_id) (Node_store.get t.parents))
 
+let parent_of t v = Node_store.get t.parents v
+let depth_of_node t v = Node_store.get t.depths v
+
+let child_index t v =
+  if v = 0 then 0 else v - Node_store.get t.first_kid (parent_of t v)
+
 let world t =
   {
     Env.w_capacity = t.capacity;
@@ -264,13 +288,16 @@ let world t =
    discovers, and a breadth-first exploration of a Random one. Costs
    O(n); the point of comparison for the huge tier's RSS baseline. *)
 let materialize t =
-  let fresh =
-    make ~family:t.name ~n:t.req_n ~depth_hint:t.req_depth_hint
-      ~seed:t.req_seed
-  in
-  let v = ref 0 in
-  while !v < fresh.next_id do
-    ignore (reveal_degree fresh ~node:!v ~arriving:1 ~round:0);
-    incr v
-  done;
-  frozen fresh
+  match t.remake with
+  | None ->
+      invalid_arg
+        "Lazy_world.materialize: an adaptive world is decided by its \
+         exploration"
+  | Some remake ->
+      let fresh = remake () in
+      let v = ref 0 in
+      while !v < fresh.next_id do
+        ignore (reveal_degree fresh ~node:!v ~arriving:1 ~round:0);
+        incr v
+      done;
+      frozen fresh

@@ -49,6 +49,30 @@ let test_words_per_revealed_node () =
   if Env.oracle_n env < 3 * Node_store.page_size then
     Alcotest.failf "the prefix promised only %d ids" (Env.oracle_n env)
 
+(* An adaptive world keeps its promise table in the same paged store, so
+   a short path revealed out of a 10^7-node budget holds a few pages, not
+   capacity-sized arrays. *)
+let test_adversary_holds_pages () =
+  let adv =
+    Bfdn_sim.Adversary.make ~capacity:10_000_000 ~depth_budget:10
+      Bfdn_sim.Adversary.miser
+  in
+  let env = Env.of_world (Lazy_world.world adv) ~k:8 in
+  let bfdn = Bfdn.Bfdn_algo.make env in
+  let r = Bfdn_sim.Runner.run (Bfdn.Bfdn_algo.algo bfdn) env in
+  Alcotest.(check bool) "explored" true r.Bfdn_sim.Runner.explored;
+  Alcotest.(check int) "a path of 11 nodes" 11
+    (Partial_tree.num_explored (Env.view env));
+  let words = Obj.reachable_words (Obj.repr (env, bfdn)) in
+  (* Every column backs its first page only: one int32 page is
+     page_size / 2 words on a 64-bit host; one more page covers the port
+     pool and everything that is not per node. *)
+  let columns = List.length (Partial_tree.store (Env.view env)).Node_store.cols in
+  let limit = (columns + 1) * (Node_store.page_size / 2) in
+  if words > limit then
+    Alcotest.failf "%d words reachable (limit %d: %d pages)" words limit
+      (columns + 1)
+
 (* ---- the E19 numbers quoted in the docs are the committed ones ---- *)
 
 module Json = Bfdn_obs.Json
@@ -165,4 +189,6 @@ let suite =
         test_words_per_revealed_node;
       Alcotest.test_case "E19 quotes match BENCH_huge.json" `Quick
         test_e19_quotes_match_bench;
+      Alcotest.test_case "adversary holds pages, not its capacity" `Quick
+        test_adversary_holds_pages;
     ] )

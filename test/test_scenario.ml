@@ -147,6 +147,20 @@ let test_validate_rejects () =
   expect_error "k < 1" (Scenario.make ~k:0 (Scenario.world "comb"));
   expect_error "max_rounds < 1"
     (Scenario.make ~max_rounds:0 (Scenario.world "comb"));
+  (* adversary budgets: they size the node store *)
+  expect_error "adversary capacity 0"
+    (Scenario.make
+       (Scenario.adversarial ~policy:"miser" ~capacity:0 ~depth_budget:5));
+  expect_error "adversary depth_budget -1"
+    (Scenario.make
+       (Scenario.adversarial ~policy:"miser" ~capacity:10 ~depth_budget:(-1)));
+  expect_error "adversary capacity 2^62-1"
+    (Scenario.make
+       (Scenario.adversarial ~policy:"miser" ~capacity:max_int ~depth_budget:5));
+  expect_error "random adversary max_children -1"
+    (Scenario.make
+       (Scenario.Adversarial
+          { policy = "random"; params = [ ("max_children", Param.Int (-1)) ] }));
   (* but the adaptive subset does accept every adaptive algorithm *)
   List.iter
     (fun algo ->
@@ -220,6 +234,11 @@ let spec_gen =
         | _ -> [])
       in
       map (fun s -> Param.String s) (oneofl choices)
+    else if List.mem s.key [ "capacity"; "depth_budget"; "max_children" ]
+    then
+      (* adversary budgets are range-checked by validate as well *)
+      let lo = if s.key = "capacity" then 1 else 0 in
+      map (fun i -> Param.Int i) (int_range lo 1000)
     else
       match s.default with
       | Param.Int _ -> map (fun i -> Param.Int i) (int_range (-1000) 1000)

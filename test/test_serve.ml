@@ -407,6 +407,11 @@ let test_e2e_bad_spec_400 () =
           {|{"schema_version":1,"world":{"name":"comb"},"algo":{"name":"zap"},"k":1,"seed":0}|}
       in
       checki "unknown algorithm is 400" 400 resp.Client.status;
+      let resp =
+        post_run port
+          {|{"schema_version":1,"adversary":{"name":"miser","params":{"capacity":0}},"algo":{"name":"bfdn"},"k":1,"seed":0}|}
+      in
+      checki "adversary capacity 0 is 400" 400 resp.Client.status;
       let resp = get port "/nope" in
       checki "unknown path is 404" 404 resp.Client.status)
 
