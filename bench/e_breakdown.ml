@@ -16,12 +16,12 @@ let masks k rng =
         b
   in
   [
-    ("none (baseline)", fun ~round:_ ~robot:_ -> true);
-    ("random p=0.75", random 0.75);
-    ("random p=0.25", random 0.25);
-    ("half fleet dead", fun ~round:_ ~robot -> robot < (k + 1) / 2);
-    ("rotating thirds", fun ~round ~robot -> (round + robot) mod 3 <> 0);
-    ("only one mover", fun ~round:_ ~robot -> robot = 0);
+    ("none (baseline)", None);
+    ("random p=0.75", Some (random 0.75));
+    ("random p=0.25", Some (random 0.25));
+    ("half fleet dead", Some (fun ~round:_ ~robot -> robot < (k + 1) / 2));
+    ("rotating thirds", Some (fun ~round ~robot -> (round + robot) mod 3 <> 0));
+    ("only one mover", Some (fun ~round:_ ~robot -> robot = 0));
   ]
 
 let run () =
@@ -47,7 +47,7 @@ let run () =
   in
   List.iter
     (fun (name, mask) ->
-      let env = Env.create ~mask tree ~k in
+      let env = Env.create ?fault:(Option.map Env.mask_hook mask) tree ~k in
       let state = Bfdn.Bfdn_algo.make env in
       let algo =
         { (Bfdn.Bfdn_algo.algo state) with Runner.finished = Env.fully_explored }

@@ -81,7 +81,7 @@ let measure ?(probe = Probe.noop) ?(min_total = 0.4) ?(min_reps = 2)
   let best = ref infinity and total = ref 0.0 and reps = ref 0 in
   while (!total < min_total || !reps < min_reps) && !reps < max_reps do
     let t0 = Batch.now () in
-    let env = Env.create ~probe tree ~k in
+    let env = Env.create tree ~k in
     let r = Runner.run ~probe (algo_of ~probe algo_name env) env in
     let dt = Batch.now () -. t0 in
     if not r.explored then failwith "e_hotpath: instance not explored";
@@ -254,7 +254,7 @@ let overhead_rows () =
                the (tiny) measurement cost is paid by both sides and
                cancels in the ratio. *)
             let explore ?out probe =
-              let env = Env.create ~probe tree ~k:overhead_k in
+              let env = Env.create tree ~k:overhead_k in
               let a = algo_of ~probe algo env in
               let r =
                 match out with

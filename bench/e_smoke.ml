@@ -64,7 +64,7 @@ let checks : (string * (unit -> bool)) list =
                 ~n:100 ~depth_hint:8
             in
             let mask ~round:_ ~robot = robot < 4 in
-            let env = Env.create ~mask tree ~k:8 in
+            let env = Env.create ~fault:(Env.mask_hook mask) tree ~k:8 in
             let r = Runner.run (Bfdn.Bfdn_algo.algo (Bfdn.Bfdn_algo.make env)) env in
             r.explored)
           [| 6; 7 |] );

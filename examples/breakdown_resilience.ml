@@ -38,7 +38,7 @@ let () =
   in
   List.iter
     (fun (name, mask) ->
-      let env = Env.create ~mask tree ~k in
+      let env = Env.create ~fault:(Env.mask_hook mask) tree ~k in
       let state = Bfdn.Bfdn_algo.make env in
       (* blocked robots may never make it home: require full edge coverage
          only (the paper drops the return requirement here) *)

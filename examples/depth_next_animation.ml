@@ -18,7 +18,7 @@ let () =
   let trace = Trace.create () in
   Trace.record trace env;
   let on_round env =
-    Trace.recorder trace env;
+    Trace.record trace env;
     print_newline ();
     print_string (Trace.render_frame env)
   in
@@ -39,6 +39,6 @@ let () =
   let state = Bfdn.Bfdn_algo.make env in
   let trace = Trace.create () in
   Trace.record trace env;
-  ignore (Runner.run ~on_round:(Trace.recorder trace) (Bfdn.Bfdn_algo.algo state) env);
+  ignore (Runner.run ~on_round:(Trace.record trace) (Bfdn.Bfdn_algo.algo state) env);
   print_endline "The breadth-first wave on a 30x2 comb with 24 robots:";
   print_string (Trace.depth_timeline trace env)

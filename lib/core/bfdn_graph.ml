@@ -122,6 +122,7 @@ let exec_env t =
     at_home = (fun () -> Genv.all_at_origin env);
     moves_total = (fun () -> Genv.moves_total env);
     edge_events = (fun () -> Genv.traversed_edges env);
+    revealed = (fun () -> Genv.num_explored env);
     frame =
       (fun () ->
         {

@@ -42,8 +42,6 @@ type report = {
   collapsed : bool;
 }
 
-let no_tick ~round:_ ~active:_ = ()
-
 (* The world record every lane can share: the spec's hidden tree, when
    the spec runs on the eager tree runner over a deterministic family. *)
 let shared_world t =
@@ -63,34 +61,31 @@ let shared_world t =
                 ~params world))
       else None
 
-let run ?(probe = Probe.noop) ?(tick = no_tick) t =
+let run ?(probe = Probe.noop) ?on_round t =
   (match Scenario.validate t with
   | Ok () -> ()
   | Error msg ->
       invalid_arg ("Seed_batch: " ^ msg ^ " in " ^ Scenario.describe t));
   let s = t.Scenario.batch_seeds in
   let world = shared_world t in
-  (* Lane [l] through the one round loop; [tick] fires after every round.
-     Returns the outcome and whether the run drew nothing from its
-     algorithm stream (only tracked on the shared world). *)
+  (* Lane [l] through the one round loop. Returns the outcome and whether
+     the run drew nothing from its algorithm stream (only tracked on the
+     shared world). *)
   let lane l =
     let spec = Scenario.unbatch t l in
-    let on_round (x : Bfdn_sim.Exec_env.t) =
-      tick ~round:(x.round ()) ~active:(s - l)
-    in
     match world with
-    | None -> (Scenario.run ~probe ~on_round spec, false)
+    | None -> (Scenario.run ~probe ?on_round spec, false)
     | Some w ->
         let root = Rng.create spec.Scenario.seed in
         let fault = Scenario.fault_plan spec root in
         let env =
-          Env.of_world ~fixed:true w ~k:t.Scenario.k ~probe
+          Env.of_world w ~k:t.Scenario.k
             ~fault:(Bfdn_faults.Injector.hook_opt fault)
         in
         let rng = Scenario.algo_stream root in
         let before = Rng.copy rng in
         let algo = Scenario.instantiate ~probe ~rng ?fault spec env in
-        let o = Scenario.run_env ~probe ~on_round spec algo env in
+        let o = Scenario.run_env ~probe ?on_round spec algo env in
         (o, Rng.equal rng before)
   in
   (* Lane 0 runs first: it doubles as the collapse witness, so when the

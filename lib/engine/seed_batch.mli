@@ -29,15 +29,15 @@ type report = {
 
 val run :
   ?probe:Bfdn_obs.Probe.t ->
-  ?tick:(round:int -> active:int -> unit) ->
+  ?on_round:(Bfdn_sim.Exec_env.t -> unit) ->
   Bfdn_scenario.Scenario.t ->
   report
 (** Execute a (possibly) batched spec. [batch_seeds = 1] degenerates to
     one run.
 
     [probe]: per-lane observation; an {e enabled} probe disables the
-    collapse, so every lane is observed. [tick] is invoked after every
-    round of every executed lane with the lane's round counter and the
-    number of lanes not yet finished — raise from it to abort the batch
-    (the serve layer's deadline/cancellation hook).
+    collapse, so every lane is observed. [on_round] is the round loop's
+    hook ({!Bfdn_sim.Exec_env.run}), invoked after every round of every
+    executed lane — raise from it to abort the batch (the serve layer's
+    deadline/cancellation hook).
     @raise Invalid_argument when the spec fails validation. *)

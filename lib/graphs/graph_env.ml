@@ -1,5 +1,3 @@
-module Probe = Bfdn_obs.Probe
-
 type robot = int
 
 type move = Stay | Via_port of int | Back
@@ -31,12 +29,10 @@ type t = {
   mutable num_explored : int;
   mutable restarts : int;
   radius : int;
-  probe : Probe.t;
   fault : Bfdn_sim.Env.fault_hook;
 }
 
-let create ?(probe = Probe.noop) ?(fault = Bfdn_sim.Env.fault_noop) g ~origin
-    ~k =
+let create ?(fault = Bfdn_sim.Env.fault_noop) g ~origin ~k =
   if k < 1 then invalid_arg "Graph_env.create: k must be >= 1";
   let n = Graph.n g in
   if origin < 0 || origin >= n then invalid_arg "Graph_env.create: bad origin";
@@ -64,7 +60,6 @@ let create ?(probe = Probe.noop) ?(fault = Bfdn_sim.Env.fault_noop) g ~origin
       num_explored = 0;
       restarts = 0;
       radius = Graph.eccentricity g origin;
-      probe;
       fault;
     }
   in
@@ -173,10 +168,6 @@ let explore_via_tree_edge t u p w q =
 
 let apply t moves =
   if Array.length moves <> t.k then invalid_arg "Graph_env.apply: wrong arity";
-  (* Pre-round totals for the probe's per-round deltas. *)
-  let moves0 = t.moves_total in
-  let traversed0 = t.traversed in
-  let explored0 = t.num_explored in
   (* Phase 1: validate against the pre-round state and record intents.
      A crashed robot's selection is discarded (forced [Stay]) before
      validation — mirrors the tree environment, where a down robot is
@@ -271,13 +262,7 @@ let apply t moves =
         t.restarts <- t.restarts + 1
       end
     done;
-  t.round <- t.round + 1;
-  if t.probe.Probe.enabled then begin
-    let moved = t.moves_total - moves0 in
-    t.probe.Probe.on_round ~round:t.round ~moved ~idle:(t.k - moved)
-      ~revealed:(t.num_explored - explored0)
-      ~edge_events:(t.traversed - traversed0)
-  end
+  t.round <- t.round + 1
 
 let check_invariants t =
   let fail msg = invalid_arg ("Graph_env.check_invariants: " ^ msg) in

@@ -34,15 +34,8 @@ type port_state =
   | Closed  (** traversed and discarded by the closing rule *)
 
 val create :
-  ?probe:Bfdn_obs.Probe.t ->
-  ?fault:Bfdn_sim.Env.fault_hook ->
-  Graph.t ->
-  origin:Graph.node ->
-  k:int ->
-  t
-(** [probe] (default {!Bfdn_obs.Probe.noop}) receives per-round deltas
-    from {!apply}, exactly as the tree environment reports them.
-    [fault] (default {!Bfdn_sim.Env.fault_noop}) injects crashes and
+  ?fault:Bfdn_sim.Env.fault_hook -> Graph.t -> origin:Graph.node -> k:int -> t
+(** [fault] (default {!Bfdn_sim.Env.fault_noop}) injects crashes and
     restarts: a down robot's selection is forced to [Stay] (reported as
     not {!allowed}), and a restart teleports the robot to the origin
     between rounds, clearing any pending backtrack. *)

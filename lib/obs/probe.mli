@@ -1,4 +1,4 @@
-(** Profiling hooks threaded through the simulator, the algorithms and
+(** Profiling hooks threaded through the round loop, the algorithms and
     the batch engine.
 
     A probe is a record of callbacks defaulting to no-ops, behind one
@@ -18,7 +18,7 @@
 
 type phase =
   | Select  (** the algorithm's [select] call *)
-  | Apply  (** [Env.apply] *)
+  | Apply  (** the environment's apply, and this probe's [on_round] *)
   | Finished_check  (** the algorithm's [finished] predicate *)
 
 type t = {
@@ -26,10 +26,11 @@ type t = {
       (** [false] only for {!noop}: hot paths may skip timing work. *)
   on_round :
     round:int -> moved:int -> idle:int -> revealed:int -> edge_events:int -> unit;
-      (** After each [Env.apply]: the new round number, robots that
-          moved, robots whose effective move was [Stay] (computed for
-          free as [k - moved]), nodes revealed and edge events of that
-          round. *)
+      (** After each round (fired by the round loop, [Exec_env.run],
+          right after the environment applied the moves): the new round
+          number, robots that moved, robots whose effective move was
+          [Stay] (computed for free as [k - moved]), nodes revealed and
+          edge events of that round. *)
   on_phase : phase -> int -> unit;
       (** Phase duration in monotonic nanoseconds, once per round and
           phase (fired by the round loop, [Exec_env.run]). *)

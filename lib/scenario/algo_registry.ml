@@ -25,7 +25,6 @@ type async_ctx = {
   a_tree : Bfdn_trees.Tree.t;
   a_k : int;
   a_rng : Rng.t;
-  a_probe : Probe.t;
   a_params : Param.binding list;
   a_fault : Env.fault_hook;
 }
@@ -231,7 +230,7 @@ let all =
             in
             let aenv = Async_env.create ?speeds c.a_tree ~k:c.a_k in
             let t = Bfdn.Bfdn_async.make aenv in
-            Exec_env.of_async ~fault:c.a_fault ~probe:c.a_probe
+            Exec_env.of_async ~fault:c.a_fault
               ~on_restart:(Bfdn.Bfdn_async.notify_restart t)
               (Bfdn.Bfdn_async.decide t) aenv);
     };
@@ -315,8 +314,8 @@ let instantiate_graph ?rng ?(params = []) name g_env =
       checked_params e params;
       make { g_env; g_rng = default_rng rng; g_params = params }
 
-let instantiate_async ?(probe = Probe.noop) ?rng ?(params = [])
-    ?(fault = Env.fault_noop) name tree ~k =
+let instantiate_async ?rng ?(params = []) ?(fault = Env.fault_noop) name tree
+    ~k =
   let e = resolve name in
   match e.make_async with
   | None ->
@@ -330,7 +329,6 @@ let instantiate_async ?(probe = Probe.noop) ?rng ?(params = [])
           a_tree = tree;
           a_k = k;
           a_rng = default_rng rng;
-          a_probe = probe;
           a_params = params;
           a_fault = fault;
         }

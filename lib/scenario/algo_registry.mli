@@ -40,7 +40,7 @@ type ctx = {
 
 type graph_ctx = {
   g_env : Bfdn_graphs.Graph_env.t;
-      (** built by the caller: probes and fault hooks are threaded into
+      (** built by the caller: the fault hook is threaded into
           {!Bfdn_graphs.Graph_env.create}, not here *)
   g_rng : Bfdn_util.Rng.t;
   g_params : Param.binding list;
@@ -53,7 +53,6 @@ type async_ctx = {
           shape it *)
   a_k : int;
   a_rng : Bfdn_util.Rng.t;
-  a_probe : Bfdn_obs.Probe.t;
   a_params : Param.binding list;
   a_fault : Bfdn_sim.Env.fault_hook;
 }
@@ -131,7 +130,6 @@ val instantiate_graph :
     {!instantiate}. *)
 
 val instantiate_async :
-  ?probe:Bfdn_obs.Probe.t ->
   ?rng:Bfdn_util.Rng.t ->
   ?params:Param.binding list ->
   ?fault:Bfdn_sim.Env.fault_hook ->

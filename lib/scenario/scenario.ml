@@ -124,6 +124,10 @@ let check_params ~what ~schema params =
   | Ok () -> Ok ()
   | Error msg -> Error (Printf.sprintf "%s: %s" what msg)
 
+(* The fleet size sizes per-robot arrays before the first round: an
+   unbounded [k] is an allocation request, not a scenario. *)
+let max_k = 1 lsl 20
+
 let validate t =
   let* entry =
     match Algo_registry.find t.algo with
@@ -234,7 +238,10 @@ let validate t =
                     adversarial world"
                    t.algo))
   in
-  let* () = if t.k >= 1 then Ok () else Error "k must be >= 1" in
+  let* () =
+    if t.k >= 1 && t.k <= max_k then Ok ()
+    else Error (Printf.sprintf "k must be in [1, %d]" max_k)
+  in
   let* () = Fault_spec.validate ~k:t.k t.faults in
   let* () =
     if t.batch_seeds >= 1 && t.batch_seeds <= 65536 then Ok ()
@@ -585,23 +592,19 @@ let run_env ?(probe = Probe.noop) ?on_round t algo env =
 
 (* A hidden tree world — eager, lazily materialized or adversarial —
    driven by the spec's tree algorithm. *)
-let world_view ~probe ~root ~fault ?fixed t w =
-  let env =
-    Env.of_world ?fixed w ~k:t.k ~probe
-      ~fault:(Bfdn_faults.Injector.hook_opt fault)
-  in
+let world_view ~probe ~root ~fault t w =
+  let env = Env.of_world w ~k:t.k ~fault:(Bfdn_faults.Injector.hook_opt fault) in
   env_view (instantiate ~probe ~rng:(algo_stream root) ?fault t env) env
 
 (* Graph worlds: build the port-labeled graph from the instance stream
-   and thread probe + fault hook into the graph environment. *)
-let graph_view ~probe ~root ~fault t ~world ~params =
+   and thread the fault hook into the graph environment. *)
+let graph_view ~root ~fault t ~world ~params =
   let module Genv = Bfdn_graphs.Graph_env in
   let g, origin =
     World_registry.build_graph ~rng:(instance_stream root) ~params world
   in
   let genv =
-    Genv.create ~probe ~fault:(Bfdn_faults.Injector.hook_opt fault) g ~origin
-      ~k:t.k
+    Genv.create ~fault:(Bfdn_faults.Injector.hook_opt fault) g ~origin ~k:t.k
   in
   {
     exec =
@@ -624,12 +627,12 @@ let tree_view ~probe ~root ~fault t tree =
     | None -> false
   in
   if tree_capable then
-    world_view ~probe ~root ~fault ~fixed:true t (Env.world_of_tree tree)
+    world_view ~probe ~root ~fault t (Env.world_of_tree tree)
   else
     let stats = Bfdn_trees.Tree_stats.compute tree in
     {
       exec =
-        Algo_registry.instantiate_async ~probe ~rng:(algo_stream root)
+        Algo_registry.instantiate_async ~rng:(algo_stream root)
           ~params:t.algo_params
           ~fault:(Bfdn_faults.Injector.hook_opt fault)
           t.algo tree ~k:t.k;
@@ -663,7 +666,7 @@ let run ?(probe = Probe.noop) ?on_round t =
       match World_registry.find world with
       | Some { World_registry.kind = Grid _ | Graph _; _ } ->
           execute ~probe ?on_round t
-            (graph_view ~probe ~root ~fault t ~world ~params)
+            (graph_view ~root ~fault t ~world ~params)
       | _ when World_registry.scale_of_params params = "lazy" ->
           (* Huge tier: the hidden tree is generated at reveal, so the run
              holds O(explored) state. The lazy seed is one draw off the

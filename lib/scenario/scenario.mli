@@ -28,7 +28,7 @@ type t = {
   instance : instance;
   algo : string;  (** an {!Algo_registry} name or alias *)
   algo_params : Param.binding list;
-  k : int;  (** robot count *)
+  k : int;  (** robot count, in [[1, 2^20]] *)
   seed : int;
       (** split into independent instance and algorithm RNG streams *)
   max_rounds : int option;
@@ -105,7 +105,8 @@ val equal_outcome : outcome -> outcome -> bool
 val validate : t -> (unit, string) result
 (** Check every name against the registries, every parameter against
     its schema, capability compatibility (an oracle-reading algorithm
-    cannot face an adaptive adversary) and the scalar ranges. *)
+    cannot face an adaptive adversary) and the scalar ranges — among
+    them [1 <= k <= 2^20] and [1 <= batch_seeds <= 65536]. *)
 
 (** {2 JSON codec} *)
 

@@ -226,13 +226,17 @@ let exec t (job : Q.job) =
     let deadline =
       Clock.now_ns () + int_of_float (job.Q.timeout_s *. 1e9)
     in
-    let on_round (exec : Bfdn_sim.Exec_env.t) =
-      Ring.push job.Q.stream (Q.Frame (exec.Bfdn_sim.Exec_env.frame ()));
+    (* Checked after every round: raising aborts the run. *)
+    let check_deadline (_ : Bfdn_sim.Exec_env.t) =
       if Clock.now_ns () > deadline then begin
         job.Q.timed_out <- true;
         Pool.cancel job.Q.token
       end;
       Pool.check job.Q.token
+    in
+    let on_round (exec : Bfdn_sim.Exec_env.t) =
+      Ring.push job.Q.stream (Q.Frame (exec.Bfdn_sim.Exec_env.frame ()));
+      check_deadline exec
     in
     let counter name =
       match Metrics.find_counter reg name with
@@ -289,14 +293,7 @@ let exec t (job : Q.job) =
        fingerprint by the common path below. *)
     let run_batched () =
       let spec = job.Q.spec in
-      let tick ~round:_ ~active:_ =
-        if Clock.now_ns () > deadline then begin
-          job.Q.timed_out <- true;
-          Pool.cancel job.Q.token
-        end;
-        Pool.check job.Q.token
-      in
-      let report = Seed_batch.run ~probe ~tick spec in
+      let report = Seed_batch.run ~probe ~on_round:check_deadline spec in
       let lanes =
         Array.mapi
           (fun l outcome ->

@@ -46,6 +46,13 @@ let fault_noop =
     fh_may_restart = false;
   }
 
+let mask_hook mask =
+  {
+    fault_noop with
+    fh_enabled = true;
+    fh_down = (fun ~round ~robot -> not (mask ~round ~robot));
+  }
+
 type reactive_blocker = round:int -> selected:move array -> bool array
 
 (* The hidden side of the exploration: either a fixed tree, or a world
@@ -81,12 +88,9 @@ let world_of_tree tree =
 
 type t = {
   world : world;
-  fixed : bool; (* tree-backed world: n/D/Δ never change after creation *)
-  probe : Bfdn_obs.Probe.t; (* disabled by default; fires once per apply *)
   view : Partial_tree.t;
   k : int;
   positions : int array;
-  mask : mask;
   fault : fault_hook;
   mutable blocker : reactive_blocker option;
   mutable round : int;
@@ -106,8 +110,7 @@ type t = {
   arriving : Node_store.col; (* per-node arrival counts of one round *)
 }
 
-let of_world ?(mask = fun ~round:_ ~robot:_ -> true) ?(fixed = false)
-    ?(probe = Bfdn_obs.Probe.noop) ?(fault = fault_noop) world ~k =
+let of_world ?(fault = fault_noop) world ~k =
   if k < 1 then invalid_arg "Env.create: k must be >= 1";
   (* The per-node scratch is two columns of the view's node store, so it
      follows the revealed id space a page at a time: on a lazily
@@ -122,12 +125,9 @@ let of_world ?(mask = fun ~round:_ ~robot:_ -> true) ?(fixed = false)
     ~num_ports:(world.w_degree ~node:world.w_root ~arriving:k ~round:0);
   {
     world;
-    fixed;
-    probe;
     view;
     k;
     positions = Array.make k world.w_root;
-    mask;
     fault;
     blocker = None;
     round = 0;
@@ -145,8 +145,7 @@ let of_world ?(mask = fun ~round:_ ~robot:_ -> true) ?(fixed = false)
     arriving = Node_store.column store ~fill:0;
   }
 
-let create ?mask ?probe ?fault tree ~k =
-  of_world ?mask ?probe ?fault ~fixed:true (world_of_tree tree) ~k
+let create ?fault tree ~k = of_world ?fault (world_of_tree tree) ~k
 
 let set_reactive_blocker t blocker = t.blocker <- Some blocker
 
@@ -157,8 +156,7 @@ let view t = t.view
 let position t i = t.positions.(i)
 let positions t = Array.copy t.positions
 let allowed t i =
-  t.mask ~round:t.round ~robot:i
-  && not (t.fault.fh_enabled && t.fault.fh_down ~round:t.round ~robot:i)
+  not (t.fault.fh_enabled && t.fault.fh_down ~round:t.round ~robot:i)
 
 let fully_explored t = Partial_tree.complete t.view
 
@@ -191,15 +189,8 @@ let oracle_max_degree t =
 
 let oracle_tree t = t.world.w_tree ()
 
-let fixed_world t = t.fixed
-
 let apply t moves =
   if Array.length moves <> t.k then invalid_arg "Env.apply: wrong arity";
-  (* Pre-round totals for the probe's per-round deltas: plain ints, so
-     the disabled path stays allocation-free. *)
-  let moves0 = t.moves_total in
-  let events0 = t.edge_events in
-  let explored0 = Partial_tree.num_explored t.view in
   (* The reactive blocker (Remark 8) sees the selected moves before
      deciding. Test-only adversary: this branch may allocate. *)
   let reactive =
@@ -216,8 +207,7 @@ let apply t moves =
   for i = 0 to t.k - 1 do
     t.eff.(i) <- Stay;
     if
-      t.mask ~round:t.round ~robot:i
-      && not (fault.fh_enabled && fault.fh_down ~round:t.round ~robot:i)
+      not (fault.fh_enabled && fault.fh_down ~round:t.round ~robot:i)
       && (match reactive with None -> true | Some v -> v.(i))
     then begin
       t.allowed_total <- t.allowed_total + 1;
@@ -308,12 +298,4 @@ let apply t moves =
       end
     done
   end;
-  t.round <- t.round + 1;
-  if t.probe.Bfdn_obs.Probe.enabled then begin
-    (* Every robot makes at most one effective move per round, so the
-       idle count is [k - moved] — no scan needed. *)
-    let moved = t.moves_total - moves0 in
-    t.probe.Bfdn_obs.Probe.on_round ~round:t.round ~moved ~idle:(t.k - moved)
-      ~revealed:(Partial_tree.num_explored t.view - explored0)
-      ~edge_events:(t.edge_events - events0)
-  end
+  t.round <- t.round + 1

@@ -11,9 +11,9 @@
     information through this interface.
 
     The environment also implements the adversarial break-down model of
-    Section 4.2: an optional {e move mask} decides, per round and robot,
-    whether the robot is allowed to move; masked robots are pinned in
-    place whatever the algorithm selected. *)
+    Section 4.2 through its fault hook: a {e move mask} decides, per round
+    and robot, whether the robot is allowed to move ({!mask_hook}); masked
+    robots are pinned in place whatever the algorithm selected. *)
 
 type t
 
@@ -25,6 +25,7 @@ type move =
   | Via_port of int  (** leave through a port (explored or dangling) *)
 
 type mask = round:int -> robot:robot -> bool
+(** A Section 4.2 move mask: [true] = the robot may move this round. *)
 
 type fault_hook = {
   fh_enabled : bool;
@@ -32,9 +33,9 @@ type fault_hook = {
           called and the round loop is branch-identical to a fault-free
           environment *)
   fh_down : round:int -> robot:robot -> bool;
-      (** crashed or masked this round — pinned in place like a masked
-          robot, and reported as not {!allowed}. Must be pure: it is
-          consulted both at select time and inside {!apply}. *)
+      (** crashed or masked this round — pinned in place, and reported
+          as not {!allowed}. Must be pure: it is consulted both at select
+          time and inside {!apply}. *)
   fh_restart : round:int -> robot:robot -> bool;
       (** [true] at the end of round [r] teleports the robot to the root
           before round [r+1] (a replacement robot coming online) *)
@@ -44,29 +45,26 @@ type fault_hook = {
           with [true] (e.g. all crashes are permanent) *)
 }
 (** Fault-injection hook threaded through the round loop. Compile one
-    from a fault plan with [Bfdn_faults.Injector.hook]. *)
+    from a fault plan with [Bfdn_faults.Injector.hook], or from a move
+    mask with {!mask_hook}. *)
 
 val fault_noop : fault_hook
 (** The disabled hook; default everywhere a [?fault] is accepted. *)
 
+val mask_hook : mask -> fault_hook
+(** The hook that pins exactly the robots the mask blocks, and never
+    restarts one. [mask] must be pure, like [fh_down]. *)
+
 type reactive_blocker = round:int -> selected:move array -> bool array
 (** Remark 8's stronger adversary: it observes the moves the robots have
     {e selected} this round before deciding who may move ([true] =
-    allowed). Composed with the plain mask (both must allow a robot). *)
+    allowed). Composed with the fault hook (both must allow a robot). *)
 
-val create :
-  ?mask:mask ->
-  ?probe:Bfdn_obs.Probe.t ->
-  ?fault:fault_hook ->
-  Bfdn_trees.Tree.t ->
-  k:int ->
-  t
+val create : ?fault:fault_hook -> Bfdn_trees.Tree.t -> k:int -> t
 (** [create tree ~k] places [k] robots on the root and reveals it.
-    [mask] defaults to "always allowed". [probe] (default
-    {!Bfdn_obs.Probe.noop}) receives an [on_round] callback after every
-    {!apply} with that round's moved/revealed/edge-event deltas.
-    [fault] (default {!fault_noop}) injects crashes, restarts and
-    fault-plan masks into the round loop. *)
+    [fault] (default {!fault_noop}) injects crashes, restarts and move
+    masks into the round loop. The round loop ({!Exec_env.run}), not the
+    environment, reports rounds to a probe. *)
 
 (** {2 Lazily materialized worlds}
 
@@ -95,23 +93,11 @@ type world = {
           [None]: each environment creates a fresh store. *)
 }
 
-val of_world :
-  ?mask:mask ->
-  ?fixed:bool ->
-  ?probe:Bfdn_obs.Probe.t ->
-  ?fault:fault_hook ->
-  world ->
-  k:int ->
-  t
-(** [fixed] (default [false]) declares that the world's [w_stats] never
-    change after creation, letting the round loop ({!Exec_env.of_env})
-    compute its termination bound once instead of every round.
-    {!create} sets it. *)
+val of_world : ?fault:fault_hook -> world -> k:int -> t
+(** {!create} over any world. *)
 
 val world_of_tree : Bfdn_trees.Tree.t -> world
-
-val fixed_world : t -> bool
-(** Whether the hidden world was declared fixed at creation. *)
+(** A fixed tree as a world; its [w_stats] scan runs once, memoized. *)
 
 val k : t -> int
 
@@ -136,14 +122,14 @@ val set_reactive_blocker : t -> reactive_blocker -> unit
     under it; the library exposes it for experiments. *)
 
 val allowed : t -> robot -> bool
-(** Whether the mask {e and} the fault hook allow this robot to move in
-    the {e upcoming} round. A crashed robot reads as not allowed, which
-    is exactly the Section 4.2 break-down signal algorithms already
-    handle. *)
+(** Whether the fault hook allows this robot to move in the {e upcoming}
+    round. A crashed robot reads as not allowed, which is exactly the
+    Section 4.2 break-down signal algorithms already handle. *)
 
 val apply : t -> move array -> unit
 (** Execute one synchronous round with the given per-robot selections
-    (length [k]). Masked robots are forced to [Stay].
+    (length [k]). Robots the fault hook or a reactive blocker pins are
+    forced to [Stay].
     @raise Invalid_argument on an illegal selection (bad port, [Up] at the
     root, wrong array length). *)
 
@@ -167,7 +153,8 @@ val edge_events : t -> int
     first child-to-parent crossings; at most [2*(n-1)]. *)
 
 val allowed_total : t -> int
-(** Total number of (round, robot) slots the mask allowed so far —
+(** Total number of (round, robot) slots the fault hook (and any
+    reactive blocker) allowed so far —
     [k * A(M)] restricted to the elapsed rounds (Section 4.2). *)
 
 val multi_reveals : t -> int

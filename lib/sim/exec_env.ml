@@ -27,6 +27,7 @@ type t = {
   at_home : unit -> bool;
   moves_total : unit -> int;
   edge_events : unit -> int;
+  revealed : unit -> int;
   frame : unit -> Trace.frame;
   render : unit -> string;
 }
@@ -53,6 +54,24 @@ let run ?max_rounds ?(on_round = fun _ -> ()) ?(probe = Probe.noop) x =
     probe.Probe.on_phase phase (now - !t);
     t := now
   in
+  (* The probe's per-round deltas, against the totals after the previous
+     round. A robot makes at most one move per round, so the idle count
+     is [k - moved]; the clamp covers an async horizon, in which a fast
+     robot can cross several edges. *)
+  let moves0 = ref (if timed then x.moves_total () else 0) in
+  let events0 = ref (if timed then x.edge_events () else 0) in
+  let revealed0 = ref (if timed then x.revealed () else 0) in
+  let report () =
+    let moves = x.moves_total ()
+    and events = x.edge_events ()
+    and revealed = x.revealed () in
+    let moved = min (moves - !moves0) x.k in
+    probe.Probe.on_round ~round:(x.round ()) ~moved ~idle:(x.k - moved)
+      ~revealed:(revealed - !revealed0) ~edge_events:(events - !events0);
+    moves0 := moves;
+    events0 := events;
+    revealed0 := revealed
+  in
   let hit_limit = ref false in
   let continue = ref true in
   while !continue do
@@ -67,7 +86,10 @@ let run ?max_rounds ?(on_round = fun _ -> ()) ?(probe = Probe.noop) x =
       x.select ();
       if timed then stamp Probe.Select;
       x.apply ();
-      if timed then stamp Probe.Apply;
+      if timed then begin
+        report ();
+        stamp Probe.Apply
+      end;
       on_round x
     end
   done;
@@ -82,25 +104,18 @@ let run ?max_rounds ?(on_round = fun _ -> ()) ?(probe = Probe.noop) x =
 
 let of_env (algo : algo) env =
   let pending = ref [||] in
-  (* The bound only needs recomputing against a lazily materialized
-     world, where it grows as nodes are revealed, and only in a round
-     that revealed one (the world's stats change at reveals alone); for
-     fixed-tree worlds it is memoized at the first round. *)
+  (* The bound grows as a lazily materialized world reveals nodes, and
+     the world's stats change at reveals alone: recompute it only in a
+     round that revealed one. *)
   let round_limit =
-    if Env.fixed_world env then begin
-      let m = lazy (default_max_rounds env) in
-      fun () -> Lazy.force m
-    end
-    else begin
-      let seen = ref (-1) and m = ref 0 in
-      fun () ->
-        let explored = Partial_tree.num_explored (Env.view env) in
-        if explored <> !seen then begin
-          seen := explored;
-          m := default_max_rounds env
-        end;
-        !m
-    end
+    let seen = ref (-1) and m = ref 0 in
+    fun () ->
+      let explored = Partial_tree.num_explored (Env.view env) in
+      if explored <> !seen then begin
+        seen := explored;
+        m := default_max_rounds env
+      end;
+      !m
   in
   {
     k = Env.k env;
@@ -113,19 +128,15 @@ let of_env (algo : algo) env =
     at_home = (fun () -> Env.all_at_root env);
     moves_total = (fun () -> Env.moves_total env);
     edge_events = (fun () -> Env.edge_events env);
+    revealed = (fun () -> Partial_tree.num_explored (Env.view env));
     frame = (fun () -> Trace.frame_of_env env);
     render = (fun () -> Trace.render_frame env);
   }
 
-let of_async ?(fault = Env.fault_noop) ?(probe = Probe.noop) ?on_restart
-    decide aenv =
+let of_async ?(fault = Env.fault_noop) ?on_restart decide aenv =
   let d = Async_env.driver ~fault ?on_restart decide aenv in
   let view = Async_env.view aenv in
-  let k = Async_env.k aenv in
   let round = ref 0 in
-  (* Pre-horizon totals for the probe's per-round deltas. *)
-  let moves0 = ref 0 in
-  let explored0 = ref (Partial_tree.num_explored view) in
   let limit =
     (* The synchronous divergence guard, stretched by the slowest robot:
        a unit edge takes [1/speed] horizons. *)
@@ -137,23 +148,13 @@ let of_async ?(fault = Env.fault_noop) ?(probe = Probe.noop) ?on_restart
        int_of_float (ceil (float_of_int base /. Async_env.min_speed aenv)))
   in
   {
-    k;
+    k = Async_env.k aenv;
     round = (fun () -> !round);
     select = (fun () -> ());
     apply =
       (fun () ->
         incr round;
-        Async_env.advance d ~until:(float_of_int !round);
-        if probe.Probe.enabled then begin
-          let moves = Async_env.moves_total aenv in
-          let explored = Partial_tree.num_explored view in
-          let moved = min (moves - !moves0) k in
-          probe.Probe.on_round ~round:!round ~moved ~idle:(k - moved)
-            ~revealed:(explored - !explored0)
-            ~edge_events:(explored - !explored0);
-          moves0 := moves;
-          explored0 := explored
-        end);
+        Async_env.advance d ~until:(float_of_int !round));
     finished =
       (fun () -> Async_env.fully_explored aenv && Async_env.all_at_root aenv);
     round_limit = (fun () -> Lazy.force limit);
@@ -161,6 +162,7 @@ let of_async ?(fault = Env.fault_noop) ?(probe = Probe.noop) ?on_restart
     at_home = (fun () -> Async_env.all_at_root aenv);
     moves_total = (fun () -> Async_env.moves_total aenv);
     edge_events = (fun () -> Partial_tree.num_explored view - 1);
+    revealed = (fun () -> Partial_tree.num_explored view);
     frame =
       (fun () ->
         {

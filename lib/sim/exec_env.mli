@@ -52,6 +52,7 @@ type t = {
   at_home : unit -> bool;  (** Every robot back at the origin/root. *)
   moves_total : unit -> int;
   edge_events : unit -> int;
+  revealed : unit -> int;  (** Nodes revealed so far, the root included. *)
   frame : unit -> Trace.frame;  (** Current state as a trace frame. *)
   render : unit -> string;  (** Small-scale ASCII rendering. *)
 }
@@ -66,23 +67,24 @@ val run :
     [max_rounds] is reached (default: [round_limit]). [on_round] is
     invoked after every applied round.
 
-    When an enabled [probe] is given, every round's three phases
-    (finished-check, select, apply) are bracketed with monotonic clock
-    reads and reported through [probe.on_phase]; with the default
-    {!Bfdn_obs.Probe.noop} the loop reads no clock at all. The probe does
-    not alter the loop's decisions, so results are identical with and
-    without it. *)
+    This loop is the only code that reports a round to a probe. After
+    every [apply], an enabled [probe] receives [on_round] with that
+    round's deltas of [moves_total] (clamped to [k]), [revealed] and
+    [edge_events]. Every round's three phases (finished-check, select,
+    apply) are bracketed with monotonic clock reads and reported through
+    [probe.on_phase]. With the default {!Bfdn_obs.Probe.noop} the loop
+    reads no clock and no counter. The probe does not alter the loop's
+    decisions, so results are identical with and without it. *)
 
 val of_env : algo -> Env.t -> t
 (** Tree adapter. The divergence guard is the termination bound
     [3 * n * (D + 2) + 100] of Section 2.1 at the environment's oracle
-    [n] and depth, far above any correct run: memoized on fixed-tree
-    worlds, recomputed every round on lazily materialized ones, where it
-    grows as nodes are revealed. *)
+    [n] and depth, far above any correct run. It is recomputed in each
+    round that revealed a node, since a lazily materialized world grows
+    at reveals; a fixed tree's stats are memoized by {!Env.world_of_tree}. *)
 
 val of_async :
   ?fault:Env.fault_hook ->
-  ?probe:Bfdn_obs.Probe.t ->
   ?on_restart:(Async_env.robot -> unit) ->
   Async_env.decide ->
   Async_env.t ->
@@ -95,5 +97,6 @@ val of_async :
     keeps any in-flight traversal — crashes ground a robot only at a
     node), and restarts teleport a grounded robot to the root, notifying
     the algorithm via [on_restart] so it can discard stale route state.
-    The [probe]'s [on_round] fires once per horizon with per-horizon
-    deltas, which is what puts async runs on [/metrics]. *)
+    A probe given to {!run} sees one [on_round] per horizon, which is
+    what puts async runs on [/metrics]; [edge_events] counts first
+    reveals, one per node. *)

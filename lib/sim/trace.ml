@@ -26,8 +26,6 @@ let frame_of_env env =
 
 let record t env = Ring.push t (frame_of_env env)
 
-let recorder t env = record t env
-
 let push = Ring.push
 
 let frames = Ring.to_list

@@ -1,6 +1,6 @@
 (** Exploration traces and small-scale ASCII rendering.
 
-    Attach {!recorder} to {!Runner.run}'s [on_round] hook to capture one
+    Attach {!record} to {!Runner.run}'s [on_round] hook to capture one
     frame per round; {!render_frame} then draws the discovered tree with
     robot positions, which the examples use as a terminal animation.
 
@@ -23,11 +23,9 @@ val create : ?capacity:int -> unit -> t
 (** [capacity] bounds the retained frames (default 4096).
     @raise Invalid_argument when [capacity < 1]. *)
 
-val recorder : t -> Env.t -> unit
-(** To be used as [~on_round:(Trace.recorder trace)]. *)
-
 val record : t -> Env.t -> unit
-(** Capture the current state as a frame (used for the initial state). *)
+(** Capture the current state as a frame: once for the initial state,
+    then as [~on_round:(Trace.record trace)]. *)
 
 val frame_of_env : Env.t -> frame
 (** The frame {!record} would store, without storing it. *)

@@ -14,8 +14,8 @@ module Rng = Bfdn_util.Rng
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
 
-let run_bfdn ?policy ?mask tree k =
-  let env = Env.create ?mask tree ~k in
+let run_bfdn ?policy tree k =
+  let env = Env.create tree ~k in
   let t = Bfdn_algo.make ?policy env in
   let result = Runner.run (Bfdn_algo.algo t) env in
   (env, t, result)
@@ -260,7 +260,7 @@ let breakdown_threshold env k =
 (* Run BFDN under a mask; assert that whenever the average allowed moves
    A(M) passes the Proposition 7 threshold, the tree is fully explored. *)
 let check_prop7 tree k mask =
-  let env = Env.create ~mask tree ~k in
+  let env = Env.create ~fault:(Env.mask_hook mask) tree ~k in
   let t = Bfdn_algo.make env in
   let algo = { (Bfdn_algo.algo t) with Runner.finished = Env.fully_explored } in
   let violated = ref false in
@@ -304,7 +304,7 @@ let test_prop7_alternating_rounds () =
 let test_blocked_robot_never_moves () =
   let tree = random_tree 6 120 in
   let mask ~round:_ ~robot = robot <> 2 in
-  let env = Env.create ~mask tree ~k:4 in
+  let env = Env.create ~fault:(Env.mask_hook mask) tree ~k:4 in
   let t = Bfdn_algo.make env in
   let algo = { (Bfdn_algo.algo t) with Runner.finished = Env.fully_explored } in
   let r = Runner.run algo env in

@@ -232,7 +232,7 @@ let small () = Tree.of_parents [| -1; 0; 0; 1; 1; 2 |]
 let test_probe_counters_match_runner () =
   let m = Metrics.create () in
   let probe = Probe.of_metrics m in
-  let env = Env.create ~probe (small ()) ~k:2 in
+  let env = Env.create (small ()) ~k:2 in
   let algo = Bfdn.Bfdn_algo.algo (Bfdn.Bfdn_algo.make ~probe env) in
   let r = Runner.run ~probe algo env in
   let cval name = Metrics.value (Option.get (Metrics.find_counter m name)) in
@@ -262,7 +262,7 @@ let test_reanchor_summary_once () =
         totals := (total, Array.fold_left ( + ) 0 by_depth) :: !totals)
       ()
   in
-  let env = Env.create ~probe (small ()) ~k:2 in
+  let env = Env.create (small ()) ~k:2 in
   let t = Bfdn.Bfdn_algo.make ~probe env in
   let a = Bfdn.Bfdn_algo.algo t in
   ignore (Runner.run ~probe a env);
@@ -280,7 +280,7 @@ let test_probe_does_not_perturb () =
     let probe =
       if probed then Probe.of_metrics (Metrics.create ()) else Probe.noop
     in
-    let env = Env.create ~probe (small ()) ~k:3 in
+    let env = Env.create (small ()) ~k:3 in
     Runner.run ~probe (Bfdn_baselines.Cte.make env) env
   in
   let a = run false and b = run true in
@@ -344,6 +344,96 @@ let test_probe_does_not_perturb () =
   List.iter
     (fun path -> checkb (path ^ " covered") true (Hashtbl.mem ran path))
     [ "eager tree"; "lazy tree"; "adversarial"; "grid"; "async" ]
+
+(* ---- the probe's observations, pinned ---- *)
+
+(* What a probed [Scenario.run] reports: the number of [on_round] calls,
+   a digest of their argument sequence, and a digest of the registry
+   JSON without the wall-clock [*_ns] counters. The values were captured
+   when each environment still computed its own per-round deltas; the
+   round loop must report exactly the same sequence. *)
+let observe spec =
+  let m = Metrics.create () in
+  let base = Probe.of_metrics m in
+  let calls = ref 0 and seq = Buffer.create 4096 in
+  let on_round ~round ~moved ~idle ~revealed ~edge_events =
+    incr calls;
+    Printf.bprintf seq "%d %d %d %d %d\n" round moved idle revealed edge_events;
+    base.Probe.on_round ~round ~moved ~idle ~revealed ~edge_events
+  in
+  ignore (Bfdn_scenario.Scenario.run ~probe:{ base with Probe.on_round } spec);
+  let timed name = String.ends_with ~suffix:"_ns" name in
+  let registry =
+    match Metrics.to_json m with
+    | Json.Obj kvs -> Json.Obj (List.filter (fun (k, _) -> not (timed k)) kvs)
+    | j -> j
+  in
+  let hex s = Digest.to_hex (Digest.string s) in
+  Printf.sprintf "%d %s %s" !calls (hex (Buffer.contents seq))
+    (hex (Json.to_string registry))
+
+let test_probe_observations_pinned () =
+  let module Scenario = Bfdn_scenario.Scenario in
+  let module Param = Bfdn_scenario.Param in
+  let example name =
+    match Scenario.load (Printf.sprintf "../examples/%s.json" name) with
+    | Ok spec -> ("examples/" ^ name, spec)
+    | Error e -> Alcotest.failf "%s: %s" name e
+  in
+  let cases =
+    [
+      example "bfdn_comb";
+      example "bfdn_crash";
+      example "bfdn_grid";
+      example "bfdn_async";
+      example "cte_hidden_path";
+      ( "lazy binary",
+        Scenario.make ~k:64 ~seed:5
+          (Scenario.world
+             ~params:[ ("n", Param.Int 20_000); ("scale", Param.String "lazy") ]
+             "binary") );
+      ( "random mask",
+        Scenario.make ~k:8 ~seed:9
+          ~faults:[ ("mask", Param.String "random"); ("mask_p", Param.Float 0.3) ]
+          (Scenario.world ~params:[ ("n", Param.Int 400) ] "random") );
+      ( "cte on trap",
+        Scenario.make ~algo:"cte" ~k:16 ~seed:4
+          (Scenario.world ~params:[ ("n", Param.Int 500) ] "trap") );
+      ( "thick-comb adversary",
+        Scenario.make ~k:8 ~seed:3
+          (Scenario.adversarial ~policy:"thick-comb" ~capacity:2000
+             ~depth_budget:60) );
+    ]
+  in
+  let pinned =
+    [
+      ( "examples/bfdn_comb",
+        "202 00d8df09cdc7867f55890424bda0037e db223a4f96fc8e092c586b96818913be" );
+      ( "examples/bfdn_crash",
+        "279 f9862e38ee4e35100d0a132c147b8206 e88f23e2ee8b6edf3af5c05de388ba8b" );
+      ( "examples/bfdn_grid",
+        "62 e069c1f09a33b4a9cbffe4e68f4ccf29 7ca8a9fd69349225b07092fbf3526119" );
+      ( "examples/bfdn_async",
+        "170 4910db03420fd73346e190f4b6669187 db6588a2b812f545c3554ead33806085" );
+      ( "examples/cte_hidden_path",
+        "326 02d7ef18c5d966f5f6169623c6a5df33 56776526ecf17b6356ffd82c8da59aed" );
+      ( "lazy binary",
+        "1059 bc8acfb0285884c48df81878fb1e692a d9626e9cb0dc8c1a56e5b21f79e2e43d" );
+      ( "random mask",
+        "187 218ec7c6c53f0db8edcc081b43ef83e5 3457c195bbc1862be3e9778145e9b3b3" );
+      ( "cte on trap",
+        "236 a896ba6302535f92ed2e786fce71be9c 35c4f4076d053bd9bc30c3683b22179c" );
+      ( "thick-comb adversary",
+        "215 7539e6da6a2071f1b639391b2d40a4b2 e0587c513afb54e693c0deca5cc426c8" );
+    ]
+  in
+  List.iter
+    (fun (name, spec) ->
+      (match Scenario.validate spec with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "%s: %s" name e);
+      checks name (List.assoc name pinned) (observe spec))
+    cases
 
 (* ---- probes through the engine pool ---- *)
 
@@ -748,6 +838,7 @@ let suite =
       tc "probe counters match runner" test_probe_counters_match_runner;
       tc "reanchor summary once" test_reanchor_summary_once;
       tc "probe does not perturb" test_probe_does_not_perturb;
+      tc "probe observations pinned" test_probe_observations_pinned;
       tc "pool probe aggregate invariant" test_pool_probe_aggregate_invariant;
       tc "dashboard renders" test_dashboard_renders;
       tc "gc probe records pauses" test_gc_probe_records;

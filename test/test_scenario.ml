@@ -145,6 +145,14 @@ let test_validate_rejects () =
     (Scenario.make
        (Scenario.world ~params:[ ("n", Param.String "many") ] "comb"));
   expect_error "k < 1" (Scenario.make ~k:0 (Scenario.world "comb"));
+  (* k sizes per-robot arrays before the first round *)
+  expect_error "k = 2^20 + 1"
+    (Scenario.make ~k:((1 lsl 20) + 1) (Scenario.world "comb"));
+  expect_error "k = 10^11"
+    (Scenario.make ~k:100_000_000_000 (Scenario.world "comb"));
+  checkb "k = 2^20 accepted" true
+    (Scenario.validate (Scenario.make ~k:(1 lsl 20) (Scenario.world "comb"))
+    = Ok ());
   expect_error "max_rounds < 1"
     (Scenario.make ~max_rounds:0 (Scenario.world "comb"));
   (* adversary budgets: they size the node store *)

@@ -412,6 +412,19 @@ let test_e2e_bad_spec_400 () =
           {|{"schema_version":1,"adversary":{"name":"miser","params":{"capacity":0}},"algo":{"name":"bfdn"},"k":1,"seed":0}|}
       in
       checki "adversary capacity 0 is 400" 400 resp.Client.status;
+      (* k sizes per-robot arrays: above the cap it is refused before
+         anything is allocated, and the server keeps serving *)
+      List.iter
+        (fun k ->
+          let resp =
+            post_run port
+              (Printf.sprintf
+                 {|{"schema_version":1,"world":{"name":"path","params":{"n":10}},"algo":{"name":"bfdn"},"k":%d,"seed":0}|}
+                 k)
+          in
+          checki (Printf.sprintf "k = %d is 400" k) 400 resp.Client.status)
+        [ (1 lsl 20) + 1; 100_000_000_000 ];
+      checki "healthz still 200" 200 (get port "/healthz").Client.status;
       let resp = get port "/nope" in
       checki "unknown path is 404" 404 resp.Client.status)
 

@@ -104,7 +104,7 @@ let test_metrics_moves () =
 
 let test_mask_pins_robot () =
   let mask ~round:_ ~robot = robot <> 0 in
-  let env = Env.create ~mask (small ()) ~k:2 in
+  let env = Env.create ~fault:(Env.mask_hook mask) (small ()) ~k:2 in
   checkb "robot 0 blocked" false (Env.allowed env 0);
   checkb "robot 1 allowed" true (Env.allowed env 1);
   Env.apply env [| Env.Via_port 0; Env.Via_port 1 |];
@@ -114,7 +114,7 @@ let test_mask_pins_robot () =
 
 let test_mask_round_dependent () =
   let mask ~round ~robot:_ = round mod 2 = 1 in
-  let env = Env.create ~mask (small ()) ~k:1 in
+  let env = Env.create ~fault:(Env.mask_hook mask) (small ()) ~k:1 in
   Env.apply env [| Env.Via_port 0 |];
   checki "even round blocked" 0 (Env.position env 0);
   Env.apply env [| Env.Via_port 0 |];
@@ -281,7 +281,7 @@ let test_trace_records () =
   let trace = Trace.create () in
   Trace.record trace env;
   Env.apply env [| Env.Via_port 0 |];
-  Trace.recorder trace env;
+  Trace.record trace env;
   checki "frames" 2 (Trace.length trace);
   let frames = Trace.frames trace in
   checki "first round" 0 (List.hd frames).Trace.round;
@@ -292,7 +292,7 @@ let test_trace_depth_timeline () =
   let trace = Trace.create () in
   Trace.record trace env;
   let algo = Bfdn.Bfdn_algo.algo (Bfdn.Bfdn_algo.make env) in
-  ignore (Runner.run ~on_round:(Trace.recorder trace) algo env);
+  ignore (Runner.run ~on_round:(Trace.record trace) algo env);
   let s = Trace.depth_timeline trace env in
   checkb "has axis" true (String.length s > 0);
   checkb "mentions depth rows" true (String.contains s 'd')
@@ -367,7 +367,7 @@ let test_trace_ring_bounded () =
   let env = Env.create (Tree_gen.path 6) ~k:2 in
   let trace = Trace.create ~capacity:4 () in
   let algo = Bfdn.Bfdn_algo.algo (Bfdn.Bfdn_algo.make env) in
-  let r = Runner.run ~on_round:(Trace.recorder trace) algo env in
+  let r = Runner.run ~on_round:(Trace.record trace) algo env in
   checki "length counts every frame" r.Runner.rounds (Trace.length trace);
   checki "retained bounded" 4 (Trace.retained trace);
   checki "dropped" (r.Runner.rounds - 4) (Trace.dropped trace);
