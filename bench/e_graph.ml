@@ -61,12 +61,11 @@ let spec ?(faults = []) ?max_rounds ~world ~params ~k () =
    the root seed exactly as Scenario.run does (instance stream = split
    index 0) for the edge count. *)
 let n_edges_of ~world ~params =
-  let g, _ =
-    World_registry.build_graph
-      ~rng:(Rng.split (Rng.create seed) 0)
-      ~params world
-  in
-  Bfdn_graphs.Graph.num_edges g
+  match World_registry.world_source world params with
+  | Ok (World_registry.Graph_world build) ->
+      Bfdn_graphs.Graph.num_edges (fst (build (Rng.split (Rng.create seed) 0)))
+  | Ok _ -> invalid_arg ("E21: not a graph world: " ^ world)
+  | Error msg -> invalid_arg ("E21: " ^ msg)
 
 type row = {
   r_label : string;

@@ -40,6 +40,17 @@ module Prometheus = Bfdn_obs.Prometheus
 module Server = Bfdn_serve.Server
 module Client = Bfdn_serve.Client
 
+(* A user error — a bad spec or parameter, an unreadable file, an
+   operation the spec does not support — ends the command with one line
+   on stderr and exit code 1; an uncaught exception stays a bug
+   (cmdliner's exit 125). *)
+let die fmt =
+  Printf.ksprintf
+    (fun msg ->
+      prerr_endline ("bfdn-explore: " ^ msg);
+      exit 1)
+    fmt
+
 (* ---- shared arguments ---- *)
 
 let seed_arg =
@@ -56,7 +67,7 @@ let parse_bindings ~what ~schema kvs =
   List.map
     (fun kv ->
       match String.index_opt kv '=' with
-      | None -> failwith (Printf.sprintf "%s: expected KEY=VALUE, got %S" what kv)
+      | None -> die "%s: expected KEY=VALUE, got %S" what kv
       | Some i ->
           let key = String.sub kv 0 i in
           let v = String.sub kv (i + 1) (String.length kv - i - 1) in
@@ -64,13 +75,11 @@ let parse_bindings ~what ~schema kvs =
             match List.find_opt (fun s -> String.equal s.Param.key key) schema with
             | Some s -> s
             | None ->
-                failwith
-                  (Printf.sprintf "%s: unknown parameter %S (known: %s)" what key
-                     (names (List.map (fun s -> s.Param.key) schema)))
+                die "%s: unknown parameter %S (known: %s)" what key
+                  (names (List.map (fun s -> s.Param.key) schema))
           in
           let bad ty =
-            failwith
-              (Printf.sprintf "%s: parameter %s expects %s, got %S" what key ty v)
+            die "%s: parameter %s expects %s, got %S" what key ty v
           in
           let value =
             match spec.Param.default with
@@ -94,7 +103,7 @@ let parse_bindings ~what ~schema kvs =
 let algo_schema name =
   match Algo_registry.find name with
   | Some e -> e.Algo_registry.params
-  | None -> failwith (Printf.sprintf "unknown algorithm %S" name)
+  | None -> die "unknown algorithm %S" name
 
 (* "fault."-prefixed --param keys address the fault-injection schema
    instead of the algorithm's; split them off and strip the prefix. *)
@@ -240,7 +249,7 @@ let run_cmd =
       | Some file -> (
           match Scenario.load file with
           | Ok s -> s
-          | Error msg -> failwith msg)
+          | Error msg -> die "%s" msg)
       | None ->
           let fault_kvs, algo_kvs = split_fault_params params in
           let algo_params =
@@ -267,7 +276,7 @@ let run_cmd =
     let spec = if metrics then { spec with Scenario.metrics = true } else spec in
     (match Scenario.validate spec with
     | Ok () -> ()
-    | Error msg -> failwith msg);
+    | Error msg -> die "%s" msg);
     match dump_spec with
     | Some "-" -> print_endline (Scenario.to_string spec)
     | Some file ->
@@ -276,12 +285,34 @@ let run_cmd =
     | None ->
         (match dump_tree with
         | Some file ->
+            (* materialize rejects, before building anything, a spec
+               whose instance is not a tree known up front *)
+            let tree =
+              match Scenario.materialize spec with
+              | tree -> tree
+              | exception Invalid_argument msg -> die "--dump-tree: %s" msg
+            in
             let oc = open_out file in
-            output_string oc (Bfdn_trees.Tree.to_string (Scenario.materialize spec));
+            output_string oc (Bfdn_trees.Tree.to_string tree);
             output_char oc '\n';
             close_out oc;
             Printf.printf "instance written to %s\n" file
         | None -> ());
+        let replay_tree =
+          Option.map
+            (fun file ->
+              (match Scenario.validate_tree_run spec with
+              | Ok () -> ()
+              | Error msg -> die "--tree-file: %s" msg);
+              match
+                Bfdn_trees.Tree.of_string
+                  (String.trim (In_channel.with_open_bin file In_channel.input_all))
+              with
+              | tree -> tree
+              | exception (Sys_error msg | Invalid_argument msg | Failure msg) ->
+                  die "--tree-file %s: %s" file msg)
+            tree_file
+        in
         let registry =
           if spec.Scenario.metrics then Some (Metrics.create ()) else None
         in
@@ -301,13 +332,8 @@ let run_cmd =
           end
         in
         let outcome =
-          match tree_file with
-          | Some file ->
-              let ic = open_in file in
-              let contents = really_input_string ic (in_channel_length ic) in
-              close_in ic;
-              Scenario.run_on_tree ~probe ~on_round spec
-                (Bfdn_trees.Tree.of_string (String.trim contents))
+          match replay_tree with
+          | Some tree -> Scenario.run_on_tree ~probe ~on_round spec tree
           | None -> Scenario.run ~probe ~on_round spec
         in
         let result = outcome.Scenario.result in
@@ -509,7 +535,7 @@ let sweep_cmd =
         (fun s ->
           match int_of_string_opt s with
           | Some k when k >= 1 -> k
-          | _ -> failwith ("bad robot count: " ^ s))
+          | _ -> die "bad robot count: %s" s)
         (split_csv ks)
     in
     (* Bad names are warned about here but still swept: the engine contains
@@ -813,7 +839,7 @@ let adversary_cmd =
     in
     (match Scenario.validate spec with
     | Ok () -> ()
-    | Error msg -> failwith msg);
+    | Error msg -> die "%s" msg);
     let o = Scenario.run spec in
     Format.printf "%s vs %s adversary: %a@." algo_name policy_name
       Runner.pp_result o.Scenario.result;
@@ -855,8 +881,11 @@ let grid_cmd =
         ]
       in
       match World_registry.find "grid" with
-      | Some { World_registry.kind = World_registry.Grid build; _ } ->
-          build { World_registry.rng = Rng.create seed; params }
+      | Some { World_registry.kind = World_registry.Grid build; params = schema; _ }
+        -> (
+          match Param.validate ~schema params with
+          | Error msg -> die "%s" msg
+          | Ok () -> build { World_registry.rng = Rng.create seed; params })
       | _ -> failwith "grid world missing from the registry"
     in
     print_string (Grid.render grid);
@@ -1046,8 +1075,8 @@ let submit_cmd =
             | Ok j -> (
                 match Json.member "id" j with
                 | Some (Json.Int id) -> id
-                | _ -> failwith "no job id in response")
-            | Error e -> failwith e
+                | _ -> die "no job id in response")
+            | Error e -> die "%s" e
           in
           match
             Client.request ~host ~port ~meth:"GET"

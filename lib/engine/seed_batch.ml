@@ -6,11 +6,11 @@
    the batch saves work through two mechanisms, each proved sound by the
    determinism oracle, never assumed:
 
-   1. {b Shared world}: for tree families whose generator ignores the
-      instance stream ({!Bfdn_scenario.World_registry.deterministic_tree})
-      every lane hides the identical tree, so one [Env.world_of_tree]
-      record — including its lazily memoized stat scan — serves all S
-      environments.
+   1. {b Shared world}: when every lane hides the identical tree
+      ({!Bfdn_scenario.Scenario.shared_tree}: an eager tree family whose
+      generator ignores the instance stream, on the synchronous tree
+      runner), one [Env.world_of_tree] record — including its lazily
+      memoized stat scan — serves all S environments.
 
    2. {b Identical-lane collapse}: lanes differ only through their RNG
       streams. With a shared world, no faults and a noop probe, the only
@@ -30,8 +30,6 @@
    sequential calls. *)
 
 module Scenario = Bfdn_scenario.Scenario
-module World_registry = Bfdn_scenario.World_registry
-module Algo_registry = Bfdn_scenario.Algo_registry
 module Env = Bfdn_sim.Env
 module Rng = Bfdn_util.Rng
 module Probe = Bfdn_obs.Probe
@@ -42,32 +40,13 @@ type report = {
   collapsed : bool;
 }
 
-(* The world record every lane can share: the spec's hidden tree, when
-   the spec runs on the eager tree runner over a deterministic family. *)
-let shared_world t =
-  match t.Scenario.instance with
-  | Scenario.Adversarial _ -> None
-  | Scenario.World { world; params } ->
-      let tree_runner =
-        match Algo_registry.find t.Scenario.algo with
-        | Some e -> e.Algo_registry.make_tree <> None
-        | None -> false
-      in
-      if tree_runner && World_registry.deterministic_tree ~params world then
-        Some
-          (Env.world_of_tree
-             (World_registry.build_tree
-                ~rng:(Scenario.instance_stream (Rng.create t.Scenario.seed))
-                ~params world))
-      else None
-
 let run ?(probe = Probe.noop) ?on_round t =
   (match Scenario.validate t with
   | Ok () -> ()
   | Error msg ->
       invalid_arg ("Seed_batch: " ^ msg ^ " in " ^ Scenario.describe t));
   let s = t.Scenario.batch_seeds in
-  let world = shared_world t in
+  let world = Option.map Env.world_of_tree (Scenario.shared_tree t) in
   (* Lane [l] through the one round loop. Returns the outcome and whether
      the run drew nothing from its algorithm stream (only tracked on the
      shared world). *)

@@ -68,59 +68,41 @@ let tree_entry ~name ?(aliases = []) ?(adaptive = true) ~doc ?(params = [])
 
 (* BFDN's anchor-selection policy, exposed as a string parameter so the
    ablation variants are expressible in a serialized spec. *)
-let policy_of_string ~rng = function
-  | "least-loaded" -> Bfdn.Bfdn_algo.Least_loaded
-  | "first-open" -> Bfdn.Bfdn_algo.First_open
-  | "random-open" -> Bfdn.Bfdn_algo.Random_open rng
-  | other ->
-      invalid_arg
-        ("Algo_registry: unknown anchor policy " ^ other
-       ^ " (expected least-loaded, first-open or random-open)")
+let anchor_policies =
+  [
+    ("least-loaded", fun _ -> Bfdn.Bfdn_algo.Least_loaded);
+    ("first-open", fun _ -> Bfdn.Bfdn_algo.First_open);
+    ("random-open", fun rng -> Bfdn.Bfdn_algo.Random_open rng);
+  ]
 
 let bfdn_params =
   [
-    {
-      Param.key = "policy";
-      doc = "anchor policy: least-loaded, first-open or random-open";
-      default = Param.String "least-loaded";
-    };
-    {
-      Param.key = "shortcut";
-      doc = "re-anchor through the LCA when a DN excursion stalls (ablation)";
-      default = Param.Bool false;
-    };
-    {
-      Param.key = "fault_tolerant";
-      doc =
-        "crash-tolerant variant: detect silent robots via whiteboard \
-         heartbeats and release their anchors";
-      default = Param.Bool false;
-    };
-    {
-      Param.key = "suspect_after";
-      doc = "rounds of heartbeat silence before a robot is presumed lost";
-      default = Param.Int 4;
-    };
+    Param.spec "policy" (Param.String "least-loaded") "anchor policy"
+      ~accepts:(Param.One_of (List.map fst anchor_policies));
+    Param.spec "shortcut" (Param.Bool false)
+      "re-anchor through the LCA when a DN excursion stalls (ablation)";
+    Param.spec "fault_tolerant" (Param.Bool false)
+      "crash-tolerant variant: detect silent robots via whiteboard \
+       heartbeats and release their anchors";
+    Param.spec "suspect_after" (Param.Int 4)
+      "rounds of heartbeat silence before a robot is presumed lost"
+      ~accepts:(Param.Ints (1, max_int));
   ]
 
 let rec_params =
   [
-    {
-      Param.key = "ell";
-      doc = "recursion level l of BFDN_l (Theorem 10)";
-      default = Param.Int 2;
-    };
+    Param.spec "ell" (Param.Int 2)
+      "recursion level l of BFDN_l (Theorem 10); call j's budget is \
+       2^(j l) rounds"
+      ~accepts:(Param.Ints (1, 30));
   ]
 
 let async_params =
   [
-    {
-      Param.key = "speed_spread";
-      doc =
-        "speed heterogeneity: robot speeds drawn uniformly from \
-         [1/(1+spread), 1] (0 = all unit speed, synchronous-like)";
-      default = Param.Float 0.0;
-    };
+    Param.spec "speed_spread" (Param.Float 0.0)
+      "speed heterogeneity: robot speeds drawn uniformly from \
+       [1/(1+spread), 1] (0 = all unit speed, synchronous-like)"
+      ~accepts:(Param.Floats (0.0, Float.max_float));
   ]
 
 let all =
@@ -133,7 +115,9 @@ let all =
       (fun c ->
         let schema = bfdn_params in
         let policy =
-          policy_of_string ~rng:c.rng (Param.get_string ~schema c.params "policy")
+          List.assoc
+            (Param.get_string ~schema c.params "policy")
+            anchor_policies c.rng
         in
         let shortcut = Param.get_bool ~schema c.params "shortcut" in
         let fault_tolerant = Param.get_bool ~schema c.params "fault_tolerant" in
@@ -219,8 +203,6 @@ let all =
             let spread =
               Param.get_float ~schema:async_params c.a_params "speed_spread"
             in
-            if spread < 0.0 then
-              invalid_arg "Algo_registry: speed_spread must be >= 0";
             let speeds =
               if spread = 0.0 then None
               else
@@ -281,54 +263,17 @@ let choices_of filter =
 let cli_choices = choices_of (fun e -> (caps e).tree)
 let adaptive_cli_choices = choices_of (fun e -> (caps e).adaptive)
 
-let checked_params e params =
-  match Param.validate ~schema:e.params params with
-  | Error msg -> invalid_arg (Printf.sprintf "Algo_registry: %s: %s" e.name msg)
-  | Ok () -> ()
-
-let resolve name =
+let instantiate ?(probe = Probe.noop) ?rng ?(params = []) ?fault name env =
   match find name with
   | None -> invalid_arg ("Algo_registry: unknown algorithm " ^ name)
-  | Some e -> e
-
-let default_rng rng = match rng with Some r -> r | None -> Rng.create 0
-
-let instantiate ?(probe = Probe.noop) ?rng ?(params = []) ?fault name env =
-  let e = resolve name in
-  match e.make_tree with
-  | None ->
+  | Some { make_tree = None; _ } ->
       invalid_arg
         ("Algo_registry: " ^ name
        ^ " does not run on the synchronous tree environment")
-  | Some make ->
-      checked_params e params;
-      make { env; rng = default_rng rng; probe; params; fault }
-
-let instantiate_graph ?rng ?(params = []) name g_env =
-  let e = resolve name in
-  match e.make_graph with
-  | None ->
-      invalid_arg
-        ("Algo_registry: " ^ name ^ " does not run on the graph environment")
-  | Some make ->
-      checked_params e params;
-      make { g_env; g_rng = default_rng rng; g_params = params }
-
-let instantiate_async ?rng ?(params = []) ?(fault = Env.fault_noop) name tree
-    ~k =
-  let e = resolve name in
-  match e.make_async with
-  | None ->
-      invalid_arg
-        ("Algo_registry: " ^ name
-       ^ " does not run on the continuous-time environment")
-  | Some make ->
-      checked_params e params;
-      make
-        {
-          a_tree = tree;
-          a_k = k;
-          a_rng = default_rng rng;
-          a_params = params;
-          a_fault = fault;
-        }
+  | Some ({ make_tree = Some make; _ } as e) -> (
+      match Param.validate ~schema:e.params params with
+      | Error msg ->
+          invalid_arg (Printf.sprintf "Algo_registry: %s: %s" e.name msg)
+      | Ok () ->
+          let rng = match rng with Some r -> r | None -> Rng.create 0 in
+          make { env; rng; probe; params; fault })

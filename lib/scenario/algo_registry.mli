@@ -7,9 +7,10 @@
     ({!Bfdn_graphs.Graph_env}), and the continuous-time relaxation
     ({!Bfdn_sim.Async_env}). Capability flags are {e derived} from the
     constructors that exist ({!caps}), so listings can never drift from
-    what [instantiate*] accepts. The CLI ([bin/explore.ml]), the bench
-    harness and the engine's {!Bfdn_engine.Batch} all resolve algorithm
-    names here — none of them carries its own name→constructor match
+    what a run accepts: {!Scenario} picks the constructor that drives a
+    spec's world once, when it plans the run. The CLI ([bin/explore.ml]),
+    the bench harness and the engine's {!Bfdn_engine.Batch} all resolve
+    algorithm names here — none of them carries its own name→constructor match
     any more, so a variant registered once is reachable everywhere
     (asserted in [test/test_scenario.ml]). *)
 
@@ -113,30 +114,8 @@ val instantiate :
   string ->
   Bfdn_sim.Env.t ->
   Bfdn_sim.Runner.algo
-(** Construct a named algorithm on a tree environment. [rng] defaults to
-    a fresh deterministic stream (seed 0) — deterministic algorithms
-    never touch it. @raise Invalid_argument on an unknown name, an
-    algorithm with no tree constructor, or parameters violating the
-    schema. *)
-
-val instantiate_graph :
-  ?rng:Bfdn_util.Rng.t ->
-  ?params:Param.binding list ->
-  string ->
-  Bfdn_graphs.Graph_env.t ->
-  Bfdn_sim.Exec_env.t
-(** Construct a named algorithm on a graph environment, packaged for
-    {!Bfdn_sim.Exec_env.run}. @raise Invalid_argument as
-    {!instantiate}. *)
-
-val instantiate_async :
-  ?rng:Bfdn_util.Rng.t ->
-  ?params:Param.binding list ->
-  ?fault:Bfdn_sim.Env.fault_hook ->
-  string ->
-  Bfdn_trees.Tree.t ->
-  k:int ->
-  Bfdn_sim.Exec_env.t
-(** Construct a named algorithm in the continuous-time relaxation on the
-    given hidden tree, packaged for {!Bfdn_sim.Exec_env.run}.
-    @raise Invalid_argument as {!instantiate}. *)
+(** Construct a named algorithm on a tree environment — for harnesses
+    that build their own environment (bench, tests). [rng] defaults to a
+    fresh deterministic stream (seed 0) — deterministic algorithms never
+    touch it. @raise Invalid_argument on an unknown name, an algorithm
+    with no tree constructor, or parameters violating the schema. *)

@@ -2,48 +2,22 @@ module Fault_plan = Bfdn_faults.Fault_plan
 
 let schema =
   [
-    {
-      Param.key = "crashes";
-      doc =
-        "explicit schedule, comma-separated ROBOT@ROUND[+AFTER] (e.g. \
-         \"2@10,5@40+30\"); exclusive with rate";
-      default = Param.String "";
-    };
-    {
-      Param.key = "rate";
-      doc = "random mode: per-robot crash probability";
-      default = Param.Float 0.0;
-    };
-    {
-      Param.key = "window";
-      doc = "random mode: crash round uniform in [1, window]";
-      default = Param.Int 64;
-    };
-    {
-      Param.key = "restart";
-      doc = "random mode: rounds until a replacement at the root; -1 = never";
-      default = Param.Int (-1);
-    };
-    {
-      Param.key = "drops";
-      doc = "whiteboard write-drop probability";
-      default = Param.Float 0.0;
-    };
-    {
-      Param.key = "mask";
-      doc = "move mask: none, rotating, random, half or solo";
-      default = Param.String "none";
-    };
-    {
-      Param.key = "mask_m";
-      doc = "rotating mask: blocked when (round + robot) mod mask_m = 0";
-      default = Param.Int 3;
-    };
-    {
-      Param.key = "mask_p";
-      doc = "random mask: per-(round, robot) block probability";
-      default = Param.Float 0.5;
-    };
+    Param.spec "crashes" (Param.String "")
+      "explicit schedule, comma-separated ROBOT@ROUND[+AFTER] (e.g. \
+       \"2@10,5@40+30\"); exclusive with rate";
+    Param.spec "rate" (Param.Float 0.0)
+      "random mode: per-robot crash probability";
+    Param.spec "window" (Param.Int 64)
+      "random mode: crash round uniform in [1, window]";
+    Param.spec "restart" (Param.Int (-1))
+      "random mode: rounds until a replacement at the root; -1 = never";
+    Param.spec "drops" (Param.Float 0.0) "whiteboard write-drop probability";
+    Param.spec "mask" (Param.String "none")
+      "move mask: none, rotating, random, half or solo";
+    Param.spec "mask_m" (Param.Int 3)
+      "rotating mask: blocked when (round + robot) mod mask_m = 0";
+    Param.spec "mask_p" (Param.Float 0.5)
+      "random mask: per-(round, robot) block probability";
   ]
 
 let ( let* ) = Result.bind

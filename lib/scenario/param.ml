@@ -4,7 +4,15 @@ type value = Int of int | Float of float | Bool of bool | String of string
 
 type binding = string * value
 
-type spec = { key : string; doc : string; default : value }
+type accepts =
+  | Any
+  | Ints of int * int
+  | Floats of float * float
+  | One_of of string list
+
+type spec = { key : string; doc : string; default : value; accepts : accepts }
+
+let spec ?(accepts = Any) key default doc = { key; doc; default; accepts }
 
 let type_name = function
   | Int _ -> "int"
@@ -32,18 +40,60 @@ let same_type a b =
       true
   | _ -> false
 
+let value_to_string = function
+  | Int i -> string_of_int i
+  | Float f -> Json.float_to_string f
+  | Bool b -> string_of_bool b
+  | String s -> s
+
+let describe_accepts = function
+  | Any -> None
+  | Ints (lo, hi) ->
+      Some
+        (if hi = max_int then Printf.sprintf ">= %d" lo
+         else Printf.sprintf "in [%d, %d]" lo hi)
+  | Floats (lo, hi) ->
+      Some
+        (if hi = Float.max_float then
+           Printf.sprintf ">= %s" (Json.float_to_string lo)
+         else
+           Printf.sprintf "in [%s, %s]" (Json.float_to_string lo)
+             (Json.float_to_string hi))
+  | One_of names -> (
+      match List.rev_map (Printf.sprintf "%S") names with
+      | last :: (_ :: _ as rest) ->
+          Some (String.concat ", " (List.rev rest) ^ " or " ^ last)
+      | one -> Some (String.concat "" one))
+
+(* [v] already has the spec's type. *)
+let accepted s v =
+  match (s.accepts, v) with
+  | Ints (lo, hi), Int i -> lo <= i && i <= hi
+  | Floats (lo, hi), Float f -> lo <= f && f <= hi
+  | One_of names, String x -> List.exists (String.equal x) names
+  | _ -> true
+
 let validate ~schema bindings =
   let rec go = function
     | [] -> Ok ()
     | (key, v) :: rest -> (
         match List.find_opt (fun s -> String.equal s.key key) schema with
         | None -> Error (Printf.sprintf "unknown parameter %s" key)
-        | Some s ->
-            if same_type s.default v then go rest
-            else
-              Error
-                (Printf.sprintf "parameter %s expects %s, got %s" key
-                   (type_name s.default) (type_name v)))
+        | Some s when not (same_type s.default v) ->
+            Error
+              (Printf.sprintf "parameter %s expects %s, got %s" key
+                 (type_name s.default) (type_name v))
+        | Some s when not (accepted s v) ->
+            let got =
+              match v with
+              | String x -> Printf.sprintf "%S" x
+              | _ -> value_to_string v
+            in
+            Error
+              (Printf.sprintf "%s must be %s (got %s)" key
+                 (Option.get (describe_accepts s.accepts))
+                 got)
+        | Some _ -> go rest)
   in
   go bindings
 
@@ -80,20 +130,17 @@ let get_float ~schema bindings key =
   | Float f -> f
   | _ -> invalid_arg ("Param.get_float: " ^ key ^ " is not a float")
 
-let value_to_string = function
-  | Int i -> string_of_int i
-  | Float f -> Json.float_to_string f
-  | Bool b -> string_of_bool b
-  | String s -> s
-
 let describe_schema specs =
   String.concat ""
     (List.map
        (fun s ->
-         Printf.sprintf "    %-14s %-7s default %-12s %s\n" s.key
+         Printf.sprintf "    %-14s %-7s default %-12s %s%s\n" s.key
            (type_name s.default)
            (value_to_string s.default)
-           s.doc)
+           s.doc
+           (match describe_accepts s.accepts with
+           | None -> ""
+           | Some a -> " (" ^ a ^ ")"))
        specs)
 
 let bindings_to_string bindings =
@@ -114,12 +161,15 @@ let json_of_schema specs =
     (List.map
        (fun s ->
          Json.Obj
-           [
-             ("default", value_to_json s.default);
-             ("doc", Json.String s.doc);
-             ("key", Json.String s.key);
-             ("type", Json.String (type_name s.default));
-           ])
+           ((match describe_accepts s.accepts with
+            | None -> []
+            | Some a -> [ ("accepts", Json.String a) ])
+           @ [
+               ("default", value_to_json s.default);
+               ("doc", Json.String s.doc);
+               ("key", Json.String s.key);
+               ("type", Json.String (type_name s.default));
+             ]))
        specs)
 
 let value_of_json = function

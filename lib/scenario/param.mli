@@ -13,9 +13,23 @@ type value = Int of int | Float of float | Bool of bool | String of string
 
 type binding = string * value
 
-type spec = { key : string; doc : string; default : value }
+(** The values a parameter accepts beyond its type — declared next to
+    the schema entry, enforced by {!validate} and printed by
+    {!describe_schema}, so a constructor never meets a value it rejects. *)
+type accepts =
+  | Any
+  | Ints of int * int  (** inclusive range; [max_int] prints as [>= lo] *)
+  | Floats of float * float
+      (** inclusive range (NaN is outside every range); [Float.max_float]
+          prints as [>= lo] *)
+  | One_of of string list
+
+type spec = { key : string; doc : string; default : value; accepts : accepts }
 (** The default also fixes the parameter's type: a binding for [key]
     must carry the same [value] constructor. *)
+
+val spec : ?accepts:accepts -> string -> value -> string -> spec
+(** [spec key default doc ~accepts]; [accepts] defaults to [Any]. *)
 
 val canon : binding list -> binding list
 (** Sort bindings by key (the canonical form used by the JSON codec, so
@@ -24,7 +38,8 @@ val canon : binding list -> binding list
 
 val validate : schema:spec list -> binding list -> (unit, string) result
 (** Every bound key must exist in the schema with a matching value
-    type. *)
+    type and a value its [accepts] admits; the error for the latter
+    reads [KEY must be in [LO, HI] (got V)]. *)
 
 (** {2 Schema-checked accessors}
 
@@ -40,8 +55,8 @@ val get_float : schema:spec list -> binding list -> string -> float
 (** {2 Rendering and JSON} *)
 
 val describe_schema : spec list -> string
-(** One line per parameter: [key : type = default — doc]. Empty string
-    for an empty schema. *)
+(** One line per parameter: [key : type = default — doc (accepted
+    values)]. Empty string for an empty schema. *)
 
 val bindings_to_string : binding list -> string
 (** Compact [k=v,k=v] rendering for labels. *)
@@ -56,5 +71,6 @@ val of_json : Bfdn_obs.Json.t -> (binding list, string) result
 
 val json_of_schema : spec list -> Bfdn_obs.Json.t
 (** Machine-readable schema dump: a list of
-    [{key, type, default, doc}] objects in schema order — the shape
-    served by [GET /registry] and [explore list --json]. *)
+    [{accepts, default, doc, key, type}] objects in schema order
+    ([accepts] as {!describe_schema} prints it, only when not [Any]) —
+    the shape served by [GET /registry] and [explore list --json]. *)

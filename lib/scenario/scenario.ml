@@ -115,129 +115,78 @@ let describe t =
 let equal (a : t) (b : t) = a = b
 let equal_outcome (a : outcome) (b : outcome) = a = b
 
-(* ---- validation ---- *)
+(* ---- the run plan ----
+
+   Every decision about how a spec runs is made here, once: which world
+   source hides the instance and which of the algorithm's constructors
+   drives it. Validation, the wire version and every executor read the
+   plan; none of them looks a name up again. *)
 
 let ( let* ) = Result.bind
 
-let check_params ~what ~schema params =
-  match Param.validate ~schema params with
-  | Ok () -> Ok ()
-  | Error msg -> Error (Printf.sprintf "%s: %s" what msg)
+(* The environment the algorithm drives, with the entry's constructor. *)
+type driver =
+  | Sync of (Algo_registry.ctx -> Runner.algo)
+  | Async of (Algo_registry.async_ctx -> Exec_env.t)
+  | On_graph of (Algo_registry.graph_ctx -> Exec_env.t)
+
+type plan = { source : World_registry.source; driver : driver }
 
 (* The fleet size sizes per-robot arrays before the first round: an
    unbounded [k] is an allocation request, not a scenario. *)
 let max_k = 1 lsl 20
 
-let validate t =
-  let* entry =
+let driver_for t (e : Algo_registry.entry) (source : World_registry.source) =
+  let no fmt = Printf.ksprintf (fun msg -> Error msg) fmt in
+  match (source, e) with
+  | Graph_world _, { make_graph = Some make; _ } -> Ok (On_graph make)
+  | Graph_world _, _ ->
+      no
+        "algorithm %S does not run on graph worlds (world %S needs a \
+         graph-capable algorithm, e.g. bfdn-graph)"
+        t.algo (instance_label t)
+  | (Eager_tree _ | Lazy_tree _), { make_tree = Some make; _ } ->
+      Ok (Sync make)
+  | Eager_tree _, { make_async = Some make; _ } -> Ok (Async make)
+  | Lazy_tree _, { make_async = Some _; _ } ->
+      no
+        "algorithm %S needs an eagerly materialized world (scale=lazy is \
+         tree-runner only)"
+        t.algo
+  | (Eager_tree _ | Lazy_tree _), _ ->
+      no "algorithm %S does not run on tree worlds" t.algo
+  | Adaptive _, { make_tree = Some make; adaptive = true; _ } ->
+      Ok (Sync make)
+  | Adaptive _, _ ->
+      no
+        "algorithm %S is not adaptive-capable and cannot face an adversarial \
+         world"
+        t.algo
+
+(* Name lookups, parameter checks and the (source, driver) decision —
+   all the wire version needs. *)
+let resolve t =
+  let* e =
     match Algo_registry.find t.algo with
     | None -> Error (Printf.sprintf "unknown algorithm %S" t.algo)
     | Some e -> Ok e
   in
-  let caps = Algo_registry.caps entry in
   let* () =
-    check_params
-      ~what:(Printf.sprintf "algorithm %S" t.algo)
-      ~schema:entry.params t.algo_params
+    Result.map_error
+      (fun msg -> Printf.sprintf "algorithm %S: %s" t.algo msg)
+      (Param.validate ~schema:e.params t.algo_params)
   in
-  let* () =
+  let* source =
     match t.instance with
-    | World { world; params } -> (
-        match World_registry.find world with
-        | None -> Error (Printf.sprintf "unknown world %S" world)
-        | Some e -> (
-            let* () =
-              check_params
-                ~what:(Printf.sprintf "world %S" world)
-                ~schema:e.params params
-            in
-            match e.World_registry.kind with
-            | World_registry.Grid _ | World_registry.Graph _ ->
-                if caps.graph then Ok ()
-                else
-                  Error
-                    (Printf.sprintf
-                       "algorithm %S does not run on graph worlds (world %S \
-                        needs a graph-capable algorithm, e.g. bfdn-graph)"
-                       t.algo world)
-            | World_registry.Tree _ ->
-                let* () =
-                  if caps.tree || caps.async then Ok ()
-                  else
-                    Error
-                      (Printf.sprintf
-                         "algorithm %S does not run on tree worlds" t.algo)
-                in
-                (match World_registry.scale_of_params params with
-                | "eager" -> Ok ()
-                | "lazy" ->
-                    if not caps.tree then
-                      Error
-                        (Printf.sprintf
-                           "algorithm %S needs an eagerly materialized world \
-                            (scale=lazy is tree-runner only)"
-                           t.algo)
-                    else if Bfdn_sim.Lazy_world.supported world then
-                      let cap = World_registry.lazy_capacity ~params world in
-                      if cap <= Bfdn_sim.Node_store.max_ids then Ok ()
-                      else
-                        Error
-                          (Printf.sprintf
-                             "world %S: the scale=lazy instance has %d \
-                              nodes, above the %d-node id range of lazy \
-                              worlds"
-                             world cap Bfdn_sim.Node_store.max_ids)
-                    else
-                      Error
-                        (Printf.sprintf
-                           "world %S has no lazy materialization (lazy \
-                            families: %s)"
-                           world
-                           (String.concat ", " Bfdn_sim.Lazy_world.families))
-                | other ->
-                    Error
-                      (Printf.sprintf
-                         "world %S: scale must be \"eager\" or \"lazy\" \
-                          (got %S)"
-                         world other))))
-    | Adversarial { policy; params } -> (
-        match World_registry.find_policy policy with
-        | None -> Error (Printf.sprintf "unknown adversary policy %S" policy)
-        | Some p ->
-            let* () =
-              check_params
-                ~what:(Printf.sprintf "adversary %S" policy)
-                ~schema:p.p_params params
-            in
-            (* The budgets size the adversary's node store, bounded like
-               a scale=lazy instance. *)
-            let within key lo hi =
-              let v = Param.get_int ~schema:p.p_params params key in
-              if lo <= v && v <= hi then Ok ()
-              else
-                Error
-                  (Printf.sprintf "adversary %S: %s must be %s (got %d)"
-                     policy key
-                     (if hi = max_int then Printf.sprintf ">= %d" lo
-                      else Printf.sprintf "in [%d, %d]" lo hi)
-                     v)
-            in
-            let* () = within "capacity" 1 Bfdn_sim.Node_store.max_ids in
-            let* () = within "depth_budget" 0 max_int in
-            let* () =
-              if List.exists (fun (s : Param.spec) -> s.key = "max_children")
-                   p.p_params
-              then within "max_children" 0 max_int
-              else Ok ()
-            in
-            if caps.adaptive then Ok ()
-            else
-              Error
-                (Printf.sprintf
-                   "algorithm %S is not adaptive-capable and cannot face an \
-                    adversarial world"
-                   t.algo))
+    | World { world; params } -> World_registry.world_source world params
+    | Adversarial { policy; params } ->
+        World_registry.policy_source policy params
   in
+  let* driver = driver_for t e source in
+  Ok { source; driver }
+
+let plan t =
+  let* p = resolve t in
   let* () =
     if t.k >= 1 && t.k <= max_k then Ok ()
     else Error (Printf.sprintf "k must be in [1, %d]" max_k)
@@ -249,7 +198,18 @@ let validate t =
   in
   match t.max_rounds with
   | Some m when m < 1 -> Error "max_rounds must be >= 1"
-  | _ -> Ok ()
+  | _ -> Ok p
+
+let validate t = Result.map ignore (plan t)
+
+let graph_only t =
+  Printf.sprintf "algorithm %S runs on graph worlds only, not on a tree" t.algo
+
+let validate_tree_run t =
+  let* p = plan t in
+  match p.driver with
+  | Sync _ | Async _ -> Ok ()
+  | On_graph _ -> Error (graph_only t)
 
 (* ---- JSON codec ----
 
@@ -271,22 +231,11 @@ let schema_version = 1
 let schema_version_graph = 2
 
 let wire_version t =
-  let graph_world =
-    match t.instance with
-    | Adversarial _ -> false
-    | World { world; _ } -> (
-        match World_registry.find world with
-        | Some { World_registry.kind = Grid _ | Graph _; _ } -> true
-        | _ -> false)
-  in
-  let non_tree_algo =
-    match Algo_registry.find t.algo with
-    | Some e -> e.Algo_registry.make_tree = None
-    | None -> false
-  in
-  if graph_world || non_tree_algo || t.batch_seeds > 1 then
-    schema_version_graph
-  else schema_version
+  (* an invalid spec never decodes, so its version is only cosmetic *)
+  match resolve t with
+  | (Ok { driver = Sync _; _ } | Error _) when t.batch_seeds = 1 ->
+      schema_version
+  | _ -> schema_version_graph
 
 let named name params =
   Json.Obj [ ("name", Json.String name); ("params", Param.to_json params) ]
@@ -417,14 +366,14 @@ let to_string t = Json.to_string (to_json t)
    FNV-1a over Int64 keeps the value identical on every platform. *)
 let fingerprint t =
   let wire = to_string { t with metrics = false } in
+  (* a loop-local accumulator stays unboxed *)
   let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c ->
-      h :=
-        Int64.mul
-          (Int64.logxor !h (Int64.of_int (Char.code c)))
-          0x100000001b3L)
-    wire;
+  for i = 0 to String.length wire - 1 do
+    h :=
+      Int64.mul
+        (Int64.logxor !h (Int64.of_int (Char.code (String.unsafe_get wire i))))
+        0x100000001b3L
+  done;
   Printf.sprintf "%016Lx" !h
 
 (* Canonical serializable outcome — the "Report" body served (and
@@ -553,9 +502,9 @@ let algo_stream root = Rng.split root 1
    equivalence suite. *)
 let fault_stream root = Rng.split root 2
 
-let checked t =
-  match validate t with
-  | Ok () -> ()
+let planned t =
+  match plan t with
+  | Ok p -> p
   | Error msg -> invalid_arg ("Scenario: " ^ msg ^ " in " ^ describe t)
 
 (* The plan is re-derived from the root seed wherever the run is
@@ -563,11 +512,18 @@ let checked t =
    every execution of a spec injects the identical schedule. *)
 let fault_plan t root = Fault_spec.plan ~rng:(fault_stream root) ~k:t.k t.faults
 
-let instantiate ~probe ~rng ?fault t env =
-  Algo_registry.instantiate ~probe ~rng ~params:t.algo_params ?fault t.algo
-    env
+let sync_algo ~probe ~rng ?fault t make env =
+  make { Algo_registry.env; rng; probe; params = t.algo_params; fault }
 
-(* What each world kind contributes to a run: an execution view, and the
+let instantiate ~probe ~rng ?fault t env =
+  match (planned t).driver with
+  | Sync make -> sync_algo ~probe ~rng ?fault t make env
+  | Async _ | On_graph _ ->
+      invalid_arg
+        ("Scenario.instantiate: " ^ t.algo
+       ^ " does not run on the synchronous tree environment")
+
+(* What each world contributes to a run: an execution view, and the
    oracle stats (n, depth, max degree) of its hidden instance — read
    after the run, since a lazy world only knows them once explored. The
    one shared step [execute] drives every view through
@@ -590,26 +546,45 @@ let env_view algo env =
 let run_env ?(probe = Probe.noop) ?on_round t algo env =
   execute ~probe ?on_round t (env_view algo env)
 
-(* A hidden tree world — eager, lazily materialized or adversarial —
-   driven by the spec's tree algorithm. *)
-let world_view ~probe ~root ~fault t w =
+(* A hidden tree world — eager, lazily materialized or adaptive — driven
+   by the spec's synchronous tree algorithm. *)
+let world_view ~probe ~root ~fault t make w =
   let env = Env.of_world w ~k:t.k ~fault:(Bfdn_faults.Injector.hook_opt fault) in
-  env_view (instantiate ~probe ~rng:(algo_stream root) ?fault t env) env
+  env_view (sync_algo ~probe ~rng:(algo_stream root) ?fault t make env) env
 
-(* Graph worlds: build the port-labeled graph from the instance stream
-   and thread the fault hook into the graph environment. *)
-let graph_view ~root ~fault t ~world ~params =
+(* An explicit hidden tree: the synchronous tree runner, or the same
+   instance stepped in unit-time horizons. *)
+let tree_view ~probe ~root ~fault t driver tree =
+  match driver with
+  | Sync make -> world_view ~probe ~root ~fault t make (Env.world_of_tree tree)
+  | Async make ->
+      let stats = Bfdn_trees.Tree_stats.compute tree in
+      {
+        exec =
+          make
+            {
+              a_tree = tree;
+              a_k = t.k;
+              a_rng = algo_stream root;
+              a_params = t.algo_params;
+              a_fault = Bfdn_faults.Injector.hook_opt fault;
+            };
+        stats = (fun () -> (stats.n, stats.depth, stats.max_degree));
+      }
+  | On_graph _ ->
+      invalid_arg ("Scenario: " ^ graph_only t ^ " in " ^ describe t)
+
+(* Graph worlds: thread the fault hook into the graph environment. *)
+let graph_view ~root ~fault t make (g, origin) =
   let module Genv = Bfdn_graphs.Graph_env in
-  let g, origin =
-    World_registry.build_graph ~rng:(instance_stream root) ~params world
-  in
   let genv =
     Genv.create ~fault:(Bfdn_faults.Injector.hook_opt fault) g ~origin ~k:t.k
   in
   {
     exec =
-      Algo_registry.instantiate_graph ~rng:(algo_stream root)
-        ~params:t.algo_params t.algo genv;
+      make
+        { Algo_registry.g_env = genv; g_rng = algo_stream root;
+          g_params = t.algo_params };
     stats =
       (fun () ->
         ( Genv.oracle_n_nodes genv,
@@ -617,36 +592,16 @@ let graph_view ~root ~fault t ~world ~params =
           Genv.oracle_max_degree genv ));
   }
 
-(* An explicit hidden tree: the synchronous tree runner, or — for an
-   async-only algorithm — the same instance stepped in unit-time
-   horizons. *)
-let tree_view ~probe ~root ~fault t tree =
-  let tree_capable =
-    match Algo_registry.find t.algo with
-    | Some e -> e.Algo_registry.make_tree <> None
-    | None -> false
-  in
-  if tree_capable then
-    world_view ~probe ~root ~fault t (Env.world_of_tree tree)
-  else
-    let stats = Bfdn_trees.Tree_stats.compute tree in
-    {
-      exec =
-        Algo_registry.instantiate_async ~rng:(algo_stream root)
-          ~params:t.algo_params
-          ~fault:(Bfdn_faults.Injector.hook_opt fault)
-          t.algo tree ~k:t.k;
-      stats = (fun () -> (stats.n, stats.depth, stats.max_degree));
-    }
-
-let run_on_tree ?(probe = Probe.noop) ?on_round t tree =
-  checked t;
+let on_tree ?(probe = Probe.noop) ?on_round t driver tree =
   let root = Rng.create t.seed in
   execute ~probe ?on_round t
-    (tree_view ~probe ~root ~fault:(fault_plan t root) t tree)
+    (tree_view ~probe ~root ~fault:(fault_plan t root) t driver tree)
+
+let run_on_tree ?probe ?on_round t tree =
+  on_tree ?probe ?on_round t (planned t).driver tree
 
 let run ?(probe = Probe.noop) ?on_round t =
-  checked t;
+  let p = planned t in
   if t.batch_seeds > 1 then
     invalid_arg
       ("Scenario.run: batched spec (batch.seeds = "
@@ -656,72 +611,59 @@ let run ?(probe = Probe.noop) ?on_round t =
       ^ describe t);
   let root = Rng.create t.seed in
   let fault = fault_plan t root in
-  (* Lazily materialized and adversarial worlds: one online world type. *)
-  let run_lazy lw =
-    execute ~probe ?on_round t
-      (world_view ~probe ~root ~fault t (Bfdn_sim.Lazy_world.world lw))
-  in
-  match t.instance with
-  | World { world; params } -> (
-      match World_registry.find world with
-      | Some { World_registry.kind = Grid _ | Graph _; _ } ->
-          execute ~probe ?on_round t
-            (graph_view ~root ~fault t ~world ~params)
-      | _ when World_registry.scale_of_params params = "lazy" ->
-          (* Huge tier: the hidden tree is generated at reveal, so the run
-             holds O(explored) state. The lazy seed is one draw off the
-             instance stream — the same stream the eager build would
-             consume — keeping the derivation spec-deterministic. *)
-          let seed =
-            Int64.to_int (Rng.bits64 (instance_stream root)) land max_int
-          in
-          run_lazy (World_registry.build_lazy ~seed ~params world)
-      | _ ->
-          execute ~probe ?on_round t
-            (tree_view ~probe ~root ~fault t
-               (World_registry.build_tree ~rng:(instance_stream root) ~params
-                  world)))
-  | Adversarial { policy; params } ->
-      let adv =
-        World_registry.build_adversary ~rng:(instance_stream root) ~params
-          policy
+  let instance = instance_stream root in
+  let exec v = execute ~probe ?on_round t v in
+  match (p.source, p.driver) with
+  | Eager_tree { build; _ }, driver ->
+      exec (tree_view ~probe ~root ~fault t driver (build instance))
+  | Graph_world build, On_graph make ->
+      exec (graph_view ~root ~fault t make (build instance))
+  | Lazy_tree make_world, Sync make ->
+      exec
+        (world_view ~probe ~root ~fault t make
+           (Bfdn_sim.Lazy_world.world (make_world instance)))
+  | Adaptive make_world, Sync make ->
+      let adv = make_world instance in
+      let adaptive =
+        exec
+          (world_view ~probe ~root ~fault t make
+             (Bfdn_sim.Lazy_world.world adv))
       in
-      let adaptive = run_lazy adv in
       (* Replay on the frozen tree: the same spec, so the same algorithm
          and fault streams, re-derived from the seed. *)
-      let replay = run_on_tree t (Bfdn_sim.Lazy_world.frozen adv) in
+      let replay = on_tree t p.driver (Bfdn_sim.Lazy_world.frozen adv) in
       {
         replay with
         result = adaptive.result;
         replay_rounds = Some replay.result.rounds;
       }
+  | (Graph_world _ | Lazy_tree _ | Adaptive _), _ ->
+      invalid_arg "Scenario.run: the plan pairs this world with no driver"
+
+(* The plan and a fresh instance stream, for building the instance
+   outside a run. *)
+let instance_of t = (planned t, instance_stream (Rng.create t.seed))
 
 let materialize t =
-  checked t;
-  match t.instance with
-  | Adversarial _ ->
+  let p, instance = instance_of t in
+  match p.source with
+  | Eager_tree { build; _ } -> build instance
+  | Lazy_tree make_world ->
+      (* The same seed derivation as [run], so the materialized tree is
+         the instance a (breadth-first) lazy run discovers. *)
+      Bfdn_sim.Lazy_world.materialize (make_world instance)
+  | Adaptive _ ->
       invalid_arg
         ("Scenario.materialize: adversarial worlds only exist after a run: "
        ^ describe t)
-  | World { world; params } -> (
-      match World_registry.find world with
-      | Some { World_registry.kind = Grid _ | Graph _; _ } ->
-          invalid_arg
-            ("Scenario.materialize: " ^ world
-           ^ " is a graph world, not a tree: " ^ describe t)
-      | _ -> (
-          match World_registry.scale_of_params params with
-          | "lazy" ->
-              (* The same seed derivation as [run], so the materialized tree
-                 is the instance a (breadth-first) lazy run discovers. *)
-              let seed =
-                Int64.to_int
-                  (Rng.bits64 (instance_stream (Rng.create t.seed)))
-                land max_int
-              in
-              Bfdn_sim.Lazy_world.materialize
-                (World_registry.build_lazy ~seed ~params world)
-          | _ ->
-              World_registry.build_tree
-                ~rng:(instance_stream (Rng.create t.seed))
-                ~params world))
+  | Graph_world _ ->
+      invalid_arg
+        ("Scenario.materialize: " ^ instance_label t
+       ^ " is a graph world, not a tree: " ^ describe t)
+
+let shared_tree t =
+  match instance_of t with
+  | { source = Eager_tree { build; deterministic = true }; driver = Sync _ },
+    instance ->
+      Some (build instance)
+  | _ -> None

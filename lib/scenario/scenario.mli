@@ -11,7 +11,13 @@
     evidence rather than closures.
 
     Dispatch goes through {!Algo_registry} and {!World_registry}
-    exclusively; this module contains no algorithm or family names. *)
+    exclusively; this module contains no algorithm or family names.
+    Each spec is resolved once into a run plan: the world's
+    {!World_registry.source} (eager tree, lazy tree, adaptive world or
+    graph) and the algorithm constructor that drives it (synchronous
+    tree runner, continuous-time relaxation or graph environment).
+    {!validate}, the wire version and every executor below read that
+    plan. *)
 
 type instance =
   | World of { world : string; params : Param.binding list }
@@ -103,10 +109,19 @@ val equal_outcome : outcome -> outcome -> bool
     this is exactly "bit-for-bit identical run". *)
 
 val validate : t -> (unit, string) result
-(** Check every name against the registries, every parameter against
-    its schema, capability compatibility (an oracle-reading algorithm
-    cannot face an adaptive adversary) and the scalar ranges — among
-    them [1 <= k <= 2^20] and [1 <= batch_seeds <= 65536]. *)
+(** Build the spec's run plan and drop it: check every name against the
+    registries, every parameter against its schema and accepted values
+    ({!World_registry.world_source}, {!World_registry.policy_source}),
+    that the algorithm has a constructor for the world's source (an
+    oracle-reading algorithm cannot face an adaptive adversary, a
+    graph world needs a graph algorithm, [scale=lazy] needs the tree
+    runner) and the scalar ranges — among them [1 <= k <= 2^20] and
+    [1 <= batch_seeds <= 65536]. A spec that validates runs without
+    raising. *)
+
+val validate_tree_run : t -> (unit, string) result
+(** {!validate}, plus what {!run_on_tree} needs: an algorithm that
+    drives a hidden tree (not a graph-only one). *)
 
 (** {2 JSON codec} *)
 
@@ -154,9 +169,10 @@ val registry_json : unit -> Bfdn_obs.Json.t
     engine so a batched lane and a plain run consume identical streams:
     [root = Rng.create seed], then split index 0 = instance stream,
     1 = algorithm stream, 2 = fault stream ({!Bfdn_util.Rng.split} is
-    pure, so requesting one stream never perturbs another). *)
+    pure, so requesting one stream never perturbs another). The instance
+    stream stays inside this module: {!shared_tree} and {!materialize}
+    hand out what it builds. *)
 
-val instance_stream : Bfdn_util.Rng.t -> Bfdn_util.Rng.t
 val algo_stream : Bfdn_util.Rng.t -> Bfdn_util.Rng.t
 
 val fault_plan :
@@ -172,9 +188,11 @@ val instantiate :
   t ->
   Bfdn_sim.Env.t ->
   Bfdn_sim.Runner.algo
-(** Construct the spec's algorithm on a prepared tree environment —
-    {!Algo_registry.instantiate} with the spec's name and parameters.
-    [rng] must be the spec's algorithm stream for the run to replay. *)
+(** Construct the spec's algorithm on a prepared tree environment with
+    the constructor its plan picked. [rng] must be the spec's algorithm
+    stream for the run to replay.
+    @raise Invalid_argument when {!validate} fails or the algorithm does
+    not run on the synchronous tree environment. *)
 
 val run_env :
   ?probe:Bfdn_obs.Probe.t ->
@@ -198,13 +216,14 @@ val run :
   outcome
 (** Execute the spec — the single executor for every world kind. Derive
     the instance and algorithm RNG streams from [seed] ([Rng.split]
-    indices 0 and 1), build the world's execution view — a tree
-    environment (eager or lazily materialized) with the algorithm from
-    {!Algo_registry}, a {!Bfdn_graphs.Graph_env} for grid/graph worlds,
-    or a {!Bfdn_sim.Async_env} for tree worlds paired with an async-only
+    indices 0 and 1), build the plan's source from the instance stream
+    and its driver's execution view — a tree environment (eager, lazily
+    materialized or adaptive) with the algorithm, a
+    {!Bfdn_graphs.Graph_env} for grid/graph worlds, or a
+    {!Bfdn_sim.Async_env} for tree worlds paired with an async-only
     algorithm — and drive it through the one round loop,
     {!Bfdn_sim.Exec_env.run}. Adversarial scenarios additionally replay
-    the spec on the frozen tree ({!run_on_tree}) and report
+    the spec on the frozen tree (as {!run_on_tree}) and report
     [replay_rounds]. [probe]/[on_round] observe the run without altering
     it; [on_round] receives the execution view after every round.
     @raise Invalid_argument when {!validate} fails, and for batched
@@ -212,10 +231,20 @@ val run :
     [Seed_batch.run], or lane-by-lane via {!unbatch}). *)
 
 val materialize : t -> Bfdn_trees.Tree.t
-(** The hidden tree [run] would explore, generated from the same
-    instance stream — for [--dump-tree]-style exports.
-    @raise Invalid_argument for adversarial scenarios (their tree only
-    exists after a run) and for grid/graph worlds (no hidden tree). *)
+(** The hidden tree [run] would explore, built by the plan's source from
+    the same instance stream — for [--dump-tree]-style exports. A
+    [scale=lazy] world is expanded in full.
+    @raise Invalid_argument when {!validate} fails, for adversarial
+    scenarios (their tree only exists after a run) and for grid/graph
+    worlds (no hidden tree). *)
+
+val shared_tree : t -> Bfdn_trees.Tree.t option
+(** The tree every seed of the spec hides, if there is one: [Some] for
+    an eager tree family whose generator ignores the instance stream,
+    run on the synchronous tree runner; [None] otherwise (randomized
+    families, lazy, adaptive and graph worlds, async-only algorithms).
+    The batch engine builds it once for a whole seed batch.
+    @raise Invalid_argument when {!validate} fails. *)
 
 val run_on_tree :
   ?probe:Bfdn_obs.Probe.t ->
@@ -224,6 +253,8 @@ val run_on_tree :
   Bfdn_trees.Tree.t ->
   outcome
 (** Run the spec's algorithm on an externally supplied tree (e.g. a
-    [--tree-file] replay), with the same algorithm-stream derivation as
-    {!run}; the spec's instance field is ignored. Async-only algorithms
-    run the continuous-time path on the given tree. *)
+    [--tree-file] replay) with the driver of its plan and the same
+    algorithm-stream derivation as {!run}; the spec's instance is
+    otherwise ignored. Async-only algorithms run the continuous-time
+    path on the given tree.
+    @raise Invalid_argument unless {!validate_tree_run} holds. *)

@@ -1,6 +1,8 @@
 module Tree_gen = Bfdn_trees.Tree_gen
 module Adversary = Bfdn_sim.Adversary
 module Rng = Bfdn_util.Rng
+module Lazy_world = Bfdn_sim.Lazy_world
+module Mathx = Bfdn_util.Mathx
 
 type ctx = { rng : Rng.t; params : Param.binding list }
 
@@ -9,34 +11,50 @@ type kind =
   | Grid of (ctx -> Bfdn_graphs.Grid.t)
   | Graph of (ctx -> Bfdn_graphs.Graph.t * int)
 
-type entry = { name : string; doc : string; params : Param.spec list; kind : kind }
+type entry = {
+  name : string;
+  doc : string;
+  params : Param.spec list;
+  kind : kind;
+  size : Param.binding list -> int;
+}
 
 type policy_entry = {
   p_name : string;
   p_doc : string;
   p_params : Param.spec list;
-  p_make : ctx -> Bfdn_sim.Lazy_world.t;
+  p_make : ctx -> Lazy_world.t;
 }
+
+type source =
+  | Eager_tree of { build : Rng.t -> Bfdn_trees.Tree.t; deterministic : bool }
+  | Lazy_tree of (Rng.t -> Lazy_world.t)
+  | Adaptive of (Rng.t -> Lazy_world.t)
+  | Graph_world of (Rng.t -> Bfdn_graphs.Graph.t * Bfdn_graphs.Graph.node)
+
+(* An eager world holds every node up front (a binary tree of 16·10^6
+   nodes at k = 64 peaks at 1.5 GB); beyond this the huge tier's
+   scale=lazy is the way. *)
+let max_eager_nodes = 1 lsl 24
+
+(* the accepted values of a graph's size parameters *)
+let sizes = Param.Ints (1, max_eager_nodes)
+let counts = Param.Ints (0, max_eager_nodes)
 
 (* ---- tree worlds: one entry per Tree_gen family ---- *)
 
 let tree_params =
   [
-    { Param.key = "n"; doc = "target node count"; default = Param.Int 5000 };
-    {
-      Param.key = "depth_hint";
-      doc = "depth hint where the family has a depth parameter";
-      default = Param.Int 20;
-    };
-    {
-      Param.key = "scale";
-      doc =
-        "world materialization: \"eager\" builds the tree up front, \
-         \"lazy\" generates nodes at reveal so a run holds O(explored) \
-         memory (the huge tier; supported families only, at most 2^30 \
-         nodes)";
-      default = Param.String "eager";
-    };
+    Param.spec "n" (Param.Int 5000)
+      "target node count (scale=eager: at most 2^24, like depth_hint)";
+    Param.spec "depth_hint" (Param.Int 20)
+      "depth hint where the family has a depth parameter";
+    Param.spec "scale" (Param.String "eager")
+      "world materialization: \"eager\" builds the tree up front, \
+       \"lazy\" generates nodes at reveal so a run holds O(explored) \
+       memory (the huge tier; supported families only, at most 2^30 \
+       nodes)"
+      ~accepts:(Param.One_of [ "eager"; "lazy" ]);
   ]
 
 (* Documentation strings for Tree_gen.of_family names. The entry list is
@@ -82,6 +100,10 @@ let tree_entries =
                 Param.get_int ~schema:tree_params c.params "depth_hint"
               in
               Tree_gen.of_family family ~rng:c.rng ~n ~depth_hint);
+        size =
+          (fun params ->
+            let gi = Param.get_int ~schema:tree_params params in
+            max (gi "n") (gi "depth_hint"));
       })
     Tree_gen.families
 
@@ -89,18 +111,14 @@ let tree_entries =
 
 let grid_params =
   [
-    { Param.key = "width"; doc = "grid width in cells"; default = Param.Int 30 };
-    { Param.key = "height"; doc = "grid height in cells"; default = Param.Int 12 };
-    {
-      Param.key = "obstacles";
-      doc = "number of random rectangular obstacles";
-      default = Param.Int 10;
-    };
-    {
-      Param.key = "max_side";
-      doc = "largest obstacle side (0 = auto: max 2 (width/7))";
-      default = Param.Int 0;
-    };
+    Param.spec "width" (Param.Int 30)
+      "grid width in cells (width x height at most 2^24)" ~accepts:sizes;
+    Param.spec "height" (Param.Int 12) "grid height in cells" ~accepts:sizes;
+    Param.spec "obstacles" (Param.Int 10)
+      "number of random rectangular obstacles" ~accepts:counts;
+    Param.spec "max_side" (Param.Int 0)
+      "largest obstacle side (0 = auto: max 2 (width/7))"
+      ~accepts:(Param.Ints (0, max_int));
   ]
 
 let grid_entry =
@@ -121,29 +139,29 @@ let grid_entry =
           Bfdn_graphs.Grid.make
             (Bfdn_graphs.Grid.random_spec ~rng:c.rng ~width ~height
                ~obstacle_count:(gi "obstacles") ~max_side));
+    size =
+      (fun params ->
+        let gi k = Param.get_int ~schema:grid_params params k in
+        Mathx.mul_cap (gi "width") (gi "height"));
   }
 
 (* ---- general graph worlds ---- *)
 
 let random_graph_params =
   [
-    { Param.key = "n"; doc = "node count"; default = Param.Int 400 };
-    {
-      Param.key = "extra_edges";
-      doc = "chords added on top of the random spanning tree (edge density)";
-      default = Param.Int 120;
-    };
+    Param.spec "n" (Param.Int 400) "node count" ~accepts:sizes;
+    Param.spec "extra_edges" (Param.Int 120)
+      "chords added on top of the random spanning tree (edge density)"
+      ~accepts:counts;
   ]
 
 let layered_params =
   [
-    { Param.key = "layers"; doc = "number of layers"; default = Param.Int 12 };
-    { Param.key = "width"; doc = "nodes per layer"; default = Param.Int 8 };
-    {
-      Param.key = "chords";
-      doc = "extra same-or-adjacent-layer chords";
-      default = Param.Int 30;
-    };
+    Param.spec "layers" (Param.Int 12)
+      "number of layers (layers x width at most 2^24)" ~accepts:counts;
+    Param.spec "width" (Param.Int 8) "nodes per layer" ~accepts:sizes;
+    Param.spec "chords" (Param.Int 30) "extra same-or-adjacent-layer chords"
+      ~accepts:counts;
   ]
 
 let graph_entries =
@@ -161,6 +179,8 @@ let graph_entries =
             ( Bfdn_graphs.Graph_gen.random_connected ~rng:c.rng ~n:(gi "n")
                 ~extra_edges:(gi "extra_edges"),
               0 ));
+      size =
+        (fun params -> Param.get_int ~schema:random_graph_params params "n");
     };
     {
       name = "layered";
@@ -175,6 +195,10 @@ let graph_entries =
             ( Bfdn_graphs.Graph_gen.layered ~rng:c.rng ~layers:(gi "layers")
                 ~width:(gi "width") ~chords:(gi "chords"),
               0 ));
+      size =
+        (fun params ->
+          let gi k = Param.get_int ~schema:layered_params params k in
+          Mathx.mul_cap (gi "layers") (gi "width"));
     };
   ]
 
@@ -194,91 +218,18 @@ let graph_names =
 
 let cli_world_choices = List.map (fun n -> (n, n)) tree_names
 
-let build_tree ?rng ?(params = []) name =
-  match find name with
-  | None -> invalid_arg ("World_registry: unknown world " ^ name)
-  | Some e -> (
-      match e.kind with
-      | Grid _ | Graph _ ->
-          invalid_arg
-            ("World_registry: " ^ name ^ " is a graph world, not a tree")
-      | Tree build -> (
-          match Param.validate ~schema:e.params params with
-          | Error msg ->
-              invalid_arg (Printf.sprintf "World_registry: %s: %s" name msg)
-          | Ok () ->
-              let rng = match rng with Some r -> r | None -> Rng.create 0 in
-              build { rng; params }))
-
-let build_graph ?rng ?(params = []) name =
-  match find name with
-  | None -> invalid_arg ("World_registry: unknown world " ^ name)
-  | Some e -> (
-      match e.kind with
-      | Tree _ ->
-          invalid_arg
-            ("World_registry: " ^ name ^ " is a tree world, not a graph")
-      | Grid build -> (
-          match Param.validate ~schema:e.params params with
-          | Error msg ->
-              invalid_arg (Printf.sprintf "World_registry: %s: %s" name msg)
-          | Ok () ->
-              let rng = match rng with Some r -> r | None -> Rng.create 0 in
-              let grid = build { rng; params } in
-              (Bfdn_graphs.Grid.graph grid, Bfdn_graphs.Grid.origin grid))
-      | Graph build -> (
-          match Param.validate ~schema:e.params params with
-          | Error msg ->
-              invalid_arg (Printf.sprintf "World_registry: %s: %s" name msg)
-          | Ok () ->
-              let rng = match rng with Some r -> r | None -> Rng.create 0 in
-              build { rng; params }))
-
-let scale_of_params params =
-  Param.get_string ~schema:tree_params params "scale"
-
-(* Seed-independence of the hidden world: true only for eagerly built
-   tree families whose generator ignores its rng, i.e. exactly the specs
-   where every seed of a batch would rebuild the identical tree. *)
-let deterministic_tree ?(params = []) name =
-  match find name with
-  | Some { kind = Tree _; _ } ->
-      Tree_gen.deterministic_family name && scale_of_params params = "eager"
-  | _ -> false
-
-let lazy_capacity ?(params = []) name =
-  Bfdn_sim.Lazy_world.instance_capacity ~family:name
-    ~n:(Param.get_int ~schema:tree_params params "n")
-    ~depth_hint:(Param.get_int ~schema:tree_params params "depth_hint")
-
-let build_lazy ?(seed = 0) ?(params = []) name =
-  match find name with
-  | None -> invalid_arg ("World_registry: unknown world " ^ name)
-  | Some e -> (
-      match Param.validate ~schema:e.params params with
-      | Error msg ->
-          invalid_arg (Printf.sprintf "World_registry: %s: %s" name msg)
-      | Ok () ->
-          let n = Param.get_int ~schema:tree_params params "n" in
-          let depth_hint =
-            Param.get_int ~schema:tree_params params "depth_hint"
-          in
-          Bfdn_sim.Lazy_world.make ~family:name ~n ~depth_hint ~seed)
-
 (* ---- adaptive adversary policies ---- *)
 
 let budget_params =
   [
-    {
-      Param.key = "capacity";
-      doc = "total node budget (ids pre-allocated at promise time)";
-      default = Param.Int 3000;
-    };
-    {
-      Param.key = "depth_budget";
-      doc = "maximum tree depth the adversary may reach";
-      default = Param.Int 200;
-    };
+    (* the budget sizes the node store, bounded like a scale=lazy
+       instance *)
+    Param.spec "capacity" (Param.Int 3000)
+      "total node budget (ids pre-allocated at promise time)"
+      ~accepts:(Param.Ints (1, Bfdn_sim.Node_store.max_ids));
+    Param.spec "depth_budget" (Param.Int 200)
+      "maximum tree depth the adversary may reach"
+      ~accepts:(Param.Ints (0, max_int));
   ]
 
 let budgets params =
@@ -288,21 +239,16 @@ let budgets params =
 let corridor_params =
   budget_params
   @ [
-      {
-        Param.key = "threshold";
-        doc = "crowd size above which the corridor stops branching";
-        default = Param.Int 2;
-      };
+      Param.spec "threshold" (Param.Int 2)
+        "crowd size above which the corridor stops branching";
     ]
 
 let random_policy_params =
   budget_params
   @ [
-      {
-        Param.key = "max_children";
-        doc = "children are uniform in 0..max_children per reveal";
-        default = Param.Int 3;
-      };
+      Param.spec "max_children" (Param.Int 3)
+        "children are uniform in 0..max_children per reveal"
+        ~accepts:(Param.Ints (0, max_int));
     ]
 
 let policies =
@@ -373,13 +319,81 @@ let policy_names = List.map (fun p -> p.p_name) policies
 
 let cli_policy_choices = List.map (fun n -> (n, n)) policy_names
 
-let build_adversary ?rng ?(params = []) name =
+(* ---- sources: the one place a world name and its parameters are
+   checked and bound ---- *)
+
+let ( let* ) = Result.bind
+
+let lazy_source name params =
+  let n = Param.get_int ~schema:tree_params params "n" in
+  let depth_hint = Param.get_int ~schema:tree_params params "depth_hint" in
+  if not (Lazy_world.supported name) then
+    Error
+      (Printf.sprintf "world %S has no lazy materialization (lazy families: %s)"
+         name
+         (String.concat ", " Lazy_world.families))
+  else
+    let cap = Lazy_world.instance_capacity ~family:name ~n ~depth_hint in
+    if cap > Bfdn_sim.Node_store.max_ids then
+      Error
+        (Printf.sprintf
+           "world %S: the scale=lazy instance has %d nodes, above the %d-node \
+            id range of lazy worlds"
+           name cap Bfdn_sim.Node_store.max_ids)
+    else
+      (* The seed is one draw off the instance stream — the stream the
+         eager build would consume — so the instance is a function of the
+         spec. *)
+      Ok
+        (Lazy_tree
+           (fun rng ->
+             let seed = Int64.to_int (Rng.bits64 rng) land max_int in
+             Lazy_world.make ~family:name ~n ~depth_hint ~seed))
+
+let world_source name params =
+  match find name with
+  | None -> Error (Printf.sprintf "unknown world %S" name)
+  | Some e -> (
+      let* () =
+        Result.map_error
+          (fun msg -> Printf.sprintf "world %S: %s" name msg)
+          (Param.validate ~schema:e.params params)
+      in
+      match e.kind with
+      | Tree _ when Param.get_string ~schema:tree_params params "scale" = "lazy"
+        ->
+          lazy_source name params
+      | kind ->
+          let size = e.size params in
+          if size > max_eager_nodes then
+            Error
+              (Printf.sprintf
+                 "world %S: %d nodes is above the %d-node limit of eagerly \
+                  built worlds"
+                 name size max_eager_nodes)
+          else
+            Ok
+              (match kind with
+              | Tree build ->
+                  Eager_tree
+                    {
+                      build = (fun rng -> build { rng; params });
+                      deterministic = Tree_gen.deterministic_family name;
+                    }
+              | Grid build ->
+                  Graph_world
+                    (fun rng ->
+                      let grid = build { rng; params } in
+                      (Bfdn_graphs.Grid.graph grid, Bfdn_graphs.Grid.origin grid))
+              | Graph build -> Graph_world (fun rng -> build { rng; params })))
+
+let policy_source name params =
   match find_policy name with
-  | None -> invalid_arg ("World_registry: unknown adversary policy " ^ name)
-  | Some p -> (
-      match Param.validate ~schema:p.p_params params with
-      | Error msg ->
-          invalid_arg (Printf.sprintf "World_registry: %s: %s" name msg)
-      | Ok () ->
-          let rng = match rng with Some r -> r | None -> Rng.create 0 in
-          p.p_make { rng; params })
+  | None -> Error (Printf.sprintf "unknown adversary policy %S" name)
+  | Some p ->
+      let* () =
+        Result.map_error
+          (fun msg -> Printf.sprintf "adversary %S: %s" name msg)
+          (Param.validate ~schema:p.p_params params)
+      in
+      Ok (Adaptive (fun rng -> p.p_make { rng; params }))

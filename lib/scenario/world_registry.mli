@@ -2,9 +2,11 @@
 
     Wraps every {!Bfdn_trees.Tree_gen} instance family, the warehouse
     grid generator and every {!Bfdn_sim.Adversary} policy behind named,
-    schema-carrying entries. The CLI, the bench harness and
-    {!Scenario.run} resolve world and policy names here — there is no
-    other family→generator table in the repository. *)
+    schema-carrying entries. {!world_source} and {!policy_source} are
+    where a name and its parameters are checked, once, and bound into a
+    {!source}: the hidden instance a run explores, built from the spec's
+    instance stream. {!Scenario} plans every run from a source; there is
+    no other family→generator table in the repository. *)
 
 type ctx = { rng : Bfdn_util.Rng.t; params : Param.binding list }
 
@@ -13,12 +15,20 @@ type kind =
       (** a fixed hidden tree, generated up front *)
   | Grid of (ctx -> Bfdn_graphs.Grid.t)
       (** a warehouse grid — a graph world that keeps its geometry (the
-          [grid] subcommand renders it); {!Scenario.run} drives it
-          through {!build_graph} *)
+          [grid] subcommand renders it); its source is a [Graph_world] *)
   | Graph of (ctx -> Bfdn_graphs.Graph.t * int)
       (** a general connected graph with its origin *)
 
-type entry = { name : string; doc : string; params : Param.spec list; kind : kind }
+type entry = {
+  name : string;
+  doc : string;
+  params : Param.spec list;
+  kind : kind;
+  size : Param.binding list -> int;
+      (** the node count an eager build holds, up to a constant factor
+          (tree worlds: [max n depth_hint]), under schema-valid
+          parameters — checked against {!max_eager_nodes} *)
+}
 
 type policy_entry = {
   p_name : string;
@@ -30,6 +40,33 @@ type policy_entry = {
           must drive exactly one environment *)
 }
 
+(** Where the hidden instance of a run comes from. Every builder takes
+    the spec's instance stream and is a pure function of it; each call
+    builds a fresh instance. *)
+type source =
+  | Eager_tree of {
+      build : Bfdn_util.Rng.t -> Bfdn_trees.Tree.t;
+      deterministic : bool;
+          (** the generator ignores the stream
+              ({!Bfdn_trees.Tree_gen.deterministic_family}): every seed
+              of a spec hides the identical tree *)
+    }
+      (** a tree built up front ([scale=eager]) *)
+  | Lazy_tree of (Bfdn_util.Rng.t -> Bfdn_sim.Lazy_world.t)
+      (** a tree family generated at reveal ([scale=lazy]), so a run
+          holds O(explored) memory; the ["random"] family's hash seed is
+          one draw off the stream *)
+  | Adaptive of (Bfdn_util.Rng.t -> Bfdn_sim.Lazy_world.t)
+      (** a tree grown online by an adversary policy *)
+  | Graph_world of
+      (Bfdn_util.Rng.t -> Bfdn_graphs.Graph.t * Bfdn_graphs.Graph.node)
+      (** a port-labeled graph with its origin; grid worlds yield their
+          underlying graph and origin cell *)
+
+val max_eager_nodes : int
+(** [2^24]: the largest [size] an eagerly built world (tree or
+    graph) may have. Graph size parameters are bounded by it too. *)
+
 val worlds : entry list
 
 val find : string -> entry option
@@ -39,55 +76,11 @@ val tree_names : string list
     (identical to {!Bfdn_trees.Tree_gen.families}, asserted in tests). *)
 
 val graph_names : string list
-(** Names whose kind is [Grid] or [Graph] — worlds {!build_graph}
-    accepts (the [bfdn-graph] scenario vocabulary). *)
+(** Names whose kind is [Grid] or [Graph] — the worlds whose source is a
+    [Graph_world] (the [bfdn-graph] scenario vocabulary). *)
 
 val cli_world_choices : (string * string) list
 (** [(token, name)] pairs for tree worlds, for CLI enums. *)
-
-val build_tree :
-  ?rng:Bfdn_util.Rng.t -> ?params:Param.binding list -> string ->
-  Bfdn_trees.Tree.t
-(** Generate a named tree world. [rng] defaults to a fresh stream
-    (seed 0); deterministic families ignore it.
-    @raise Invalid_argument on an unknown or non-tree name, or
-    parameters violating the schema. *)
-
-val build_graph :
-  ?rng:Bfdn_util.Rng.t -> ?params:Param.binding list -> string ->
-  Bfdn_graphs.Graph.t * Bfdn_graphs.Graph.node
-(** Generate a named graph world with its origin. Grid worlds yield
-    their underlying port-labeled graph and origin cell.
-    @raise Invalid_argument on an unknown or tree name, or parameters
-    violating the schema. *)
-
-val scale_of_params : Param.binding list -> string
-(** The [scale] parameter of a tree-world binding list (["eager"] by
-    default, ["lazy"] for the huge tier's lazily materialized worlds).
-    Value checking is the caller's job ({!Scenario.validate} rejects
-    anything else). *)
-
-val deterministic_tree : ?params:Param.binding list -> string -> bool
-(** Whether the named world is an eagerly built tree whose generator
-    ignores the instance RNG stream
-    ({!Bfdn_trees.Tree_gen.deterministic_family}) — exactly the worlds
-    where every seed of one spec hides the identical tree, so a seed
-    batch may build it once and share it. *)
-
-val lazy_capacity : ?params:Param.binding list -> string -> int
-(** The node count of the named family's [scale=lazy] instance under
-    these (schema-valid) parameters, without building it — what
-    {!Scenario.validate} checks against the node store's id range.
-    @raise Invalid_argument on a family without lazy support. *)
-
-val build_lazy :
-  ?seed:int -> ?params:Param.binding list -> string ->
-  Bfdn_sim.Lazy_world.t
-(** Instantiate a named tree family as a lazily materialized world
-    ([scale=lazy]). [seed] feeds the ["random"] family's hash.
-    @raise Invalid_argument on an unknown name, parameters violating the
-    schema, or a family without lazy support
-    ({!Bfdn_sim.Lazy_world.supported}). *)
 
 (** {2 Adaptive adversary policies} *)
 
@@ -99,9 +92,19 @@ val policy_names : string list
 
 val cli_policy_choices : (string * string) list
 
-val build_adversary :
-  ?rng:Bfdn_util.Rng.t -> ?params:Param.binding list -> string ->
-  Bfdn_sim.Lazy_world.t
-(** Instantiate a named policy as an adaptive lazy world (a fresh one per
-    call).
-    @raise Invalid_argument on an unknown name or bad parameters. *)
+(** {2 Sources} *)
+
+val world_source : string -> Param.binding list -> (source, string) result
+(** Check a world and its parameters and bind them into a source.
+    Errors: an unknown name; a parameter outside its schema or its
+    accepted values ({!Param.validate}); an eager world above
+    {!max_eager_nodes}; [scale=lazy] on a family without lazy support
+    ({!Bfdn_sim.Lazy_world.supported}) or with an instance above the
+    node store's id range ({!Bfdn_sim.Node_store.max_ids}). A source
+    from [Ok] builds without raising. *)
+
+val policy_source : string -> Param.binding list -> (source, string) result
+(** The same for an adversary policy: an [Adaptive] source, or an error
+    for an unknown name or a parameter outside the schema (the budgets
+    are bounded: [1 <= capacity <= Node_store.max_ids],
+    [depth_budget >= 0]). *)

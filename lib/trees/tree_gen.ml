@@ -277,7 +277,8 @@ let families =
 let randomized_families = [ "random"; "random-deep"; "bounded3" ]
 
 let deterministic_family name =
-  List.mem name families && not (List.mem name randomized_families)
+  let named = List.exists (String.equal name) in
+  named families && not (named randomized_families)
 
 let of_family name ~rng ~n ~depth_hint =
   let n = max 1 n in

@@ -68,16 +68,16 @@ let test_deterministic_families () =
     Tree_gen.families;
   checkb "unknown family is not deterministic" false
     (Tree_gen.deterministic_family "no-such-family");
-  checkb "world predicate: eager binary" true
-    (World_registry.deterministic_tree "binary");
-  checkb "world predicate: random is not" false
-    (World_registry.deterministic_tree "random");
+  let deterministic_tree ?(params = []) world =
+    match World_registry.world_source world params with
+    | Ok (World_registry.Eager_tree { deterministic; _ }) -> deterministic
+    | _ -> false
+  in
+  checkb "world predicate: eager binary" true (deterministic_tree "binary");
+  checkb "world predicate: random is not" false (deterministic_tree "random");
   checkb "world predicate: lazy scale is not" false
-    (World_registry.deterministic_tree
-       ~params:[ ("scale", Param.String "lazy") ]
-       "binary");
-  checkb "world predicate: graph world is not" false
-    (World_registry.deterministic_tree "grid")
+    (deterministic_tree ~params:[ ("scale", Param.String "lazy") ] "binary");
+  checkb "world predicate: graph world is not" false (deterministic_tree "grid")
 
 (* ---- collapse: flags only when the proof obligations hold ---- *)
 

@@ -18,6 +18,7 @@ module Rng = Bfdn_util.Rng
 
 let checkb = Alcotest.(check bool)
 let checks = Alcotest.(check string)
+let checki = Alcotest.(check int)
 let check_sl = Alcotest.(check (list string))
 
 (* ---- registry coverage: nothing registered can be CLI-unreachable ---- *)
@@ -169,6 +170,65 @@ let test_validate_rejects () =
     (Scenario.make
        (Scenario.Adversarial
           { policy = "random"; params = [ ("max_children", Param.Int (-1)) ] }));
+  (* every value a constructor rejects is refused by validate first *)
+  let world name params = Scenario.world ~params name in
+  let graph name params =
+    Scenario.make ~algo:"bfdn-graph" (world name params)
+  in
+  List.iter
+    (fun (what, spec) -> expect_error what spec)
+    [
+      ("grid width 0", graph "grid" [ ("width", Param.Int 0) ]);
+      ("grid max_side -1", graph "grid" [ ("max_side", Param.Int (-1)) ]);
+      ("random-graph n 0", graph "random-graph" [ ("n", Param.Int 0) ]);
+      ( "random-graph extra_edges -1",
+        graph "random-graph" [ ("extra_edges", Param.Int (-1)) ] );
+      ("layered width 0", graph "layered" [ ("width", Param.Int 0) ]);
+      ( "bfdn suspect_after 0",
+        Scenario.make
+          ~algo_params:[ ("suspect_after", Param.Int 0) ]
+          (Scenario.world "comb") );
+      ( "bfdn policy bogus",
+        Scenario.make
+          ~algo_params:[ ("policy", Param.String "bogus") ]
+          (Scenario.world "comb") );
+      ( "bfdn-async speed_spread -1",
+        Scenario.make ~algo:"bfdn-async"
+          ~algo_params:[ ("speed_spread", Param.Float (-1.0)) ]
+          (Scenario.world "comb") );
+      (* eager worlds are capped at 2^24 nodes *)
+      ( "eager path n 4*10^8",
+        Scenario.make (world "path" [ ("n", Param.Int 400_000_000) ]) );
+      ( "eager star n 3*10^9",
+        Scenario.make (world "star" [ ("n", Param.Int 3_000_000_000) ]) );
+      ( "eager broom depth_hint 2^24 + 1",
+        Scenario.make
+          (world "broom" [ ("depth_hint", Param.Int ((1 lsl 24) + 1)) ]) );
+      ( "grid 2^12 x (2^12 + 1)",
+        graph "grid" [ ("height", Param.Int 4096); ("width", Param.Int 4097) ]
+      );
+      ( "random-graph n 2^24 + 1",
+        graph "random-graph" [ ("n", Param.Int ((1 lsl 24) + 1)) ] );
+      ( "random-graph extra_edges 2^24 + 1",
+        graph "random-graph" [ ("extra_edges", Param.Int ((1 lsl 24) + 1)) ] );
+      ( "layered 2^12 x (2^12 + 1)",
+        graph "layered"
+          [ ("layers", Param.Int 4096); ("width", Param.Int 4097) ] );
+      ( "layered chords 2^24 + 1",
+        graph "layered" [ ("chords", Param.Int ((1 lsl 24) + 1)) ] );
+    ];
+  List.iter
+    (fun (ell, k) ->
+      expect_error
+        (Printf.sprintf "bfdn-rec ell %d at k %d" ell k)
+        (Scenario.make ~algo:"bfdn-rec" ~k
+           ~algo_params:[ ("ell", Param.Int ell) ]
+           (Scenario.world "comb")))
+    [ (0, 8); (62, 1); (62, 3); (62, 64); (64, 1); (64, 3); (64, 64) ];
+  checkb "grid 2^12 x 2^12 accepted" true
+    (Scenario.validate
+       (graph "grid" [ ("height", Param.Int 4096); ("width", Param.Int 4096) ])
+    = Ok ());
   (* but the adaptive subset does accept every adaptive algorithm *)
   List.iter
     (fun algo ->
@@ -231,30 +291,31 @@ let test_json_rejects () =
 let spec_gen =
   let open QCheck2.Gen in
   let value_for ?world (s : Param.spec) =
-    (* "scale" is value-checked by validate (and "lazy" only on the
-       families with lazy support), so draw from the legal set. *)
-    if s.key = "scale" then
-      let choices =
-        "eager"
-        ::
-        (match world with
-        | Some w when Bfdn_sim.Lazy_world.supported w -> [ "lazy" ]
-        | _ -> [])
-      in
-      map (fun s -> Param.String s) (oneofl choices)
-    else if List.mem s.key [ "capacity"; "depth_budget"; "max_children" ]
-    then
-      (* adversary budgets are range-checked by validate as well *)
-      let lo = if s.key = "capacity" then 1 else 0 in
-      map (fun i -> Param.Int i) (int_range lo 1000)
-    else
-      match s.default with
-      | Param.Int _ -> map (fun i -> Param.Int i) (int_range (-1000) 1000)
-      | Param.Float _ ->
-          map (fun f -> Param.Float f) (float_range (-1e6) 1e6)
-      | Param.Bool _ -> map (fun b -> Param.Bool b) bool
-      | Param.String _ ->
-          map (fun s -> Param.String s) (string_size ~gen:printable (0 -- 8))
+    (* validate enforces each parameter's accepted values (and "lazy"
+       only on the families with lazy support), so draw inside them *)
+    let ints lo hi =
+      map (fun i -> Param.Int i) (int_range (max lo (-1000)) (min hi 1000))
+    in
+    match (s.accepts, s.default) with
+    | Param.One_of _, _ when s.key = "scale" ->
+        let choices =
+          "eager"
+          ::
+          (match world with
+          | Some w when Bfdn_sim.Lazy_world.supported w -> [ "lazy" ]
+          | _ -> [])
+        in
+        map (fun s -> Param.String s) (oneofl choices)
+    | Param.One_of names, _ -> map (fun s -> Param.String s) (oneofl names)
+    | Param.Ints (lo, hi), _ -> ints lo hi
+    | Param.Floats (lo, hi), _ ->
+        map (fun f -> Param.Float f) (float_range (max lo (-1e6)) (min hi 1e6))
+    | Param.Any, Param.Int _ -> ints min_int max_int
+    | Param.Any, Param.Float _ ->
+        map (fun f -> Param.Float f) (float_range (-1e6) 1e6)
+    | Param.Any, Param.Bool _ -> map (fun b -> Param.Bool b) bool
+    | Param.Any, Param.String _ ->
+        map (fun s -> Param.String s) (string_size ~gen:printable (0 -- 8))
   in
   let bindings_for ?world schema =
     (* each key independently present or defaulted *)
@@ -346,6 +407,61 @@ let prop_graph_json_roundtrip =
       match Scenario.of_string wire with
       | Ok spec' -> Scenario.equal spec spec'
       | Error e -> QCheck2.Test.fail_reportf "decode failed: %s" e)
+
+(* Whatever validate accepts runs: a random registry world or policy
+   against any algorithm, every parameter drawn around the edges of its
+   accepted values (ints from [-2, 64], floats from [-1, 2], strings
+   from the accepted ones plus a bogus one). Either validate refuses the
+   spec, or Scenario.run returns. *)
+let prop_validated_specs_run =
+  let open QCheck2.Gen in
+  let value_for (s : Param.spec) =
+    match s.default with
+    | Param.Int _ -> map (fun i -> Param.Int i) (int_range (-2) 64)
+    | Param.Float _ -> map (fun f -> Param.Float f) (float_range (-1.0) 2.0)
+    | Param.Bool _ -> map (fun b -> Param.Bool b) bool
+    | Param.String _ ->
+        let accepted =
+          match s.accepts with Param.One_of names -> names | _ -> []
+        in
+        map (fun v -> Param.String v) (oneofl ("bogus" :: accepted))
+  in
+  let bindings_for schema =
+    flatten_l
+      (List.map
+         (fun (s : Param.spec) -> map (fun v -> (s.key, v)) (value_for s))
+         schema)
+  in
+  let gen =
+    bool >>= fun adversarial ->
+    (if adversarial then
+       oneofl World_registry.policies
+       >>= fun (p : World_registry.policy_entry) ->
+       bindings_for p.p_params >>= fun params ->
+       return (Scenario.Adversarial { policy = p.p_name; params })
+     else
+       oneofl World_registry.worlds >>= fun (e : World_registry.entry) ->
+       bindings_for e.params >>= fun params ->
+       return (Scenario.World { world = e.name; params }))
+    >>= fun instance ->
+    oneofl Algo_registry.all >>= fun (a : Algo_registry.entry) ->
+    bindings_for a.params >>= fun algo_params ->
+    int_range 1 64 >>= fun k ->
+    int_range 0 1000 >>= fun seed ->
+    int_range 1 40 >>= fun max_rounds ->
+    return
+      (Scenario.make ~algo:a.name ~algo_params ~k ~seed ~max_rounds instance)
+  in
+  QCheck2.Test.make ~count:1000 ~name:"validated specs run"
+    ~print:Scenario.describe gen (fun spec ->
+      match Scenario.validate spec with
+      | Error _ -> true
+      | Ok () -> (
+          match Scenario.run spec with
+          | _ -> true
+          | exception e ->
+              QCheck2.Test.fail_reportf "validated, then raised %s"
+                (Printexc.to_string e)))
 
 (* ---- execution equivalence ----
 
@@ -660,11 +776,17 @@ let test_lazy_scale_rejects_oversize () =
     (Scenario.validate (lazy_spec "random" limit) = Ok ());
   checkb "random n = limit + 1 is rejected" true
     (Result.is_error (Scenario.validate (lazy_spec "random" (limit + 1))));
-  checkb "eager scale is not id-limited here" true
-    (Scenario.validate
-       (Scenario.make ~k:4 ~seed:7
-          (Scenario.generated ~family:"random" ~n:(limit + 1) ~depth_hint:20))
-    = Ok ())
+  (* eager worlds hold every node up front: they stop at 2^24 *)
+  let eager n =
+    Scenario.make ~k:4 ~seed:7
+      (Scenario.generated ~family:"random" ~n ~depth_hint:20)
+  in
+  let eager_limit = World_registry.max_eager_nodes in
+  checki "the eager limit is 2^24" (1 lsl 24) eager_limit;
+  checkb "eager n = 2^24 validates" true
+    (Scenario.validate (eager eager_limit) = Ok ());
+  checkb "eager n = 2^24 + 1 is rejected" true
+    (Result.is_error (Scenario.validate (eager (eager_limit + 1))))
 
 let suite =
   let tc name f = Alcotest.test_case name `Quick f in
@@ -694,4 +816,5 @@ let suite =
       tc "validate rejects kind mismatch" test_validate_rejects_kind_mismatch;
       tc "probe does not change outcome" test_probe_does_not_change_outcome;
       tc "lazy scale rejects oversize ids" test_lazy_scale_rejects_oversize;
+      QCheck_alcotest.to_alcotest prop_validated_specs_run;
     ] )

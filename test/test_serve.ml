@@ -412,6 +412,11 @@ let test_e2e_bad_spec_400 () =
           {|{"schema_version":1,"adversary":{"name":"miser","params":{"capacity":0}},"algo":{"name":"bfdn"},"k":1,"seed":0}|}
       in
       checki "adversary capacity 0 is 400" 400 resp.Client.status;
+      let resp =
+        post_run port
+          {|{"schema_version":2,"world":{"name":"grid","params":{"width":0}},"algo":{"name":"bfdn-graph"},"k":1,"seed":0}|}
+      in
+      checki "grid width 0 is 400" 400 resp.Client.status;
       (* k sizes per-robot arrays: above the cap it is refused before
          anything is allocated, and the server keeps serving *)
       List.iter
