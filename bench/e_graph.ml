@@ -195,7 +195,7 @@ let scale_name () =
   match !scale with Quick -> "quick" | Normal -> "normal" | Full -> "full"
 
 (* Direct-loop cross-check (absorbed from the former E7): the same
-   Proposition 9 claim measured on a hand-wired [Bfdn_graph.run] loop
+   Proposition 9 claim measured on a hand-wired [Exec_env.run] loop
    over [Grid] instances, bypassing the Scenario executor. Keeping both
    tables in one experiment pins the unified dispatch to the raw loop —
    if they ever disagree the executor, not the algorithm, regressed. *)
@@ -234,7 +234,10 @@ let run_direct () =
       List.iter
         (fun k ->
           let env = Genv.create g ~origin:(Grid.origin grid) ~k in
-          let r = Bfdn.Bfdn_graph.run (Bfdn.Bfdn_graph.make env) in
+          let r =
+            Bfdn_sim.Exec_env.run
+              (Bfdn.Bfdn_graph.exec_env (Bfdn.Bfdn_graph.make env))
+          in
           let bound =
             Bfdn.Bounds.bfdn_graph ~n_edges:(Genv.oracle_n_edges env) ~k
               ~d:(Genv.oracle_radius env) ~delta:(Genv.oracle_max_degree env)
@@ -249,12 +252,12 @@ let run_direct () =
               Table.fint (Genv.oracle_radius env);
               Table.fint k;
               Table.fint r.rounds;
-              Table.fint r.closed_edges;
+              Table.fint (Genv.closed_edges env);
               Table.ffloat ~decimals:0 bound;
               Table.fratio (float_of_int r.rounds /. bound);
               Table.fratio (float_of_int r.rounds /. Float.max lb 1.0);
               Table.fbool
-                (r.explored && r.at_origin && float_of_int r.rounds <= bound);
+                (r.explored && r.at_root && float_of_int r.rounds <= bound);
             ])
         [ 1; 8; 64 ])
     grids;

@@ -81,8 +81,11 @@ let checks : (string * (unit -> bool)) list =
             in
             let grid = Grid.make spec in
             let env = Genv.create (Grid.graph grid) ~origin:(Grid.origin grid) ~k:4 in
-            let r = Bfdn.Bfdn_graph.run (Bfdn.Bfdn_graph.make env) in
-            r.at_origin)
+            let r =
+              Bfdn_sim.Exec_env.run
+                (Bfdn.Bfdn_graph.exec_env (Bfdn.Bfdn_graph.make env))
+            in
+            r.at_root)
           [| 8; 9 |] );
     ("E8 recursive", fun () -> all_explored [ gen "trap" "bfdn-rec" 8 10 ]);
     ("E9 cte", fun () -> all_explored [ gen "hidden-path" "cte" 8 11 ]);

@@ -1,15 +1,16 @@
 (* bfdn-explore: command-line driver for the collaborative-exploration
    library. Subcommands:
 
-   run       explore a tree scenario (flags or a --spec JSON file)
-   sweep     run a whole instance batch on the parallel engine
+   run       run one scenario on any registered world (flags or a
+             --spec JSON file)
+   sweep     run (family x algo x k) cells as seed batches on the
+             parallel engine
    list      print every registered algorithm, world and adversary
    serve     run the scenario-execution HTTP service
    submit    POST a spec to a running service
    game      play the Section 3 balls-in-urns game
    regions   print the Figure 1 region map
-   grid      sweep a warehouse grid with graph-BFDN
-   adversary grow a tree adaptively against the explorer
+   bounds    print every guarantee formula for an instance shape
    tail      pretty-print observability JSONL (frames, spans, logs)
    promlint  validate a Prometheus text exposition document
 
@@ -56,70 +57,95 @@ let die fmt =
 let seed_arg =
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.")
 
+(* Counts are range-checked when the command runs, not by a cmdliner
+   converter, so a bad one ends like every other user error: one line
+   on stderr and exit 1. *)
+let positive ~flag ?(hi = max_int) v =
+  if v >= 1 && v <= hi then v
+  else if hi = max_int then die "%s must be >= 1, got %d" flag v
+  else die "%s must be in [1, %d], got %d" flag hi v
+
 let k_arg =
-  Arg.(value & opt int 8 & info [ "k"; "robots" ] ~docv:"K" ~doc:"Number of robots.")
+  Term.(
+    const (fun k -> positive ~flag:"-k" k)
+    $ Arg.(
+        value & opt int 8
+        & info [ "k"; "robots" ] ~docv:"K" ~doc:"Number of robots (>= 1)."))
 
 let names l = String.concat ", " l
 
-(* Parse repeatable KEY=VALUE options against a registry schema; the
-   schema's typed default decides how VALUE is read. *)
-let parse_bindings ~what ~schema kvs =
-  List.map
-    (fun kv ->
-      match String.index_opt kv '=' with
-      | None -> die "%s: expected KEY=VALUE, got %S" what kv
-      | Some i ->
-          let key = String.sub kv 0 i in
-          let v = String.sub kv (i + 1) (String.length kv - i - 1) in
-          let spec =
-            match List.find_opt (fun s -> String.equal s.Param.key key) schema with
-            | Some s -> s
-            | None ->
-                die "%s: unknown parameter %S (known: %s)" what key
-                  (names (List.map (fun s -> s.Param.key) schema))
-          in
-          let bad ty =
-            die "%s: parameter %s expects %s, got %S" what key ty v
-          in
-          let value =
-            match spec.Param.default with
-            | Param.Int _ -> (
-                match int_of_string_opt v with
-                | Some i -> Param.Int i
-                | None -> bad "an int")
-            | Param.Float _ -> (
-                match float_of_string_opt v with
-                | Some f -> Param.Float f
-                | None -> bad "a float")
-            | Param.Bool _ -> (
-                match bool_of_string_opt v with
-                | Some b -> Param.Bool b
-                | None -> bad "a bool")
-            | Param.String _ -> Param.String v
-          in
-          (key, value))
-    kvs
-
-let algo_schema name =
-  match Algo_registry.find name with
-  | Some e -> e.Algo_registry.params
-  | None -> die "unknown algorithm %S" name
-
-(* "fault."-prefixed --param keys address the fault-injection schema
-   instead of the algorithm's; split them off and strip the prefix. *)
+(* Route each --param KEY=VALUE to the schema that owns KEY: fault.KEY
+   to the fault-injection schema, a key of the world's (or policy's)
+   schema to the world, any other key to the algorithm. No world or
+   policy key is an algorithm key (asserted in test_scenario), so the
+   routing is unambiguous. The owning schema's typed default decides how
+   VALUE is read. Returns the (fault, world, algorithm) bindings. *)
 let fault_prefix = "fault."
 
-let split_fault_params kvs =
-  let is_fault kv =
-    String.length kv > String.length fault_prefix
-    && String.sub kv 0 (String.length fault_prefix) = fault_prefix
+let route_params ~world ~world_schema ~algo kvs =
+  let algo_schema =
+    match Algo_registry.find algo with
+    | Some e -> e.Algo_registry.params
+    | None -> die "unknown algorithm %S" algo
   in
-  let fault_kvs, algo_kvs = List.partition is_fault kvs in
-  let strip kv =
-    String.sub kv (String.length fault_prefix)
-      (String.length kv - String.length fault_prefix)
+  let find schema key =
+    List.find_opt (fun s -> String.equal s.Param.key key) schema
   in
-  (List.map strip fault_kvs, algo_kvs)
+  let keys schema =
+    match schema with
+    | [] -> "none"
+    | l -> names (List.map (fun s -> s.Param.key) l)
+  in
+  let faults = ref [] and worlds = ref [] and algos = ref [] in
+  List.iter
+    (fun kv ->
+      let key, v =
+        match String.index_opt kv '=' with
+        | None -> die "--param: expected KEY=VALUE, got %S" kv
+        | Some i ->
+            (String.sub kv 0 i, String.sub kv (i + 1) (String.length kv - i - 1))
+      in
+      let dest, name, spec =
+        if String.starts_with ~prefix:fault_prefix key then
+          let skip = String.length fault_prefix in
+          let name = String.sub key skip (String.length key - skip) in
+          (faults, name, find Fault_spec.schema name)
+        else
+          match find world_schema key with
+          | Some s -> (worlds, key, Some s)
+          | None -> (algos, key, find algo_schema key)
+      in
+      let spec =
+        match spec with
+        | Some s -> s
+        | None ->
+            die
+              "--param: unknown parameter %S (algorithm %s: %s; world %s: \
+               %s; %sKEY: %s)"
+              key algo (keys algo_schema) world (keys world_schema)
+              fault_prefix (keys Fault_spec.schema)
+      in
+      let bad ty = die "--param: parameter %s expects %s, got %S" key ty v in
+      let value =
+        match spec.Param.default with
+        | Param.Int _ -> (
+            match int_of_string_opt v with
+            | Some i -> Param.Int i
+            | None -> bad "an int")
+        | Param.Float _ -> (
+            match float_of_string_opt v with
+            | Some f -> Param.Float f
+            | None -> bad "a float")
+        | Param.Bool _ -> (
+            match bool_of_string_opt v with
+            | Some b -> Param.Bool b
+            | None -> bad "a bool")
+        | Param.String _ -> Param.String v
+      in
+      if List.mem_assoc name !dest then die "--param: %s given twice" key;
+      dest := (name, value) :: !dest)
+    kvs;
+  (List.rev !faults, List.rev !worlds, List.rev !algos)
 
 (* ---- run ---- *)
 
@@ -127,22 +153,38 @@ let run_cmd =
   let family =
     Arg.(
       value
-      & opt (enum World_registry.cli_world_choices) "random"
+      & opt (enum World_registry.cli_choices) "random"
       & info [ "family"; "world" ] ~docv:"WORLD"
           ~doc:
-            (Printf.sprintf "Tree world: %s."
-               (names World_registry.tree_names)))
+            (Printf.sprintf
+               "World: %s. $(b,adv:)POLICY is a tree grown online by that \
+                adversary policy."
+               (names (List.map fst World_registry.cli_choices))))
   in
   let algo_name =
     Arg.(
       value
       & opt (enum Algo_registry.cli_choices) "bfdn"
       & info [ "algo" ] ~docv:"ALGO"
-          ~doc:(Printf.sprintf "Algorithm: %s." (names Algo_registry.tree_names)))
+          ~doc:
+            (Printf.sprintf
+               "Algorithm: %s (see $(b,explore list) for the worlds each one \
+                drives)."
+               (names Algo_registry.names)))
   in
-  let n = Arg.(value & opt int 5000 & info [ "n"; "nodes" ] ~docv:"N" ~doc:"Target node count.") in
+  let n =
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "n"; "nodes" ] ~docv:"N" ~absent:"5000"
+          ~doc:"Target node count of a tree world.")
+  in
   let depth =
-    Arg.(value & opt int 20 & info [ "depth" ] ~docv:"D" ~doc:"Depth hint for the generator.")
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "depth" ] ~docv:"D" ~absent:"20"
+          ~doc:"Depth hint for a tree world's generator.")
   in
   let params =
     Arg.(
@@ -150,10 +192,13 @@ let run_cmd =
       & opt_all string []
       & info [ "param"; "p" ] ~docv:"KEY=VALUE"
           ~doc:
-            "Algorithm parameter (repeatable); see $(b,explore list) for each \
-             algorithm's schema, e.g. --algo bfdn-rec --param ell=3. Keys \
-             prefixed $(b,fault.) address the fault-injection schema instead, \
-             e.g. --param fault.crashes=2@10 --param fault_tolerant=true.")
+            "World, policy or algorithm parameter (repeatable); see \
+             $(b,explore list) for each schema, e.g. --algo bfdn-rec --param \
+             ell=3, --world grid --param width=40, --world adv:thick-comb \
+             --param capacity=3000. Keys prefixed $(b,fault.) address the \
+             fault-injection schema, e.g. --param fault.crashes=2@10 --param \
+             fault_tolerant=true. A world key overrides -n, --depth and \
+             --scale.")
   in
   let max_rounds =
     Arg.(
@@ -165,10 +210,10 @@ let run_cmd =
   let scale =
     Arg.(
       value
-      & opt (enum [ ("eager", "eager"); ("lazy", "lazy") ]) "eager"
-      & info [ "scale" ] ~docv:"SCALE"
+      & opt (some (enum [ ("eager", "eager"); ("lazy", "lazy") ])) None
+      & info [ "scale" ] ~docv:"SCALE" ~absent:"eager"
           ~doc:
-            "World materialization: $(b,eager) builds the instance up \
+            "Tree world materialization: $(b,eager) builds the instance up \
              front, $(b,lazy) generates nodes at reveal so the run holds \
              O(explored) memory — the huge tier (supported families only). \
              Lazy node ids are int32: an instance of more than 2^30 \
@@ -251,32 +296,41 @@ let run_cmd =
           | Ok s -> s
           | Error msg -> die "%s" msg)
       | None ->
-          let fault_kvs, algo_kvs = split_fault_params params in
-          let algo_params =
-            parse_bindings ~what:"--param" ~schema:(algo_schema algo_name)
-              algo_kvs
-          in
-          let faults =
-            parse_bindings ~what:"--param fault.*" ~schema:Fault_spec.schema
-              fault_kvs
+          let faults, world_kvs, algo_params =
+            route_params ~world:family
+              ~world_schema:(Scenario.instance_schema (Scenario.of_label family))
+              ~algo:algo_name params
           in
           let world_params =
-            (* Same binding order as Scenario.generated, so eager specs
-               keep their exact wire form. *)
-            [ ("depth_hint", Param.Int depth); ("n", Param.Int n) ]
-            @ (* Only an explicit scale=lazy is serialized: the default
-                 keeps wire forms (and fingerprints) of eager specs
-                 unchanged. *)
-            (if scale = "lazy" then [ ("scale", Param.String "lazy") ] else [])
+            if List.mem family World_registry.tree_names then
+              (* The bindings of Scenario.generated, and scale only when
+                 it is lazy, so tree specs keep their wire form (and
+                 fingerprint). *)
+              List.filter
+                (fun (key, _) -> not (List.mem_assoc key world_kvs))
+                ([
+                   ("depth_hint", Param.Int (Option.value depth ~default:20));
+                   ("n", Param.Int (Option.value n ~default:5000));
+                 ]
+                @
+                if scale = Some "lazy" then [ ("scale", Param.String "lazy") ]
+                else [])
+              @ world_kvs
+            else if n <> None || depth <> None || scale <> None then
+              die
+                "-n, --depth and --scale size tree worlds; set the \
+                 parameters of %s with --param KEY=VALUE"
+                family
+            else world_kvs
           in
           Scenario.make ~algo:algo_name ~algo_params ~k ~seed ?max_rounds
             ~metrics ~faults
-            (Scenario.world ~params:world_params family)
+            (Scenario.of_label ~params:world_params family)
     in
     let spec = if metrics then { spec with Scenario.metrics = true } else spec in
-    (match Scenario.validate spec with
-    | Ok () -> ()
-    | Error msg -> die "%s" msg);
+    let setting =
+      match Scenario.setting spec with Ok s -> s | Error msg -> die "%s" msg
+    in
     match dump_spec with
     | Some "-" -> print_endline (Scenario.to_string spec)
     | Some file ->
@@ -361,9 +415,24 @@ let run_cmd =
           | None -> ());
           Printf.printf "offline lower bound : %.0f\n"
             (Bfdn.Bounds.offline_lb ~n:nn ~k ~d:(max 1 d));
-          Printf.printf "Theorem 1 guarantee : %.0f\n"
-            (Bfdn.Bounds.bfdn ~n:nn ~k ~d ~delta);
-          Printf.printf "CTE comparison bound: %.0f\n" (Bfdn.Bounds.cte ~n:nn ~k ~d);
+          (* Only the guarantee the paper proves for the run's setting. *)
+          (match setting with
+          | Scenario.Sync_tree ->
+              Printf.printf "Theorem 1 guarantee : %.0f\n"
+                (Bfdn.Bounds.bfdn ~n:nn ~k ~d ~delta);
+              Printf.printf "CTE comparison bound: %.0f\n"
+                (Bfdn.Bounds.cte ~n:nn ~k ~d)
+          | Scenario.Sync_graph when result.explored ->
+              (* Graph_env counts each traversed edge once: a run that
+                 explored the graph traversed all |E| of them. *)
+              Printf.printf "Proposition 9 guarantee: %.0f\n"
+                (Bfdn.Bounds.bfdn_graph ~n_edges:result.edge_events ~k ~d
+                   ~delta)
+          | Scenario.Sync_graph ->
+              print_endline
+                "Proposition 9 guarantee: not available (the run did not \
+                 explore the graph, so |E| is unknown)"
+          | Scenario.Async_tree -> ());
           (match registry with
           | Some m ->
               print_string
@@ -386,7 +455,9 @@ let run_cmd =
   in
   Cmd.v
     (Cmd.info "run"
-       ~doc:"Explore a tree scenario given by flags or a --spec JSON file.")
+       ~doc:
+         "Run one scenario — a tree, graph or adversary-grown world — given \
+          by flags or a --spec JSON file.")
     term
 
 (* ---- list ---- *)
@@ -500,7 +571,16 @@ let sweep_cmd =
     Arg.(value & opt int 20 & info [ "depth" ] ~docv:"D" ~doc:"Depth hint for the generator.")
   in
   let repeats =
-    Arg.(value & opt int 3 & info [ "repeats" ] ~docv:"R" ~doc:"Seeds per (family, algo, k) cell.")
+    Term.(
+      const (positive ~flag:"--repeats" ~hi:Scenario.max_batch_seeds)
+      $ Arg.(
+          value & opt int 3
+          & info [ "repeats" ] ~docv:"R"
+              ~doc:
+                (Printf.sprintf
+                   "Seeds per (family, algo, k) cell, run as one seed batch \
+                    (1 to %d)."
+                   Scenario.max_batch_seeds)))
   in
   let out =
     Arg.(
@@ -515,20 +595,11 @@ let sweep_cmd =
       & flag
       & info [ "metrics" ]
           ~doc:
-            "Record per-worker queue-wait and job-latency histograms and print \
-             them (plus the merged aggregate) after the sweep.")
+            "Record per-worker queue-wait and job-latency histograms (one job \
+             per cell) and print them (plus the merged aggregate) after the \
+             sweep.")
   in
-  let seed_batch_arg =
-    Arg.(
-      value & flag
-      & info [ "seed-batch" ]
-          ~doc:
-            "Run each (family, algo, k) cell's repeat seeds as one \
-             seed batch instead of R independent jobs. Results are \
-             bit-for-bit identical to the per-job sweep; deterministic cells \
-             collapse to a single execution per cell.")
-  in
-  let action families algos ks jobs n depth repeats seed out metrics seed_batch =
+  let action families algos ks jobs n depth repeats seed out metrics =
     let split_csv s = String.split_on_char ',' s |> List.map String.trim in
     let ks =
       List.map
@@ -539,7 +610,7 @@ let sweep_cmd =
         (split_csv ks)
     in
     (* Bad names are warned about here but still swept: the engine contains
-       each failing job as an Error result, so the sweep reports per-cell
+       each failing cell as an Error result, so the sweep reports per-cell
        warnings and exits 1 instead of aborting the whole batch. *)
     let algos = split_csv algos in
     List.iter
@@ -557,36 +628,26 @@ let sweep_cmd =
           Printf.eprintf "warning: unknown tree world %S (of: %s)\n" f
             (names World_registry.tree_names))
       families;
-    (* One base spec per (family, algo, k) cell; the flat job list expands
-       each cell into its repeat seeds, keeping them consecutive (the table
-       code below relies on that order). *)
+    (* One spec per (family, algo, k) cell, standing for its [repeats]
+       consecutive seeds: the engine runs each cell as one seed batch. *)
     let cells =
-      List.concat_map
-        (fun family ->
-          List.concat_map
-            (fun algo ->
-              List.map
-                (fun k ->
-                  Scenario.make ~algo ~k ~seed
-                    (Scenario.generated ~family ~n ~depth_hint:depth))
-                ks)
-            algos)
-        families
+      Array.of_list
+        (List.concat_map
+           (fun family ->
+             List.concat_map
+               (fun algo ->
+                 List.map
+                   (fun k ->
+                     Scenario.make ~algo ~k ~seed ~batch_seeds:repeats
+                       (Scenario.generated ~family ~n ~depth_hint:depth))
+                   ks)
+               algos)
+           families)
     in
-    let specs =
-      List.concat_map
-        (fun (cell : Scenario.t) ->
-          List.init repeats (fun r -> { cell with Scenario.seed = seed + r }))
-        cells
-    in
-    let total = List.length specs in
-    if seed_batch then
-      Printf.eprintf "sweep: %d jobs as %d seed batches of %d\n%!" total
-        (List.length cells) repeats
-    else
-      Printf.eprintf "sweep: %d jobs on %d worker(s) (%d core(s))\n%!" total
-        jobs
-        (Domain.recommended_domain_count ());
+    Printf.eprintf
+      "sweep: %d jobs as %d seed batches on %d worker(s) (%d core(s))\n%!"
+      (Array.length cells * repeats) (Array.length cells) jobs
+      (Domain.recommended_domain_count ());
     (* One registry per worker: each worker domain records its own
        latency histograms without locking; merged after the drain. *)
     let worker_regs =
@@ -597,44 +658,32 @@ let sweep_cmd =
       if metrics then Probe.pool_probe worker_regs else Probe.noop
     in
     let t0 = Batch.now () in
-    let results =
-      if seed_batch then begin
-        (* One seed batch per cell, expanded back into the per-job
-           result shape so the table, aggregate and report code below is
-           oblivious to how the jobs were executed — the batch oracle
-           guarantees the rows are byte-identical either way. *)
-        let total_cells = List.length cells in
-        let completed = ref 0 in
-        List.concat_map
-          (fun (cell : Scenario.t) ->
-            let batched = { cell with Scenario.batch_seeds = repeats } in
-            let rows =
-              match Seed_batch.run batched with
-              | report ->
-                  Array.to_list
-                    (Array.mapi
-                       (fun l o -> (Scenario.unbatch batched l, Ok o))
-                       report.Seed_batch.outcomes)
-              | exception e ->
-                  List.init repeats (fun l ->
-                      ( Scenario.unbatch batched l,
-                        Error (Printexc.to_string e) ))
-            in
-            incr completed;
-            if !completed mod 5 = 0 || !completed = total_cells then
-              Printf.eprintf "\r  %d/%d cells%!" !completed total_cells;
-            rows)
-          cells
-      end
-      else
-        Batch.run ~probe ~workers:jobs
-          ~progress:(fun ~completed ~total ->
-            if completed mod 10 = 0 || completed = total then
-              Printf.eprintf "\r  %d/%d%!" completed total)
-          specs
+    (* The probe times whole cells on the pool. Seed_batch.run gets none:
+       an enabled probe would disable its identical-lane collapse. *)
+    let reports =
+      Batch.map ~probe ~workers:jobs
+        ~progress:(fun ~completed ~total ->
+          if completed mod 5 = 0 || completed = total then
+            Printf.eprintf "\r  %d/%d cells%!" completed total)
+        Seed_batch.run cells
     in
     Printf.eprintf "\n%!";
     let wall = Batch.now () -. t0 in
+    (* Each lane's (unbatched spec, outcome), in seed order within each
+       cell: by the batch determinism oracle, the rows a job-per-seed run
+       would give. The table, aggregate and report below read these. *)
+    let results =
+      List.concat
+        (Array.to_list
+           (Array.mapi
+              (fun i report ->
+                List.init repeats (fun l ->
+                    ( Scenario.unbatch cells.(i) l,
+                      Result.map
+                        (fun r -> r.Seed_batch.outcomes.(l))
+                        report )))
+              reports))
+    in
     let t =
       Table.create
         ~caption:"one row per (family, algo, k): rounds over the repeat seeds"
@@ -722,13 +771,14 @@ let sweep_cmd =
   let term =
     Term.(
       const action $ families_arg $ algos_arg $ ks_arg $ jobs_arg $ n $ depth
-      $ repeats $ seed_arg $ out $ metrics_arg $ seed_batch_arg)
+      $ repeats $ seed_arg $ out $ metrics_arg)
   in
   Cmd.v
     (Cmd.info "sweep"
        ~doc:
-         "Run a (family x algo x k x seed) batch on the parallel engine and \
-          report round distributions.")
+         "Run every (family, algo, k) cell over its repeat seeds — one seed \
+          batch per cell on the parallel engine — and report round \
+          distributions.")
     term
 
 (* ---- game ---- *)
@@ -803,104 +853,6 @@ let bounds_cmd =
   in
   let term = Term.(const action $ k_arg $ n $ d $ delta) in
   Cmd.v (Cmd.info "bounds" ~doc:"Print every guarantee formula for an instance shape.") term
-
-(* ---- adversary ---- *)
-
-let adversary_cmd =
-  let policy_name =
-    Arg.(
-      value
-      & opt (enum World_registry.cli_policy_choices) "thick-comb"
-      & info [ "policy" ] ~docv:"POLICY"
-          ~doc:
-            (Printf.sprintf "Adversary policy: %s."
-               (names World_registry.policy_names)))
-  in
-  let algo_name =
-    Arg.(
-      value
-      & opt (enum Algo_registry.adaptive_cli_choices) "bfdn"
-      & info [ "algo" ] ~docv:"ALGO"
-          ~doc:
-            (Printf.sprintf "Explorer: %s."
-               (names Algo_registry.adaptive_names)))
-  in
-  let capacity =
-    Arg.(value & opt int 3000 & info [ "capacity" ] ~docv:"N" ~doc:"Node budget.")
-  in
-  let depth_budget =
-    Arg.(value & opt int 200 & info [ "depth-budget" ] ~docv:"D" ~doc:"Depth budget.")
-  in
-  let action k policy_name algo_name capacity depth_budget seed =
-    let spec =
-      Scenario.make ~algo:algo_name ~k ~seed
-        (Scenario.adversarial ~policy:policy_name ~capacity
-           ~depth_budget)
-    in
-    (match Scenario.validate spec with
-    | Ok () -> ()
-    | Error msg -> die "%s" msg);
-    let o = Scenario.run spec in
-    Format.printf "%s vs %s adversary: %a@." algo_name policy_name
-      Runner.pp_result o.Scenario.result;
-    Printf.printf "frozen instance: n=%d D=%d Δ=%d\n" o.Scenario.n
-      o.Scenario.depth o.Scenario.max_degree;
-    (match o.Scenario.replay_rounds with
-    | Some r -> Printf.printf "frozen-tree replay : %d rounds\n" r
-    | None -> ());
-    let lb =
-      Bfdn.Bounds.offline_lb ~n:o.Scenario.n ~k ~d:(max 1 o.Scenario.depth)
-    in
-    Printf.printf "offline lower bound: %.0f (ratio %.2f)\n" lb
-      (float_of_int o.Scenario.result.rounds /. lb)
-  in
-  let term =
-    Term.(const action $ k_arg $ policy_name $ algo_name $ capacity $ depth_budget $ seed_arg)
-  in
-  Cmd.v
-    (Cmd.info "adversary" ~doc:"Grow a tree adaptively against the explorer, then report.")
-    term
-
-(* ---- grid ---- *)
-
-let grid_cmd =
-  let width = Arg.(value & opt int 30 & info [ "width" ] ~docv:"W" ~doc:"Grid width.") in
-  let height = Arg.(value & opt int 12 & info [ "height" ] ~docv:"H" ~doc:"Grid height.") in
-  let obstacles =
-    Arg.(value & opt int 10 & info [ "obstacles" ] ~docv:"COUNT" ~doc:"Number of random rectangular obstacles.")
-  in
-  let action k width height obstacles seed =
-    let module Grid = Bfdn_graphs.Grid in
-    let module Genv = Bfdn_graphs.Graph_env in
-    let grid =
-      let params =
-        [
-          ("height", Param.Int height);
-          ("obstacles", Param.Int obstacles);
-          ("width", Param.Int width);
-        ]
-      in
-      match World_registry.find "grid" with
-      | Some { World_registry.kind = World_registry.Grid build; params = schema; _ }
-        -> (
-          match Param.validate ~schema params with
-          | Error msg -> die "%s" msg
-          | Ok () -> build { World_registry.rng = Rng.create seed; params })
-      | _ -> failwith "grid world missing from the registry"
-    in
-    print_string (Grid.render grid);
-    let g = Grid.graph grid in
-    let env = Genv.create g ~origin:(Grid.origin grid) ~k in
-    let r = Bfdn.Bfdn_graph.run (Bfdn.Bfdn_graph.make env) in
-    Printf.printf
-      "k=%d: %d edges traversed in %d rounds (%d closed); bound %.0f; home=%b\n" k
-      (Genv.traversed_edges env) r.rounds r.closed_edges
-      (Bfdn.Bounds.bfdn_graph ~n_edges:(Genv.oracle_n_edges env) ~k
-         ~d:(Genv.oracle_radius env) ~delta:(Genv.oracle_max_degree env))
-      r.at_origin
-  in
-  let term = Term.(const action $ k_arg $ width $ height $ obstacles $ seed_arg) in
-  Cmd.v (Cmd.info "grid" ~doc:"Sweep a warehouse grid with graph-BFDN.") term
 
 (* ---- serve ---- *)
 
@@ -1217,6 +1169,5 @@ let () =
        (Cmd.group info
           [
             run_cmd; sweep_cmd; list_cmd; serve_cmd; submit_cmd; game_cmd;
-            regions_cmd; grid_cmd; adversary_cmd; bounds_cmd; tail_cmd;
-            promlint_cmd;
+            regions_cmd; bounds_cmd; tail_cmd; promlint_cmd;
           ]))

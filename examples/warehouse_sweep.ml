@@ -28,7 +28,7 @@ let () =
     (fun k ->
       let env = Genv.create g ~origin:(Grid.origin grid) ~k in
       let sweep = Bfdn.Bfdn_graph.make env in
-      let r = Bfdn.Bfdn_graph.run sweep in
+      let r = Bfdn_sim.Exec_env.run (Bfdn.Bfdn_graph.exec_env sweep) in
       let bound =
         Bfdn.Bounds.bfdn_graph ~n_edges:(Genv.oracle_n_edges env) ~k
           ~d:(Genv.oracle_radius env) ~delta:(Genv.oracle_max_degree env)
@@ -36,7 +36,7 @@ let () =
       Printf.printf
         "k=%3d robots: swept every aisle in %5d rounds (guarantee %6.0f), \
          %d loop edges closed, all docked=%b\n"
-        k r.rounds bound r.closed_edges r.at_origin)
+        k r.rounds bound (Genv.closed_edges env) r.at_root)
     [ 1; 4; 16; 64 ];
   print_newline ();
   print_endline

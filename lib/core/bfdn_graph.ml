@@ -137,21 +137,3 @@ let exec_env t =
           (Genv.round env) (Genv.num_explored env) (Genv.oracle_n_nodes env)
           (Genv.unknown_ports_total env));
   }
-
-type result = {
-  rounds : int;
-  explored : bool;
-  at_origin : bool;
-  closed_edges : int;
-  hit_round_limit : bool;
-}
-
-let run ?max_rounds t =
-  let r = Bfdn_sim.Exec_env.run ?max_rounds (exec_env t) in
-  {
-    rounds = r.Bfdn_sim.Runner.rounds;
-    explored = r.Bfdn_sim.Runner.explored;
-    at_origin = r.Bfdn_sim.Runner.at_root;
-    closed_edges = Genv.closed_edges t.env;
-    hit_round_limit = r.Bfdn_sim.Runner.hit_round_limit;
-  }

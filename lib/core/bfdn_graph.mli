@@ -24,17 +24,7 @@ val exec_env : t -> Bfdn_sim.Exec_env.t
     execution environment, so {!Bfdn_sim.Exec_env.run} (and through it
     [Scenario.run]) drives graph exploration with the same round loop,
     probes and fault plans as trees. The adapter lives here rather than
-    in [lib/sim] because [lib/sim] does not depend on [bfdn_graphs]. *)
-
-type result = {
-  rounds : int;
-  explored : bool;
-  at_origin : bool;
-  closed_edges : int;
-  hit_round_limit : bool;
-}
-
-val run : ?max_rounds:int -> t -> result
-(** The graph environment has its own move type, so the driving loop lives
-    here rather than in {!Bfdn_sim.Runner}. *)
-
+    in [lib/sim] because [lib/sim] does not depend on [bfdn_graphs].
+    Drive a hand-built graph with [Exec_env.run (exec_env t)] and read
+    the closed edges off the environment
+    ({!Bfdn_graphs.Graph_env.closed_edges}). *)

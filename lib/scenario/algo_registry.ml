@@ -253,15 +253,10 @@ let graph_names =
 let async_names =
   List.filter_map (fun e -> if (caps e).async then Some e.name else None) all
 
-let choices_of filter =
+let cli_choices =
   List.concat_map
-    (fun e ->
-      if filter e then List.map (fun n -> (n, e.name)) (e.name :: e.aliases)
-      else [])
+    (fun e -> List.map (fun n -> (n, e.name)) (e.name :: e.aliases))
     all
-
-let cli_choices = choices_of (fun e -> (caps e).tree)
-let adaptive_cli_choices = choices_of (fun e -> (caps e).adaptive)
 
 let instantiate ?(probe = Probe.noop) ?rng ?(params = []) ?fault name env =
   match find name with

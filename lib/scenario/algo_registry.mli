@@ -87,11 +87,10 @@ val names : string list
 
 val tree_names : string list
 (** Canonical names runnable on the synchronous tree environment — the
-    [sweep]/[run] vocabulary. *)
+    [sweep] vocabulary. *)
 
 val adaptive_names : string list
-(** Canonical names sound against adaptive adversaries — the
-    [adversary] subcommand vocabulary. *)
+(** Canonical names sound against adaptive adversaries. *)
 
 val graph_names : string list
 (** Canonical names runnable on graph worlds. *)
@@ -100,11 +99,9 @@ val async_names : string list
 (** Canonical names runnable in the continuous-time relaxation. *)
 
 val cli_choices : (string * string) list
-(** [(token, canonical)] for every tree-runnable name {e and} its
-    aliases: the single source of the CLI's [--algo] enum. *)
-
-val adaptive_cli_choices : (string * string) list
-(** Same, restricted to adaptive-capable algorithms. *)
+(** [(token, canonical)] for every name {e and} its aliases: the single
+    source of the CLI's [--algo] enum. Whether the algorithm drives the
+    chosen world is {!Scenario.validate}'s call. *)
 
 val instantiate :
   ?probe:Bfdn_obs.Probe.t ->

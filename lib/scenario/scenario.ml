@@ -83,7 +83,23 @@ let adversarial ~policy ~capacity ~depth_budget =
 let instance_label t =
   match t.instance with
   | World { world; _ } -> world
-  | Adversarial { policy; _ } -> "adv:" ^ policy
+  | Adversarial { policy; _ } -> World_registry.policy_prefix ^ policy
+
+let of_label ?(params = []) label =
+  let prefix = World_registry.policy_prefix in
+  if String.starts_with ~prefix label then
+    let skip = String.length prefix in
+    Adversarial
+      { policy = String.sub label skip (String.length label - skip); params }
+  else World { world = label; params }
+
+let instance_schema = function
+  | World { world; _ } ->
+      Option.fold ~none:[] ~some:(fun e -> e.World_registry.params)
+        (World_registry.find world)
+  | Adversarial { policy; _ } ->
+      Option.fold ~none:[] ~some:(fun p -> p.World_registry.p_params)
+        (World_registry.find_policy policy)
 
 let describe t =
   let with_params name params =
@@ -93,7 +109,8 @@ let describe t =
   let inst =
     match t.instance with
     | World { world; params } -> with_params world params
-    | Adversarial { policy; params } -> with_params ("adv:" ^ policy) params
+    | Adversarial { policy; params } ->
+        with_params (World_registry.policy_prefix ^ policy) params
   in
   let cap =
     match t.max_rounds with
@@ -135,6 +152,7 @@ type plan = { source : World_registry.source; driver : driver }
 (* The fleet size sizes per-robot arrays before the first round: an
    unbounded [k] is an allocation request, not a scenario. *)
 let max_k = 1 lsl 20
+let max_batch_seeds = 1 lsl 16
 
 let driver_for t (e : Algo_registry.entry) (source : World_registry.source) =
   let no fmt = Printf.ksprintf (fun msg -> Error msg) fmt in
@@ -193,8 +211,8 @@ let plan t =
   in
   let* () = Fault_spec.validate ~k:t.k t.faults in
   let* () =
-    if t.batch_seeds >= 1 && t.batch_seeds <= 65536 then Ok ()
-    else Error "batch seeds must be in [1, 65536]"
+    if t.batch_seeds >= 1 && t.batch_seeds <= max_batch_seeds then Ok ()
+    else Error (Printf.sprintf "batch seeds must be in [1, %d]" max_batch_seeds)
   in
   match t.max_rounds with
   | Some m when m < 1 -> Error "max_rounds must be >= 1"
@@ -210,6 +228,16 @@ let validate_tree_run t =
   match p.driver with
   | Sync _ | Async _ -> Ok ()
   | On_graph _ -> Error (graph_only t)
+
+type setting = Sync_tree | Sync_graph | Async_tree
+
+let setting t =
+  let* p = plan t in
+  Ok
+    (match p.driver with
+    | Sync _ -> Sync_tree
+    | On_graph _ -> Sync_graph
+    | Async _ -> Async_tree)
 
 (* ---- JSON codec ----
 

@@ -99,6 +99,16 @@ val adversarial : policy:string -> capacity:int -> depth_budget:int -> instance
 val instance_label : t -> string
 (** ["comb"] / ["adv:thick-comb"] — the row label used by sweep tables. *)
 
+val of_label : ?params:Param.binding list -> string -> instance
+(** The inverse of {!instance_label}: ["adv:P"] is the world grown
+    online by policy [P], any other label the {!World_registry} world
+    of that name. The CLI's [--world] tokens
+    ({!World_registry.cli_choices}) are such labels. *)
+
+val instance_schema : instance -> Param.spec list
+(** The parameter schema of the instance's world or policy ([[]] for an
+    unregistered name). *)
+
 val describe : t -> string
 (** One-line human-readable rendering, used in labels and error text. *)
 
@@ -107,6 +117,9 @@ val equal : t -> t -> bool
 val equal_outcome : outcome -> outcome -> bool
 (** Structural equality; the whole record is immutable scalar data, so
     this is exactly "bit-for-bit identical run". *)
+
+val max_batch_seeds : int
+(** [65536]: the largest [batch_seeds] {!validate} accepts. *)
 
 val validate : t -> (unit, string) result
 (** Build the spec's run plan and drop it: check every name against the
@@ -122,6 +135,19 @@ val validate : t -> (unit, string) result
 val validate_tree_run : t -> (unit, string) result
 (** {!validate}, plus what {!run_on_tree} needs: an algorithm that
     drives a hidden tree (not a graph-only one). *)
+
+(** The paper's setting a spec's plan runs in, which decides the
+    guarantee that holds for it. *)
+type setting =
+  | Sync_tree
+      (** the synchronous tree runner on an eager, lazy or adaptive
+          world: Theorem 1 *)
+  | Sync_graph  (** a graph environment: Proposition 9 *)
+  | Async_tree
+      (** the continuous-time relaxation (Remark 8): no proven bound *)
+
+val setting : t -> (setting, string) result
+(** Errors exactly when {!validate} does. *)
 
 (** {2 JSON codec} *)
 

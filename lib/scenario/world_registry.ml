@@ -126,7 +126,7 @@ let grid_entry =
     name = "grid";
     doc =
       "warehouse grid with rectangular obstacles — graph exploration via \
-       bfdn-graph (the grid subcommand)";
+       bfdn-graph";
     params = grid_params;
     kind =
       Grid
@@ -215,8 +215,6 @@ let graph_names =
   List.filter_map
     (fun e -> match e.kind with Grid _ | Graph _ -> Some e.name | Tree _ -> None)
     worlds
-
-let cli_world_choices = List.map (fun n -> (n, n)) tree_names
 
 (* ---- adaptive adversary policies ---- *)
 
@@ -317,7 +315,13 @@ let find_policy name =
 
 let policy_names = List.map (fun p -> p.p_name) policies
 
-let cli_policy_choices = List.map (fun n -> (n, n)) policy_names
+let policy_prefix = "adv:"
+
+let cli_choices =
+  List.map
+    (fun n -> (n, n))
+    (List.map (fun e -> e.name) worlds
+    @ List.map (fun n -> policy_prefix ^ n) policy_names)
 
 (* ---- sources: the one place a world name and its parameters are
    checked and bound ---- *)

@@ -14,8 +14,8 @@ type kind =
   | Tree of (ctx -> Bfdn_trees.Tree.t)
       (** a fixed hidden tree, generated up front *)
   | Grid of (ctx -> Bfdn_graphs.Grid.t)
-      (** a warehouse grid — a graph world that keeps its geometry (the
-          [grid] subcommand renders it); its source is a [Graph_world] *)
+      (** a warehouse grid — a graph world that keeps its geometry; its
+          source is a [Graph_world] *)
   | Graph of (ctx -> Bfdn_graphs.Graph.t * int)
       (** a general connected graph with its origin *)
 
@@ -72,15 +72,13 @@ val worlds : entry list
 val find : string -> entry option
 
 val tree_names : string list
-(** Names whose kind is [Tree] — the [run]/[sweep] world vocabulary
-    (identical to {!Bfdn_trees.Tree_gen.families}, asserted in tests). *)
+(** Names whose kind is [Tree] — the [sweep] world vocabulary, and the
+    worlds the CLI's [-n]/[--depth]/[--scale] flags size (identical to
+    {!Bfdn_trees.Tree_gen.families}, asserted in tests). *)
 
 val graph_names : string list
 (** Names whose kind is [Grid] or [Graph] — the worlds whose source is a
     [Graph_world] (the [bfdn-graph] scenario vocabulary). *)
-
-val cli_world_choices : (string * string) list
-(** [(token, name)] pairs for tree worlds, for CLI enums. *)
 
 (** {2 Adaptive adversary policies} *)
 
@@ -90,7 +88,15 @@ val find_policy : string -> policy_entry option
 
 val policy_names : string list
 
-val cli_policy_choices : (string * string) list
+val policy_prefix : string
+(** ["adv:"]: a world grown online by policy [P] is labelled
+    [policy_prefix ^ P] ([Scenario.instance_label]); the prefix keeps
+    the [random] tree world and the [random] policy apart. *)
+
+val cli_choices : (string * string) list
+(** [(token, token)] for every world name and every policy as
+    [policy_prefix ^ name]: the single source of the CLI's [--world]
+    enum. *)
 
 (** {2 Sources} *)
 

@@ -3,11 +3,10 @@
     BFDN is one synchronous loop — each round every robot selects a
     move, then all moves are applied. {!run} is that loop, and the only
     one in the codebase: {!Runner.run} is [run (of_env algo env)], and
-    the scenario layer, the seed batch engine and the graph runner drive
-    it directly. An {!t} packages the operations the loop, fault
-    injection and the obs probes need (select/apply phases, termination
-    test, round accounting, trace frames) behind closures, so
-    tree environments ({!of_env}), grid/graph environments
+    the scenario layer and the seed batch engine drive it directly. An
+    {!t} packages the operations the loop, fault injection and the obs
+    probes need (select/apply phases, termination test, round
+    accounting, trace frames) behind closures, so tree environments ({!of_env}), grid/graph environments
     ([Bfdn_graphs.Graph_env], adapted by [Bfdn_graph.exec_env] in
     [lib/core] because [lib/sim] does not see [bfdn_graphs]) and the
     continuous-time relaxation ({!of_async}, Remark 8) run through the

@@ -5,6 +5,7 @@ module Graph = Bfdn_graphs.Graph
 module Grid = Bfdn_graphs.Grid
 module Genv = Bfdn_graphs.Graph_env
 module Bfdn_graph = Bfdn.Bfdn_graph
+module Exec_env = Bfdn_sim.Exec_env
 module Bounds = Bfdn.Bounds
 module Rng = Bfdn_util.Rng
 
@@ -208,8 +209,7 @@ let test_gen_layered () =
 
 let run_graph_bfdn g origin k =
   let env = Genv.create g ~origin ~k in
-  let t = Bfdn_graph.make env in
-  (env, Bfdn_graph.run t)
+  (env, Exec_env.run (Bfdn_graph.exec_env (Bfdn_graph.make env)))
 
 let prop9_bound env k =
   Bounds.bfdn_graph ~n_edges:(Genv.oracle_n_edges env) ~k
@@ -219,7 +219,7 @@ let test_bfdn_graph_single_robot () =
   let g = cycle_graph () in
   let env, r = run_graph_bfdn g 0 1 in
   checkb "explored" true r.explored;
-  checkb "at origin" true r.at_origin;
+  checkb "at origin" true r.at_root;
   ignore env;
   (* one robot pays exactly two traversals per edge *)
   checki "2|E| rounds" (2 * Graph.num_edges g) r.rounds
@@ -227,9 +227,9 @@ let test_bfdn_graph_single_robot () =
 let test_bfdn_graph_on_tree_matches () =
   (* On an acyclic graph nothing closes and BFDN behaves as on trees. *)
   let g = Graph.of_edges ~n:6 [ (0, 1); (0, 2); (1, 3); (1, 4); (2, 5) ] in
-  let _, r = run_graph_bfdn g 0 2 in
+  let env, r = run_graph_bfdn g 0 2 in
   checkb "explored" true r.explored;
-  checki "no closed edges" 0 r.closed_edges
+  checki "no closed edges" 0 (Genv.closed_edges env)
 
 let prop_proposition9_grids =
   QCheck.Test.make ~name:"Proposition 9 bound on random obstacle grids" ~count:25
@@ -239,13 +239,14 @@ let prop_proposition9_grids =
       let spec = Grid.random_spec ~rng ~width:w ~height:h ~obstacle_count:obstacles ~max_side:3 in
       let grid = Grid.make spec in
       let env, r = run_graph_bfdn (Grid.graph grid) (Grid.origin grid) k in
-      r.explored && r.at_origin && float_of_int r.rounds <= prop9_bound env k)
+      r.explored && r.at_root && float_of_int r.rounds <= prop9_bound env k)
 
 let test_genv_invariants_during_run () =
   let g = Bfdn_graphs.Graph_gen.random_connected ~rng:(Rng.create 12) ~n:150 ~extra_edges:80 in
   let env = Genv.create g ~origin:0 ~k:5 in
-  let t = Bfdn_graph.make env in
-  let r = Bfdn_graph.run ~max_rounds:100000 t in
+  let r =
+    Exec_env.run ~max_rounds:100000 (Bfdn_graph.exec_env (Bfdn_graph.make env))
+  in
   checkb "explored" true r.explored;
   Genv.check_invariants env
 
@@ -294,7 +295,7 @@ let prop_proposition9_random_graphs =
           ~rng:(Rng.create ((n * 37) + extra)) ~n ~extra_edges:extra
       in
       let env, r = run_graph_bfdn g 0 k in
-      r.explored && r.at_origin && float_of_int r.rounds <= prop9_bound env k)
+      r.explored && r.at_root && float_of_int r.rounds <= prop9_bound env k)
 
 let test_prop9_layered () =
   let g = Bfdn_graphs.Graph_gen.layered ~rng:(Rng.create 8) ~layers:12 ~width:10 ~chords:80 in

@@ -28,35 +28,39 @@ let test_worlds_cover_tree_gen () =
     World_registry.tree_names
 
 let test_algos_reachable_from_cli () =
-  List.iter
-    (fun name ->
-      checkb (name ^ " in --algo enum") true
-        (List.mem (name, name) Algo_registry.cli_choices))
-    Algo_registry.tree_names;
-  (* the adversary subcommand's enum is exactly the adaptive-capable
-     subset — the bfdn|cte-only drift this replaces *)
-  List.iter
-    (fun name ->
-      let e = Option.get (Algo_registry.find name) in
-      checkb
-        (name ^ " in adversary enum iff adaptive")
-        (Algo_registry.caps e).Algo_registry.adaptive
-        (List.mem_assoc name Algo_registry.adaptive_cli_choices))
-    Algo_registry.tree_names;
-  (* aliases resolve to their canonical entry and appear in the enum *)
+  (* every algorithm name and alias is in the one --algo enum, mapped to
+     its canonical entry; Scenario.validate alone pairs it with a world *)
   List.iter
     (fun (e : Algo_registry.entry) ->
       List.iter
-        (fun alias ->
-          checkb (alias ^ " alias resolves") true
-            (match Algo_registry.find alias with
+        (fun token ->
+          checkb (token ^ " resolves") true
+            (match Algo_registry.find token with
             | Some e' -> e' == e
             | None -> false);
-          if (Algo_registry.caps e).Algo_registry.tree then
-            checkb (alias ^ " alias in enum") true
-              (List.mem (alias, e.name) Algo_registry.cli_choices))
-        e.aliases)
-    Algo_registry.all
+          checkb (token ^ " in --algo enum") true
+            (List.mem (token, e.name) Algo_registry.cli_choices))
+        (e.name :: e.aliases))
+    Algo_registry.all;
+  (* every world, and every policy under its adv: label, is in the one
+     --world enum, and the token maps back to the instance it labels *)
+  let check_world token instance =
+    checkb (token ^ " in --world enum") true
+      (List.mem (token, token) World_registry.cli_choices);
+    checkb (token ^ " is its instance's label") true
+      (Scenario.of_label token = instance);
+    checks (token ^ " round-trips") token
+      (Scenario.instance_label (Scenario.make instance))
+  in
+  List.iter
+    (fun (e : World_registry.entry) ->
+      check_world e.name (Scenario.world e.name))
+    World_registry.worlds;
+  List.iter
+    (fun policy ->
+      check_world ("adv:" ^ policy)
+        (Scenario.Adversarial { policy; params = [] }))
+    World_registry.policy_names
 
 let test_caps_match_constructors () =
   (* The capability matrix is derived, so a listed capability without a
@@ -788,6 +792,33 @@ let test_lazy_scale_rejects_oversize () =
   checkb "eager n = 2^24 + 1 is rejected" true
     (Result.is_error (Scenario.validate (eager (eager_limit + 1))))
 
+(* The CLI binds a --param KEY to the fault schema when KEY starts with
+   "fault.", else to the world's or policy's schema when KEY is in it,
+   else to the algorithm's. That routing is unambiguous only while no
+   world or policy key is an algorithm key or starts with "fault.". *)
+let test_param_routing_unambiguous () =
+  let keys schema = List.map (fun (s : Param.spec) -> s.key) schema in
+  let algo_keys =
+    List.concat_map (fun (e : Algo_registry.entry) -> keys e.params)
+      Algo_registry.all
+  in
+  let check owner schema =
+    List.iter
+      (fun key ->
+        checkb (owner ^ "." ^ key ^ " is no algorithm key") false
+          (List.mem key algo_keys);
+        checkb (owner ^ "." ^ key ^ " is not fault-prefixed") false
+          (String.starts_with ~prefix:"fault." key))
+      (keys schema)
+  in
+  List.iter
+    (fun (e : World_registry.entry) -> check e.name e.params)
+    World_registry.worlds;
+  List.iter
+    (fun (p : World_registry.policy_entry) ->
+      check ("adv:" ^ p.p_name) p.p_params)
+    World_registry.policies
+
 let suite =
   let tc name f = Alcotest.test_case name `Quick f in
   ( "scenario",
@@ -817,4 +848,5 @@ let suite =
       tc "probe does not change outcome" test_probe_does_not_change_outcome;
       tc "lazy scale rejects oversize ids" test_lazy_scale_rejects_oversize;
       QCheck_alcotest.to_alcotest prop_validated_specs_run;
+      tc "--param routing is unambiguous" test_param_routing_unambiguous;
     ] )
