@@ -4,12 +4,13 @@
 
 open Bench_common
 module Aenv = Bfdn_sim.Async_env
+module Exec_env = Bfdn_sim.Exec_env
 module Table = Bfdn_util.Table
 
 let run_async ?speeds tree k =
   let env = Aenv.create ?speeds tree ~k in
   let t = Bfdn.Bfdn_async.make env in
-  Aenv.run (Bfdn.Bfdn_async.decide t) env;
+  ignore (Exec_env.run (Exec_env.of_async (Bfdn.Bfdn_async.decide t) env));
   env
 
 let e13 () =

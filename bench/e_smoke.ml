@@ -120,8 +120,10 @@ let checks : (string * (unit -> bool)) list =
               Bfdn_trees.Tree_gen.of_family "random" ~rng:(Rng.create 15)
                 ~n:80 ~depth_hint:6
             in
+            let module Exec_env = Bfdn_sim.Exec_env in
             let env = Aenv.create ~speeds tree ~k:4 in
-            Aenv.run (Bfdn.Bfdn_async.decide (Bfdn.Bfdn_async.make env)) env;
+            let decide = Bfdn.Bfdn_async.decide (Bfdn.Bfdn_async.make env) in
+            ignore (Exec_env.run (Exec_env.of_async decide env));
             Aenv.fully_explored env)
           [| Array.make 4 1.0; [| 2.0; 1.0; 0.5; 0.25 |] |] );
     ( "E14 memory",

@@ -328,9 +328,13 @@ let run_cmd =
             (Scenario.of_label ~params:world_params family)
     in
     let spec = if metrics then { spec with Scenario.metrics = true } else spec in
-    let setting =
-      match Scenario.setting spec with Ok s -> s | Error msg -> die "%s" msg
-    in
+    (match Scenario.validate spec with Ok () -> () | Error msg -> die "%s" msg);
+    (* Checked before anything is written: [run] executes one seed. *)
+    if spec.Scenario.batch_seeds > 1 then
+      die
+        "the spec is a batch of %d seeds; run executes one seed (submit the \
+         spec to explore serve, or drop its \"batch\" member)"
+        spec.Scenario.batch_seeds;
     match dump_spec with
     | Some "-" -> print_endline (Scenario.to_string spec)
     | Some file ->
@@ -416,23 +420,23 @@ let run_cmd =
           Printf.printf "offline lower bound : %.0f\n"
             (Bfdn.Bounds.offline_lb ~n:nn ~k ~d:(max 1 d));
           (* Only the guarantee the paper proves for the run's setting. *)
-          (match setting with
-          | Scenario.Sync_tree ->
+          (match (Option.get (Algo_registry.find spec.Scenario.algo)).make with
+          | Algo_registry.Tree _ ->
               Printf.printf "Theorem 1 guarantee : %.0f\n"
                 (Bfdn.Bounds.bfdn ~n:nn ~k ~d ~delta);
               Printf.printf "CTE comparison bound: %.0f\n"
                 (Bfdn.Bounds.cte ~n:nn ~k ~d)
-          | Scenario.Sync_graph when result.explored ->
+          | Algo_registry.Graph _ when result.explored ->
               (* Graph_env counts each traversed edge once: a run that
                  explored the graph traversed all |E| of them. *)
               Printf.printf "Proposition 9 guarantee: %.0f\n"
                 (Bfdn.Bounds.bfdn_graph ~n_edges:result.edge_events ~k ~d
                    ~delta)
-          | Scenario.Sync_graph ->
+          | Algo_registry.Graph _ ->
               print_endline
                 "Proposition 9 guarantee: not available (the run did not \
                  explore the graph, so |E| is unknown)"
-          | Scenario.Async_tree -> ());
+          | Algo_registry.Async _ -> ());
           (match registry with
           | Some m ->
               print_string

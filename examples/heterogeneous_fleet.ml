@@ -5,6 +5,7 @@
    Run with: dune exec examples/heterogeneous_fleet.exe *)
 
 module Aenv = Bfdn_sim.Async_env
+module Exec_env = Bfdn_sim.Exec_env
 module Tree_gen = Bfdn_trees.Tree_gen
 module Trace = Bfdn_sim.Trace
 module Rng = Bfdn_util.Rng
@@ -13,7 +14,7 @@ let sweep tree name speeds =
   let k = Array.length speeds in
   let env = Aenv.create ~speeds tree ~k in
   let t = Bfdn.Bfdn_async.make env in
-  Aenv.run (Bfdn.Bfdn_async.decide t) env;
+  ignore (Exec_env.run (Exec_env.of_async (Bfdn.Bfdn_async.decide t) env));
   let total_speed = Array.fold_left ( +. ) 0.0 speeds in
   let work_lb = 2.0 *. float_of_int (Bfdn_trees.Tree.n tree - 1) /. total_speed in
   Printf.printf

@@ -94,7 +94,3 @@ let make env =
     select;
     finished = (fun env -> Env.fully_explored env && Env.all_at_root env);
   }
-
-let bound ~n ~k ~depth =
-  if k <= 1 then 2.0 *. float_of_int (n - 1)
-  else (float_of_int n /. (log (float_of_int k) /. log 2.0)) +. float_of_int depth

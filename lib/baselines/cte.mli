@@ -12,8 +12,3 @@
     {!Bfdn_trees.Tree_gen.hidden_path} ([11]). *)
 
 val make : Bfdn_sim.Env.t -> Bfdn_sim.Runner.algo
-
-val bound : n:int -> k:int -> depth:int -> float
-(** The comparison formula used in Figure 1: [n / log2 k + depth] (the
-    paper's O-free simplification, constants dropped). For [k = 1] this
-    degenerates to DFS's [2 (n-1)]. *)

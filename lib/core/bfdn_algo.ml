@@ -31,8 +31,6 @@ type ft = {
   hb : Heartbeat.t;
   suspect_after : int;
   buried : bool array;
-  mutable lost : int;
-  mutable revived : int;
 }
 
 (* A robot's pending breadth-first route, int-coded into a reusable
@@ -104,8 +102,6 @@ let make ?(policy = Least_loaded) ?(shortcut = false)
              hb = Heartbeat.create ?drop ~k:(Env.k env) ();
              suspect_after;
              buried = Array.make (Env.k env) false;
-             lost = 0;
-             revived = 0;
            });
     probe;
     robots =
@@ -302,7 +298,6 @@ let ft_prepass t f root =
       Heartbeat.beat f.hb ~robot:i ~round;
       if f.buried.(i) && Heartbeat.last_seen f.hb i = round then begin
         f.buried.(i) <- false;
-        f.revived <- f.revived + 1;
         if t.probe.Bfdn_obs.Probe.enabled then
           t.probe.Bfdn_obs.Probe.on_robot_revived ~robot:i ~round
       end
@@ -320,7 +315,6 @@ let ft_prepass t f root =
       r.route_pos <- 0;
       r.route_len <- 0;
       f.buried.(i) <- true;
-      f.lost <- f.lost + 1;
       if t.probe.Bfdn_obs.Probe.enabled then
         t.probe.Bfdn_obs.Probe.on_robot_lost ~robot:i ~round
           ~latency:(Heartbeat.missed f.hb ~robot:i ~round)
@@ -413,10 +407,6 @@ let reanchors_at_depth t d =
   else t.reanchor_counts.(d)
 
 let reanchors_total t = t.reanchors_total
-
-let fault_tolerant t = t.ft <> None
-let robots_lost t = match t.ft with None -> 0 | Some f -> f.lost
-let robots_revived t = match t.ft with None -> 0 | Some f -> f.revived
 
 let check_claim4 t =
   let view = Env.view t.env in

@@ -71,22 +71,11 @@ val algo : t -> Bfdn_sim.Runner.algo
 
 (** {2 Instrumentation} *)
 
-val anchors : t -> int array
-(** Current anchor of every robot. *)
-
 val reanchors_at_depth : t -> int -> int
 (** Number of [Reanchor] calls that returned an anchor at this depth so
     far — the quantity bounded by Lemma 2. *)
 
 val reanchors_total : t -> int
-
-val fault_tolerant : t -> bool
-
-val robots_lost : t -> int
-(** Loss declarations so far ([0] unless [fault_tolerant]). A robot
-    buried, revived and buried again counts twice. *)
-
-val robots_revived : t -> int
 
 val check_claim4 : t -> bool
 (** Claim 4: every open node of the discovered tree lies in the subtree of

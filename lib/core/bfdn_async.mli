@@ -16,7 +16,7 @@ type t
 val make : Bfdn_sim.Async_env.t -> t
 
 val decide : t -> Bfdn_sim.Async_env.decide
-(** To be passed to {!Bfdn_sim.Async_env.run}. *)
+(** To be passed to {!Bfdn_sim.Exec_env.of_async}. *)
 
 val notify_restart : t -> Bfdn_sim.Async_env.robot -> unit
 (** Discard the robot's route state after a crash-with-restart teleport

@@ -16,9 +16,6 @@ type t
 
 val make : Bfdn_graphs.Graph_env.t -> t
 
-val finished : t -> bool
-(** Fully explored and every robot back at the origin. *)
-
 val exec_env : t -> Bfdn_sim.Exec_env.t
 (** Package the algorithm and its graph environment as a generic
     execution environment, so {!Bfdn_sim.Exec_env.run} (and through it

@@ -33,17 +33,20 @@ let map ?(probe = Probe.noop) ?workers
       xs
   else begin
     let pool = Pool.create ~probe ~workers:w () in
-    let completed = Atomic.make 0 in
+    (* The count is taken and reported under one lock: counting outside
+       it would let a later completion report before an earlier one. *)
+    let completed = ref 0 in
     let progress_mutex = Mutex.create () in
     Array.iteri
       (fun i _ ->
         Pool.submit pool (fun () ->
             run_one i;
-            let c = Atomic.fetch_and_add completed 1 + 1 in
             Mutex.lock progress_mutex;
             Fun.protect
               ~finally:(fun () -> Mutex.unlock progress_mutex)
-              (fun () -> progress ~completed:c ~total)))
+              (fun () ->
+                incr completed;
+                progress ~completed:!completed ~total)))
       xs;
     Pool.join pool;
     on_pool_stats (Pool.executed pool);

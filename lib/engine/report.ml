@@ -81,8 +81,6 @@ let of_summary (s : Bfdn_util.Stats.summary) =
       ("p95", Float s.p95);
     ]
 
-let of_metrics = Bfdn_obs.Metrics.to_json
-
 let of_sweep ~label ~workers ~seed ~wall ?sequential_wall results =
   let agg = Batch.aggregate results in
   let jobs_per_sec = if wall > 0.0 then float_of_int agg.jobs /. wall else 0.0 in

@@ -28,9 +28,6 @@ val write : path:string -> json -> unit
     renamed over [path]. On failure the previous [path] is untouched, the
     temporary file is removed and the exception is re-raised. *)
 
-val schema_version : int
-(** Current report schema: bumped on incompatible shape changes. *)
-
 val peak_rss_bytes : unit -> int option
 (** Peak resident set of this process, best-effort: VmHWM from
     [/proc/self/status] on Linux (kernel high-water mark, monotone over
@@ -40,13 +37,6 @@ val meta : seed:int -> workers:int -> (string * json) list
 (** The standard stamp: [schema_version], [seed], [workers],
     [peak_rss_bytes] ([null] where unavailable). Prepend to every
     BENCH_*.json body. *)
-
-val of_summary : Bfdn_util.Stats.summary -> json
-(** Round-distribution summary as an object
-    [{count, mean, stddev, min, max, p50, p95}]. *)
-
-val of_metrics : Bfdn_obs.Metrics.t -> json
-(** {!Bfdn_obs.Metrics.to_json}, re-exported for report builders. *)
 
 val of_sweep :
   label:string ->

@@ -30,6 +30,7 @@
    sequential calls. *)
 
 module Scenario = Bfdn_scenario.Scenario
+module Algo_registry = Bfdn_scenario.Algo_registry
 module Env = Bfdn_sim.Env
 module Rng = Bfdn_util.Rng
 module Probe = Bfdn_obs.Probe
@@ -63,7 +64,10 @@ let run ?(probe = Probe.noop) ?on_round t =
         in
         let rng = Scenario.algo_stream root in
         let before = Rng.copy rng in
-        let algo = Scenario.instantiate ~probe ~rng ?fault spec env in
+        let algo =
+          Algo_registry.instantiate ~probe ~rng
+            ~params:spec.Scenario.algo_params ?fault spec.Scenario.algo env
+        in
         let o = Scenario.run_env ~probe ?on_round spec algo env in
         (o, Rng.equal rng before)
   in

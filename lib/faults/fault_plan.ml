@@ -142,18 +142,3 @@ let stats t ~rounds =
   (!crashes, !restarts)
 
 let equal (a : t) b = a = b
-
-let mask_name = function
-  | No_mask -> "none"
-  | Rotating m -> Printf.sprintf "rotating(%d)" m
-  | Random p -> Printf.sprintf "random(%.2f)" p
-  | Half -> "half"
-  | Solo -> "solo"
-
-let describe t =
-  let crashes = Array.fold_left (fun n r -> if r < max_int then n + 1 else n) 0 t.crash_at in
-  let restarts =
-    Array.fold_left (fun n r -> if r < max_int then n + 1 else n) 0 t.restart_at
-  in
-  Printf.sprintf "faults: %d crash(es), %d restart(s), mask=%s, drops=%.2f"
-    crashes restarts (mask_name t.mask) t.drop_writes

@@ -81,9 +81,6 @@ val random :
 val down : t -> round:int -> robot:int -> bool
 (** The robot cannot move this round (crashed or masked). *)
 
-val crashed : t -> round:int -> robot:int -> bool
-(** In its crash window specifically ([crash_at <= round < restart_at]). *)
-
 val restarts_after : t -> round:int -> robot:int -> bool
 (** The robot re-enters at the root {e at the end of} this round (the
     last round of its crash window); true for exactly one round. *)
@@ -106,6 +103,3 @@ val stats : t -> rounds:int -> int * int
 
 val equal : t -> t -> bool
 
-val describe : t -> string
-(** One-line rendering for labels, e.g.
-    ["faults: 2 crash(es), 1 restart(s), mask=rotating(3), drops=0.10"]. *)

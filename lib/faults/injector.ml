@@ -1,5 +1,4 @@
 module Env = Bfdn_sim.Env
-module Metrics = Bfdn_obs.Metrics
 
 (* The hook's predicates sit on the round loop's per-robot path, so they
    are specialized at compile-from-plan time: a mask-free plan answers
@@ -26,11 +25,3 @@ let hook plan =
     }
 
 let hook_opt = function None -> Env.fault_noop | Some plan -> hook plan
-
-let record ~metrics plan ~rounds =
-  let crashes, restarts = Fault_plan.stats plan ~rounds in
-  Metrics.add (Metrics.counter metrics "faults_injected") crashes;
-  Metrics.add (Metrics.counter metrics "fault_restarts") restarts;
-  Metrics.set
-    (Metrics.gauge metrics "fault_survivors")
-    (float_of_int (Fault_plan.survivors plan))

@@ -14,8 +14,3 @@ val hook : Fault_plan.t -> Bfdn_sim.Env.fault_hook
 
 val hook_opt : Fault_plan.t option -> Bfdn_sim.Env.fault_hook
 (** [hook] through an option; [None] is {!Bfdn_sim.Env.fault_noop}. *)
-
-val record : metrics:Bfdn_obs.Metrics.t -> Fault_plan.t -> rounds:int -> unit
-(** Publish the plan's injection counts for an elapsed run into a
-    registry: counters [faults_injected] (crashes), [fault_restarts]
-    and gauge [fault_survivors]. *)

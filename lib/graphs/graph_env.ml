@@ -27,7 +27,6 @@ type t = {
   mutable traversed : int;
   mutable unknown_total : int; (* unknown ports of explored nodes *)
   mutable num_explored : int;
-  mutable restarts : int;
   radius : int;
   fault : Bfdn_sim.Env.fault_hook;
 }
@@ -58,7 +57,6 @@ let create ?(fault = Bfdn_sim.Env.fault_noop) g ~origin ~k =
       traversed = 0;
       unknown_total = 0;
       num_explored = 0;
-      restarts = 0;
       radius = Graph.eccentricity g origin;
       fault;
     }
@@ -127,7 +125,6 @@ let open_nodes_at_min_dist t =
 let fully_explored t = t.unknown_total = 0
 let all_at_origin t = Array.for_all (fun p -> p = t.origin) t.positions
 let unknown_ports_total t = t.unknown_total
-let restarts t = t.restarts
 
 let allowed t i =
   not (t.fault.Bfdn_sim.Env.fh_enabled
@@ -258,8 +255,7 @@ let apply t moves =
     for i = 0 to t.k - 1 do
       if fault.Bfdn_sim.Env.fh_restart ~round:t.round ~robot:i then begin
         t.positions.(i) <- t.origin;
-        t.backtrack.(i) <- -1;
-        t.restarts <- t.restarts + 1
+        t.backtrack.(i) <- -1
       end
     done;
   t.round <- t.round + 1

@@ -94,9 +94,6 @@ val allowed : t -> robot -> bool
     crashed robot reads as not allowed; algorithms should select [Stay]
     for it (any other selection is discarded by {!apply}). *)
 
-val restarts : t -> int
-(** Robots teleported back to the origin by crash-with-restart so far. *)
-
 val apply : t -> move array -> unit
 (** One synchronous round.
     @raise Invalid_argument on illegal selections (bad port, [Back] with

@@ -16,8 +16,6 @@ type t =
 val to_string : t -> string
 (** Compact single-line rendering. *)
 
-val emit : Buffer.t -> t -> unit
-
 val float_to_string : float -> string
 (** Shortest decimal form [s] with [float_of_string s = f]: tries 15 and
     16 significant digits before falling back to the always-exact 17.

@@ -26,7 +26,6 @@ let ignore_log = { lvl = Error; sink = None; m = Mutex.create () }
 
 let create ?(level = Info) sink = { lvl = level; sink = Some sink; m = Mutex.create () }
 
-let level t = t.lvl
 let set_level t lvl = t.lvl <- lvl
 let enabled t lvl = t.sink <> None && severity lvl >= severity t.lvl
 

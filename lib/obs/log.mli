@@ -30,13 +30,10 @@ val create : ?level:level -> (Json.t -> unit) -> t
     the sink's, e.g. {!Sink.write_jsonl} + flush). [level] (default
     [Info]) is the minimum severity emitted. *)
 
-val level : t -> level
 val set_level : t -> level -> unit
 
 val enabled : t -> level -> bool
 (** Whether a message at this level would be emitted. *)
-
-val log : t -> level -> ?trace:string -> ?attrs:Span.attr list -> string -> unit
 
 val debug : t -> ?trace:string -> ?attrs:Span.attr list -> string -> unit
 val info : t -> ?trace:string -> ?attrs:Span.attr list -> string -> unit

@@ -8,63 +8,39 @@ module Probe = Bfdn_obs.Probe
 type caps = { tree : bool; adaptive : bool; graph : bool; async : bool }
 
 type ctx = {
-  env : Env.t;
   rng : Rng.t;
   probe : Probe.t;
   params : Param.binding list;
   fault : Bfdn_faults.Fault_plan.t option;
 }
 
-type graph_ctx = {
-  g_env : Bfdn_graphs.Graph_env.t;
-  g_rng : Rng.t;
-  g_params : Param.binding list;
-}
-
-type async_ctx = {
-  a_tree : Bfdn_trees.Tree.t;
-  a_k : int;
-  a_rng : Rng.t;
-  a_params : Param.binding list;
-  a_fault : Env.fault_hook;
-}
+type make =
+  | Tree of { adaptive : bool; algo : ctx -> Env.t -> Runner.algo }
+  | Graph of (ctx -> Bfdn_graphs.Graph_env.t -> Exec_env.t)
+  | Async of (ctx -> Bfdn_trees.Tree.t -> k:int -> Exec_env.t)
 
 type entry = {
   name : string;
   aliases : string list;
   doc : string;
   params : Param.spec list;
-  adaptive : bool;
-  make_tree : (ctx -> Runner.algo) option;
-  make_graph : (graph_ctx -> Exec_env.t) option;
-  make_async : (async_ctx -> Exec_env.t) option;
+  make : make;
 }
 
-(* Capabilities are derived from the constructors that actually exist, so
-   `explore list` and /registry can never drift from what instantiate
-   accepts (asserted in test_scenario). [adaptive] remains a semantic
-   flag — soundness against a lazily materialized adversarial world is
-   not decidable from the constructor's presence. *)
+(* Capabilities are derived from the one constructor, so `explore list`
+   and /registry can never drift from what a run accepts. [adaptive]
+   remains a semantic flag — soundness against a lazily materialized
+   adversarial world is not decidable from the constructor itself. *)
 let caps e =
-  {
-    tree = e.make_tree <> None;
-    adaptive = e.adaptive && e.make_tree <> None;
-    graph = e.make_graph <> None;
-    async = e.make_async <> None;
-  }
+  let none = { tree = false; adaptive = false; graph = false; async = false } in
+  match e.make with
+  | Tree { adaptive; _ } -> { none with tree = true; adaptive }
+  | Graph _ -> { none with graph = true }
+  | Async _ -> { none with async = true }
 
 let tree_entry ~name ?(aliases = []) ?(adaptive = true) ~doc ?(params = [])
-    make_tree =
-  {
-    name;
-    aliases;
-    doc;
-    params;
-    adaptive;
-    make_tree = Some make_tree;
-    make_graph = None;
-    make_async = None;
-  }
+    algo =
+  { name; aliases; doc; params; make = Tree { adaptive; algo } }
 
 (* BFDN's anchor-selection policy, exposed as a string parameter so the
    ablation variants are expressible in a serialized spec. *)
@@ -112,7 +88,7 @@ let all =
         "Breadth-First Depth-Next, Algorithm 1 — 2n/k + D^2(min(log k, log \
          d)+3) rounds (Theorem 1)"
       ~params:bfdn_params
-      (fun c ->
+      (fun c env ->
         let schema = bfdn_params in
         let policy =
           List.assoc
@@ -135,43 +111,43 @@ let all =
         in
         Bfdn.Bfdn_algo.algo
           (Bfdn.Bfdn_algo.make ~policy ~shortcut ~fault_tolerant ~suspect_after
-             ?drop ~probe:c.probe c.env));
+             ?drop ~probe:c.probe env));
     tree_entry ~name:"bfdn-wr" ~aliases:[ "bfdn-planner" ]
       ~doc:
         "BFDN in the write-read/restricted-memory model, Algorithm 2 — \
          root-planner plus per-node whiteboards (Proposition 6)"
-      (fun c -> Bfdn.Bfdn_planner.algo (Bfdn.Bfdn_planner.make c.env));
+      (fun _ env -> Bfdn.Bfdn_planner.algo (Bfdn.Bfdn_planner.make env));
     tree_entry ~name:"bfdn-rec"
       ~doc:
         "recursive BFDN_l — divide-depth composition, 4n/k^(1/l) + \
          O(D^(1+1/l)) rounds (Theorem 10)"
       ~params:rec_params
-      (fun c ->
+      (fun c env ->
         let ell = Param.get_int ~schema:rec_params c.params "ell" in
-        Bfdn.Bfdn_rec.algo (Bfdn.Bfdn_rec.make ~ell c.env));
+        Bfdn.Bfdn_rec.algo (Bfdn.Bfdn_rec.make ~ell env));
     tree_entry ~name:"cte"
       ~doc:
         "Collective Tree Exploration of Fraigniaud et al. [10] — O(n/log k + \
          D) rounds, proportional branch splitting"
-      (fun c -> Bfdn_baselines.Cte.make c.env);
+      (fun _ env -> Bfdn_baselines.Cte.make env);
     tree_entry ~name:"cte-writeread"
       ~doc:
         "CTE with whiteboard-only communication — completion marks propagate \
          only as fast as robots carry them"
-      (fun c -> Bfdn_baselines.Cte_writeread.make c.env);
+      (fun _ env -> Bfdn_baselines.Cte_writeread.make env);
     tree_entry ~name:"dfs"
       ~doc:"single-robot depth-first search — the 2(n-1) baseline"
-      (fun c -> Bfdn_baselines.Dfs_single.make c.env);
+      (fun _ env -> Bfdn_baselines.Dfs_single.make env);
     tree_entry ~name:"offline" ~adaptive:false
       ~doc:
         "offline Euler-tour split — 2(n/k + D) rounds with full knowledge of \
          the tree"
       (* Reads the hidden tree up front (oracle), so it is meaningless
          against a lazily materialized adversarial world. *)
-      (fun c -> Bfdn_baselines.Offline_split.make c.env);
+      (fun _ env -> Bfdn_baselines.Offline_split.make env);
     tree_entry ~name:"random-walk"
       ~doc:"independent uniform random walks — naive randomized baseline"
-      (fun c -> Bfdn_baselines.Random_walk.make ~rng:c.rng c.env);
+      (fun c env -> Bfdn_baselines.Random_walk.make ~rng:c.rng env);
     {
       name = "bfdn-graph";
       aliases = [];
@@ -180,12 +156,9 @@ let all =
          non-BFS-tree edges are closed on first traversal, BFDN runs on the \
          rest";
       params = [];
-      adaptive = false;
-      make_tree = None;
-      make_graph =
-        Some
-          (fun c -> Bfdn.Bfdn_graph.exec_env (Bfdn.Bfdn_graph.make c.g_env));
-      make_async = None;
+      make =
+        Graph
+          (fun _ genv -> Bfdn.Bfdn_graph.exec_env (Bfdn.Bfdn_graph.make genv));
     };
     {
       name = "bfdn-async";
@@ -194,38 +167,32 @@ let all =
         "BFDN under the continuous-time relaxation (Remark 8) — event-driven \
          on Bfdn_sim.Async_env, stepped in unit-time horizons";
       params = async_params;
-      adaptive = false;
-      make_tree = None;
-      make_graph = None;
-      make_async =
-        Some
-          (fun c ->
+      make =
+        Async
+          (fun c tree ~k ->
             let spread =
-              Param.get_float ~schema:async_params c.a_params "speed_spread"
+              Param.get_float ~schema:async_params c.params "speed_spread"
             in
             let speeds =
               if spread = 0.0 then None
               else
                 Some
-                  (Array.init c.a_k (fun _ ->
-                       1.0 /. (1.0 +. Rng.float c.a_rng spread)))
+                  (Array.init k (fun _ -> 1.0 /. (1.0 +. Rng.float c.rng spread)))
             in
-            let aenv = Async_env.create ?speeds c.a_tree ~k:c.a_k in
+            let aenv = Async_env.create ?speeds tree ~k in
             let t = Bfdn.Bfdn_async.make aenv in
-            Exec_env.of_async ~fault:c.a_fault
+            Exec_env.of_async
+              ~fault:(Bfdn_faults.Injector.hook_opt c.fault)
               ~on_restart:(Bfdn.Bfdn_async.notify_restart t)
               (Bfdn.Bfdn_async.decide t) aenv);
     };
   ]
 
 let () =
-  (* Canonical names and aliases must never collide, and every entry
-     must construct on at least one environment. *)
+  (* Canonical names and aliases must never collide. *)
   let seen = Hashtbl.create 16 in
   List.iter
     (fun e ->
-      if e.make_tree = None && e.make_graph = None && e.make_async = None then
-        invalid_arg ("Algo_registry: " ^ e.name ^ " has no constructor");
       List.iter
         (fun n ->
           if Hashtbl.mem seen n then
@@ -261,14 +228,14 @@ let cli_choices =
 let instantiate ?(probe = Probe.noop) ?rng ?(params = []) ?fault name env =
   match find name with
   | None -> invalid_arg ("Algo_registry: unknown algorithm " ^ name)
-  | Some { make_tree = None; _ } ->
-      invalid_arg
-        ("Algo_registry: " ^ name
-       ^ " does not run on the synchronous tree environment")
-  | Some ({ make_tree = Some make; _ } as e) -> (
+  | Some ({ make = Tree { algo; _ }; _ } as e) -> (
       match Param.validate ~schema:e.params params with
       | Error msg ->
           invalid_arg (Printf.sprintf "Algo_registry: %s: %s" e.name msg)
       | Ok () ->
           let rng = match rng with Some r -> r | None -> Rng.create 0 in
-          make { env; rng; probe; params; fault })
+          algo { rng; probe; params; fault } env)
+  | Some _ ->
+      invalid_arg
+        ("Algo_registry: " ^ name
+       ^ " does not run on the synchronous tree environment")

@@ -1,23 +1,30 @@
 module Fault_plan = Bfdn_faults.Fault_plan
 
+let probability = Param.Floats (0.0, 1.0)
+
 let schema =
   [
     Param.spec "crashes" (Param.String "")
       "explicit schedule, comma-separated ROBOT@ROUND[+AFTER] (e.g. \
        \"2@10,5@40+30\"); exclusive with rate";
     Param.spec "rate" (Param.Float 0.0)
-      "random mode: per-robot crash probability";
+      "random mode: per-robot crash probability" ~accepts:probability;
     Param.spec "window" (Param.Int 64)
-      "random mode: crash round uniform in [1, window]";
+      "random mode: crash round uniform in [1, window]"
+      ~accepts:(Param.Ints (1, max_int));
     Param.spec "restart" (Param.Int (-1))
-      "random mode: rounds until a replacement at the root; -1 = never";
-    Param.spec "drops" (Param.Float 0.0) "whiteboard write-drop probability";
+      "random mode: rounds until a replacement at the root; -1 = never"
+      ~accepts:(Param.Ints (-1, max_int));
+    Param.spec "drops" (Param.Float 0.0)
+      "whiteboard write-drop probability, below 1" ~accepts:probability;
     Param.spec "mask" (Param.String "none")
-      "move mask: none, rotating, random, half or solo";
+      "move mask: none, rotating, random, half or solo"
+      ~accepts:(Param.One_of [ "none"; "rotating"; "random"; "half"; "solo" ]);
     Param.spec "mask_m" (Param.Int 3)
-      "rotating mask: blocked when (round + robot) mod mask_m = 0";
+      "rotating mask: blocked when (round + robot) mod mask_m = 0"
+      ~accepts:(Param.Ints (2, max_int));
     Param.spec "mask_p" (Param.Float 0.5)
-      "random mask: per-(round, robot) block probability";
+      "random mask: per-(round, robot) block probability" ~accepts:probability;
   ]
 
 let ( let* ) = Result.bind
@@ -68,23 +75,14 @@ let parse_crashes s =
       (Ok []) parts
     |> Result.map List.rev
 
+(* [mask] is one of the schema's [One_of] names. *)
 let mask_of ~mask ~mask_m ~mask_p =
   match mask with
-  | "none" -> Ok Fault_plan.No_mask
-  | "rotating" ->
-      if mask_m < 2 then Error "fault mask_m must be >= 2"
-      else Ok (Fault_plan.Rotating mask_m)
-  | "random" ->
-      if mask_p < 0.0 || mask_p > 1.0 then Error "fault mask_p must be in [0, 1]"
-      else Ok (Fault_plan.Random mask_p)
-  | "half" -> Ok Fault_plan.Half
-  | "solo" -> Ok Fault_plan.Solo
-  | other ->
-      Error
-        (Printf.sprintf
-           "unknown fault mask %S (expected none, rotating, random, half or \
-            solo)"
-           other)
+  | "rotating" -> Fault_plan.Rotating mask_m
+  | "random" -> Fault_plan.Random mask_p
+  | "half" -> Fault_plan.Half
+  | "solo" -> Fault_plan.Solo
+  | _ -> Fault_plan.No_mask
 
 type compiled = {
   c_crashes : (int * int * int) list;
@@ -96,7 +94,9 @@ type compiled = {
 }
 
 let compile ?k bindings =
-  let* () = Param.validate ~schema bindings in
+  let* () =
+    Result.map_error (( ^ ) "faults: ") (Param.validate ~schema bindings)
+  in
   let get_i = Param.get_int ~schema bindings in
   let get_f = Param.get_float ~schema bindings in
   let get_s = Param.get_string ~schema bindings in
@@ -105,16 +105,13 @@ let compile ?k bindings =
   let c_window = get_i "window" in
   let c_restart = get_i "restart" in
   let c_drops = get_f "drops" in
-  let* c_mask =
+  let c_mask =
     mask_of ~mask:(get_s "mask") ~mask_m:(get_i "mask_m")
       ~mask_p:(get_f "mask_p")
   in
+  (* What the schema's [accepts] cannot say. *)
   let* () =
-    if c_rate < 0.0 || c_rate > 1.0 then Error "fault rate must be in [0, 1]"
-    else if c_window < 1 then Error "fault window must be >= 1"
-    else if c_restart < -1 then Error "fault restart must be >= -1"
-    else if c_drops < 0.0 || c_drops >= 1.0 then
-      Error "fault drops must be in [0, 1)"
+    if c_drops >= 1.0 then Error "fault drops must be in [0, 1)"
     else if c_crashes <> [] && c_rate > 0.0 then
       Error "fault crashes and rate are mutually exclusive"
     else Ok ()
@@ -136,13 +133,6 @@ let compile ?k bindings =
   Ok { c_crashes; c_rate; c_window; c_restart; c_drops; c_mask }
 
 let validate ?k bindings = Result.map (fun _ -> ()) (compile ?k bindings)
-
-let active bindings =
-  match compile bindings with
-  | Error _ -> true (* invalid is never "inactive": let validation report it *)
-  | Ok c ->
-      c.c_crashes <> [] || c.c_rate > 0.0 || c.c_drops > 0.0
-      || c.c_mask <> Fault_plan.No_mask
 
 let plan ~rng ~k bindings =
   match compile ~k bindings with

@@ -32,17 +32,15 @@
 val schema : Param.spec list
 
 val validate : ?k:int -> Param.binding list -> (unit, string) result
-(** Schema check plus semantic ranges; with [k], crash robot ids are
-    also range-checked. *)
-
-val active : Param.binding list -> bool
-(** Whether the bindings describe any fault at all — [false] for [[]]
-    and for all-default bindings. *)
+(** Schema check (the ranges are the schema's [accepts]) plus what it
+    cannot express: the [crashes] syntax, [crashes]/[rate] exclusivity
+    and [drops < 1]; with [k], crash robot ids are also range-checked. *)
 
 val plan :
   rng:Bfdn_util.Rng.t -> k:int -> Param.binding list ->
   Bfdn_faults.Fault_plan.t option
-(** Compile bindings into a plan, [None] when not {!active}. [rng] is
+(** Compile bindings into a plan, [None] when they describe no fault at
+    all ([[]] and all-default bindings). [rng] is
     the scenario's dedicated fault stream ([Rng.split] index 2 of the
     root seed): random-mode crash draws and the plan's coin seed come
     from it, so the same spec always compiles to the same plan — in the

@@ -135,54 +135,48 @@ let equal_outcome (a : outcome) (b : outcome) = a = b
 (* ---- the run plan ----
 
    Every decision about how a spec runs is made here, once: which world
-   source hides the instance and which of the algorithm's constructors
+   source hides the instance and whether the algorithm's one constructor
    drives it. Validation, the wire version and every executor read the
    plan; none of them looks a name up again. *)
 
 let ( let* ) = Result.bind
 
-(* The environment the algorithm drives, with the entry's constructor. *)
-type driver =
-  | Sync of (Algo_registry.ctx -> Runner.algo)
-  | Async of (Algo_registry.async_ctx -> Exec_env.t)
-  | On_graph of (Algo_registry.graph_ctx -> Exec_env.t)
-
-type plan = { source : World_registry.source; driver : driver }
+type plan = { source : World_registry.source; make : Algo_registry.make }
 
 (* The fleet size sizes per-robot arrays before the first round: an
    unbounded [k] is an allocation request, not a scenario. *)
 let max_k = 1 lsl 20
 let max_batch_seeds = 1 lsl 16
 
+(* The entry's constructor, when it drives the world's source. *)
 let driver_for t (e : Algo_registry.entry) (source : World_registry.source) =
   let no fmt = Printf.ksprintf (fun msg -> Error msg) fmt in
-  match (source, e) with
-  | Graph_world _, { make_graph = Some make; _ } -> Ok (On_graph make)
+  match (source, e.make) with
+  | Graph_world _, Graph _
+  | (Eager_tree _ | Lazy_tree _), Tree _
+  | Eager_tree _, Async _
+  | Adaptive _, Tree { adaptive = true; _ } ->
+      Ok e.make
   | Graph_world _, _ ->
       no
         "algorithm %S does not run on graph worlds (world %S needs a \
          graph-capable algorithm, e.g. bfdn-graph)"
         t.algo (instance_label t)
-  | (Eager_tree _ | Lazy_tree _), { make_tree = Some make; _ } ->
-      Ok (Sync make)
-  | Eager_tree _, { make_async = Some make; _ } -> Ok (Async make)
-  | Lazy_tree _, { make_async = Some _; _ } ->
+  | Lazy_tree _, Async _ ->
       no
         "algorithm %S needs an eagerly materialized world (scale=lazy is \
          tree-runner only)"
         t.algo
-  | (Eager_tree _ | Lazy_tree _), _ ->
+  | (Eager_tree _ | Lazy_tree _), Graph _ ->
       no "algorithm %S does not run on tree worlds" t.algo
-  | Adaptive _, { make_tree = Some make; adaptive = true; _ } ->
-      Ok (Sync make)
   | Adaptive _, _ ->
       no
         "algorithm %S is not adaptive-capable and cannot face an adversarial \
          world"
         t.algo
 
-(* Name lookups, parameter checks and the (source, driver) decision —
-   all the wire version needs. *)
+(* Name lookups, parameter checks and the (source, constructor) decision
+   — all the wire version needs. *)
 let resolve t =
   let* e =
     match Algo_registry.find t.algo with
@@ -200,8 +194,8 @@ let resolve t =
     | Adversarial { policy; params } ->
         World_registry.policy_source policy params
   in
-  let* driver = driver_for t e source in
-  Ok { source; driver }
+  let* make = driver_for t e source in
+  Ok { source; make }
 
 let plan t =
   let* p = resolve t in
@@ -225,19 +219,9 @@ let graph_only t =
 
 let validate_tree_run t =
   let* p = plan t in
-  match p.driver with
-  | Sync _ | Async _ -> Ok ()
-  | On_graph _ -> Error (graph_only t)
-
-type setting = Sync_tree | Sync_graph | Async_tree
-
-let setting t =
-  let* p = plan t in
-  Ok
-    (match p.driver with
-    | Sync _ -> Sync_tree
-    | On_graph _ -> Sync_graph
-    | Async _ -> Async_tree)
+  match p.make with
+  | Tree _ | Async _ -> Ok ()
+  | Graph _ -> Error (graph_only t)
 
 (* ---- JSON codec ----
 
@@ -261,7 +245,7 @@ let schema_version_graph = 2
 let wire_version t =
   (* an invalid spec never decodes, so its version is only cosmetic *)
   match resolve t with
-  | (Ok { driver = Sync _; _ } | Error _) when t.batch_seeds = 1 ->
+  | (Ok { make = Tree _; _ } | Error _) when t.batch_seeds = 1 ->
       schema_version
   | _ -> schema_version_graph
 
@@ -540,16 +524,8 @@ let planned t =
    every execution of a spec injects the identical schedule. *)
 let fault_plan t root = Fault_spec.plan ~rng:(fault_stream root) ~k:t.k t.faults
 
-let sync_algo ~probe ~rng ?fault t make env =
-  make { Algo_registry.env; rng; probe; params = t.algo_params; fault }
-
-let instantiate ~probe ~rng ?fault t env =
-  match (planned t).driver with
-  | Sync make -> sync_algo ~probe ~rng ?fault t make env
-  | Async _ | On_graph _ ->
-      invalid_arg
-        ("Scenario.instantiate: " ^ t.algo
-       ^ " does not run on the synchronous tree environment")
+let ctx ~probe ~root ?fault t =
+  { Algo_registry.rng = algo_stream root; probe; params = t.algo_params; fault }
 
 (* What each world contributes to a run: an execution view, and the
    oracle stats (n, depth, max degree) of its hidden instance — read
@@ -576,43 +552,32 @@ let run_env ?(probe = Probe.noop) ?on_round t algo env =
 
 (* A hidden tree world — eager, lazily materialized or adaptive — driven
    by the spec's synchronous tree algorithm. *)
-let world_view ~probe ~root ~fault t make w =
+let world_view ~probe ~root ~fault t algo w =
   let env = Env.of_world w ~k:t.k ~fault:(Bfdn_faults.Injector.hook_opt fault) in
-  env_view (sync_algo ~probe ~rng:(algo_stream root) ?fault t make env) env
+  env_view (algo (ctx ~probe ~root ?fault t) env) env
 
 (* An explicit hidden tree: the synchronous tree runner, or the same
    instance stepped in unit-time horizons. *)
-let tree_view ~probe ~root ~fault t driver tree =
-  match driver with
-  | Sync make -> world_view ~probe ~root ~fault t make (Env.world_of_tree tree)
+let tree_view ~probe ~root ~fault t (make : Algo_registry.make) tree =
+  match make with
+  | Tree { algo; _ } ->
+      world_view ~probe ~root ~fault t algo (Env.world_of_tree tree)
   | Async make ->
       let stats = Bfdn_trees.Tree_stats.compute tree in
       {
-        exec =
-          make
-            {
-              a_tree = tree;
-              a_k = t.k;
-              a_rng = algo_stream root;
-              a_params = t.algo_params;
-              a_fault = Bfdn_faults.Injector.hook_opt fault;
-            };
+        exec = make (ctx ~probe ~root ?fault t) tree ~k:t.k;
         stats = (fun () -> (stats.n, stats.depth, stats.max_degree));
       }
-  | On_graph _ ->
-      invalid_arg ("Scenario: " ^ graph_only t ^ " in " ^ describe t)
+  | Graph _ -> invalid_arg ("Scenario: " ^ graph_only t ^ " in " ^ describe t)
 
 (* Graph worlds: thread the fault hook into the graph environment. *)
-let graph_view ~root ~fault t make (g, origin) =
+let graph_view ~probe ~root ~fault t make (g, origin) =
   let module Genv = Bfdn_graphs.Graph_env in
   let genv =
     Genv.create ~fault:(Bfdn_faults.Injector.hook_opt fault) g ~origin ~k:t.k
   in
   {
-    exec =
-      make
-        { Algo_registry.g_env = genv; g_rng = algo_stream root;
-          g_params = t.algo_params };
+    exec = make (ctx ~probe ~root ?fault t) genv;
     stats =
       (fun () ->
         ( Genv.oracle_n_nodes genv,
@@ -620,13 +585,13 @@ let graph_view ~root ~fault t make (g, origin) =
           Genv.oracle_max_degree genv ));
   }
 
-let on_tree ?(probe = Probe.noop) ?on_round t driver tree =
+let on_tree ?(probe = Probe.noop) ?on_round t make tree =
   let root = Rng.create t.seed in
   execute ~probe ?on_round t
-    (tree_view ~probe ~root ~fault:(fault_plan t root) t driver tree)
+    (tree_view ~probe ~root ~fault:(fault_plan t root) t make tree)
 
 let run_on_tree ?probe ?on_round t tree =
-  on_tree ?probe ?on_round t (planned t).driver tree
+  on_tree ?probe ?on_round t (planned t).make tree
 
 let run ?(probe = Probe.noop) ?on_round t =
   let p = planned t in
@@ -641,32 +606,32 @@ let run ?(probe = Probe.noop) ?on_round t =
   let fault = fault_plan t root in
   let instance = instance_stream root in
   let exec v = execute ~probe ?on_round t v in
-  match (p.source, p.driver) with
-  | Eager_tree { build; _ }, driver ->
-      exec (tree_view ~probe ~root ~fault t driver (build instance))
-  | Graph_world build, On_graph make ->
-      exec (graph_view ~root ~fault t make (build instance))
-  | Lazy_tree make_world, Sync make ->
+  match (p.source, p.make) with
+  | Eager_tree { build; _ }, make ->
+      exec (tree_view ~probe ~root ~fault t make (build instance))
+  | Graph_world build, Graph make ->
+      exec (graph_view ~probe ~root ~fault t make (build instance))
+  | Lazy_tree make_world, Tree { algo; _ } ->
       exec
-        (world_view ~probe ~root ~fault t make
+        (world_view ~probe ~root ~fault t algo
            (Bfdn_sim.Lazy_world.world (make_world instance)))
-  | Adaptive make_world, Sync make ->
+  | Adaptive make_world, Tree { algo; _ } ->
       let adv = make_world instance in
       let adaptive =
         exec
-          (world_view ~probe ~root ~fault t make
+          (world_view ~probe ~root ~fault t algo
              (Bfdn_sim.Lazy_world.world adv))
       in
       (* Replay on the frozen tree: the same spec, so the same algorithm
          and fault streams, re-derived from the seed. *)
-      let replay = on_tree t p.driver (Bfdn_sim.Lazy_world.frozen adv) in
+      let replay = on_tree t p.make (Bfdn_sim.Lazy_world.frozen adv) in
       {
         replay with
         result = adaptive.result;
         replay_rounds = Some replay.result.rounds;
       }
   | (Graph_world _ | Lazy_tree _ | Adaptive _), _ ->
-      invalid_arg "Scenario.run: the plan pairs this world with no driver"
+      invalid_arg "Scenario.run: the plan pairs this world with no constructor"
 
 (* The plan and a fresh instance stream, for building the instance
    outside a run. *)
@@ -691,7 +656,7 @@ let materialize t =
 
 let shared_tree t =
   match instance_of t with
-  | { source = Eager_tree { build; deterministic = true }; driver = Sync _ },
+  | { source = Eager_tree { build; deterministic = true }; make = Tree _ },
     instance ->
       Some (build instance)
   | _ -> None

@@ -14,15 +14,16 @@
     exclusively; this module contains no algorithm or family names.
     Each spec is resolved once into a run plan: the world's
     {!World_registry.source} (eager tree, lazy tree, adaptive world or
-    graph) and the algorithm constructor that drives it (synchronous
-    tree runner, continuous-time relaxation or graph environment).
+    graph) paired with the algorithm's one {!Algo_registry.make}
+    constructor (synchronous tree runner, continuous-time relaxation or
+    graph environment), once the pair is checked to fit.
     {!validate}, the wire version and every executor below read that
     plan. *)
 
 type instance =
   | World of { world : string; params : Param.binding list }
       (** a {!World_registry} world — tree, grid or general graph; the
-          world's kind together with the algorithm's constructors picks
+          world's kind together with the algorithm's constructor picks
           the execution path (synchronous tree runner, graph
           environment, or continuous-time relaxation) *)
   | Adversarial of { policy : string; params : Param.binding list }
@@ -136,19 +137,6 @@ val validate_tree_run : t -> (unit, string) result
 (** {!validate}, plus what {!run_on_tree} needs: an algorithm that
     drives a hidden tree (not a graph-only one). *)
 
-(** The paper's setting a spec's plan runs in, which decides the
-    guarantee that holds for it. *)
-type setting =
-  | Sync_tree
-      (** the synchronous tree runner on an eager, lazy or adaptive
-          world: Theorem 1 *)
-  | Sync_graph  (** a graph environment: Proposition 9 *)
-  | Async_tree
-      (** the continuous-time relaxation (Remark 8): no proven bound *)
-
-val setting : t -> (setting, string) result
-(** Errors exactly when {!validate} does. *)
-
 (** {2 JSON codec} *)
 
 val to_json : t -> Bfdn_obs.Json.t
@@ -207,19 +195,6 @@ val fault_plan :
     [faults = []], drawing nothing). Re-derivable anywhere the run is
     (re-)executed, so every execution injects the identical schedule. *)
 
-val instantiate :
-  probe:Bfdn_obs.Probe.t ->
-  rng:Bfdn_util.Rng.t ->
-  ?fault:Bfdn_faults.Fault_plan.t ->
-  t ->
-  Bfdn_sim.Env.t ->
-  Bfdn_sim.Runner.algo
-(** Construct the spec's algorithm on a prepared tree environment with
-    the constructor its plan picked. [rng] must be the spec's algorithm
-    stream for the run to replay.
-    @raise Invalid_argument when {!validate} fails or the algorithm does
-    not run on the synchronous tree environment. *)
-
 val run_env :
   ?probe:Bfdn_obs.Probe.t ->
   ?on_round:(Bfdn_sim.Exec_env.t -> unit) ->
@@ -231,9 +206,9 @@ val run_env :
     [Exec_env.of_env algo env] through {!Bfdn_sim.Exec_env.run} under
     the spec's round cap and read the outcome, with the oracle stats
     taken from [env] after the run. [algo] should come from
-    {!instantiate} on [env] with the spec's streams for the run to
-    replay — the batch engine uses this to run lanes on one shared world
-    record. *)
+    {!Algo_registry.instantiate} on [env] with the spec's algorithm,
+    parameters, algorithm stream and fault plan for the run to replay —
+    the batch engine uses this to run lanes on one shared world record. *)
 
 val run :
   ?probe:Bfdn_obs.Probe.t ->
@@ -243,7 +218,7 @@ val run :
 (** Execute the spec — the single executor for every world kind. Derive
     the instance and algorithm RNG streams from [seed] ([Rng.split]
     indices 0 and 1), build the plan's source from the instance stream
-    and its driver's execution view — a tree environment (eager, lazily
+    and its constructor's execution view — a tree environment (eager, lazily
     materialized or adaptive) with the algorithm, a
     {!Bfdn_graphs.Graph_env} for grid/graph worlds, or a
     {!Bfdn_sim.Async_env} for tree worlds paired with an async-only
@@ -279,7 +254,7 @@ val run_on_tree :
   Bfdn_trees.Tree.t ->
   outcome
 (** Run the spec's algorithm on an externally supplied tree (e.g. a
-    [--tree-file] replay) with the driver of its plan and the same
+    [--tree-file] replay) with the constructor of its plan and the same
     algorithm-stream derivation as {!run}; the spec's instance is
     otherwise ignored. Async-only algorithms run the continuous-time
     path on the given tree.

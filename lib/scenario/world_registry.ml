@@ -46,9 +46,11 @@ let counts = Param.Ints (0, max_eager_nodes)
 let tree_params =
   [
     Param.spec "n" (Param.Int 5000)
-      "target node count (scale=eager: at most 2^24, like depth_hint)";
+      "target node count (scale=eager: at most 2^24, like depth_hint)"
+      ~accepts:(Param.Ints (1, max_int));
     Param.spec "depth_hint" (Param.Int 20)
-      "depth hint where the family has a depth parameter";
+      "depth hint where the family has a depth parameter"
+      ~accepts:(Param.Ints (1, max_int));
     Param.spec "scale" (Param.String "eager")
       "world materialization: \"eager\" builds the tree up front, \
        \"lazy\" generates nodes at reveal so a run holds O(explored) \
@@ -238,7 +240,8 @@ let corridor_params =
   budget_params
   @ [
       Param.spec "threshold" (Param.Int 2)
-        "crowd size above which the corridor stops branching";
+        "crowd size above which the corridor stops branching"
+        ~accepts:(Param.Ints (1, max_int));
     ]
 
 let random_policy_params =

@@ -99,21 +99,21 @@ let depart t i action =
       t.in_transit.(i) <- true;
       true
 
-(* The driver factors {!run}'s event pump into resumable horizons so a
+(* The driver pumps the event queue in horizon-sized steps so the one
    synchronous round loop ({!Exec_env.run}) can step the simulation one
    unit of continuous time at a time, interleaving fault checks between
-   horizons. [run ~until:infinity] over the driver replays the original
-   monolithic loop event-for-event (the queue drains in the same order),
-   so existing callers of {!run} are bit-identical. *)
+   horizons. *)
 type driver = {
   d_t : t;
   d_decide : decide;
   d_fault : Env.fault_hook;
   d_on_restart : (robot -> unit) option;
   d_parked : bool array;
-  d_max_events : int;
   mutable d_events : int;
 }
+
+(* A live-lock guard far above any correct run's event count. *)
+let max_events = 10_000_000
 
 let d_ask d i =
   let t = d.d_t in
@@ -128,8 +128,7 @@ let d_ask d i =
     else d.d_parked.(i) <- true
   end
 
-let driver ?(max_events = 10_000_000) ?(fault = Env.fault_noop) ?on_restart
-    decide t =
+let driver ?(fault = Env.fault_noop) ?on_restart decide t =
   let d =
     {
       d_t = t;
@@ -137,7 +136,6 @@ let driver ?(max_events = 10_000_000) ?(fault = Env.fault_noop) ?on_restart
       d_fault = fault;
       d_on_restart = on_restart;
       d_parked = Array.make t.k false;
-      d_max_events = max_events;
       d_events = 0;
     }
   in
@@ -157,8 +155,8 @@ let advance d ~until =
         | None -> assert false
         | Some (time, (i, dst, crossed)) ->
             d.d_events <- d.d_events + 1;
-            if d.d_events > d.d_max_events then
-              failwith "Async_env.run: event limit exceeded";
+            if d.d_events > max_events then
+              failwith "Async_env.advance: event limit exceeded";
             t.now <- time;
             t.makespan <- time;
             let src = t.positions.(i) in
@@ -184,37 +182,26 @@ let advance d ~until =
   done;
   (* Horizon boundary: advance the clock, run the restart sweep, then
      re-ask every parked robot (crash windows may have closed; restarted
-     robots need a fresh route). Skipped for the monolithic
-     [~until:infinity] drain, which has no boundaries. *)
-  if until < infinity then begin
-    if until > t.now then t.now <- until;
-    let fault = d.d_fault in
-    if fault.Env.fh_enabled && fault.Env.fh_may_restart then begin
-      let root = Partial_tree.root t.view in
-      let round = int_of_float until in
-      for i = 0 to t.k - 1 do
-        if
-          (not t.in_transit.(i))
-          && fault.Env.fh_restart ~round ~robot:i
-          && t.positions.(i) <> root
-        then begin
-          (* Replacement robot at the root; a teleport, not a traversal,
-             so move metrics stay untouched. *)
-          t.positions.(i) <- root;
-          (match d.d_on_restart with None -> () | Some f -> f i);
-          d.d_parked.(i) <- true
-        end
-      done
-    end;
+     robots need a fresh route). *)
+  if until > t.now then t.now <- until;
+  let fault = d.d_fault in
+  if fault.Env.fh_enabled && fault.Env.fh_may_restart then begin
+    let root = Partial_tree.root t.view in
+    let round = int_of_float until in
     for i = 0 to t.k - 1 do
-      if d.d_parked.(i) then d_ask d i
+      if
+        (not t.in_transit.(i))
+        && fault.Env.fh_restart ~round ~robot:i
+        && t.positions.(i) <> root
+      then begin
+        (* Replacement robot at the root; a teleport, not a traversal,
+           so move metrics stay untouched. *)
+        t.positions.(i) <- root;
+        (match d.d_on_restart with None -> () | Some f -> f i);
+        d.d_parked.(i) <- true
+      end
     done
-  end
-
-let idle d =
-  Pqueue.is_empty d.d_t.events
-  && Array.for_all (fun b -> not b) d.d_t.in_transit
-
-let run ?max_events decide t =
-  let d = driver ?max_events decide t in
-  advance d ~until:infinity
+  end;
+  for i = 0 to t.k - 1 do
+    if d.d_parked.(i) then d_ask d i
+  done

@@ -45,16 +45,13 @@ val claimed : t -> Partial_tree.node -> int -> bool
 
 (** {2 Resumable driver}
 
-    {!run} drains the event queue in one call. The driver exposes the
-    same pump in horizon-sized steps so a synchronous round loop
-    ({!Exec_env}) can interleave fault checks and probes between units
-    of continuous time. [advance ~until:infinity] on a fresh driver is
-    event-for-event identical to {!run}. *)
+    The event pump, in horizon-sized steps, so the one synchronous round
+    loop ({!Exec_env.run}, through {!Exec_env.of_async}) can interleave
+    fault checks and probes between units of continuous time. *)
 
 type driver
 
 val driver :
-  ?max_events:int ->
   ?fault:Env.fault_hook ->
   ?on_restart:(robot -> unit) ->
   decide ->
@@ -68,17 +65,10 @@ val driver :
     invoking [on_restart] so the algorithm can drop stale route state. *)
 
 val advance : driver -> until:float -> unit
-(** Process every event with timestamp [<= until], then (for finite
-    [until]) advance the clock to [until], run the restart sweep and
-    re-ask parked robots. *)
-
-val idle : driver -> bool
-(** No pending arrival and every robot parked: nothing further happens
-    without an external wake (restart or a later horizon). *)
-
-val run : ?max_events:int -> decide -> t -> unit
-(** Drive events until every robot is parked and no arrival is pending.
-    @raise Failure on [max_events] (default [10_000_000]) — a live-lock. *)
+(** Process every event with timestamp [<= until], then advance the
+    clock to [until], run the restart sweep and re-ask parked robots.
+    @raise Failure past [10_000_000] events in one driver's life — a
+    live-lock. *)
 
 val fully_explored : t -> bool
 val all_at_root : t -> bool

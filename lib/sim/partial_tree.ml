@@ -125,14 +125,6 @@ let iter_explored_children t v f =
     if e >= 0 then f p e
   done
 
-let dangling_ports t v =
-  check_explored t v "Partial_tree.dangling_ports";
-  let acc = ref [] in
-  for p = get t.nports v - 1 downto 0 do
-    if pool t v p = enc_dangling then acc := p :: !acc
-  done;
-  !acc
-
 let parent t v =
   check_explored t v "Partial_tree.parent";
   if v = t.root then None else Some (get t.parents v)

@@ -57,10 +57,6 @@ val port_child_id : t -> node -> int -> node
 (** The explored child behind a port, or [-1] when the port leads to the
     parent or is dangling. Allocation-free hot-path accessor. *)
 
-val dangling_ports : t -> node -> int list
-(** Ports of an explored node that are dangling, in increasing order.
-    Builds a fresh list; iterate with {!iter_dangling_ports} on hot paths. *)
-
 val iter_dangling_ports : t -> node -> (int -> unit) -> unit
 (** Apply a function to each dangling port in increasing order, without
     building a list. *)

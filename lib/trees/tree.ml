@@ -275,20 +275,6 @@ let of_string s =
       in
       of_parents ~root parents
 
-let pp ppf t =
-  let rec go ppf v =
-    if num_children t v = 0 then Format.fprintf ppf "%d" v
-    else begin
-      Format.fprintf ppf "%d(" v;
-      for i = 0 to num_children t v - 1 do
-        if i > 0 then Format.fprintf ppf " ";
-        go ppf (child t v i)
-      done;
-      Format.fprintf ppf ")"
-    end
-  in
-  go ppf t.root
-
 let to_dot t =
   let buf = Buffer.create 256 in
   Buffer.add_string buf "digraph tree {\n";

@@ -111,9 +111,6 @@ val of_string : string -> t
 (** Inverse of {!to_string}.
     @raise Invalid_argument on a malformed encoding. *)
 
-val pp : Format.formatter -> t -> unit
-(** Compact single-line rendering, for debugging small trees. *)
-
 val to_dot : t -> string
 (** Graphviz rendering. *)
 

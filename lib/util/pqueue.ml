@@ -8,8 +8,6 @@ type 'a t = {
 
 let create () = { heap = Array.make 16 None; size = 0; next_seq = 0 }
 
-let is_empty t = t.size = 0
-
 let length t = t.size
 
 let entry t i = match t.heap.(i) with Some e -> e | None -> assert false

@@ -10,8 +10,6 @@ val percentile : float array -> float -> float
 (** [percentile xs p] with [p] in [\[0,100\]], nearest-rank on a sorted copy.
     Requires a non-empty array. *)
 
-val sum : float array -> float
-
 val linear_fit : (float * float) list -> float * float
 (** Ordinary least-squares fit of [y = a x + b]; returns [(a, b)].
     Requires at least two points with distinct [x]. *)

@@ -5,6 +5,7 @@ module Pqueue = Bfdn_util.Pqueue
 module Tree = Bfdn_trees.Tree
 module Tree_gen = Bfdn_trees.Tree_gen
 module Aenv = Bfdn_sim.Async_env
+module Exec_env = Bfdn_sim.Exec_env
 module Rng = Bfdn_util.Rng
 
 let checkb = Alcotest.(check bool)
@@ -65,7 +66,7 @@ let test_async_validation () =
 let run_async ?speeds tree k =
   let env = Aenv.create ?speeds tree ~k in
   let t = Bfdn.Bfdn_async.make env in
-  Aenv.run (Bfdn.Bfdn_async.decide t) env;
+  ignore (Exec_env.run (Exec_env.of_async (Bfdn.Bfdn_async.decide t) env));
   env
 
 let test_async_explores_families () =

@@ -63,22 +63,31 @@ let test_algos_reachable_from_cli () =
     World_registry.policy_names
 
 let test_caps_match_constructors () =
-  (* The capability matrix is derived, so a listed capability without a
-     constructor (or vice versa) is impossible by construction — this
-     pins the derivation itself, plus the name lists built from it. *)
+  (* The capability matrix is derived from the entry's one constructor,
+     so a listed capability without a constructor (or vice versa) is
+     impossible by construction — this pins the derivation itself, plus
+     the name lists built from it. *)
   List.iter
     (fun (e : Algo_registry.entry) ->
       let c = Algo_registry.caps e in
-      checkb (e.name ^ " tree cap = constructor") c.Algo_registry.tree
-        (e.make_tree <> None);
+      let is_tree, is_graph, is_async =
+        match e.make with
+        | Algo_registry.Tree _ -> (true, false, false)
+        | Algo_registry.Graph _ -> (false, true, false)
+        | Algo_registry.Async _ -> (false, false, true)
+      in
+      checkb (e.name ^ " tree cap = constructor") c.Algo_registry.tree is_tree;
       checkb (e.name ^ " graph cap = constructor") c.Algo_registry.graph
-        (e.make_graph <> None);
+        is_graph;
       checkb (e.name ^ " async cap = constructor") c.Algo_registry.async
-        (e.make_async <> None);
-      if c.Algo_registry.adaptive then
-        checkb (e.name ^ " adaptive implies tree") true c.Algo_registry.tree;
-      checkb (e.name ^ " has a constructor") true
-        (c.Algo_registry.tree || c.Algo_registry.graph || c.Algo_registry.async);
+        is_async;
+      (match e.make with
+      | Algo_registry.Tree { adaptive; _ } ->
+          checkb (e.name ^ " adaptive cap = constructor flag")
+            c.Algo_registry.adaptive adaptive
+      | Algo_registry.Graph _ | Algo_registry.Async _ ->
+          checkb (e.name ^ " adaptive implies tree") false
+            c.Algo_registry.adaptive);
       checkb (e.name ^ " in graph_names iff graph-capable")
         c.Algo_registry.graph
         (List.mem e.name Algo_registry.graph_names);
@@ -181,7 +190,7 @@ let test_validate_rejects () =
   in
   List.iter
     (fun (what, spec) -> expect_error what spec)
-    [
+    ([
       ("grid width 0", graph "grid" [ ("width", Param.Int 0) ]);
       ("grid max_side -1", graph "grid" [ ("max_side", Param.Int (-1)) ]);
       ("random-graph n 0", graph "random-graph" [ ("n", Param.Int 0) ]);
@@ -220,7 +229,34 @@ let test_validate_rejects () =
           [ ("layers", Param.Int 4096); ("width", Param.Int 4097) ] );
       ( "layered chords 2^24 + 1",
         graph "layered" [ ("chords", Param.Int ((1 lsl 24) + 1)) ] );
-    ];
+      (* tree generators clamp these, which would misname the instance *)
+      ("random n -5", Scenario.make (world "random" [ ("n", Param.Int (-5)) ]));
+      ("comb n 0", Scenario.make (world "comb" [ ("n", Param.Int 0) ]));
+      ( "random depth_hint -7",
+        Scenario.make (world "random" [ ("depth_hint", Param.Int (-7)) ]) );
+      ( "corridor threshold -1",
+        Scenario.make
+          (Scenario.Adversarial
+             { policy = "corridor"; params = [ ("threshold", Param.Int (-1)) ] })
+      );
+    ]
+    @ List.map
+        (fun (key, v) ->
+          ( Printf.sprintf "fault %s %s" key
+              (Param.bindings_to_string [ (key, v) ]),
+            Scenario.make ~faults:[ (key, v) ] (Scenario.world "comb") ))
+        [
+          ("rate", Param.Float (-0.1));
+          ("rate", Param.Float 1.5);
+          ("window", Param.Int 0);
+          ("restart", Param.Int (-2));
+          ("drops", Param.Float (-0.5));
+          ("drops", Param.Float 1.0);
+          ("mask", Param.String "sideways");
+          ("mask_m", Param.Int 1);
+          ("mask_p", Param.Float 1.5);
+          ("mask_p", Param.Float Float.nan);
+        ]);
   List.iter
     (fun (ell, k) ->
       expect_error
