@@ -1,5 +1,6 @@
-(* Shared plumbing for the experiment harness: scaling knobs, run helpers
-   and formatting shortcuts. *)
+(* Shared plumbing for the experiment harness: scaling knobs, the one way
+   to run a scenario on a prepared tree, and the one way to read a
+   committed report and check a perf gate against it. *)
 
 module Tree = Bfdn_trees.Tree
 module Tree_gen = Bfdn_trees.Tree_gen
@@ -9,6 +10,7 @@ module Rng = Bfdn_util.Rng
 module Table = Bfdn_util.Table
 module Batch = Bfdn_engine.Batch
 module Engine_report = Bfdn_engine.Report
+module Json = Bfdn_obs.Json
 module Metrics = Bfdn_obs.Metrics
 module Probe = Bfdn_obs.Probe
 module Param = Bfdn_scenario.Param
@@ -37,43 +39,50 @@ let seed = 20230619 (* PODC'23 *)
 let header id claim =
   Printf.printf "\n=== %s — %s ===\n%!" id claim
 
-let run_to_result algo env = Runner.run algo env
+let scale_name () =
+  match !scale with Quick -> "quick" | Normal -> "normal" | Full -> "full"
 
-let run_bfdn tree k =
-  let env = Env.create tree ~k in
-  let t = Bfdn.Bfdn_algo.make env in
-  (env, t, Runner.run (Bfdn.Bfdn_algo.algo t) env)
+(* Run registry algorithm [algo] on a tree the experiment built itself,
+   through [Scenario.run_on_tree] — the executor behind `explore run
+   --tree-file`. Only the spec's algorithm, parameters, k and seed
+   matter: the tree replaces its instance, which just has to validate. *)
+let run_tree ?probe ?(params = []) algo tree k =
+  Scenario.run_on_tree ?probe
+    (Scenario.make ~algo ~algo_params:params ~k ~seed (Scenario.world "path"))
+    tree
 
-let run_planner tree k =
-  let env = Env.create tree ~k in
-  let t = Bfdn.Bfdn_planner.make env in
-  (env, t, Runner.run (Bfdn.Bfdn_planner.algo t) env)
+(* BFDN's Lemma 2 statistic on [tree]: the outcome, the largest
+   per-depth reanchor count over depths [1, D-1] and the first depth
+   that reaches it, read from the summary BFDN hands its probe once it
+   finishes. *)
+let run_bfdn_reanchors ?params tree k =
+  let by_depth = ref [||] in
+  let probe =
+    Probe.make ~on_reanchor_summary:(fun ~total:_ ~by_depth:b -> by_depth := b) ()
+  in
+  let o = run_tree ~probe ?params "bfdn" tree k in
+  let worst = ref 0 and at = ref 0 in
+  Array.iteri
+    (fun d c ->
+      if d >= 1 && d < o.Scenario.depth && c > !worst then begin
+        worst := c;
+        at := d
+      end)
+    !by_depth;
+  (o, !worst, !at)
 
-(* Registry-dispatched run: the generic path for experiments that only
-   need the result, not a typed algorithm-state handle. *)
-let run_algo ?params name tree k =
-  let env = Env.create tree ~k in
-  (env, Runner.run (Algo_registry.instantiate ?params name env) env)
-
-let thm1_bound env k =
-  Bfdn.Bounds.bfdn ~n:(Env.oracle_n env) ~k ~d:(Env.oracle_depth env)
-    ~delta:(Env.oracle_max_degree env)
-
-let offline_lb env k =
-  Bfdn.Bounds.offline_lb ~n:(Env.oracle_n env) ~k ~d:(Env.oracle_depth env)
-
-let describe env =
-  Printf.sprintf "n=%d D=%d Δ=%d" (Env.oracle_n env) (Env.oracle_depth env)
-    (Env.oracle_max_degree env)
+(* Lemma 2's per-depth cap k (min(log k, log Δ) + 3) = urn-game bound + k. *)
+let lemma2_cap ~delta ~k = Bfdn.Bounds.urn_game ~delta ~k +. float_of_int k
 
 (* ---- perf-gate result recording (--perf-gate) ----
 
-   Gates record one row per re-measured config here instead of exiting
-   on first failure: the driver prints every gate, then writes one
-   machine-readable summary (perf-summary.json, plus a markdown table to
-   $GITHUB_STEP_SUMMARY when CI provides it) and exits nonzero iff any
-   row failed — so a regression report always shows the full picture,
-   not just the first tripped gate. *)
+   Gates record one row per re-measured config here, through
+   [check_gate], instead of exiting on first failure: main.ml runs
+   every gate, then writes one machine-readable summary
+   (perf-summary.json, plus a markdown table to $GITHUB_STEP_SUMMARY when
+   CI provides it) and exits nonzero iff any row failed — so a
+   regression report always shows the full picture, not just the first
+   tripped gate. *)
 
 type gate_row = {
   g_gate : string;  (* experiment id, e.g. "E16" *)
@@ -98,26 +107,88 @@ let record_gate ~gate ~name ~measured ~baseline ~ok =
     }
     :: !gate_rows
 
+(* A number from a committed BENCH_*.json report: [member] at the top
+   level or, given [where], in the first row of [table] whose fields
+   equal [where] ([table] defaults to "configs"; a single object counts
+   as one row). Fails with [path] in the message. *)
+let committed ?(table = "configs") ?where path member =
+  let fail what = failwith (Printf.sprintf "%s: %s" path what) in
+  let doc =
+    match Json.of_string (In_channel.with_open_text path In_channel.input_all) with
+    | Ok j -> j
+    | Error msg -> fail msg
+  in
+  let scope =
+    match where with
+    | None -> doc
+    | Some fields -> (
+        let rows =
+          match Json.member table doc with
+          | Some (Json.List rows) -> rows
+          | Some (Json.Obj _ as row) -> [ row ]
+          | _ -> fail ("no " ^ table ^ " member")
+        in
+        let matches row =
+          List.for_all (fun (f, v) -> Json.member f row = Some v) fields
+        in
+        match List.find_opt matches rows with
+        | Some row -> row
+        | None ->
+            fail
+              (Printf.sprintf "no %s row matching %s" table
+                 (Json.to_string (Json.Obj fields))))
+  in
+  match Json.member member scope with
+  | Some (Json.Float x) -> x
+  | Some (Json.Int i) -> float_of_int i
+  | _ -> fail ("no number " ^ member)
+
+(* What a gate row asks of its measurement. *)
+type bar =
+  | Relative of { committed : float; floor : float }
+      (** measured >= floor x the committed value *)
+  | At_least of float  (** a fixed floor *)
+  | At_most of float  (** a fixed budget *)
+
+(* Check one gate row: record it for the summary and print one status
+   line. The row's baseline is the committed value, floor or budget. *)
+let check_gate ~gate ~name measured bar =
+  let baseline, ok, rule =
+    match bar with
+    | Relative { committed; floor } ->
+        ( committed,
+          measured /. Float.max 1e-9 committed >= floor,
+          Printf.sprintf ">= %.2fx committed" floor )
+    | At_least floor -> (floor, measured >= floor, Printf.sprintf ">= %g" floor)
+    | At_most budget ->
+        (budget, measured <= budget, Printf.sprintf "<= %g" budget)
+  in
+  record_gate ~gate ~name ~measured ~baseline ~ok;
+  Printf.printf "  %-4s %-40s %s %12.2f vs %12.2f (%.2fx; %s)\n%!" gate name
+    (if ok then "ok  " else "FAIL")
+    measured baseline
+    (measured /. Float.max 1e-9 baseline)
+    rule
+
 let gate_failures () =
   List.length (List.filter (fun r -> not r.g_ok) !gate_rows)
 
 let gate_summary_json () =
-  let module J = Bfdn_obs.Json in
-  J.Obj
+  Json.Obj
     [
-      ("failures", J.Int (gate_failures ()));
+      ("failures", Json.Int (gate_failures ()));
       ( "rows",
-        J.List
+        Json.List
           (List.rev_map
              (fun r ->
-               J.Obj
+               Json.Obj
                  [
-                   ("gate", J.String r.g_gate);
-                   ("name", J.String r.g_name);
-                   ("measured", J.Float r.g_measured);
-                   ("baseline", J.Float r.g_baseline);
-                   ("ratio", J.Float r.g_ratio);
-                   ("ok", J.Bool r.g_ok);
+                   ("gate", Json.String r.g_gate);
+                   ("name", Json.String r.g_name);
+                   ("measured", Json.Float r.g_measured);
+                   ("baseline", Json.Float r.g_baseline);
+                   ("ratio", Json.Float r.g_ratio);
+                   ("ok", Json.Bool r.g_ok);
                  ])
              !gate_rows) );
     ]

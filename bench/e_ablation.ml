@@ -6,14 +6,6 @@
 
 open Bench_common
 module Table = Bfdn_util.Table
-module Bfdn_algo = Bfdn.Bfdn_algo
-
-let max_reanchors env state =
-  let worst = ref 0 in
-  for d = 1 to Env.oracle_depth env - 1 do
-    worst := max !worst (Bfdn_algo.reanchors_at_depth state d)
-  done;
-  !worst
 
 let run () =
   header "A1 (ablation)" "anchor policy and recursion depth";
@@ -36,24 +28,20 @@ let run () =
       in
       List.iter
         (fun (name, policy) ->
-          let env = Env.create tree ~k in
-          let state = Bfdn_algo.make ~policy env in
-          let r = Runner.run (Bfdn_algo.algo state) env in
-          assert r.explored;
-          let cap =
-            Bfdn.Bounds.urn_game ~delta:(Env.oracle_max_degree env) ~k
-            +. float_of_int k
+          let o, worst, _ =
+            run_bfdn_reanchors ~params:[ ("policy", Param.String policy) ] tree k
           in
+          assert o.result.explored;
           Table.add_row t
             [
-              fam; name; Table.fint r.rounds;
-              Table.fint (max_reanchors env state);
-              Table.ffloat ~decimals:0 cap;
+              fam; name; Table.fint o.result.rounds; Table.fint worst;
+              Table.ffloat ~decimals:0 (lemma2_cap ~delta:o.max_degree ~k);
             ])
         [
-          ("least-loaded (paper)", Bfdn_algo.Least_loaded);
-          ("first-open", Bfdn_algo.First_open);
-          ("random-open", Bfdn_algo.Random_open (Rng.create (seed + 9)));
+          ("least-loaded (paper)", "least-loaded");
+          ("first-open", "first-open");
+          (* draws from the spec's algorithm stream *)
+          ("random-open", "random-open");
         ];
       Table.add_rule t)
     [ "caterpillar"; "comb"; "random-deep"; "broom" ];
@@ -82,15 +70,13 @@ let run () =
       in
       List.iter
         (fun k ->
-          let env1 = Env.create tree ~k in
-          let r1 =
-            Runner.run (Bfdn_algo.algo (Bfdn_algo.make env1)) env1
-          in
-          let env2 = Env.create tree ~k in
+          let o1 = run_tree "bfdn" tree k in
+          let r1 = o1.result in
           let r2 =
-            Runner.run (Bfdn_algo.algo (Bfdn_algo.make ~shortcut:true env2)) env2
+            (run_tree "bfdn" ~params:[ ("shortcut", Param.Bool true) ] tree k)
+              .result
           in
-          let bound = thm1_bound env1 k in
+          let bound = thm1_bound_of o1 k in
           Table.add_row t2
             [
               fam; Table.fint k; Table.fint r1.rounds; Table.fint r2.rounds;

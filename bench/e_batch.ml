@@ -107,20 +107,17 @@ let measure_cell ?(sizes = batch_sizes) family k =
 (* ---- report ---- *)
 
 let json_of_row r =
-  Engine_report.Obj
+  Json.Obj
     [
-      ("family", Engine_report.String r.b_family);
-      ("k", Engine_report.Int r.b_k);
-      ("batch", Engine_report.Int r.b_s);
-      ("wall_s", Engine_report.Float r.b_wall);
-      ("seeds_per_sec", Engine_report.Float r.b_seeds_s);
-      ("collapsed", Engine_report.Bool r.b_collapsed);
-      ("shared_world", Engine_report.Bool r.b_shared);
-      ("speedup_vs_s1", Engine_report.Float r.b_speedup);
+      ("family", Json.String r.b_family);
+      ("k", Json.Int r.b_k);
+      ("batch", Json.Int r.b_s);
+      ("wall_s", Json.Float r.b_wall);
+      ("seeds_per_sec", Json.Float r.b_seeds_s);
+      ("collapsed", Json.Bool r.b_collapsed);
+      ("shared_world", Json.Bool r.b_shared);
+      ("speedup_vs_s1", Json.Float r.b_speedup);
     ]
-
-let scale_name () =
-  match !scale with Quick -> "quick" | Normal -> "normal" | Full -> "full"
 
 let run () =
   header "E22 (seed batching)"
@@ -156,14 +153,13 @@ let run () =
     rows;
   Table.print t;
   Engine_report.write ~path:report_path
-    (Engine_report.Obj
+    (Json.Obj
        (Engine_report.meta ~seed ~workers:1
        @ [
-           ("label", Engine_report.String "E22 seed-batched execution");
-           ("scale", Engine_report.String (scale_name ()));
-           ( "cores",
-             Engine_report.Int (Domain.recommended_domain_count ()) );
-           ("configs", Engine_report.List (List.map json_of_row rows));
+           ("label", Json.String "E22 seed-batched execution");
+           ("scale", Json.String (scale_name ()));
+           ("cores", Json.Int (Domain.recommended_domain_count ()));
+           ("configs", Json.List (List.map json_of_row rows));
          ]));
   Printf.printf "report written to %s\n" report_path
 
@@ -206,27 +202,6 @@ let batch_speedup_floor = 2.0
 let sequential_lanes_floor = 0.8
 let gate_subset = [ ("comb", 64); ("binary", 512) ]
 
-let committed_seeds_s j (family, k, s) =
-  match Bfdn_obs.Json.member "configs" j with
-  | Some (Engine_report.List rows) ->
-      List.find_map
-        (fun row ->
-          match
-            ( Bfdn_obs.Json.member "family" row,
-              Bfdn_obs.Json.member "k" row,
-              Bfdn_obs.Json.member "batch" row,
-              Bfdn_obs.Json.member "seeds_per_sec" row )
-          with
-          | ( Some (Engine_report.String f),
-              Some (Engine_report.Int kk),
-              Some (Engine_report.Int ss),
-              Some (Engine_report.Float v) )
-            when f = family && kk = k && ss = s ->
-              Some v
-          | _ -> None)
-        rows
-  | _ -> failwith (report_path ^ ": no configs member")
-
 (* Seeds/sec of an S-seed batch over S=1 from the fastest execution of
    each, with the two sides alternating: ambient load on a shared
    machine only ever slows an execution down, and it reaches both sides
@@ -254,12 +229,6 @@ let perf_gate () =
        "seeds/s >= %.2fx committed %s; S=64 >= %.1fx S=1; random S=8 >= \
         %.1fx S=1"
        gate_floor report_path batch_speedup_floor sequential_lanes_floor);
-  let j =
-    let raw = In_channel.with_open_text report_path In_channel.input_all in
-    match Bfdn_obs.Json.of_string raw with
-    | Ok j -> j
-    | Error msg -> failwith (report_path ^ ": " ^ msg)
-  in
   List.iter
     (fun (family, k) ->
       let rows = measure_cell family k in
@@ -267,45 +236,30 @@ let perf_gate () =
       List.iter
         (fun r ->
           if r.b_s = 1 || r.b_s = 64 then
-            match committed_seeds_s j (family, k, r.b_s) with
-            | None ->
-                Printf.printf
-                  "  %-6s k=%-3d S=%-3d no committed baseline, skipped\n"
-                  family k r.b_s
-            | Some base ->
-                let ratio = r.b_seeds_s /. Float.max 1e-9 base in
-                let ok = ratio >= gate_floor in
-                record_gate ~gate:"E22"
-                  ~name:(Printf.sprintf "%s k=%d S=%d seeds/s" family k r.b_s)
-                  ~measured:r.b_seeds_s ~baseline:base ~ok;
-                Printf.printf
-                  "  %-6s k=%-3d S=%-3d %s %9.0f seeds/s vs committed %9.0f \
-                   (%.2fx)\n"
-                  family k r.b_s
-                  (if ok then "ok  " else "FAIL")
-                  r.b_seeds_s base ratio)
+            let committed =
+              committed report_path "seeds_per_sec"
+                ~where:
+                  [
+                    ("family", Json.String family); ("k", Json.Int k);
+                    ("batch", Json.Int r.b_s);
+                  ]
+            in
+            check_gate ~gate:"E22"
+              ~name:(Printf.sprintf "%s k=%d S=%d seeds/s" family k r.b_s)
+              r.b_seeds_s
+              (Relative { committed; floor = gate_floor }))
         rows;
       (* the batching claim itself, machine-independent *)
       let s64 = List.find (fun r -> r.b_s = 64) rows in
-      let ok = s64.b_speedup >= batch_speedup_floor in
-      record_gate ~gate:"E22"
+      check_gate ~gate:"E22"
         ~name:(Printf.sprintf "%s k=%d S=64 speedup vs S=1" family k)
-        ~measured:s64.b_speedup ~baseline:batch_speedup_floor ~ok;
-      Printf.printf "  %-6s k=%-3d S=64/S=1     %s %.2fx (floor %.1fx)\n"
-        family k
-        (if ok then "ok  " else "FAIL")
-        s64.b_speedup batch_speedup_floor)
+        s64.b_speedup (At_least batch_speedup_floor))
     gate_subset;
   let family, k = random_cell in
-  let speedup = fastest_speedup family k random_batch in
-  let ok = speedup >= sequential_lanes_floor in
-  record_gate ~gate:"E22"
+  check_gate ~gate:"E22"
     ~name:(Printf.sprintf "%s k=%d S=%d speedup vs S=1" family k random_batch)
-    ~measured:speedup ~baseline:sequential_lanes_floor ~ok;
-  Printf.printf "  %-6s k=%-3d S=%d/S=1      %s %.2fx (floor %.1fx)\n" family k
-    random_batch
-    (if ok then "ok  " else "FAIL")
-    speedup sequential_lanes_floor
+    (fastest_speedup family k random_batch)
+    (At_least sequential_lanes_floor)
 
 (* ---- determinism lane (--det-check --jobs=N) ----
 

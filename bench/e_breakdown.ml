@@ -47,6 +47,7 @@ let run () =
   in
   List.iter
     (fun (name, mask) ->
+      (* A direct loop: the check reads Env.allowed_total every round. *)
       let env = Env.create ?fault:(Option.map Env.mask_hook mask) tree ~k in
       let state = Bfdn.Bfdn_algo.make env in
       let algo =

@@ -42,11 +42,10 @@ let run () =
     (fun (name, tree) ->
       List.iter
         (fun k ->
-          let env1, r1 = run_algo "cte" tree k in
-          let _, _, r2 = run_bfdn tree k in
-          let _, r3 = run_algo "offline" tree k in
-          let _, rwr = run_algo "cte-writeread" tree k in
-          let n = Env.oracle_n env1 and d = Env.oracle_depth env1 in
+          let o1 = run_tree "cte" tree k in
+          let rounds algo = (run_tree algo tree k).result.rounds in
+          let r1 = o1.result.rounds and r2 = rounds "bfdn" in
+          let n = o1.n and d = o1.depth in
           (* Concrete-formula argmin: at laptop scales the constants matter
              (the constants-dropped Appendix A regions put everything this
              small inside Yo*'s region). *)
@@ -54,15 +53,15 @@ let run () =
             if d >= n then "-"
             else
               Regions.name
-                (fst (Regions.winner ~n ~k ~d ~delta:(Env.oracle_max_degree env1)))
+                (fst (Regions.winner ~n ~k ~d ~delta:o1.max_degree))
           in
           Table.add_row t
             [
               name; Table.fint n; Table.fint d; Table.fint k;
-              Table.fint r1.rounds; Table.fint rwr.rounds;
-              Table.fint r2.rounds; Table.fint r3.rounds;
-              Table.fratio (float_of_int r1.rounds /. float_of_int r2.rounds);
-              Table.fratio (float_of_int r2.rounds /. offline_lb env1 k);
+              Table.fint r1; Table.fint (rounds "cte-writeread");
+              Table.fint r2; Table.fint (rounds "offline");
+              Table.fratio (float_of_int r1 /. float_of_int r2);
+              Table.fratio (float_of_int r2 /. offline_lb_of o1 k);
               winner;
             ])
         [ 16; 64; 256 ];

@@ -7,6 +7,8 @@ module Aenv = Bfdn_sim.Async_env
 module Exec_env = Bfdn_sim.Exec_env
 module Table = Bfdn_util.Table
 
+(* E13's fleets keep a direct loop: the registry's bfdn-async draws its
+   speeds from one spread parameter, not from a given fleet. *)
 let run_async ?speeds tree k =
   let env = Aenv.create ?speeds tree ~k in
   let t = Bfdn.Bfdn_async.make env in
@@ -34,10 +36,7 @@ let e13 () =
         ("makespan/lb", Table.Right); ("explored", Table.Left);
       ]
   in
-  let env0 = Env.create tree ~k in
-  let sync =
-    (Runner.run (Bfdn.Bfdn_algo.algo (Bfdn.Bfdn_algo.make env0)) env0).rounds
-  in
+  let sync = (run_tree "bfdn" tree k).result.rounds in
   let fleets =
     [
       ("uniform 1x", Array.make k 1.0);
@@ -85,7 +84,10 @@ let e14 () =
         Bfdn_trees.Tree_gen.of_family fam ~rng:(Rng.create (seed + 14))
           ~n:(sized 3000) ~depth_hint:18
       in
-      let env, state, r = run_planner tree 16 in
+      (* A direct loop: the planner's memory is not part of an outcome. *)
+      let env = Env.create tree ~k:16 in
+      let state = Bfdn.Bfdn_planner.make env in
+      let r = Runner.run (Bfdn.Bfdn_planner.algo state) env in
       assert r.explored;
       let d = Env.oracle_depth env and delta = Env.oracle_max_degree env in
       let used = Bfdn.Bfdn_planner.memory_bits_used state in

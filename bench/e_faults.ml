@@ -127,23 +127,23 @@ let sweep_rows () =
     families
 
 let json_of_row r =
-  Engine_report.Obj
+  Json.Obj
     [
-      ("family", Engine_report.String r.r_family);
-      ("n", Engine_report.Int r.r_n);
-      ("depth", Engine_report.Int r.r_depth);
-      ("k", Engine_report.Int r.r_k);
-      ("fault_tolerant", Engine_report.Bool r.r_ft);
-      ("rate", Engine_report.Float r.r_rate);
-      ("restart", Engine_report.Int r.r_restart);
-      ("crashes", Engine_report.Int r.r_crashes);
-      ("restarts", Engine_report.Int r.r_restarts);
-      ("survivors", Engine_report.Int r.r_survivors);
-      ("rounds", Engine_report.Int r.r_rounds);
-      ("explored", Engine_report.Bool r.r_explored);
-      ("hit_round_limit", Engine_report.Bool r.r_hit_limit);
-      ("robots_lost", Engine_report.Int r.r_lost);
-      ("robots_revived", Engine_report.Int r.r_revived);
+      ("family", Json.String r.r_family);
+      ("n", Json.Int r.r_n);
+      ("depth", Json.Int r.r_depth);
+      ("k", Json.Int r.r_k);
+      ("fault_tolerant", Json.Bool r.r_ft);
+      ("rate", Json.Float r.r_rate);
+      ("restart", Json.Int r.r_restart);
+      ("crashes", Json.Int r.r_crashes);
+      ("restarts", Json.Int r.r_restarts);
+      ("survivors", Json.Int r.r_survivors);
+      ("rounds", Json.Int r.r_rounds);
+      ("explored", Json.Bool r.r_explored);
+      ("hit_round_limit", Json.Bool r.r_hit_limit);
+      ("robots_lost", Json.Int r.r_lost);
+      ("robots_revived", Json.Int r.r_revived);
     ]
 
 (* ---- enabled-idle overhead ----
@@ -169,6 +169,7 @@ let measure_overhead () =
     Tree_gen.of_family "comb" ~rng:(Rng.create seed) ~n:(sized 4000)
       ~depth_hint:60
   in
+  (* A direct loop: this times the round loop itself. *)
   let explore ~fault out =
     let env = Env.create tree ~k:overhead_k ~fault in
     let a = Algo_registry.instantiate "bfdn" env in
@@ -216,9 +217,6 @@ let measure_overhead () =
   let rounds, _ = warm in
   (100.0 *. ((ti /. Float.max 1e-12 tp) -. 1.0), rounds, tp, ti)
 
-let scale_name () =
-  match !scale with Quick -> "quick" | Normal -> "normal" | Full -> "full"
-
 let run () =
   header "E17 (faults)"
     "crash-tolerant BFDN under seeded fault schedules + fault-hook budget";
@@ -259,22 +257,22 @@ let run () =
      committed BENCH_hotpath.json\n"
     overhead_k orounds overhead_pct;
   Engine_report.write ~path:report_path
-    (Engine_report.Obj
+    (Json.Obj
        (Engine_report.meta ~seed ~workers:1
        @ [
-           ("label", Engine_report.String "E17 fault injection");
-           ("scale", Engine_report.String (scale_name ()));
-           ("configs", Engine_report.List (List.map json_of_row rows));
+           ("label", Json.String "E17 fault injection");
+           ("scale", Json.String (scale_name ()));
+           ("configs", Json.List (List.map json_of_row rows));
            ( "fault_hook_overhead",
-             Engine_report.Obj
+             Json.Obj
                [
-                 ("k", Engine_report.Int overhead_k);
-                 ("rounds", Engine_report.Int orounds);
-                 ("disabled_segment_wall", Engine_report.Float tp);
-                 ("idle_hook_segment_wall", Engine_report.Float ti);
-                 ("enabled_idle_overhead_pct", Engine_report.Float overhead_pct);
+                 ("k", Json.Int overhead_k);
+                 ("rounds", Json.Int orounds);
+                 ("disabled_segment_wall", Json.Float tp);
+                 ("idle_hook_segment_wall", Json.Float ti);
+                 ("enabled_idle_overhead_pct", Json.Float overhead_pct);
                  ( "disabled_budget",
-                   Engine_report.String
+                   Json.String
                      "<= 1% vs pre-hook baselines; enforced by --perf-gate \
                       against committed BENCH_hotpath.json" );
                ] );

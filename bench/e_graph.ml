@@ -163,36 +163,33 @@ let run_fault_leg ~k (rate, restart, cap) =
   }
 
 let json_of_row r =
-  Engine_report.Obj
+  Json.Obj
     [
-      ("label", Engine_report.String r.r_label);
-      ("world", Engine_report.String r.r_world);
-      ("k", Engine_report.Int r.r_k);
-      ("edges", Engine_report.Int r.r_edges);
-      ("radius", Engine_report.Int r.r_radius);
-      ("rounds", Engine_report.Int r.r_rounds);
-      ("explored", Engine_report.Bool r.r_explored);
-      ("at_origin", Engine_report.Bool r.r_at_origin);
-      ("bound", Engine_report.Float r.r_bound);
-      ("wall_seconds", Engine_report.Float r.r_wall);
+      ("label", Json.String r.r_label);
+      ("world", Json.String r.r_world);
+      ("k", Json.Int r.r_k);
+      ("edges", Json.Int r.r_edges);
+      ("radius", Json.Int r.r_radius);
+      ("rounds", Json.Int r.r_rounds);
+      ("explored", Json.Bool r.r_explored);
+      ("at_origin", Json.Bool r.r_at_origin);
+      ("bound", Json.Float r.r_bound);
+      ("wall_seconds", Json.Float r.r_wall);
     ]
 
 let json_of_fault_row f =
-  Engine_report.Obj
+  Json.Obj
     [
-      ("rate", Engine_report.Float f.f_rate);
-      ("restart", Engine_report.Int f.f_restart);
-      ("k", Engine_report.Int f.f_k);
-      ("rounds", Engine_report.Int f.f_rounds);
-      ("explored", Engine_report.Bool f.f_explored);
-      ("at_origin", Engine_report.Bool f.f_at_origin);
-      ("crashes", Engine_report.Int f.f_crashes);
-      ("restarts", Engine_report.Int f.f_restarts);
-      ("hit_round_limit", Engine_report.Bool f.f_capped);
+      ("rate", Json.Float f.f_rate);
+      ("restart", Json.Int f.f_restart);
+      ("k", Json.Int f.f_k);
+      ("rounds", Json.Int f.f_rounds);
+      ("explored", Json.Bool f.f_explored);
+      ("at_origin", Json.Bool f.f_at_origin);
+      ("crashes", Json.Int f.f_crashes);
+      ("restarts", Json.Int f.f_restarts);
+      ("hit_round_limit", Json.Bool f.f_capped);
     ]
-
-let scale_name () =
-  match !scale with Quick -> "quick" | Normal -> "normal" | Full -> "full"
 
 (* Direct-loop cross-check (absorbed from the former E7): the same
    Proposition 9 claim measured on a hand-wired [Exec_env.run] loop
@@ -331,13 +328,13 @@ let run () =
     frows;
   Table.print ft;
   Engine_report.write ~path:report_path
-    (Engine_report.Obj
+    (Json.Obj
        (Engine_report.meta ~seed ~workers:1
        @ [
-           ("label", Engine_report.String "E21 graph worlds via Scenario.run");
-           ("scale", Engine_report.String (scale_name ()));
-           ("configs", Engine_report.List (List.map json_of_row rows));
-           ("fault_configs", Engine_report.List (List.map json_of_fault_row frows));
+           ("label", Json.String "E21 graph worlds via Scenario.run");
+           ("scale", Json.String (scale_name ()));
+           ("configs", Json.List (List.map json_of_row rows));
+           ("fault_configs", Json.List (List.map json_of_fault_row frows));
          ]));
   Printf.printf "report written to %s\n" report_path
 
@@ -353,76 +350,34 @@ let gate_floor = 0.6
 
 let gate_subset = [ ("grid 40x30", 8); ("random-graph 500", 8) ]
 
-let committed_rps doc label k =
-  match Bfdn_obs.Json.member "configs" doc with
-  | Some (Engine_report.List rows) ->
-      List.find_map
-        (fun row ->
-          match
-            ( Bfdn_obs.Json.member "label" row,
-              Bfdn_obs.Json.member "k" row,
-              Bfdn_obs.Json.member "rounds" row,
-              Bfdn_obs.Json.member "wall_seconds" row )
-          with
-          | ( Some (Engine_report.String l),
-              Some (Engine_report.Int k'),
-              Some (Engine_report.Int rounds),
-              Some (Engine_report.Float wall) )
-            when l = label && k' = k ->
-              Some (float_of_int rounds /. Float.max 1e-9 wall)
-          | _ -> None)
-        rows
-  | _ -> failwith (report_path ^ ": no configs member")
-
 let perf_gate () =
   scale := Normal;
   header "PERF GATE (graph)"
-    (Printf.sprintf "measured rounds/s must stay >= %.2fx the committed %s"
-       gate_floor report_path);
-  let doc =
-    let raw = In_channel.with_open_text report_path In_channel.input_all in
-    match Bfdn_obs.Json.of_string raw with
-    | Ok j -> j
-    | Error msg -> failwith (report_path ^ ": " ^ msg)
-  in
-  let fails = ref 0 in
+    (Printf.sprintf "rounds/s >= %.2fx the committed %s" gate_floor
+       report_path);
   List.iter
     (fun (label, k) ->
-      match committed_rps doc label k with
-      | None ->
-          Printf.printf "  %-18s k=%-3d no committed baseline, skipped\n" label
-            k
-      | Some base ->
-          let world, params, _ =
-            List.find (fun (_, _, l) -> l = label) worlds
-          in
-          (* Warm once, then take the best of 3: the gate asks "can this
-             machine still reach the committed rate", not "what is the
-             mean". *)
-          ignore (run_row ~world ~params ~label k);
-          let best = ref 0.0 in
-          for _ = 1 to 3 do
-            let r = run_row ~world ~params ~label k in
-            best :=
-              Float.max !best
-                (float_of_int r.r_rounds /. Float.max 1e-9 r.r_wall)
-          done;
-          let ratio = !best /. Float.max 1e-9 base in
-          let ok = ratio >= gate_floor in
-          if not ok then incr fails;
-          record_gate ~gate:"E21"
-            ~name:(Printf.sprintf "%s k=%d r/s" label k)
-            ~measured:!best ~baseline:base ~ok;
-          Printf.printf "  %-18s k=%-3d %s %11.0f r/s vs committed %11.0f (%.2fx)\n"
-            label k
-            (if ok then "ok  " else "FAIL")
-            !best base ratio)
-    gate_subset;
-  if !fails > 0 then
-    Printf.printf "graph perf gate: %d check(s) failed\n" !fails
-  else
-    Printf.printf "graph perf gate: all %d configs within budget\n"
-      (List.length gate_subset)
+      let row member =
+        committed report_path member
+          ~where:[ ("label", Json.String label); ("k", Json.Int k) ]
+      in
+      let committed = row "rounds" /. Float.max 1e-9 (row "wall_seconds") in
+      let world, params, _ = List.find (fun (_, _, l) -> l = label) worlds in
+      (* Warm once, then take the best of 3: the gate asks "can this
+         machine still reach the committed rate", not "what is the
+         mean". *)
+      ignore (run_row ~world ~params ~label k);
+      let best = ref 0.0 in
+      for _ = 1 to 3 do
+        let r = run_row ~world ~params ~label k in
+        best :=
+          Float.max !best (float_of_int r.r_rounds /. Float.max 1e-9 r.r_wall)
+      done;
+      check_gate ~gate:"E21"
+        ~name:(Printf.sprintf "%s k=%d r/s" label k)
+        !best
+        (Relative { committed; floor = gate_floor }))
+    gate_subset
 
 (* CI tripwire for --smoke: a tiny grid spec completes deterministically
    through Scenario.run, and the same grid under a crash/restart

@@ -74,7 +74,8 @@ type sample = {
 
 (* One full exploration = one repetition; repeat until the total measured
    time passes [min_total] (at least [min_reps] times), keep the fastest.
-   Runs are deterministic, so every repetition performs identical work. *)
+   Runs are deterministic, so every repetition performs identical work.
+   A direct loop: this times the round loop itself. *)
 let measure ?(probe = Probe.noop) ?(min_total = 0.4) ?(min_reps = 2)
     ?(max_reps = 6) tree k algo_name =
   let rounds = ref 0 and events = ref 0 in
@@ -116,16 +117,16 @@ let json_of_row (family, n, depth, k, algo, s) =
   let eps = float_of_int s.s_events /. Float.max 1e-9 s.s_wall in
   let base =
     [
-      ("family", Engine_report.String family);
-      ("n", Engine_report.Int n);
-      ("depth", Engine_report.Int depth);
-      ("k", Engine_report.Int k);
-      ("algo", Engine_report.String algo);
-      ("rounds", Engine_report.Int s.s_rounds);
-      ("edge_events", Engine_report.Int s.s_events);
-      ("wall_seconds", Engine_report.Float s.s_wall);
-      ("rounds_per_sec", Engine_report.Float rps);
-      ("events_per_sec", Engine_report.Float eps);
+      ("family", Json.String family);
+      ("n", Json.Int n);
+      ("depth", Json.Int depth);
+      ("k", Json.Int k);
+      ("algo", Json.String algo);
+      ("rounds", Json.Int s.s_rounds);
+      ("edge_events", Json.Int s.s_events);
+      ("wall_seconds", Json.Float s.s_wall);
+      ("rounds_per_sec", Json.Float rps);
+      ("events_per_sec", Json.Float eps);
     ]
   in
   let vs_seed =
@@ -133,11 +134,11 @@ let json_of_row (family, n, depth, k, algo, s) =
     | None -> []
     | Some b ->
         [
-          ("seed_rounds_per_sec", Engine_report.Float b);
-          ("speedup_vs_seed", Engine_report.Float (rps /. Float.max 1e-9 b));
+          ("seed_rounds_per_sec", Json.Float b);
+          ("speedup_vs_seed", Json.Float (rps /. Float.max 1e-9 b));
         ]
   in
-  Engine_report.Obj (base @ vs_seed)
+  Json.Obj (base @ vs_seed)
 
 (* ---- probe overhead ----
 
@@ -387,28 +388,28 @@ let overhead_rows () =
     cfgs
 
 let json_of_overhead r =
-  Engine_report.Obj
+  Json.Obj
     [
-      ("family", Engine_report.String r.o_family);
-      ("algo", Engine_report.String r.o_algo);
-      ("k", Engine_report.Int overhead_k);
-      ("plain_wall_seconds", Engine_report.Float r.o_plain.s_wall);
-      ("probed_wall_seconds", Engine_report.Float r.o_probed.s_wall);
-      ("overhead_pct", Engine_report.Float (overhead_pct r));
+      ("family", Json.String r.o_family);
+      ("algo", Json.String r.o_algo);
+      ("k", Json.Int overhead_k);
+      ("plain_wall_seconds", Json.Float r.o_plain.s_wall);
+      ("probed_wall_seconds", Json.Float r.o_probed.s_wall);
+      ("overhead_pct", Json.Float (overhead_pct r));
     ]
 
 (* E20 rows: span-tracing cost relative to the metrics-probed loop. *)
 let json_of_tracing r =
-  Engine_report.Obj
+  Json.Obj
     [
-      ("family", Engine_report.String r.o_family);
-      ("algo", Engine_report.String r.o_algo);
-      ("k", Engine_report.Int overhead_k);
-      ("probed_wall_seconds", Engine_report.Float r.o_probed.s_wall);
-      ("disabled_wall_seconds", Engine_report.Float r.o_disabled.s_wall);
-      ("enabled_wall_seconds", Engine_report.Float r.o_enabled.s_wall);
-      ("tracing_disabled_pct", Engine_report.Float (tracing_disabled_pct r));
-      ("tracing_enabled_pct", Engine_report.Float (tracing_enabled_pct r));
+      ("family", Json.String r.o_family);
+      ("algo", Json.String r.o_algo);
+      ("k", Json.Int overhead_k);
+      ("probed_wall_seconds", Json.Float r.o_probed.s_wall);
+      ("disabled_wall_seconds", Json.Float r.o_disabled.s_wall);
+      ("enabled_wall_seconds", Json.Float r.o_enabled.s_wall);
+      ("tracing_disabled_pct", Json.Float (tracing_disabled_pct r));
+      ("tracing_enabled_pct", Json.Float (tracing_enabled_pct r));
     ]
 
 (* Per-phase wall share recorded by the probe, for --profile. *)
@@ -423,9 +424,6 @@ let profile_row r =
   let total = Float.max 1.0 (float_of_int (sel + app + fin)) in
   let pct x = 100.0 *. float_of_int x /. total in
   (pct sel, pct app, pct fin, ns "reanchors")
-
-let scale_name () =
-  match !scale with Quick -> "quick" | Normal -> "normal" | Full -> "full"
 
 let run () =
   header "E16 (hot path)"
@@ -553,19 +551,17 @@ let run () =
     Table.print pt
   end;
   Engine_report.write ~path:report_path
-    (Engine_report.Obj
+    (Json.Obj
        (Engine_report.meta ~seed ~workers:1
        @ [
-           ("label", Engine_report.String "E16 hot-path throughput");
-           ("scale", Engine_report.String (scale_name ()));
-           ("configs", Engine_report.List (List.map json_of_row rows));
-           ( "probe_overhead",
-             Engine_report.List (List.map json_of_overhead orows) );
-           ("max_probe_overhead_pct", Engine_report.Float max_ov);
-           ( "tracing_overhead",
-             Engine_report.List (List.map json_of_tracing orows) );
-           ("max_tracing_disabled_pct", Engine_report.Float max_dis);
-           ("max_tracing_enabled_pct", Engine_report.Float max_en);
+           ("label", Json.String "E16 hot-path throughput");
+           ("scale", Json.String (scale_name ()));
+           ("configs", Json.List (List.map json_of_row rows));
+           ("probe_overhead", Json.List (List.map json_of_overhead orows));
+           ("max_probe_overhead_pct", Json.Float max_ov);
+           ("tracing_overhead", Json.List (List.map json_of_tracing orows));
+           ("max_tracing_disabled_pct", Json.Float max_dis);
+           ("max_tracing_enabled_pct", Json.Float max_en);
          ]));
   Printf.printf "report written to %s\n" report_path
 
@@ -636,87 +632,37 @@ let gate_subset =
 let tracing_disabled_budget_pct = 1.0
 let tracing_enabled_budget_pct = 3.0
 
-let gate_report () =
-  let doc = In_channel.with_open_text report_path In_channel.input_all in
-  match Bfdn_obs.Json.of_string doc with
-  | Error msg -> failwith (report_path ^ ": " ^ msg)
-  | Ok j -> j
-
-let gate_configs j =
-  match Bfdn_obs.Json.member "configs" j with
-  | Some (Engine_report.List rows) -> rows
-  | _ -> failwith (report_path ^ ": no configs member")
-
-let committed_rps rows (family, algo, k) =
-  List.find_map
-    (fun row ->
-      match
-        ( Bfdn_obs.Json.member "family" row,
-          Bfdn_obs.Json.member "algo" row,
-          Bfdn_obs.Json.member "k" row,
-          Bfdn_obs.Json.member "rounds_per_sec" row )
-      with
-      | ( Some (Engine_report.String f),
-          Some (Engine_report.String a),
-          Some (Engine_report.Int kk),
-          Some (Engine_report.Float rps) )
-        when f = family && a = algo && kk = k ->
-          Some rps
-      | _ -> None)
-    rows
-
 let perf_gate () =
   scale := Normal;
-  header "PERF GATE"
-    (Printf.sprintf "measured rounds/s must stay >= %.2fx the committed %s"
-       gate_floor report_path);
-  let report = gate_report () in
-  let rows = gate_configs report in
-  let fails = ref 0 in
+  header "PERF GATE (hot path)"
+    (Printf.sprintf
+       "rounds/s >= %.2fx the committed %s; E20 tracing budgets" gate_floor
+       report_path);
   List.iter
-    (fun ((family, algo, k) as key) ->
-      match committed_rps rows key with
-      | None ->
-          Printf.printf "  %-6s %-4s k=%-3d no committed baseline, skipped\n"
-            family algo k
-      | Some base ->
-          let depth_hint = List.assoc family families in
-          let tree =
-            Tree_gen.of_family family ~rng:(Rng.create seed)
-              ~n:(sized nominal_n) ~depth_hint
-          in
-          let s = measure tree k algo in
-          let rps = float_of_int s.s_rounds /. Float.max 1e-9 s.s_wall in
-          let ratio = rps /. Float.max 1e-9 base in
-          let ok = ratio >= gate_floor in
-          if not ok then incr fails;
-          record_gate ~gate:"E16"
-            ~name:(Printf.sprintf "%s/%s k=%d r/s" family algo k)
-            ~measured:rps ~baseline:base ~ok;
-          Printf.printf
-            "  %-6s %-4s k=%-3d %s %11.0f r/s vs committed %11.0f (%.2fx)\n"
-            family algo k
-            (if ok then "ok  " else "FAIL")
-            rps base ratio)
+    (fun (family, algo, k) ->
+      let committed =
+        committed report_path "rounds_per_sec"
+          ~where:
+            [
+              ("family", Json.String family); ("algo", Json.String algo);
+              ("k", Json.Int k);
+            ]
+      in
+      let tree =
+        Tree_gen.of_family family ~rng:(Rng.create seed) ~n:(sized nominal_n)
+          ~depth_hint:(List.assoc family families)
+      in
+      let s = measure tree k algo in
+      check_gate ~gate:"E16"
+        ~name:(Printf.sprintf "%s/%s k=%d r/s" family algo k)
+        (float_of_int s.s_rounds /. Float.max 1e-9 s.s_wall)
+        (Relative { committed; floor = gate_floor }))
     gate_subset;
-  (* E20 tracing budgets over the committed report. *)
-  let check_budget member budget =
-    match Bfdn_obs.Json.member member report with
-    | Some (Engine_report.Float pct) ->
-        let ok = pct <= budget in
-        if not ok then incr fails;
-        record_gate ~gate:"E20" ~name:(member ^ " (<= budget)") ~measured:pct
-          ~baseline:budget ~ok;
-        Printf.printf "  %-26s %s %+6.2f%% (budget <= %.0f%%)\n" member
-          (if ok then "ok  " else "FAIL")
-          pct budget
-    | _ ->
-        Printf.printf "  %-26s not in committed report, skipped\n" member
-  in
-  check_budget "max_tracing_disabled_pct" tracing_disabled_budget_pct;
-  check_budget "max_tracing_enabled_pct" tracing_enabled_budget_pct;
-  if !fails > 0 then
-    Printf.printf "perf gate: %d check(s) failed\n" !fails
-  else
-    Printf.printf "perf gate: all %d configs + tracing budgets within budget\n"
-      (List.length gate_subset)
+  List.iter
+    (fun (member, budget) ->
+      check_gate ~gate:"E20" ~name:(member ^ " (<= budget)")
+        (committed report_path member) (At_most budget))
+    [
+      ("max_tracing_disabled_pct", tracing_disabled_budget_pct);
+      ("max_tracing_enabled_pct", tracing_enabled_budget_pct);
+    ]

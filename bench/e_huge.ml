@@ -21,7 +21,6 @@
 
 open Bench_common
 module Table = Bfdn_util.Table
-module Json = Bfdn_obs.Json
 module Gc_probe = Bfdn_obs.Gc_probe
 module Lazy_world = Bfdn_sim.Lazy_world
 module Partial_tree = Bfdn_sim.Partial_tree
@@ -68,7 +67,8 @@ let spec_of_arg str =
 
 (* One measurement, in-process. The GC probe ticks from the runner's
    round hook, so the pause histogram is at exploration-round
-   granularity — exactly the stall number a robot round would observe. *)
+   granularity — exactly the stall number a robot round would observe.
+   A direct loop: this times the round loop itself. *)
 let measure_spec s =
   let reg = Metrics.create () in
   let gc = Gc_probe.create reg in
@@ -102,27 +102,27 @@ let measure_spec s =
     | None -> 0
   in
   let revealed = Partial_tree.num_explored (Env.view env) in
-  Engine_report.Obj
+  Json.Obj
     [
-      ("mode", Engine_report.String s.sp_mode);
-      ("family", Engine_report.String s.sp_family);
-      ("n", Engine_report.Int s.sp_n);
-      ("k", Engine_report.Int s.sp_k);
-      ("max_rounds", Engine_report.Int s.sp_max_rounds);
-      ("rounds", Engine_report.Int r.Runner.rounds);
-      ("explored", Engine_report.Bool r.Runner.explored);
-      ("edge_events", Engine_report.Int r.Runner.edge_events);
-      ("nodes_revealed", Engine_report.Int revealed);
-      ("wall_seconds", Engine_report.Float wall);
+      ("mode", Json.String s.sp_mode);
+      ("family", Json.String s.sp_family);
+      ("n", Json.Int s.sp_n);
+      ("k", Json.Int s.sp_k);
+      ("max_rounds", Json.Int s.sp_max_rounds);
+      ("rounds", Json.Int r.Runner.rounds);
+      ("explored", Json.Bool r.Runner.explored);
+      ("edge_events", Json.Int r.Runner.edge_events);
+      ("nodes_revealed", Json.Int revealed);
+      ("wall_seconds", Json.Float wall);
       ( "rounds_per_sec",
-        Engine_report.Float
+        Json.Float
           (float_of_int r.Runner.rounds /. Float.max 1e-9 wall) );
       ( "peak_rss_bytes",
         match Engine_report.peak_rss_bytes () with
-        | Some b -> Engine_report.Int b
-        | None -> Engine_report.Null );
-      ("gc_major_cycles", Engine_report.Int (Gc_probe.major_cycles gc));
-      ("gc_pauses", Engine_report.Int pauses);
+        | Some b -> Json.Int b
+        | None -> Json.Null );
+      ("gc_major_cycles", Json.Int (Gc_probe.major_cycles gc));
+      ("gc_pauses", Json.Int pauses);
       ("gc_metrics", Metrics.to_json reg);
     ]
 
@@ -130,7 +130,7 @@ let measure_spec s =
    measurement on an otherwise fresh process, one JSON line on stdout. *)
 let probe_main arg =
   let j = measure_spec (spec_of_arg arg) in
-  print_string (Engine_report.to_string j);
+  print_string (Json.to_string j);
   print_newline ()
 
 (* ---- parent side: spawn probes, collect rows ---- *)
@@ -151,18 +151,18 @@ let run_probe s =
 
 let jint j key =
   match Json.member key j with
-  | Some (Engine_report.Int v) -> v
+  | Some (Json.Int v) -> v
   | _ -> failwith ("e_huge: probe row missing int " ^ key)
 
 let jfloat j key =
   match Json.member key j with
-  | Some (Engine_report.Float v) -> v
-  | Some (Engine_report.Int v) -> float_of_int v
+  | Some (Json.Float v) -> v
+  | Some (Json.Int v) -> float_of_int v
   | _ -> failwith ("e_huge: probe row missing float " ^ key)
 
 let jbool j key =
   match Json.member key j with
-  | Some (Engine_report.Bool v) -> v
+  | Some (Json.Bool v) -> v
   | _ -> failwith ("e_huge: probe row missing bool " ^ key)
 
 let rss_mb j = float_of_int (jint j "peak_rss_bytes") /. (1024. *. 1024.)
@@ -236,10 +236,10 @@ let run () =
     Table.add_row t
       [
         (match Json.member "mode" j with
-        | Some (Engine_report.String s) -> s
+        | Some (Json.String s) -> s
         | _ -> "?");
         (match Json.member "family" j with
-        | Some (Engine_report.String s) -> s
+        | Some (Json.String s) -> s
         | _ -> "?");
         Table.fint (jint j "n"); Table.fint (jint j "k");
         Table.fint (jint j "rounds");
@@ -272,30 +272,29 @@ let run () =
     (100. *. rss_ratio_budget)
     (if ratio <= rss_ratio_budget then "ok" else "FAIL");
   Engine_report.write ~path:report_path
-    (Engine_report.Obj
+    (Json.Obj
        (Engine_report.meta ~seed ~workers:1
        @ [
-           ("label", Engine_report.String "E19 huge scale tier");
+           ("label", Json.String "E19 huge scale tier");
            ( "scale",
-             Engine_report.String
+             Json.String
                (match !scale with
                | Quick -> "quick"
                | Normal -> "normal"
                | Full -> "full") );
-           ("throughput", Engine_report.List throughput);
+           ("throughput", Json.List throughput);
            ("reach", reach);
            ( "rss_comparison",
-             Engine_report.Obj
+             Json.Obj
                [
                  ("lazy", rss_lazy);
                  ("eager", rss_eager);
-                 ("lazy_over_eager", Engine_report.Float ratio);
-                 ("budget", Engine_report.Float rss_ratio_budget);
-                 ("ok", Engine_report.Bool (ratio <= rss_ratio_budget));
+                 ("lazy_over_eager", Json.Float ratio);
+                 ("budget", Json.Float rss_ratio_budget);
+                 ("ok", Json.Bool (ratio <= rss_ratio_budget));
                ] );
            ("gate", gate);
-           ( "smoke_rss_ceiling_bytes",
-             Engine_report.Int smoke_rss_ceiling_bytes );
+           ("smoke_rss_ceiling_bytes", Json.Int smoke_rss_ceiling_bytes);
          ]));
   Printf.printf "report written to %s\n" report_path
 
@@ -327,30 +326,12 @@ let gate_floor = 0.6
 
 let perf_gate () =
   header "PERF GATE (huge)"
-    (Printf.sprintf "gate row rounds/s must stay >= %.2fx the committed %s"
-       gate_floor report_path);
-  let doc = In_channel.with_open_text report_path In_channel.input_all in
-  let committed =
-    match Json.of_string doc with
-    | Error msg -> failwith (report_path ^ ": " ^ msg)
-    | Ok j -> (
-        match Json.member "gate" j with
-        | Some g -> jfloat g "rounds_per_sec"
-        | None -> failwith (report_path ^ ": no gate member"))
-  in
-  let j = run_probe gate_spec in
-  let rps = jfloat j "rounds_per_sec" in
-  let ratio = rps /. Float.max 1e-9 committed in
-  let ok = ratio >= gate_floor in
-  record_gate ~gate:"E19"
+    (Printf.sprintf "gate row rounds/s >= %.2fx the committed %s" gate_floor
+       report_path);
+  let committed = committed ~table:"gate" ~where:[] report_path "rounds_per_sec" in
+  check_gate ~gate:"E19"
     ~name:
       (Printf.sprintf "%s n=%d k=%d r/s" gate_spec.sp_family gate_spec.sp_n
          gate_spec.sp_k)
-    ~measured:rps ~baseline:committed ~ok;
-  Printf.printf "  %-6s n=%d k=%d %s %11.0f r/s vs committed %11.0f (%.2fx)\n"
-    gate_spec.sp_family gate_spec.sp_n gate_spec.sp_k
-    (if ok then "ok  " else "FAIL")
-    rps committed ratio;
-  if not ok then
-    Printf.printf "perf gate: huge tier regressed past %.2fx\n" gate_floor
-  else Printf.printf "perf gate: huge tier within budget\n"
+    (jfloat (run_probe gate_spec) "rounds_per_sec")
+    (Relative { committed; floor = gate_floor })

@@ -3,7 +3,6 @@
 
 open Bench_common
 module Table = Bfdn_util.Table
-module Mathx = Bfdn_util.Mathx
 
 let run () =
   header "E4 (Lemma 2)" "per-depth reanchor counts vs k(min(log k, log Δ)+3)";
@@ -25,30 +24,20 @@ let run () =
       in
       List.iter
         (fun k ->
-          let env, algo_state, r = run_bfdn tree k in
-          assert r.explored;
-          let delta = Env.oracle_max_degree env in
-          (* k (min(log k, log Δ) + 3) = urn-game bound + k *)
-          let cap = Bfdn.Bounds.urn_game ~delta ~k +. float_of_int k in
-          let worst = ref 0 and worst_depth = ref 0 in
-          for d = 1 to Env.oracle_depth env - 1 do
-            let c = Bfdn.Bfdn_algo.reanchors_at_depth algo_state d in
-            if c > !worst then begin
-              worst := c;
-              worst_depth := d
-            end
-          done;
+          let o, worst, worst_depth = run_bfdn_reanchors tree k in
+          assert o.result.explored;
+          let cap = lemma2_cap ~delta:o.max_degree ~k in
           Table.add_row t
             [
               fam;
-              Table.fint (Env.oracle_n env);
-              Table.fint (Env.oracle_depth env);
+              Table.fint o.n;
+              Table.fint o.depth;
               Table.fint k;
-              Table.fint !worst;
-              Table.fint !worst_depth;
+              Table.fint worst;
+              Table.fint worst_depth;
               Table.ffloat ~decimals:0 cap;
-              Table.fratio (float_of_int !worst /. Float.max 1.0 cap);
-              Table.fbool (float_of_int !worst <= cap);
+              Table.fratio (float_of_int worst /. Float.max 1.0 cap);
+              Table.fbool (float_of_int worst <= cap);
             ])
         [ 8; 64 ])
     [ "random"; "random-deep"; "comb"; "caterpillar"; "trap"; "bounded3"; "hidden-path" ];

@@ -34,8 +34,8 @@ let run () =
     (fun spine ->
       let tooth = spine / 2 in
       let tree = Bfdn_trees.Tree_gen.comb ~spine ~tooth_len:tooth in
-      let env, _, r = run_bfdn tree k in
-      let n = Env.oracle_n env and d = Env.oracle_depth env in
+      let o = run_tree "bfdn" tree k in
+      let r = o.result and n = o.n and d = o.depth in
       let work = Bfdn_util.Mathx.ceil_div (2 * (n - 1)) k in
       let overhead = float_of_int (max 0 (r.rounds - work)) in
       samples := (d, overhead) :: !samples;

@@ -26,17 +26,18 @@ let run () =
       in
       List.iter
         (fun k ->
-          let env1, _, r1 = run_bfdn tree k in
-          let _, _, r2 = run_planner tree k in
-          let bound = thm1_bound env1 k in
+          let o1 = run_tree "bfdn" tree k in
+          let r2 = (run_tree "bfdn-wr" tree k).result in
+          let bound = thm1_bound_of o1 k in
           Table.add_row t
             [
               fam;
-              Table.fint (Env.oracle_n env1);
+              Table.fint o1.n;
               Table.fint k;
-              Table.fint r1.rounds;
+              Table.fint o1.result.rounds;
               Table.fint r2.rounds;
-              Table.fratio (float_of_int r2.rounds /. float_of_int r1.rounds);
+              Table.fratio
+                (float_of_int r2.rounds /. float_of_int o1.result.rounds);
               Table.ffloat ~decimals:0 bound;
               Table.fratio (float_of_int r2.rounds /. bound);
               Table.fbool

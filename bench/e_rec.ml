@@ -33,29 +33,29 @@ let run () =
     (fun (name, tree) ->
       List.iter
         (fun k ->
-          let env0, _, r0 = run_bfdn tree k in
-          let thm1 = thm1_bound env0 k in
+          let o0 = run_tree "bfdn" tree k in
+          let thm1 = thm1_bound_of o0 k in
           List.iter
             (fun ell ->
-              let env, r =
-                run_algo "bfdn-rec" ~params:[ ("ell", Param.Int ell) ] tree k
+              let o =
+                run_tree "bfdn-rec" ~params:[ ("ell", Param.Int ell) ] tree k
               in
+              let r = o.result in
               let bound =
-                Bfdn.Bounds.bfdn_rec ~n:(Env.oracle_n env) ~k
-                  ~d:(Env.oracle_depth env)
-                  ~delta:(Env.oracle_max_degree env) ~ell
+                Bfdn.Bounds.bfdn_rec ~n:o.n ~k ~d:o.depth ~delta:o.max_degree
+                  ~ell
               in
               Table.add_row t
                 [
                   name;
-                  Table.fint (Env.oracle_n env);
-                  Table.fint (Env.oracle_depth env);
+                  Table.fint o.n;
+                  Table.fint o.depth;
                   Table.fint k;
                   Table.fint ell;
                   Table.fint r.rounds;
                   Table.ffloat ~decimals:0 bound;
                   Table.fratio (float_of_int r.rounds /. bound);
-                  Table.fint r0.rounds;
+                  Table.fint o0.result.rounds;
                   Table.ffloat ~decimals:0 thm1;
                   Table.fbool (r.explored && float_of_int r.rounds <= bound);
                 ])

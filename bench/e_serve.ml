@@ -15,7 +15,6 @@
 open Bench_common
 module Server = Bfdn_serve.Server
 module Client = Bfdn_serve.Client
-module Json = Bfdn_obs.Json
 
 let report_path = "BENCH_serve.json"
 let client_threads = 4
@@ -146,9 +145,6 @@ let measure () =
         speedup = cold_mean_s /. Float.max 1e-9 mean_cached;
       })
 
-let scale_name () =
-  match !scale with Quick -> "quick" | Normal -> "normal" | Full -> "full"
-
 let run () =
   header "E18 (serve)"
     "service throughput: cold engine runs vs cached hits over real sockets";
@@ -170,30 +166,30 @@ let run () =
     (m.cached_p50_s *. 1e3) (m.cached_p99_s *. 1e3);
   Printf.printf "cold-vs-cached speedup: %.1fx (target >= 10x)\n" m.speedup;
   Engine_report.write ~path:report_path
-    (Engine_report.Obj
+    (Json.Obj
        (Engine_report.meta ~seed ~workers:!Bench_common.workers
        @ [
-           ("label", Engine_report.String "E18 service throughput");
-           ("scale", Engine_report.String (scale_name ()));
-           ("client_threads", Engine_report.Int client_threads);
+           ("label", Json.String "E18 service throughput");
+           ("scale", Json.String (scale_name ()));
+           ("client_threads", Json.Int client_threads);
            ( "cold",
-             Engine_report.List
+             Json.List
                (List.map
                   (fun (family, sd, dt) ->
-                    Engine_report.Obj
+                    Json.Obj
                       [
-                        ("family", Engine_report.String family);
-                        ("seed", Engine_report.Int sd);
-                        ("wall_seconds", Engine_report.Float dt);
+                        ("family", Json.String family);
+                        ("seed", Json.Int sd);
+                        ("wall_seconds", Json.Float dt);
                       ])
                   m.cold) );
-           ("cold_mean_seconds", Engine_report.Float m.cold_mean_s);
-           ("cached_requests", Engine_report.Int m.cached_requests);
-           ("cached_window_seconds", Engine_report.Float m.cached_window_s);
-           ("cached_req_per_sec", Engine_report.Float m.cached_req_s);
-           ("cached_p50_seconds", Engine_report.Float m.cached_p50_s);
-           ("cached_p99_seconds", Engine_report.Float m.cached_p99_s);
-           ("speedup_cold_vs_cached", Engine_report.Float m.speedup);
+           ("cold_mean_seconds", Json.Float m.cold_mean_s);
+           ("cached_requests", Json.Int m.cached_requests);
+           ("cached_window_seconds", Json.Float m.cached_window_s);
+           ("cached_req_per_sec", Json.Float m.cached_req_s);
+           ("cached_p50_seconds", Json.Float m.cached_p50_s);
+           ("cached_p99_seconds", Json.Float m.cached_p99_s);
+           ("speedup_cold_vs_cached", Json.Float m.speedup);
          ]));
   Printf.printf "report written to %s\n" report_path
 
@@ -209,31 +205,11 @@ let run () =
 
 let gate_floor = 0.5
 
-let committed_req_s () =
-  let doc = In_channel.with_open_text report_path In_channel.input_all in
-  match Json.of_string doc with
-  | Error msg -> failwith (report_path ^ ": " ^ msg)
-  | Ok j -> (
-      match Json.member "cached_req_per_sec" j with
-      | Some (Json.Float r) -> r
-      | Some (Json.Int r) -> float_of_int r
-      | _ -> failwith (report_path ^ ": no cached_req_per_sec member"))
-
 let perf_gate () =
   header "PERF GATE (serve)"
-    (Printf.sprintf "cached req/s must stay >= %.2fx the committed %s"
-       gate_floor report_path);
-  let base = committed_req_s () in
+    (Printf.sprintf "cached req/s >= %.2fx the committed %s" gate_floor
+       report_path);
+  let committed = committed report_path "cached_req_per_sec" in
   scale := Quick;
-  let m = measure () in
-  let ratio = m.cached_req_s /. Float.max 1e-9 base in
-  let ok = ratio >= gate_floor in
-  record_gate ~gate:"E18" ~name:"cached req/s" ~measured:m.cached_req_s
-    ~baseline:base ~ok;
-  Printf.printf "  cached %8.0f req/s vs committed %8.0f (%.2fx) %s\n"
-    m.cached_req_s base ratio
-    (if ok then "ok" else "FAIL");
-  if not ok then
-    Printf.printf "perf gate: serve cached path regressed past %.2fx\n"
-      gate_floor
-  else Printf.printf "perf gate: serve cached path within budget\n"
+  check_gate ~gate:"E18" ~name:"cached req/s" (measure ()).cached_req_s
+    (Relative { committed; floor = gate_floor })

@@ -1,7 +1,7 @@
 (* Experiment harness: regenerates every figure and quantitative claim of
-   the paper (E1–E10), the design-choice ablations (A1), the batch-engine
-   reference sweep (E15) and the Bechamel micro-benchmarks (B1–B6). See
-   EXPERIMENTS.md for the index.
+   the paper and its extensions (E1–E14), the tracked benchmarks and their
+   perf gates (E15–E22), the design-choice ablations (A1) and the Bechamel
+   micro-benchmarks (B1–B6). See EXPERIMENTS.md for the index.
 
    Usage: dune exec bench/main.exe -- [--quick|--full] [--no-micro]
           [--only E1,E3,...] [--jobs=N] [--profile] [--smoke] [--huge-smoke]

@@ -1,5 +1,6 @@
 (* B1–B6 — Bechamel micro-benchmarks of the substrate and algorithms:
-   wall-clock throughput of one full exploration per iteration. *)
+   wall-clock throughput of one full exploration per iteration. Direct
+   loops: these time the round loop itself. *)
 
 open Bechamel
 open Toolkit

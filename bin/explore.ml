@@ -24,6 +24,7 @@ module Runner = Bfdn_sim.Runner
 module Trace = Bfdn_sim.Trace
 module Rng = Bfdn_util.Rng
 module Batch = Bfdn_engine.Batch
+module Pool = Bfdn_engine.Pool
 module Seed_batch = Bfdn_engine.Seed_batch
 module Report = Bfdn_engine.Report
 module Metrics = Bfdn_obs.Metrics
@@ -562,13 +563,18 @@ let sweep_cmd =
     comma_list ~docv:"KS" ~default:"1,8,64" ~doc:"Comma-separated robot counts."
   in
   let jobs_arg =
-    Arg.(
-      value
-      & opt int (Domain.recommended_domain_count ())
-      & info [ "jobs"; "j" ] ~docv:"N"
-          ~doc:
-            "Worker domains for the batch. Results are identical for any \
-             value (deterministic sharded replay); only wall time changes.")
+    Term.(
+      const (positive ~flag:"--jobs" ~hi:Pool.max_workers)
+      $ Arg.(
+          value
+          & opt int (min Pool.max_workers (Domain.recommended_domain_count ()))
+          & info [ "jobs"; "j" ] ~docv:"N"
+              ~doc:
+                (Printf.sprintf
+                   "Worker domains for the batch (1 to %d). Results are \
+                    identical for any value (deterministic sharded replay); \
+                    only wall time changes."
+                   Pool.max_workers)))
   in
   let n = Arg.(value & opt int 5000 & info [ "n"; "nodes" ] ~docv:"N" ~doc:"Target node count.") in
   let depth =
@@ -834,6 +840,9 @@ let bounds_cmd =
   let d = Arg.(value & opt int 50 & info [ "depth" ] ~docv:"D" ~doc:"Tree depth.") in
   let delta = Arg.(value & opt int 0 & info [ "delta" ] ~docv:"DELTA" ~doc:"Max degree (default: k).") in
   let action k n d delta =
+    if n < 1 then die "--nodes must be >= 1, got %d" n;
+    if d < 0 || d > n - 1 then
+      die "--depth must be in [0, %d] for %d node(s), got %d" (n - 1) n d;
     let delta = if delta <= 0 then k else delta in
     let module B = Bfdn.Bounds in
     let t =
@@ -875,13 +884,17 @@ let serve_cmd =
     Arg.(
       value & opt int 0
       & info [ "workers" ] ~docv:"N"
-          ~doc:"Engine pool domains (0 = the recommended domain count).")
+          ~doc:
+            (Printf.sprintf
+               "Engine pool domains, 1 to %d (0 = the recommended domain \
+                count)."
+               Pool.max_workers))
   in
   let queue_cap =
     Arg.(
       value & opt int Server.default_config.Server.queue_cap
       & info [ "queue-cap" ] ~docv:"N"
-          ~doc:"In-flight job bound; past it POST /run answers 429.")
+          ~doc:"In-flight job bound (>= 1); past it POST /run answers 429.")
   in
   let cache_cap =
     Arg.(
@@ -893,7 +906,7 @@ let serve_cmd =
     Arg.(
       value & opt float Server.default_config.Server.timeout_s
       & info [ "timeout-s" ] ~docv:"SECONDS"
-          ~doc:"Default per-job wall-clock timeout.")
+          ~doc:"Default per-job wall-clock timeout (> 0).")
   in
   let quiet =
     Arg.(value & flag & info [ "quiet"; "q" ] ~doc:"Suppress lifecycle logging.")
@@ -926,6 +939,19 @@ let serve_cmd =
   in
   let action host port workers queue_cap cache_cap timeout_s quiet log_level
       postmortem_dir span_log no_trace =
+    (* Range checks come first: a bad flag must end before a file is
+       opened or a socket bound. *)
+    if workers < 0 || workers > Pool.max_workers then
+      die "--workers must be in [0, %d] (0 = the recommended domain count), \
+           got %d"
+        Pool.max_workers workers;
+    let workers =
+      if workers = 0 then Server.default_config.Server.workers else workers
+    in
+    let queue_cap = positive ~flag:"--queue-cap" queue_cap in
+    if cache_cap < 0 then die "--cache-cap must be >= 0, got %d" cache_cap;
+    if not (timeout_s > 0. && Float.is_finite timeout_s) then
+      die "--timeout-s must be a positive number of seconds, got %g" timeout_s;
     let level =
       match Log.level_of_name log_level with
       | Some l -> l
@@ -958,9 +984,7 @@ let serve_cmd =
       {
         Server.host;
         port;
-        workers =
-          (if workers <= 0 then Server.default_config.Server.workers
-           else workers);
+        workers;
         queue_cap;
         cache_cap;
         timeout_s;

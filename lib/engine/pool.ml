@@ -62,11 +62,13 @@ let worker t i () =
   in
   loop ()
 
+let max_workers = 127
+
 let create ?(probe = Probe.noop) ?workers () =
   let n_workers =
     match workers with
-    | Some w -> max 1 w
-    | None -> Domain.recommended_domain_count ()
+    | Some w -> max 1 (min max_workers w)
+    | None -> min max_workers (Domain.recommended_domain_count ())
   in
   let t =
     {

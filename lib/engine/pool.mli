@@ -12,9 +12,15 @@
 
 type t
 
+val max_workers : int
+(** [127]: the most worker domains {!create} can spawn. The OCaml 5.1
+    runtime runs at most 128 domains at once, and the spawning domain is
+    one of them. *)
+
 val create : ?probe:Bfdn_obs.Probe.t -> ?workers:int -> unit -> t
 (** Spawn the worker domains. [workers] defaults to
-    [Domain.recommended_domain_count ()] and is clamped to at least 1.
+    [Domain.recommended_domain_count ()] and is clamped to
+    [[1, max_workers]].
     Worker counts above the core count are legal (useful for determinism
     tests); they just time-share.
 

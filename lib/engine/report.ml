@@ -1,16 +1,5 @@
 module Json = Bfdn_obs.Json
 
-type json = Json.t =
-  | Null
-  | Bool of bool
-  | Int of int
-  | Float of float
-  | String of string
-  | List of json list
-  | Obj of (string * json) list
-
-let to_string = Json.to_string
-
 (* Written beside its final name and renamed into place: a reader never
    sees a torn report, and a failed write leaves the previous one intact
    and no temporary file behind. *)
@@ -19,7 +8,7 @@ let write ~path j =
   try
     let oc = open_out tmp in
     (try
-       output_string oc (to_string j ^ "\n");
+       output_string oc (Json.to_string j ^ "\n");
        close_out oc
      with e ->
        close_out_noerr oc;
@@ -62,23 +51,23 @@ let peak_rss_bytes () =
 
 let meta ~seed ~workers =
   [
-    ("schema_version", Int schema_version);
-    ("seed", Int seed);
-    ("workers", Int workers);
+    ("schema_version", Json.Int schema_version);
+    ("seed", Json.Int seed);
+    ("workers", Json.Int workers);
     ( "peak_rss_bytes",
-      match peak_rss_bytes () with None -> Null | Some b -> Int b );
+      match peak_rss_bytes () with None -> Json.Null | Some b -> Json.Int b );
   ]
 
 let of_summary (s : Bfdn_util.Stats.summary) =
-  Obj
+  Json.Obj
     [
-      ("count", Int s.count);
-      ("mean", Float s.mean);
-      ("stddev", Float s.stddev);
-      ("min", Float s.min);
-      ("max", Float s.max);
-      ("p50", Float s.p50);
-      ("p95", Float s.p95);
+      ("count", Json.Int s.count);
+      ("mean", Json.Float s.mean);
+      ("stddev", Json.Float s.stddev);
+      ("min", Json.Float s.min);
+      ("max", Json.Float s.max);
+      ("p50", Json.Float s.p50);
+      ("p95", Json.Float s.p95);
     ]
 
 let of_sweep ~label ~workers ~seed ~wall ?sequential_wall results =
@@ -87,16 +76,16 @@ let of_sweep ~label ~workers ~seed ~wall ?sequential_wall results =
   let base =
     meta ~seed ~workers
     @ [
-        ("label", String label);
-        ("cores", Int (Domain.recommended_domain_count ()));
-        ("jobs", Int agg.jobs);
-        ("errors", Int agg.errors);
-        ("explored", Int agg.explored);
-        ("total_rounds", Int agg.total_rounds);
-        ("wall_seconds", Float wall);
-        ("jobs_per_sec", Float jobs_per_sec);
+        ("label", Json.String label);
+        ("cores", Json.Int (Domain.recommended_domain_count ()));
+        ("jobs", Json.Int agg.jobs);
+        ("errors", Json.Int agg.errors);
+        ("explored", Json.Int agg.explored);
+        ("total_rounds", Json.Int agg.total_rounds);
+        ("wall_seconds", Json.Float wall);
+        ("jobs_per_sec", Json.Float jobs_per_sec);
         ( "per_algo_rounds",
-          Obj (List.map (fun (a, s) -> (a, of_summary s)) agg.per_algo) );
+          Json.Obj (List.map (fun (a, s) -> (a, of_summary s)) agg.per_algo) );
       ]
   in
   let speedup =
@@ -104,8 +93,8 @@ let of_sweep ~label ~workers ~seed ~wall ?sequential_wall results =
     | None -> []
     | Some sw ->
         [
-          ("sequential_wall_seconds", Float sw);
-          ("speedup", Float (if wall > 0.0 then sw /. wall else 0.0));
+          ("sequential_wall_seconds", Json.Float sw);
+          ("speedup", Json.Float (if wall > 0.0 then sw /. wall else 0.0));
         ]
   in
-  Obj (base @ speedup)
+  Json.Obj (base @ speedup)

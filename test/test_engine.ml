@@ -5,6 +5,7 @@
 module Pool = Bfdn_engine.Pool
 module Batch = Bfdn_engine.Batch
 module Report = Bfdn_engine.Report
+module Json = Bfdn_obs.Json
 module Scenario = Bfdn_scenario.Scenario
 
 let check = Alcotest.check
@@ -214,18 +215,18 @@ let test_aggregate () =
 
 let test_report_json () =
   let j =
-    Report.Obj
+    Json.Obj
       [
-        ("s", Report.String "a\"b\n");
-        ("i", Report.Int 3);
-        ("f", Report.Float 1.5);
-        ("nan", Report.Float Float.nan);
-        ("l", Report.List [ Report.Bool true; Report.Null ]);
+        ("s", Json.String "a\"b\n");
+        ("i", Json.Int 3);
+        ("f", Json.Float 1.5);
+        ("nan", Json.Float Float.nan);
+        ("l", Json.List [ Json.Bool true; Json.Null ]);
       ]
   in
   check Alcotest.string "rendering"
     "{\"s\":\"a\\\"b\\n\",\"i\":3,\"f\":1.5,\"nan\":null,\"l\":[true,null]}"
-    (Report.to_string j)
+    (Json.to_string j)
 
 (* A failed write leaves the previous report byte-identical and no
    temporary file. Two ways to fail: a read-only directory (skipped when
@@ -234,7 +235,7 @@ let test_report_json () =
 let test_report_write_atomic () =
   let dir = Filename.temp_dir "bfdn-report" "" in
   let read path = In_channel.with_open_bin path In_channel.input_all in
-  let v i = Report.Obj [ ("v", Report.Int i) ] in
+  let v i = Json.Obj [ ("v", Json.Int i) ] in
   let failed_write_keeps path =
     let before = read path in
     (match Report.write ~path (v 2) with
@@ -277,7 +278,7 @@ let test_report_of_sweep () =
     Report.of_sweep ~label:"test" ~workers:2 ~seed:0 ~wall:0.5 ~sequential_wall:1.0
       results
   in
-  let s = Report.to_string j in
+  let s = Json.to_string j in
   let contains needle =
     let nl = String.length needle and hl = String.length s in
     let rec go i = i + nl <= hl && (String.sub s i nl = needle || go (i + 1)) in
