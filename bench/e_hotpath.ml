@@ -10,8 +10,9 @@
    adds to the server's metrics-probed job, disabled (must be within 1%
    of the metrics-probed loop — the server then runs the metrics probe
    untouched) and enabled (within 3% — a fresh recorder plus three
-   phase spans closed from the phase counters, see [traced]), at
-   k = 512. Both budgets are enforced by --perf-gate against the
+   phase spans closed from the phase counters), at k = 512. Both sides
+   build the job's probe with [Probe.traced], the function the server's
+   job execution calls. Both budgets are enforced by --perf-gate against the
    committed report.
 
    The instances are the paper's adversarial regime — deep combs and the
@@ -162,7 +163,7 @@ type overhead_row = {
      side (the server always runs the metrics probe; tracing is the
      increment on top): *)
   o_disabled : sample; (* the metrics probe, untouched *)
-  o_enabled : sample; (* the metrics probe under [traced] *)
+  o_enabled : sample; (* the metrics probe traced into a recorder *)
   o_dis_ratio : float; (* disabled/probed — must stay within 1% *)
   o_en_ratio : float; (* enabled/probed — must stay within 3% *)
 }
@@ -179,40 +180,6 @@ let tracing_enabled_pct r = 100.0 *. (r.o_en_ratio -. 1.0)
    is a single [land]. *)
 let overhead_seg = 16
 
-(* E20's enabled side: what the server adds to a metrics-probed job when
-   tracing is on. A fresh recorder holds an execute span with the three
-   phase spans and the loop's run span under it; the run span opens at
-   the first phase stamp, and the phase spans are closed with what the
-   probe's phase counters in [reg] gained during [run]. *)
-let phase_counters =
-  [
-    ("phase:select", "select_ns");
-    ("phase:apply", "apply_ns");
-    ("phase:finished_check", "finished_check_ns");
-  ]
-
-let traced reg (probe : Probe.t) run =
-  let ns c = Metrics.value (Option.get (Metrics.find_counter reg c)) in
-  let sp = Span.create ~trace_id:"e20" () in
-  let exe = Span.start sp "execute" in
-  let phases =
-    List.map
-      (fun (name, c) -> (Span.start ~parent:exe sp name, c, ns c))
-      phase_counters
-  in
-  let run_span = ref Span.none in
-  let on_phase ph d =
-    if !run_span = Span.none then run_span := Span.start ~parent:exe sp "run";
-    probe.Probe.on_phase ph d
-  in
-  let r = run { probe with Probe.on_phase } in
-  List.iter
-    (fun (id, c, before) -> Span.finish ~dur_ns:(ns c - before) sp id)
-    phases;
-  Span.finish sp !run_span;
-  Span.finish sp exe;
-  (r, sp)
-
 (* Mutable measurement state for one (family, algo) overhead config. *)
 type overhead_cfg = {
   c_family : string;
@@ -227,7 +194,7 @@ type overhead_cfg = {
   c_plains : float list ref; (* per-segment plain walls *)
   c_probeds : float list ref; (* per-segment probed walls *)
   c_disableds : float list ref; (* probed, tracing disabled *)
-  c_enableds : float list ref; (* probed under [traced] *)
+  c_enableds : float list ref; (* probed, tracing enabled *)
 }
 
 (* Plain and probed repetitions are interleaved and each side keeps its
@@ -293,10 +260,13 @@ let overhead_rows () =
                sample) guarantees. *)
             let plains = ref [] and probeds = ref [] in
             let disableds = ref [] and enableds = ref [] in
-            (* With tracing disabled the server runs the metrics
+            (* With tracing disabled [Probe.traced] returns the metrics
                probe physically untouched, so the disabled side times
                the very same closures as the probed side: the measured
                delta is the noise floor of the comparison. *)
+            let disabled, _ =
+              Probe.traced Span.disabled ~parent:Span.none reg probe
+            in
             let one () =
               let timed out p =
                 let rd, ev = explore ~out p in
@@ -307,13 +277,16 @@ let overhead_rows () =
                  per job: recorder setup and span close are part of the
                  cost being measured. *)
               let timed_enabled out =
-                ignore (traced reg probe (timed out))
+                let sp = Span.create ~trace_id:"e20" () in
+                let p, finish = Probe.traced sp ~parent:Span.none reg probe in
+                timed out p;
+                finish ~state:"done"
               in
               let sides =
                 [|
                   (fun () -> timed plains Probe.noop);
                   (fun () -> timed probeds probe);
-                  (fun () -> timed disableds probe);
+                  (fun () -> timed disableds disabled);
                   (fun () -> timed_enabled enableds);
                 |]
               in
@@ -414,16 +387,16 @@ let json_of_tracing r =
 
 (* Per-phase wall share recorded by the probe, for --profile. *)
 let profile_row r =
-  let ns name =
-    match Metrics.find_counter r.o_reg name with
-    | Some c -> Metrics.value c
-    | None -> 0
-  in
-  let sel = ns "select_ns" and app = ns "apply_ns" in
-  let fin = ns "finished_check_ns" in
+  let ns = Probe.phase_ns r.o_reg in
+  let sel = ns Probe.Select and app = ns Probe.Apply in
+  let fin = ns Probe.Finished_check in
   let total = Float.max 1.0 (float_of_int (sel + app + fin)) in
   let pct x = 100.0 *. float_of_int x /. total in
-  (pct sel, pct app, pct fin, ns "reanchors")
+  let reanchors =
+    Option.fold ~none:0 ~some:Metrics.value
+      (Metrics.find_counter r.o_reg "reanchors")
+  in
+  (pct sel, pct app, pct fin, reanchors)
 
 let run () =
   header "E16 (hot path)"
@@ -597,10 +570,14 @@ let smoke () =
   (* Span-tracing variant: the traced probe must agree move-for-move
      with the plain run and record its five spans. *)
   let treg = Metrics.create () in
-  let tr, sp =
-    traced treg (Probe.of_metrics treg) (fun probe ->
-        measure ~probe ~min_total:0.0 ~min_reps:1 ~max_reps:1 tree 8 "bfdn")
+  let sp = Span.create ~trace_id:"e20" () in
+  let probe, finish =
+    Probe.traced sp ~parent:Span.none treg (Probe.of_metrics treg)
   in
+  let tr =
+    measure ~probe ~min_total:0.0 ~min_reps:1 ~max_reps:1 tree 8 "bfdn"
+  in
+  finish ~state:"done";
   let tracing_ok =
     tr.s_rounds = a.s_rounds && tr.s_events = a.s_events
     && Span.length sp = 5 && Span.dropped sp = 0

@@ -956,8 +956,7 @@ let serve_cmd =
       match Log.level_of_name log_level with
       | Some l -> l
       | None ->
-          Printf.eprintf "unknown log level %S\n" log_level;
-          exit 2
+          die "--log-level must be debug, info, warn or error, got %S" log_level
     in
     (* Stderr is itself a JSONL stream: one log object per line, which
        [explore tail] renders back into readable text. *)
@@ -1090,7 +1089,7 @@ let tail_cmd =
       required
       & pos 0 (some file) None
       & info [] ~docv:"FILE"
-          ~doc:"JSONL file of trace frames, span records and/or log lines.")
+          ~doc:"JSONL file of observability records (any kind, mixed).")
   in
   let follow =
     Arg.(
@@ -1151,8 +1150,8 @@ let tail_cmd =
     (Cmd.info "tail"
        ~doc:
          "Pretty-print an observability JSONL file (trace frames, spans, \
-          log lines) as aligned text, optionally following appends like \
-          tail -f.")
+          log lines, stream rows, status lines) as aligned text, \
+          optionally following appends like tail -f.")
     term
 
 (* ---- promlint ---- *)

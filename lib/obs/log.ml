@@ -35,7 +35,7 @@ let log t lvl ?trace ?(attrs = []) msg =
   | Some sink ->
       if severity lvl >= severity t.lvl then begin
         let line =
-          Json.Obj
+          Sink.record Sink.Log
             ([
                ("ts", Json.Float (Unix.gettimeofday ()));
                ("level", Json.String (level_name lvl));
@@ -44,15 +44,7 @@ let log t lvl ?trace ?(attrs = []) msg =
             @ (match trace with
               | Some id -> [ ("trace", Json.String id) ]
               | None -> [])
-            @ List.map
-                (fun (k, v) ->
-                  ( k,
-                    match v with
-                    | Span.Int i -> Json.Int i
-                    | Span.Float f -> Json.Float f
-                    | Span.Bool b -> Json.Bool b
-                    | Span.Str s -> Json.String s ))
-                attrs)
+            @ if attrs = [] then [] else [ ("attrs", Json.Obj attrs) ])
         in
         Mutex.lock t.m;
         Fun.protect ~finally:(fun () -> Mutex.unlock t.m) (fun () -> sink line)

@@ -1,12 +1,13 @@
 (** Structured, leveled JSONL logging.
 
-    One log line is one compact JSON object:
-    [{ts, level, msg, trace?, <attr>...}] — [ts] a Unix epoch float,
-    [trace] the correlation id when the event belongs to a traced
-    request (see {!Span}), and any typed attributes flattened into the
-    object. The serve layer replaces its ad-hoc stderr prints with
-    this, so a server's stderr is itself a JSONL stream that
-    [explore tail] can render.
+    One log line is one compact JSON record ({!Sink.record}, kind
+    [log]): [{kind: "log", ts, level, msg, trace?, attrs?}] — [ts] a
+    Unix epoch float, [trace] the correlation id when the event belongs
+    to a traced request, and [attrs] the event's JSON attributes,
+    nested as a span's are, so none can shadow the fixed members. The
+    serve layer replaces its ad-hoc stderr prints with this, so a
+    server's stderr is itself a JSONL stream that [explore tail] can
+    render.
 
     Emission is mutex-guarded (connection threads and worker domains
     share one logger); a level test costs one branch, so disabled
@@ -35,7 +36,7 @@ val set_level : t -> level -> unit
 val enabled : t -> level -> bool
 (** Whether a message at this level would be emitted. *)
 
-val debug : t -> ?trace:string -> ?attrs:Span.attr list -> string -> unit
-val info : t -> ?trace:string -> ?attrs:Span.attr list -> string -> unit
-val warn : t -> ?trace:string -> ?attrs:Span.attr list -> string -> unit
-val error : t -> ?trace:string -> ?attrs:Span.attr list -> string -> unit
+val debug : t -> ?trace:string -> ?attrs:(string * Json.t) list -> string -> unit
+val info : t -> ?trace:string -> ?attrs:(string * Json.t) list -> string -> unit
+val warn : t -> ?trace:string -> ?attrs:(string * Json.t) list -> string -> unit
+val error : t -> ?trace:string -> ?attrs:(string * Json.t) list -> string -> unit

@@ -38,6 +38,18 @@ let make ?on_round ?on_phase ?on_reanchor_summary ?on_robot_lost
     on_job = Option.value on_job ~default:noop.on_job;
   }
 
+let phase_name = function
+  | Select -> "select"
+  | Apply -> "apply"
+  | Finished_check -> "finished_check"
+
+(* The counter a metrics probe sums a phase's time into. *)
+let phase_counter ph = phase_name ph ^ "_ns"
+
+let phase_ns m ph =
+  Option.fold ~none:0 ~some:Metrics.value
+    (Metrics.find_counter m (phase_counter ph))
+
 (* Standard metric names for a single-domain run. Handles are resolved
    here, once; the closures below only touch handles, so the per-round
    cost is a fixed handful of counter bumps however hard the instance
@@ -47,9 +59,9 @@ let of_metrics m =
   let moves = Metrics.counter m "moves" in
   let reveals = Metrics.counter m "reveals" in
   let edge_events = Metrics.counter m "edge_events" in
-  let select_ns = Metrics.counter m "select_ns" in
-  let apply_ns = Metrics.counter m "apply_ns" in
-  let finished_ns = Metrics.counter m "finished_check_ns" in
+  let select_ns = Metrics.counter m (phase_counter Select) in
+  let apply_ns = Metrics.counter m (phase_counter Apply) in
+  let finished_ns = Metrics.counter m (phase_counter Finished_check) in
   let reanchors = Metrics.counter m "reanchors" in
   let reanchor_depth =
     Metrics.histogram ~bounds:Metrics.count_bounds m "reanchor_depth"
@@ -95,3 +107,31 @@ let pool_probe regs =
         Metrics.observe runs.(worker) (Clock.ns_to_s run_ns)
       end)
     ()
+
+(* The phase spans are closed with what the metrics probe's phase
+   counters gained meanwhile: phase time is measured once, by the round
+   loop's clock stamps, into [m]. *)
+let traced sp ~parent m probe =
+  if not (Span.enabled sp) then (probe, fun ~state:_ -> ())
+  else begin
+    let exe = Span.start ~parent sp "execute" in
+    let opened =
+      List.map
+        (fun ph ->
+          let id = Span.start ~parent:exe sp ("phase:" ^ phase_name ph) in
+          (ph, id, phase_ns m ph))
+        [ Select; Apply; Finished_check ]
+    in
+    let run = ref Span.none in
+    let on_phase ph ns =
+      if !run = Span.none then run := Span.start ~parent:exe sp "run";
+      probe.on_phase ph ns
+    in
+    ( { probe with on_phase },
+      fun ~state ->
+        List.iter
+          (fun (ph, id, t0) -> Span.finish ~dur_ns:(phase_ns m ph - t0) sp id)
+          opened;
+        Span.finish sp !run;
+        Span.finish ~attrs:[ ("state", Json.String state) ] sp exe )
+  end

@@ -78,6 +78,22 @@ val of_metrics : Metrics.t -> t
     [reanchor_depth] (filled by the end-of-run summary) and
     [detect_latency_rounds] (crash-detection latency per lost robot). *)
 
+val phase_ns : Metrics.t -> phase -> int
+(** The nanoseconds an {!of_metrics} probe over this registry has summed
+    for the phase so far (0 before the first round). *)
+
+val traced :
+  Span.t -> parent:Span.id -> Metrics.t -> t -> t * (state:string -> unit)
+(** [traced sp ~parent m probe]: the span tree of one job run, as the
+    server records it and E20 measures it. [probe] is the job's
+    {!of_metrics} probe over [m]. Opens [execute] under [parent] and the
+    three [phase:*] spans under it; the returned probe opens [run] at
+    the round loop's first phase stamp, so [run] brackets the loop and
+    not the world build. The returned function closes each phase span
+    with what its counter in [m] gained since [traced] (the three sum
+    to [run]'s wall time), then [run], then [execute] with a [state]
+    attribute. On a disabled recorder: [probe] itself and a no-op. *)
+
 val pool_probe : Metrics.t array -> t
 (** Engine instrumentation: worker [i] records [queue_wait_s] and
     [job_s] histograms into registry [i] (single writer per registry, so

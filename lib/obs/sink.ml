@@ -1,3 +1,20 @@
+type kind = Span | Log | Frame | Row | Status
+
+let kinds =
+  [ (Span, "span"); (Log, "log"); (Frame, "frame"); (Row, "row");
+    (Status, "status") ]
+
+let key = "kind"
+
+let record kind members =
+  Json.Obj ((key, Json.String (List.assoc kind kinds)) :: members)
+
+let kind_of j =
+  match Json.member key j with
+  | Some (Json.String s) ->
+      List.find_map (fun (k, n) -> if n = s then Some k else None) kinds
+  | _ -> None
+
 module Ring = struct
   type 'a t = {
     buf : 'a option array; (* the [i]-th push lives at [i mod capacity] *)

@@ -1,5 +1,17 @@
-(** Where observations go: a bounded ring recorder, JSONL streaming and
-    an ASCII dashboard. *)
+(** Where observations go: the one JSONL record envelope, a bounded
+    ring recorder, JSONL streaming and an ASCII dashboard. *)
+
+(** An observability record's kind. Every JSONL line the system writes
+    — span sink records, log lines, trace frames, a batched stream's
+    lane rows and its closing status line — is built by {!record}. *)
+type kind = Span | Log | Frame | Row | Status
+
+val record : kind -> (string * Json.t) list -> Json.t
+(** [{"kind": "span" | "log" | "frame" | "row" | "status", members...}]:
+    the kind first, then [members] in order. *)
+
+val kind_of : Json.t -> kind option
+(** The kind a {!record} carries; [None] for any other JSON value. *)
 
 (** Bounded ring buffer: pushing past capacity overwrites the oldest
     element, so a producer (a round loop) is never blocked and memory

@@ -4,16 +4,13 @@ type id = int
 
 let none : id = -1
 
-type value = Int of int | Float of float | Bool of bool | Str of string
-type attr = string * value
-
 type span = {
   sid : int;
   parent : int;
   name : string;
   start_ns : int; (* relative to the recorder's t0 *)
   mutable dur_ns : int;
-  mutable attrs : attr list;
+  mutable attrs : (string * Json.t) list;
   mutable closed : bool;
 }
 
@@ -106,19 +103,13 @@ let start ?(parent = none) t name =
 
 let valid t id = id >= 0 && id < t.len
 
-let json_of_value = function
-  | Int i -> Json.Int i
-  | Float f -> Json.Float f
-  | Bool b -> Json.Bool b
-  | Str s -> Json.String s
-
-let json_of_attrs attrs =
-  Json.Obj (List.map (fun (k, v) -> (k, json_of_value v)) attrs)
+let attrs_member s =
+  if s.attrs = [] then [] else [ ("attrs", Json.Obj s.attrs) ]
 
 (* Flat JSONL form of one completed span (the sink framing); the
    hierarchy is recoverable from [parent]. *)
 let flat_json t (s : span) =
-  Json.Obj
+  Sink.record Sink.Span
     ([
        ("trace", Json.String t.trace_id);
        ("span", Json.Int s.sid);
@@ -127,7 +118,7 @@ let flat_json t (s : span) =
        ("start_ns", Json.Int s.start_ns);
        ("dur_ns", Json.Int s.dur_ns);
      ]
-    @ if s.attrs = [] then [] else [ ("attrs", json_of_attrs s.attrs) ])
+    @ attrs_member s)
 
 let finish ?dur_ns ?(attrs = []) t id =
   if t.enabled && id >= 0 then begin
@@ -188,8 +179,7 @@ let tree_json t =
                ("dur_ns", Json.Int dur);
              ]
             @ (if s.closed then [] else [ ("open", Json.Bool true) ])
-            @ (if s.attrs = [] then []
-               else [ ("attrs", json_of_attrs s.attrs) ])
+            @ attrs_member s
             @
             match children.(i) with
             | [] -> []

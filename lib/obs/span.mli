@@ -4,10 +4,11 @@
     request / job in the serve layer), identified by a correlation
     [trace_id] minted at the edge. Spans form a tree via parent ids;
     each carries a name, a start offset and duration in monotonic
-    nanoseconds ({!Bfdn_util.Clock}), and a small list of typed
-    attributes. Completed spans are streamed as JSONL to an optional
-    sink; the recorder itself is a bounded buffer (excess spans are
-    counted in {!dropped}, never silently lost from the accounting).
+    nanoseconds ({!Bfdn_util.Clock}), and a small list of JSON
+    attributes. Completed spans are streamed as JSONL records
+    ({!Sink.record}, kind [span]) to an optional sink; the recorder
+    itself is a bounded buffer (excess spans are counted in {!dropped},
+    never silently lost from the accounting).
 
     The PR 3 discipline applies: {!disabled} is a recorder whose every
     operation is a no-op behind a single [enabled] branch, so
@@ -27,9 +28,6 @@ type id = int
 
 val none : id
 
-type value = Int of int | Float of float | Bool of bool | Str of string
-type attr = string * value
-
 type t
 
 val disabled : t
@@ -39,8 +37,9 @@ val disabled : t
 val create :
   ?capacity:int -> ?sink:(Json.t -> unit) -> trace_id:string -> unit -> t
 (** An enabled recorder. [capacity] (default 256) bounds stored spans;
-    [sink] receives one flat JSON object per {!finish}ed span (JSONL
-    framing is the caller's, e.g. {!Sink.write_jsonl}).
+    [sink] receives one flat record per {!finish}ed span:
+    [{kind: "span", trace, span, parent, name, start_ns, dur_ns,
+    attrs?}] (JSONL framing is the caller's, e.g. {!Sink.write_jsonl}).
     @raise Invalid_argument when [capacity < 1]. *)
 
 val enabled : t -> bool
@@ -52,7 +51,7 @@ val start : ?parent:id -> t -> string -> id
     {!none} (a root span). Returns {!none} when the recorder is
     disabled or full (then counted in {!dropped}). *)
 
-val finish : ?dur_ns:int -> ?attrs:attr list -> t -> id -> unit
+val finish : ?dur_ns:int -> ?attrs:(string * Json.t) list -> t -> id -> unit
 (** Close a span: fix its duration ([dur_ns] when given, else the time
     elapsed since {!start}), attach [attrs], emit it to the sink.
     [dur_ns] is for spans whose time was measured elsewhere, e.g. a

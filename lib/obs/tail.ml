@@ -1,14 +1,15 @@
 module Ascii = Bfdn_util.Ascii
 
-type kind = Span | Log | Frame | Other
-
-let has key j = Json.member key j <> None
+type kind = Span | Log | Frame | Row | Status | Other
 
 let kind_of j =
-  if has "name" j && has "dur_ns" j then Span
-  else if has "level" j && has "msg" j then Log
-  else if has "round" j && has "explored" j then Frame
-  else Other
+  match Sink.kind_of j with
+  | Some Sink.Span -> Span
+  | Some Sink.Log -> Log
+  | Some Sink.Frame -> Frame
+  | Some Sink.Row -> Row
+  | Some Sink.Status -> Status
+  | None -> Other
 
 let str_member key j =
   match Json.member key j with Some (Json.String s) -> Some s | _ -> None
@@ -20,45 +21,42 @@ let istr key j = Option.value ~default:0 (int_member key j)
 let sstr key j = Option.value ~default:"" (str_member key j)
 let ms ns = float_of_int ns /. 1e6
 
-let attr_str = function
-  | Json.String s -> s
-  | Json.Int i -> string_of_int i
-  | Json.Float f -> Json.float_to_string f
-  | Json.Bool b -> string_of_bool b
-  | Json.Null -> "null"
-  | j -> Json.to_string j
+let attr_str = function Json.String s -> s | j -> Json.to_string j
+
+(* A record's [attrs] object as [" k=v ..."]; spans and log lines nest
+   their attributes the same way. *)
+let attrs_str j =
+  match Json.member "attrs" j with
+  | Some (Json.Obj members) ->
+      String.concat ""
+        (List.map (fun (k, v) -> Printf.sprintf " %s=%s" k (attr_str v))
+           members)
+  | _ -> ""
 
 let render_line j =
   match kind_of j with
   | Log ->
-      let extras =
-        match j with
-        | Json.Obj members ->
-            List.filter_map
-              (fun (k, v) ->
-                if List.mem k [ "ts"; "level"; "msg"; "trace" ] then None
-                else Some (Printf.sprintf "%s=%s" k (attr_str v)))
-              members
-        | _ -> []
-      in
       let trace =
         match str_member "trace" j with
         | Some id -> Printf.sprintf " [%s]" id
         | None -> ""
       in
-      String.concat " "
-        (Printf.sprintf "%-5s%s %s"
-           (String.uppercase_ascii (sstr "level" j))
-           trace (sstr "msg" j)
-        :: extras)
+      Printf.sprintf "%-5s%s %s%s"
+        (String.uppercase_ascii (sstr "level" j))
+        trace (sstr "msg" j) (attrs_str j)
   | Span ->
-      Printf.sprintf "span  %-28s +%9.3fms %10.3fms  [%s]" (sstr "name" j)
+      Printf.sprintf "span  %-28s +%9.3fms %10.3fms  [%s]%s" (sstr "name" j)
         (ms (istr "start_ns" j))
         (ms (istr "dur_ns" j))
-        (sstr "trace" j)
+        (sstr "trace" j) (attrs_str j)
   | Frame ->
       Printf.sprintf "round %6d  explored %8d  dangling %5d" (istr "round" j)
         (istr "explored" j) (istr "dangling" j)
+  | Row ->
+      Printf.sprintf "row   seed %d  %s" (istr "seed" j) (sstr "fingerprint" j)
+  | Status ->
+      Printf.sprintf "job   %d %s  [%s]" (istr "id" j) (sstr "status" j)
+        (sstr "trace" j)
   | Other -> Json.to_string j
 
 (* ---- span timeline ---- *)

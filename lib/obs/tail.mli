@@ -1,18 +1,19 @@
 (** Terminal rendering of mixed observability JSONL streams — the
-    trace frames, span records and log lines the serve layer emits —
-    behind [explore tail]. Builds on the PR 3 ASCII dashboard
-    renderer ({!Bfdn_util.Ascii}) for the aggregate charts. *)
+    trace frames, span records, log lines, lane rows and status lines
+    the CLI and the serve layer emit — behind [explore tail]. Builds on
+    the ASCII dashboard renderer ({!Bfdn_util.Ascii}) for the aggregate
+    charts. *)
 
-type kind = Span | Log | Frame | Other
+type kind = Span | Log | Frame | Row | Status | Other
 
 val kind_of : Json.t -> kind
-(** Classify one JSONL record by its members: a span has [name] and
-    [dur_ns], a log line [level] and [msg], a trace frame [round] and
-    [explored]. *)
+(** The record's [kind] member ({!Sink.record}); [Other] when it has
+    none or an unknown one. *)
 
 val render_line : Json.t -> string
-(** One aligned text line (no trailing newline) for any record kind;
-    unknown records render as compact JSON. *)
+(** One aligned text line (no trailing newline) for any record kind,
+    with a span's or log line's [attrs] as [key=value] pairs; unknown
+    records render as compact JSON. *)
 
 val span_timeline : ?width:int -> Json.t list -> string
 (** An ASCII timeline of flat span records (the {!Span} sink JSONL

@@ -29,7 +29,9 @@ type event =
   | Frame of Bfdn_sim.Trace.frame
       (** one executed round; readers render it with
           {!Bfdn_sim.Trace.json_of_frame} *)
-  | Row of Bfdn_obs.Json.t  (** one lane's row of a batched spec *)
+  | Row of Bfdn_obs.Json.t
+      (** one lane's row record of a batched spec
+          ({!Bfdn_obs.Sink.record}, kind [row]) *)
 
 type job = {
   id : int;

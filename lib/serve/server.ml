@@ -1,7 +1,8 @@
 module Json = Bfdn_obs.Json
 module Metrics = Bfdn_obs.Metrics
 module Probe = Bfdn_obs.Probe
-module Ring = Bfdn_obs.Sink.Ring
+module Sink = Bfdn_obs.Sink
+module Ring = Sink.Ring
 module Span = Bfdn_obs.Span
 module Log = Bfdn_obs.Log
 module Prometheus = Bfdn_obs.Prometheus
@@ -47,18 +48,13 @@ type t = {
   cache : Result_cache.t;
   pool : Pool.t;
   worker_regs : Metrics.t array;
-  (* HTTP-side counters live in their own registry behind a mutex:
-     connection threads share one domain but interleave at safepoints,
-     and /metrics folds the registry while requests are in flight. *)
-  http_reg : Metrics.t;
-  http_m : Mutex.t;
-  (* Per-job simulation registries are merged here by the worker domain
-     that ran the job. *)
-  jobs_reg : Metrics.t;
-  jobs_m : Mutex.t;
-  (* Runtime GC pauses, ticked once per finished request. *)
-  gc_reg : Metrics.t;
-  gc_m : Mutex.t;
+  (* Everything outside the pool's per-worker registries lives in one
+     registry behind one mutex: the connection threads' HTTP counters,
+     the per-job simulation registries (merged by the worker domain that
+     ran the job) and the runtime GC pauses (ticked once per finished
+     request). /metrics folds it while requests are in flight. *)
+  side_reg : Metrics.t;
+  side_m : Mutex.t;
   gc_probe : Bfdn_obs.Gc_probe.t;
   trace_ctr : int Atomic.t;
   stopping : bool Atomic.t;
@@ -82,11 +78,10 @@ let create config =
   in
   let workers = max 1 config.workers in
   let worker_regs = Array.init workers (fun _ -> Metrics.create ()) in
-  let gc_reg = Metrics.create () in
-  let http_reg = Metrics.create () in
+  let side_reg = Metrics.create () in
   (* Registered eagerly so a /metrics scrape racing the very first
      request still sees the latency family. *)
-  ignore (Metrics.histogram http_reg "request_s");
+  ignore (Metrics.histogram side_reg "request_s");
   {
     config;
     listen_fd = fd;
@@ -95,13 +90,9 @@ let create config =
     cache = Result_cache.create ~cap:config.cache_cap;
     pool = Pool.create ~probe:(Probe.pool_probe worker_regs) ~workers ();
     worker_regs;
-    http_reg;
-    http_m = Mutex.create ();
-    jobs_reg = Metrics.create ();
-    jobs_m = Mutex.create ();
-    gc_reg;
-    gc_m = Mutex.create ();
-    gc_probe = Bfdn_obs.Gc_probe.create gc_reg;
+    side_reg;
+    side_m = Mutex.create ();
+    gc_probe = Bfdn_obs.Gc_probe.create side_reg;
     trace_ctr = Atomic.make 0;
     stopping = Atomic.make false;
     conn_m = Mutex.create ();
@@ -111,20 +102,12 @@ let create config =
 
 let port t = t.bound_port
 
+let with_side t f =
+  Mutex.lock t.side_m;
+  Fun.protect ~finally:(fun () -> Mutex.unlock t.side_m) f
+
 let count t name =
-  Mutex.lock t.http_m;
-  Metrics.incr (Metrics.counter t.http_reg name);
-  Mutex.unlock t.http_m
-
-let observe_latency t seconds =
-  Mutex.lock t.http_m;
-  Metrics.observe (Metrics.histogram t.http_reg "request_s") seconds;
-  Mutex.unlock t.http_m
-
-let tick_gc t =
-  Mutex.lock t.gc_m;
-  Bfdn_obs.Gc_probe.tick t.gc_probe;
-  Mutex.unlock t.gc_m
+  with_side t (fun () -> Metrics.incr (Metrics.counter t.side_reg name))
 
 (* Correlation id minted at the HTTP edge: a per-process sequence plus
    monotonic-clock bits so ids from server restarts rarely collide in a
@@ -208,12 +191,12 @@ let write_postmortem t (job : Q.job) reg ~reason ~state_name =
         Unix.rename tmp path;
         job.Q.postmortem <- Some path;
         Log.warn t.config.log ~trace:job.Q.trace
-          ~attrs:[ ("path", Span.Str path); ("reason", Span.Str reason) ]
+          ~attrs:[ ("path", Json.String path); ("reason", Json.String reason) ]
           "postmortem bundle written"
       with Sys_error msg | Unix.Unix_error (_, msg, _) ->
         (try Sys.remove tmp with Sys_error _ -> ());
         Log.error t.config.log ~trace:job.Q.trace
-          ~attrs:[ ("path", Span.Str path); ("detail", Span.Str msg) ]
+          ~attrs:[ ("path", Json.String path); ("detail", Json.String msg) ]
           "postmortem bundle failed")
 
 (* ---- job execution (runs on a pool worker domain) ---- *)
@@ -221,8 +204,11 @@ let write_postmortem t (job : Q.job) reg ~reason ~state_name =
 let exec t (job : Q.job) =
   if Q.mark_running t.adm job then begin
     Span.finish job.Q.span job.Q.queue_span;
-    let exe = Span.start ~parent:job.Q.root_span job.Q.span "execute" in
     let reg = Metrics.create () in
+    let probe, finish_exe =
+      Probe.traced job.Q.span ~parent:job.Q.root_span reg
+        (Probe.of_metrics reg)
+    in
     let deadline =
       Clock.now_ns () + int_of_float (job.Q.timeout_s *. 1e9)
     in
@@ -238,51 +224,10 @@ let exec t (job : Q.job) =
       Ring.push job.Q.stream (Q.Frame (exec.Bfdn_sim.Exec_env.frame ()));
       check_deadline exec
     in
-    let counter name =
-      match Metrics.find_counter reg name with
-      | Some c -> Metrics.value c
-      | None -> 0
-    in
-    (* The phase spans are closed with the totals the metrics probe
-       sums from the round loop's clock stamps: phase time is measured
-       once, into the job registry. *)
-    let phase name = Span.start ~parent:exe job.Q.span name in
-    let sel = phase "phase:select" in
-    let app = phase "phase:apply" in
-    let fin = phase "phase:finished_check" in
-    let metered = Probe.of_metrics reg in
-    (* Bracket the runner loop itself: [Scenario.run] spends setup time
-       (world generation, env and algorithm construction) before its
-       first round, so the execute span alone cannot anchor the
-       phase-sum invariant. The run span opens at the loop's first
-       phase measurement and closes with the phases, so the three
-       phase durations sum to its wall time. *)
-    let run_span = ref Span.none in
-    let probe =
-      if Span.enabled job.Q.span then begin
-        let base = metered.Probe.on_phase in
-        let on_phase ph ns =
-          if !run_span = Span.none then
-            run_span := Span.start ~parent:exe job.Q.span "run";
-          base ph ns
-        in
-        { metered with Probe.on_phase }
-      end
-      else metered
-    in
-    let finish_exe state_name =
-      Span.finish ~dur_ns:(counter "select_ns") job.Q.span sel;
-      Span.finish ~dur_ns:(counter "apply_ns") job.Q.span app;
-      Span.finish ~dur_ns:(counter "finished_check_ns") job.Q.span fin;
-      Span.finish job.Q.span !run_span;
-      Span.finish ~attrs:[ ("state", Span.Str state_name) ] job.Q.span exe
-    in
     (* Merge the job's registry before settling: the waiter wakes at
        settle and may scrape /metrics immediately. *)
     let settle_with st =
-      Mutex.lock t.jobs_m;
-      Metrics.merge_into ~into:t.jobs_reg reg;
-      Mutex.unlock t.jobs_m;
+      with_side t (fun () -> Metrics.merge_into ~into:t.side_reg reg);
       Q.settle t.adm job st
     in
     (* Batched specs fan out through the batch engine: one admission
@@ -301,15 +246,14 @@ let exec t (job : Q.job) =
             let oj = Scenario.outcome_to_json outcome in
             Result_cache.put t.cache lane_fp (Json.to_string oj);
             let row =
-              Json.Obj
-                [
-                  ("seed", Json.Int (spec.Scenario.seed + l));
-                  ("fingerprint", Json.String lane_fp);
-                  ("outcome", oj);
-                ]
+              [
+                ("seed", Json.Int (spec.Scenario.seed + l));
+                ("fingerprint", Json.String lane_fp);
+                ("outcome", oj);
+              ]
             in
-            Ring.push job.Q.stream (Q.Row row);
-            row)
+            Ring.push job.Q.stream (Q.Row (Sink.record Sink.Row row));
+            Json.Obj row)
           report.Seed_batch.outcomes
       in
       Json.to_string
@@ -329,36 +273,39 @@ let exec t (job : Q.job) =
     in
     match execute () with
     | body ->
-        finish_exe "done";
+        finish_exe ~state:"done";
         Result_cache.put t.cache job.Q.fingerprint body;
         (* Fault-tolerant runs that lost robots finish, but are exactly
            the runs an operator wants a bundle for. *)
-        let lost = counter "robots_lost" in
+        let lost =
+          Option.fold ~none:0 ~some:Metrics.value
+            (Metrics.find_counter reg "robots_lost")
+        in
         if lost > 0 then
           write_postmortem t job reg
             ~reason:(Printf.sprintf "robots_lost=%d" lost)
             ~state_name:"done";
         Log.info t.config.log ~trace:job.Q.trace
-          ~attrs:[ ("job", Span.Int job.Q.id); ("state", Span.Str "done") ]
+          ~attrs:[ ("job", Json.Int job.Q.id); ("state", Json.String "done") ]
           "job settled";
         settle_with (Q.Done body)
     | exception Pool.Cancelled ->
         let st = if job.Q.timed_out then Q.Timeout else Q.Cancelled in
         let name = Q.state_name st in
-        finish_exe name;
+        finish_exe ~state:name;
         if job.Q.timed_out then
           write_postmortem t job reg ~reason:"timeout" ~state_name:name;
         Log.warn t.config.log ~trace:job.Q.trace
-          ~attrs:[ ("job", Span.Int job.Q.id); ("state", Span.Str name) ]
+          ~attrs:[ ("job", Json.Int job.Q.id); ("state", Json.String name) ]
           "job settled";
         settle_with st
     | exception e ->
         let msg = Printexc.to_string e in
-        finish_exe "failed";
+        finish_exe ~state:"failed";
         write_postmortem t job reg ~reason:("exception: " ^ msg)
           ~state_name:"failed";
         Log.error t.config.log ~trace:job.Q.trace
-          ~attrs:[ ("job", Span.Int job.Q.id); ("detail", Span.Str msg) ]
+          ~attrs:[ ("job", Json.Int job.Q.id); ("detail", Json.String msg) ]
           "job failed";
         settle_with (Q.Failed msg)
   end
@@ -371,7 +318,9 @@ let result_body ~cache ~fingerprint body =
   Printf.sprintf "{\"cache\":\"%s\",\"fingerprint\":\"%s\",\"result\":%s}"
     cache fingerprint body
 
-let job_status_json (job : Q.job) st =
+(* A job's status members: the body of a ticket or of /jobs/:id, and
+   the closing line of its stream. *)
+let job_status (job : Q.job) st =
   let base =
     [
       ("id", Json.Int job.Q.id);
@@ -386,8 +335,10 @@ let job_status_json (job : Q.job) st =
     | None -> []
   in
   match st with
-  | Q.Failed msg -> Json.Obj (base @ [ ("error", Json.String msg) ] @ postmortem)
-  | _ -> Json.Obj (base @ postmortem)
+  | Q.Failed msg -> base @ [ ("error", Json.String msg) ] @ postmortem
+  | _ -> base @ postmortem
+
+let job_status_json job st = Json.Obj (job_status job st)
 
 let handle_run t req ~trace fd =
   let sp = span_recorder t ~trace in
@@ -405,13 +356,13 @@ let handle_run t req ~trace fd =
             | Ok () -> Ok spec))
   in
   Span.finish
-    ~attrs:[ ("ok", Span.Bool (Result.is_ok parsed)) ]
+    ~attrs:[ ("ok", Json.Bool (Result.is_ok parsed)) ]
     sp parse_span;
   (match parsed with
   | Error (`Json e) ->
       count t "bad_requests";
       Log.debug t.config.log ~trace
-        ~attrs:[ ("detail", Span.Str e.Json.msg) ]
+        ~attrs:[ ("detail", Json.String e.Json.msg) ]
         "spec rejected: invalid JSON";
       respond_json fd ~status:400
         (Json.Obj
@@ -425,7 +376,7 @@ let handle_run t req ~trace fd =
   | Error (`Spec msg) ->
       count t "bad_requests";
       Log.debug t.config.log ~trace
-        ~attrs:[ ("detail", Span.Str msg) ]
+        ~attrs:[ ("detail", Json.String msg) ]
         "spec rejected";
       respond_json fd ~status:400 (error_body msg)
   | Ok spec -> (
@@ -433,7 +384,7 @@ let handle_run t req ~trace fd =
       let cache_span = Span.start ~parent:root sp "cache_lookup" in
       let cached = Result_cache.find t.cache fingerprint in
       Span.finish
-        ~attrs:[ ("hit", Span.Bool (cached <> None)) ]
+        ~attrs:[ ("hit", Json.Bool (cached <> None)) ]
         sp cache_span;
       match cached with
       | Some body ->
@@ -459,7 +410,7 @@ let handle_run t req ~trace fd =
             ~attrs:
               [
                 ( "outcome",
-                  Span.Str
+                  Json.String
                     (match admitted with
                     | Ok _ -> "admitted"
                     | Error `Full -> "full"
@@ -489,8 +440,8 @@ let handle_run t req ~trace fd =
               Log.debug t.config.log ~trace
                 ~attrs:
                   [
-                    ("job", Span.Int job.Q.id);
-                    ("fingerprint", Span.Str fingerprint);
+                    ("job", Json.Int job.Q.id);
+                    ("fingerprint", Json.String fingerprint);
                   ]
                 "job admitted";
               Pool.submit ~token:job.Q.token t.pool (fun () -> exec t job);
@@ -568,21 +519,14 @@ let handle_job_stream t _req params ~trace:_ fd =
         | None -> ()
       in
       pump ();
-      send (job_status_json job (Q.state t.adm job));
+      send (Sink.record Sink.Status (job_status job (Q.state t.adm job)));
       Http.finish_chunked fd)
 
 let merged_metrics t =
   let merged = Metrics.create () in
-  Mutex.lock t.http_m;
-  Metrics.merge_into ~into:merged t.http_reg;
-  Mutex.unlock t.http_m;
-  Mutex.lock t.jobs_m;
-  Metrics.merge_into ~into:merged t.jobs_reg;
-  Mutex.unlock t.jobs_m;
-  Mutex.lock t.gc_m;
-  Bfdn_obs.Gc_probe.snapshot t.gc_probe;
-  Metrics.merge_into ~into:merged t.gc_reg;
-  Mutex.unlock t.gc_m;
+  with_side t (fun () ->
+      Bfdn_obs.Gc_probe.snapshot t.gc_probe;
+      Metrics.merge_into ~into:merged t.side_reg);
   Array.iter (fun reg -> Metrics.merge_into ~into:merged reg) t.worker_regs;
   merged
 
@@ -671,8 +615,8 @@ let handle_connection t routes fd =
          Log.debug t.config.log ~trace
            ~attrs:
              [
-               ("method", Span.Str req.Http.meth);
-               ("target", Span.Str req.Http.target);
+               ("method", Json.String req.Http.meth);
+               ("target", Json.String req.Http.target);
              ]
            "request";
          match
@@ -689,12 +633,15 @@ let handle_connection t routes fd =
   | Unix.Unix_error _ -> () (* client went away mid-response *)
   | e -> (
       Log.error t.config.log ~trace
-        ~attrs:[ ("detail", Span.Str (Printexc.to_string e)) ]
+        ~attrs:[ ("detail", Json.String (Printexc.to_string e)) ]
         "handler raised";
       try respond_json fd ~status:500 (error_body (Printexc.to_string e))
       with _ -> ()));
-  observe_latency t (float_of_int (Clock.now_ns () - t0) *. 1e-9);
-  tick_gc t;
+  with_side t (fun () ->
+      Metrics.observe
+        (Metrics.histogram t.side_reg "request_s")
+        (float_of_int (Clock.now_ns () - t0) *. 1e-9);
+      Bfdn_obs.Gc_probe.tick t.gc_probe);
   (try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
   (try Unix.close fd with Unix.Unix_error _ -> ());
   Mutex.lock t.conn_m;
@@ -716,11 +663,11 @@ let run t =
   Log.info t.config.log
     ~attrs:
       [
-        ("host", Span.Str t.config.host);
-        ("port", Span.Int t.bound_port);
-        ("workers", Span.Int (Pool.workers t.pool));
-        ("queue_cap", Span.Int t.config.queue_cap);
-        ("cache_cap", Span.Int t.config.cache_cap);
+        ("host", Json.String t.config.host);
+        ("port", Json.Int t.bound_port);
+        ("workers", Json.Int (Pool.workers t.pool));
+        ("queue_cap", Json.Int t.config.queue_cap);
+        ("cache_cap", Json.Int t.config.cache_cap);
       ]
     "listening";
   let rec loop () =

@@ -38,7 +38,7 @@ let dropped = Ring.dropped
 
 let json_of_frame f =
   let module J = Bfdn_obs.Json in
-  J.Obj
+  Bfdn_obs.Sink.record Bfdn_obs.Sink.Frame
     [
       ("round", J.Int f.round);
       ("explored", J.Int f.explored);

@@ -49,8 +49,8 @@ val dropped : t -> int
 (** Frames overwritten so far: [length t - retained t]. *)
 
 val json_of_frame : frame -> Bfdn_obs.Json.t
-(** [{round, explored, dangling, positions}] — one line of the JSONL
-    trace stream. *)
+(** [{kind: "frame", round, explored, dangling, positions}]
+    ({!Bfdn_obs.Sink.record}) — one line of the JSONL trace stream. *)
 
 val render_frame : Env.t -> string
 (** Indented rendering of the current discovered tree; each line shows one

@@ -73,7 +73,8 @@ let test_adversary_holds_pages () =
     Alcotest.failf "%d words reachable (limit %d: %d pages)" words limit
       (columns + 1)
 
-(* ---- the E19 numbers quoted in the docs are the committed ones ---- *)
+(* ---- the E16, E19 and E20 numbers quoted in the docs are the committed
+   ones ---- *)
 
 module Json = Bfdn_obs.Json
 
@@ -98,9 +99,11 @@ let quotes re text =
 let mb_re = Str.regexp "~\\([0-9]+\\.[0-9]\\) MB"
 let ceiling_re = Str.regexp "\\([0-9]+\\) MB peak-RSS ceiling"
 
-(* The E19 section of EXPERIMENTS.md: from its heading to the next. *)
-let e19_section doc =
-  let start = Str.search_forward (Str.regexp_string "## E19") doc 0 in
+(* An experiment's section of EXPERIMENTS.md (e.g. "E19"): from its
+   heading to the next. *)
+let section name doc =
+  let heading = Str.regexp_string ("## " ^ name ^ " ") in
+  let start = Str.search_forward heading doc 0 in
   let stop =
     try Str.search_forward (Str.regexp "^## ") doc (start + 1)
     with Not_found -> String.length doc
@@ -151,7 +154,7 @@ let test_e19_quotes_match_bench () =
   let ratio =
     Printf.sprintf "%.0f" (100. *. num [ "rss_comparison"; "lazy_over_eager" ])
   in
-  let e19 = e19_section (read "EXPERIMENTS.md") in
+  let e19 = section "E19" (read "EXPERIMENTS.md") in
   let readme = read "README.md" in
   let quoted = quotes mb_re e19 in
   List.iter
@@ -182,6 +185,41 @@ let test_e19_quotes_match_bench () =
   check_all "README.md ratio" (Str.regexp ("~\\([0-9]+\\)% at n = " ^ Str.quote "10^6")) readme
     ratio
 
+(* The E16 probe-overhead and E20 tracing-overhead maxima, quoted as
+   percentages at the precision the text gives them. *)
+let test_hotpath_quotes_match_bench () =
+  let bench =
+    match Json.of_string (read "BENCH_hotpath.json") with
+    | Ok j -> j
+    | Error e -> Alcotest.failf "BENCH_hotpath.json: %s" e
+  in
+  let doc = read "EXPERIMENTS.md" in
+  let check experiment what pattern key =
+    let committed =
+      match Json.member key bench with
+      | Some (Json.Float f) -> f
+      | Some (Json.Int i) -> float_of_int i
+      | _ -> Alcotest.failf "BENCH_hotpath.json: no number %s" key
+    in
+    let re = Str.regexp (pattern ^ "\\+\\([0-9]+\\.[0-9]+\\)%") in
+    match quotes re (section experiment doc) with
+    | [] -> Alcotest.failf "EXPERIMENTS.md %s quotes no %s" experiment what
+    | qs ->
+        List.iter
+          (fun q ->
+            let decimals = String.length q - String.index q '.' - 1 in
+            let want = Printf.sprintf "%.*f" decimals committed in
+            if q <> want then
+              Alcotest.failf "EXPERIMENTS.md %s quotes %s +%s%%, %s has %s"
+                experiment what q key want)
+          qs
+  in
+  check "E16" "probe overhead" "max " "max_probe_overhead_pct";
+  check "E20" "disabled tracing" "disabled tracing \\*\\*"
+    "max_tracing_disabled_pct";
+  check "E20" "enabled tracing" "enabled tracing \\*\\*"
+    "max_tracing_enabled_pct"
+
 let suite =
   ( "node-mem",
     [
@@ -191,4 +229,6 @@ let suite =
         test_e19_quotes_match_bench;
       Alcotest.test_case "adversary holds pages, not its capacity" `Quick
         test_adversary_holds_pages;
+      Alcotest.test_case "E16 and E20 quotes match BENCH_hotpath.json" `Quick
+        test_hotpath_quotes_match_bench;
     ] )

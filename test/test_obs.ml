@@ -544,7 +544,7 @@ let test_span_tree () =
   checks "trace id" "t1" (Span.trace_id sp);
   let root = Span.start sp "request" in
   let child = Span.start ~parent:root sp "parse" in
-  Span.finish ~attrs:[ ("ok", Span.Bool true) ] sp child;
+  Span.finish ~attrs:[ ("ok", Json.Bool true) ] sp child;
   let open_child = Span.start ~parent:root sp "queue" in
   checki "spans retained" 3 (Span.length sp);
   checki "nothing dropped" 0 (Span.dropped sp);
@@ -621,7 +621,7 @@ let test_log_levels () =
   let log = Log.create ~level:Log.Warn (fun j -> lines := j :: !lines) in
   Log.debug log "nope";
   Log.info log "nope";
-  Log.warn log ~trace:"t9" ~attrs:[ ("k", Span.Int 7) ] "kept";
+  Log.warn log ~trace:"t9" ~attrs:[ ("k", Json.Int 7) ] "kept";
   Log.error log "kept too";
   checki "level gating" 2 (List.length !lines);
   (match List.rev !lines with
@@ -630,7 +630,7 @@ let test_log_levels () =
         (Json.member "level" w = Some (Json.String "warn")
         && Json.member "msg" w = Some (Json.String "kept")
         && Json.member "trace" w = Some (Json.String "t9")
-        && Json.member "k" w = Some (Json.Int 7)
+        && Json.member "attrs" w = Some (Json.Obj [ ("k", Json.Int 7) ])
         && Json.member "ts" w <> None)
   | _ -> Alcotest.fail "expected two lines");
   Log.set_level log Log.Debug;
@@ -738,6 +738,7 @@ let test_tail_renders () =
   let span =
     Json.Obj
       [
+        ("kind", Json.String "span");
         ("trace", Json.String "t1"); ("span", Json.Int 0); ("parent", Json.Null);
         ("name", Json.String "request"); ("start_ns", Json.Int 0);
         ("dur_ns", Json.Int 1000);
@@ -746,6 +747,7 @@ let test_tail_renders () =
   let child =
     Json.Obj
       [
+        ("kind", Json.String "span");
         ("trace", Json.String "t1"); ("span", Json.Int 1);
         ("parent", Json.Int 0); ("name", Json.String "parse");
         ("start_ns", Json.Int 100); ("dur_ns", Json.Int 200);
@@ -754,12 +756,17 @@ let test_tail_renders () =
   let log_line =
     Json.Obj
       [
+        ("kind", Json.String "log");
         ("ts", Json.Float 1.5); ("level", Json.String "warn");
         ("msg", Json.String "hello"); ("trace", Json.String "t1");
       ]
   in
   let frame =
-    Json.Obj [ ("round", Json.Int 3); ("explored", Json.Int 17) ]
+    Json.Obj
+      [
+        ("kind", Json.String "frame"); ("round", Json.Int 3);
+        ("explored", Json.Int 17);
+      ]
   in
   checkb "kinds" true
     (Tail.kind_of span = Tail.Span
@@ -818,6 +825,93 @@ let test_gc_probe_alarm_lifecycle () =
   Bfdn_obs.Gc_probe.dispose gp;
   checkb "dispose idempotent" false (Bfdn_obs.Gc_probe.alarm_active gp)
 
+(* ---- one record envelope ---- *)
+
+(* Every record kind, each from its real producer: the span sink and the
+   log of a live server, the frames of a [Scenario.run] with the trace
+   hook the CLI's [--trace] uses, and a batched job's stream (lane rows,
+   then the status line). Each must carry [kind] first, and [Tail] must
+   classify it by that member. *)
+let test_every_record_kind_enveloped () =
+  let module Scenario = Bfdn_scenario.Scenario in
+  let module Server = Bfdn_serve.Server in
+  let module Client = Bfdn_serve.Client in
+  let spec =
+    match Scenario.load "../examples/cte_hidden_path.json" with
+    | Ok spec -> spec
+    | Error e -> Alcotest.fail e
+  in
+  let records = ref [] and m = Mutex.create () in
+  let collect j =
+    Mutex.lock m;
+    records := j :: !records;
+    Mutex.unlock m
+  in
+  ignore
+    (Scenario.run
+       ~on_round:(fun x ->
+         collect (Bfdn_sim.Trace.json_of_frame (x.Bfdn_sim.Exec_env.frame ())))
+       spec);
+  let srv =
+    Server.create
+      {
+        Server.default_config with
+        Server.port = 0;
+        workers = 1;
+        log = Log.create ~level:Log.Debug collect;
+        span_sink = Some collect;
+      }
+  in
+  let th = Thread.create Server.run srv in
+  let stream =
+    Fun.protect
+      ~finally:(fun () ->
+        Server.stop srv;
+        Thread.join th)
+      (fun () ->
+        let port = Server.port srv in
+        let call meth path body =
+          match Client.request ~port ~body ~meth ~path () with
+          | Ok r -> r.Client.body
+          | Error e -> Alcotest.fail e
+        in
+        let batched = { spec with Scenario.batch_seeds = 2 } in
+        let ticket = call "POST" "/run?wait=0" (Scenario.to_string batched) in
+        let id =
+          match Result.map (Json.member "id") (Json.of_string ticket) with
+          | Ok (Some (Json.Int id)) -> id
+          | _ -> Alcotest.fail ("no job id in " ^ ticket)
+        in
+        call "GET" (Printf.sprintf "/jobs/%d/stream" id) "")
+  in
+  List.iter
+    (fun line ->
+      match Json.of_string line with
+      | Ok j -> collect j
+      | Error e -> Alcotest.fail e)
+    (String.split_on_char '\n' (String.trim stream));
+  let kinds =
+    [
+      ("span", Tail.Span); ("log", Tail.Log); ("frame", Tail.Frame);
+      ("row", Tail.Row); ("status", Tail.Status);
+    ]
+  in
+  let seen = Hashtbl.create 8 in
+  List.iter
+    (fun j ->
+      match j with
+      | Json.Obj (("kind", Json.String k) :: _) -> (
+          match List.assoc_opt k kinds with
+          | Some tk ->
+              Hashtbl.replace seen k ();
+              checkb (k ^ ": Tail.kind_of agrees") true (Tail.kind_of j = tk)
+          | None -> Alcotest.failf "unknown kind %S" k)
+      | _ -> Alcotest.failf "kind is not first in %s" (Json.to_string j))
+    !records;
+  List.iter
+    (fun (k, _) -> checkb (k ^ " produced") true (Hashtbl.mem seen k))
+    kinds
+
 let suite =
   let tc name f = Alcotest.test_case name `Quick f in
   ( "obs",
@@ -853,4 +947,5 @@ let suite =
       tc "prometheus validator rejects" test_prometheus_validator_rejects;
       tc "tail renders" test_tail_renders;
       tc "gc probe alarm lifecycle" test_gc_probe_alarm_lifecycle;
+      tc "every record kind enveloped" test_every_record_kind_enveloped;
     ] )

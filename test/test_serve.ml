@@ -612,6 +612,7 @@ let test_e2e_stream_fidelity () =
             Json.to_string
               (Json.Obj
                  [
+                   ("kind", Json.String "row");
                    ("seed", Json.Int lane.Scenario.seed);
                    ("fingerprint", Json.String (Scenario.fingerprint lane));
                    ("outcome", Scenario.outcome_to_json (Scenario.run lane));

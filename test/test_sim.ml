@@ -382,7 +382,7 @@ let test_trace_json_frame () =
   let env = Env.create (small ()) ~k:2 in
   Env.apply env [| Env.Via_port 0; Env.Via_port 1 |];
   checks "frame json"
-    {|{"round":1,"explored":3,"dangling":3,"positions":[1,2]}|}
+    {|{"kind":"frame","round":1,"explored":3,"dangling":3,"positions":[1,2]}|}
     (Bfdn_obs.Json.to_string (Trace.json_of_frame (Trace.frame_of_env env)))
 
 (* ---- growable flat storage (huge tier) ---- *)
