@@ -5,7 +5,7 @@
 module Tree = Bfdn_trees.Tree
 module Tree_gen = Bfdn_trees.Tree_gen
 module Env = Bfdn_sim.Env
-module Runner = Bfdn_sim.Runner
+module Exec_env = Bfdn_sim.Exec_env
 module Rng = Bfdn_util.Rng
 module Table = Bfdn_util.Table
 module Batch = Bfdn_engine.Batch

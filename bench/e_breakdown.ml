@@ -51,19 +51,22 @@ let run () =
       let env = Env.create ?fault:(Option.map Env.mask_hook mask) tree ~k in
       let state = Bfdn.Bfdn_algo.make env in
       let algo =
-        { (Bfdn.Bfdn_algo.algo state) with Runner.finished = Env.fully_explored }
+        { (Bfdn.Bfdn_algo.algo state) with Exec_env.finished = Env.fully_explored }
       in
       let threshold =
         Bfdn.Bounds.bfdn_breakdown ~n:(Env.oracle_n env) ~k ~d:(Env.oracle_depth env)
       in
       let violated = ref false in
-      let watch env =
+      let watch _ =
         if
           float_of_int (Env.allowed_total env) /. float_of_int k >= threshold
           && not (Env.fully_explored env)
         then violated := true
       in
-      let r = Runner.run ~max_rounds:2_000_000 ~on_round:watch algo env in
+      let r =
+        Exec_env.run ~max_rounds:2_000_000 ~on_round:watch
+          (Exec_env.of_env algo env)
+      in
       let avg = float_of_int (Env.allowed_total env) /. float_of_int k in
       Table.add_row t
         [

@@ -4,7 +4,6 @@
 
 open Bench_common
 module Aenv = Bfdn_sim.Async_env
-module Exec_env = Bfdn_sim.Exec_env
 module Table = Bfdn_util.Table
 
 (* E13's fleets keep a direct loop: the registry's bfdn-async draws its
@@ -87,7 +86,9 @@ let e14 () =
       (* A direct loop: the planner's memory is not part of an outcome. *)
       let env = Env.create tree ~k:16 in
       let state = Bfdn.Bfdn_planner.make env in
-      let r = Runner.run (Bfdn.Bfdn_planner.algo state) env in
+      let r =
+        Exec_env.run (Exec_env.of_env (Bfdn.Bfdn_planner.algo state) env)
+      in
       assert r.explored;
       let d = Env.oracle_depth env and delta = Env.oracle_max_degree env in
       let used = Bfdn.Bfdn_planner.memory_bits_used state in

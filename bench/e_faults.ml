@@ -92,7 +92,7 @@ let run_leg ~family ~depth_hint ~k (ft, rate, restart) =
     match plan with
     | None -> (0, 0, k)
     | Some p ->
-        let c, r = Fault_plan.stats p ~rounds:result.Runner.rounds in
+        let c, r = Fault_plan.stats p ~rounds:result.Exec_env.rounds in
         (c, r, Fault_plan.survivors p)
   in
   let cval name =
@@ -108,9 +108,9 @@ let run_leg ~family ~depth_hint ~k (ft, rate, restart) =
     r_restart = restart;
     r_n = outcome.Scenario.n;
     r_depth = outcome.Scenario.depth;
-    r_rounds = result.Runner.rounds;
-    r_explored = result.Runner.explored;
-    r_hit_limit = result.Runner.hit_round_limit;
+    r_rounds = result.Exec_env.rounds;
+    r_explored = result.Exec_env.explored;
+    r_hit_limit = result.Exec_env.hit_round_limit;
     r_crashes = crashes;
     r_restarts = restarts;
     r_survivors = survivors;
@@ -174,16 +174,16 @@ let measure_overhead () =
     let env = Env.create tree ~k:overhead_k ~fault in
     let a = Algo_registry.instantiate "bfdn" env in
     let last = ref (Bfdn_util.Clock.now ()) in
-    let on_round env =
+    let on_round _ =
       if Env.round env land (seg - 1) = 0 then begin
         let t = Bfdn_util.Clock.now () in
         out := (t -. !last) :: !out;
         last := t
       end
     in
-    let r = Runner.run ~on_round a env in
-    if not r.Runner.explored then failwith "e_faults: overhead run incomplete";
-    (r.Runner.rounds, r.Runner.edge_events)
+    let r = Exec_env.run ~on_round (Exec_env.of_env a env) in
+    if not r.Exec_env.explored then failwith "e_faults: overhead run incomplete";
+    (r.Exec_env.rounds, r.Exec_env.edge_events)
   in
   let idle_hook = Injector.hook idle_plan in
   let plains = ref [] and idles = ref [] in
@@ -311,10 +311,10 @@ let smoke () =
          ~faults:[ ("crashes", Param.String "1@8+30") ]
          inst)
   in
-  a.Scenario.result.Runner.explored
-  && (not a.Scenario.result.Runner.hit_round_limit)
+  a.Scenario.result.Exec_env.explored
+  && (not a.Scenario.result.Exec_env.hit_round_limit)
   && Scenario.equal_outcome a b
   && cval "robots_lost" >= 1
-  && plain.Scenario.result.Runner.hit_round_limit
-  && restart.Scenario.result.Runner.explored
-  && restart.Scenario.result.Runner.at_root
+  && plain.Scenario.result.Exec_env.hit_round_limit
+  && restart.Scenario.result.Exec_env.explored
+  && restart.Scenario.result.Exec_env.at_root

@@ -96,9 +96,9 @@ let run_row ~world ~params ~label k =
     r_k = k;
     r_edges = n_edges;
     r_radius = o.Scenario.depth;
-    r_rounds = o.Scenario.result.Runner.rounds;
-    r_explored = o.Scenario.result.Runner.explored;
-    r_at_origin = o.Scenario.result.Runner.at_root;
+    r_rounds = o.Scenario.result.Exec_env.rounds;
+    r_explored = o.Scenario.result.Exec_env.explored;
+    r_at_origin = o.Scenario.result.Exec_env.at_root;
     r_bound = bound;
     r_wall = wall;
   }
@@ -148,18 +148,18 @@ let run_fault_leg ~k (rate, restart, cap) =
     match plan with
     | None -> (0, 0)
     | Some p ->
-        Bfdn_faults.Fault_plan.stats p ~rounds:o.Scenario.result.Runner.rounds
+        Bfdn_faults.Fault_plan.stats p ~rounds:o.Scenario.result.Exec_env.rounds
   in
   {
     f_rate = rate;
     f_restart = restart;
     f_k = k;
-    f_rounds = o.Scenario.result.Runner.rounds;
-    f_explored = o.Scenario.result.Runner.explored;
-    f_at_origin = o.Scenario.result.Runner.at_root;
+    f_rounds = o.Scenario.result.Exec_env.rounds;
+    f_explored = o.Scenario.result.Exec_env.explored;
+    f_at_origin = o.Scenario.result.Exec_env.at_root;
     f_crashes = crashes;
     f_restarts = restarts;
-    f_capped = o.Scenario.result.Runner.hit_round_limit;
+    f_capped = o.Scenario.result.Exec_env.hit_round_limit;
   }
 
 let json_of_row r =
@@ -232,7 +232,7 @@ let run_direct () =
         (fun k ->
           let env = Genv.create g ~origin:(Grid.origin grid) ~k in
           let r =
-            Bfdn_sim.Exec_env.run
+            Exec_env.run
               (Bfdn.Bfdn_graph.exec_env (Bfdn.Bfdn_graph.make env))
           in
           let bound =
@@ -400,9 +400,9 @@ let smoke () =
            ]
          ~world:"grid" ~params ~k:5 ())
   in
-  a.Scenario.result.Runner.explored
-  && a.Scenario.result.Runner.at_root
-  && (not a.Scenario.result.Runner.hit_round_limit)
+  a.Scenario.result.Exec_env.explored
+  && a.Scenario.result.Exec_env.at_root
+  && (not a.Scenario.result.Exec_env.hit_round_limit)
   && Scenario.equal_outcome a b
-  && faulty.Scenario.result.Runner.explored
-  && faulty.Scenario.result.Runner.at_root
+  && faulty.Scenario.result.Exec_env.explored
+  && faulty.Scenario.result.Exec_env.at_root

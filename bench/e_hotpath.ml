@@ -84,7 +84,9 @@ let measure ?(probe = Probe.noop) ?(min_total = 0.4) ?(min_reps = 2)
   while (!total < min_total || !reps < min_reps) && !reps < max_reps do
     let t0 = Batch.now () in
     let env = Env.create tree ~k in
-    let r = Runner.run ~probe (algo_of ~probe algo_name env) env in
+    let r =
+      Exec_env.run ~probe (Exec_env.of_env (algo_of ~probe algo_name env) env)
+    in
     let dt = Batch.now () -. t0 in
     if not r.explored then failwith "e_hotpath: instance not explored";
     rounds := r.rounds;
@@ -217,7 +219,7 @@ let overhead_rows () =
             (* [explore probe out] runs one full exploration and, when
                [out] is given, appends the wall time of every completed
                [overhead_seg]-round segment to it. The segment clock
-               lives in [Runner.run]'s [on_round] hook, which both the
+               lives in [Exec_env.run]'s [on_round] hook, which both the
                instrumented and the plain loop call identically — so
                the (tiny) measurement cost is paid by both sides and
                cancels in the ratio. *)
@@ -226,21 +228,21 @@ let overhead_rows () =
               let a = algo_of ~probe algo env in
               let r =
                 match out with
-                | None -> Runner.run ~probe a env
+                | None -> Exec_env.run ~probe (Exec_env.of_env a env)
                 | Some acc ->
                     let last = ref (Bfdn_util.Clock.now ()) in
-                    let on_round env =
+                    let on_round _ =
                       if Env.round env land (overhead_seg - 1) = 0 then begin
                         let t = Bfdn_util.Clock.now () in
                         acc := (t -. !last) :: !acc;
                         last := t
                       end
                     in
-                    Runner.run ~probe ~on_round a env
+                    Exec_env.run ~probe ~on_round (Exec_env.of_env a env)
               in
-              if not r.Runner.explored then
+              if not r.Exec_env.explored then
                 failwith "e_hotpath: overhead instance not explored";
-              (r.Runner.rounds, r.Runner.edge_events)
+              (r.Exec_env.rounds, r.Exec_env.edge_events)
             in
             (* Warm up, and batch enough explorations per timed sample
                that a sample lasts >= ~20ms: a 1ms run cannot be timed

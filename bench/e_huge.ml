@@ -88,10 +88,11 @@ let measure_spec s =
   let algo = Bfdn.Bfdn_algo.algo (Bfdn.Bfdn_algo.make env) in
   let on_round _ = Gc_probe.tick gc in
   let t0 = Batch.now () in
+  let exec = Exec_env.of_env algo env in
   let r =
     if s.sp_max_rounds > 0 then
-      Runner.run ~max_rounds:s.sp_max_rounds ~on_round algo env
-    else Runner.run ~on_round algo env
+      Exec_env.run ~max_rounds:s.sp_max_rounds ~on_round exec
+    else Exec_env.run ~on_round exec
   in
   let wall = Batch.now () -. t0 in
   Gc_probe.snapshot gc;
@@ -109,14 +110,14 @@ let measure_spec s =
       ("n", Json.Int s.sp_n);
       ("k", Json.Int s.sp_k);
       ("max_rounds", Json.Int s.sp_max_rounds);
-      ("rounds", Json.Int r.Runner.rounds);
-      ("explored", Json.Bool r.Runner.explored);
-      ("edge_events", Json.Int r.Runner.edge_events);
+      ("rounds", Json.Int r.Exec_env.rounds);
+      ("explored", Json.Bool r.Exec_env.explored);
+      ("edge_events", Json.Int r.Exec_env.edge_events);
       ("nodes_revealed", Json.Int revealed);
       ("wall_seconds", Json.Float wall);
       ( "rounds_per_sec",
         Json.Float
-          (float_of_int r.Runner.rounds /. Float.max 1e-9 wall) );
+          (float_of_int r.Exec_env.rounds /. Float.max 1e-9 wall) );
       ( "peak_rss_bytes",
         match Engine_report.peak_rss_bytes () with
         | Some b -> Json.Int b

@@ -65,7 +65,8 @@ let checks : (string * (unit -> bool)) list =
             in
             let mask ~round:_ ~robot = robot < 4 in
             let env = Env.create ~fault:(Env.mask_hook mask) tree ~k:8 in
-            let r = Runner.run (Bfdn.Bfdn_algo.algo (Bfdn.Bfdn_algo.make env)) env in
+            let algo = Bfdn.Bfdn_algo.(algo (make env)) in
+            let r = Exec_env.run (Exec_env.of_env algo env) in
             r.explored)
           [| 6; 7 |] );
     ( "E21 graphs direct",
@@ -82,7 +83,7 @@ let checks : (string * (unit -> bool)) list =
             let grid = Grid.make spec in
             let env = Genv.create (Grid.graph grid) ~origin:(Grid.origin grid) ~k:4 in
             let r =
-              Bfdn_sim.Exec_env.run
+              Exec_env.run
                 (Bfdn.Bfdn_graph.exec_env (Bfdn.Bfdn_graph.make env))
             in
             r.at_root)
@@ -120,7 +121,6 @@ let checks : (string * (unit -> bool)) list =
               Bfdn_trees.Tree_gen.of_family "random" ~rng:(Rng.create 15)
                 ~n:80 ~depth_hint:6
             in
-            let module Exec_env = Bfdn_sim.Exec_env in
             let env = Aenv.create ~speeds tree ~k:4 in
             let decide = Bfdn.Bfdn_async.decide (Bfdn.Bfdn_async.make env) in
             ignore (Exec_env.run (Exec_env.of_async decide env));

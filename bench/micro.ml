@@ -6,7 +6,7 @@ open Bechamel
 open Toolkit
 module Tree_gen = Bfdn_trees.Tree_gen
 module Env = Bfdn_sim.Env
-module Runner = Bfdn_sim.Runner
+module Exec_env = Bfdn_sim.Exec_env
 module Rng = Bfdn_util.Rng
 
 let tree = lazy (Tree_gen.random_tree ~rng:(Rng.create 42) ~n:2000 ())
@@ -15,21 +15,21 @@ let deep = lazy (Tree_gen.comb ~spine:40 ~tooth_len:20)
 let explore_bfdn () =
   let env = Env.create (Lazy.force tree) ~k:16 in
   let t = Bfdn.Bfdn_algo.make env in
-  ignore (Runner.run (Bfdn.Bfdn_algo.algo t) env)
+  ignore (Exec_env.run (Exec_env.of_env (Bfdn.Bfdn_algo.algo t) env))
 
 let explore_planner () =
   let env = Env.create (Lazy.force tree) ~k:16 in
   let t = Bfdn.Bfdn_planner.make env in
-  ignore (Runner.run (Bfdn.Bfdn_planner.algo t) env)
+  ignore (Exec_env.run (Exec_env.of_env (Bfdn.Bfdn_planner.algo t) env))
 
 let explore_cte () =
   let env = Env.create (Lazy.force tree) ~k:16 in
-  ignore (Runner.run (Bfdn_baselines.Cte.make env) env)
+  ignore (Exec_env.run (Exec_env.of_env (Bfdn_baselines.Cte.make env) env))
 
 let explore_rec () =
   let env = Env.create (Lazy.force deep) ~k:16 in
   let t = Bfdn.Bfdn_rec.make ~ell:2 env in
-  ignore (Runner.run (Bfdn.Bfdn_rec.algo t) env)
+  ignore (Exec_env.run (Exec_env.of_env (Bfdn.Bfdn_rec.algo t) env))
 
 let urn_game () =
   ignore

@@ -20,7 +20,7 @@
 
 open Cmdliner
 module Env = Bfdn_sim.Env
-module Runner = Bfdn_sim.Runner
+module Exec_env = Bfdn_sim.Exec_env
 module Trace = Bfdn_sim.Trace
 module Rng = Bfdn_util.Rng
 module Batch = Bfdn_engine.Batch
@@ -52,6 +52,10 @@ let die fmt =
       prerr_endline ("bfdn-explore: " ^ msg);
       exit 1)
     fmt
+
+(* An output file that cannot be written is a user error too. *)
+let writing flag file f =
+  try f () with Sys_error msg -> die "%s: cannot write %s: %s" flag file msg
 
 (* ---- shared arguments ---- *)
 
@@ -339,7 +343,7 @@ let run_cmd =
     match dump_spec with
     | Some "-" -> print_endline (Scenario.to_string spec)
     | Some file ->
-        Scenario.save ~path:file spec;
+        writing "--dump-spec" file (fun () -> Scenario.save ~path:file spec);
         Printf.printf "spec written to %s\n" file
     | None ->
         (match dump_tree with
@@ -351,10 +355,9 @@ let run_cmd =
               | tree -> tree
               | exception Invalid_argument msg -> die "--dump-tree: %s" msg
             in
-            let oc = open_out file in
-            output_string oc (Bfdn_trees.Tree.to_string tree);
-            output_char oc '\n';
-            close_out oc;
+            writing "--dump-tree" file (fun () ->
+                Bfdn_util.Atomic_file.write ~path:file
+                  (Bfdn_trees.Tree.to_string tree ^ "\n"));
             Printf.printf "instance written to %s\n" file
         | None -> ());
         let replay_tree =
@@ -378,16 +381,20 @@ let run_cmd =
         let probe =
           match registry with Some m -> Probe.of_metrics m | None -> Probe.noop
         in
-        let trace_oc = Option.map open_out trace in
-        let on_round (exec : Bfdn_sim.Exec_env.t) =
+        let trace_oc =
+          Option.map
+            (fun file -> writing "--trace" file (fun () -> open_out file))
+            trace
+        in
+        let on_round (exec : Exec_env.t) =
           (match trace_oc with
           | Some oc ->
               Sink.write_jsonl oc
-                (Trace.json_of_frame (exec.Bfdn_sim.Exec_env.frame ()))
+                (Trace.json_of_frame (exec.Exec_env.frame ()))
           | None -> ());
           if watch then begin
             print_newline ();
-            print_string (exec.Bfdn_sim.Exec_env.render ())
+            print_string (exec.Exec_env.render ())
           end
         in
         let outcome =
@@ -413,7 +420,7 @@ let run_cmd =
           and k = spec.Scenario.k in
           Printf.printf "instance: %s — n=%d D=%d Δ=%d (seed %d)\n"
             (Scenario.instance_label spec) nn d delta spec.Scenario.seed;
-          Format.printf "%s with k=%d: %a@." spec.Scenario.algo k Runner.pp_result
+          Format.printf "%s with k=%d: %a@." spec.Scenario.algo k Exec_env.pp_result
             result;
           (match outcome.Scenario.replay_rounds with
           | Some r -> Printf.printf "frozen-tree replay : %d rounds\n" r
@@ -771,9 +778,10 @@ let sweep_cmd =
     end;
     (match out with
     | Some path when path <> "" ->
-        Report.write ~path
-          (Report.of_sweep ~label:"bfdn-explore sweep" ~workers:jobs ~seed ~wall
-             results);
+        writing "--out" path (fun () ->
+            Report.write ~path
+              (Report.of_sweep ~label:"bfdn-explore sweep" ~workers:jobs ~seed
+                 ~wall results));
         Printf.printf "report written to %s\n" path
     | _ -> ());
     if agg.errors > 0 then exit 1
@@ -969,7 +977,10 @@ let serve_cmd =
     let span_sink =
       Option.map
         (fun file ->
-          let oc = open_out_gen [ Open_append; Open_creat ] 0o644 file in
+          let oc =
+            writing "--span-log" file (fun () ->
+                open_out_gen [ Open_append; Open_creat ] 0o644 file)
+          in
           at_exit (fun () -> close_out_noerr oc);
           let m = Mutex.create () in
           fun j ->
@@ -1043,9 +1054,7 @@ let submit_cmd =
     in
     let path = if no_wait || stream then "/run?wait=0" else "/run" in
     match Client.request ~host ~port ~body ~meth:"POST" ~path () with
-    | Error msg ->
-        Printf.eprintf "submit failed: %s\n" msg;
-        exit 1
+    | Error msg -> die "submit failed: %s" msg
     | Ok resp ->
         print_endline resp.Client.body;
         if stream && resp.Client.status = 202 then begin
@@ -1063,9 +1072,7 @@ let submit_cmd =
               ~on_chunk:print_string ()
           with
           | Ok _ -> ()
-          | Error msg ->
-              Printf.eprintf "stream failed: %s\n" msg;
-              exit 1
+          | Error msg -> die "stream failed: %s" msg
         end
         else if resp.Client.status >= 400 then exit 1
   in

@@ -10,7 +10,7 @@
    Run with: dune exec examples/adaptive_adversary.exe *)
 
 module Env = Bfdn_sim.Env
-module Runner = Bfdn_sim.Runner
+module Exec_env = Bfdn_sim.Exec_env
 module Adversary = Bfdn_sim.Adversary
 module Lazy_world = Bfdn_sim.Lazy_world
 
@@ -20,11 +20,11 @@ let duel name make_adv =
     (fun (algo_name, make_algo) ->
       let adv = make_adv () in
       let env = Env.of_world (Lazy_world.world adv) ~k:32 in
-      let r = Runner.run (make_algo env) env in
+      let r = Exec_env.run (Exec_env.of_env (make_algo env) env) in
       let tree = Lazy_world.frozen adv in
       let stats = Bfdn_trees.Tree_stats.compute tree in
       let env2 = Env.create tree ~k:32 in
-      let r2 = Runner.run (make_algo env2) env2 in
+      let r2 = Exec_env.run (Exec_env.of_env (make_algo env2) env2) in
       let lb = Bfdn.Bounds.offline_lb ~n:stats.n ~k:32 ~d:(max 1 stats.depth) in
       Printf.printf
         "  vs %-5s grew n=%-5d D=%-4d | %5d rounds (%.2fx offline bound), \
@@ -42,10 +42,10 @@ let () =
   duel "thick comb (spine + dead teeth)" (fun () ->
       Adversary.make_rec ~capacity:3000 ~depth_budget:1000 Adversary.thick_comb);
   duel "corridor for crowds" (fun () ->
-      Adversary.make ~capacity:3000 ~depth_budget:60
+      Lazy_world.adaptive ~capacity:3000 ~depth_budget:60
         (Adversary.corridor_crowds ~threshold:2));
   duel "budget bomb (max width)" (fun () ->
-      Adversary.make ~capacity:3000 ~depth_budget:4 Adversary.greedy_widest);
+      Lazy_world.adaptive ~capacity:3000 ~depth_budget:4 Adversary.greedy_widest);
   print_newline ();
   print_endline
     "BFDN never exceeds its Theorem 1 guarantee here: the theorem is per-tree,\n\

@@ -7,7 +7,7 @@
 
 module Tree_gen = Bfdn_trees.Tree_gen
 module Env = Bfdn_sim.Env
-module Runner = Bfdn_sim.Runner
+module Exec_env = Bfdn_sim.Exec_env
 module Rng = Bfdn_util.Rng
 
 let () =
@@ -42,8 +42,10 @@ let () =
       let state = Bfdn.Bfdn_algo.make env in
       (* blocked robots may never make it home: require full edge coverage
          only (the paper drops the return requirement here) *)
-      let algo = { (Bfdn.Bfdn_algo.algo state) with Runner.finished = Env.fully_explored } in
-      let r = Runner.run ~max_rounds:5_000_000 algo env in
+      let algo =
+        { (Bfdn.Bfdn_algo.algo state) with Exec_env.finished = Env.fully_explored }
+      in
+      let r = Exec_env.run ~max_rounds:5_000_000 (Exec_env.of_env algo env) in
       let avg_allowed = float_of_int (Env.allowed_total env) /. float_of_int k in
       Printf.printf
         "  %-26s explored=%b in %6d rounds; allowed moves per robot %6.0f \

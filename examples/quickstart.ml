@@ -6,7 +6,7 @@
 
 module Tree_gen = Bfdn_trees.Tree_gen
 module Env = Bfdn_sim.Env
-module Runner = Bfdn_sim.Runner
+module Exec_env = Bfdn_sim.Exec_env
 module Rng = Bfdn_util.Rng
 
 let () =
@@ -20,7 +20,9 @@ let () =
          discovered part. *)
       let env = Env.create tree ~k in
       let bfdn = Bfdn.Bfdn_algo.make env in
-      let result = Runner.run (Bfdn.Bfdn_algo.algo bfdn) env in
+      let result =
+        Exec_env.run (Exec_env.of_env (Bfdn.Bfdn_algo.algo bfdn) env)
+      in
       let bound =
         Bfdn.Bounds.bfdn ~n:stats.n ~k ~d:stats.depth ~delta:stats.max_degree
       in

@@ -90,7 +90,6 @@ let make env =
     moves
   in
   {
-    Bfdn_sim.Runner.name = "cte";
-    select;
+    Bfdn_sim.Exec_env.select;
     finished = (fun env -> Env.fully_explored env && Env.all_at_root env);
   }

@@ -11,4 +11,4 @@
     competitive ratio; tight on sequential-breadth instances such as
     {!Bfdn_trees.Tree_gen.hidden_path} ([11]). *)
 
-val make : Bfdn_sim.Env.t -> Bfdn_sim.Runner.algo
+val make : Bfdn_sim.Env.t -> Bfdn_sim.Exec_env.algo

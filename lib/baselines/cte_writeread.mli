@@ -12,4 +12,4 @@
     {!Cte}; both explore everything and regather at the root, and the
     round counts track each other closely (tested). *)
 
-val make : Bfdn_sim.Env.t -> Bfdn_sim.Runner.algo
+val make : Bfdn_sim.Env.t -> Bfdn_sim.Exec_env.algo

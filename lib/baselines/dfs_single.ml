@@ -32,7 +32,6 @@ let make env =
     moves
   in
   {
-    Bfdn_sim.Runner.name = "dfs-single";
-    select;
+    Bfdn_sim.Exec_env.select;
     finished = (fun env -> Env.fully_explored env && Env.all_at_root env);
   }

@@ -7,4 +7,4 @@
     When the environment has [k > 1] robots, robot 0 does the work and the
     others stay at the root — useful as a fixed-team baseline. *)
 
-val make : Bfdn_sim.Env.t -> Bfdn_sim.Runner.algo
+val make : Bfdn_sim.Env.t -> Bfdn_sim.Exec_env.algo

@@ -59,4 +59,4 @@ let make env =
             m)
   in
   let finished _ = Array.for_all (fun p -> !p = []) plans in
-  { Bfdn_sim.Runner.name = "offline-split"; select; finished }
+  { Bfdn_sim.Exec_env.select; finished }

@@ -12,7 +12,7 @@
     definition); execution still goes through the legality-checked
     environment. *)
 
-val make : Bfdn_sim.Env.t -> Bfdn_sim.Runner.algo
+val make : Bfdn_sim.Env.t -> Bfdn_sim.Exec_env.algo
 
 val planned_rounds : Bfdn_trees.Tree.t -> k:int -> int
 (** Makespan of the plan without running it: the longest robot itinerary. *)

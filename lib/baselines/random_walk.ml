@@ -11,7 +11,6 @@ let make ~rng env =
         if nports = 0 then Env.Stay else Env.Via_port (Rng.int rng nports))
   in
   {
-    Bfdn_sim.Runner.name = "random-walk";
-    select;
+    Bfdn_sim.Exec_env.select;
     finished = Env.fully_explored;
   }

@@ -5,4 +5,4 @@
     useful worst-case guarantee. Terminates when the tree is explored
     (robots are not required to re-gather at the root). *)
 
-val make : rng:Bfdn_util.Rng.t -> Bfdn_sim.Env.t -> Bfdn_sim.Runner.algo
+val make : rng:Bfdn_util.Rng.t -> Bfdn_sim.Env.t -> Bfdn_sim.Exec_env.algo

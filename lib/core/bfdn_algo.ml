@@ -1,6 +1,5 @@
 module Env = Bfdn_sim.Env
 module Partial_tree = Bfdn_sim.Partial_tree
-module Runner = Bfdn_sim.Runner
 module Rng = Bfdn_util.Rng
 module Heartbeat = Bfdn_faults.Heartbeat
 module Node_store = Bfdn_sim.Node_store
@@ -386,8 +385,7 @@ let ft_finished f env =
 
 let algo t =
   {
-    Runner.name = (match t.ft with None -> "bfdn" | Some _ -> "bfdn-ft");
-    select = (fun _ -> select t);
+    Bfdn_sim.Exec_env.select = (fun _ -> select t);
     finished =
       (fun env ->
         let fin =

@@ -62,12 +62,12 @@ val make :
     kept (and tested) is that exploration completes whenever at least
     one robot survives. *)
 
-val algo : t -> Bfdn_sim.Runner.algo
-(** Runner hook. [finished] is "tree explored and all robots at the root"
-    (under break-down masks, compose with {!Bfdn_sim.Env.fully_explored}
-    instead, since blocked robots may never return). With
-    [fault_tolerant], robots presumed lost are exempted from the
-    all-at-root condition, and the algo is named ["bfdn-ft"]. *)
+val algo : t -> Bfdn_sim.Exec_env.algo
+(** The algorithm as the round loop runs it. [finished] is "tree
+    explored and all robots at the root" (under break-down masks, compose
+    with {!Bfdn_sim.Env.fully_explored} instead, since blocked robots may
+    never return). With [fault_tolerant], robots presumed lost are
+    exempted from the all-at-root condition. *)
 
 (** {2 Instrumentation} *)
 

@@ -1,7 +1,6 @@
 module Env = Bfdn_sim.Env
 module Partial_tree = Bfdn_sim.Partial_tree
 module Whiteboard = Bfdn_sim.Whiteboard
-module Runner = Bfdn_sim.Runner
 
 (* An anchor is addressed by the edge leading to it: the planner knows the
    port path of the parent plus one down-port. [Root] is the bootstrap
@@ -282,7 +281,6 @@ let select t =
 
 let algo t =
   {
-    Runner.name = "bfdn-planner";
-    select = (fun _ -> select t);
+    Bfdn_sim.Exec_env.select = (fun _ -> select t);
     finished = (fun env -> Env.fully_explored env && Env.all_at_root env);
   }

@@ -24,7 +24,7 @@ type t
 
 val make : Bfdn_sim.Env.t -> t
 
-val algo : t -> Bfdn_sim.Runner.algo
+val algo : t -> Bfdn_sim.Exec_env.algo
 
 (** {2 Instrumentation} *)
 

@@ -1,6 +1,5 @@
 module Env = Bfdn_sim.Env
 module Partial_tree = Bfdn_sim.Partial_tree
-module Runner = Bfdn_sim.Runner
 module Mathx = Bfdn_util.Mathx
 
 type walk_step = W_up | W_port of int
@@ -373,7 +372,6 @@ let select t =
 
 let algo t =
   {
-    Runner.name = Printf.sprintf "bfdn-rec-%d" t.ell;
-    select = (fun _ -> select t);
+    Bfdn_sim.Exec_env.select = (fun _ -> select t);
     finished = Env.fully_explored;
   }

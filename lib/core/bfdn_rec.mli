@@ -31,7 +31,7 @@ type t
 val make : ell:int -> Bfdn_sim.Env.t -> t
 (** @raise Invalid_argument if [ell < 1]. *)
 
-val algo : t -> Bfdn_sim.Runner.algo
+val algo : t -> Bfdn_sim.Exec_env.algo
 (** [finished] is full exploration (no return-to-root requirement). *)
 
 (** {2 Instrumentation} *)

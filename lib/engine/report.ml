@@ -1,22 +1,6 @@
 module Json = Bfdn_obs.Json
 
-(* Written beside its final name and renamed into place: a reader never
-   sees a torn report, and a failed write leaves the previous one intact
-   and no temporary file behind. *)
-let write ~path j =
-  let tmp = path ^ ".tmp" in
-  try
-    let oc = open_out tmp in
-    (try
-       output_string oc (Json.to_string j ^ "\n");
-       close_out oc
-     with e ->
-       close_out_noerr oc;
-       raise e);
-    Sys.rename tmp path
-  with e ->
-    (try Sys.remove tmp with Sys_error _ -> ());
-    raise e
+let write ~path j = Bfdn_util.Atomic_file.write ~path (Json.to_string j ^ "\n")
 
 (* Bump when the shape of the BENCH_*.json bodies changes incompatibly,
    so dashboards comparing perf trajectories across PRs can tell which

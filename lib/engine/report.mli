@@ -11,10 +11,10 @@
     comparable across PRs. *)
 
 val write : path:string -> Bfdn_obs.Json.t -> unit
-(** {!Bfdn_obs.Json.to_string} plus a trailing newline, written to
-    [path ^ ".tmp"] and renamed over [path]. On failure the previous
-    [path] is untouched, the temporary file is removed and the exception
-    is re-raised. *)
+(** {!Bfdn_obs.Json.to_string} plus a trailing newline, written by
+    {!Bfdn_util.Atomic_file.write}: on failure the previous [path] is
+    untouched, the temporary file is removed and [Sys_error] is
+    re-raised. *)
 
 val peak_rss_bytes : unit -> int option
 (** Peak resident set of this process, best-effort: VmHWM from

@@ -1,5 +1,4 @@
 module Env = Bfdn_sim.Env
-module Runner = Bfdn_sim.Runner
 module Exec_env = Bfdn_sim.Exec_env
 module Async_env = Bfdn_sim.Async_env
 module Rng = Bfdn_util.Rng
@@ -15,7 +14,7 @@ type ctx = {
 }
 
 type make =
-  | Tree of { adaptive : bool; algo : ctx -> Env.t -> Runner.algo }
+  | Tree of { adaptive : bool; algo : ctx -> Env.t -> Exec_env.algo }
   | Graph of (ctx -> Bfdn_graphs.Graph_env.t -> Exec_env.t)
   | Async of (ctx -> Bfdn_trees.Tree.t -> k:int -> Exec_env.t)
 

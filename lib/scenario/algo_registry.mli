@@ -44,7 +44,7 @@ type ctx = {
 type make =
   | Tree of {
       adaptive : bool;
-      algo : ctx -> Bfdn_sim.Env.t -> Bfdn_sim.Runner.algo;
+      algo : ctx -> Bfdn_sim.Env.t -> Bfdn_sim.Exec_env.algo;
     }
       (** a synchronous tree algorithm; [adaptive] when it is sound
           against a lazily materialized adversarial world *)
@@ -103,7 +103,7 @@ val instantiate :
   ?fault:Bfdn_faults.Fault_plan.t ->
   string ->
   Bfdn_sim.Env.t ->
-  Bfdn_sim.Runner.algo
+  Bfdn_sim.Exec_env.algo
 (** Construct a named algorithm on a tree environment — for harnesses
     that build their own environment (bench, tests, the batch engine's
     shared-world lanes). [rng] defaults to a

@@ -1,5 +1,4 @@
 module Env = Bfdn_sim.Env
-module Runner = Bfdn_sim.Runner
 module Exec_env = Bfdn_sim.Exec_env
 module Rng = Bfdn_util.Rng
 module Probe = Bfdn_obs.Probe
@@ -25,7 +24,7 @@ type t = {
 }
 
 type outcome = {
-  result : Runner.result;
+  result : Exec_env.result;
   replay_rounds : int option;
   n : int;
   depth : int;
@@ -394,12 +393,12 @@ let fingerprint t =
 let outcome_to_json (o : outcome) =
   Json.Obj
     [
-      ("rounds", Json.Int o.result.Runner.rounds);
-      ("explored", Json.Bool o.result.Runner.explored);
-      ("at_root", Json.Bool o.result.Runner.at_root);
-      ("moves", Json.Int o.result.Runner.moves);
-      ("edge_events", Json.Int o.result.Runner.edge_events);
-      ("hit_round_limit", Json.Bool o.result.Runner.hit_round_limit);
+      ("rounds", Json.Int o.result.Exec_env.rounds);
+      ("explored", Json.Bool o.result.Exec_env.explored);
+      ("at_root", Json.Bool o.result.Exec_env.at_root);
+      ("moves", Json.Int o.result.Exec_env.moves);
+      ("edge_events", Json.Int o.result.Exec_env.edge_events);
+      ("hit_round_limit", Json.Bool o.result.Exec_env.hit_round_limit);
       ( "replay_rounds",
         match o.replay_rounds with None -> Json.Null | Some r -> Json.Int r );
       ("n", Json.Int o.n);
@@ -483,10 +482,7 @@ let of_string s =
   let* () = validate t in
   Ok t
 
-let save ~path t =
-  Out_channel.with_open_text path (fun oc ->
-      Out_channel.output_string oc (to_string t);
-      Out_channel.output_char oc '\n')
+let save ~path t = Bfdn_util.Atomic_file.write ~path (to_string t ^ "\n")
 
 let load path =
   match In_channel.with_open_text path In_channel.input_all with

@@ -59,7 +59,7 @@ type t = {
 }
 
 type outcome = {
-  result : Bfdn_sim.Runner.result;
+  result : Bfdn_sim.Exec_env.result;
   replay_rounds : int option;
       (** adversarial scenarios only: rounds of a re-run on the frozen
           tree (equal to [result.rounds] for deterministic algorithms) *)
@@ -149,6 +149,10 @@ val of_string : string -> (t, string) result
 (** Parses and {!validate}s. *)
 
 val save : path:string -> t -> unit
+(** {!to_string} plus a trailing newline, written by
+    {!Bfdn_util.Atomic_file.write}.
+    @raise Sys_error when [path] cannot be written; it is then
+    untouched. *)
 
 val load : string -> (t, string) result
 
@@ -199,7 +203,7 @@ val run_env :
   ?probe:Bfdn_obs.Probe.t ->
   ?on_round:(Bfdn_sim.Exec_env.t -> unit) ->
   t ->
-  Bfdn_sim.Runner.algo ->
+  Bfdn_sim.Exec_env.algo ->
   Bfdn_sim.Env.t ->
   outcome
 (** The shared execution step on a prepared tree environment: drive

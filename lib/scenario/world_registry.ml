@@ -277,7 +277,7 @@ let policies =
           let threshold =
             Param.get_int ~schema:corridor_params c.params "threshold"
           in
-          Adversary.make ~capacity ~depth_budget
+          Lazy_world.adaptive ~capacity ~depth_budget
             (Adversary.corridor_crowds ~threshold));
     };
     {
@@ -287,7 +287,7 @@ let policies =
       p_make =
         (fun c ->
           let capacity, depth_budget = budgets c.params in
-          Adversary.make ~capacity ~depth_budget Adversary.greedy_widest);
+          Lazy_world.adaptive ~capacity ~depth_budget Adversary.greedy_widest);
     };
     {
       p_name = "miser";
@@ -296,7 +296,7 @@ let policies =
       p_make =
         (fun c ->
           let capacity, depth_budget = budgets c.params in
-          Adversary.make ~capacity ~depth_budget Adversary.miser);
+          Lazy_world.adaptive ~capacity ~depth_budget Adversary.miser);
     };
     {
       p_name = "random";
@@ -308,7 +308,7 @@ let policies =
           let max_children =
             Param.get_int ~schema:random_policy_params c.params "max_children"
           in
-          Adversary.make ~capacity ~depth_budget
+          Lazy_world.adaptive ~capacity ~depth_budget
             (Adversary.random_policy c.rng ~max_children));
     };
   ]

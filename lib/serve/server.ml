@@ -177,24 +177,14 @@ let write_postmortem t (job : Q.job) reg ~reason ~state_name =
             ("spans", Span.tree_json job.Q.span);
           ]
       in
-      (* Written beside its final name and renamed into place, so a
-         reader of the directory never sees a torn bundle. *)
-      let tmp = path ^ ".tmp" in
       try
         mkdir_p dir;
-        let oc = open_out tmp in
-        Fun.protect
-          ~finally:(fun () -> close_out_noerr oc)
-          (fun () ->
-            output_string oc (Json.to_string bundle);
-            output_char oc '\n');
-        Unix.rename tmp path;
+        Bfdn_util.Atomic_file.write ~path (Json.to_string bundle ^ "\n");
         job.Q.postmortem <- Some path;
         Log.warn t.config.log ~trace:job.Q.trace
           ~attrs:[ ("path", Json.String path); ("reason", Json.String reason) ]
           "postmortem bundle written"
       with Sys_error msg | Unix.Unix_error (_, msg, _) ->
-        (try Sys.remove tmp with Sys_error _ -> ());
         Log.error t.config.log ~trace:job.Q.trace
           ~attrs:[ ("path", Json.String path); ("detail", Json.String msg) ]
           "postmortem bundle failed")

@@ -1,13 +1,9 @@
 module Rng = Bfdn_util.Rng
 
-type policy = Lazy_world.policy
-
-let make = Lazy_world.adaptive
-
 let make_rec ~capacity ~depth_budget make_policy =
   let forward = ref (fun ~node:_ ~depth:_ ~arriving:_ ~round:_ ~remaining:_ -> 0) in
   let t =
-    make ~capacity ~depth_budget
+    Lazy_world.adaptive ~capacity ~depth_budget
       (fun ~node ~depth ~arriving ~round ~remaining ->
         !forward ~node ~depth ~arriving ~round ~remaining)
   in

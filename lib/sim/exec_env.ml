@@ -2,7 +2,6 @@ module Clock = Bfdn_util.Clock
 module Probe = Bfdn_obs.Probe
 
 type algo = {
-  name : string;
   select : Env.t -> Env.move array;
   finished : Env.t -> bool;
 }
@@ -15,6 +14,11 @@ type result = {
   edge_events : int;
   hit_round_limit : bool;
 }
+
+let pp_result ppf r =
+  Format.fprintf ppf "rounds=%d explored=%b at_root=%b moves=%d events=%d%s"
+    r.rounds r.explored r.at_root r.moves r.edge_events
+    (if r.hit_round_limit then " (HIT ROUND LIMIT)" else "")
 
 type t = {
   k : int;

@@ -2,11 +2,13 @@
 
     BFDN is one synchronous loop — each round every robot selects a
     move, then all moves are applied. {!run} is that loop, and the only
-    one in the codebase: {!Runner.run} is [run (of_env algo env)], and
-    the scenario layer and the seed batch engine drive it directly. An
-    {!t} packages the operations the loop, fault injection and the obs
-    probes need (select/apply phases, termination test, round
-    accounting, trace frames) behind closures, so tree environments ({!of_env}), grid/graph environments
+    one in the codebase: a tree algorithm is an {!algo}, run as
+    [run (of_env algo env)], and every caller (the scenario layer, the
+    seed batch engine, the bench, the examples, the tests) drives it
+    directly. An {!t} packages the operations the loop, fault injection
+    and the obs probes need (select/apply phases, termination test,
+    round accounting, trace frames) behind closures, so tree
+    environments ({!of_env}), grid/graph environments
     ([Bfdn_graphs.Graph_env], adapted by [Bfdn_graph.exec_env] in
     [lib/core] because [lib/sim] does not see [bfdn_graphs]) and the
     continuous-time relaxation ({!of_async}, Remark 8) run through the
@@ -15,7 +17,6 @@
     [/metrics]. *)
 
 type algo = {
-  name : string;
   select : Env.t -> Env.move array;
       (** Produce this round's selection for every robot. Must not mutate
           the environment. *)
@@ -23,8 +24,7 @@ type algo = {
       (** The algorithm's own termination condition, evaluated before each
           round. *)
 }
-(** An online algorithm over a tree {!Env}; re-exported as
-    {!Runner.algo}. *)
+(** An online algorithm over a tree {!Env}. *)
 
 type result = {
   rounds : int;
@@ -34,7 +34,10 @@ type result = {
   edge_events : int;
   hit_round_limit : bool;
 }
-(** Re-exported as {!Runner.result}. *)
+
+val pp_result : Format.formatter -> result -> unit
+(** [rounds=R explored=B at_root=B moves=M events=E], plus
+    [" (HIT ROUND LIMIT)"] when the divergence guard stopped the run. *)
 
 type t = {
   k : int;

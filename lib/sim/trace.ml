@@ -1,19 +1,9 @@
-module Ring = Bfdn_obs.Sink.Ring
-
 type frame = {
   round : int;
   positions : int array;
   explored : int;
   dangling : int;
 }
-
-(* Bounded ring: a long run keeps the newest [capacity] frames instead
-   of growing a list forever. *)
-type t = frame Ring.t
-
-let default_capacity = 4096
-
-let create ?(capacity = default_capacity) () = Ring.create capacity
 
 let frame_of_env env =
   let view = Env.view env in
@@ -23,18 +13,6 @@ let frame_of_env env =
     explored = Partial_tree.num_explored view;
     dangling = Partial_tree.num_dangling view;
   }
-
-let record t env = Ring.push t (frame_of_env env)
-
-let push = Ring.push
-
-let frames = Ring.to_list
-
-let length = Ring.pushed
-
-let retained = Ring.length
-
-let dropped = Ring.dropped
 
 let json_of_frame f =
   let module J = Bfdn_obs.Json in
@@ -83,9 +61,9 @@ let render_frame env =
   draw (Partial_tree.root view) "";
   Buffer.contents buf
 
-let depth_timeline t env =
+let depth_timeline frames env =
   let view = Env.view env in
-  let frames = Array.of_list (frames t) in
+  let frames = Array.of_list frames in
   let nframes = Array.length frames in
   if nframes = 0 then "(no frames)\n"
   else begin

@@ -4,7 +4,7 @@
 
 module Tree = Bfdn_trees.Tree
 module Env = Bfdn_sim.Env
-module Runner = Bfdn_sim.Runner
+module Exec_env = Bfdn_sim.Exec_env
 module Adversary = Bfdn_sim.Adversary
 module Lazy_world = Bfdn_sim.Lazy_world
 module Rng = Bfdn_util.Rng
@@ -16,10 +16,12 @@ let bfdn_algo env = Bfdn.Bfdn_algo.algo (Bfdn.Bfdn_algo.make env)
 
 let run_adaptive make_algo adv k =
   let env = Env.of_world (Lazy_world.world adv) ~k in
-  (env, Runner.run (make_algo env) env)
+  (env, Exec_env.run (Exec_env.of_env (make_algo env) env))
 
 let test_budgets_respected () =
-  let adv = Adversary.make ~capacity:500 ~depth_budget:12 Adversary.greedy_widest in
+  let adv =
+    Lazy_world.adaptive ~capacity:500 ~depth_budget:12 Adversary.greedy_widest
+  in
   let _, r = run_adaptive bfdn_algo adv 8 in
   checkb "explored" true r.explored;
   let tree = Lazy_world.frozen adv in
@@ -28,7 +30,7 @@ let test_budgets_respected () =
   checkb "depth respected" true (Tree.depth tree <= 12)
 
 let test_miser_builds_path () =
-  let adv = Adversary.make ~capacity:100 ~depth_budget:99 Adversary.miser in
+  let adv = Lazy_world.adaptive ~capacity:100 ~depth_budget:99 Adversary.miser in
   let _, r = run_adaptive bfdn_algo adv 3 in
   checkb "explored" true r.explored;
   let tree = Lazy_world.frozen adv in
@@ -37,7 +39,9 @@ let test_miser_builds_path () =
   checki "path max degree" 2 (Tree.max_degree tree)
 
 let test_greedy_widest_builds_star () =
-  let adv = Adversary.make ~capacity:200 ~depth_budget:10 Adversary.greedy_widest in
+  let adv =
+    Lazy_world.adaptive ~capacity:200 ~depth_budget:10 Adversary.greedy_widest
+  in
   let _, r = run_adaptive bfdn_algo adv 5 in
   checkb "explored" true r.explored;
   let tree = Lazy_world.frozen adv in
@@ -59,7 +63,7 @@ let replay_identical make_algo make_adv k =
   let _, r1 = run_adaptive make_algo adv k in
   let tree = Lazy_world.frozen adv in
   let env2 = Env.create tree ~k in
-  let r2 = Runner.run (make_algo env2) env2 in
+  let r2 = Exec_env.run (Exec_env.of_env (make_algo env2) env2) in
   r1.explored && r2.explored && r1.rounds = r2.rounds && r1.moves = r2.moves
 
 let test_replay_determinism () =
@@ -68,7 +72,7 @@ let test_replay_determinism () =
       checkb "bfdn replay" true
         (replay_identical bfdn_algo
            (fun () ->
-             Adversary.make ~capacity:600 ~depth_budget:40
+             Lazy_world.adaptive ~capacity:600 ~depth_budget:40
                (Adversary.corridor_crowds ~threshold:3))
            k);
       checkb "cte replay" true
@@ -82,7 +86,7 @@ let prop_theorem1_adaptive =
     QCheck.(triple (int_range 2 300) (int_range 1 24) (int_range 0 10_000))
     (fun (capacity, k, seed) ->
       let adv =
-        Adversary.make ~capacity ~depth_budget:(max 1 (capacity / 3))
+        Lazy_world.adaptive ~capacity ~depth_budget:(max 1 (capacity / 3))
           (Adversary.random_policy (Rng.create seed) ~max_children:4)
       in
       let env, r = run_adaptive bfdn_algo adv k in
@@ -100,12 +104,12 @@ let prop_planner_adaptive =
     QCheck.(triple (int_range 2 200) (int_range 1 16) (int_range 0 10_000))
     (fun (capacity, k, seed) ->
       let adv =
-        Adversary.make ~capacity ~depth_budget:(max 1 (capacity / 3))
+        Lazy_world.adaptive ~capacity ~depth_budget:(max 1 (capacity / 3))
           (Adversary.random_policy (Rng.create seed) ~max_children:4)
       in
       let env = Env.of_world (Lazy_world.world adv) ~k in
       let t = Bfdn.Bfdn_planner.make env in
-      let r = Runner.run (Bfdn.Bfdn_planner.algo t) env in
+      let r = Exec_env.run (Exec_env.of_env (Bfdn.Bfdn_planner.algo t) env) in
       let tree = Lazy_world.frozen adv in
       let bound =
         Bfdn.Bounds.bfdn_writeread ~n:(Tree.n tree) ~k ~d:(Tree.depth tree)
@@ -114,7 +118,7 @@ let prop_planner_adaptive =
       r.explored && r.at_root && float_of_int r.rounds <= bound)
 
 let test_accessors () =
-  let adv = Adversary.make ~capacity:50 ~depth_budget:10 Adversary.miser in
+  let adv = Lazy_world.adaptive ~capacity:50 ~depth_budget:10 Adversary.miser in
   let _, r = run_adaptive bfdn_algo adv 2 in
   checkb "explored" true r.explored;
   checki "root parent" (-1) (Lazy_world.parent_of adv 0);
@@ -126,7 +130,7 @@ let test_accessors () =
 let test_world_single_use () =
   (* Revealing the same node twice means two environments share one
      adversary — rejected. *)
-  let adv = Adversary.make ~capacity:10 ~depth_budget:3 Adversary.miser in
+  let adv = Lazy_world.adaptive ~capacity:10 ~depth_budget:3 Adversary.miser in
   let _ = Env.of_world (Lazy_world.world adv) ~k:1 in
   checkb "second env rejected" true
     (try

@@ -95,7 +95,7 @@ let prop_unit_speeds_match_sync =
       let env = run_async tree k in
       let senv = Bfdn_sim.Env.create tree ~k in
       let st = Bfdn.Bfdn_algo.make senv in
-      let sr = Bfdn_sim.Runner.run (Bfdn.Bfdn_algo.algo st) senv in
+      let sr = Exec_env.run (Exec_env.of_env (Bfdn.Bfdn_algo.algo st) senv) in
       let sync = float_of_int sr.rounds in
       Aenv.fully_explored env && Aenv.all_at_root env
       && Aenv.makespan env <= (1.6 *. sync) +. 5.0

@@ -5,7 +5,7 @@ module Tree = Bfdn_trees.Tree
 module Tree_gen = Bfdn_trees.Tree_gen
 module Tree_stats = Bfdn_trees.Tree_stats
 module Env = Bfdn_sim.Env
-module Runner = Bfdn_sim.Runner
+module Exec_env = Bfdn_sim.Exec_env
 module Dfs_single = Bfdn_baselines.Dfs_single
 module Offline_split = Bfdn_baselines.Offline_split
 module Cte = Bfdn_baselines.Cte
@@ -21,7 +21,7 @@ let random_tree seed n =
 
 let run make tree k =
   let env = Env.create tree ~k in
-  let r = Runner.run (make env) env in
+  let r = Exec_env.run (Exec_env.of_env (make env) env) in
   (env, r)
 
 (* ---- single-robot DFS ---- *)
@@ -89,11 +89,11 @@ let test_offline_itinerary_structure () =
   List.iter
     (fun k ->
       let env = Env.create tree ~k in
-      let r = Runner.run (Offline_split.make env) env in
+      let r = Exec_env.run (Exec_env.of_env (Offline_split.make env) env) in
       checkb "explored" true r.explored;
       (* re-running is idempotent: fresh plan, same rounds *)
       let env2 = Env.create tree ~k in
-      let r2 = Runner.run (Offline_split.make env2) env2 in
+      let r2 = Exec_env.run (Exec_env.of_env (Offline_split.make env2) env2) in
       checki "deterministic" r.rounds r2.rounds;
       checki "planned matches" (Offline_split.planned_rounds tree ~k) r.rounds)
     [ 2; 7; 40 ]
@@ -170,7 +170,8 @@ let prop_cte_wr_tracks_centralized =
 let test_random_walk_completes_small () =
   let tree = Tree_gen.complete ~arity:2 ~depth:4 in
   let env = Env.create tree ~k:4 in
-  let r = Runner.run ~max_rounds:100_000 (Random_walk.make ~rng:(Rng.create 2) env) env in
+  let algo = Random_walk.make ~rng:(Rng.create 2) env in
+  let r = Exec_env.run ~max_rounds:100_000 (Exec_env.of_env algo env) in
   checkb "explored" true r.explored
 
 let suite =

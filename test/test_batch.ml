@@ -133,7 +133,7 @@ let test_fallback_shapes () =
   in
   let r = check_batch_equals_sequential "round-capped" t in
   checkb "capped lane hit the limit" true
-    r.Seed_batch.outcomes.(0).Scenario.result.Bfdn_sim.Runner.hit_round_limit
+    r.Seed_batch.outcomes.(0).Scenario.result.Bfdn_sim.Exec_env.hit_round_limit
 
 (* ---- qcheck: batch oracle across random configs ---- *)
 

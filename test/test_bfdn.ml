@@ -6,7 +6,7 @@ module Tree = Bfdn_trees.Tree
 module Tree_gen = Bfdn_trees.Tree_gen
 module Env = Bfdn_sim.Env
 module Partial_tree = Bfdn_sim.Partial_tree
-module Runner = Bfdn_sim.Runner
+module Exec_env = Bfdn_sim.Exec_env
 module Bfdn_algo = Bfdn.Bfdn_algo
 module Bounds = Bfdn.Bounds
 module Rng = Bfdn_util.Rng
@@ -17,7 +17,7 @@ let checki = Alcotest.(check int)
 let run_bfdn ?policy tree k =
   let env = Env.create tree ~k in
   let t = Bfdn_algo.make ?policy env in
-  let result = Runner.run (Bfdn_algo.algo t) env in
+  let result = Exec_env.run (Exec_env.of_env (Bfdn_algo.algo t) env) in
   (env, t, result)
 
 let thm1_bound env k =
@@ -78,7 +78,7 @@ let test_claim2_single_discoverer () =
   checkb "explored" true r.explored;
   checki "no shared discovery under BFDN" 0 (Env.multi_reveals env);
   let env2 = Env.create tree ~k:24 in
-  let r2 = Runner.run (Bfdn_baselines.Cte.make env2) env2 in
+  let r2 = Exec_env.run (Exec_env.of_env (Bfdn_baselines.Cte.make env2) env2) in
   checkb "cte explored" true r2.explored;
   checkb "cte does share discoveries" true (Env.multi_reveals env2 > 0)
 
@@ -169,8 +169,8 @@ let test_claim4_invariant () =
   let env = Env.create tree ~k:7 in
   let t = Bfdn_algo.make env in
   let ok = ref true in
-  let check env = if Env.round env mod 3 = 0 then ok := !ok && Bfdn_algo.check_claim4 t in
-  let r = Runner.run ~on_round:check (Bfdn_algo.algo t) env in
+  let check _ = if Env.round env mod 3 = 0 then ok := !ok && Bfdn_algo.check_claim4 t in
+  let r = Exec_env.run ~on_round:check (Exec_env.of_env (Bfdn_algo.algo t) env) in
   checkb "explored" true r.explored;
   checkb "claim 4 held at all sampled rounds" true !ok
 
@@ -193,8 +193,8 @@ let test_open_subtrees_hosted () =
       in
       let env = Env.create tree ~k:6 in
       let ok = ref true in
-      let watch env = ok := !ok && subtree_hosts_robot env in
-      let r = Runner.run ~on_round:watch (make_algo env) env in
+      let watch _ = ok := !ok && subtree_hosts_robot env in
+      let r = Exec_env.run ~on_round:watch (Exec_env.of_env (make_algo env) env) in
       checkb (name ^ " explored") true r.explored;
       checkb (name ^ " open subtrees always hosted") true !ok)
     [
@@ -213,7 +213,7 @@ let test_scales_to_large_instances () =
   in
   let env = Env.create tree ~k:128 in
   let t = Bfdn_algo.make env in
-  let r = Runner.run (Bfdn_algo.algo t) env in
+  let r = Exec_env.run (Exec_env.of_env (Bfdn_algo.algo t) env) in
   checkb "explored" true r.explored;
   checkb "at root" true r.at_root;
   checkb "within bound" true (float_of_int r.rounds <= thm1_bound env 128);
@@ -245,7 +245,7 @@ let test_shortcut_variant_explores () =
         (fun k ->
           let env = Env.create tree ~k in
           let t = Bfdn_algo.make ~shortcut:true env in
-          let r = Runner.run (Bfdn_algo.algo t) env in
+          let r = Exec_env.run (Exec_env.of_env (Bfdn_algo.algo t) env) in
           checkb (Printf.sprintf "%s k=%d explored" fam k) true r.explored;
           checkb (Printf.sprintf "%s k=%d at root" fam k) true r.at_root;
           checkb (Printf.sprintf "%s k=%d no limit" fam k) false r.hit_round_limit)
@@ -262,14 +262,16 @@ let breakdown_threshold env k =
 let check_prop7 tree k mask =
   let env = Env.create ~fault:(Env.mask_hook mask) tree ~k in
   let t = Bfdn_algo.make env in
-  let algo = { (Bfdn_algo.algo t) with Runner.finished = Env.fully_explored } in
+  let algo = { (Bfdn_algo.algo t) with Exec_env.finished = Env.fully_explored } in
   let violated = ref false in
-  let watch env =
+  let watch _ =
     let avg = float_of_int (Env.allowed_total env) /. float_of_int k in
     if avg >= breakdown_threshold env k && not (Env.fully_explored env) then
       violated := true
   in
-  let r = Runner.run ~max_rounds:500_000 ~on_round:watch algo env in
+  let r =
+    Exec_env.run ~max_rounds:500_000 ~on_round:watch (Exec_env.of_env algo env)
+  in
   r.explored && not !violated
 
 let test_prop7_random_masks () =
@@ -306,8 +308,8 @@ let test_blocked_robot_never_moves () =
   let mask ~round:_ ~robot = robot <> 2 in
   let env = Env.create ~fault:(Env.mask_hook mask) tree ~k:4 in
   let t = Bfdn_algo.make env in
-  let algo = { (Bfdn_algo.algo t) with Runner.finished = Env.fully_explored } in
-  let r = Runner.run algo env in
+  let algo = { (Bfdn_algo.algo t) with Exec_env.finished = Env.fully_explored } in
+  let r = Exec_env.run (Exec_env.of_env algo env) in
   checkb "explored without robot 2" true r.explored;
   checki "robot 2 pinned at root" 0 (Env.moves_of_robot env 2)
 
@@ -333,8 +335,8 @@ let test_reactive_blocker_can_stall () =
   let view = Env.view env in
   Env.set_reactive_blocker env (discovery_veto env view);
   let t = Bfdn_algo.make env in
-  let algo = { (Bfdn_algo.algo t) with Runner.finished = Env.fully_explored } in
-  let r = Runner.run ~max_rounds:20_000 algo env in
+  let algo = { (Bfdn_algo.algo t) with Exec_env.finished = Env.fully_explored } in
+  let r = Exec_env.run ~max_rounds:20_000 (Exec_env.of_env algo env) in
   checkb "stalled forever" false r.explored;
   (* ... although the per-robot allowance blew far past the Prop 7
      threshold: the guarantee does not survive a move-observing adversary. *)
@@ -355,8 +357,8 @@ let test_reactive_blocker_intermittent_completes () =
   Env.set_reactive_blocker env (fun ~round ~selected ->
       if round mod 3 = 0 then Array.make k true else veto ~round ~selected);
   let t = Bfdn_algo.make env in
-  let algo = { (Bfdn_algo.algo t) with Runner.finished = Env.fully_explored } in
-  let r = Runner.run ~max_rounds:1_000_000 algo env in
+  let algo = { (Bfdn_algo.algo t) with Exec_env.finished = Env.fully_explored } in
+  let r = Exec_env.run ~max_rounds:1_000_000 (Exec_env.of_env algo env) in
   checkb "explored under intermittent vetoes" true r.explored
 
 let test_reactive_blocker_arity_checked () =

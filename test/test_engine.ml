@@ -228,44 +228,64 @@ let test_report_json () =
     "{\"s\":\"a\\\"b\\n\",\"i\":3,\"f\":1.5,\"nan\":null,\"l\":[true,null]}"
     (Json.to_string j)
 
-(* A failed write leaves the previous report byte-identical and no
-   temporary file. Two ways to fail: a read-only directory (skipped when
+(* A failed write leaves the previous file byte-identical and no
+   temporary file, for each writer of an output file: a report and a
+   dumped spec. Two ways to fail: a read-only directory (skipped when
    the process may write there anyway, as root may), and a file name one
    byte short of the limit, whose temporary name is then too long. *)
 let test_report_write_atomic () =
-  let dir = Filename.temp_dir "bfdn-report" "" in
   let read path = In_channel.with_open_bin path In_channel.input_all in
   let v i = Json.Obj [ ("v", Json.Int i) ] in
-  let failed_write_keeps path =
-    let before = read path in
-    (match Report.write ~path (v 2) with
-    | () -> Alcotest.fail "the write was expected to fail"
-    | exception Sys_error _ -> ());
-    check Alcotest.string "previous report byte-identical" before (read path);
-    checkb "no temporary file" false (Sys.file_exists (path ^ ".tmp"))
+  let spec i =
+    Scenario.make ~algo:"bfdn" ~k:2 ~seed:i
+      (Scenario.generated ~family:"star" ~n:15 ~depth_hint:2)
   in
-  let path = Filename.concat dir "BENCH_x.json" in
-  Report.write ~path (v 0);
-  Report.write ~path (v 1);
-  check Alcotest.string "rewrite replaces" "{\"v\":1}\n" (read path);
-  checkb "no temporary file after success" false
-    (Sys.file_exists (path ^ ".tmp"));
-  Unix.chmod dir 0o555;
-  let writable =
-    match open_out (Filename.concat dir "probe") with
-    | oc ->
-        close_out oc;
-        Sys.remove (Filename.concat dir "probe");
-        true
-    | exception Sys_error _ -> false
+  let writers =
+    [
+      ("report", (fun path i -> Report.write ~path (v i)), "{\"v\":1}\n");
+      ( "spec",
+        (fun path i -> Scenario.save ~path (spec i)),
+        Scenario.to_string (spec 1) ^ "\n" );
+    ]
   in
-  if not writable then failed_write_keeps path;
-  Unix.chmod dir 0o755;
-  let long = Filename.concat dir (String.make 250 'r' ^ ".json") in
-  Out_channel.with_open_bin long (fun oc -> output_string oc "{\"v\":1}\n");
-  failed_write_keeps long;
-  List.iter (fun f -> Sys.remove (Filename.concat dir f)) (Array.to_list (Sys.readdir dir));
-  Sys.rmdir dir
+  List.iter
+    (fun (name, write, written_1) ->
+      let dir = Filename.temp_dir "bfdn-report" "" in
+      let failed_write_keeps path =
+        let before = read path in
+        (match write path 2 with
+        | () -> Alcotest.fail (name ^ ": the write was expected to fail")
+        | exception Sys_error _ -> ());
+        check Alcotest.string (name ^ ": previous file byte-identical") before
+          (read path);
+        checkb (name ^ ": no temporary file") false
+          (Sys.file_exists (path ^ ".tmp"))
+      in
+      let path = Filename.concat dir "BENCH_x.json" in
+      write path 0;
+      write path 1;
+      check Alcotest.string (name ^ ": rewrite replaces") written_1 (read path);
+      checkb (name ^ ": no temporary file after success") false
+        (Sys.file_exists (path ^ ".tmp"));
+      Unix.chmod dir 0o555;
+      let writable =
+        match open_out (Filename.concat dir "probe") with
+        | oc ->
+            close_out oc;
+            Sys.remove (Filename.concat dir "probe");
+            true
+        | exception Sys_error _ -> false
+      in
+      if not writable then failed_write_keeps path;
+      Unix.chmod dir 0o755;
+      let long = Filename.concat dir (String.make 250 'r' ^ ".json") in
+      Out_channel.with_open_bin long (fun oc -> output_string oc "{\"v\":1}\n");
+      failed_write_keeps long;
+      List.iter
+        (fun f -> Sys.remove (Filename.concat dir f))
+        (Array.to_list (Sys.readdir dir));
+      Sys.rmdir dir)
+    writers
 
 let test_report_of_sweep () =
   let jobs =

@@ -14,8 +14,8 @@ module Param = Bfdn_scenario.Param
 module Scenario = Bfdn_scenario.Scenario
 module Batch = Bfdn_engine.Batch
 module Env = Bfdn_sim.Env
-module Runner = Bfdn_sim.Runner
-module Trace = Bfdn_sim.Trace
+module Exec_env = Bfdn_sim.Exec_env
+module Ring = Bfdn_obs.Sink.Ring
 module Tree_gen = Bfdn_trees.Tree_gen
 module Bfdn_algo = Bfdn.Bfdn_algo
 module Rng = Bfdn_util.Rng
@@ -190,7 +190,7 @@ let test_env_pins_and_restarts () =
   for _ = 1 to 6 do
     let round = Env.round env in
     let pos_before = Env.position env 1 in
-    Env.apply env (algo.Runner.select env);
+    Env.apply env (algo.Exec_env.select env);
     if round >= 2 && round < 4 then begin
       (* crashed: not allowed, and pinned (the window closes with the
          round-4 restart teleport, checked below) *)
@@ -206,8 +206,8 @@ let test_env_pins_and_restarts () =
   checkb "past the window" true (Env.round env > 4);
   checki "restart counted" 1 (Env.restarts env);
   (* run to completion: the restart must not break exploration *)
-  let r = Runner.run algo env in
-  checkb "explores after restart" true r.Runner.explored
+  let r = Exec_env.run (Exec_env.of_env algo env) in
+  checkb "explores after restart" true r.Exec_env.explored
 
 (* ---- Fault_spec ---- *)
 
@@ -268,8 +268,8 @@ let test_ft_recovers () =
     | Some c -> Metrics.value c
     | None -> 0
   in
-  checkb "explored" true o.Scenario.result.Runner.explored;
-  checkb "no round-limit bailout" false o.Scenario.result.Runner.hit_round_limit;
+  checkb "explored" true o.Scenario.result.Exec_env.explored;
+  checkb "no round-limit bailout" false o.Scenario.result.Exec_env.hit_round_limit;
   checki "both crashes declared" 2 (cval "robots_lost");
   checki "the restarted robot revived" 1 (cval "robots_revived");
   checkb "latency histogram fed" true
@@ -284,7 +284,7 @@ let test_plain_bfdn_strands () =
       (Scenario.generated ~family:"comb" ~n:300 ~depth_hint:15)
   in
   let o = Scenario.run spec in
-  checkb "hits the cap" true o.Scenario.result.Runner.hit_round_limit
+  checkb "hits the cap" true o.Scenario.result.Exec_env.hit_round_limit
 
 let test_ft_under_write_drops () =
   (* lossy whiteboard: detection is delayed and false positives are
@@ -298,8 +298,8 @@ let test_ft_under_write_drops () =
          ~k:8 ~seed:5 ())
   in
   checkb "explored despite lossy heartbeats" true
-    o.Scenario.result.Runner.explored;
-  checkb "no cap" false o.Scenario.result.Runner.hit_round_limit
+    o.Scenario.result.Exec_env.explored;
+  checkb "no cap" false o.Scenario.result.Exec_env.hit_round_limit
 
 let test_ft_no_faults_is_plain_bfdn () =
   (* with no plan, the ft machinery must not change the exploration *)
@@ -315,10 +315,10 @@ let test_ft_no_faults_is_plain_bfdn () =
          ~k:8 ~seed:17
          (Scenario.generated ~family:"random" ~n:250 ~depth_hint:12))
   in
-  checki "same rounds" plain.Scenario.result.Runner.rounds
-    ft.Scenario.result.Runner.rounds;
-  checki "same moves" plain.Scenario.result.Runner.moves
-    ft.Scenario.result.Runner.moves
+  checki "same rounds" plain.Scenario.result.Exec_env.rounds
+    ft.Scenario.result.Exec_env.rounds;
+  checki "same moves" plain.Scenario.result.Exec_env.moves
+    ft.Scenario.result.Exec_env.moves
 
 (* ---- determinism under faults ---- *)
 
@@ -354,20 +354,20 @@ let test_trace_frames_identical () =
       ~k:6 ~seed:23 ()
   in
   let record () =
-    let tr = Trace.create ~capacity:100_000 () in
+    let tr = Ring.create 100_000 in
     let o =
       Scenario.run
-        ~on_round:(fun x -> Trace.push tr (x.Bfdn_sim.Exec_env.frame ()))
+        ~on_round:(fun x -> Ring.push tr (x.Exec_env.frame ()))
         spec
     in
-    (o, Trace.frames tr)
+    (o, Ring.to_list tr)
   in
   let o1, f1 = record () in
   let o2, f2 = record () in
   checkb "outcomes identical" true (Scenario.equal_outcome o1 o2);
   checki "same frame count" (List.length f1) (List.length f2);
   checkb "frames identical" true (f1 = f2);
-  checkb "no frames dropped" true (List.length f1 = o1.Scenario.result.Runner.rounds)
+  checkb "no frames dropped" true (List.length f1 = o1.Scenario.result.Exec_env.rounds)
 
 (* ---- robustness property ---- *)
 
@@ -410,8 +410,8 @@ let prop_survivor_implies_coverage =
           (Scenario.generated ~family ~n ~depth_hint:12)
       in
       let o = Scenario.run spec in
-      o.Scenario.result.Runner.explored
-      && not o.Scenario.result.Runner.hit_round_limit)
+      o.Scenario.result.Exec_env.explored
+      && not o.Scenario.result.Exec_env.hit_round_limit)
 
 let suite =
   let tc name f = Alcotest.test_case name `Quick f in

@@ -12,7 +12,7 @@
 
 module Tree_gen = Bfdn_trees.Tree_gen
 module Env = Bfdn_sim.Env
-module Runner = Bfdn_sim.Runner
+module Exec_env = Bfdn_sim.Exec_env
 module Bfdn_algo = Bfdn.Bfdn_algo
 module Rng = Bfdn_util.Rng
 
@@ -82,7 +82,7 @@ let run_config fam tree pol shortcut =
     | Random_open -> Bfdn_algo.Random_open (Rng.create 5)
   in
   let t = Bfdn_algo.make ~policy ~shortcut env in
-  let r = Runner.run (Bfdn_algo.algo t) env in
+  let r = Exec_env.run (Exec_env.of_env (Bfdn_algo.algo t) env) in
   let label what =
     Printf.sprintf "%s/%s/shortcut=%b %s" fam (pol_name pol) shortcut what
   in

@@ -8,7 +8,7 @@ module Probe = Bfdn_obs.Probe
 module Sink = Bfdn_obs.Sink
 module Ring = Bfdn_obs.Sink.Ring
 module Env = Bfdn_sim.Env
-module Runner = Bfdn_sim.Runner
+module Exec_env = Bfdn_sim.Exec_env
 module Tree = Bfdn_trees.Tree
 module Batch = Bfdn_engine.Batch
 
@@ -234,19 +234,19 @@ let test_probe_counters_match_runner () =
   let probe = Probe.of_metrics m in
   let env = Env.create (small ()) ~k:2 in
   let algo = Bfdn.Bfdn_algo.algo (Bfdn.Bfdn_algo.make ~probe env) in
-  let r = Runner.run ~probe algo env in
+  let r = Exec_env.run ~probe (Exec_env.of_env algo env) in
   let cval name = Metrics.value (Option.get (Metrics.find_counter m name)) in
-  checkb "explored" true r.Runner.explored;
-  checki "rounds counter" r.Runner.rounds (cval "rounds");
-  checki "moves counter" r.Runner.moves (cval "moves");
-  checki "edge_events counter" r.Runner.edge_events (cval "edge_events");
+  checkb "explored" true r.Exec_env.explored;
+  checki "rounds counter" r.Exec_env.rounds (cval "rounds");
+  checki "moves counter" r.Exec_env.moves (cval "moves");
+  checki "edge_events counter" r.Exec_env.edge_events (cval "edge_events");
   (* n - 1 nodes are revealed after the root. *)
   checki "reveals counter" 5 (cval "reveals");
   checkb "phases timed" true
     (cval "select_ns" >= 0 && cval "apply_ns" >= 0
     && cval "finished_check_ns" > 0);
   let idle = Option.get (Metrics.find_histogram m "idle_robots") in
-  checki "one idle sample per round" r.Runner.rounds
+  checki "one idle sample per round" r.Exec_env.rounds
     (Metrics.hist_count idle);
   (* The reanchor summary flushes the algorithm's own per-depth counts
      once, when finished first holds. *)
@@ -265,10 +265,10 @@ let test_reanchor_summary_once () =
   let env = Env.create (small ()) ~k:2 in
   let t = Bfdn.Bfdn_algo.make ~probe env in
   let a = Bfdn.Bfdn_algo.algo t in
-  ignore (Runner.run ~probe a env);
+  ignore (Exec_env.run ~probe (Exec_env.of_env a env));
   (* finished keeps being true afterwards; calling it again must not
      re-send. *)
-  checkb "still finished" true (a.Runner.finished env);
+  checkb "still finished" true (a.Exec_env.finished env);
   match !totals with
   | [ (total, by_depth_sum) ] ->
       checki "summary total matches algo counter" (Bfdn.Bfdn_algo.reanchors_total t) total;
@@ -281,12 +281,12 @@ let test_probe_does_not_perturb () =
       if probed then Probe.of_metrics (Metrics.create ()) else Probe.noop
     in
     let env = Env.create (small ()) ~k:3 in
-    Runner.run ~probe (Bfdn_baselines.Cte.make env) env
+    Exec_env.run ~probe (Exec_env.of_env (Bfdn_baselines.Cte.make env) env)
   in
   let a = run false and b = run true in
-  checki "same rounds" a.Runner.rounds b.Runner.rounds;
-  checki "same moves" a.Runner.moves b.Runner.moves;
-  checki "same events" a.Runner.edge_events b.Runner.edge_events;
+  checki "same rounds" a.Exec_env.rounds b.Exec_env.rounds;
+  checki "same moves" a.Exec_env.moves b.Exec_env.moves;
+  checki "same events" a.Exec_env.edge_events b.Exec_env.edge_events;
   (* Every compatible algorithm on every world shape, through
      Scenario.run: the one round loop, plain and probed, must produce
      identical full outcomes. Async-only algorithms on the tree world

@@ -9,6 +9,7 @@
 
 module Partial_tree = Bfdn_sim.Partial_tree
 module Env = Bfdn_sim.Env
+module Exec_env = Bfdn_sim.Exec_env
 module Rng = Bfdn_util.Rng
 
 let checkb = Alcotest.(check bool)
@@ -280,11 +281,11 @@ let test_deep_leaf_closes_ancestors () =
    it amortizes to nothing over the run. *)
 let minor_words_per_robot_round env algo =
   let w0 = ref 0.0 in
-  let on_round env = if Env.round env = 1 then w0 := Gc.minor_words () in
-  let r = Bfdn_sim.Runner.run ~on_round algo env in
+  let on_round _ = if Env.round env = 1 then w0 := Gc.minor_words () in
+  let r = Exec_env.run ~on_round (Exec_env.of_env algo env) in
   let words = Gc.minor_words () -. !w0 in
-  checkb "explored" true r.Bfdn_sim.Runner.explored;
-  words /. float_of_int (Env.k env * max 1 (r.Bfdn_sim.Runner.rounds - 1))
+  checkb "explored" true r.Exec_env.explored;
+  words /. float_of_int (Env.k env * max 1 (r.Exec_env.rounds - 1))
 
 let test_round_loop_allocation_free () =
   let check label env algo_name =
@@ -330,7 +331,7 @@ let test_lazy_equals_materialized_at_page_edges () =
           in
           let run env =
             let algo = Bfdn.Bfdn_algo.(algo (make env)) in
-            let r = Bfdn_sim.Runner.run algo env in
+            let r = Exec_env.run (Exec_env.of_env algo env) in
             Partial_tree.check_invariants (Env.view env);
             (r, Partial_tree.num_explored (Env.view env))
           in

@@ -4,7 +4,7 @@
 module Tree = Bfdn_trees.Tree
 module Tree_gen = Bfdn_trees.Tree_gen
 module Env = Bfdn_sim.Env
-module Runner = Bfdn_sim.Runner
+module Exec_env = Bfdn_sim.Exec_env
 module Bfdn_planner = Bfdn.Bfdn_planner
 module Bounds = Bfdn.Bounds
 module Rng = Bfdn_util.Rng
@@ -15,7 +15,7 @@ let checki = Alcotest.(check int)
 let run_planner tree k =
   let env = Env.create tree ~k in
   let t = Bfdn_planner.make env in
-  let r = Runner.run (Bfdn_planner.algo t) env in
+  let r = Exec_env.run (Exec_env.of_env (Bfdn_planner.algo t) env) in
   (env, t, r)
 
 let random_tree seed n =
@@ -104,7 +104,7 @@ let test_not_catastrophically_slower () =
   let tree = random_tree 21 400 in
   let env1 = Env.create tree ~k:8 in
   let t1 = Bfdn.Bfdn_algo.make env1 in
-  let r1 = Runner.run (Bfdn.Bfdn_algo.algo t1) env1 in
+  let r1 = Exec_env.run (Exec_env.of_env (Bfdn.Bfdn_algo.algo t1) env1) in
   let _, _, r2 = run_planner tree 8 in
   checkb "within 4x of complete-comm" true (r2.rounds <= 4 * r1.rounds + 50)
 

@@ -3,7 +3,7 @@
 module Tree = Bfdn_trees.Tree
 module Tree_gen = Bfdn_trees.Tree_gen
 module Env = Bfdn_sim.Env
-module Runner = Bfdn_sim.Runner
+module Exec_env = Bfdn_sim.Exec_env
 module Bfdn_rec = Bfdn.Bfdn_rec
 module Bounds = Bfdn.Bounds
 module Rng = Bfdn_util.Rng
@@ -14,7 +14,7 @@ let checki = Alcotest.(check int)
 let run_rec tree k ell =
   let env = Env.create tree ~k in
   let t = Bfdn_rec.make ~ell env in
-  let r = Runner.run (Bfdn_rec.algo t) env in
+  let r = Exec_env.run (Exec_env.of_env (Bfdn_rec.algo t) env) in
   (env, t, r)
 
 let random_tree seed n =

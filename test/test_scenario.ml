@@ -3,7 +3,7 @@
    registries were built to kill), the JSON codec (decode ∘ encode = id,
    by qcheck property over valid specs), and execution equivalence — the
    single Scenario.run dispatch path must reproduce, bit for bit, the
-   Runner.result of the hand-built wiring it replaced, across the 42
+   Exec_env.result of the hand-built wiring it replaced, across the 42
    golden configs of test_golden.ml and through a save/load round trip. *)
 
 module Param = Bfdn_scenario.Param
@@ -12,7 +12,7 @@ module World_registry = Bfdn_scenario.World_registry
 module Scenario = Bfdn_scenario.Scenario
 module Tree_gen = Bfdn_trees.Tree_gen
 module Env = Bfdn_sim.Env
-module Runner = Bfdn_sim.Runner
+module Exec_env = Bfdn_sim.Exec_env
 module Bfdn_algo = Bfdn.Bfdn_algo
 module Rng = Bfdn_util.Rng
 
@@ -505,14 +505,14 @@ let prop_validated_specs_run =
 
 (* ---- execution equivalence ----
 
-   Scenario.run must reproduce the exact Runner.result of the hand-built
+   Scenario.run must reproduce the exact Exec_env.result of the hand-built
    wiring it replaced. The 42 configs are those of test_golden.ml: the 7
    golden families × 3 anchor policies × shortcut ∈ {false, true}, at
    k = 9, n = 500, depth_hint = 12, with the engine's historical stream
    derivation (split 0 = tree, split 1 = algorithm). *)
 
 let result_t =
-  Alcotest.testable Runner.pp_result (fun (a : Runner.result) b -> a = b)
+  Alcotest.testable Exec_env.pp_result (fun (a : Exec_env.result) b -> a = b)
 
 let golden_families =
   [ "comb"; "binary"; "random"; "trap"; "caterpillar"; "spider"; "hidden-path" ]
@@ -532,7 +532,7 @@ let hand_wired ~family ~policy ~shortcut ~seed =
     | _ -> Bfdn_algo.Random_open (Rng.split root 1)
   in
   let t = Bfdn_algo.make ~policy:pol ~shortcut env in
-  Runner.run (Bfdn_algo.algo t) env
+  Exec_env.run (Exec_env.of_env (Bfdn_algo.algo t) env)
 
 let test_golden_equivalence () =
   let idx = ref 0 in

@@ -6,8 +6,9 @@ module Tree_gen = Bfdn_trees.Tree_gen
 module Env = Bfdn_sim.Env
 module Partial_tree = Bfdn_sim.Partial_tree
 module Whiteboard = Bfdn_sim.Whiteboard
-module Runner = Bfdn_sim.Runner
+module Exec_env = Bfdn_sim.Exec_env
 module Trace = Bfdn_sim.Trace
+module Ring = Bfdn_obs.Sink.Ring
 module Rng = Bfdn_util.Rng
 
 let checkb = Alcotest.(check bool)
@@ -269,31 +270,35 @@ let test_whiteboard_uninitialized () =
 let test_runner_round_limit () =
   let env = Env.create (small ()) ~k:1 in
   let algo =
-    { Runner.name = "lazy"; select = (fun env -> Array.make (Env.k env) Env.Stay);
+    { Exec_env.select = (fun env -> Array.make (Env.k env) Env.Stay);
       finished = (fun _ -> false) }
   in
-  let r = Runner.run ~max_rounds:10 algo env in
+  let r = Exec_env.run ~max_rounds:10 (Exec_env.of_env algo env) in
   checkb "hit limit" true r.hit_round_limit;
   checki "rounds" 10 r.rounds
 
+(* A run's frames, kept the way the examples keep them: in a bounded
+   ring of frames. *)
+let record ring env = Ring.push ring (Trace.frame_of_env env)
+
 let test_trace_records () =
   let env = Env.create (small ()) ~k:1 in
-  let trace = Trace.create () in
-  Trace.record trace env;
+  let trace = Ring.create 4096 in
+  record trace env;
   Env.apply env [| Env.Via_port 0 |];
-  Trace.record trace env;
-  checki "frames" 2 (Trace.length trace);
-  let frames = Trace.frames trace in
+  record trace env;
+  checki "frames" 2 (Ring.pushed trace);
+  let frames = Ring.to_list trace in
   checki "first round" 0 (List.hd frames).Trace.round;
   checki "second explored" 2 (List.nth frames 1).Trace.explored
 
 let test_trace_depth_timeline () =
   let env = Env.create (Tree_gen.path 6) ~k:2 in
-  let trace = Trace.create () in
-  Trace.record trace env;
+  let trace = Ring.create 4096 in
+  record trace env;
   let algo = Bfdn.Bfdn_algo.algo (Bfdn.Bfdn_algo.make env) in
-  ignore (Runner.run ~on_round:(Trace.record trace) algo env);
-  let s = Trace.depth_timeline trace env in
+  ignore (Exec_env.run ~on_round:(fun _ -> record trace env) (Exec_env.of_env algo env));
+  let s = Trace.depth_timeline (Ring.to_list trace) env in
   checkb "has axis" true (String.length s > 0);
   checkb "mentions depth rows" true (String.contains s 'd')
 
@@ -326,13 +331,12 @@ let test_trace_render_golden_multi () =
 
 let test_trace_timeline_golden_empty () =
   let env = Env.create (small ()) ~k:1 in
-  let trace = Trace.create () in
-  checks "no frames" "(no frames)\n" (Trace.depth_timeline trace env)
+  checks "no frames" "(no frames)\n" (Trace.depth_timeline [] env)
 
 let test_trace_timeline_golden_single_frame () =
   let env = Env.create (small ()) ~k:2 in
-  let trace = Trace.create () in
-  Trace.record trace env;
+  let trace = Ring.create 4096 in
+  record trace env;
   let legend =
     Bfdn_util.Ascii.legend
       [ ('.', "0"); (':', "1-2"); ('o', "3-5"); ('O', "6-10"); ('@', ">10") ]
@@ -340,20 +344,20 @@ let test_trace_timeline_golden_single_frame () =
   checks "one frame, both robots at depth 0"
     ("robots per depth over time (1 frames):\n" ^ "d=0   :\n"
    ^ "      time ->\n" ^ legend ^ "\n")
-    (Trace.depth_timeline trace env)
+    (Trace.depth_timeline (Ring.to_list trace) env)
 
 let test_trace_timeline_golden_multi_depth () =
   (* One robot walking down a path: the diagonal front, one frame per
      depth. *)
   let env = Env.create (Tree_gen.path 3) ~k:1 in
-  let trace = Trace.create () in
-  Trace.record trace env;
+  let trace = Ring.create 4096 in
+  record trace env;
   Env.apply env [| Env.Via_port 0 |];
-  Trace.record trace env;
+  record trace env;
   (* Port 0 of a non-root node is the parent edge; the dangling child
      port of a path node is port 1. *)
   Env.apply env [| Env.Via_port 1 |];
-  Trace.record trace env;
+  record trace env;
   let legend =
     Bfdn_util.Ascii.legend
       [ ('.', "0"); (':', "1-2"); ('o', "3-5"); ('O', "6-10"); ('@', ">10") ]
@@ -361,21 +365,23 @@ let test_trace_timeline_golden_multi_depth () =
   checks "diagonal"
     ("robots per depth over time (3 frames):\n" ^ "d=0   :..\n"
    ^ "d=1   .:.\n" ^ "d=2   ..:\n" ^ "      time ->\n" ^ legend ^ "\n")
-    (Trace.depth_timeline trace env)
+    (Trace.depth_timeline (Ring.to_list trace) env)
 
 let test_trace_ring_bounded () =
   let env = Env.create (Tree_gen.path 6) ~k:2 in
-  let trace = Trace.create ~capacity:4 () in
+  let trace = Ring.create 4 in
   let algo = Bfdn.Bfdn_algo.algo (Bfdn.Bfdn_algo.make env) in
-  let r = Runner.run ~on_round:(Trace.record trace) algo env in
-  checki "length counts every frame" r.Runner.rounds (Trace.length trace);
-  checki "retained bounded" 4 (Trace.retained trace);
-  checki "dropped" (r.Runner.rounds - 4) (Trace.dropped trace);
-  let fs = Trace.frames trace in
+  let r =
+    Exec_env.run ~on_round:(fun _ -> record trace env) (Exec_env.of_env algo env)
+  in
+  checki "length counts every frame" r.Exec_env.rounds (Ring.pushed trace);
+  checki "retained bounded" 4 (Ring.length trace);
+  checki "dropped" (r.Exec_env.rounds - 4) (Ring.dropped trace);
+  let fs = Ring.to_list trace in
   checki "frames returns retained" 4 (List.length fs);
   (* Newest [capacity] frames, chronological: the last one is the final
      round. *)
-  checki "last frame is final round" r.Runner.rounds
+  checki "last frame is final round" r.Exec_env.rounds
     (List.nth fs 3).Trace.round
 
 let test_trace_json_frame () =
@@ -419,9 +425,10 @@ let test_env_scratch_grows_with_view () =
       ~seed:0
   in
   let env = Env.of_world (Bfdn_sim.Lazy_world.world lw) ~k:64 in
-  let r = Runner.run (Bfdn.Bfdn_algo.algo (Bfdn.Bfdn_algo.make env)) env in
-  checkb "explored" true r.Runner.explored;
-  checkb "home" true r.Runner.at_root;
+  let algo = Bfdn.Bfdn_algo.(algo (make env)) in
+  let r = Exec_env.run (Exec_env.of_env algo env) in
+  checkb "explored" true r.Exec_env.explored;
+  checkb "home" true r.Exec_env.at_root;
   checki "revealed all" (Bfdn_sim.Lazy_world.capacity lw)
     (Partial_tree.num_explored (Env.view env));
   Partial_tree.check_invariants (Env.view env)

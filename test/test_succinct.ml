@@ -202,8 +202,8 @@ let test_lazy_full_exploration_stats () =
   let lw = Lazy_world.make ~family:"caterpillar" ~n:400 ~depth_hint:8 ~seed:0 in
   let env = Bfdn_sim.Env.of_world (Lazy_world.world lw) ~k:7 in
   let algo = Bfdn.Bfdn_algo.algo (Bfdn.Bfdn_algo.make env) in
-  let r = Bfdn_sim.Runner.run algo env in
-  checkb "explored" true r.Bfdn_sim.Runner.explored;
+  let r = Bfdn_sim.Exec_env.run (Bfdn_sim.Exec_env.of_env algo env) in
+  checkb "explored" true r.Bfdn_sim.Exec_env.explored;
   checki "revealed = capacity" (Lazy_world.capacity lw)
     (Lazy_world.nodes_revealed lw);
   let streaming = Lazy_world.stats lw in
