@@ -9,8 +9,11 @@
    1. {b Shared world}: when every lane hides the identical tree
       ({!Bfdn_scenario.Scenario.shared_tree}: an eager tree family whose
       generator ignores the instance stream, on the synchronous tree
-      runner), one [Env.world_of_tree] record — including its lazily
-      memoized stat scan — serves all S environments.
+      runner), one [Env.world_of_tree] record serves all S
+      environments. The tree itself comes from the process-wide
+      instance cache behind [World_registry.world_source], so cells of
+      other algorithms or fleet sizes on the same instance, and plain
+      runs, share it too; no cell builds it twice.
 
    2. {b Identical-lane collapse}: lanes differ only through their RNG
       streams. With a shared world, no faults and a noop probe, the only

@@ -559,10 +559,11 @@ let tree_view ~probe ~root ~fault t (make : Algo_registry.make) tree =
   | Tree { algo; _ } ->
       world_view ~probe ~root ~fault t algo (Env.world_of_tree tree)
   | Async make ->
-      let stats = Bfdn_trees.Tree_stats.compute tree in
+      let module Tree = Bfdn_trees.Tree in
+      let stats = (Tree.n tree, Tree.depth tree, Tree.max_degree tree) in
       {
         exec = make (ctx ~probe ~root ?fault t) tree ~k:t.k;
-        stats = (fun () -> (stats.n, stats.depth, stats.max_degree));
+        stats = (fun () -> stats);
       }
   | Graph _ -> invalid_arg ("Scenario: " ^ graph_only t ^ " in " ^ describe t)
 

@@ -237,8 +237,9 @@ val run :
 
 val materialize : t -> Bfdn_trees.Tree.t
 (** The hidden tree [run] would explore, built by the plan's source from
-    the same instance stream — for [--dump-tree]-style exports. A
-    [scale=lazy] world is expanded in full.
+    the same instance stream (a deterministic family's from the instance
+    cache) — for [--dump-tree]-style exports. A [scale=lazy] world is
+    expanded in full.
     @raise Invalid_argument when {!validate} fails, for adversarial
     scenarios (their tree only exists after a run) and for grid/graph
     worlds (no hidden tree). *)
@@ -248,7 +249,9 @@ val shared_tree : t -> Bfdn_trees.Tree.t option
     an eager tree family whose generator ignores the instance stream,
     run on the synchronous tree runner; [None] otherwise (randomized
     families, lazy, adaptive and graph worlds, async-only algorithms).
-    The batch engine builds it once for a whole seed batch.
+    The tree comes from {!World_registry}'s instance cache, so every
+    spec on the same instance (any algorithm, [k] or seed) gets the same
+    value; the batch engine shares it across a whole seed batch.
     @raise Invalid_argument when {!validate} fails. *)
 
 val run_on_tree :

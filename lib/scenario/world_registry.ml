@@ -3,6 +3,7 @@ module Adversary = Bfdn_sim.Adversary
 module Rng = Bfdn_util.Rng
 module Lazy_world = Bfdn_sim.Lazy_world
 module Mathx = Bfdn_util.Mathx
+module Lru = Bfdn_util.Lru
 
 type ctx = { rng : Rng.t; params : Param.binding list }
 
@@ -326,6 +327,35 @@ let cli_choices =
     (List.map (fun e -> e.name) worlds
     @ List.map (fun n -> policy_prefix ^ n) policy_names)
 
+(* ---- the instance cache ----
+
+   A deterministic family's tree is a pure function of (name, n,
+   depth_hint) (Tree_gen.deterministic_family), the same fact a seed
+   batch's shared world rests on. So every eager build of one such
+   instance in the process returns one tree, kept in a node-weighted
+   LRU; Tree.t is immutable, so runs on any domain may share it. The
+   build runs outside the lock: two domains that miss on one key both
+   build, and the first tree inserted is the one kept. *)
+
+let instance_cache_budget = 1 lsl 18
+
+let instance_cache =
+  Lru.create ~budget:instance_cache_budget ~weight:Bfdn_trees.Tree.n
+
+let instance_cache_stats () = Lru.stats instance_cache
+
+(* The key holds everything a tree build reads: the name and the
+   default-filled size parameters (scale is eager here). *)
+let cached name params build =
+  let gi = Param.get_int ~schema:tree_params params in
+  let key =
+    Printf.sprintf "%s n=%d depth_hint=%d" name (gi "n") (gi "depth_hint")
+  in
+  fun rng ->
+    match Lru.find instance_cache key with
+    | Some tree -> tree
+    | None -> Lru.add instance_cache key (build rng)
+
 (* ---- sources: the one place a world name and its parameters are
    checked and bound ---- *)
 
@@ -382,11 +412,11 @@ let world_source name params =
             Ok
               (match kind with
               | Tree build ->
-                  Eager_tree
-                    {
-                      build = (fun rng -> build { rng; params });
-                      deterministic = Tree_gen.deterministic_family name;
-                    }
+                  let build rng = build { rng; params } in
+                  if Tree_gen.deterministic_family name then
+                    Eager_tree
+                      { build = cached name params build; deterministic = true }
+                  else Eager_tree { build; deterministic = false }
               | Grid build ->
                   Graph_world
                     (fun rng ->

@@ -42,14 +42,16 @@ type policy_entry = {
 
 (** Where the hidden instance of a run comes from. Every builder takes
     the spec's instance stream and is a pure function of it; each call
-    builds a fresh instance. *)
+    builds a fresh instance, except a deterministic tree family's, which
+    comes from the {{!instance_cache}instance cache}. *)
 type source =
   | Eager_tree of {
       build : Bfdn_util.Rng.t -> Bfdn_trees.Tree.t;
       deterministic : bool;
           (** the generator ignores the stream
               ({!Bfdn_trees.Tree_gen.deterministic_family}): every seed
-              of a spec hides the identical tree *)
+              of a spec hides the identical tree, and [build] looks it
+              up in the instance cache *)
     }
       (** a tree built up front ([scale=eager]) *)
   | Lazy_tree of (Bfdn_util.Rng.t -> Bfdn_sim.Lazy_world.t)
@@ -114,3 +116,23 @@ val policy_source : string -> Param.binding list -> (source, string) result
     for an unknown name or a parameter outside the schema (the budgets
     are bounded: [1 <= capacity <= Node_store.max_ids],
     [depth_budget >= 0]). *)
+
+(** {2:instance_cache The instance cache}
+
+    One process-wide LRU of the trees of deterministic families, keyed
+    by the world name and its default-filled [n] and [depth_hint] (the
+    seed, algorithm and [k] never enter the key), so every run,
+    {!Scenario.shared_tree} and {!Scenario.materialize} of one instance
+    share one build. It holds at most {!instance_cache_budget} nodes,
+    evicting the least recently used tree; a larger tree is built per
+    run. Randomized families, [scale=lazy], adaptive and graph worlds
+    never enter it. Domain-safe: one mutex guards the table, builds run
+    outside it, and of two racing builds of one key the first inserted
+    is kept. *)
+
+val instance_cache_budget : int
+(** [2^18] cached nodes (about 8 MB of tree arrays). *)
+
+val instance_cache_stats : unit -> Bfdn_util.Lru.stats
+(** Counters since process start: a miss is a lookup that built its
+    tree, and [weight] is the node count of the trees held now. *)

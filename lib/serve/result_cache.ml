@@ -1,106 +1,28 @@
-(* Classic hashtable + doubly-linked recency list, behind one mutex.
-   The list is cyclic through a sentinel node: sentinel.next is the
-   most-recently-used entry, sentinel.prev the eviction candidate. *)
+(* An entry-counted {!Bfdn_util.Lru}: every body weighs 1, so the budget
+   is the capacity. *)
 
-type node = {
-  key : string;
-  mutable body : string;
-  mutable prev : node;
-  mutable next : node;
-}
+module Lru = Bfdn_util.Lru
 
-type t = {
-  capacity : int;
-  tbl : (string, node) Hashtbl.t;
-  sentinel : node;
-  m : Mutex.t;
-  mutable hits : int;
-  mutable misses : int;
-  mutable evictions : int;
-}
+type t = string Lru.t
 
 let create ~cap =
   if cap < 0 then invalid_arg "Result_cache.create: cap must be >= 0";
-  let rec sentinel =
-    { key = ""; body = ""; prev = sentinel; next = sentinel }
-  in
-  {
-    capacity = cap;
-    tbl = Hashtbl.create (max 16 cap);
-    sentinel;
-    m = Mutex.create ();
-    hits = 0;
-    misses = 0;
-    evictions = 0;
-  }
+  Lru.create ~budget:cap ~weight:(fun _ -> 1)
 
-let cap t = t.capacity
-
-let unlink n =
-  n.prev.next <- n.next;
-  n.next.prev <- n.prev
-
-let push_front t n =
-  n.next <- t.sentinel.next;
-  n.prev <- t.sentinel;
-  t.sentinel.next.prev <- n;
-  t.sentinel.next <- n
-
-let locked t f =
-  Mutex.lock t.m;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.m) f
-
-let find t key =
-  locked t (fun () ->
-      match Hashtbl.find_opt t.tbl key with
-      | Some n ->
-          t.hits <- t.hits + 1;
-          unlink n;
-          push_front t n;
-          Some n.body
-      | None ->
-          t.misses <- t.misses + 1;
-          None)
-
-let put t key body =
-  if t.capacity > 0 then
-    locked t (fun () ->
-        (match Hashtbl.find_opt t.tbl key with
-        | Some n ->
-            n.body <- body;
-            unlink n;
-            push_front t n
-        | None ->
-            let n = { key; body; prev = t.sentinel; next = t.sentinel } in
-            Hashtbl.replace t.tbl key n;
-            push_front t n);
-        while Hashtbl.length t.tbl > t.capacity do
-          let lru = t.sentinel.prev in
-          unlink lru;
-          Hashtbl.remove t.tbl lru.key;
-          t.evictions <- t.evictions + 1
-        done)
-
-let mem t key = locked t (fun () -> Hashtbl.mem t.tbl key)
-let length t = locked t (fun () -> Hashtbl.length t.tbl)
-
-let keys_mru t =
-  locked t (fun () ->
-      let acc = ref [] in
-      let n = ref t.sentinel.prev in
-      while !n != t.sentinel do
-        acc := (!n).key :: !acc;
-        n := (!n).prev
-      done;
-      !acc)
+let cap = Lru.budget
+let find = Lru.find
+let put = Lru.put
+let mem = Lru.mem
+let length = Lru.length
+let keys_mru = Lru.keys_mru
 
 type stats = { hits : int; misses : int; evictions : int; size : int }
 
 let stats t =
-  locked t (fun () ->
-      {
-        hits = t.hits;
-        misses = t.misses;
-        evictions = t.evictions;
-        size = Hashtbl.length t.tbl;
-      })
+  let s = Lru.stats t in
+  {
+    hits = s.Lru.hits;
+    misses = s.Lru.misses;
+    evictions = s.Lru.evictions;
+    size = s.Lru.entries;
+  }

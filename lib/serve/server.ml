@@ -522,6 +522,7 @@ let merged_metrics t =
 
 let handle_metrics t req _params ~trace:_ fd =
   let stats = Result_cache.stats t.cache in
+  let inst = Bfdn_scenario.World_registry.instance_cache_stats () in
   match Http.query_param "format" req with
   | Some "prometheus" ->
       (* Fold the service-level statistics into the merged registry as
@@ -536,6 +537,10 @@ let handle_metrics t req _params ~trace:_ fd =
       c "result_cache_evictions" stats.Result_cache.evictions;
       g "result_cache_size" (float_of_int stats.Result_cache.size);
       g "result_cache_cap" (float_of_int (Result_cache.cap t.cache));
+      c "instance_cache_hits" inst.hits;
+      c "instance_cache_misses" inst.misses;
+      c "instance_cache_evictions" inst.evictions;
+      g "instance_cache_nodes" (float_of_int inst.weight);
       c "admission_admitted" (Q.jobs_admitted t.adm);
       g "admission_inflight" (float_of_int (Q.inflight t.adm));
       g "admission_queue_cap" (float_of_int (Q.cap t.adm));
@@ -555,6 +560,14 @@ let handle_metrics t req _params ~trace:_ fd =
                    ("evictions", Json.Int stats.Result_cache.evictions);
                    ("size", Json.Int stats.Result_cache.size);
                    ("cap", Json.Int (Result_cache.cap t.cache));
+                 ] );
+             ( "instance_cache",
+               Json.Obj
+                 [
+                   ("hits", Json.Int inst.hits);
+                   ("misses", Json.Int inst.misses);
+                   ("evictions", Json.Int inst.evictions);
+                   ("nodes", Json.Int inst.weight);
                  ] );
              ( "jobs",
                Json.Obj

@@ -37,10 +37,13 @@
       or after the job settled, gets the same frames.
     - [GET /metrics] — merged obs registries (HTTP counters, per-job
       simulation metrics, GC pauses, pool latency histograms) plus
-      cache and admission statistics; [?format=prometheus] renders the
-      same data in text exposition format 0.0.4
-      ({!Bfdn_obs.Prometheus.render}) with the service statistics
-      folded in as [result_cache_*] / [admission_*] / [pool_workers].
+      result cache, instance cache
+      ({!Bfdn_scenario.World_registry.instance_cache_stats}: whether
+      runs built their tree or shared a cached one) and admission
+      statistics; [?format=prometheus] renders the same data in text
+      exposition format 0.0.4 ({!Bfdn_obs.Prometheus.render}) with the
+      service statistics folded in as [result_cache_*] /
+      [instance_cache_*] / [admission_*] / [pool_workers].
     - [GET /registry] — {!Bfdn_scenario.Scenario.registry_json}.
     - [GET /healthz] — liveness and drain state. *)
 

@@ -97,7 +97,8 @@ val of_world : ?fault:fault_hook -> world -> k:int -> t
 (** {!create} over any world. *)
 
 val world_of_tree : Bfdn_trees.Tree.t -> world
-(** A fixed tree as a world; its [w_stats] scan runs once, memoized. *)
+(** A fixed tree as a world; its [w_stats] are the tree's recorded n, depth
+    and maximum degree. *)
 
 val k : t -> int
 

@@ -69,7 +69,7 @@ let run ?max_rounds ?(on_round = fun _ -> ()) ?(probe = Probe.noop) x =
     let moves = x.moves_total ()
     and events = x.edge_events ()
     and revealed = x.revealed () in
-    let moved = min (moves - !moves0) x.k in
+    let moved = Int.min (moves - !moves0) x.k in
     probe.Probe.on_round ~round:(x.round ()) ~moved ~idle:(x.k - moved)
       ~revealed:(revealed - !revealed0) ~edge_events:(events - !events0);
     moves0 := moves;

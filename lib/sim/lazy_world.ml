@@ -229,7 +229,8 @@ let reveal_degree t ~node ~arriving ~round =
   (* For every family but Random the capacity is exact, so the clamp
      never binds; Random and the policies spend the budget down to zero. *)
   let promised =
-    min (max 0 (wanted t node ~depth ~arriving ~round ~remaining)) remaining
+    Int.min (Int.max 0 (wanted t node ~depth ~arriving ~round ~remaining))
+      remaining
   in
   let first = t.next_id in
   if promised > 0 then begin

@@ -215,7 +215,7 @@ let fold_explored t ~init ~f =
 
 let bucket t d =
   if d > max_depth_index t then begin
-    let cap = max (d + 1) (2 * Array.length t.open_at) in
+    let cap = Int.max (d + 1) (2 * Array.length t.open_at) in
     let bigger = Array.make cap None in
     Array.blit t.open_at 0 bigger 0 (Array.length t.open_at);
     t.open_at <- bigger

@@ -17,7 +17,8 @@ type t = {
   child_off : int array; (* length n+1: children of v at [off.(v), off.(v+1)) *)
   child_arr : node array; (* length n-1, increasing ids per slice *)
   depths : int array;
-  mutable subtree_sizes : int array option; (* computed lazily *)
+  depth : int; (* max of [depths] *)
+  max_degree : int;
 }
 
 let n t = Array.length t.parents
@@ -41,14 +42,8 @@ let degree t v = num_children t v + if v = t.root then 0 else 1
 
 let num_ports = degree
 
-let depth t = Array.fold_left max 0 t.depths
-
-let max_degree t =
-  let best = ref 0 in
-  for v = 0 to n t - 1 do
-    best := max !best (degree t v)
-  done;
-  !best
+let depth t = t.depth
+let max_degree t = t.max_degree
 
 let neighbor_via_port t v p =
   let deg = degree t v in
@@ -89,22 +84,15 @@ let iter_nodes t f =
     f v
   done
 
-let compute_subtree_sizes t =
-  match t.subtree_sizes with
-  | Some s -> s
-  | None ->
-      let s = Array.make (n t) 1 in
-      (* Children always have larger ids than nothing in general; process by
-         decreasing depth instead. *)
-      let order = Array.init (n t) (fun i -> i) in
-      Array.sort (fun a b -> compare t.depths.(b) t.depths.(a)) order;
-      Array.iter
-        (fun v -> if v <> t.root then s.(t.parents.(v)) <- s.(t.parents.(v)) + s.(v))
-        order;
-      t.subtree_sizes <- Some s;
-      s
-
-let subtree_size t v = (compute_subtree_sizes t).(v)
+let subtree_size t v =
+  let rec count acc = function
+    | [] -> acc
+    | u :: rest ->
+        let stack = ref rest in
+        iter_children t u (fun c -> stack := c :: !stack);
+        count (acc + 1) !stack
+  in
+  count 0 [ v ]
 
 let subtree_nodes t v =
   let rec go v acc =
@@ -217,8 +205,13 @@ let of_parents ?(root = 0) parents =
       d
     end
   in
+  let depth = ref 0 and max_degree = ref 0 in
   for v = 0 to size - 1 do
-    ignore (depth_of v size)
+    depth := Int.max !depth (depth_of v size);
+    let degree =
+      child_off.(v + 1) - child_off.(v) + if v = root then 0 else 1
+    in
+    max_degree := Int.max !max_degree degree
   done;
   let t =
     {
@@ -227,7 +220,8 @@ let of_parents ?(root = 0) parents =
       child_off;
       child_arr;
       depths;
-      subtree_sizes = None;
+      depth = !depth;
+      max_degree = !max_degree;
     }
   in
   validate t;

@@ -14,7 +14,12 @@
     total, with ports derived implicitly from the CSR slice. This is the
     representation the 10^6–10^7 "huge" scale tier runs on; the
     record/nested-array layout it replaced survives only as the test
-    reference model (test/test_succinct.ml). *)
+    reference model (test/test_succinct.ml).
+
+    A tree is immutable once built (its depth and maximum degree are
+    recorded by {!of_parents}), so one value may be shared by runs on
+    several domains — the instance cache behind
+    [Bfdn_scenario.World_registry] does so. *)
 
 type t
 
@@ -38,11 +43,12 @@ val depth_of : t -> node -> int
 (** Distance to the root. *)
 
 val depth : t -> int
-(** Depth [D] of the tree: maximum distance of a node to the root. *)
+(** Depth [D] of the tree: maximum distance of a node to the root.
+    Recorded at construction; O(1). *)
 
 val max_degree : t -> int
 (** Maximum degree [Δ] (number of incident edges, counting the parent
-    edge). *)
+    edge). Recorded at construction; O(1). *)
 
 val parent : t -> node -> node option
 (** [None] exactly for the root. *)
@@ -88,7 +94,8 @@ val path_to_root : t -> node -> node list
 (** [v; parent v; ...; root]. *)
 
 val subtree_size : t -> node -> int
-(** Number of nodes of the subtree [T(v)] (computed once, O(1) after). *)
+(** Number of nodes of the subtree [T(v)], counted on demand in
+    O(|T(v)|). *)
 
 val subtree_nodes : t -> node -> node list
 (** All descendants of [v], including [v], in preorder. *)

@@ -326,6 +326,37 @@ let test_adversarial_replay_matches () =
             o.result.rounds r)
     [ "thick-comb"; "corridor"; "miser" ]
 
+(* Eight jobs on one comb instance share one cached tree (built by
+   whichever worker misses first); the pool's outcomes equal the
+   sequential runs. *)
+let test_batch_shares_cached_tree () =
+  let specs =
+    Array.of_list
+      (List.concat_map
+         (fun (algo, k) ->
+           List.map
+             (fun seed ->
+               Scenario.make ~algo ~k ~seed
+                 (Scenario.generated ~family:"comb" ~n:1231 ~depth_hint:17))
+             [ 1; 2 ])
+         [ ("bfdn", 1); ("bfdn", 8); ("cte", 1); ("cte", 8) ])
+  in
+  let par = Batch.map ~workers:2 (fun spec -> Scenario.run spec) specs in
+  Array.iteri
+    (fun i spec ->
+      match par.(i) with
+      | Ok o ->
+          checkb
+            (Scenario.describe spec ^ ": 2 workers equal sequential")
+            true
+            (Scenario.equal_outcome o (Scenario.run spec))
+      | Error e -> Alcotest.fail (Scenario.describe spec ^ ": " ^ e))
+    specs;
+  checkb "one tree for every job" true
+    (Array.for_all
+       (fun spec -> Scenario.materialize spec == Scenario.materialize specs.(0))
+       specs)
+
 let suite =
   let tc name f = Alcotest.test_case name `Quick f in
   ( "engine",
@@ -342,4 +373,5 @@ let suite =
       tc "report: sweep body" test_report_of_sweep;
       tc "adversarial replay matches adaptive run" test_adversarial_replay_matches;
       tc "report: failed write keeps the previous file" test_report_write_atomic;
+      tc "batch: jobs share one cached tree" test_batch_shares_cached_tree;
     ] )

@@ -357,6 +357,29 @@ let test_report_quotes_match_bench () =
       ("comb k=512 S=64 seeds/sec", sps "comb" 512 64);
       ("comb k=512 S=64 speedup", speedup "comb" 512 64);
     ];
+  (* "the other rows": the S=64 speedups of the collapsing cells not
+     quoted above; the range ends are their least and greatest *)
+  let others =
+    List.filter_map
+      (fun r ->
+        let is field v = Json.member field r = Some v in
+        let quoted (family, k) =
+          is "family" (Json.String family) && is "k" (Json.Int k)
+        in
+        if
+          is "batch" (Json.Int 64)
+          && is "collapsed" (Json.Bool true)
+          && not (quoted ("binary", 64) || quoted ("comb", 512))
+        then Some (num r "speedup_vs_s1")
+        else None)
+      (rows batch)
+  in
+  check "E22"
+    ("the other rows land at " ^ int ^ "–" ^ int ^ "×")
+    [
+      ("least other S=64 speedup", List.fold_left Float.min infinity others);
+      ("greatest other S=64 speedup", List.fold_left Float.max 0. others);
+    ];
   check "E22"
     ("at " ^ dec ^ "× the seeds/sec of S=1 (" ^ int ^ " → " ^ int ^ ")")
     [

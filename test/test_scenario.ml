@@ -855,6 +855,112 @@ let test_param_routing_unambiguous () =
       check ("adv:" ^ p.p_name) p.p_params)
     World_registry.policies
 
+(* ---- the instance cache ---- *)
+
+let deterministic_families =
+  List.filter Tree_gen.deterministic_family Tree_gen.families
+
+let cache_stats = World_registry.instance_cache_stats
+
+(* A run on a warm cache equals the same spec on a freshly built tree,
+   on the tree and the async driver, and specs that differ only in
+   algorithm, k or seed share one tree value. *)
+let test_instance_cache_warm_equals_fresh () =
+  List.iter
+    (fun family ->
+      let n = 317 and depth_hint = 9 in
+      let fresh =
+        Tree_gen.of_family family ~rng:(Rng.create 0) ~n ~depth_hint
+      in
+      List.iter
+        (fun algo ->
+          let spec =
+            Scenario.make ~algo ~k:6 ~seed:3
+              (Scenario.generated ~family ~n ~depth_hint)
+          in
+          let label = family ^ "/" ^ algo in
+          ignore (Scenario.run spec);
+          let before = cache_stats () in
+          let warm = Scenario.run spec in
+          let after = cache_stats () in
+          checki (label ^ ": warm run hits") (before.hits + 1) after.hits;
+          checki (label ^ ": warm run builds nothing") before.misses
+            after.misses;
+          checkb (label ^ ": warm run equals a fresh build") true
+            (Scenario.equal_outcome warm (Scenario.run_on_tree spec fresh));
+          checkb (label ^ ": cached tree equals a fresh build") true
+            (Bfdn_trees.Tree.equal (Scenario.materialize spec) fresh);
+          checkb (label ^ ": other algo, k and seed share the tree") true
+            (Scenario.materialize spec
+            == Scenario.materialize
+                 { spec with Scenario.algo = "cte"; k = 2; seed = 99 }))
+        [ "bfdn"; "bfdn-async" ])
+    deterministic_families
+
+(* Randomized families, scale=lazy, adaptive and graph worlds neither
+   read nor fill the cache. *)
+let test_instance_cache_bypass () =
+  let before = cache_stats () in
+  let tree_spec ?(params = []) family =
+    Scenario.make ~k:4 ~seed:5
+      (Scenario.world ~params:(("n", Param.Int 300) :: params) family)
+  in
+  let specs =
+    List.map tree_spec
+      (List.filter
+         (fun f -> not (Tree_gen.deterministic_family f))
+         Tree_gen.families)
+    @ [
+        tree_spec ~params:[ ("scale", Param.String "lazy") ] "comb";
+        tree_spec ~params:[ ("scale", Param.String "lazy") ] "random";
+        Scenario.make ~k:4 ~seed:7
+          (Scenario.adversarial ~policy:"thick-comb" ~capacity:120
+             ~depth_budget:30);
+        grid_spec ();
+        Scenario.make ~algo:"bfdn-graph" ~k:6 ~seed:3
+          (Scenario.world ~params:[ ("n", Param.Int 200) ] "random-graph");
+      ]
+  in
+  List.iter
+    (fun spec ->
+      checkb (Scenario.describe spec ^ " explores") true
+        (Scenario.run spec).Scenario.result.explored;
+      match spec.Scenario.instance with
+      | World { world; _ } when List.mem world Tree_gen.families ->
+          ignore (Scenario.materialize spec)
+      | _ -> ())
+    specs;
+  let after = cache_stats () in
+  checkb "no lookup, build or eviction" true (before = after)
+
+(* A tree above the budget is built per use and never retained; past the
+   budget the least recently used tree goes and the held nodes stay
+   within it. *)
+let test_instance_cache_budget () =
+  let budget = World_registry.instance_cache_budget in
+  let spec ~n ~depth_hint =
+    Scenario.make (Scenario.generated ~family:"star" ~n ~depth_hint)
+  in
+  let big = spec ~n:(budget + 1) ~depth_hint:1 in
+  let before = cache_stats () in
+  let a = Scenario.materialize big in
+  let b = Scenario.materialize big in
+  let after = cache_stats () in
+  checkb "over-budget tree built per use" true (a != b);
+  checki "over-budget tree not held" before.weight after.weight;
+  checki "both uses missed" (before.misses + 2) after.misses;
+  let half = (budget / 2) + 1 in
+  let third = List.map (fun d -> spec ~n:half ~depth_hint:d) [ 1; 2; 3 ] in
+  List.iter (fun s -> ignore (Scenario.materialize s)) third;
+  let filled = cache_stats () in
+  checkb "filling past the budget evicts" true
+    (filled.evictions > after.evictions);
+  checkb "held nodes within the budget" true (filled.weight <= budget);
+  (* the first of the three was the least recently used *)
+  ignore (Scenario.materialize (List.hd third));
+  checki "the evicted tree is rebuilt" (filled.misses + 1)
+    (cache_stats ()).misses
+
 let suite =
   let tc name f = Alcotest.test_case name `Quick f in
   ( "scenario",
@@ -885,4 +991,9 @@ let suite =
       tc "lazy scale rejects oversize ids" test_lazy_scale_rejects_oversize;
       QCheck_alcotest.to_alcotest prop_validated_specs_run;
       tc "--param routing is unambiguous" test_param_routing_unambiguous;
+      tc "instance cache: warm run equals a fresh build"
+        test_instance_cache_warm_equals_fresh;
+      tc "instance cache: bypassed by other worlds" test_instance_cache_bypass;
+      tc "instance cache: LRU within its node budget"
+        test_instance_cache_budget;
     ] )

@@ -634,7 +634,19 @@ let test_e2e_registry_and_metrics () =
       | Error e -> Alcotest.fail e
       | Ok j ->
           checkb "has metrics and cache sections" true
-            (Json.member "metrics" j <> None && Json.member "cache" j <> None))
+            (Json.member "metrics" j <> None && Json.member "cache" j <> None);
+          (* the comb spec looked its tree up in the instance cache *)
+          let inst key =
+            match
+              Option.bind (Json.member "instance_cache" j) (Json.member key)
+            with
+            | Some (Json.Int v) -> v
+            | _ -> Alcotest.failf "no instance_cache.%s" key
+          in
+          checkb "instance cache counted the lookup" true
+            (inst "hits" + inst "misses" >= 1);
+          checkb "instance cache reports evictions and nodes" true
+            (inst "evictions" >= 0 && inst "nodes" >= 0))
 
 (* ---- spans, prometheus exposition, postmortems ---- *)
 
@@ -760,7 +772,11 @@ let test_e2e_prometheus_metrics () =
       checkb "service stats folded in" true
         (contains body "bfdn_result_cache_hits"
         && contains body "bfdn_admission_inflight"
-        && contains body "bfdn_pool_workers"))
+        && contains body "bfdn_pool_workers"
+        && contains body "bfdn_instance_cache_hits"
+        && contains body "bfdn_instance_cache_misses"
+        && contains body "bfdn_instance_cache_evictions"
+        && contains body "bfdn_instance_cache_nodes"))
 
 let pm_seq = ref 0
 

@@ -285,6 +285,24 @@ let test_ascii_legend () =
   check Alcotest.string "legend" "a = one   b = two"
     (Ascii.legend [ ('a', "one"); ('b', "two") ])
 
+(* Weighted entries: the total stays within the budget, the least
+   recently used go first, an entry heavier than the budget is handed
+   back but not held, and [add] keeps the value inserted first. *)
+let test_lru_weighted () =
+  let module Lru = Bfdn_util.Lru in
+  let c = Lru.create ~budget:10 ~weight:String.length in
+  Lru.put c "a" "xxxx";
+  Lru.put c "b" "xxxx";
+  ignore (Lru.find c "a");
+  Lru.put c "c" "xxxx";
+  check Alcotest.(list string) "b evicted, not a" [ "c"; "a" ] (Lru.keys_mru c);
+  checki "weight within the budget" 8 (Lru.stats c).weight;
+  checkb "heavy value handed back" true
+    (Lru.add c "big" "xxxxxxxxxxx" = "xxxxxxxxxxx");
+  checkb "heavy value not held" false (Lru.mem c "big");
+  checkb "add keeps the first value" true (Lru.add c "a" "yyyy" = "xxxx");
+  checki "one eviction" 1 (Lru.stats c).evictions
+
 let suite =
   let tc name f = Alcotest.test_case name `Quick f in
   let qc t = QCheck_alcotest.to_alcotest t in
@@ -327,4 +345,5 @@ let suite =
       tc "ascii grid" test_ascii_grid;
       tc "ascii bar chart" test_ascii_bar_chart;
       tc "ascii legend" test_ascii_legend;
+      tc "lru weighted eviction and add" test_lru_weighted;
     ] )
