@@ -1,6 +1,7 @@
 type request = {
   meth : string;
   target : string;
+  version : string;
   path : string list;
   query : (string * string) list;
   headers : (string * string) list;
@@ -9,6 +10,16 @@ type request = {
 
 let header name r = List.assoc_opt (String.lowercase_ascii name) r.headers
 let query_param name r = List.assoc_opt name r.query
+
+(* [Connection] is a comma-separated token list, e.g. ["keep-alive, Upgrade"]. *)
+let says_close connection =
+  List.exists
+    (fun tok -> String.lowercase_ascii (String.trim tok) = "close")
+    (String.split_on_char ',' connection)
+
+let keep_alive r =
+  r.version = "HTTP/1.1"
+  && not (Option.fold ~none:false ~some:says_close (header "connection" r))
 
 (* ---- limits ---- *)
 
@@ -32,6 +43,9 @@ let refill r =
   r.pos <- 0;
   r.len <- Unix.read r.fd r.buf 0 (Bytes.length r.buf);
   r.len > 0
+
+let await r = r.pos < r.len || refill r
+let buffered r = r.pos < r.len
 
 exception Bad of string
 
@@ -121,39 +135,43 @@ let parse_header_exn line =
       in
       (name, value)
 
+let read_request_exn r =
+  let request_line = input_line_exn r in
+  let meth, target, version =
+    match String.split_on_char ' ' request_line with
+    | [ m; t; v ] when String.length v >= 5 && String.sub v 0 5 = "HTTP/" ->
+        (String.uppercase_ascii m, t, v)
+    | _ -> raise (Bad (Printf.sprintf "malformed request line %S" request_line))
+  in
+  let headers = ref [] in
+  let rec go n =
+    if n > max_headers then raise (Bad "too many headers");
+    match input_line_exn r with
+    | "" -> ()
+    | line ->
+        headers := parse_header_exn line :: !headers;
+        go (n + 1)
+  in
+  go 0;
+  let headers = List.rev !headers in
+  (* A body this parser cannot frame would be read as the next request
+     on a kept-alive connection. *)
+  if List.mem_assoc "transfer-encoding" headers then
+    raise (Bad "Transfer-Encoding request bodies are not supported");
+  let body =
+    match List.assoc_opt "content-length" headers with
+    | None -> ""
+    | Some v -> (
+        match int_of_string_opt (String.trim v) with
+        | Some n when n >= 0 && n <= max_body -> read_exact_exn r n
+        | Some _ -> raise (Bad "body too large")
+        | None -> raise (Bad "malformed Content-Length"))
+  in
+  let path, query = split_target target in
+  { meth; target; version; path; query; headers; body }
+
 let read_request r =
-  match
-    let request_line = input_line_exn r in
-    let meth, target =
-      match String.split_on_char ' ' request_line with
-      | [ m; t; v ]
-        when String.length v >= 5 && String.sub v 0 5 = "HTTP/" ->
-          (String.uppercase_ascii m, t)
-      | _ -> raise (Bad (Printf.sprintf "malformed request line %S" request_line))
-    in
-    let headers = ref [] in
-    let rec go n =
-      if n > max_headers then raise (Bad "too many headers");
-      match input_line_exn r with
-      | "" -> ()
-      | line ->
-          headers := parse_header_exn line :: !headers;
-          go (n + 1)
-    in
-    go 0;
-    let headers = List.rev !headers in
-    let body =
-      match List.assoc_opt "content-length" headers with
-      | None -> ""
-      | Some v -> (
-          match int_of_string_opt (String.trim v) with
-          | Some n when n >= 0 && n <= max_body -> read_exact_exn r n
-          | Some _ -> raise (Bad "body too large")
-          | None -> raise (Bad "malformed Content-Length"))
-    in
-    let path, query = split_target target in
-    { meth; target; path; query; headers; body }
-  with
+  match read_request_exn r with
   | req -> Ok req
   | exception Bad msg -> Error msg
   | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
@@ -182,7 +200,7 @@ let write_all fd s =
     written := !written + Unix.write fd b !written (n - !written)
   done
 
-let head ~status ~headers ~content_type ~framing =
+let head ~status ~headers ~content_type ~framing ~keep_alive =
   let b = Buffer.create 256 in
   Buffer.add_string b
     (Printf.sprintf "HTTP/1.1 %d %s\r\n" status (status_reason status));
@@ -192,13 +210,15 @@ let head ~status ~headers ~content_type ~framing =
     (fun (k, v) -> Buffer.add_string b (Printf.sprintf "%s: %s\r\n" k v))
     headers;
   Buffer.add_string b framing;
-  Buffer.add_string b "Connection: close\r\n\r\n";
+  Buffer.add_string b
+    (if keep_alive then "Connection: keep-alive\r\n\r\n"
+     else "Connection: close\r\n\r\n");
   b
 
-let write_response fd ~status ?(headers = [])
+let write_response fd ~status ~keep_alive ?(headers = [])
     ?(content_type = "application/json") body =
   let b =
-    head ~status ~headers ~content_type
+    head ~status ~headers ~content_type ~keep_alive
       ~framing:(Printf.sprintf "Content-Length: %d\r\n" (String.length body))
   in
   Buffer.add_string b body;
@@ -207,7 +227,7 @@ let write_response fd ~status ?(headers = [])
 let start_chunked fd ~status ?(headers = [])
     ?(content_type = "application/jsonl") () =
   let b =
-    head ~status ~headers ~content_type
+    head ~status ~headers ~content_type ~keep_alive:false
       ~framing:"Transfer-Encoding: chunked\r\n"
   in
   write_all fd (Buffer.contents b)

@@ -40,6 +40,19 @@ let default_config =
     postmortem_dir = None;
   }
 
+(* One accepted socket. Its [reader] persists across its requests;
+   [close] is set once the connection must end after the current
+   response. [idle] (under the server's [conn_m]) marks a connection
+   waiting for the first byte of its next request: a draining server
+   shuts those down. *)
+type conn = {
+  fd : Unix.file_descr;
+  reader : Http.reader;
+  stopping : bool Atomic.t; (* the server's *)
+  mutable close : bool;
+  mutable idle : bool;
+}
+
 type t = {
   config : config;
   listen_fd : Unix.file_descr;
@@ -60,7 +73,7 @@ type t = {
   stopping : bool Atomic.t;
   conn_m : Mutex.t;
   conn_done : Condition.t;
-  mutable open_conns : int;
+  mutable conns : conn list;
 }
 
 let create config =
@@ -97,7 +110,7 @@ let create config =
     stopping = Atomic.make false;
     conn_m = Mutex.create ();
     conn_done = Condition.create ();
-    open_conns = 0;
+    conns = [];
   }
 
 let port t = t.bound_port
@@ -124,8 +137,15 @@ let span_recorder t ~trace =
 
 (* ---- response helpers ---- *)
 
-let respond_json fd ~status ?headers j =
-  Http.write_response fd ~status ?headers (Json.to_string j)
+(* Every response but a stream goes out here. A server that started
+   draining answers the request in flight, then closes. *)
+let reply (c : conn) ~status ?headers ?content_type body =
+  if Atomic.get c.stopping then c.close <- true;
+  Http.write_response c.fd ~status ~keep_alive:(not c.close) ?headers
+    ?content_type body
+
+let respond_json c ~status ?headers j =
+  reply c ~status ?headers (Json.to_string j)
 
 let error_body msg = Json.Obj [ ("error", Json.String msg) ]
 
@@ -330,7 +350,7 @@ let job_status (job : Q.job) st =
 
 let job_status_json job st = Json.Obj (job_status job st)
 
-let handle_run t req ~trace fd =
+let handle_run t req ~trace c =
   let sp = span_recorder t ~trace in
   let root = Span.start sp "request" in
   let parse_span = Span.start ~parent:root sp "parse" in
@@ -354,7 +374,7 @@ let handle_run t req ~trace fd =
       Log.debug t.config.log ~trace
         ~attrs:[ ("detail", Json.String e.Json.msg) ]
         "spec rejected: invalid JSON";
-      respond_json fd ~status:400
+      respond_json c ~status:400
         (Json.Obj
            [
              ("error", Json.String "spec is not valid JSON");
@@ -368,7 +388,7 @@ let handle_run t req ~trace fd =
       Log.debug t.config.log ~trace
         ~attrs:[ ("detail", Json.String msg) ]
         "spec rejected";
-      respond_json fd ~status:400 (error_body msg)
+      respond_json c ~status:400 (error_body msg)
   | Ok spec -> (
       let fingerprint = Scenario.fingerprint spec in
       let cache_span = Span.start ~parent:root sp "cache_lookup" in
@@ -379,7 +399,7 @@ let handle_run t req ~trace fd =
       match cached with
       | Some body ->
           count t "cache_hits";
-          Http.write_response fd ~status:200
+          reply c ~status:200
             (result_body ~cache:"hit" ~fingerprint body)
       | None -> (
           count t "cache_misses";
@@ -410,7 +430,7 @@ let handle_run t req ~trace fd =
           match admitted with
           | Error `Full ->
               count t "rejected_busy";
-              respond_json fd ~status:429
+              respond_json c ~status:429
                 ~headers:
                   [
                     ( "Retry-After",
@@ -423,7 +443,7 @@ let handle_run t req ~trace fd =
                      ("cap", Json.Int (Q.cap t.adm));
                    ])
           | Error `Draining ->
-              respond_json fd ~status:503
+              respond_json c ~status:503
                 (error_body "server is draining")
           | Ok job -> (
               count t "jobs_admitted";
@@ -441,43 +461,43 @@ let handle_run t req ~trace fd =
                 | _ -> false
               in
               if async then
-                respond_json fd ~status:202 (job_status_json job Q.Queued)
+                respond_json c ~status:202 (job_status_json job Q.Queued)
               else
                 match Q.await t.adm job with
                 | Q.Done body ->
-                    Http.write_response fd ~status:200
+                    reply c ~status:200
                       (result_body ~cache:"miss" ~fingerprint body)
                 | Q.Timeout ->
                     count t "timeouts";
-                    respond_json fd ~status:504
+                    respond_json c ~status:504
                       (job_status_json job Q.Timeout)
                 | Q.Cancelled ->
-                    respond_json fd ~status:503
+                    respond_json c ~status:503
                       (job_status_json job Q.Cancelled)
                 | Q.Failed msg ->
-                    respond_json fd ~status:500
+                    respond_json c ~status:500
                       (job_status_json job (Q.Failed msg))
                 | (Q.Queued | Q.Running) as st ->
-                    respond_json fd ~status:500 (job_status_json job st)))));
+                    respond_json c ~status:500 (job_status_json job st)))));
   Span.finish sp root
 
-let with_job t params fd k =
+let with_job t params c k =
   match List.assoc_opt "id" params with
-  | None -> respond_json fd ~status:400 (error_body "missing job id")
+  | None -> respond_json c ~status:400 (error_body "missing job id")
   | Some raw -> (
       match int_of_string_opt raw with
       | None ->
-          respond_json fd ~status:400
+          respond_json c ~status:400
             (error_body (Printf.sprintf "malformed job id %S" raw))
       | Some id -> (
           match Q.find t.adm id with
           | None ->
-              respond_json fd ~status:404
+              respond_json c ~status:404
                 (error_body (Printf.sprintf "no such job %d" id))
           | Some job -> k job))
 
-let handle_job_status t _req params ~trace:_ fd =
-  with_job t params fd (fun job ->
+let handle_job_status t _req params ~trace:_ c =
+  with_job t params c (fun job ->
       match Q.state t.adm job with
       | Q.Done body ->
           let postmortem =
@@ -485,21 +505,22 @@ let handle_job_status t _req params ~trace:_ fd =
             | Some path -> Printf.sprintf ",\"postmortem\":\"%s\"" (Json.escape path)
             | None -> ""
           in
-          Http.write_response fd ~status:200
+          reply c ~status:200
             (Printf.sprintf
                "{\"id\":%d,\"status\":\"done\",\"fingerprint\":\"%s\",\"trace\":\"%s\"%s,\"result\":%s}"
                job.Q.id job.Q.fingerprint (Json.escape job.Q.trace) postmortem
                body)
-      | st -> respond_json fd ~status:200 (job_status_json job st))
+      | st -> respond_json c ~status:200 (job_status_json job st))
 
-let handle_job_spans t _req params ~trace:_ fd =
-  with_job t params fd (fun job ->
-      respond_json fd ~status:200 (Span.tree_json job.Q.span))
+let handle_job_spans t _req params ~trace:_ c =
+  with_job t params c (fun job ->
+      respond_json c ~status:200 (Span.tree_json job.Q.span))
 
-let handle_job_stream t _req params ~trace:_ fd =
-  with_job t params fd (fun job ->
-      Http.start_chunked fd ~status:200 ();
-      let send j = Http.send_chunk fd (Json.to_string j ^ "\n") in
+let handle_job_stream t _req params ~trace:_ c =
+  with_job t params c (fun job ->
+      c.close <- true;
+      Http.start_chunked c.fd ~status:200 ();
+      let send j = Http.send_chunk c.fd (Json.to_string j ^ "\n") in
       let cursor = Ring.cursor job.Q.stream in
       let rec pump () =
         match Ring.next job.Q.stream cursor with
@@ -510,7 +531,7 @@ let handle_job_stream t _req params ~trace:_ fd =
       in
       pump ();
       send (Sink.record Sink.Status (job_status job (Q.state t.adm job)));
-      Http.finish_chunked fd)
+      Http.finish_chunked c.fd)
 
 let merged_metrics t =
   let merged = Metrics.create () in
@@ -520,7 +541,7 @@ let merged_metrics t =
   Array.iter (fun reg -> Metrics.merge_into ~into:merged reg) t.worker_regs;
   merged
 
-let handle_metrics t req _params ~trace:_ fd =
+let handle_metrics t req _params ~trace:_ c =
   let stats = Result_cache.stats t.cache in
   let inst = Bfdn_scenario.World_registry.instance_cache_stats () in
   match Http.query_param "format" req with
@@ -530,25 +551,25 @@ let handle_metrics t req _params ~trace:_ fd =
          already owns "cache_hits" for request accounting), so one
          exposition document carries every registry. *)
       let merged = merged_metrics t in
-      let c name v = Metrics.add (Metrics.counter merged name) v in
+      let ctr name v = Metrics.add (Metrics.counter merged name) v in
       let g name v = Metrics.set (Metrics.gauge merged name) v in
-      c "result_cache_hits" stats.Result_cache.hits;
-      c "result_cache_misses" stats.Result_cache.misses;
-      c "result_cache_evictions" stats.Result_cache.evictions;
+      ctr "result_cache_hits" stats.Result_cache.hits;
+      ctr "result_cache_misses" stats.Result_cache.misses;
+      ctr "result_cache_evictions" stats.Result_cache.evictions;
       g "result_cache_size" (float_of_int stats.Result_cache.size);
       g "result_cache_cap" (float_of_int (Result_cache.cap t.cache));
-      c "instance_cache_hits" inst.hits;
-      c "instance_cache_misses" inst.misses;
-      c "instance_cache_evictions" inst.evictions;
+      ctr "instance_cache_hits" inst.hits;
+      ctr "instance_cache_misses" inst.misses;
+      ctr "instance_cache_evictions" inst.evictions;
       g "instance_cache_nodes" (float_of_int inst.weight);
-      c "admission_admitted" (Q.jobs_admitted t.adm);
+      ctr "admission_admitted" (Q.jobs_admitted t.adm);
       g "admission_inflight" (float_of_int (Q.inflight t.adm));
       g "admission_queue_cap" (float_of_int (Q.cap t.adm));
       g "pool_workers" (float_of_int (Pool.workers t.pool));
-      Http.write_response fd ~status:200 ~content_type:Prometheus.content_type
+      reply c ~status:200 ~content_type:Prometheus.content_type
         (Prometheus.render merged)
   | _ ->
-      respond_json fd ~status:200
+      respond_json c ~status:200
         (Json.Obj
            [
              ("metrics", Metrics.to_json (merged_metrics t));
@@ -579,11 +600,11 @@ let handle_metrics t req _params ~trace:_ fd =
              ("workers", Json.Int (Pool.workers t.pool));
            ])
 
-let handle_registry _t _req _params ~trace:_ fd =
-  respond_json fd ~status:200 (Scenario.registry_json ())
+let handle_registry _t _req _params ~trace:_ c =
+  respond_json c ~status:200 (Scenario.registry_json ())
 
-let handle_health t _req _params ~trace:_ fd =
-  respond_json fd ~status:200
+let handle_health t _req _params ~trace:_ c =
+  respond_json c ~status:200
     (Json.Obj
        [
          ("status", Json.String "ok");
@@ -593,8 +614,8 @@ let handle_health t _req _params ~trace:_ fd =
 
 let routes t =
   [
-    Router.route ~meth:"POST" "/run" (fun req _params ~trace fd ->
-        handle_run t req ~trace fd);
+    Router.route ~meth:"POST" "/run" (fun req _params ~trace c ->
+        handle_run t req ~trace c);
     Router.route ~meth:"GET" "/jobs/:id" (handle_job_status t);
     Router.route ~meth:"GET" "/jobs/:id/spans" (handle_job_spans t);
     Router.route ~meth:"GET" "/jobs/:id/stream" (handle_job_stream t);
@@ -605,16 +626,60 @@ let routes t =
 
 (* ---- connection loop ---- *)
 
-let handle_connection t routes fd =
+(* Every accepted socket reads and writes under this deadline. A
+   connection silent for this long before a request's first byte is
+   closed without a response; one silent this long in the middle of a
+   request gets a 408. *)
+let socket_deadline_s = 2.0
+
+(* Open connections, one handler thread each. The accept loop refuses
+   the next one with a 503 instead of starting a thread. *)
+let max_connections = 64
+
+(* TCP_NODELAY: a response larger than one write would otherwise hold
+   its tail back until the client acknowledges the rest, which a
+   connection that is not closed after it does not force. *)
+let tune_socket fd =
+  try
+    Unix.setsockopt_float fd Unix.SO_RCVTIMEO socket_deadline_s;
+    Unix.setsockopt_float fd Unix.SO_SNDTIMEO socket_deadline_s;
+    Unix.setsockopt fd Unix.TCP_NODELAY true
+  with Unix.Unix_error _ -> ()
+
+(* Wait for the first byte of the connection's next request; [false]
+   ends the connection silently (EOF, the deadline, a socket error, or
+   a server that started draining). The connection is idle while it
+   waits, and goes idle only while the server is not stopping: [run]'s
+   drain shuts the read side of every idle connection under the same
+   mutex, so none is missed. *)
+let await_request t (c : conn) =
+  Mutex.lock t.conn_m;
+  c.idle <- not (Atomic.get t.stopping);
+  Mutex.unlock t.conn_m;
+  c.idle
+  &&
+  let arrived = try Http.await c.reader with Unix.Unix_error _ -> false in
+  Mutex.lock t.conn_m;
+  c.idle <- false;
+  Mutex.unlock t.conn_m;
+  arrived
+
+let serve_request t routes (c : conn) =
   let t0 = Clock.now_ns () in
   let trace = fresh_trace t in
   (try
-     match Http.read_request (Http.reader fd) with
-     | Error msg ->
+     match Http.read_request_exn c.reader with
+     | exception Http.Bad msg ->
          count t "bad_requests";
-         respond_json fd ~status:400 (error_body msg)
-     | Ok req -> (
+         c.close <- true;
+         respond_json c ~status:400 (error_body msg)
+     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+         count t "bad_requests";
+         c.close <- true;
+         respond_json c ~status:408 (error_body "request timed out")
+     | req -> (
          count t "requests";
+         if not (Http.keep_alive req) then c.close <- true;
          Log.debug t.config.log ~trace
            ~attrs:
              [
@@ -625,32 +690,47 @@ let handle_connection t routes fd =
          match
            Router.dispatch routes ~meth:req.Http.meth ~path:req.Http.path
          with
-         | Router.Match (handler, params) -> handler req params ~trace fd
+         | Router.Match (handler, params) -> handler req params ~trace c
          | Router.Method_not_allowed allowed ->
-             respond_json fd ~status:405
+             respond_json c ~status:405
                ~headers:[ ("Allow", String.concat ", " allowed) ]
                (error_body "method not allowed")
          | Router.Not_found ->
-             respond_json fd ~status:404 (error_body "not found"))
+             respond_json c ~status:404 (error_body "not found"))
    with
-  | Unix.Unix_error _ -> () (* client went away mid-response *)
+  | Unix.Unix_error _ -> c.close <- true (* client went away *)
   | e -> (
+      c.close <- true;
       Log.error t.config.log ~trace
         ~attrs:[ ("detail", Json.String (Printexc.to_string e)) ]
         "handler raised";
-      try respond_json fd ~status:500 (error_body (Printexc.to_string e))
+      try respond_json c ~status:500 (error_body (Printexc.to_string e))
       with _ -> ()));
   with_side t (fun () ->
       Metrics.observe
         (Metrics.histogram t.side_reg "request_s")
         (float_of_int (Clock.now_ns () - t0) *. 1e-9);
-      Bfdn_obs.Gc_probe.tick t.gc_probe);
-  (try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
-  (try Unix.close fd with Unix.Unix_error _ -> ());
+      Bfdn_obs.Gc_probe.tick t.gc_probe)
+
+let handle_connection t routes (c : conn) =
+  while (not c.close) && await_request t c do
+    serve_request t routes c
+  done;
+  (try Unix.shutdown c.fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
+  (try Unix.close c.fd with Unix.Unix_error _ -> ());
   Mutex.lock t.conn_m;
-  t.open_conns <- t.open_conns - 1;
-  if t.open_conns = 0 then Condition.broadcast t.conn_done;
+  t.conns <- List.filter (fun c' -> c' != c) t.conns;
+  if t.conns = [] then Condition.broadcast t.conn_done;
   Mutex.unlock t.conn_m
+
+(* At the connection cap: answer without a thread, then close. *)
+let refuse fd =
+  (try
+     Http.write_response fd ~status:503 ~keep_alive:false
+       ~headers:[ ("Retry-After", "1") ]
+       (Json.to_string (error_body "too many open connections"))
+   with Unix.Unix_error _ -> ());
+  try Unix.close fd with Unix.Unix_error _ -> ()
 
 let stop t =
   if not (Atomic.exchange t.stopping true) then begin
@@ -677,10 +757,29 @@ let run t =
     if not (Atomic.get t.stopping) then
       match Unix.accept t.listen_fd with
       | fd, _ ->
+          count t "connections_accepted";
+          tune_socket fd;
           Mutex.lock t.conn_m;
-          t.open_conns <- t.open_conns + 1;
+          let c =
+            if List.length t.conns >= max_connections then None
+            else begin
+              let c =
+                {
+                  fd;
+                  reader = Http.reader fd;
+                  stopping = t.stopping;
+                  close = false;
+                  idle = false;
+                }
+              in
+              t.conns <- c :: t.conns;
+              Some c
+            end
+          in
           Mutex.unlock t.conn_m;
-          ignore (Thread.create (fun () -> handle_connection t routes fd) ());
+          (match c with
+          | Some c -> ignore (Thread.create (handle_connection t routes) c)
+          | None -> refuse fd);
           loop ()
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
       | exception Unix.Unix_error
@@ -689,10 +788,20 @@ let run t =
   in
   loop ();
   Log.info t.config.log "draining";
+  (* Idle connections wait in a read: shutting their read side ends it
+     with EOF. Busy ones answer with [Connection: close] and end. *)
+  Mutex.lock t.conn_m;
+  List.iter
+    (fun c ->
+      if c.idle then
+        try Unix.shutdown c.fd Unix.SHUTDOWN_RECEIVE
+        with Unix.Unix_error _ -> ())
+    t.conns;
+  Mutex.unlock t.conn_m;
   Q.drain t.adm;
   Q.await_idle t.adm;
   Mutex.lock t.conn_m;
-  while t.open_conns > 0 do
+  while t.conns <> [] do
     Condition.wait t.conn_done t.conn_m
   done;
   Mutex.unlock t.conn_m;

@@ -6,8 +6,21 @@
     and admitted through {!Queue_admission} onto a {!Bfdn_engine.Pool}
     of worker domains; per-job wall-clock timeouts cancel cleanly
     through {!Bfdn_engine.Pool.cancel} from a per-round hook, and
-    SIGTERM (via {!stop}) drains gracefully: stop accepting, cancel
-    queued jobs, let running jobs finish, shut the pool down.
+    SIGTERM (via {!stop}) drains gracefully: stop accepting, close idle
+    connections, cancel queued jobs, let running jobs finish, shut the
+    pool down.
+
+    Connections persist: one thread per connection reads a request,
+    dispatches it and responds, then waits for the next one. The
+    response says [Connection: close], and the connection ends after
+    it, when the request said [Connection: close] or was HTTP/1.0, the
+    response is a stream, the request could not be read, or the server
+    is draining. Every accepted socket reads and writes under
+    {!socket_deadline_s}: silence before a request's first byte closes
+    the connection without a response, silence in the middle of a
+    request gets a 408. Past {!max_connections} open connections a new
+    one gets a 503 with [Retry-After: 1] and is closed, no thread
+    started.
 
     Every request is assigned a correlation id at the edge; when
     [trace] is on, a {!Bfdn_obs.Span} recorder follows the request
@@ -35,7 +48,8 @@
       executed round (the newest 1024 retained), live, then a final
       status line. Reading does not consume: every reader, concurrent
       or after the job settled, gets the same frames.
-    - [GET /metrics] — merged obs registries (HTTP counters, per-job
+    - [GET /metrics] — merged obs registries (HTTP counters, among
+      them [connections_accepted], per-job
       simulation metrics, GC pauses, pool latency histograms) plus
       result cache, instance cache
       ({!Bfdn_scenario.World_registry.instance_cache_stats}: whether
@@ -76,13 +90,19 @@ val create : config -> t
     returns, even before {!run} starts accepting), spawn the worker
     pool. @raise Unix.Unix_error when the address is unavailable. *)
 
+val socket_deadline_s : float
+(** [SO_RCVTIMEO] and [SO_SNDTIMEO] of every accepted socket. *)
+
+val max_connections : int
+(** Open connections the server serves at once. *)
+
 val port : t -> int
 (** The bound port — the ephemeral one when the config said [0]. *)
 
 val run : t -> unit
 (** Accept loop; returns after {!stop} has been called and the drain
-    completed (all in-flight jobs settled, all connections closed, pool
-    shut down). Installs [Signal_ignore] for SIGPIPE (a client hanging
+    completed (idle connections closed, in-flight requests answered
+    with [Connection: close], all jobs settled, pool shut down). Installs [Signal_ignore] for SIGPIPE (a client hanging
     up mid-stream must not kill the server); the caller owns SIGTERM
     wiring (the CLI maps it to {!stop}). *)
 

@@ -3,7 +3,8 @@
    hit/miss, concurrent access), HTTP framing and routing units, admission
    backpressure, and — over real sockets — end-to-end determinism
    (an HTTP submission reproduces the in-process outcome byte for byte),
-   timeout cancellation leaving the pool usable, and graceful drain. *)
+   timeout cancellation leaving the pool usable, graceful drain,
+   persistent connections, socket deadlines and the connection cap. *)
 
 module Json = Bfdn_obs.Json
 module Param = Bfdn_scenario.Param
@@ -998,6 +999,263 @@ let test_stream_retained_words () =
     Alcotest.failf "%.1f words per retained frame at k=%d (limit %d)"
       per_frame k (k + 12)
 
+(* ---- persistent connections ---- *)
+
+(* A socket that sends only what the test writes. Reads give up well
+   past the server's deadline, so a server that never answers fails the
+   test instead of hanging it. *)
+let raw_connect port =
+  let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO (Server.socket_deadline_s +. 3.);
+  fd
+
+(* Everything the peer sends until it closes. *)
+let read_until_eof fd =
+  let out = Buffer.create 512 and chunk = Bytes.create 4096 in
+  let rec go () =
+    match Unix.read fd chunk 0 (Bytes.length chunk) with
+    | 0 -> ()
+    | n ->
+        Buffer.add_subbytes out chunk 0 n;
+        go ()
+  in
+  go ();
+  Buffer.contents out
+
+(* One request on a fresh socket that the server must close after its
+   response: the response head and body. *)
+let raw_exchange port request =
+  let fd = raw_connect port in
+  let resp =
+    Fun.protect
+      ~finally:(fun () -> Unix.close fd)
+      (fun () ->
+        Http.write_all fd request;
+        read_until_eof fd)
+  in
+  match Str.search_forward (Str.regexp_string "\r\n\r\n") resp 0 with
+  | i -> (String.sub resp 0 i, Str.string_after resp (i + 4))
+  | exception Not_found -> Alcotest.failf "no response head in %S" resp
+
+(* A counter of the server's HTTP registry, as /metrics reports it. *)
+let http_counter port name =
+  match Json.of_string (get port "/metrics").Client.body with
+  | Ok j -> (
+      match Option.bind (Json.member "metrics" j) (Json.member name) with
+      | Some (Json.Int v) -> v
+      | _ -> 0)
+  | Error e -> Alcotest.fail e
+
+let test_keep_alive_one_connection () =
+  with_server (fun port ->
+      for _ = 1 to 10 do
+        let r = get port "/healthz" in
+        checki "healthz" 200 r.Client.status;
+        checkb "kept alive" true
+          (Client.response_header "Connection" r = Some "keep-alive")
+      done;
+      checki "ten requests, one connection" 1
+        (http_counter port "connections_accepted");
+      let prom = (get port "/metrics?format=prometheus").Client.body in
+      (match Prometheus.validate prom with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "exposition does not validate: %s" e);
+      checkb "prometheus counter" true
+        (contains prom
+           "# TYPE bfdn_connections_accepted counter\nbfdn_connections_accepted 1\n"))
+
+let test_close_and_http10_close () =
+  with_server (fun port ->
+      let wire = Scenario.to_string spec_small in
+      ignore (post_run port wire);
+      (* from here on every answer is the same cache hit *)
+      let kept = post_run port wire in
+      checkb "kept-alive request answered keep-alive" true
+        (Client.response_header "Connection" kept = Some "keep-alive");
+      let request ~version ~extra =
+        Printf.sprintf "POST /run %s\r\nHost: x\r\nContent-Length: %d\r\n%s\r\n%s"
+          version (String.length wire) extra wire
+      in
+      List.iter
+        (fun (what, raw) ->
+          let head, body = raw_exchange port raw in
+          checkb (what ^ ": 200") true
+            (String.starts_with ~prefix:"HTTP/1.1 200" head);
+          checkb (what ^ ": answered with close") true
+            (contains head "Connection: close");
+          checks (what ^ ": same body as kept-alive") kept.Client.body body)
+        [
+          ( "Connection: close",
+            request ~version:"HTTP/1.1" ~extra:"Connection: close\r\n" );
+          ("HTTP/1.0", request ~version:"HTTP/1.0" ~extra:"");
+        ])
+
+let test_client_retries_reset_connection () =
+  (* A fake server: it answers the first request keep-alive, then resets
+     the connection at the second; the client must send the second again
+     on a fresh connection. *)
+  let lfd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.bind lfd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.listen lfd 8;
+  Unix.setsockopt_float lfd Unix.SO_RCVTIMEO 5.;
+  let port =
+    match Unix.getsockname lfd with
+    | Unix.ADDR_INET (_, p) -> p
+    | Unix.ADDR_UNIX _ -> Alcotest.fail "not an inet socket"
+  in
+  let seen = ref [] in
+  let read conn r =
+    let req = Http.read_request_exn r in
+    seen := (conn, req.Http.target) :: !seen
+  in
+  let fake () =
+    let a, _ = Unix.accept ~cloexec:true lfd in
+    let r = Http.reader a in
+    read 1 r;
+    Http.write_response a ~status:200 ~keep_alive:true "one";
+    read 1 r;
+    Unix.setsockopt_optint a Unix.SO_LINGER (Some 0);
+    Unix.close a;
+    let b, _ = Unix.accept ~cloexec:true lfd in
+    read 2 (Http.reader b);
+    Http.write_response b ~status:200 ~keep_alive:false "two";
+    Unix.close b
+  in
+  let th = Thread.create fake () in
+  let first = get port "/first" in
+  let second = get port "/second" in
+  Thread.join th;
+  Unix.close lfd;
+  checks "first answer" "one" first.Client.body;
+  checks "second answer, from the retry" "two" second.Client.body;
+  Alcotest.(check (list (pair int string)))
+    "the reset request was sent once more, on a new connection"
+    [ (1, "/first"); (1, "/second"); (2, "/second") ]
+    (List.rev !seen)
+
+let test_connection_cap () =
+  with_server (fun port ->
+      let held = List.init Server.max_connections (fun _ -> raw_connect port) in
+      let extra = raw_connect port in
+      let refused = read_until_eof extra in
+      Unix.close extra;
+      checkb "503 past the cap" true
+        (String.starts_with ~prefix:"HTTP/1.1 503" refused);
+      checkb "retry after a second" true (contains refused "Retry-After: 1\r\n");
+      (* One held connection closes: a new one is served. *)
+      Unix.close (List.hd held);
+      let rec served tries =
+        match Client.request ~port ~meth:"GET" ~path:"/healthz" () with
+        | Ok { Client.status = 200; _ } -> ()
+        | (Ok _ | Error _) when tries > 0 ->
+            Unix.sleepf 0.01;
+            served (tries - 1)
+        | Ok r -> Alcotest.failf "still refused: %d" r.Client.status
+        | Error e -> Alcotest.fail e
+      in
+      served 50;
+      List.iter Unix.close (List.tl held))
+
+(* ---- deadlines and drain ---- *)
+
+let test_deadline_drops_stalled_clients () =
+  with_server (fun port ->
+      let t0 = Unix.gettimeofday () in
+      let silent = raw_connect port in
+      let half = raw_connect port in
+      let running = Atomic.make true and served = Atomic.make 0 in
+      (* Closed whatever happens: a server without deadlines would
+         otherwise hold its drain on them. *)
+      Fun.protect
+        ~finally:(fun () ->
+          Atomic.set running false;
+          List.iter
+            (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
+            [ silent; half ])
+        (fun () ->
+          Http.write_all half "GET /healthz HTTP/1.1\r\nHost: x";
+          let other =
+            Thread.create
+              (fun () ->
+                while Atomic.get running do
+                  if (get port "/healthz").Client.status = 200 then
+                    Atomic.incr served;
+                  Unix.sleepf 0.05
+                done)
+              ()
+          in
+          let dropped fd =
+            let got = read_until_eof fd in
+            (got, Unix.gettimeofday () -. t0)
+          in
+          let silent_got, silent_s = dropped silent in
+          let half_got, half_s = dropped half in
+          Atomic.set running false;
+          Thread.join other;
+          let d = Server.socket_deadline_s in
+          checks "silence before a request closes without a response" ""
+            silent_got;
+          checkb "a half-sent request gets a 408" true
+            (String.starts_with ~prefix:"HTTP/1.1 408" half_got
+            && contains half_got "Connection: close");
+          List.iter
+            (fun (what, s) ->
+              checkb
+                (Printf.sprintf "%s dropped after %.2fs, deadline %.1fs" what s d)
+                true
+                (s >= d -. 0.1 && s < d +. 1.))
+            [ ("silent client", silent_s); ("half-sent request", half_s) ];
+          checkb "another client kept being served" true
+            (Atomic.get served >= 10);
+          checki "only the 408 is a bad request" 1
+            (http_counter port "bad_requests")))
+
+let test_stop_closes_idle_connection () =
+  let srv = Server.create { Server.default_config with Server.port = 0; workers = 1 } in
+  let th = Thread.create Server.run srv in
+  let r = get (Server.port srv) "/healthz" in
+  checkb "the client holds a kept-alive connection" true
+    (Client.response_header "Connection" r = Some "keep-alive");
+  let t0 = Unix.gettimeofday () in
+  Server.stop srv;
+  Thread.join th;
+  let dt = Unix.gettimeofday () -. t0 in
+  checkb (Printf.sprintf "drained in %.2fs" dt) true (dt < 1.)
+
+let test_stop_ends_live_stream () =
+  let srv = Server.create { Server.default_config with Server.port = 0; workers = 1 } in
+  let th = Thread.create Server.run srv in
+  let port = Server.port srv in
+  let slow =
+    Scenario.to_string
+      (Scenario.make ~k:4 ~seed:5
+         (Scenario.generated ~family:"random" ~n:20000 ~depth_hint:40))
+  in
+  let id = ticket_id (post_run ~query:"?wait=0" port slow) in
+  let stopped = ref false in
+  let on_chunk _ =
+    if not !stopped then begin
+      stopped := true;
+      Server.stop srv
+    end
+  in
+  let stream =
+    Client.request ~port ~on_chunk ~meth:"GET"
+      ~path:(Printf.sprintf "/jobs/%d/stream" id)
+      ()
+  in
+  Thread.join th;
+  checkb "stop was called mid-stream" true !stopped;
+  match stream with
+  | Error e -> Alcotest.fail e
+  | Ok resp ->
+      let lines = String.split_on_char '\n' (String.trim resp.Client.body) in
+      let last = List.nth lines (List.length lines - 1) in
+      checkb "the stream ends with its status line" true
+        (member_string "kind" last = Some "status"
+        && member_string "status" last <> None)
+
 (* Kept apart from [suite] so the fast tier can run it. *)
 let memory_suite =
   ( "serve-mem",
@@ -1055,4 +1313,18 @@ let suite =
         test_e2e_batched_fanout;
       Alcotest.test_case "e2e stream equals the in-process trace" `Quick
         test_e2e_stream_fidelity;
+      Alcotest.test_case "keep-alive: ten requests, one connection" `Quick
+        test_keep_alive_one_connection;
+      Alcotest.test_case "Connection: close and HTTP/1.0 close, same body"
+        `Quick test_close_and_http10_close;
+      Alcotest.test_case "client retries a reset reused connection" `Quick
+        test_client_retries_reset_connection;
+      Alcotest.test_case "connection cap answers 503" `Quick
+        test_connection_cap;
+      Alcotest.test_case "deadline drops stalled clients" `Quick
+        test_deadline_drops_stalled_clients;
+      Alcotest.test_case "stop closes an idle connection" `Quick
+        test_stop_closes_idle_connection;
+      Alcotest.test_case "stop ends a live stream with its status" `Quick
+        test_stop_ends_live_stream;
     ] )
