@@ -107,11 +107,11 @@ let record_gate ~gate ~name ~measured ~baseline ~ok =
     }
     :: !gate_rows
 
-(* A number from a committed BENCH_*.json report: [member] at the top
+(* A member of a committed BENCH_*.json report: [member] at the top
    level or, given [where], in the first row of [table] whose fields
    equal [where] ([table] defaults to "configs"; a single object counts
    as one row). Fails with [path] in the message. *)
-let committed ?(table = "configs") ?where path member =
+let committed_member ?(table = "configs") ?where path member =
   let fail what = failwith (Printf.sprintf "%s: %s" path what) in
   let doc =
     match Json.of_string (In_channel.with_open_text path In_channel.input_all) with
@@ -139,9 +139,23 @@ let committed ?(table = "configs") ?where path member =
                  (Json.to_string (Json.Obj fields))))
   in
   match Json.member member scope with
-  | Some (Json.Float x) -> x
-  | Some (Json.Int i) -> float_of_int i
-  | _ -> fail ("no number " ^ member)
+  | Some j -> j
+  | None -> fail ("no member " ^ member)
+
+(* A number from a committed report, found as {!committed_member}. *)
+let committed ?table ?where path member =
+  match committed_member ?table ?where path member with
+  | Json.Float x -> x
+  | Json.Int i -> float_of_int i
+  | _ -> failwith (Printf.sprintf "%s: no number %s" path member)
+
+(* The scale a committed report was measured at (its "scale" member). *)
+let committed_scale path =
+  match committed_member path "scale" with
+  | Json.String "quick" -> Quick
+  | Json.String "normal" -> Normal
+  | Json.String "full" -> Full
+  | _ -> failwith (path ^ ": no scale quick, normal or full")
 
 (* What a gate row asks of its measurement. *)
 type bar =

@@ -17,7 +17,8 @@
 
    `--det-check --jobs=N` (the CI determinism lane) reuses this module:
    sequential runs, the N-worker job pool and the seed batch must agree
-   outcome-for-outcome over a config matrix. *)
+   execution-for-execution (outcomes and per-round frame digests) over a
+   config matrix. *)
 
 open Bench_common
 module Seed_batch = Bfdn_engine.Seed_batch
@@ -264,8 +265,13 @@ let perf_gate () =
 (* ---- determinism lane (--det-check --jobs=N) ----
 
    Sequential Scenario.run, the N-worker job pool and Seed_batch must
-   agree outcome-for-outcome over a matrix that covers deterministic and randomized families, draw-free and drawing
-   policies, fault schedules and the collapse/fallback tiers. *)
+   agree execution-for-execution over a matrix that covers deterministic
+   and randomized families, draw-free and drawing policies, fault
+   schedules and the collapse/fallback tiers: equal outcomes, and equal
+   digests of every round's frame (round, explored, dangling, every
+   robot's position). The n = 5000 row sits between the small ones, so
+   node-store pages of different lengths are recycled in turn on every
+   domain that runs the lanes. *)
 
 let det_specs () =
   let w family n dh = Scenario.world
@@ -276,6 +282,7 @@ let det_specs () =
     ("binary/bfdn S=6", Scenario.make ~algo:"bfdn" ~k:8 ~seed:100 ~batch_seeds:6 (w "binary" 250 10));
     ("comb/cte S=5", Scenario.make ~algo:"cte" ~k:8 ~seed:200 ~batch_seeds:5 (w "comb" 250 20));
     ("random/bfdn S=6", Scenario.make ~algo:"bfdn" ~k:8 ~seed:300 ~batch_seeds:6 (w "random" 220 10));
+    ("random/bfdn n=5000 S=3", Scenario.make ~algo:"bfdn" ~k:8 ~seed:700 ~batch_seeds:3 (w "random" 5000 20));
     ( "spider/random-open S=4",
       Scenario.make ~algo:"bfdn"
         ~algo_params:[ ("policy", Param.String "random-open") ]
@@ -291,35 +298,95 @@ let det_specs () =
            ~depth_budget:12) );
   ]
 
+(* Folds the frames of consecutive executions into one digest each: a
+   frame from another execution view than the last starts the next
+   digest. *)
+type frame_log = {
+  buf : Buffer.t;
+  mutable current : Exec_env.t option;
+  mutable digests : Digest.t list;  (** finished executions, newest first *)
+}
+
+let frame_log () = { buf = Buffer.create 4096; current = None; digests = [] }
+
+let flush log =
+  if Option.is_some log.current then begin
+    log.digests <- Digest.string (Buffer.contents log.buf) :: log.digests;
+    Buffer.clear log.buf
+  end
+
+let record log (x : Exec_env.t) =
+  (match log.current with
+  | Some y when y == x -> ()
+  | _ ->
+      flush log;
+      log.current <- Some x);
+  let f = x.Exec_env.frame () in
+  let add i = Buffer.add_int64_le log.buf (Int64.of_int i) in
+  add f.Bfdn_sim.Trace.round;
+  add f.Bfdn_sim.Trace.explored;
+  add f.Bfdn_sim.Trace.dangling;
+  Array.iter add f.Bfdn_sim.Trace.positions
+
+let digests log =
+  flush log;
+  log.current <- None;
+  List.rev log.digests
+
+(* One plain run and the digest of its frames. *)
+let digested_run spec =
+  let log = frame_log () in
+  let o = Scenario.run ~on_round:(record log) spec in
+  match digests log with
+  | [ d ] -> (o, d)
+  | ds ->
+      failwith
+        (Printf.sprintf "%s: %d executions in one run" (Scenario.describe spec)
+           (List.length ds))
+
 let det_check ~jobs () =
   header "DET CHECK"
     (Printf.sprintf "sequential vs %d-worker pool vs seed batch" jobs);
+  let specs = det_specs () in
+  let lanes_of (_, t) = List.init t.Scenario.batch_seeds (Scenario.unbatch t) in
+  let all_lanes = Array.of_list (List.concat_map lanes_of specs) in
+  (* Every lane of every row through one sequence and one pool, so each
+     domain recycles pages across rows. *)
+  let seq = Array.map digested_run all_lanes in
+  let pooled = Batch.map ~workers:jobs digested_run all_lanes in
+  let same (o, d) (o', d') = Scenario.equal_outcome o o' && Digest.equal d d' in
   let ok_all = ref true in
+  let offset = ref 0 in
   List.iter
-    (fun (label, t) ->
-      let s = t.Scenario.batch_seeds in
-      let lanes = List.init s (Scenario.unbatch t) in
-      let seq = List.map Scenario.run lanes in
+    (fun ((label, t) as row) ->
+      let s = List.length (lanes_of row) in
+      let seq_row = Array.sub seq !offset s in
       let pool_ok =
-        List.for_all2
-          (fun o (_, res) ->
-            match res with
-            | Ok o' -> Scenario.equal_outcome o o'
-            | Error _ -> false)
-          seq
-          (Batch.run ~workers:jobs lanes)
+        Array.for_all2
+          (fun r res -> match res with Ok r' -> same r r' | Error _ -> false)
+          seq_row
+          (Array.sub pooled !offset s)
       in
+      offset := !offset + s;
       let batch_ok =
-        let r = Seed_batch.run t in
-        List.for_all2 Scenario.equal_outcome seq
-          (Array.to_list r.Seed_batch.outcomes)
+        let log = frame_log () in
+        let r = Seed_batch.run ~on_round:(record log) t in
+        let ds = Array.of_list (digests log) in
+        (* A collapsed batch executes lane 0 only and replicates it. *)
+        let ds =
+          if r.Seed_batch.collapsed && Array.length ds = 1 then
+            Array.make s ds.(0)
+          else ds
+        in
+        Array.length ds = s
+        && Array.for_all2 same seq_row (Array.combine r.Seed_batch.outcomes ds)
       in
       let ok = pool_ok && batch_ok in
       if not ok then ok_all := false;
       Printf.printf "  %-26s pool=%s batch=%s\n" label
         (if pool_ok then "ok" else "FAIL")
         (if batch_ok then "ok" else "FAIL"))
-    (det_specs ());
+    specs;
   if !ok_all then Printf.printf "det check: all lanes agree\n"
   else Printf.printf "det check: DISAGREEMENT\n";
   !ok_all

@@ -195,8 +195,9 @@ let run () =
 
 (* ---- CI perf-regression gate (--perf-gate) ----
 
-   Re-measure the cached path briefly and fail when sustained req/s
-   drops below [gate_floor] of the committed BENCH_serve.json value.
+   Re-measure the cached path at the scale the committed BENCH_serve.json
+   records (its window length sets how much of the measurement is warm-up)
+   and fail when sustained req/s drops below [gate_floor] of its value.
    Same philosophy as the E16 gate: a loose floor that catches
    accidental slow paths (a cache hit suddenly running the engine, a
    lock held across a syscall), not machine variance. The driver only
@@ -210,6 +211,6 @@ let perf_gate () =
     (Printf.sprintf "cached req/s >= %.2fx the committed %s" gate_floor
        report_path);
   let committed = committed report_path "cached_req_per_sec" in
-  scale := Quick;
+  scale := committed_scale report_path;
   check_gate ~gate:"E18" ~name:"cached req/s" (measure ()).cached_req_s
     (Relative { committed; floor = gate_floor })

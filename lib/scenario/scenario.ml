@@ -525,22 +525,32 @@ let ctx ~probe ~root ?fault t =
 
 (* What each world contributes to a run: an execution view, and the
    oracle stats (n, depth, max degree) of its hidden instance — read
-   after the run, since a lazy world only knows them once explored. The
-   one shared step [execute] drives every view through
-   [Exec_env.run]. *)
-type view = { exec : Exec_env.t; stats : unit -> int * int * int }
+   after the run, since a lazy world only knows them once explored — and
+   how to hand its per-node pages back. The one shared step [execute]
+   drives every view through [Exec_env.run] and then releases it, also
+   when the run raises, so the next run on the domain reuses the pages. *)
+type view = {
+  exec : Exec_env.t;
+  stats : unit -> int * int * int;
+  release : unit -> unit;
+}
 
 let execute ~probe ?on_round t v =
-  let result = Exec_env.run ?max_rounds:t.max_rounds ?on_round ~probe v.exec in
-  let n, depth, max_degree = v.stats () in
-  { result; replay_rounds = None; n; depth; max_degree }
+  Fun.protect ~finally:v.release (fun () ->
+      let result =
+        Exec_env.run ?max_rounds:t.max_rounds ?on_round ~probe v.exec
+      in
+      let n, depth, max_degree = v.stats () in
+      { result; replay_rounds = None; n; depth; max_degree })
 
+(* [Env.release] leaves a lazy world's store alone. *)
 let env_view algo env =
   {
     exec = Exec_env.of_env algo env;
     stats =
       (fun () ->
         (Env.oracle_n env, Env.oracle_depth env, Env.oracle_max_degree env));
+    release = (fun () -> Env.release env);
   }
 
 let run_env ?(probe = Probe.noop) ?on_round t algo env =
@@ -564,6 +574,7 @@ let tree_view ~probe ~root ~fault t (make : Algo_registry.make) tree =
       {
         exec = make (ctx ~probe ~root ?fault t) tree ~k:t.k;
         stats = (fun () -> stats);
+        release = ignore;
       }
   | Graph _ -> invalid_arg ("Scenario: " ^ graph_only t ^ " in " ^ describe t)
 
@@ -580,6 +591,7 @@ let graph_view ~probe ~root ~fault t make (g, origin) =
         ( Genv.oracle_n_nodes genv,
           Genv.oracle_radius genv,
           Genv.oracle_max_degree genv ));
+    release = ignore;
   }
 
 let on_tree ?(probe = Probe.noop) ?on_round t make tree =

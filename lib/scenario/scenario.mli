@@ -212,7 +212,10 @@ val run_env :
     taken from [env] after the run. [algo] should come from
     {!Algo_registry.instantiate} on [env] with the spec's algorithm,
     parameters, algorithm stream and fault plan for the run to replay —
-    the batch engine uses this to run lanes on one shared world record. *)
+    the batch engine uses this to run lanes on one shared world record.
+    The run consumes [env]: afterwards, also when it raised, its pages
+    are back in the domain's pool ({!Bfdn_sim.Env.release}) and the
+    environment can no longer step or be observed. *)
 
 val run :
   ?probe:Bfdn_obs.Probe.t ->
@@ -230,7 +233,11 @@ val run :
     {!Bfdn_sim.Exec_env.run}. Adversarial scenarios additionally replay
     the spec on the frozen tree (as {!run_on_tree}) and report
     [replay_rounds]. [probe]/[on_round] observe the run without altering
-    it; [on_round] receives the execution view after every round.
+    it; [on_round] receives the execution view after every round, which
+    is dead once [run] returns or raises. Each environment the run
+    creates for an explicit tree hands its per-node pages back to the
+    domain's pool at the end ({!Bfdn_sim.Node_store.release}), so the
+    next run on the domain reuses them.
     @raise Invalid_argument when {!validate} fails, and for batched
     specs ([batch_seeds > 1] — execute those with the batch engine's
     [Seed_batch.run], or lane-by-lane via {!unbatch}). *)

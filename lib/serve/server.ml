@@ -544,6 +544,7 @@ let merged_metrics t =
 let handle_metrics t req _params ~trace:_ c =
   let stats = Result_cache.stats t.cache in
   let inst = Bfdn_scenario.World_registry.instance_cache_stats () in
+  let pages = Bfdn_sim.Node_store.page_stats () in
   match Http.query_param "format" req with
   | Some "prometheus" ->
       (* Fold the service-level statistics into the merged registry as
@@ -562,6 +563,8 @@ let handle_metrics t req _params ~trace:_ c =
       ctr "instance_cache_misses" inst.misses;
       ctr "instance_cache_evictions" inst.evictions;
       g "instance_cache_nodes" (float_of_int inst.weight);
+      ctr "node_pages_reused" pages.reused;
+      ctr "node_pages_allocated" pages.allocated;
       ctr "admission_admitted" (Q.jobs_admitted t.adm);
       g "admission_inflight" (float_of_int (Q.inflight t.adm));
       g "admission_queue_cap" (float_of_int (Q.cap t.adm));
@@ -589,6 +592,12 @@ let handle_metrics t req _params ~trace:_ c =
                    ("misses", Json.Int inst.misses);
                    ("evictions", Json.Int inst.evictions);
                    ("nodes", Json.Int inst.weight);
+                 ] );
+             ( "node_pages",
+               Json.Obj
+                 [
+                   ("reused", Json.Int pages.reused);
+                   ("allocated", Json.Int pages.allocated);
                  ] );
              ( "jobs",
                Json.Obj

@@ -53,11 +53,14 @@
       simulation metrics, GC pauses, pool latency histograms) plus
       result cache, instance cache
       ({!Bfdn_scenario.World_registry.instance_cache_stats}: whether
-      runs built their tree or shared a cached one) and admission
-      statistics; [?format=prometheus] renders the same data in text
-      exposition format 0.0.4 ({!Bfdn_obs.Prometheus.render}) with the
-      service statistics folded in as [result_cache_*] /
-      [instance_cache_*] / [admission_*] / [pool_workers].
+      runs built their tree or shared a cached one), node pages
+      ([node_pages] {reused, allocated}, {!Bfdn_sim.Node_store.page_stats}:
+      whether runs took their per-node pages from a worker's pool or
+      allocated them) and admission statistics; [?format=prometheus]
+      renders the same data in text exposition format 0.0.4
+      ({!Bfdn_obs.Prometheus.render}) with the service statistics folded
+      in as [result_cache_*] / [instance_cache_*] / [node_pages_*] /
+      [admission_*] / [pool_workers].
     - [GET /registry] — {!Bfdn_scenario.Scenario.registry_json}.
     - [GET /healthz] — liveness and drain state. *)
 

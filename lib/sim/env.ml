@@ -108,6 +108,7 @@ type t = {
   tgt_dst : int array; (* resolved target node, -1 = no move, length k *)
   tgt_port : int array; (* dangling port being crossed, -1 = none, length k *)
   arriving : Node_store.col; (* per-node arrival counts of one round *)
+  mutable released : bool; (* [release] handed the store's pages back *)
 }
 
 let of_world ?(fault = fault_noop) world ~k =
@@ -143,11 +144,22 @@ let of_world ?(fault = fault_noop) world ~k =
     tgt_dst = Array.make k (-1);
     tgt_port = Array.make k (-1);
     arriving = Node_store.column store ~fill:0;
+    released = false;
   }
 
 let create ?fault tree ~k = of_world ?fault (world_of_tree tree) ~k
 
 let set_reactive_blocker t blocker = t.blocker <- Some blocker
+
+(* A lazy world's store is the world's: the view shares it, and it is
+   left to the GC. *)
+let release t =
+  if (not t.released) && Option.is_none t.world.w_store then begin
+    t.released <- true;
+    Node_store.release t.store
+  end
+
+let released t = t.released
 
 let k t = t.k
 let capacity t = t.world.w_capacity
@@ -190,6 +202,7 @@ let oracle_max_degree t =
 let oracle_tree t = t.world.w_tree ()
 
 let apply t moves =
+  if t.released then invalid_arg "Env.apply: released environment";
   if Array.length moves <> t.k then invalid_arg "Env.apply: wrong arity";
   (* The reactive blocker (Remark 8) sees the selected moves before
      deciding. Test-only adversary: this branch may allocate. *)

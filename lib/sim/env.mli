@@ -100,6 +100,17 @@ val world_of_tree : Bfdn_trees.Tree.t -> world
 (** A fixed tree as a world; its [w_stats] are the tree's recorded n, depth
     and maximum degree. *)
 
+val release : t -> unit
+(** Hand the pages of the node store the environment created back to
+    the domain's pool ({!Node_store.release}) once the run is over; from
+    then on {!apply} raises, and so do [Exec_env]'s observers over the
+    environment. A no-op on an environment over a world's own store (a
+    lazy world's, [w_store <> None]), which the GC reclaims, and on one
+    already released. Nothing may read the environment's view after it. *)
+
+val released : t -> bool
+(** Whether {!release} handed this environment's pages back. *)
+
 val k : t -> int
 
 val capacity : t -> int
@@ -132,7 +143,7 @@ val apply : t -> move array -> unit
     (length [k]). Robots the fault hook or a reactive blocker pins are
     forced to [Stay].
     @raise Invalid_argument on an illegal selection (bad port, [Up] at the
-    root, wrong array length). *)
+    root, wrong array length), or on a released environment. *)
 
 val fully_explored : t -> bool
 (** No dangling edge remains. *)

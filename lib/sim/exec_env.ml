@@ -121,10 +121,19 @@ let of_env (algo : algo) env =
       end;
       !m
   in
+  (* A released environment's pages back a later run: a retained hook
+     must neither read nor write them. [Env.apply] tests the same flag. *)
+  let live name =
+    if Env.released env then
+      invalid_arg ("Exec_env." ^ name ^ ": released environment")
+  in
   {
     k = Env.k env;
     round = (fun () -> Env.round env);
-    select = (fun () -> pending := algo.select env);
+    select =
+      (fun () ->
+        live "select";
+        pending := algo.select env);
     apply = (fun () -> Env.apply env !pending);
     finished = (fun () -> algo.finished env);
     round_limit;
@@ -133,8 +142,14 @@ let of_env (algo : algo) env =
     moves_total = (fun () -> Env.moves_total env);
     edge_events = (fun () -> Env.edge_events env);
     revealed = (fun () -> Partial_tree.num_explored (Env.view env));
-    frame = (fun () -> Trace.frame_of_env env);
-    render = (fun () -> Trace.render_frame env);
+    frame =
+      (fun () ->
+        live "frame";
+        Trace.frame_of_env env);
+    render =
+      (fun () ->
+        live "render";
+        Trace.render_frame env);
   }
 
 let of_async ?(fault = Env.fault_noop) ?on_restart decide aenv =

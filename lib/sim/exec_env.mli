@@ -83,7 +83,10 @@ val of_env : algo -> Env.t -> t
     [3 * n * (D + 2) + 100] of Section 2.1 at the environment's oracle
     [n] and depth, far above any correct run. It is recomputed in each
     round that revealed a node, since a lazily materialized world grows
-    at reveals; a fixed tree's stats are memoized by {!Env.world_of_tree}. *)
+    at reveals; a fixed tree's stats are memoized by {!Env.world_of_tree}.
+    Once {!Env.release} handed the environment's pages back, [select],
+    [apply], [frame] and [render] raise [Invalid_argument], so a retained
+    [on_round] hook cannot touch the pages of a later run. *)
 
 val of_async :
   ?fault:Env.fault_hook ->

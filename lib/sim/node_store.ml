@@ -7,7 +7,9 @@
    smaller than one page exactly one page of its own size.
 
    Pages are ordinary heap blocks: the marker does not scan their
-   contents, and [Obj.reachable_words] counts them. *)
+   contents, and [Obj.reachable_words] counts them. Every page is taken
+   from the calling domain's pool (below), which holds the pages of the
+   last store released on that domain. *)
 
 let page_bits = 16
 let page_size = 1 lsl page_bits
@@ -23,13 +25,65 @@ type col = Bytes.t array
    of a fresh entry ('\000' = 0, '\255' = -1 for int32 entries). *)
 type layout = { col : col; width : int; fill : char }
 
+type vector = { mutable pages : Bytes.t array; mutable backed : int }
+
 type t = {
   capacity : int;
-  mutable bound : int; (* ids [0, bound) are backed in every column *)
+  mutable bound : int;
+      (* ids [0, bound) are backed in every column; 0 once released *)
   mutable cols : layout list;
+  mutable vectors : vector list;
   parent : col;
   depth : col;
 }
+
+(* ---- the page pool ----
+
+   Each domain keeps the pages of the last store released on it, keyed
+   by byte length, and hands them to the next store that asks for a page
+   of that length. Releasing a store replaces whatever the pool held, so
+   a pool never holds more than one run already held; it dies with its
+   domain. The mutex covers systhreads sharing a domain; the counters are
+   process-wide. *)
+
+type pool = { lock : Mutex.t; free : (int, Bytes.t list) Hashtbl.t }
+
+let pool_key =
+  Domain.DLS.new_key (fun () ->
+      { lock = Mutex.create (); free = Hashtbl.create 16 })
+
+let reused_pages = Atomic.make 0
+let allocated_pages = Atomic.make 0
+
+type page_stats = { reused : int; allocated : int }
+
+let page_stats () =
+  { reused = Atomic.get reused_pages; allocated = Atomic.get allocated_pages }
+
+(* A page of [len] bytes, every byte [fill]. *)
+let take len fill =
+  let pool = Domain.DLS.get pool_key in
+  let recycled =
+    Mutex.protect pool.lock (fun () ->
+        match Hashtbl.find_opt pool.free len with
+        | Some [ page ] ->
+            Hashtbl.remove pool.free len;
+            Some page
+        | Some (page :: rest) ->
+            Hashtbl.replace pool.free len rest;
+            Some page
+        | Some [] | None -> None)
+  in
+  match recycled with
+  | Some page ->
+      Atomic.incr reused_pages;
+      Bytes.fill page 0 len fill;
+      page
+  | None ->
+      Atomic.incr allocated_pages;
+      Bytes.make len fill
+
+let released name = invalid_arg (name ^ ": released store")
 
 let pages_for n = (n + page_size - 1) lsr page_bits
 
@@ -37,7 +91,7 @@ let pages_for n = (n + page_size - 1) lsr page_bits
 let fill_pages ~capacity l ~from ~upto =
   for j = from to upto - 1 do
     let len = min page_size (capacity - (j * page_size)) in
-    l.col.(j) <- Bytes.make (len * l.width) l.fill
+    l.col.(j) <- take (len * l.width) l.fill
   done
 
 let layout ~capacity ~bound ~width ~fill =
@@ -63,12 +117,14 @@ let create ~capacity =
     capacity;
     bound;
     cols = [ parent; depth ];
+    vectors = [];
     parent = parent.col;
     depth = depth.col;
   }
 
 let ensure t v =
   if v < 0 || v >= t.bound then begin
+    if t.bound = 0 then released "Node_store.ensure";
     if v < 0 || v >= t.capacity then
       invalid_arg
         (Printf.sprintf "Node_store.ensure: id %d beyond capacity %d" v
@@ -79,6 +135,7 @@ let ensure t v =
   end
 
 let register t ~width ~fill =
+  if t.bound = 0 then released "Node_store.column";
   let l = layout ~capacity:t.capacity ~bound:t.bound ~width ~fill in
   t.cols <- l :: t.cols;
   l.col
@@ -94,11 +151,12 @@ let set c i v =
 
 (* ---- vectors: paged int32 sequences not keyed by node id ---- *)
 
-type vector = { mutable pages : Bytes.t array; mutable backed : int }
-
-let vector ~hint =
+let vector t ~hint =
+  if t.bound = 0 then released "Node_store.vector";
   let len = min page_size (max 1 hint) in
-  { pages = [| Bytes.make (len * 4) '\000' |]; backed = len }
+  let v = { pages = [| take (len * 4) '\000' |]; backed = len } in
+  t.vectors <- v :: t.vectors;
+  v
 
 (* Pool offsets are int32 entries, so a vector stays below 2^31 entries.
    A first page cut to its hint is widened to a whole page once, should
@@ -109,10 +167,31 @@ let reserve v len =
     let n = Array.length v.pages in
     let last = v.pages.(n - 1) in
     if Bytes.length last < page_size * 4 then begin
-      let page = Bytes.make (page_size * 4) '\000' in
+      let page = take (page_size * 4) '\000' in
       Bytes.blit last 0 page 0 (Bytes.length last);
       v.pages.(n - 1) <- page
     end
-    else v.pages <- Array.append v.pages [| Bytes.make (page_size * 4) '\000' |];
+    else v.pages <- Array.append v.pages [| take (page_size * 4) '\000' |];
     v.backed <- Array.length v.pages * page_size
   done
+
+(* The directories keep pointing at the released pages, so an access that
+   ignores [bound] still reads valid memory; every checked path sees
+   [bound = 0]. *)
+let release t =
+  if t.bound > 0 then begin
+    let held = pages_for t.bound in
+    t.bound <- 0;
+    let pool = Domain.DLS.get pool_key in
+    let give page =
+      let len = Bytes.length page in
+      let rest = Option.value ~default:[] (Hashtbl.find_opt pool.free len) in
+      Hashtbl.replace pool.free len (page :: rest)
+    in
+    Mutex.protect pool.lock (fun () ->
+        Hashtbl.clear pool.free;
+        List.iter
+          (fun l -> for j = 0 to held - 1 do give l.col.(j) done)
+          t.cols;
+        List.iter (fun v -> Array.iter give v.pages) t.vectors)
+  end

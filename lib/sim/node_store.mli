@@ -20,17 +20,43 @@
     entry [i] as
     [get32u (Array.unsafe_get c (i lsr 16)) ((i land 0xffff) lsl 2)]
     (a flag: byte [i land 0xffff] of the page). Neither step is bounds
-    checked: callers index only ids below [bound]. *)
+    checked: callers index only ids below [bound].
+
+    {b Pages are recycled per domain.} Every page a store or vector
+    takes ({!create}, {!column}, {!flags}, {!vector}, {!ensure},
+    {!reserve}) comes from the calling domain's pool when the pool holds
+    a page of that byte length, refilled with the column's fill (vector
+    pages with [0]); otherwise it is freshly allocated. The pool is fed
+    by {!release} and holds the pages of at most one store: releasing a
+    store replaces what it held, so it never keeps more than one run
+    already kept, and it dies with its domain.
+
+    {b Ownership.} A store belongs to whoever created it, and its
+    columns and vectors to the store. Only the owner may {!release} it,
+    and only once nothing reads it any more: after the release its pages
+    back another store of the same domain. The environment that created
+    a run's store releases it when the run ends ([Env.release], called
+    by the scenario layer's one execution step); a lazy world's store,
+    shared with its view, is never released and is left to the GC. *)
 
 type col = private Bytes.t array
 (** A column's page directory, one slot per page of the capacity; slots
     past [bound] hold an empty page. *)
 
+(** A paged int32 sequence not keyed by node id (the port pool), read
+    like a column through [pages]. *)
+type vector = private {
+  mutable pages : Bytes.t array;
+  mutable backed : int;  (** entries [0 .. backed-1] exist *)
+}
+
 type t = private {
   capacity : int;
   mutable bound : int;
-      (** every column backs the ids [0 .. bound-1]; it only ever grows *)
+      (** every column backs the ids [0 .. bound-1]; it only grows until
+          {!release} sets it to [0] *)
   mutable cols : layout list;
+  mutable vectors : vector list;  (** the store's vectors, for {!release} *)
   parent : col;
       (** parent id, [-1] where unset (the root). Shared by a lazy world,
           which writes its promised — still hidden — nodes here, and the
@@ -62,32 +88,46 @@ val create : capacity:int -> t
 val ensure : t -> int -> unit
 (** [ensure t v] backs id [v] in every column, adding whole pages.
     @raise Invalid_argument if [v] is negative or at or past the
-    capacity. *)
+    capacity, or the store is released. *)
 
 val column : t -> fill:int -> col
 (** Register a new int32 column, every entry [fill] ([0] or [-1]). It
-    grows with the store from then on. *)
+    grows with the store from then on.
+    @raise Invalid_argument on a released store. *)
 
 val flags : t -> col
-(** Register a new byte column of flags, all clear ([0]). *)
+(** Register a new byte column of flags, all clear ([0]).
+    @raise Invalid_argument on a released store. *)
 
 val get : col -> int -> int
 val set : col -> int -> int -> unit
 
 (** {2 Vectors} *)
 
-type vector = private {
-  mutable pages : Bytes.t array;
-  mutable backed : int;  (** entries [0 .. backed-1] exist *)
-}
-(** A paged int32 sequence not keyed by node id (the port pool), read
-    like a column through [pages]. *)
-
-val vector : hint:int -> vector
-(** An empty vector, entries [0]. Its first page is cut to [hint] entries
-    when [hint] is below one page; should it outgrow the hint, that page
-    is widened to a whole page once (the only copy a store ever makes). *)
+val vector : t -> hint:int -> vector
+(** An empty vector of the store, entries [0]; {!release} hands its pages
+    back with the columns'. Its first page is cut to [hint] entries when
+    [hint] is below one page; should it outgrow the hint, that page is
+    widened to a whole page once (the only copy a store ever makes).
+    @raise Invalid_argument on a released store. *)
 
 val reserve : vector -> int -> unit
 (** [reserve v len] backs entries [0 .. len-1].
     @raise Invalid_argument at 2^31 entries. *)
+
+(** {2 Recycling} *)
+
+val release : t -> unit
+(** Hand every page of the store's columns and vectors to the calling
+    domain's pool, replacing the pages it held, and set [bound] to [0]:
+    {!ensure}, {!column}, {!flags} and {!vector} then raise, and so does
+    every [Partial_tree] accessor that checks its node. The directories
+    still point at the pages, so a stray unchecked access reads memory
+    another store now owns, never freed memory. Idempotent. Legal only
+    for the store's owner, once nothing reads the store any more. *)
+
+type page_stats = { reused : int; allocated : int }
+(** Pages taken from a pool, and pages freshly allocated, summed over
+    every domain since the process started. *)
+
+val page_stats : unit -> page_stats

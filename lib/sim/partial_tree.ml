@@ -376,7 +376,7 @@ module Internal = struct
       open_cnt = col 0;
       in_bucket = col (-1);
       (* A tree of n nodes has 2(n-1) ports. *)
-      port_pool = S.vector ~hint:(2 * store.S.capacity);
+      port_pool = S.vector store ~hint:(2 * store.S.capacity);
       pool_len = 0;
       open_at = Array.make (min 64 (store.S.capacity + 1)) None;
       min_open_ptr = 0;

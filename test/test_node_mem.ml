@@ -388,6 +388,202 @@ let test_report_quotes_match_bench () =
       ("random S=8 seeds/sec", sps "random" 64 8);
     ]
 
+(* ---- the per-domain page pool ---- *)
+
+module Scenario = Bfdn_scenario.Scenario
+
+let pages (c : Node_store.col) = Array.to_list (c :> Bytes.t array)
+
+(* A store of [capacity] ids with two int32 columns of each fill, a flag
+   column and a port-pool-like vector, and every page it holds (the empty
+   slots of its directories aside). *)
+let pooled_store capacity =
+  let s = Node_store.create ~capacity in
+  let zero = Node_store.column s ~fill:0 in
+  let minus = Node_store.column s ~fill:(-1) in
+  let fl = Node_store.flags s in
+  let v = Node_store.vector s ~hint:(2 * capacity) in
+  Node_store.reserve v (2 * capacity);
+  let held =
+    List.concat_map pages [ s.Node_store.parent; s.Node_store.depth; zero; minus; fl ]
+    @ Array.to_list v.Node_store.pages
+  in
+  (s, zero, minus, fl, v, List.filter (fun p -> Bytes.length p > 0) held)
+
+let stats_delta f =
+  let before = Node_store.page_stats () in
+  let x = f () in
+  let after = Node_store.page_stats () in
+  ( x,
+    after.Node_store.reused - before.Node_store.reused,
+    after.Node_store.allocated - before.Node_store.allocated )
+
+(* A page handed back after its owner wrote every byte is refilled for
+   its next owner: a column of the other fill, a flag column or a vector
+   reads exactly like a fresh one. *)
+let test_pool_reused_page_reads_fill () =
+  let capacity = 1000 in
+  let s1, _, _, _, _, held1 = pooled_store capacity in
+  List.iter (fun p -> Bytes.fill p 0 (Bytes.length p) '\x5a') held1;
+  Node_store.release s1;
+  let (s2, zero, minus, fl, v, held2), reused, allocated =
+    stats_delta (fun () -> pooled_store capacity)
+  in
+  Alcotest.(check int) "every page reused" (List.length held1) reused;
+  Alcotest.(check int) "no page allocated" 0 allocated;
+  Alcotest.(check bool) "the pages are the released ones" true
+    (List.for_all (fun p -> List.exists (( == ) p) held1) held2);
+  for i = 0 to capacity - 1 do
+    let expect name c want =
+      let got = Node_store.get c i in
+      if got <> want then Alcotest.failf "%s.(%d) = %d, not %d" name i got want
+    in
+    expect "parent" s2.Node_store.parent (-1);
+    expect "depth" s2.Node_store.depth (-1);
+    expect "zero" zero 0;
+    expect "minus" minus (-1);
+    if Bytes.get (fl :> Bytes.t array).(0) i <> '\000' then
+      Alcotest.failf "flag %d set" i
+  done;
+  for i = 0 to v.Node_store.backed - 1 do
+    if Node_store.get32u v.Node_store.pages.(i lsr 16) ((i land 0xffff) lsl 2) <> 0l
+    then Alcotest.failf "vector entry %d not zero" i
+  done;
+  Node_store.release s2
+
+(* Releasing a store replaces what the pool held: after two releases of
+   the same shape only the second store's pages come back, and after a
+   release of another shape (no page length in common) none of the
+   first. *)
+let test_pool_holds_one_store () =
+  let size = 700 in
+  let s1, _, _, _, _, held = pooled_store size in
+  let s2, _, _, _, _, _ = pooled_store size in
+  Node_store.release s1;
+  Node_store.release s2;
+  let (s3, _, _, _, _, _), reused3, _ = stats_delta (fun () -> pooled_store size) in
+  let (s4, _, _, _, _, _), reused4, allocated4 =
+    stats_delta (fun () -> pooled_store size)
+  in
+  let pages = List.length held in
+  Alcotest.(check int) "the first store takes the pool" pages reused3;
+  Alcotest.(check (pair int int)) "the second allocates" (0, pages)
+    (reused4, allocated4);
+  Node_store.release s3;
+  Node_store.release s4;
+  let s5, _, _, _, _, _ = pooled_store (3 * size) in
+  Node_store.release s5;
+  let (s6, _, _, _, _, _), reused6, _ = stats_delta (fun () -> pooled_store size) in
+  Alcotest.(check int) "another shape's release emptied the pool" 0 reused6;
+  Node_store.release s6
+
+(* Two systhreads of one domain create, fill, check and release stores
+   of overlapping shapes, yielding in between: no page is ever live in
+   two stores, and every fresh column reads its fill. *)
+let test_pool_two_systhreads () =
+  let failure = Atomic.make None in
+  let worker tag () =
+    try
+      for i = 1 to 200 do
+        let capacity = 100 + (i mod 3 * 50) in
+        let s = Node_store.create ~capacity in
+        let c = Node_store.column s ~fill:(if tag = 1 then 0 else -1) in
+        let fill = if tag = 1 then 0 else -1 in
+        for v = 0 to capacity - 1 do
+          if Node_store.get c v <> fill then failwith "fresh column not filled";
+          Node_store.set c v (tag * 1_000_000 + v)
+        done;
+        Thread.yield ();
+        for v = 0 to capacity - 1 do
+          if Node_store.get c v <> tag * 1_000_000 + v then
+            failwith "a page was shared with another live store"
+        done;
+        Node_store.release s;
+        if i mod 7 = 0 then Thread.yield ()
+      done
+    with e -> Atomic.set failure (Some (Printexc.to_string e))
+  in
+  let threads = List.map (fun tag -> Thread.create (worker tag) ()) [ 1; 2 ] in
+  List.iter Thread.join threads;
+  match Atomic.get failure with
+  | None -> ()
+  | Some msg -> Alcotest.fail msg
+
+let pool_spec =
+  Scenario.make ~algo:"bfdn" ~k:4 ~seed:11
+    (Scenario.generated ~family:"random" ~n:400 ~depth_hint:8)
+
+let frames spec =
+  let acc = ref [] in
+  let o =
+    Scenario.run ~on_round:(fun x -> acc := x.Exec_env.frame () :: !acc) spec
+  in
+  (o, List.rev !acc)
+
+(* A run aborted from its hook (as a deadline or cancel check does) hands
+   its pages back like a finished one; the next run of the spec is the
+   same execution, round for round. Its retained view raises. *)
+let test_pool_raising_run () =
+  let o1, f1 = frames pool_spec in
+  let stale = ref None in
+  (match
+     Scenario.run
+       ~on_round:(fun x ->
+         stale := Some x;
+         if x.Exec_env.round () = 5 then raise Exit)
+       pool_spec
+   with
+  | _ -> Alcotest.fail "the hook did not abort the run"
+  | exception Exit -> ());
+  let o2, f2 = frames pool_spec in
+  Alcotest.(check bool) "same outcome" true (Scenario.equal_outcome o1 o2);
+  Alcotest.(check bool) "same frames" true (f1 = f2);
+  match !stale with
+  | None -> Alcotest.fail "no round ran"
+  | Some x ->
+      let raises name f =
+        match f () with
+        | () -> Alcotest.failf "%s on a released run did not raise" name
+        | exception Invalid_argument _ -> ()
+      in
+      raises "select" x.Exec_env.select;
+      raises "apply" x.Exec_env.apply;
+      raises "frame" (fun () -> ignore (x.Exec_env.frame ()));
+      raises "render" (fun () -> ignore (x.Exec_env.render ()))
+
+(* A released environment refuses to step, its store refuses to grow and
+   its view refuses checked reads; over a lazy world's store, release
+   leaves the environment live. *)
+let test_pool_released_env_raises () =
+  let tree = Bfdn_trees.Tree_gen.comb ~spine:20 ~tooth_len:9 in
+  let env = Env.create tree ~k:3 in
+  let view = Env.view env in
+  let root = Partial_tree.root view in
+  Env.release env;
+  Alcotest.(check bool) "released" true (Env.released env);
+  let raises name f =
+    match f () with
+    | () -> Alcotest.failf "%s did not raise" name
+    | exception Invalid_argument _ -> ()
+  in
+  raises "Env.apply" (fun () -> Env.apply env (Array.make 3 Env.Stay));
+  raises "Node_store.ensure" (fun () ->
+      Node_store.ensure (Partial_tree.store view) 150);
+  raises "Node_store.column" (fun () ->
+      ignore (Node_store.column (Partial_tree.store view) ~fill:0));
+  raises "Partial_tree.num_ports" (fun () ->
+      ignore (Partial_tree.num_ports view root));
+  Env.release env;
+  let lw = Lazy_world.make ~family:"binary" ~n:300 ~depth_hint:8 ~seed:3 in
+  let lazy_env = Env.of_world (Lazy_world.world lw) ~k:3 in
+  Env.release lazy_env;
+  Alcotest.(check bool) "a lazy world's env stays live" false
+    (Env.released lazy_env);
+  let r =
+    Exec_env.run (Exec_env.of_env Bfdn.Bfdn_algo.(algo (make lazy_env)) lazy_env)
+  in
+  Alcotest.(check bool) "and explores" true r.Exec_env.explored
+
 let suite =
   ( "node-mem",
     [
@@ -401,4 +597,14 @@ let suite =
         test_hotpath_quotes_match_bench;
       Alcotest.test_case "E17, E18, E21 and E22 quotes match their reports"
         `Quick test_report_quotes_match_bench;
+      Alcotest.test_case "pool: a reused page reads its fill" `Quick
+        test_pool_reused_page_reads_fill;
+      Alcotest.test_case "pool: holds one store's pages" `Quick
+        test_pool_holds_one_store;
+      Alcotest.test_case "pool: two systhreads share a domain" `Quick
+        test_pool_two_systhreads;
+      Alcotest.test_case "pool: a raising run leaves the next identical"
+        `Quick test_pool_raising_run;
+      Alcotest.test_case "pool: a released environment raises" `Quick
+        test_pool_released_env_raises;
     ] )

@@ -1264,6 +1264,45 @@ let memory_suite =
         test_stream_retained_words;
     ] )
 
+(* The JSON and Prometheus forms of /metrics carry the node-page
+   counters. One worker runs both jobs, so the second run of the same
+   shape takes every page the first one handed back, and allocates
+   none. *)
+let test_e2e_node_pages () =
+  with_server ~workers:1 (fun port ->
+      let pages () =
+        let m = get port "/metrics" in
+        match Json.of_string m.Client.body with
+        | Error e -> Alcotest.fail e
+        | Ok j ->
+            let read key =
+              match
+                Option.bind (Json.member "node_pages" j) (Json.member key)
+              with
+              | Some (Json.Int v) -> v
+              | _ -> Alcotest.failf "no node_pages.%s" key
+            in
+            (read "reused", read "allocated")
+      in
+      let r0, a0 = pages () in
+      ignore (post_run port (Scenario.to_string spec_small));
+      let r1, a1 = pages () in
+      ignore
+        (post_run port
+           (Scenario.to_string { spec_small with Scenario.seed = 4 }));
+      let r2, a2 = pages () in
+      checkb "the first run allocated its pages" true (a1 > a0);
+      checki "the second run reused them all" (a1 - a0) (r2 - r1);
+      checki "and allocated none" a1 a2;
+      checki "no reuse before" r0 r1;
+      let body = (get port "/metrics?format=prometheus").Client.body in
+      (match Prometheus.validate body with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "exposition does not validate: %s" e);
+      checkb "node pages folded in" true
+        (contains body "bfdn_node_pages_reused"
+        && contains body "bfdn_node_pages_allocated"))
+
 let suite =
   ( "serve",
     [
@@ -1327,4 +1366,6 @@ let suite =
         test_stop_closes_idle_connection;
       Alcotest.test_case "stop ends a live stream with its status" `Quick
         test_stop_ends_live_stream;
+      Alcotest.test_case "e2e metrics count node pages" `Quick
+        test_e2e_node_pages;
     ] )
