@@ -11,7 +11,7 @@
       measured S=1 baseline of the same run.
 
    2. Sequential lanes lose nothing: on the randomized [random] family
-      no world is shared and nothing collapses, so every lane runs the
+      no tree is shared and nothing collapses, so every lane runs the
       plain round loop one after another. The perf gate requires S=8
       seeds/sec >= 0.8x the S=1 baseline of the same run.
 
@@ -27,7 +27,7 @@ let report_path = "BENCH_batch.json"
 let nominal_n = 4000
 
 (* (family, depth_hint). The first three are deterministic families, so
-   their batched rows exercise the shared-world and collapse tiers;
+   their batched rows share one cached tree and collapse to one lane;
    [random] is the non-collapsing row, where every lane executes. *)
 let depth_hints =
   [ ("binary", 12); ("comb", 60); ("spider", 30); ("random", 12) ]

@@ -23,7 +23,6 @@
 open Bench_common
 module Fault_plan = Bfdn_faults.Fault_plan
 module Injector = Bfdn_faults.Injector
-module Fault_spec = Bfdn_scenario.Fault_spec
 
 let report_path = "BENCH_faults.json"
 
@@ -81,13 +80,9 @@ let run_leg ~family ~depth_hint ~k (ft, rate, restart) =
   let reg = Metrics.create () in
   let outcome = Scenario.run ~probe:(Probe.of_metrics reg) sp in
   let result = outcome.Scenario.result in
-  (* Re-derive the plan exactly as Scenario.run did (fault stream =
-     split index 2 of the root seed) for the schedule-side statistics. *)
-  let plan =
-    Fault_spec.plan
-      ~rng:(Rng.split (Rng.create seed) 2)
-      ~k sp.Scenario.faults
-  in
+  (* The schedule Scenario.run injected, for the schedule-side
+     statistics. *)
+  let plan = Scenario.fault_plan sp in
   let crashes, restarts, survivors =
     match plan with
     | None -> (0, 0, k)

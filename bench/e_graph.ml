@@ -137,13 +137,8 @@ let run_fault_leg ~k (rate, restart, cap) =
     spec ~faults ?max_rounds:cap ~world:fault_world ~params:fault_params ~k ()
   in
   let o = Scenario.run sp in
-  (* Schedule-side statistics, re-derived exactly as Scenario.run did
-     (fault stream = split index 2 of the root seed). *)
-  let plan =
-    Bfdn_scenario.Fault_spec.plan
-      ~rng:(Rng.split (Rng.create seed) 2)
-      ~k sp.Scenario.faults
-  in
+  (* Schedule-side statistics of the schedule Scenario.run injected. *)
+  let plan = Scenario.fault_plan sp in
   let crashes, restarts =
     match plan with
     | None -> (0, 0)

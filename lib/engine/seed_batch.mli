@@ -1,19 +1,15 @@
 (** Seed-batched execution of one spec over S consecutive seeds.
 
     A batched spec ([Scenario.batch_seeds = S]) stands for the S plain
-    specs [Scenario.unbatch t 0 .. S-1]; [run] executes them one after
-    another through the one round loop ({!Bfdn_sim.Exec_env.run}),
-    sharing what the determinism oracle proves shareable:
-
-    - one world record (build + stat scan) when the spec runs on the
-      eager tree runner over a family whose generator ignores the
-      instance stream;
-    - the entire run, when lane 0 additionally completes without a
-      single algorithm-stream draw on a shared fault-free world under a
-      noop probe — then every sibling lane is provably byte-identical
-      and its outcome is replicated without executing it (the
-      {e identical-lane collapse}, the serve cache's fingerprint
-      argument applied inside a batch).
+    specs [Scenario.unbatch t 0 .. S-1]; [run] executes each as the
+    plain [Scenario.run] of its lane spec, one after another, save one
+    case: when every seed hides the same tree
+    ({!Bfdn_scenario.Scenario.seeds_share_tree}), the spec has no
+    faults, the probe is noop and lane 0 completes without a single
+    algorithm-stream draw ({!Bfdn_scenario.Scenario.run_witnessed}),
+    every sibling lane is provably byte-identical and its outcome is
+    replicated without executing it (the {e identical-lane collapse},
+    the serve cache's fingerprint argument applied inside a batch).
 
     Outcomes are byte-identical to S sequential [Scenario.run] calls —
     QCheck-asserted across random configs and re-checked in CI's
@@ -22,7 +18,9 @@
 type report = {
   outcomes : Bfdn_scenario.Scenario.outcome array;
       (** lane [i] = outcome of [Scenario.run (unbatch t i)], always *)
-  shared_world : bool;  (** one world record served every lane *)
+  shared_world : bool;
+      (** every lane hides the same tree, the one the instance cache
+          holds ({!Bfdn_scenario.Scenario.seeds_share_tree}) *)
   collapsed : bool;
       (** lanes 1..S-1 replicated from lane 0's draw-free proof *)
 }

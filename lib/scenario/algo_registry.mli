@@ -105,8 +105,7 @@ val instantiate :
   Bfdn_sim.Env.t ->
   Bfdn_sim.Exec_env.algo
 (** Construct a named algorithm on a tree environment — for harnesses
-    that build their own environment (bench, tests, the batch engine's
-    shared-world lanes). [rng] defaults to a
-    fresh deterministic stream (seed 0) — deterministic algorithms never
-    touch it. @raise Invalid_argument on an unknown name, an algorithm
+    that build their own environment (bench, tests). [rng] defaults to
+    a fresh deterministic stream (seed 0) — deterministic algorithms
+    never touch it. @raise Invalid_argument on an unknown name, an algorithm
     with no tree constructor, or parameters violating the schema. *)

@@ -515,13 +515,14 @@ let planned t =
   | Ok p -> p
   | Error msg -> invalid_arg ("Scenario: " ^ msg ^ " in " ^ describe t)
 
-(* The plan is re-derived from the root seed wherever the run is
+(* The plan is re-derived from the seed wherever the run is
    (re-)executed — main run, adversarial replay, any engine worker — so
    every execution of a spec injects the identical schedule. *)
-let fault_plan t root = Fault_spec.plan ~rng:(fault_stream root) ~k:t.k t.faults
+let fault_plan t =
+  Fault_spec.plan ~rng:(fault_stream (Rng.create t.seed)) ~k:t.k t.faults
 
-let ctx ~probe ~root ?fault t =
-  { Algo_registry.rng = algo_stream root; probe; params = t.algo_params; fault }
+let ctx ~probe ~rng ?fault t =
+  { Algo_registry.rng; probe; params = t.algo_params; fault }
 
 (* What each world contributes to a run: an execution view, and the
    oracle stats (n, depth, max degree) of its hidden instance — read
@@ -553,39 +554,36 @@ let env_view algo env =
     release = (fun () -> Env.release env);
   }
 
-let run_env ?(probe = Probe.noop) ?on_round t algo env =
-  execute ~probe ?on_round t (env_view algo env)
-
 (* A hidden tree world — eager, lazily materialized or adaptive — driven
    by the spec's synchronous tree algorithm. *)
-let world_view ~probe ~root ~fault t algo w =
+let world_view ~probe ~rng ~fault t algo w =
   let env = Env.of_world w ~k:t.k ~fault:(Bfdn_faults.Injector.hook_opt fault) in
-  env_view (algo (ctx ~probe ~root ?fault t) env) env
+  env_view (algo (ctx ~probe ~rng ?fault t) env) env
 
 (* An explicit hidden tree: the synchronous tree runner, or the same
    instance stepped in unit-time horizons. *)
-let tree_view ~probe ~root ~fault t (make : Algo_registry.make) tree =
+let tree_view ~probe ~rng ~fault t (make : Algo_registry.make) tree =
   match make with
   | Tree { algo; _ } ->
-      world_view ~probe ~root ~fault t algo (Env.world_of_tree tree)
+      world_view ~probe ~rng ~fault t algo (Env.world_of_tree tree)
   | Async make ->
       let module Tree = Bfdn_trees.Tree in
       let stats = (Tree.n tree, Tree.depth tree, Tree.max_degree tree) in
       {
-        exec = make (ctx ~probe ~root ?fault t) tree ~k:t.k;
+        exec = make (ctx ~probe ~rng ?fault t) tree ~k:t.k;
         stats = (fun () -> stats);
         release = ignore;
       }
   | Graph _ -> invalid_arg ("Scenario: " ^ graph_only t ^ " in " ^ describe t)
 
 (* Graph worlds: thread the fault hook into the graph environment. *)
-let graph_view ~probe ~root ~fault t make (g, origin) =
+let graph_view ~probe ~rng ~fault t make (g, origin) =
   let module Genv = Bfdn_graphs.Graph_env in
   let genv =
     Genv.create ~fault:(Bfdn_faults.Injector.hook_opt fault) g ~origin ~k:t.k
   in
   {
-    exec = make (ctx ~probe ~root ?fault t) genv;
+    exec = make (ctx ~probe ~rng ?fault t) genv;
     stats =
       (fun () ->
         ( Genv.oracle_n_nodes genv,
@@ -595,14 +593,14 @@ let graph_view ~probe ~root ~fault t make (g, origin) =
   }
 
 let on_tree ?(probe = Probe.noop) ?on_round t make tree =
-  let root = Rng.create t.seed in
+  let rng = algo_stream (Rng.create t.seed) in
   execute ~probe ?on_round t
-    (tree_view ~probe ~root ~fault:(fault_plan t root) t make tree)
+    (tree_view ~probe ~rng ~fault:(fault_plan t) t make tree)
 
 let run_on_tree ?probe ?on_round t tree =
   on_tree ?probe ?on_round t (planned t).make tree
 
-let run ?(probe = Probe.noop) ?on_round t =
+let run_witnessed ?(probe = Probe.noop) ?on_round t =
   let p = planned t in
   if t.batch_seeds > 1 then
     invalid_arg
@@ -612,42 +610,47 @@ let run ?(probe = Probe.noop) ?on_round t =
          via unbatch: "
       ^ describe t);
   let root = Rng.create t.seed in
-  let fault = fault_plan t root in
+  let fault = fault_plan t in
   let instance = instance_stream root in
+  let rng = algo_stream root in
   let exec v = execute ~probe ?on_round t v in
-  match (p.source, p.make) with
-  | Eager_tree { build; _ }, make ->
-      exec (tree_view ~probe ~root ~fault t make (build instance))
-  | Graph_world build, Graph make ->
-      exec (graph_view ~probe ~root ~fault t make (build instance))
-  | Lazy_tree make_world, Tree { algo; _ } ->
-      exec
-        (world_view ~probe ~root ~fault t algo
-           (Bfdn_sim.Lazy_world.world (make_world instance)))
-  | Adaptive make_world, Tree { algo; _ } ->
-      let adv = make_world instance in
-      let adaptive =
+  let outcome =
+    match (p.source, p.make) with
+    | Eager_tree { build; _ }, make ->
+        exec (tree_view ~probe ~rng ~fault t make (build instance))
+    | Graph_world build, Graph make ->
+        exec (graph_view ~probe ~rng ~fault t make (build instance))
+    | Lazy_tree make_world, Tree { algo; _ } ->
         exec
-          (world_view ~probe ~root ~fault t algo
-             (Bfdn_sim.Lazy_world.world adv))
-      in
-      (* Replay on the frozen tree: the same spec, so the same algorithm
-         and fault streams, re-derived from the seed. *)
-      let replay = on_tree t p.make (Bfdn_sim.Lazy_world.frozen adv) in
-      {
-        replay with
-        result = adaptive.result;
-        replay_rounds = Some replay.result.rounds;
-      }
-  | (Graph_world _ | Lazy_tree _ | Adaptive _), _ ->
-      invalid_arg "Scenario.run: the plan pairs this world with no constructor"
+          (world_view ~probe ~rng ~fault t algo
+             (Bfdn_sim.Lazy_world.world (make_world instance)))
+    | Adaptive make_world, Tree { algo; _ } ->
+        let adv = make_world instance in
+        let adaptive =
+          exec
+            (world_view ~probe ~rng ~fault t algo
+               (Bfdn_sim.Lazy_world.world adv))
+        in
+        (* Replay on the frozen tree: the same spec, so the same algorithm
+           and fault streams, re-derived from the seed. *)
+        let replay = on_tree t p.make (Bfdn_sim.Lazy_world.frozen adv) in
+        {
+          replay with
+          result = adaptive.result;
+          replay_rounds = Some replay.result.rounds;
+        }
+    | (Graph_world _ | Lazy_tree _ | Adaptive _), _ ->
+        invalid_arg
+          "Scenario.run: the plan pairs this world with no constructor"
+  in
+  (* Every draw advances the stream's state and [Rng.split] is pure, so
+     an equal fresh derivation proves the algorithm drew nothing. *)
+  (outcome, Rng.equal rng (algo_stream root))
 
-(* The plan and a fresh instance stream, for building the instance
-   outside a run. *)
-let instance_of t = (planned t, instance_stream (Rng.create t.seed))
+let run ?probe ?on_round t = fst (run_witnessed ?probe ?on_round t)
 
 let materialize t =
-  let p, instance = instance_of t in
+  let p = planned t and instance = instance_stream (Rng.create t.seed) in
   match p.source with
   | Eager_tree { build; _ } -> build instance
   | Lazy_tree make_world ->
@@ -663,9 +666,7 @@ let materialize t =
         ("Scenario.materialize: " ^ instance_label t
        ^ " is a graph world, not a tree: " ^ describe t)
 
-let shared_tree t =
-  match instance_of t with
-  | { source = Eager_tree { build; deterministic = true }; make = Tree _ },
-    instance ->
-      Some (build instance)
-  | _ -> None
+let seeds_share_tree t =
+  match planned t with
+  | { source = Eager_tree { deterministic = true; _ }; make = Tree _ } -> true
+  | _ -> false

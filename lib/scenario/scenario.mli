@@ -183,39 +183,18 @@ val registry_json : unit -> Bfdn_obs.Json.t
 
 (** {3 RNG stream derivation}
 
-    The load-bearing seed derivation, shared verbatim with the batch
-    engine so a batched lane and a plain run consume identical streams:
-    [root = Rng.create seed], then split index 0 = instance stream,
-    1 = algorithm stream, 2 = fault stream ({!Bfdn_util.Rng.split} is
-    pure, so requesting one stream never perturbs another). The instance
-    stream stays inside this module: {!shared_tree} and {!materialize}
-    hand out what it builds. *)
+    The load-bearing seed derivation, and this module's alone: [root =
+    Rng.create seed], then split index 0 = instance stream, 1 =
+    algorithm stream, 2 = fault stream ({!Bfdn_util.Rng.split} is pure,
+    so requesting one stream never perturbs another). Every consumer
+    outside reads what the streams build: {!run} and {!run_witnessed}
+    the outcome and the draw witness, {!materialize} the hidden tree,
+    {!fault_plan} the fault schedule. *)
 
-val algo_stream : Bfdn_util.Rng.t -> Bfdn_util.Rng.t
-
-val fault_plan :
-  t -> Bfdn_util.Rng.t -> Bfdn_faults.Fault_plan.t option
-(** Compile the spec's fault schedule from the root stream ([None] when
-    [faults = []], drawing nothing). Re-derivable anywhere the run is
-    (re-)executed, so every execution injects the identical schedule. *)
-
-val run_env :
-  ?probe:Bfdn_obs.Probe.t ->
-  ?on_round:(Bfdn_sim.Exec_env.t -> unit) ->
-  t ->
-  Bfdn_sim.Exec_env.algo ->
-  Bfdn_sim.Env.t ->
-  outcome
-(** The shared execution step on a prepared tree environment: drive
-    [Exec_env.of_env algo env] through {!Bfdn_sim.Exec_env.run} under
-    the spec's round cap and read the outcome, with the oracle stats
-    taken from [env] after the run. [algo] should come from
-    {!Algo_registry.instantiate} on [env] with the spec's algorithm,
-    parameters, algorithm stream and fault plan for the run to replay —
-    the batch engine uses this to run lanes on one shared world record.
-    The run consumes [env]: afterwards, also when it raised, its pages
-    are back in the domain's pool ({!Bfdn_sim.Env.release}) and the
-    environment can no longer step or be observed. *)
+val fault_plan : t -> Bfdn_faults.Fault_plan.t option
+(** The fault schedule {!run} injects, compiled from the seed's fault
+    stream ([None] when [faults = []], drawing nothing) — for harnesses
+    that report schedule-side statistics next to the run. *)
 
 val run :
   ?probe:Bfdn_obs.Probe.t ->
@@ -223,11 +202,10 @@ val run :
   t ->
   outcome
 (** Execute the spec — the single executor for every world kind. Derive
-    the instance and algorithm RNG streams from [seed] ([Rng.split]
-    indices 0 and 1), build the plan's source from the instance stream
-    and its constructor's execution view — a tree environment (eager, lazily
-    materialized or adaptive) with the algorithm, a
-    {!Bfdn_graphs.Graph_env} for grid/graph worlds, or a
+    the instance, algorithm and fault streams from [seed], build the
+    plan's source from the instance stream and its constructor's
+    execution view — a tree environment (eager, lazily materialized or
+    adaptive) with the algorithm, a {!Bfdn_graphs.Graph_env} for grid/graph worlds, or a
     {!Bfdn_sim.Async_env} for tree worlds paired with an async-only
     algorithm — and drive it through the one round loop,
     {!Bfdn_sim.Exec_env.run}. Adversarial scenarios additionally replay
@@ -242,6 +220,19 @@ val run :
     specs ([batch_seeds > 1] — execute those with the batch engine's
     [Seed_batch.run], or lane-by-lane via {!unbatch}). *)
 
+val run_witnessed :
+  ?probe:Bfdn_obs.Probe.t ->
+  ?on_round:(Bfdn_sim.Exec_env.t -> unit) ->
+  t ->
+  outcome * bool
+(** {!run}, paired with its draw witness: [true] when the run's
+    algorithm drew nothing from its algorithm stream (an adversarial
+    scenario's replay aside). Every draw advances the stream, so a
+    witnessed run on a tree every seed hides ({!seeds_share_tree}),
+    without faults, is the run of every other seed too — the batch
+    engine's identical-lane collapse.
+    @raise Invalid_argument as {!run}. *)
+
 val materialize : t -> Bfdn_trees.Tree.t
 (** The hidden tree [run] would explore, built by the plan's source from
     the same instance stream (a deterministic family's from the instance
@@ -251,14 +242,14 @@ val materialize : t -> Bfdn_trees.Tree.t
     scenarios (their tree only exists after a run) and for grid/graph
     worlds (no hidden tree). *)
 
-val shared_tree : t -> Bfdn_trees.Tree.t option
-(** The tree every seed of the spec hides, if there is one: [Some] for
-    an eager tree family whose generator ignores the instance stream,
-    run on the synchronous tree runner; [None] otherwise (randomized
+val seeds_share_tree : t -> bool
+(** Whether every seed of the spec hides the same tree: [true] for an
+    eager tree family whose generator ignores the instance stream, run
+    on the synchronous tree runner; [false] otherwise (randomized
     families, lazy, adaptive and graph worlds, async-only algorithms).
-    The tree comes from {!World_registry}'s instance cache, so every
-    spec on the same instance (any algorithm, [k] or seed) gets the same
-    value; the batch engine shares it across a whole seed batch.
+    Reads the plan and builds nothing; such a tree comes from
+    {!World_registry}'s instance cache, so every run on the instance
+    (any algorithm, [k] or seed) explores the one value.
     @raise Invalid_argument when {!validate} fails. *)
 
 val run_on_tree :

@@ -331,7 +331,7 @@ let cli_choices =
 
    A deterministic family's tree is a pure function of (name, n,
    depth_hint) (Tree_gen.deterministic_family), the same fact a seed
-   batch's shared world rests on. So every eager build of one such
+   batch's identical-lane collapse rests on. So every eager build of one such
    instance in the process returns one tree, kept in a node-weighted
    LRU; Tree.t is immutable, so runs on any domain may share it. The
    build runs outside the lock: two domains that miss on one key both

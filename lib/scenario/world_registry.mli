@@ -121,9 +121,9 @@ val policy_source : string -> Param.binding list -> (source, string) result
 
     One process-wide LRU of the trees of deterministic families, keyed
     by the world name and its default-filled [n] and [depth_hint] (the
-    seed, algorithm and [k] never enter the key), so every run,
-    {!Scenario.shared_tree} and {!Scenario.materialize} of one instance
-    share one build. It holds at most {!instance_cache_budget} nodes,
+    seed, algorithm and [k] never enter the key), so every run (every
+    lane of a seed batch among them) and {!Scenario.materialize} of one
+    instance share one build. It holds at most {!instance_cache_budget} nodes,
     evicting the least recently used tree; a larger tree is built per
     run. Randomized families, [scale=lazy], adaptive and graph worlds
     never enter it. Domain-safe: one mutex guards the table, builds run

@@ -219,8 +219,12 @@ let exec t (job : Q.job) =
       Probe.traced job.Q.span ~parent:job.Q.root_span reg
         (Probe.of_metrics reg)
     in
+    (* Saturated: a budget past [max_int] ns (about 292 years, or [inf])
+       has no int conversion, and would otherwise time out at once. *)
     let deadline =
-      Clock.now_ns () + int_of_float (job.Q.timeout_s *. 1e9)
+      let now = Clock.now_ns () and budget = job.Q.timeout_s *. 1e9 in
+      if budget >= float_of_int (max_int - now) then max_int
+      else now + int_of_float budget
     in
     (* Checked after every round: raising aborts the run. *)
     let check_deadline (_ : Bfdn_sim.Exec_env.t) =

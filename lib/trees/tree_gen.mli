@@ -99,5 +99,5 @@ val deterministic_family : string -> bool
     {!of_family} is a pure function of [(name, n, depth_hint)], so
     every seed of a spec on this family explores the {e same} hidden
     tree. [false] for the randomized families ([random], [random-deep],
-    [bounded3]) and for unknown names. The batch engine uses this to
-    share one world across a seed batch. *)
+    [bounded3]) and for unknown names. The instance cache and the seed
+    batch's identical-lane collapse rest on this. *)

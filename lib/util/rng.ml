@@ -26,7 +26,6 @@ let split t i =
   let z = Int64.add t.state (Int64.mul golden_gamma (Int64.of_int (i + 1))) in
   { state = mix64 (mix64 z) }
 
-let copy t = { state = t.state }
 let equal a b = Int64.equal a.state b.state
 
 let int t bound =

@@ -18,15 +18,12 @@ val split : t -> int -> t
     indices yield independent streams; the engine uses this to shard one
     root seed across a whole batch of jobs deterministically. *)
 
-val copy : t -> t
-(** [copy t] duplicates the current state without advancing [t]. *)
-
 val equal : t -> t -> bool
-(** State equality. Every draw advances the state, so
-    [equal before after] over a bracketed computation proves the
-    computation drew nothing — the batch engine uses this to detect
-    draw-free algorithm runs (whose sibling seeds are then provably
-    identical). *)
+(** State equality. Every draw advances the state and {!split} is pure,
+    so [equal (split p i) s], for the stream [s = split p i] a
+    computation drew from, proves the computation drew nothing —
+    [Scenario] uses this to detect draw-free algorithm runs (whose
+    sibling seeds are then provably identical). *)
 
 val bits64 : t -> int64
 (** Next raw 64-bit output. *)

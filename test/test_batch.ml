@@ -18,6 +18,9 @@ module Seed_batch = Bfdn_engine.Seed_batch
 module Tree_gen = Bfdn_trees.Tree_gen
 module Tree = Bfdn_trees.Tree
 module Rng = Bfdn_util.Rng
+module Exec_env = Bfdn_sim.Exec_env
+module Probe = Bfdn_obs.Probe
+module Metrics = Bfdn_obs.Metrics
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -135,6 +138,52 @@ let test_fallback_shapes () =
   checkb "capped lane hit the limit" true
     r.Seed_batch.outcomes.(0).Scenario.result.Bfdn_sim.Exec_env.hit_round_limit
 
+(* ---- hooks: a batch hands them to every lane it executes ---- *)
+
+(* The frames [on_round] sees while [run] drives it. *)
+let frames_of run =
+  let acc = ref [] in
+  run (fun (e : Exec_env.t) -> acc := e.Exec_env.frame () :: !acc);
+  List.rev !acc
+
+let plain_frames t l =
+  frames_of (fun on_round ->
+      ignore (Scenario.run ~on_round (Scenario.unbatch t l)))
+
+let test_hooks_reach_lanes () =
+  (* Randomized instance: every lane executes, so the hook sees the S
+     plain runs' frames, lane by lane. *)
+  let t = gen_spec ~family:"random" ~n:80 ~k:4 ~seed:21 ~batch_seeds:3 () in
+  let batched = frames_of (fun on_round -> ignore (Seed_batch.run ~on_round t)) in
+  let plain = List.concat_map (plain_frames t) [ 0; 1; 2 ] in
+  checkb "random/bfdn: the lanes run rounds" true (List.length plain > 3);
+  checki "random/bfdn: one frame per plain round" (List.length plain)
+    (List.length batched);
+  checkb "random/bfdn: the plain runs' frames, lane by lane" true
+    (batched = plain);
+  (* Collapsing batch: only lane 0 executes. *)
+  let t = gen_spec ~family:"binary" ~n:100 ~k:4 ~seed:22 ~batch_seeds:3 () in
+  let report = ref None in
+  let batched =
+    frames_of (fun on_round -> report := Some (Seed_batch.run ~on_round t))
+  in
+  checkb "binary/bfdn collapses" true (Option.get !report).Seed_batch.collapsed;
+  checkb "binary/bfdn: only lane 0's frames" true (batched = plain_frames t 0);
+  (* An enabled probe observes every lane: no collapse, and its round
+     counter sums the lanes' rounds. *)
+  let reg = Metrics.create () in
+  let r = Seed_batch.run ~probe:(Probe.of_metrics reg) t in
+  checkb "probed binary/bfdn does not collapse" false r.Seed_batch.collapsed;
+  let lane_rounds =
+    Array.fold_left
+      (fun acc o -> acc + o.Scenario.result.Exec_env.rounds)
+      0 r.Seed_batch.outcomes
+  in
+  checki "rounds counter = sum of lane rounds" lane_rounds
+    (match Metrics.find_counter reg "rounds" with
+    | Some c -> Metrics.value c
+    | None -> Alcotest.fail "no rounds counter")
+
 (* ---- qcheck: batch oracle across random configs ---- *)
 
 let batched_spec_gen =
@@ -219,5 +268,7 @@ let suite =
       Alcotest.test_case "collapse flags" `Quick test_collapse_flags;
       Alcotest.test_case "fallback shapes" `Quick test_fallback_shapes;
       Alcotest.test_case "batched wire form" `Quick test_batch_wire;
+      Alcotest.test_case "hooks reach every executed lane" `Quick
+        test_hooks_reach_lanes;
       QCheck_alcotest.to_alcotest prop_batch_equals_sequential;
     ] )

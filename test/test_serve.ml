@@ -491,6 +491,32 @@ let test_e2e_batched_timeout () =
       let ok = post_run port (Scenario.to_string spec_small) in
       checki "pool survives the cancel" 200 ok.Client.status)
 
+(* A budget too long for an int of nanoseconds ([1e10] s, or [inf])
+   saturates the deadline: the job runs to its plain outcome instead of
+   timing out at once. *)
+let test_e2e_long_timeout () =
+  with_server ~cache_cap:0 (fun port ->
+      let expected =
+        Json.to_string (Scenario.outcome_to_json (Scenario.run spec_small))
+      in
+      List.iter
+        (fun timeout ->
+          let resp =
+            post_run ~query:("?timeout_s=" ^ timeout) port
+              (Scenario.to_string spec_small)
+          in
+          checki ("timeout_s=" ^ timeout ^ " runs") 200 resp.Client.status;
+          match Json.of_string resp.Client.body with
+          | Ok j -> (
+              match Json.member "result" j with
+              | Some r ->
+                  checks
+                    ("timeout_s=" ^ timeout ^ " = in-process outcome")
+                    expected (Json.to_string r)
+              | None -> Alcotest.fail "no result member")
+          | Error e -> Alcotest.fail e)
+        [ "1e10"; "inf" ])
+
 let test_e2e_stream_and_status () =
   with_server ~workers:1 (fun port ->
       let wire = Scenario.to_string spec_small in
@@ -1368,4 +1394,6 @@ let suite =
         test_stop_ends_live_stream;
       Alcotest.test_case "e2e metrics count node pages" `Quick
         test_e2e_node_pages;
+      Alcotest.test_case "e2e timeout past the int range still runs" `Quick
+        test_e2e_long_timeout;
     ] )

@@ -104,12 +104,6 @@ let test_rng_split_negative () =
   Alcotest.check_raises "negative index" (Invalid_argument "Rng.split: negative index")
     (fun () -> ignore (Rng.split (Rng.create 1) (-1)))
 
-let test_rng_copy () =
-  let a = Rng.create 4 in
-  ignore (Rng.bits64 a);
-  let b = Rng.copy a in
-  check Alcotest.int64 "copy replays" (Rng.bits64 a) (Rng.bits64 b)
-
 let test_rng_permutation () =
   let rng = Rng.create 21 in
   let p = Rng.permutation rng 50 in
@@ -319,7 +313,6 @@ let suite =
       tc "rng split children differ" test_rng_split_children_differ;
       tc "rng split stable across runs" test_rng_split_stable;
       tc "rng split negative index" test_rng_split_negative;
-      tc "rng copy" test_rng_copy;
       tc "rng permutation" test_rng_permutation;
       tc "rng coin bias" test_rng_coin_bias;
       tc "mathx log2i" test_log2i;
