@@ -35,7 +35,7 @@ let run () =
   let t =
     Table.create
       ~caption:
-        "lb = max(2n/k, 2D) of the frozen tree; replay = rounds of a re-run\n\
+        "lb = max(2(n-1)/k, 2D) of the frozen tree; replay = rounds of a re-run\n\
          on the frozen instance (must equal the adaptive run for these\n\
          deterministic algorithms); thm1 applies to BFDN rows only."
       [

@@ -13,7 +13,7 @@ let run () =
     Table.create
       ~caption:
         "guarantee winner = Appendix A region of the instance; measured\n\
-         ratios > 1 mean BFDN is faster. lb = max(2n/k, 2D)."
+         ratios > 1 mean BFDN is faster. lb = max(2(n-1)/k, 2D)."
       [
         ("instance", Table.Left); ("n", Table.Right); ("D", Table.Right);
         ("k", Table.Right); ("cte", Table.Right); ("cte-wr", Table.Right);

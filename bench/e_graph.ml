@@ -25,7 +25,6 @@
    committed rounds/s. *)
 
 open Bench_common
-module World_registry = Bfdn_scenario.World_registry
 
 let report_path = "BENCH_graph.json"
 
@@ -56,17 +55,6 @@ let spec ?(faults = []) ?max_rounds ~world ~params ~k () =
   Scenario.make ~algo:"bfdn-graph" ~k ~seed ?max_rounds ~faults
     (Scenario.world ~params world)
 
-(* The spec carries node statistics in its outcome (n = nodes, depth =
-   radius); Proposition 9 counts edges, so re-derive the instance from
-   the root seed exactly as Scenario.run does (instance stream = split
-   index 0) for the edge count. *)
-let n_edges_of ~world ~params =
-  match World_registry.world_source world params with
-  | Ok (World_registry.Graph_world build) ->
-      Bfdn_graphs.Graph.num_edges (fst (build (Rng.split (Rng.create seed) 0)))
-  | Ok _ -> invalid_arg ("E21: not a graph world: " ^ world)
-  | Error msg -> invalid_arg ("E21: " ^ msg)
-
 type row = {
   r_label : string;
   r_world : string;
@@ -85,7 +73,15 @@ let run_row ~world ~params ~label k =
   let t0 = Batch.now () in
   let o = Scenario.run sp in
   let wall = Batch.now () -. t0 in
-  let n_edges = n_edges_of ~world ~params in
+  (* The outcome carries node statistics (n = nodes, depth = radius);
+     Proposition 9 counts edges. Graph_env counts each traversed edge
+     once, so a run that explored the graph traversed all |E| of them; a
+     run that did not leaves |E| unknown, and the row has no bound. *)
+  let result = o.Scenario.result in
+  if not result.Exec_env.explored then
+    failwith
+      (Printf.sprintf "E21: %s k=%d did not explore, so |E| is unknown" label k);
+  let n_edges = result.Exec_env.edge_events in
   let bound =
     Bfdn.Bounds.bfdn_graph ~n_edges ~k ~d:o.Scenario.depth
       ~delta:o.Scenario.max_degree
@@ -96,9 +92,9 @@ let run_row ~world ~params ~label k =
     r_k = k;
     r_edges = n_edges;
     r_radius = o.Scenario.depth;
-    r_rounds = o.Scenario.result.Exec_env.rounds;
-    r_explored = o.Scenario.result.Exec_env.explored;
-    r_at_origin = o.Scenario.result.Exec_env.at_root;
+    r_rounds = result.Exec_env.rounds;
+    r_explored = result.Exec_env.explored;
+    r_at_origin = result.Exec_env.at_root;
     r_bound = bound;
     r_wall = wall;
   }

@@ -25,7 +25,7 @@ let run () =
     Table.create
       ~caption:
         "rounds always <= bound (a violation would falsify Theorem 1);\n\
-         lb = offline lower bound max(2n/k, 2D)."
+         lb = offline lower bound max(2(n-1)/k, 2D)."
       [
         ("family", Table.Left); ("n", Table.Right); ("D", Table.Right);
         ("Δ", Table.Right); ("k", Table.Right); ("rounds", Table.Right);

@@ -36,4 +36,4 @@ let () =
   print_newline ();
   print_endline
     "The guarantee 2n/k + D^2(min(log k, log Delta) + 3) always holds;\n\
-     on shallow trees BFDN's rounds track the offline optimum max(2n/k, 2D)."
+     on shallow trees BFDN's rounds track the offline optimum max(2(n-1)/k, 2D)."

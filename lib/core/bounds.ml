@@ -8,7 +8,9 @@ let log0 x = if x <= 1.0 then 0.0 else log x
    by iterated logs. *)
 let log_safe x = log (Float.max 2.0 x)
 
-let offline_lb ~n ~k ~d = Float.max (2.0 *. fi n /. fi k) (2.0 *. fi d)
+(* Every one of the n - 1 edges is crossed twice, by some robot. *)
+let offline_lb ~n ~k ~d =
+  Float.max (fi (Bfdn_util.Mathx.ceil_div (2 * (n - 1)) k)) (2.0 *. fi d)
 
 let offline_split ~n ~k ~d = 2.0 *. ((fi n /. fi k) +. fi d)
 

@@ -7,7 +7,9 @@
     are dropped where the paper drops them. *)
 
 val offline_lb : n:int -> k:int -> d:int -> float
-(** [max (2n/k) (2d)] — no offline traversal is faster (Section 1). *)
+(** [max (ceil (2(n-1)/k)) (2d)] — no offline traversal is faster
+    (Section 1): every edge is crossed twice, and the deepest node is
+    reached and left. *)
 
 val offline_split : n:int -> k:int -> d:int -> float
 (** [2 (n/k + d)] — the constructive offline baseline of [7, 13]. *)

@@ -70,6 +70,3 @@ let compute tree =
 let pp ppf s =
   Format.fprintf ppf "n=%d D=%d Δ=%d leaves=%d branching=%.2f" s.n s.depth
     s.max_degree s.leaves s.avg_branching
-
-let offline_lower_bound ~n ~k ~depth =
-  max (Bfdn_util.Mathx.ceil_div (2 * (n - 1)) k) (2 * depth)

@@ -30,7 +30,3 @@ module Acc : sig
 end
 
 val pp : Format.formatter -> t -> unit
-
-val offline_lower_bound : n:int -> k:int -> depth:int -> int
-(** [max (ceil (2n/k)) (2D)] — no k-robot traversal finishes faster
-    (every edge crossed twice; the deepest node reached and left). *)

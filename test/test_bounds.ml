@@ -6,9 +6,25 @@ module Regions = Bfdn.Regions
 let checkb = Alcotest.(check bool)
 let checkf = Alcotest.(check (float 1e-6))
 
+(* A run finishes in no fewer rounds than [offline_lb]: one robot
+   walking a star takes 2 (n - 1) rounds, BFDN with k | n - 1 robots
+   takes 2 (n - 1) / k. *)
 let test_offline_lb () =
   checkf "edge regime" 200.0 (Bounds.offline_lb ~n:1000 ~k:10 ~d:5);
-  checkf "depth regime" 400.0 (Bounds.offline_lb ~n:1000 ~k:10 ~d:200)
+  checkf "depth regime" 400.0 (Bounds.offline_lb ~n:1000 ~k:10 ~d:200);
+  let module Env = Bfdn_sim.Env in
+  let module Exec_env = Bfdn_sim.Exec_env in
+  let rounds n k make =
+    let env = Env.create (Bfdn_trees.Tree_gen.star n) ~k in
+    let r = Exec_env.run (Exec_env.of_env (make env) env) in
+    checkb "explored" true r.Exec_env.explored;
+    let lb = Bounds.offline_lb ~n ~k ~d:1 in
+    if float_of_int r.Exec_env.rounds < lb then
+      Alcotest.failf "star n=%d k=%d: %d rounds, below offline_lb %g" n k
+        r.Exec_env.rounds lb
+  in
+  rounds 50 1 Bfdn_baselines.Dfs_single.make;
+  rounds 65 8 (fun env -> Bfdn.Bfdn_algo.(algo (make env)))
 
 let test_dfs () = checkf "dfs" 198.0 (Bounds.dfs ~n:100)
 

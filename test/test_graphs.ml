@@ -297,6 +297,29 @@ let prop_proposition9_random_graphs =
       let env, r = run_graph_bfdn g 0 k in
       r.explored && r.at_root && float_of_int r.rounds <= prop9_bound env k)
 
+(* A run that explored the graph traversed every edge, and reports each
+   once: E21 and `explore run` take |E| from the run's edge events. *)
+let prop_explored_run_traverses_every_edge =
+  QCheck.Test.make ~name:"an explored graph run traverses every edge once"
+    ~count:40
+    QCheck.(triple bool (pair (int_range 3 60) (int_range 3 20)) (int_range 1 24))
+    (fun (is_grid, (a, b), k) ->
+      let rng = Rng.create ((a * 131) + (b * 7) + k) in
+      let g, origin =
+        if is_grid then
+          let grid =
+            Grid.make
+              (Grid.random_spec ~rng ~width:b ~height:(3 + (a mod 16))
+                 ~obstacle_count:(a mod 6) ~max_side:3)
+          in
+          (Grid.graph grid, Grid.origin grid)
+        else (Bfdn_graphs.Graph_gen.random_connected ~rng ~n:a ~extra_edges:(3 * b), 0)
+      in
+      let env, r = run_graph_bfdn g origin k in
+      QCheck.assume r.explored;
+      Genv.traversed_edges env = Graph.num_edges g
+      && r.edge_events = Graph.num_edges g)
+
 let test_prop9_layered () =
   let g = Bfdn_graphs.Graph_gen.layered ~rng:(Rng.create 8) ~layers:12 ~width:10 ~chords:80 in
   List.iter
@@ -340,4 +363,5 @@ let suite =
       qc prop_proposition9_random_graphs;
       tc "prop 9 on layered graphs" test_prop9_layered;
       tc "genv invariants after run" test_genv_invariants_during_run;
+      qc prop_explored_run_traverses_every_edge;
     ] )

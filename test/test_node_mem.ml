@@ -77,10 +77,58 @@ let test_adversary_holds_pages () =
     Alcotest.failf "%d words reachable (limit %d: %d pages)" words limit
       (columns + 1)
 
-(* ---- the E16, E19 and E20 numbers quoted in the docs are the committed
-   ones ---- *)
+(* ---- the docs tag the report numbers they quote ---- *)
 
-module Json = Bfdn_obs.Json
+(* The root dune file diffs EXPERIMENTS.md and README.md against their
+   rendering from the committed reports (test/render_quotes.ml), which
+   rewrites every tagged number. A quote that loses its tag leaves that
+   check, so these tags must stay. *)
+let required_tags =
+  let readme =
+    [
+      "BENCH_huge.json smoke_rss_ceiling_bytes /1048576 ~1";
+      "BENCH_huge.json rss_comparison/lazy_over_eager *100 ~1";
+      "BENCH_serve.json speedup_cold_vs_cached .1";
+      "BENCH_serve.json cold_mean_seconds *1000 .1";
+      "BENCH_serve.json cached_req_per_sec ~100";
+      "BENCH_serve.json cached_p50_seconds *1000 .2";
+    ]
+  in
+  let comb8 = "BENCH_faults.json configs[family=comb,k=8,fault_tolerant=true,rate=" in
+  let batch = "BENCH_batch.json configs[family=" in
+  [
+    ("README.md", readme);
+    ( "EXPERIMENTS.md",
+      readme
+      @ [
+          "BENCH_hotpath.json max_probe_overhead_pct .2";
+          "BENCH_hotpath.json max_tracing_disabled_pct .2";
+          "BENCH_hotpath.json max_tracing_enabled_pct .1";
+          comb8 ^ "0,restart=-1]/rounds ~1";
+          comb8 ^ "0.1,restart=-1]/rounds ~1";
+          comb8 ^ "0.3,restart=-1]/rounds ~1";
+          comb8 ^ "0.3,restart=20]/rounds ~1";
+          "BENCH_serve.json cached_p99_seconds *1000 .1";
+          "BENCH_huge.json rss_comparison/lazy/peak_rss_bytes /1048576 .1";
+          "BENCH_huge.json rss_comparison/eager/peak_rss_bytes /1048576 .1";
+          "BENCH_huge.json reach/peak_rss_bytes /1048576 .1";
+          "BENCH_huge.json gate/peak_rss_bytes /1048576 .1";
+          "BENCH_huge.json throughput[family=binary,k=1024]/peak_rss_bytes /1048576 .1";
+          "max BENCH_graph.json configs/rounds /bound .2";
+          "max BENCH_graph.json configs[world=grid]/rounds /bound .2";
+          batch ^ "binary,k=64,batch=1]/seeds_per_sec ~1";
+          batch ^ "binary,k=64,batch=64]/seeds_per_sec ~1";
+          batch ^ "binary,k=64,batch=64]/speedup_vs_s1 .1";
+          batch ^ "comb,k=512,batch=1]/seeds_per_sec .1";
+          batch ^ "comb,k=512,batch=64]/seeds_per_sec ~1";
+          batch ^ "comb,k=512,batch=64]/speedup_vs_s1 .1";
+          "min BENCH_batch.json configs[batch=64,collapsed=true]/speedup_vs_s1 ~1";
+          "max BENCH_batch.json configs[batch=64,collapsed=true]/speedup_vs_s1 ~1";
+          batch ^ "random,k=64,batch=8]/speedup_vs_s1 .2";
+          batch ^ "random,k=64,batch=1]/seeds_per_sec ~1";
+          batch ^ "random,k=64,batch=8]/seeds_per_sec ~1";
+        ] );
+  ]
 
 (* A repository file: one level up under [dune runtest] (the test runs in
    _build/default/test, where its deps are copied), else from the
@@ -89,304 +137,18 @@ let read name =
   let path = if Sys.file_exists ("../" ^ name) then "../" ^ name else name in
   In_channel.with_open_bin path In_channel.input_all
 
-(* Every match of [re]'s first group in [text], whitespace runs (line
-   breaks included) folded to one space first. *)
-let quotes re text =
-  let text = Str.global_replace (Str.regexp "[ \t\n]+") " " text in
-  let rec go pos acc =
-    match Str.search_forward re text pos with
-    | exception Not_found -> List.rev acc
-    | _ -> go (Str.match_end ()) (Str.matched_group 1 text :: acc)
-  in
-  go 0 []
-
-let mb_re = Str.regexp "~\\([0-9]+\\.[0-9]\\) MB"
-let ceiling_re = Str.regexp "\\([0-9]+\\) MB peak-RSS ceiling"
-
-(* An experiment's section of EXPERIMENTS.md (e.g. "E19"): from its
-   heading to the next. *)
-let section name doc =
-  let heading = Str.regexp_string ("## " ^ name ^ " ") in
-  let start = Str.search_forward heading doc 0 in
-  let stop =
-    try Str.search_forward (Str.regexp "^## ") doc (start + 1)
-    with Not_found -> String.length doc
-  in
-  String.sub doc start (stop - start)
-
-let test_e19_quotes_match_bench () =
-  let bench =
-    match Json.of_string (read "BENCH_huge.json") with
-    | Ok j -> j
-    | Error e -> Alcotest.failf "BENCH_huge.json: %s" e
-  in
-  let member path =
-    List.fold_left
-      (fun j key ->
-        match Json.member key j with
-        | Some v -> v
-        | None -> Alcotest.failf "BENCH_huge.json: no %s" key)
-      bench path
-  in
-  let num path =
-    match member path with
-    | Json.Int i -> float_of_int i
-    | Json.Float f -> f
-    | _ -> Alcotest.failf "BENCH_huge.json: %s is not a number" (List.hd path)
-  in
-  let mb bytes = Printf.sprintf "%.1f" (bytes /. 1048576.) in
-  let rss row = mb (num (row @ [ "peak_rss_bytes" ])) in
-  let lazy_mb = rss [ "rss_comparison"; "lazy" ]
-  and eager_mb = rss [ "rss_comparison"; "eager" ]
-  and reach_mb = rss [ "reach" ]
-  and gate_mb = rss [ "gate" ] in
-  let full_mb =
-    match member [ "throughput" ] with
-    | Json.List rows ->
-        List.map
-          (fun r ->
-            match Json.member "peak_rss_bytes" r with
-            | Some (Json.Int b) -> mb (float_of_int b)
-            | _ -> Alcotest.fail "throughput row without peak_rss_bytes")
-          rows
-    | _ -> Alcotest.fail "BENCH_huge.json: throughput is not a list"
-  in
-  let committed = lazy_mb :: eager_mb :: reach_mb :: gate_mb :: full_mb in
-  let ceiling =
-    string_of_int (int_of_float (num [ "smoke_rss_ceiling_bytes" ]) / 1048576)
-  in
-  let ratio =
-    Printf.sprintf "%.0f" (100. *. num [ "rss_comparison"; "lazy_over_eager" ])
-  in
-  let e19 = section "E19" (read "EXPERIMENTS.md") in
-  let readme = read "README.md" in
-  let quoted = quotes mb_re e19 in
+let test_docs_carry_tags () =
   List.iter
-    (fun q ->
-      if not (List.mem q committed) then
-        Alcotest.failf "EXPERIMENTS.md E19 quotes ~%s MB, not in BENCH_huge.json" q)
-    quoted;
-  List.iter
-    (fun (what, v) ->
-      if not (List.mem v quoted) then
-        Alcotest.failf "EXPERIMENTS.md E19 does not quote the %s peak (~%s MB)"
-          what v)
-    [ ("bounded lazy", lazy_mb); ("bounded eager", eager_mb);
-      ("reach", reach_mb); ("gate", gate_mb) ];
-  let check_all what re text want =
-    match quotes re text with
-    | [] -> Alcotest.failf "%s quotes no %s" what want
-    | qs ->
-        List.iter
-          (fun q ->
-            if q <> want then
-              Alcotest.failf "%s quotes %s, BENCH_huge.json has %s" what q want)
-          qs
-  in
-  check_all "EXPERIMENTS.md E19 ceiling" ceiling_re e19 ceiling;
-  check_all "README.md ceiling" ceiling_re readme ceiling;
-  check_all "EXPERIMENTS.md E19 ratio" (Str.regexp "≈ \\([0-9]+\\)%") e19 ratio;
-  check_all "README.md ratio" (Str.regexp ("~\\([0-9]+\\)% at n = " ^ Str.quote "10^6")) readme
-    ratio
-
-(* [q] is [v] at the precision [q] is quoted at: as many decimals as it
-   has, and an integer to its last nonzero digit ("8 900" is 8 892.6 to
-   the hundred). Digit groups may be split by spaces. *)
-let at_quoted_precision q v =
-  let q = String.concat "" (String.split_on_char ' ' q) in
-  match String.index_opt q '.' with
-  | Some dot -> q = Printf.sprintf "%.*f" (String.length q - dot - 1) v
-  | None ->
-      let n = int_of_string q in
-      let unit = ref 1 in
-      while n <> 0 && n / !unit mod 10 = 0 do
-        unit := !unit * 10
-      done;
-      n = !unit * int_of_float (Float.round (v /. float_of_int !unit))
-
-(* The E16 probe-overhead and E20 tracing-overhead maxima, quoted as
-   percentages at the precision the text gives them. *)
-let test_hotpath_quotes_match_bench () =
-  let bench =
-    match Json.of_string (read "BENCH_hotpath.json") with
-    | Ok j -> j
-    | Error e -> Alcotest.failf "BENCH_hotpath.json: %s" e
-  in
-  let doc = read "EXPERIMENTS.md" in
-  let check experiment what pattern key =
-    let committed =
-      match Json.member key bench with
-      | Some (Json.Float f) -> f
-      | Some (Json.Int i) -> float_of_int i
-      | _ -> Alcotest.failf "BENCH_hotpath.json: no number %s" key
-    in
-    let re = Str.regexp (pattern ^ "\\+\\([0-9]+\\.[0-9]+\\)%") in
-    match quotes re (section experiment doc) with
-    | [] -> Alcotest.failf "EXPERIMENTS.md %s quotes no %s" experiment what
-    | qs ->
-        List.iter
-          (fun q ->
-            if not (at_quoted_precision q committed) then
-              Alcotest.failf "EXPERIMENTS.md %s quotes %s +%s%%, %s has %g"
-                experiment what q key committed)
-          qs
-  in
-  check "E16" "probe overhead" "max " "max_probe_overhead_pct";
-  check "E20" "disabled tracing" "disabled tracing \\*\\*"
-    "max_tracing_disabled_pct";
-  check "E20" "enabled tracing" "enabled tracing \\*\\*"
-    "max_tracing_enabled_pct"
-
-(* The E17, E18, E21 and E22 numbers quoted in EXPERIMENTS.md, each
-   against its committed report. A quote is one sentence of the
-   experiment's section; its regexp groups are the numbers, in order. *)
-let test_report_quotes_match_bench () =
-  let doc = read "EXPERIMENTS.md" in
-  let report name =
-    match Json.of_string (read name) with
-    | Ok j -> j
-    | Error e -> Alcotest.failf "%s: %s" name e
-  in
-  let num j key =
-    match Json.member key j with
-    | Some (Json.Int i) -> float_of_int i
-    | Some (Json.Float f) -> f
-    | _ -> Alcotest.failf "no number %s in a report" key
-  in
-  let rows j =
-    match Json.member "configs" j with
-    | Some (Json.List rows) -> rows
-    | _ -> Alcotest.fail "a report without configs"
-  in
-  (* The one row whose members equal [fields]. *)
-  let row j fields =
-    match
-      List.filter
-        (fun r -> List.for_all (fun (k, v) -> Json.member k r = Some v) fields)
-        (rows j)
-    with
-    | [ r ] -> r
-    | rs -> Alcotest.failf "%d report rows match, expected 1" (List.length rs)
-  in
-  let check experiment pattern values =
-    let text =
-      Str.global_replace (Str.regexp "[ \t\n]+") " " (section experiment doc)
-    in
-    match Str.search_forward (Str.regexp pattern) text 0 with
-    | exception Not_found ->
-        Alcotest.failf "EXPERIMENTS.md %s: no sentence matches %S" experiment
-          pattern
-    | _ ->
-        let quoted =
-          List.mapi (fun i _ -> Str.matched_group (i + 1) text) values
-        in
-        List.iter2
-          (fun q (what, v) ->
-            if not (at_quoted_precision q v) then
-              Alcotest.failf "EXPERIMENTS.md %s quotes %s %s, the report has %g"
-                experiment what q v)
-          quoted values
-  in
-  let int = "\\([0-9][0-9 ]*[0-9]\\|[0-9]\\)"
-  and dec = "\\([0-9]+\\.[0-9]+\\)" in
-  let faults = report "BENCH_faults.json" in
-  let comb8 rate restart =
-    num
-      (row faults
-         [
-           ("family", Json.String "comb"); ("k", Json.Int 8);
-           ("fault_tolerant", Json.Bool true); ("rate", Json.Float rate);
-           ("restart", Json.Int restart);
-         ])
-      "rounds"
-  in
-  check "E17"
-    ("comb k=8: " ^ int ^ " rounds fault-free, " ^ int ^ " / " ^ int
-   ^ " under 0\\.1 / 0\\.3 permanent crash rates, " ^ int
-   ^ " when crashes restart")
-    [
-      ("fault-free rounds", comb8 0.0 (-1));
-      ("rounds at rate 0.1", comb8 0.1 (-1));
-      ("rounds at rate 0.3", comb8 0.3 (-1));
-      ("rounds with restarts", comb8 0.3 20);
-    ];
-  let serve = report "BENCH_serve.json" in
-  check "E18"
-    ("≈ " ^ int ^ " req/s sustained with p50 ≈ " ^ dec ^ " ms and p99 ≈ " ^ dec
-   ^ " ms; speedup ≈ " ^ dec ^ "x")
-    [
-      ("cached req/s", num serve "cached_req_per_sec");
-      ("cached p50 ms", 1000. *. num serve "cached_p50_seconds");
-      ("cached p99 ms", 1000. *. num serve "cached_p99_seconds");
-      ("cold-vs-cached speedup", num serve "speedup_cold_vs_cached");
-    ];
-  let graph = report "BENCH_graph.json" in
-  let worst_ratio keep =
-    List.fold_left
-      (fun acc r ->
-        if keep r then Float.max acc (num r "rounds" /. num r "bound") else acc)
-      0. (rows graph)
-  in
-  check "E21"
-    ("worst ratio " ^ dec ^ " .*, grids at " ^ dec ^ " and below")
-    [
-      ("worst ratio", worst_ratio (fun _ -> true));
-      ( "worst grid ratio",
-        worst_ratio (fun r ->
-            Json.member "world" r = Some (Json.String "grid")) );
-    ];
-  let batch = report "BENCH_batch.json" in
-  let cell family k seeds =
-    row batch
-      [
-        ("family", Json.String family); ("k", Json.Int k);
-        ("batch", Json.Int seeds);
-      ]
-  in
-  let sps family k seeds = num (cell family k seeds) "seeds_per_sec"
-  and speedup family k seeds = num (cell family k seeds) "speedup_vs_s1" in
-  check "E22"
-    ("binary k=64 goes " ^ int ^ " → " ^ int
-   ^ " seeds/sec from S=1 to S=64 (" ^ dec ^ "×), comb k=512 goes " ^ dec
-   ^ " → " ^ int ^ " (" ^ dec ^ "×)")
-    [
-      ("binary k=64 S=1 seeds/sec", sps "binary" 64 1);
-      ("binary k=64 S=64 seeds/sec", sps "binary" 64 64);
-      ("binary k=64 S=64 speedup", speedup "binary" 64 64);
-      ("comb k=512 S=1 seeds/sec", sps "comb" 512 1);
-      ("comb k=512 S=64 seeds/sec", sps "comb" 512 64);
-      ("comb k=512 S=64 speedup", speedup "comb" 512 64);
-    ];
-  (* "the other rows": the S=64 speedups of the collapsing cells not
-     quoted above; the range ends are their least and greatest *)
-  let others =
-    List.filter_map
-      (fun r ->
-        let is field v = Json.member field r = Some v in
-        let quoted (family, k) =
-          is "family" (Json.String family) && is "k" (Json.Int k)
-        in
-        if
-          is "batch" (Json.Int 64)
-          && is "collapsed" (Json.Bool true)
-          && not (quoted ("binary", 64) || quoted ("comb", 512))
-        then Some (num r "speedup_vs_s1")
-        else None)
-      (rows batch)
-  in
-  check "E22"
-    ("the other rows land at " ^ int ^ "–" ^ int ^ "×")
-    [
-      ("least other S=64 speedup", List.fold_left Float.min infinity others);
-      ("greatest other S=64 speedup", List.fold_left Float.max 0. others);
-    ];
-  check "E22"
-    ("at " ^ dec ^ "× the seeds/sec of S=1 (" ^ int ^ " → " ^ int ^ ")")
-    [
-      ("random S=8 speedup", speedup "random" 64 8);
-      ("random S=1 seeds/sec", sps "random" 64 1);
-      ("random S=8 seeds/sec", sps "random" 64 8);
-    ]
+    (fun (doc, tags) ->
+      let text = read doc in
+      List.iter
+        (fun tag ->
+          let tag = "<!--q " ^ tag ^ "-->" in
+          match Str.search_forward (Str.regexp_string tag) text 0 with
+          | _ -> ()
+          | exception Not_found -> Alcotest.failf "%s lacks the tag %s" doc tag)
+        tags)
+    required_tags
 
 (* ---- the per-domain page pool ---- *)
 
@@ -589,14 +351,10 @@ let suite =
     [
       Alcotest.test_case "words per revealed node, lazy binary" `Quick
         test_words_per_revealed_node;
-      Alcotest.test_case "E19 quotes match BENCH_huge.json" `Quick
-        test_e19_quotes_match_bench;
       Alcotest.test_case "adversary holds pages, not its capacity" `Quick
         test_adversary_holds_pages;
-      Alcotest.test_case "E16 and E20 quotes match BENCH_hotpath.json" `Quick
-        test_hotpath_quotes_match_bench;
-      Alcotest.test_case "E17, E18, E21 and E22 quotes match their reports"
-        `Quick test_report_quotes_match_bench;
+      Alcotest.test_case "docs carry their report tags" `Quick
+        test_docs_carry_tags;
       Alcotest.test_case "pool: a reused page reads its fill" `Quick
         test_pool_reused_page_reads_fill;
       Alcotest.test_case "pool: holds one store's pages" `Quick

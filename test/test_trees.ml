@@ -247,9 +247,15 @@ let test_stats_compute () =
   checki "depth" 1 s.depth;
   Alcotest.(check (float 1e-9)) "branching" 9.0 s.avg_branching
 
+(* [Bounds.offline_lb] fed from the statistics of a built tree. *)
 let test_offline_lower_bound () =
-  checki "edge-bound regime" 20 (Tree_stats.offline_lower_bound ~n:11 ~k:1 ~depth:2);
-  checki "depth regime" 18 (Tree_stats.offline_lower_bound ~n:10 ~k:9 ~depth:9)
+  let lb t ~k =
+    let s = Tree_stats.compute t in
+    Bfdn.Bounds.offline_lb ~n:s.n ~k ~d:s.depth
+  in
+  let checkf = Alcotest.(check (float 1e-9)) in
+  checkf "edge-bound regime" 20.0 (lb (Tree_gen.spider ~legs:5 ~leg_len:2) ~k:1);
+  checkf "depth regime" 18.0 (lb (Tree_gen.path 10) ~k:9)
 
 let prop_generators_validate =
   QCheck.Test.make ~name:"all families validate at random sizes" ~count:100
