@@ -1,6 +1,7 @@
 (* Shared plumbing for the experiment harness: scaling knobs, the one way
-   to run a scenario on a prepared tree, and the one way to read a
-   committed report and check a perf gate against it. *)
+   to run a scenario on a prepared tree, the one way to time a tracked
+   perf row (and its gate) and to estimate an A/B overhead, and the one
+   way to read a committed report and check a perf gate against it. *)
 
 module Tree = Bfdn_trees.Tree
 module Tree_gen = Bfdn_trees.Tree_gen
@@ -20,11 +21,6 @@ module Scenario = Bfdn_scenario.Scenario
 type scale = Quick | Normal | Full
 
 let scale = ref Normal
-
-(* Print per-phase timing breakdowns in experiments that support them
-   (--profile). Off by default: the breakdown needs an enabled probe,
-   and the headline numbers are always measured with the no-op one. *)
-let profile = ref false
 
 (* Worker count for engine-backed experiments (--jobs=N). The results are
    deterministic whatever this is set to; it only changes wall time. *)
@@ -71,8 +67,157 @@ let run_bfdn_reanchors ?params tree k =
     !by_depth;
   (o, !worst, !at)
 
+(* The value of counter [name] in [reg], 0 when it was never created. *)
+let counter reg name =
+  Option.fold ~none:0 ~some:Metrics.value (Metrics.find_counter reg name)
+
 (* Lemma 2's per-depth cap k (min(log k, log Δ) + 3) = urn-game bound + k. *)
 let lemma2_cap ~delta ~k = Bfdn.Bounds.urn_game ~delta ~k +. float_of_int k
+
+(* ---- timing ----
+
+   Every tracked perf row and its --perf-gate row time through [repeat]
+   with the same arguments, and every A/B overhead row through
+   [ab_overhead]. *)
+
+module Clock = Bfdn_util.Clock
+
+(* A side's wall time over the timed repetitions of {!repeat}. *)
+type timing = { best : float; mean : float }
+
+(* Call every side once untimed (the warm-up), then time repetitions,
+   each calling every side once in the given order, until the timed calls
+   total [budget] seconds and [min_reps] repetitions ran, or [max_reps]
+   ran. Returns each side's last result and its timing. Runs are
+   deterministic, so every repetition does the same work, and ambient
+   load on a shared machine reaches both sides of an alternating pair
+   alike. *)
+let repeat ?(min_reps = 1) ?(max_reps = max_int) ~budget sides =
+  let last = Array.map (fun side -> side ()) sides in
+  let best = Array.make (Array.length sides) infinity in
+  let total = Array.make (Array.length sides) 0.0 in
+  let spent = ref 0.0 and reps = ref 0 in
+  while (!spent < budget || !reps < min_reps) && !reps < max_reps do
+    Array.iteri
+      (fun i side ->
+        let t0 = Clock.now () in
+        last.(i) <- side ();
+        let dt = Clock.now () -. t0 in
+        best.(i) <- Float.min best.(i) dt;
+        total.(i) <- total.(i) +. dt;
+        spent := !spent +. dt)
+      sides;
+    incr reps
+  done;
+  Array.mapi
+    (fun i r ->
+      (r, { best = best.(i); mean = total.(i) /. float_of_int !reps }))
+    last
+
+(* Segment width of {!ab_overhead}, in rounds. Small enough that a
+   segment (~0.4–1 ms at k = 512) can fall between bursts of competing
+   load on a shared core; large enough that the per-segment clock reads
+   (two per segment, paid identically by every side) are far below the
+   effect being measured. Power of two: the round check is a single
+   [land]. *)
+let ab_segment = 16
+
+(* The mean of the smallest quarter of [l] (at least one value). *)
+let trimmed l =
+  let a = Array.of_list l in
+  Array.sort compare a;
+  let keep = max 1 (Array.length a / 4) in
+  let s = ref 0.0 in
+  for i = 0 to keep - 1 do
+    s := !s +. a.(i)
+  done;
+  !s /. float_of_int keep
+
+(* One side of an A/B comparison: [side ()] prepares one exploration
+   (world, algorithm, probe), untimed, and returns the run, which must
+   hand [on_round] to [Exec_env.run]. *)
+type ab_side = unit -> on_round:(Exec_env.t -> unit) -> Exec_env.result
+
+type ab_config = {
+  sides : ab_side array;
+  warm : Exec_env.result;
+  inner : int;  (** explorations per side in one sample *)
+  walls : float list ref array;  (** per side, its segment walls *)
+  mutable turn : int;  (** explorations per side run so far *)
+}
+
+(* A/B overhead estimator. Each config (an array of sides) gets one
+   warm-up exploration of side 0, which also sets how many explorations
+   per side one sample holds: [sample] seconds' worth, at least one (the
+   default). Then [pairs] times, one sample of every config in turn:
+   configs are round-robined so each one's samples span the whole
+   measurement window rather than one slice a single noise burst can
+   cover. Within a config, every side runs once per exploration turn, so
+   all sides share frequency state and ambient load, and the side order
+   rotates every turn: GC pauses are phase-locked to the allocation
+   cycle (every exploration allocates a fresh env) and would otherwise
+   land in one side's slot. Every timed exploration must explore and
+   reproduce the warm-up's rounds and edge events.
+
+   Each exploration is sliced into [ab_segment]-round segment walls by
+   its [on_round] hook, and a side's estimate is the trimmed mean of its
+   cleanest quartile of segments. Machine noise (a shared core with
+   bursty competing load) is additive and heavy-tailed, so a full-sum
+   ratio is dominated by whichever side the largest bursts landed on,
+   and a 60 ms exploration virtually always absorbs a burst, so best-of,
+   medians and trimmed sums over explorations all carry multi-percent
+   variance. A ~0.5 ms segment fits between bursts; with hundreds of
+   segments per side the cleanest quartile is burst-free on both sides.
+
+   Returns per config the warm-up result and, per side, that trimmed
+   mean segment wall. *)
+let ab_overhead ?(sample = 0.0) ~pairs (configs : ab_side array list) =
+  let explored (r : Exec_env.result) =
+    if not r.explored then failwith "A/B overhead: instance not explored";
+    r
+  in
+  let prepare sides =
+    let t0 = Clock.now () in
+    let warm = explored (sides.(0) () ~on_round:ignore) in
+    let est = Clock.now () -. t0 in
+    {
+      sides;
+      warm;
+      inner = max 1 (int_of_float (Float.ceil (sample /. Float.max 1e-6 est)));
+      walls = Array.map (fun _ -> ref []) sides;
+      turn = 0;
+    }
+  in
+  let timed walls (side : ab_side) =
+    let go = side () in
+    let rounds = ref 0 and last = ref (Clock.now ()) in
+    let on_round _ =
+      incr rounds;
+      if !rounds land (ab_segment - 1) = 0 then begin
+        let t = Clock.now () in
+        walls := (t -. !last) :: !walls;
+        last := t
+      end
+    in
+    explored (go ~on_round)
+  in
+  let cfgs = List.map prepare configs in
+  for _ = 1 to pairs do
+    List.iter
+      (fun c ->
+        let n = Array.length c.sides in
+        for _ = 1 to c.inner do
+          c.turn <- c.turn + 1;
+          for j = 0 to n - 1 do
+            let s = (c.turn + j) mod n in
+            let r = timed c.walls.(s) c.sides.(s) in
+            if r.rounds <> c.warm.rounds || r.edge_events <> c.warm.edge_events
+            then failwith "A/B overhead: a side perturbed the round loop"
+          done
+        done)
+      cfgs
+  done;
+  List.map (fun c -> (c.warm, Array.map (fun w -> trimmed !w) c.walls)) cfgs
 
 (* ---- perf-gate result recording (--perf-gate) ----
 

@@ -75,17 +75,15 @@ type row = {
   mutable b_speedup : float; (* seeds/s vs the S=1 row of the same cell *)
 }
 
+(* The committed rows and the gate rows alike: the mean execution over a
+   [min_total] window, after a warm-up that pages in the generator and
+   stats. *)
 let measure family k s =
   let t = spec ~batch_seeds:s family k in
-  let flags = ref (exec t) (* warm: page in the generator and stats *) in
-  let t0 = Batch.now () in
-  let reps = ref 0 in
-  while Batch.now () -. t0 < min_total () || !reps = 0 do
-    flags := exec t;
-    incr reps
-  done;
-  let wall = (Batch.now () -. t0) /. float_of_int !reps in
-  let collapsed, shared = !flags in
+  let (collapsed, shared), timing =
+    (repeat ~budget:(min_total ()) [| (fun () -> exec t) |]).(0)
+  in
+  let wall = timing.mean in
   {
     b_family = family;
     b_k = k;
@@ -210,18 +208,13 @@ let gate_subset = [ ("comb", 64); ("binary", 512) ]
    between passes here; this ratio holds within a few percent. *)
 let fastest_speedup family k s =
   let one = spec family k and batch = spec ~batch_seeds:s family k in
-  let timed t =
-    let t0 = Batch.now () in
-    ignore (exec t : bool * bool);
-    Batch.now () -. t0
-  in
-  let best1 = ref infinity and best_s = ref infinity in
-  let t0 = Batch.now () in
-  while Batch.now () -. t0 < 3.0 *. min_total () || !best1 = infinity do
-    best1 := Float.min !best1 (timed one);
-    best_s := Float.min !best_s (timed batch)
-  done;
-  float_of_int s *. !best1 /. Float.max 1e-9 !best_s
+  match
+    repeat ~budget:(3.0 *. min_total ())
+      [| (fun () -> exec one); (fun () -> exec batch) |]
+  with
+  | [| (_, t1); (_, ts) |] ->
+      float_of_int s *. t1.best /. Float.max 1e-9 ts.best
+  | _ -> assert false
 
 let perf_gate () =
   scale := Normal;
@@ -271,7 +264,9 @@ let perf_gate () =
    digests of every round's frame (round, explored, dangling, every
    robot's position). The n = 5000 row sits between the small ones, so
    node-store pages of different lengths are recycled in turn on every
-   domain that runs the lanes. *)
+   domain that runs the lanes. The matrix ends with every generator
+   family under bfdn at k in {4, 64} over two seeds, and cte, offline and
+   bfdn-wr on random at k in {4, 64}. *)
 
 let det_specs () =
   let w family n dh = Scenario.world
@@ -297,6 +292,23 @@ let det_specs () =
         (Scenario.adversarial ~policy:"corridor" ~capacity:150
            ~depth_budget:12) );
   ]
+  @ List.concat_map
+      (fun family ->
+        List.map
+          (fun k ->
+            ( Printf.sprintf "%s/bfdn k=%d S=2" family k,
+              Scenario.make ~algo:"bfdn" ~k ~seed ~batch_seeds:2
+                (w family 600 20) ))
+          [ 4; 64 ])
+      Tree_gen.families
+  @ List.concat_map
+      (fun algo ->
+        List.map
+          (fun k ->
+            ( Printf.sprintf "random/%s k=%d" algo k,
+              Scenario.make ~algo ~k ~seed (w "random" 600 20) ))
+          [ 4; 64 ])
+      [ "cte"; "offline"; "bfdn-wr" ]
 
 (* Folds the frames of consecutive executions into one digest each: a
    frame from another execution view than the last starts the next

@@ -92,11 +92,6 @@ let run_leg ~family ~depth_hint ~k (ft, rate, restart) =
         let c, r = Fault_plan.stats p ~rounds:result.Exec_env.rounds in
         (c, r, Fault_plan.survivors p)
   in
-  let cval name =
-    match Metrics.find_counter reg name with
-    | Some c -> Metrics.value c
-    | None -> 0
-  in
   {
     r_family = family;
     r_k = k;
@@ -111,8 +106,8 @@ let run_leg ~family ~depth_hint ~k (ft, rate, restart) =
     r_crashes = crashes;
     r_restarts = restarts;
     r_survivors = survivors;
-    r_lost = cval "robots_lost";
-    r_revived = cval "robots_revived";
+    r_lost = counter reg "robots_lost";
+    r_revived = counter reg "robots_revived";
   }
 
 let sweep_rows () =
@@ -145,14 +140,12 @@ let json_of_row r =
 
 (* ---- enabled-idle overhead ----
 
-   Same estimator as E16's probe budget: alternate the two sides per
-   exploration, collect per-[seg]-round segment walls through the
-   runner's on_round hook (paid identically by both sides), and compare
-   the trimmed means of each side's cleanest quartile. k = 512 so a
+   Same estimator as E16's probe budget ([ab_overhead]): the two sides
+   alternate per exploration, and each side's trimmed mean over its
+   cleanest quartile of 16-round segment walls is compared. k = 512 so a
    round does enough work for the question to be meaningful. *)
 
 let overhead_k = 512
-let seg = 16
 
 (* An enabled hook that never fires: one crash scheduled far beyond any
    horizon this bench reaches. Not [quiet], so Injector.hook keeps it
@@ -167,52 +160,20 @@ let measure_overhead () =
       ~depth_hint:60
   in
   (* A direct loop: this times the round loop itself. *)
-  let explore ~fault out =
+  let side fault () =
     let env = Env.create tree ~k:overhead_k ~fault in
-    let a = Algo_registry.instantiate "bfdn" env in
-    let last = ref (Bfdn_util.Clock.now ()) in
-    let on_round _ =
-      if Env.round env land (seg - 1) = 0 then begin
-        let t = Bfdn_util.Clock.now () in
-        out := (t -. !last) :: !out;
-        last := t
-      end
-    in
-    let r = Exec_env.run ~on_round (Exec_env.of_env a env) in
-    if not r.Exec_env.explored then failwith "e_faults: overhead run incomplete";
-    (r.Exec_env.rounds, r.Exec_env.edge_events)
+    let x = Exec_env.of_env (Algo_registry.instantiate "bfdn" env) env in
+    fun ~on_round -> Exec_env.run ~on_round x
   in
-  let idle_hook = Injector.hook idle_plan in
-  let plains = ref [] and idles = ref [] in
-  let warm = explore ~fault:Env.fault_noop (ref []) in
   let pairs = match !scale with Quick -> 3 | Normal -> 16 | Full -> 32 in
-  for it = 1 to pairs do
-    let check out fault =
-      if explore ~fault out <> warm then
-        failwith "e_faults: idle fault hook perturbed the round loop"
-    in
-    if it land 1 = 0 then begin
-      check plains Env.fault_noop;
-      check idles idle_hook
-    end
-    else begin
-      check idles idle_hook;
-      check plains Env.fault_noop
-    end
-  done;
-  let trimmed l =
-    let a = Array.of_list l in
-    Array.sort compare a;
-    let keep = max 1 (Array.length a / 4) in
-    let s = ref 0.0 in
-    for i = 0 to keep - 1 do
-      s := !s +. a.(i)
-    done;
-    !s /. float_of_int keep
-  in
-  let tp = trimmed !plains and ti = trimmed !idles in
-  let rounds, _ = warm in
-  (100.0 *. ((ti /. Float.max 1e-12 tp) -. 1.0), rounds, tp, ti)
+  match
+    ab_overhead ~pairs
+      [ [| side Env.fault_noop; side (Injector.hook idle_plan) |] ]
+  with
+  | [ (warm, [| tp; ti |]) ] ->
+      let pct = 100.0 *. ((ti /. Float.max 1e-12 tp) -. 1.0) in
+      (pct, warm.Exec_env.rounds, tp, ti)
+  | _ -> assert false
 
 let run () =
   header "E17 (faults)"
@@ -293,11 +254,6 @@ let smoke () =
   let reg = Metrics.create () in
   let a = Scenario.run ~probe:(Probe.of_metrics reg) ft_spec in
   let b = Scenario.run ft_spec in
-  let cval name =
-    match Metrics.find_counter reg name with
-    | Some c -> Metrics.value c
-    | None -> 0
-  in
   let plain =
     Scenario.run
       (Scenario.make ~algo:"bfdn" ~k:8 ~seed ~max_rounds:400 ~faults inst)
@@ -313,7 +269,7 @@ let smoke () =
   a.Scenario.result.Exec_env.explored
   && (not a.Scenario.result.Exec_env.hit_round_limit)
   && Scenario.equal_outcome a b
-  && cval "robots_lost" >= 1
+  && counter reg "robots_lost" >= 1
   && plain.Scenario.result.Exec_env.hit_round_limit
   && restart.Scenario.result.Exec_env.explored
   && restart.Scenario.result.Exec_env.at_root

@@ -12,8 +12,9 @@
    untouched) and enabled (within 3% — a fresh recorder plus three
    phase spans closed from the phase counters), at k = 512. Both sides
    build the job's probe with [Probe.traced], the function the server's
-   job execution calls. Both budgets are enforced by --perf-gate against the
-   committed report.
+   job execution calls. --perf-gate checks the maxima committed in
+   BENCH_hotpath.json against both budgets; they are re-measured only
+   when this experiment is regenerated.
 
    The instances are the paper's adversarial regime — deep combs and the
    CTE trap tree — where per-round costs dominate sweep wall time. *)
@@ -70,32 +71,33 @@ let algo_of ?probe name env = Algo_registry.instantiate ?probe name env
 type sample = {
   s_rounds : int;
   s_events : int;
-  s_wall : float; (* best (minimum) wall over the repetitions *)
+  s_wall : float;
 }
 
-(* One full exploration = one repetition; repeat until the total measured
-   time passes [min_total] (at least [min_reps] times), keep the fastest.
-   Runs are deterministic, so every repetition performs identical work.
-   A direct loop: this times the round loop itself. *)
-let measure ?(probe = Probe.noop) ?(min_total = 0.4) ?(min_reps = 2)
-    ?(max_reps = 6) tree k algo_name =
-  let rounds = ref 0 and events = ref 0 in
-  let best = ref infinity and total = ref 0.0 and reps = ref 0 in
-  while (!total < min_total || !reps < min_reps) && !reps < max_reps do
-    let t0 = Batch.now () in
-    let env = Env.create tree ~k in
-    let r =
-      Exec_env.run ~probe (Exec_env.of_env (algo_of ~probe algo_name env) env)
-    in
-    let dt = Batch.now () -. t0 in
-    if not r.explored then failwith "e_hotpath: instance not explored";
-    rounds := r.rounds;
-    events := r.edge_events;
-    total := !total +. dt;
-    if dt < !best then best := dt;
-    incr reps
-  done;
-  { s_rounds = !rounds; s_events = !events; s_wall = !best }
+(* One full exploration, prepared untimed and run by the returned
+   function: an A/B side of [overhead_rows], and with [~on_round:ignore]
+   one repetition of [measure]. A direct loop: this times the round loop
+   itself. *)
+let prepare ?(probe = Probe.noop) tree k algo_name () =
+  let env = Env.create tree ~k in
+  let x = Exec_env.of_env (algo_of ~probe algo_name env) env in
+  fun ~on_round -> Exec_env.run ~probe ~on_round x
+
+let sample_of (r : Exec_env.result) wall =
+  if not r.explored then failwith "e_hotpath: instance not explored";
+  { s_rounds = r.rounds; s_events = r.edge_events; s_wall = wall }
+
+let rps s = float_of_int s.s_rounds /. Float.max 1e-9 s.s_wall
+let eps s = float_of_int s.s_events /. Float.max 1e-9 s.s_wall
+
+(* The committed rows and the gate rows alike: the best of 2–6
+   repetitions within 0.4 s. *)
+let measure tree k algo =
+  let r, t =
+    (repeat ~budget:0.4 ~min_reps:2 ~max_reps:6
+       [| (fun () -> prepare tree k algo () ~on_round:ignore) |]).(0)
+  in
+  sample_of r t.best
 
 let config_rows () =
   List.concat_map
@@ -116,8 +118,6 @@ let config_rows () =
     families
 
 let json_of_row (family, n, depth, k, algo, s) =
-  let rps = float_of_int s.s_rounds /. Float.max 1e-9 s.s_wall in
-  let eps = float_of_int s.s_events /. Float.max 1e-9 s.s_wall in
   let base =
     [
       ("family", Json.String family);
@@ -128,8 +128,8 @@ let json_of_row (family, n, depth, k, algo, s) =
       ("rounds", Json.Int s.s_rounds);
       ("edge_events", Json.Int s.s_events);
       ("wall_seconds", Json.Float s.s_wall);
-      ("rounds_per_sec", Json.Float rps);
-      ("events_per_sec", Json.Float eps);
+      ("rounds_per_sec", Json.Float (rps s));
+      ("events_per_sec", Json.Float (eps s));
     ]
   in
   let vs_seed =
@@ -138,7 +138,7 @@ let json_of_row (family, n, depth, k, algo, s) =
     | Some b ->
         [
           ("seed_rounds_per_sec", Json.Float b);
-          ("speedup_vs_seed", Json.Float (rps /. Float.max 1e-9 b));
+          ("speedup_vs_seed", Json.Float (rps s /. Float.max 1e-9 b));
         ]
   in
   Json.Obj (base @ vs_seed)
@@ -174,35 +174,9 @@ let overhead_pct r = 100.0 *. (r.o_ratio -. 1.0)
 let tracing_disabled_pct r = 100.0 *. (r.o_dis_ratio -. 1.0)
 let tracing_enabled_pct r = 100.0 *. (r.o_en_ratio -. 1.0)
 
-(* Segment width for overhead timing, in rounds. Small enough that a
-   segment (~0.4–1 ms at k = 512) can fall between bursts of competing
-   load on a shared core; large enough that the per-segment clock reads
-   (two per [overhead_seg] rounds, added identically to both sides) are
-   far below the effect being measured. Power of two: the round check
-   is a single [land]. *)
-let overhead_seg = 16
-
-(* Mutable measurement state for one (family, algo) overhead config. *)
-type overhead_cfg = {
-  c_family : string;
-  c_algo : string;
-  c_reg : Metrics.t;
-  (* One timed sample: an inner-batched block of explorations
-     alternating plain/probed per exploration, each exploration feeding
-     per-[overhead_seg]-round segment walls into [c_plains]/[c_probeds]. *)
-  c_one : unit -> unit;
-  c_rounds : int;
-  c_events : int;
-  c_plains : float list ref; (* per-segment plain walls *)
-  c_probeds : float list ref; (* per-segment probed walls *)
-  c_disableds : float list ref; (* probed, tracing disabled *)
-  c_enableds : float list ref; (* probed, tracing enabled *)
-}
-
-(* Plain and probed repetitions are interleaved and each side keeps its
-   best wall time: CPU-frequency drift between "first measure A, then
-   measure B" sessions easily exceeds the effect being measured, but it
-   hits both sides of an interleaved pair equally. *)
+(* Four sides per (family, algo) through [ab_overhead]: plain, metrics
+   probed, tracing disabled and tracing enabled. A sample lasts >= ~20 ms
+   (a 1 ms run cannot be timed to the precision the 2% question needs). *)
 let overhead_rows () =
   let pairs = match !scale with Quick -> 4 | Normal -> 24 | Full -> 48 in
   let cfgs =
@@ -216,52 +190,7 @@ let overhead_rows () =
           (fun algo ->
             let reg = Metrics.create () in
             let probe = Probe.of_metrics reg in
-            (* [explore probe out] runs one full exploration and, when
-               [out] is given, appends the wall time of every completed
-               [overhead_seg]-round segment to it. The segment clock
-               lives in [Exec_env.run]'s [on_round] hook, which both the
-               instrumented and the plain loop call identically — so
-               the (tiny) measurement cost is paid by both sides and
-               cancels in the ratio. *)
-            let explore ?out probe =
-              let env = Env.create tree ~k:overhead_k in
-              let a = algo_of ~probe algo env in
-              let r =
-                match out with
-                | None -> Exec_env.run ~probe (Exec_env.of_env a env)
-                | Some acc ->
-                    let last = ref (Bfdn_util.Clock.now ()) in
-                    let on_round _ =
-                      if Env.round env land (overhead_seg - 1) = 0 then begin
-                        let t = Bfdn_util.Clock.now () in
-                        acc := (t -. !last) :: !acc;
-                        last := t
-                      end
-                    in
-                    Exec_env.run ~probe ~on_round (Exec_env.of_env a env)
-              in
-              if not r.Exec_env.explored then
-                failwith "e_hotpath: overhead instance not explored";
-              (r.Exec_env.rounds, r.Exec_env.edge_events)
-            in
-            (* Warm up, and batch enough explorations per timed sample
-               that a sample lasts >= ~20ms: a 1ms run cannot be timed
-               to the precision the 2% question needs. *)
-            let t0 = Batch.now () in
-            let rounds, events = explore Probe.noop in
-            let est = Batch.now () -. t0 in
-            let inner =
-              max 1 (int_of_float (Float.ceil (0.02 /. Float.max 1e-6 est)))
-            in
-            (* Alternate plain/probed per ~1ms exploration inside one
-               sample, accumulating a separate timer for each side: CPU
-               frequency state and ambient load are then identical for
-               both sides of the ratio, which neither best-of (defeated
-               by sparse turbo windows landing on one side) nor coarse
-               per-sample pairing (defeated by bursts shorter than a
-               sample) guarantees. *)
-            let plains = ref [] and probeds = ref [] in
-            let disableds = ref [] and enableds = ref [] in
+            let side p = prepare ~probe:p tree overhead_k algo in
             (* With tracing disabled [Probe.traced] returns the metrics
                probe physically untouched, so the disabled side times
                the very same closures as the probed side: the measured
@@ -269,98 +198,40 @@ let overhead_rows () =
             let disabled, _ =
               Probe.traced Span.disabled ~parent:Span.none reg probe
             in
-            let one () =
-              let timed out p =
-                let rd, ev = explore ~out p in
-                if rd <> rounds || ev <> events then
-                  failwith "e_hotpath: enabled probe perturbed the round loop"
-              in
-              (* A fresh recorder per exploration, as the server does
-                 per job: recorder setup and span close are part of the
-                 cost being measured. *)
-              let timed_enabled out =
-                let sp = Span.create ~trace_id:"e20" () in
-                let p, finish = Probe.traced sp ~parent:Span.none reg probe in
-                timed out p;
-                finish ~state:"done"
-              in
-              let sides =
-                [|
-                  (fun () -> timed plains Probe.noop);
-                  (fun () -> timed probeds probe);
-                  (fun () -> timed disableds disabled);
-                  (fun () -> timed_enabled enableds);
-                |]
-              in
-              (* Rotate the side order each iteration: GC pauses are
-                 phase-locked to the allocation cycle (every exploration
-                 allocates a fresh env, so minor collections recur every
-                 few explorations) and would otherwise land
-                 systematically in one side's slot. *)
-              for it = 1 to inner do
-                for j = 0 to 3 do
-                  sides.((it + j) land 3) ()
-                done
-              done
+            (* A fresh recorder per exploration, as the server does per
+               job: recorder setup and span close are part of the cost
+               being measured. *)
+            let enabled () =
+              let sp = Span.create ~trace_id:"e20" () in
+              let p, finish = Probe.traced sp ~parent:Span.none reg probe in
+              let go = side p () in
+              fun ~on_round ->
+                let r = go ~on_round in
+                finish ~state:"done";
+                r
             in
-            { c_family = family; c_algo = algo; c_reg = reg; c_one = one;
-              c_rounds = rounds; c_events = events;
-              c_plains = plains; c_probeds = probeds;
-              c_disableds = disableds; c_enableds = enableds })
+            ( (family, algo, reg),
+              [| side Probe.noop; side probe; side disabled; enabled |] ))
           algos)
       families
   in
-  (* Samples are round-robined across configs so each config's samples
-     span the whole multi-second measurement window rather than one
-     contiguous slice a single noise burst can cover. *)
-  for _ = 1 to pairs do
-    List.iter (fun c -> c.c_one ()) cfgs
-  done;
-  List.map
-    (fun c ->
-      (* Overhead estimator: each side independently keeps the quartile
-         of smallest per-segment walls, and the estimate is the ratio
-         of the two trimmed means. Machine noise (a shared single core
-         with bursty competing load) is additive and heavy-tailed, so a
-         full-sum ratio is dominated by whichever side the largest
-         bursts happened to land on, and whole-exploration statistics
-         cannot help the slow configs at all — a 60 ms exploration
-         virtually always absorbs a burst, so best-of, medians and
-         trimmed sums over explorations all carry multi-percent
-         variance. A ~0.5 ms segment, in contrast, fits between bursts;
-         with hundreds of segments per side the cleanest quartile is
-         burst-free on both sides, and the per-exploration interleaving
-         of [one] keeps the two sides' quiet segments comparable (same
-         frequency state, same ambient load). *)
-      let trimmed l =
-        let a = Array.of_list l in
-        Array.sort compare a;
-        let keep = max 1 (Array.length a / 4) in
-        let s = ref 0.0 in
-        for i = 0 to keep - 1 do
-          s := !s +. a.(i)
-        done;
-        !s /. float_of_int keep
+  let estimates = ab_overhead ~sample:0.02 ~pairs (List.map snd cfgs) in
+  List.map2
+    (fun ((family, algo, reg), _) ((warm : Exec_env.result), t) ->
+      (* A clean-run-equivalent wall for the r/s display: per-round time
+         is (trimmed segment wall) / ab_segment. *)
+      let sample per_seg =
+        sample_of warm
+          (per_seg /. float_of_int ab_segment *. float_of_int warm.rounds)
       in
-      let tp = trimmed !(c.c_plains) in
-      let tq = trimmed !(c.c_probeds) in
-      let td = trimmed !(c.c_disableds) in
-      let te = trimmed !(c.c_enableds) in
-      (* Reconstruct a clean-run-equivalent wall for the r/s display:
-         per-round time is (trimmed segment wall) / overhead_seg. *)
-      let wall_of per_seg =
-        per_seg /. float_of_int overhead_seg *. float_of_int c.c_rounds
-      in
-      let sample wall =
-        { s_rounds = c.c_rounds; s_events = c.c_events; s_wall = wall }
-      in
-      { o_family = c.c_family; o_algo = c.c_algo;
-        o_plain = sample (wall_of tp); o_probed = sample (wall_of tq);
-        o_ratio = tq /. Float.max 1e-12 tp; o_reg = c.c_reg;
-        o_disabled = sample (wall_of td); o_enabled = sample (wall_of te);
+      let tp = t.(0) and tq = t.(1) and td = t.(2) and te = t.(3) in
+      { o_family = family; o_algo = algo; o_reg = reg;
+        o_plain = sample tp; o_probed = sample tq;
+        o_ratio = tq /. Float.max 1e-12 tp;
+        o_disabled = sample td; o_enabled = sample te;
         o_dis_ratio = td /. Float.max 1e-12 tq;
         o_en_ratio = te /. Float.max 1e-12 tq })
-    cfgs
+    cfgs estimates
 
 let json_of_overhead r =
   Json.Obj
@@ -387,18 +258,14 @@ let json_of_tracing r =
       ("tracing_enabled_pct", Json.Float (tracing_enabled_pct r));
     ]
 
-(* Per-phase wall share recorded by the probe, for --profile. *)
+(* Per-phase wall share recorded by the probe. *)
 let profile_row r =
   let ns = Probe.phase_ns r.o_reg in
   let sel = ns Probe.Select and app = ns Probe.Apply in
   let fin = ns Probe.Finished_check in
   let total = Float.max 1.0 (float_of_int (sel + app + fin)) in
   let pct x = 100.0 *. float_of_int x /. total in
-  let reanchors =
-    Option.fold ~none:0 ~some:Metrics.value
-      (Metrics.find_counter r.o_reg "reanchors")
-  in
-  (pct sel, pct app, pct fin, reanchors)
+  (pct sel, pct app, pct fin, counter r.o_reg "reanchors")
 
 let run () =
   header "E16 (hot path)"
@@ -416,18 +283,17 @@ let run () =
   in
   List.iter
     (fun (family, n, depth, k, algo, s) ->
-      let rps = float_of_int s.s_rounds /. Float.max 1e-9 s.s_wall in
-      let eps = float_of_int s.s_events /. Float.max 1e-9 s.s_wall in
       let vs =
         match baseline_for (family, algo, k) with
         | None -> "-"
-        | Some b -> Printf.sprintf "%.2fx" (rps /. Float.max 1e-9 b)
+        | Some b -> Printf.sprintf "%.2fx" (rps s /. Float.max 1e-9 b)
       in
       Table.add_row t
         [
           family; Table.fint n; Table.fint depth; Table.fint k; algo;
           Table.fint s.s_rounds;
-          Table.ffloat ~decimals:0 rps; Table.ffloat ~decimals:0 eps; vs;
+          Table.ffloat ~decimals:0 (rps s); Table.ffloat ~decimals:0 (eps s);
+          vs;
         ])
     rows;
   Table.print t;
@@ -446,9 +312,6 @@ let run () =
   in
   List.iter
     (fun r ->
-      let rps (s : sample) =
-        float_of_int s.s_rounds /. Float.max 1e-9 s.s_wall
-      in
       Table.add_row ot
         [
           r.o_family; r.o_algo;
@@ -458,10 +321,10 @@ let run () =
         ])
     orows;
   Table.print ot;
-  let max_ov =
-    List.fold_left (fun acc r -> Float.max acc (overhead_pct r)) neg_infinity
-      orows
+  let worst pct =
+    List.fold_left (fun acc r -> Float.max acc (pct r)) neg_infinity orows
   in
+  let max_ov = worst overhead_pct in
   Printf.printf "max probe overhead: %+.2f%% (target <= 2%%)\n" max_ov;
   let tt =
     Table.create
@@ -477,9 +340,6 @@ let run () =
   in
   List.iter
     (fun r ->
-      let rps (s : sample) =
-        float_of_int s.s_rounds /. Float.max 1e-9 s.s_wall
-      in
       Table.add_row tt
         [
           r.o_family; r.o_algo;
@@ -489,42 +349,32 @@ let run () =
         ])
     orows;
   Table.print tt;
-  let max_dis =
-    List.fold_left
-      (fun acc r -> Float.max acc (tracing_disabled_pct r))
-      neg_infinity orows
-  in
-  let max_en =
-    List.fold_left
-      (fun acc r -> Float.max acc (tracing_enabled_pct r))
-      neg_infinity orows
-  in
+  let max_dis = worst tracing_disabled_pct in
+  let max_en = worst tracing_enabled_pct in
   Printf.printf
     "max tracing overhead: disabled %+.2f%% (target <= 1%%), enabled %+.2f%% \
      (target <= 3%%)\n"
     max_dis max_en;
-  if !profile then begin
-    let pt =
-      Table.create
-        ~caption:"--profile: per-phase wall share of the probed runs"
+  let pt =
+    Table.create
+      ~caption:"per-phase wall share of the probed runs"
+      [
+        ("family", Table.Left); ("algo", Table.Left);
+        ("select", Table.Right); ("apply", Table.Right);
+        ("finished", Table.Right); ("reanchors", Table.Right);
+      ]
+  in
+  List.iter
+    (fun r ->
+      let sel, app, fin, rean = profile_row r in
+      Table.add_row pt
         [
-          ("family", Table.Left); ("algo", Table.Left);
-          ("select", Table.Right); ("apply", Table.Right);
-          ("finished", Table.Right); ("reanchors", Table.Right);
-        ]
-    in
-    List.iter
-      (fun r ->
-        let sel, app, fin, rean = profile_row r in
-        Table.add_row pt
-          [
-            r.o_family; r.o_algo;
-            Printf.sprintf "%.1f%%" sel; Printf.sprintf "%.1f%%" app;
-            Printf.sprintf "%.1f%%" fin; Table.fint rean;
-          ])
-      orows;
-    Table.print pt
-  end;
+          r.o_family; r.o_algo;
+          Printf.sprintf "%.1f%%" sel; Printf.sprintf "%.1f%%" app;
+          Printf.sprintf "%.1f%%" fin; Table.fint rean;
+        ])
+    orows;
+  Table.print pt;
   Engine_report.write ~path:report_path
     (Json.Obj
        (Engine_report.meta ~seed ~workers:1
@@ -552,21 +402,19 @@ let smoke () =
   let tree =
     Tree_gen.of_family "comb" ~rng:(Rng.create seed) ~n:300 ~depth_hint:15
   in
-  let a = measure ~min_total:0.0 ~min_reps:1 ~max_reps:1 tree 8 "bfdn" in
-  let b = measure ~min_total:0.0 ~min_reps:1 ~max_reps:1 tree 8 "bfdn" in
-  let c = measure ~min_total:0.0 ~min_reps:1 ~max_reps:1 tree 8 "cte" in
+  let once ?probe algo =
+    let t0 = Clock.now () in
+    let r = prepare ?probe tree 8 algo () ~on_round:ignore in
+    sample_of r (Clock.now () -. t0)
+  in
+  let a = once "bfdn" in
+  let b = once "bfdn" in
+  let c = once "cte" in
   let reg = Metrics.create () in
-  let p =
-    measure ~probe:(Probe.of_metrics reg) ~min_total:0.0 ~min_reps:1
-      ~max_reps:1 tree 8 "bfdn"
-  in
-  let cval name =
-    match Metrics.find_counter reg name with
-    | Some cnt -> Metrics.value cnt
-    | None -> -1
-  in
+  let p = once ~probe:(Probe.of_metrics reg) "bfdn" in
   let counters_ok =
-    cval "rounds" = p.s_rounds && cval "edge_events" = p.s_events
+    counter reg "rounds" = p.s_rounds
+    && counter reg "edge_events" = p.s_events
   in
   let overhead_ok = p.s_wall <= (3.0 *. a.s_wall) +. 0.01 in
   (* Span-tracing variant: the traced probe must agree move-for-move
@@ -576,9 +424,7 @@ let smoke () =
   let probe, finish =
     Probe.traced sp ~parent:Span.none treg (Probe.of_metrics treg)
   in
-  let tr =
-    measure ~probe ~min_total:0.0 ~min_reps:1 ~max_reps:1 tree 8 "bfdn"
-  in
+  let tr = once ~probe "bfdn" in
   finish ~state:"done";
   let tracing_ok =
     tr.s_rounds = a.s_rounds && tr.s_events = a.s_events
@@ -596,7 +442,14 @@ let smoke () =
    BENCH_hotpath.json value (a >40% regression). The committed numbers
    come from whatever machine last ran E16 at the default scale, so the
    floor is deliberately loose: it catches accidental algorithmic
-   slowdowns on the hot path, not machine-to-machine variance. *)
+   slowdowns on the hot path, not machine-to-machine variance.
+
+   The rows read low on a shared machine: [measure] stops at 6
+   repetitions, which for random/bfdn k=64 (2.7 ms per run) is about
+   16 ms of work, so that row read 0.63–0.75x in 12 measurements on a
+   2-core VM, and 0.78–1.18x without the cap. The cap stays: the
+   committed rows and E20's maxima were measured with it, and lifting it
+   without regenerating E16 would loosen the row. *)
 
 let gate_floor = 0.6
 
@@ -604,10 +457,9 @@ let gate_subset =
   [ ("comb", "bfdn", 8); ("comb", "cte", 8); ("random", "bfdn", 64) ]
 
 (* E20 budgets: the committed report's worst-case tracing overheads
-   must stay inside the issue's budgets. These are checked against the
-   committed numbers (re-measuring a 1% effect in a noisy CI runner
-   would flake); regenerating the report is part of landing any change
-   to the probe or span hot paths. *)
+   must stay inside them. The gate re-reads the committed maxima and
+   re-measures nothing (a 1% effect re-measured on a noisy CI runner
+   would flake); they are re-measured only when E16 is regenerated. *)
 let tracing_disabled_budget_pct = 1.0
 let tracing_enabled_budget_pct = 3.0
 
@@ -615,7 +467,9 @@ let perf_gate () =
   scale := Normal;
   header "PERF GATE (hot path)"
     (Printf.sprintf
-       "rounds/s >= %.2fx the committed %s; E20 tracing budgets" gate_floor
+       "rounds/s >= %.2fx the committed %s; its E20 tracing maxima \
+        within budget"
+       gate_floor
        report_path);
   List.iter
     (fun (family, algo, k) ->
@@ -631,10 +485,9 @@ let perf_gate () =
         Tree_gen.of_family family ~rng:(Rng.create seed) ~n:(sized nominal_n)
           ~depth_hint:(List.assoc family families)
       in
-      let s = measure tree k algo in
       check_gate ~gate:"E16"
         ~name:(Printf.sprintf "%s/%s k=%d r/s" family algo k)
-        (float_of_int s.s_rounds /. Float.max 1e-9 s.s_wall)
+        (rps (measure tree k algo))
         (Relative { committed; floor = gate_floor }))
     gate_subset;
   List.iter

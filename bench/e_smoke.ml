@@ -1,7 +1,7 @@
 (* SMOKE — one tiny engine batch per experiment (seconds, not minutes):
    `bench/main.exe --smoke`, also wired to `dune build @runtest-quick`.
    Every experiment family is exercised through the engine — tree-based
-   ones as Scenario specs, the rest (regions, urn, grids, alloc, async) as
+   ones as Scenario specs, the rest (regions, urn, alloc, async) as
    pure thunks under Batch.map — so a regression in the pool, the seed
    sharding or any simulator layer trips CI before a full bench run. *)
 
@@ -69,25 +69,6 @@ let checks : (string * (unit -> bool)) list =
             let r = Exec_env.run (Exec_env.of_env algo env) in
             r.explored)
           [| 6; 7 |] );
-    ( "E21 graphs direct",
-      fun () ->
-        map_ok
-          (fun seed' ->
-            let module Grid = Bfdn_graphs.Grid in
-            let module Genv = Bfdn_graphs.Graph_env in
-            let rng = Rng.create seed' in
-            let spec =
-              Grid.random_spec ~rng ~width:8 ~height:6 ~obstacle_count:2
-                ~max_side:2
-            in
-            let grid = Grid.make spec in
-            let env = Genv.create (Grid.graph grid) ~origin:(Grid.origin grid) ~k:4 in
-            let r =
-              Exec_env.run
-                (Bfdn.Bfdn_graph.exec_env (Bfdn.Bfdn_graph.make env))
-            in
-            r.at_root)
-          [| 8; 9 |] );
     ("E8 recursive", fun () -> all_explored [ gen "trap" "bfdn-rec" 8 10 ]);
     ("E9 cte", fun () -> all_explored [ gen "hidden-path" "cte" 8 11 ]);
     ( "E10 alloc",
@@ -135,7 +116,7 @@ let checks : (string * (unit -> bool)) list =
     ("E17 faults", fun () -> E_faults.smoke ());
     ("E21 graph scenarios", fun () -> E_graph.smoke ());
     ("E22 seed batch", fun () -> E_batch.smoke ());
-    ( "E15 engine determinism",
+    ( "engine determinism",
       fun () ->
         let js = List.init 8 (fun i -> gen "random" "bfdn" 4 (100 + i)) in
         let a = Batch.run ~workers:1 js and b = Batch.run ~workers:2 js in

@@ -1,11 +1,10 @@
 (* Experiment harness: regenerates every figure and quantitative claim of
    the paper and its extensions (E1–E14), the tracked benchmarks and their
-   perf gates (E15–E22), the design-choice ablations (A1) and the Bechamel
-   micro-benchmarks (B1–B6). See EXPERIMENTS.md for the index.
+   perf gates (E16–E22) and the design-choice ablations (A1). See
+   EXPERIMENTS.md for the index.
 
-   Usage: dune exec bench/main.exe -- [--quick|--full] [--no-micro]
-          [--only E1,E3,...] [--jobs=N] [--profile] [--smoke] [--huge-smoke]
-          [--perf-gate] *)
+   Usage: dune exec bench/main.exe -- [--quick|--full] [--only E1,E3,...]
+          [--jobs=N] [--smoke] [--huge-smoke] [--perf-gate] [--det-check] *)
 
 let experiments =
   [
@@ -15,16 +14,12 @@ let experiments =
     ("E4", E_lemma2.run);
     ("E5", E_planner.run);
     ("E6", E_breakdown.run);
-    (* E7's direct-loop grid table was absorbed into E21 (E_graph.run);
-       the alias keeps --only=E7 working. *)
-    ("E7", E_graph.run_direct);
     ("E8", E_rec.run);
     ("E9", E_cte.run);
     ("E10", E_alloc.run);
     ("E11", E_adversary.run);
     ("E12", E_overhead.run);
     ("E13+E14", E_extensions.run);
-    ("E15", E_engine.run);
     ("E16", E_hotpath.run);
     ("E17", E_faults.run);
     ("E18", E_serve.run);
@@ -76,7 +71,6 @@ let () =
       exit 0
   | None -> ());
   let only = ref None in
-  let micro = ref true in
   let smoke = ref false in
   let huge_smoke = ref false in
   let perf_gate = ref false in
@@ -87,8 +81,6 @@ let () =
       match arg with
       | "--quick" -> Bench_common.scale := Bench_common.Quick
       | "--full" -> Bench_common.scale := Bench_common.Full
-      | "--no-micro" -> micro := false
-      | "--profile" -> Bench_common.profile := true
       | "--smoke" -> smoke := true
       | "--huge-smoke" -> huge_smoke := true
       | "--perf-gate" -> perf_gate := true
@@ -110,9 +102,8 @@ let () =
       | _ ->
           Printf.eprintf
             "unknown argument %s\n\
-             usage: main.exe [--quick|--full] [--no-micro] [--only=E1,E2,...]\n\
-            \       [--jobs=N] [--profile] [--smoke] [--huge-smoke] [--perf-gate]\n\
-            \       [--det-check]\n"
+             usage: main.exe [--quick|--full] [--only=E1,E2,...] [--jobs=N]\n\
+            \       [--smoke] [--huge-smoke] [--perf-gate] [--det-check]\n"
             arg;
           exit 2)
     args;
@@ -157,6 +148,5 @@ let () =
     let wanted id = match !only with None -> true | Some ids -> List.mem id ids in
     print_endline
       "BFDN reproduction harness — Cosson, Massoulié, Viennot (PODC'23 / full version)";
-    List.iter (fun (id, run) -> if wanted id then run ()) experiments;
-    if !micro && wanted "B" then Micro.run ()
+    List.iter (fun (id, run) -> if wanted id then run ()) experiments
   end

@@ -54,11 +54,11 @@ let of_summary (s : Bfdn_util.Stats.summary) =
       ("p95", Json.Float s.p95);
     ]
 
-let of_sweep ~label ~workers ~seed ~wall ?sequential_wall results =
+let of_sweep ~label ~workers ~seed ~wall results =
   let agg = Batch.aggregate results in
   let jobs_per_sec = if wall > 0.0 then float_of_int agg.jobs /. wall else 0.0 in
-  let base =
-    meta ~seed ~workers
+  Json.Obj
+    (meta ~seed ~workers
     @ [
         ("label", Json.String label);
         ("cores", Json.Int (Domain.recommended_domain_count ()));
@@ -70,15 +70,4 @@ let of_sweep ~label ~workers ~seed ~wall ?sequential_wall results =
         ("jobs_per_sec", Json.Float jobs_per_sec);
         ( "per_algo_rounds",
           Json.Obj (List.map (fun (a, s) -> (a, of_summary s)) agg.per_algo) );
-      ]
-  in
-  let speedup =
-    match sequential_wall with
-    | None -> []
-    | Some sw ->
-        [
-          ("sequential_wall_seconds", Json.Float sw);
-          ("speedup", Json.Float (if wall > 0.0 then sw /. wall else 0.0));
-        ]
-  in
-  Json.Obj (base @ speedup)
+      ])

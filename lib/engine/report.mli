@@ -31,11 +31,9 @@ val of_sweep :
   workers:int ->
   seed:int ->
   wall:float ->
-  ?sequential_wall:float ->
   (Bfdn_scenario.Scenario.t * (Bfdn_scenario.Scenario.outcome, string) result)
   list ->
   Bfdn_obs.Json.t
 (** Standard report body for one batch: the {!meta} stamp, label,
-    core count, wall-time, jobs/sec, error count, per-algo round
-    distributions, and — when [sequential_wall] is given — the
-    parallel-over-sequential speedup. *)
+    core count, wall-time, jobs/sec, error count and per-algo round
+    distributions. *)

@@ -295,8 +295,7 @@ let test_report_of_sweep () =
   in
   let results = Batch.run ~workers:1 jobs in
   let j =
-    Report.of_sweep ~label:"test" ~workers:2 ~seed:0 ~wall:0.5 ~sequential_wall:1.0
-      results
+    Report.of_sweep ~label:"test" ~workers:2 ~seed:0 ~wall:0.5 results
   in
   let s = Json.to_string j in
   let contains needle =
@@ -305,7 +304,6 @@ let test_report_of_sweep () =
     go 0
   in
   checkb "has jobs_per_sec" true (contains "\"jobs_per_sec\":8");
-  checkb "has speedup" true (contains "\"speedup\":2");
   checkb "has per-algo block" true (contains "\"bfdn\"")
 
 (* ---- adversarial replay invariant through the engine ---- *)

@@ -115,6 +115,8 @@ let required_tags =
           "BENCH_huge.json gate/peak_rss_bytes /1048576 .1";
           "BENCH_huge.json throughput[family=binary,k=1024]/peak_rss_bytes /1048576 .1";
           "max BENCH_graph.json configs/rounds /bound .2";
+          (* E7's grid ratio range (its max also closes E21's grid claim) *)
+          "min BENCH_graph.json configs[world=grid]/rounds /bound .2";
           "max BENCH_graph.json configs[world=grid]/rounds /bound .2";
           batch ^ "binary,k=64,batch=1]/seeds_per_sec ~1";
           batch ^ "binary,k=64,batch=64]/seeds_per_sec ~1";
