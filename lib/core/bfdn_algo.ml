@@ -4,18 +4,6 @@ module Rng = Bfdn_util.Rng
 module Heartbeat = Bfdn_faults.Heartbeat
 module Node_store = Bfdn_sim.Node_store
 
-(* Column access, inlined into this unit: {!Node_store.get} would be a
-   call (its interface explains why). Pages hold 2^16 entries. *)
-let () = assert (Node_store.page_bits = 16)
-
-let[@inline] get (c : Node_store.col) i =
-  let page = Array.unsafe_get (c :> Bytes.t array) (i lsr 16) in
-  Int32.to_int (Node_store.get32u page ((i land 0xffff) lsl 2))
-
-let[@inline] set (c : Node_store.col) i v =
-  let page = Array.unsafe_get (c :> Bytes.t array) (i lsr 16) in
-  Node_store.set32u page ((i land 0xffff) lsl 2) (Int32.of_int v)
-
 type policy = Least_loaded | First_open | Random_open of Rng.t
 
 (* Crash-tolerance bookkeeping. Detection is purely whiteboard-local:
@@ -108,7 +96,7 @@ let make ?(policy = Least_loaded) ?(shortcut = false)
           { anchor = root; route = Array.make 8 0; route_pos = 0; route_len = 0 });
     anchor_load =
       (let load = Node_store.column store ~fill:0 in
-       set load root (Env.k env);
+       Node_store.unsafe_set load root (Env.k env);
        load);
     dangle_cursor = Node_store.column store ~fill:0;
     reanchor_counts = Array.make 64 0;
@@ -148,7 +136,7 @@ let via t p =
 
 (* This round's entry of [pos] in the selection counts, or -1. *)
 let sel_index t pos =
-  let j = get t.sel_slot pos in
+  let j = Node_store.unsafe_get t.sel_slot pos in
   if j >= 0 && j < t.sel_len && t.sel_node.(j) = pos then j else -1
 
 let next_dangling t view pos =
@@ -161,7 +149,7 @@ let next_dangling t view pos =
     ref (match sel_index t pos with -1 -> 0 | j -> t.sel_cnt.(j))
   in
   let commit = ref true in
-  let c = ref (get t.dangle_cursor pos) in
+  let c = ref (Node_store.unsafe_get t.dangle_cursor pos) in
   let found = ref (-1) in
   while !found < 0 && !c < nports do
     if Partial_tree.is_port_dangling view pos !c then begin
@@ -171,7 +159,7 @@ let next_dangling t view pos =
       end
       else found := !c
     end
-    else if !commit then set t.dangle_cursor pos (!c + 1);
+    else if !commit then Node_store.unsafe_set t.dangle_cursor pos (!c + 1);
     incr c
   done;
   !found
@@ -182,7 +170,7 @@ let mark_selected t pos =
       let j = t.sel_len in
       t.sel_node.(j) <- pos;
       t.sel_cnt.(j) <- 1;
-      set t.sel_slot pos j;
+      Node_store.unsafe_set t.sel_slot pos j;
       t.sel_len <- j + 1
   | j -> t.sel_cnt.(j) <- t.sel_cnt.(j) + 1
 
@@ -197,7 +185,7 @@ let pick_anchor t view =
         let best = ref (-1) and best_load = ref max_int in
         for i = 0 to Partial_tree.num_open_at_depth view d - 1 do
           let v = Partial_tree.nth_open_at_depth view d i in
-          let lv = get load v in
+          let lv = Node_store.unsafe_get load v in
           if lv < !best_load || (lv = !best_load && v < !best) then begin
             best := v;
             best_load := lv
@@ -217,7 +205,8 @@ let pick_anchor t view =
         Rng.pick rng (Array.of_list (Partial_tree.open_nodes_at_depth view d))
 
 let add_load t v delta =
-  set t.anchor_load v (get t.anchor_load v + delta)
+  let load = Node_store.unsafe_get t.anchor_load v in
+  Node_store.unsafe_set t.anchor_load v (load + delta)
 
 let ensure_route r needed =
   if Array.length r.route < needed then begin

@@ -6,7 +6,8 @@ let write ~path j = Bfdn_util.Atomic_file.write ~path (Json.to_string j ^ "\n")
    so dashboards comparing perf trajectories across PRs can tell which
    fields to expect. v1: pre-obs reports (no meta stamp). v2: meta stamp
    (schema_version, seed, workers). v3: peak_rss_bytes joined the stamp
-   (null where the platform cannot report it). *)
+   (null where the platform cannot report it), later nproc, ocaml_version
+   and build_profile (compatible additions). *)
 let schema_version = 3
 
 (* Peak resident set of this process, best-effort: on Linux the VmHWM
@@ -40,6 +41,9 @@ let meta ~seed ~workers =
     ("workers", Json.Int workers);
     ( "peak_rss_bytes",
       match peak_rss_bytes () with None -> Json.Null | Some b -> Json.Int b );
+    ("nproc", Json.Int (Domain.recommended_domain_count ()));
+    ("ocaml_version", Json.String Sys.ocaml_version);
+    ("build_profile", Json.String Build_info.profile);
   ]
 
 let of_summary (s : Bfdn_util.Stats.summary) =

@@ -23,8 +23,10 @@ val peak_rss_bytes : unit -> int option
 
 val meta : seed:int -> workers:int -> (string * Bfdn_obs.Json.t) list
 (** The standard stamp: [schema_version], [seed], [workers],
-    [peak_rss_bytes] ([null] where unavailable). Prepend to every
-    BENCH_*.json body. *)
+    [peak_rss_bytes] ([null] where unavailable), and what ran and built
+    it: [nproc] ([Domain.recommended_domain_count]), [ocaml_version] and
+    [build_profile] (the dune profile, ["release"] unless the build
+    asked for another). Prepend to every BENCH_*.json body. *)
 
 val of_sweep :
   label:string ->

@@ -2,26 +2,6 @@ module Tree = Bfdn_trees.Tree
 
 type robot = int
 
-(* Column access, inlined into this unit: {!Node_store.get} would be a
-   call (its interface explains why). Pages hold 2^16 entries. *)
-let () = assert (Node_store.page_bits = 16)
-
-let[@inline] get (c : Node_store.col) i =
-  let page = Array.unsafe_get (c :> Bytes.t array) (i lsr 16) in
-  Int32.to_int (Node_store.get32u page ((i land 0xffff) lsl 2))
-
-let[@inline] set (c : Node_store.col) i v =
-  let page = Array.unsafe_get (c :> Bytes.t array) (i lsr 16) in
-  Node_store.set32u page ((i land 0xffff) lsl 2) (Int32.of_int v)
-
-let[@inline] get_flag (c : Node_store.col) i =
-  let page = Array.unsafe_get (c :> Bytes.t array) (i lsr 16) in
-  Bytes.unsafe_get page (i land 0xffff) <> '\000'
-
-let[@inline] set_flag (c : Node_store.col) i =
-  let page = Array.unsafe_get (c :> Bytes.t array) (i lsr 16) in
-  Bytes.unsafe_set page (i land 0xffff) '\001'
-
 type move = Stay | Up | Via_port of int
 
 type mask = round:int -> robot:robot -> bool
@@ -264,11 +244,11 @@ let apply t moves =
      then count. The scratch array persists across rounds. *)
   let arr = t.arriving in
   for i = 0 to t.k - 1 do
-    if dsts.(i) >= 0 then set arr dsts.(i) 0
+    if dsts.(i) >= 0 then Node_store.unsafe_set arr dsts.(i) 0
   done;
   for i = 0 to t.k - 1 do
     let d = dsts.(i) in
-    if d >= 0 then set arr d (get arr d + 1)
+    if d >= 0 then Node_store.unsafe_set arr d (Node_store.unsafe_get arr d + 1)
   done;
   (* Apply. Dangling ports are resolved at most once even when several
      robots cross the same new edge in the same round. *)
@@ -283,15 +263,15 @@ let apply t moves =
         (* First child-to-parent crossing is an edge event. *)
         if
           Partial_tree.depth_of t.view dst < Partial_tree.depth_of t.view src
-          && not (get_flag t.up_seen src)
+          && not (Node_store.unsafe_get_flag t.up_seen src)
         then begin
-          set_flag t.up_seen src;
+          Node_store.unsafe_set_flag t.up_seen src;
           t.edge_events <- t.edge_events + 1
         end
       end
       else begin
         (* New node: reveal it through the crossed dangling port. *)
-        let arriving = get arr dst in
+        let arriving = Node_store.unsafe_get arr dst in
         if arriving > 1 then t.multi_reveals <- t.multi_reveals + 1;
         Partial_tree.Internal.reveal_child t.view src ports.(i) dst
           ~num_ports:(t.world.w_degree ~node:dst ~arriving ~round:t.round);

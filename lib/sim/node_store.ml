@@ -149,6 +149,27 @@ let get c i =
 let set c i v =
   set32u c.(i lsr page_bits) ((i land page_mask) lsl 2) (Int32.of_int v)
 
+(* The round loop's access: [get] and [set] without the directory's
+   bounds check. A vector's pages are a directory too. *)
+let[@inline] unsafe_get c i =
+  let page = Array.unsafe_get c (i lsr page_bits) in
+  Int32.to_int (get32u page ((i land page_mask) lsl 2))
+
+let[@inline] unsafe_set c i v =
+  let page = Array.unsafe_get c (i lsr page_bits) in
+  set32u page ((i land page_mask) lsl 2) (Int32.of_int v)
+
+let[@inline] unsafe_get_flag c i =
+  let page = Array.unsafe_get c (i lsr page_bits) in
+  Bytes.unsafe_get page (i land page_mask) <> '\000'
+
+let[@inline] unsafe_set_flag c i =
+  let page = Array.unsafe_get c (i lsr page_bits) in
+  Bytes.unsafe_set page (i land page_mask) '\001'
+
+let[@inline] unsafe_vget v i = unsafe_get v.pages i
+let[@inline] unsafe_vset v i x = unsafe_set v.pages i x
+
 (* ---- vectors: paged int32 sequences not keyed by node id ---- *)
 
 let vector t ~hint =

@@ -14,14 +14,6 @@
     lazily materialized world writes them at promise time and the
     discovered tree reads them, so each is stored once per run.
 
-    A column is its page directory, exposed so that hot loops can inline
-    an access: dune's default profile compiles every unit [-opaque], so a
-    call to {!get} is never inlined across modules. Such a loop reads
-    entry [i] as
-    [get32u (Array.unsafe_get c (i lsr 16)) ((i land 0xffff) lsl 2)]
-    (a flag: byte [i land 0xffff] of the page). Neither step is bounds
-    checked: callers index only ids below [bound].
-
     {b Pages are recycled per domain.} Every page a store or vector
     takes ({!create}, {!column}, {!flags}, {!vector}, {!ensure},
     {!reserve}) comes from the calling domain's pool when the pool holds
@@ -67,9 +59,6 @@ type t = private {
 and layout
 (** How a column's pages are made, for growth. *)
 
-val page_bits : int
-(** log2 of {!page_size}: 16. *)
-
 val page_size : int
 (** Entries per page: 2^16. *)
 
@@ -77,9 +66,6 @@ val max_ids : int
 (** Largest store capacity: 2^30 node ids. Ids, depths and port counts
     are int32, and a fully explored tree of [n] nodes holds [2(n-1)]
     ports, so port-pool offsets stay in the int32 range too. *)
-
-external get32u : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
-external set32u : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
 
 val create : capacity:int -> t
 (** A store for node ids [0 .. capacity-1], backing the first page.
@@ -101,6 +87,23 @@ val flags : t -> col
 
 val get : col -> int -> int
 val set : col -> int -> int -> unit
+
+(** {2 Unchecked access}
+
+    {!get} and {!set} without the directory's bounds check, for the round
+    loop ([Env], [Partial_tree], [Bfdn_algo]): callers index only ids
+    below [bound] (a vector: entries below [backed]). [unsafe_set_flag]
+    sets a {!flags} entry to [1]. They inline into their callers in the
+    release profile that the repository's [dune-workspace] selects;
+    dune's dev profile compiles every unit [-opaque], which makes each a
+    call. *)
+
+val unsafe_get : col -> int -> int
+val unsafe_set : col -> int -> int -> unit
+val unsafe_get_flag : col -> int -> bool
+val unsafe_set_flag : col -> int -> unit
+val unsafe_vget : vector -> int -> int
+val unsafe_vset : vector -> int -> int -> unit
 
 (** {2 Vectors} *)
 

@@ -29,23 +29,12 @@ let set_slot b i v = Bytes.set_int32_ne b.nodes (i lsl 2) (Int32.of_int v)
    a heap block and growth never copies. *)
 module S = Node_store
 
-(* Column access, inlined into this unit: {!Node_store.get} would be a
-   call (its interface explains why). Pages hold 2^16 entries. *)
-let () = assert (S.page_bits = 16)
-
-let[@inline] get (c : S.col) i =
-  let page = Array.unsafe_get (c :> Bytes.t array) (i lsr 16) in
-  Int32.to_int (S.get32u page ((i land 0xffff) lsl 2))
-
-let[@inline] set (c : S.col) i v =
-  let page = Array.unsafe_get (c :> Bytes.t array) (i lsr 16) in
-  S.set32u page ((i land 0xffff) lsl 2) (Int32.of_int v)
-
-let[@inline] vget (v : S.vector) i =
-  Int32.to_int (S.get32u v.pages.(i lsr 16) ((i land 0xffff) lsl 2))
-
-let[@inline] vset (v : S.vector) i x =
-  S.set32u v.pages.(i lsr 16) ((i land 0xffff) lsl 2) (Int32.of_int x)
+(* Column access, unchecked: callers pass only ids below the store's
+   [bound] and pool offsets below the pool's [backed]. *)
+let get = S.unsafe_get
+let set = S.unsafe_set
+let vget = S.unsafe_vget
+let vset = S.unsafe_vset
 
 type t = {
   root : node;

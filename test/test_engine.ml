@@ -228,6 +228,26 @@ let test_report_json () =
     "{\"s\":\"a\\\"b\\n\",\"i\":3,\"f\":1.5,\"nan\":null,\"l\":[true,null]}"
     (Json.to_string j)
 
+(* The stamp names the host's core count, the compiler and the dune
+   profile the code was built under. *)
+let test_report_meta () =
+  let meta = Report.meta ~seed:7 ~workers:2 in
+  let member name =
+    match List.assoc_opt name meta with
+    | Some v -> v
+    | None -> Alcotest.failf "meta lacks %s" name
+  in
+  checkb "nproc" true
+    (member "nproc" = Json.Int (Domain.recommended_domain_count ()));
+  checkb "ocaml_version" true
+    (member "ocaml_version" = Json.String Sys.ocaml_version);
+  match member "build_profile" with
+  | Json.String p ->
+      check Alcotest.string "build_profile" Bfdn_engine.Build_info.profile p;
+      checkb "a profile name" true
+        (p <> "" && String.for_all (fun c -> c <> '"' && c <> '\n') p)
+  | _ -> Alcotest.fail "build_profile is not a string"
+
 (* A failed write leaves the previous file byte-identical and no
    temporary file, for each writer of an output file: a report and a
    dumped spec. Two ways to fail: a read-only directory (skipped when
@@ -369,6 +389,7 @@ let suite =
       tc "batch: aggregate summaries" test_aggregate;
       tc "report: json rendering" test_report_json;
       tc "report: sweep body" test_report_of_sweep;
+      tc "report: meta stamp" test_report_meta;
       tc "adversarial replay matches adaptive run" test_adversarial_replay_matches;
       tc "report: failed write keeps the previous file" test_report_write_atomic;
       tc "batch: jobs share one cached tree" test_batch_shares_cached_tree;

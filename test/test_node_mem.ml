@@ -210,8 +210,8 @@ let test_pool_reused_page_reads_fill () =
       Alcotest.failf "flag %d set" i
   done;
   for i = 0 to v.Node_store.backed - 1 do
-    if Node_store.get32u v.Node_store.pages.(i lsr 16) ((i land 0xffff) lsl 2) <> 0l
-    then Alcotest.failf "vector entry %d not zero" i
+    if Node_store.unsafe_vget v i <> 0 then
+      Alcotest.failf "vector entry %d not zero" i
   done;
   Node_store.release s2
 
@@ -348,6 +348,69 @@ let test_pool_released_env_raises () =
   in
   Alcotest.(check bool) "and explores" true r.Exec_env.explored
 
+(* ---- the unchecked accessors ---- *)
+
+(* On a store of 3 pages plus 17 ids, the unchecked accessors agree with
+   the checked [get] and [set] at both sides of every page edge and at
+   the last id, on int32 columns of either fill, and touch no other id;
+   a flag column and a vector crossing a page edge are laid out as byte
+   [i mod page_size] (an int32 entry: four bytes) of page
+   [i / page_size]. *)
+let test_unsafe_accessors () =
+  let page = Node_store.page_size in
+  let capacity = (3 * page) + 17 in
+  let s = Node_store.create ~capacity in
+  Node_store.ensure s (capacity - 1);
+  let edges = [ 0; page - 1; page; page + 1; capacity - 1 ] in
+  let values = [ -1; 0x7fff_ffff; -0x8000_0000 ] in
+  (* [read] sees [v] at the edges and [fill] at every other id. *)
+  let expect name read ~fill v =
+    for i = 0 to capacity - 1 do
+      let want = if List.mem i edges then v else fill in
+      let got = read i in
+      if got <> want then Alcotest.failf "%s.(%d) = %d, not %d" name i got want
+    done
+  in
+  List.iter
+    (fun fill ->
+      let c = Node_store.column s ~fill in
+      List.iter
+        (fun v ->
+          List.iter (fun i -> Node_store.unsafe_set c i v) edges;
+          expect "get after unsafe_set" (Node_store.get c) ~fill v;
+          List.iter (fun i -> Node_store.set c i (lnot v)) edges;
+          expect "unsafe_get after set" (Node_store.unsafe_get c) ~fill (lnot v))
+        values)
+    [ 0; -1 ];
+  let fl = Node_store.flags s in
+  List.iter (fun i -> Node_store.unsafe_set_flag fl i) edges;
+  for i = 0 to capacity - 1 do
+    let want = List.mem i edges in
+    let byte = Bytes.get (fl :> Bytes.t array).(i / page) (i mod page) in
+    if Node_store.unsafe_get_flag fl i <> want || (byte <> '\000') <> want then
+      Alcotest.failf "flag %d should be %b" i want
+  done;
+  let v = Node_store.vector s ~hint:page in
+  Node_store.reserve v (page + 3);
+  let span = List.init 6 (fun j -> page - 3 + j) in
+  List.iteri
+    (fun j i -> Node_store.unsafe_vset v i (List.nth values (j mod 3)))
+    span;
+  for i = 0 to v.Node_store.backed - 1 do
+    let want =
+      match List.find_index (( = ) i) span with
+      | Some j -> List.nth values (j mod 3)
+      | None -> 0
+    in
+    let page_entry =
+      Int32.to_int
+        (Bytes.get_int32_ne v.Node_store.pages.(i / page) (4 * (i mod page)))
+    in
+    if Node_store.unsafe_vget v i <> want || page_entry <> want then
+      Alcotest.failf "vector entry %d should be %d" i want
+  done;
+  Node_store.release s
+
 let suite =
   ( "node-mem",
     [
@@ -367,4 +430,6 @@ let suite =
         `Quick test_pool_raising_run;
       Alcotest.test_case "pool: a released environment raises" `Quick
         test_pool_released_env_raises;
+      Alcotest.test_case "unchecked accessors agree with get and set" `Quick
+        test_unsafe_accessors;
     ] )
