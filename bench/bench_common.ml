@@ -1,7 +1,9 @@
 (* Shared plumbing for the experiment harness: scaling knobs, the one way
-   to run a scenario on a prepared tree, the one way to time a tracked
-   perf row (and its gate) and to estimate an A/B overhead, and the one
-   way to read a committed report and check a perf gate against it. *)
+   to run a registry algorithm on a tree the experiment built (through
+   [Scenario.run_on_tree]: every tracked perf row runs through
+   [Scenario], as a user's run does), the one way to time a tracked perf
+   row (and its gate) and to estimate an A/B overhead, and the one way
+   to read a committed report and check a perf gate against it. *)
 
 module Tree = Bfdn_trees.Tree
 module Tree_gen = Bfdn_trees.Tree_gen
@@ -15,7 +17,6 @@ module Json = Bfdn_obs.Json
 module Metrics = Bfdn_obs.Metrics
 module Probe = Bfdn_obs.Probe
 module Param = Bfdn_scenario.Param
-module Algo_registry = Bfdn_scenario.Algo_registry
 module Scenario = Bfdn_scenario.Scenario
 
 type scale = Quick | Normal | Full
@@ -41,9 +42,10 @@ let scale_name () =
 (* Run registry algorithm [algo] on a tree the experiment built itself,
    through [Scenario.run_on_tree] — the executor behind `explore run
    --tree-file`. Only the spec's algorithm, parameters, k and seed
-   matter: the tree replaces its instance, which just has to validate. *)
-let run_tree ?probe ?(params = []) algo tree k =
-  Scenario.run_on_tree ?probe
+   matter: the tree replaces its instance, which just has to validate.
+   [on_round] sees the execution view after every round. *)
+let run_tree ?probe ?on_round ?(params = []) algo tree k =
+  Scenario.run_on_tree ?probe ?on_round
     (Scenario.make ~algo ~algo_params:params ~k ~seed (Scenario.world "path"))
     tree
 
@@ -133,10 +135,9 @@ let trimmed l =
   done;
   !s /. float_of_int keep
 
-(* One side of an A/B comparison: [side ()] prepares one exploration
-   (world, algorithm, probe), untimed, and returns the run, which must
-   hand [on_round] to [Exec_env.run]. *)
-type ab_side = unit -> on_round:(Exec_env.t -> unit) -> Exec_env.result
+(* One side of an A/B comparison: one whole exploration (world,
+   algorithm, probe), which must hand [on_round] to the round loop. *)
+type ab_side = on_round:(Exec_env.t -> unit) -> Exec_env.result
 
 type ab_config = {
   sides : ab_side array;
@@ -160,8 +161,10 @@ type ab_config = {
    reproduce the warm-up's rounds and edge events.
 
    Each exploration is sliced into [ab_segment]-round segment walls by
-   its [on_round] hook, and a side's estimate is the trimmed mean of its
-   cleanest quartile of segments. Machine noise (a shared core with
+   its [on_round] hook, the clock starting at its first round so that
+   building the environment and releasing it never land in a segment,
+   and a side's estimate is the trimmed mean of its cleanest quartile of
+   segments. Machine noise (a shared core with
    bursty competing load) is additive and heavy-tailed, so a full-sum
    ratio is dominated by whichever side the largest bursts landed on,
    and a 60 ms exploration virtually always absorbs a burst, so best-of,
@@ -178,7 +181,7 @@ let ab_overhead ?(sample = 0.0) ~pairs (configs : ab_side array list) =
   in
   let prepare sides =
     let t0 = Clock.now () in
-    let warm = explored (sides.(0) () ~on_round:ignore) in
+    let warm = explored (sides.(0) ~on_round:ignore) in
     let est = Clock.now () -. t0 in
     {
       sides;
@@ -189,17 +192,17 @@ let ab_overhead ?(sample = 0.0) ~pairs (configs : ab_side array list) =
     }
   in
   let timed walls (side : ab_side) =
-    let go = side () in
-    let rounds = ref 0 and last = ref (Clock.now ()) in
+    (* [rounds] counts the rounds after the first. *)
+    let rounds = ref (-1) and last = ref 0.0 in
     let on_round _ =
       incr rounds;
       if !rounds land (ab_segment - 1) = 0 then begin
         let t = Clock.now () in
-        walls := (t -. !last) :: !walls;
+        if !rounds > 0 then walls := (t -. !last) :: !walls;
         last := t
       end
     in
-    explored (go ~on_round)
+    explored (side ~on_round)
   in
   let cfgs = List.map prepare configs in
   for _ = 1 to pairs do

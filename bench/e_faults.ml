@@ -20,11 +20,12 @@
       the E16 probe methodology (interleaved per-segment walls,
       trimmed-quartile ratio), is the {e enabled-idle} price: a live
       hook whose plan never fires, i.e. the per-robot predicate cost
-      paid whenever fault injection is switched on at all. *)
+      paid whenever fault injection is switched on at all. Both sides run
+      one comb spec through [Scenario.run]; the idle side adds a crash
+      scheduled at round max_int / 2. *)
 
 open Bench_common
 module Fault_plan = Bfdn_faults.Fault_plan
-module Injector = Bfdn_faults.Injector
 
 let report_path = "BENCH_faults.json"
 
@@ -148,28 +149,23 @@ let json_of_row r =
 let overhead_k = 512
 
 (* An enabled hook that never fires: one crash scheduled far beyond any
-   horizon this bench reaches. Not [quiet], so Injector.hook keeps it
-   enabled — the hot loop pays the compiled [fh_down] predicate per
-   robot per round, exactly what any active crash plan costs while no
-   crash is in its window. *)
-let idle_plan = Fault_plan.make ~k:overhead_k [ (0, max_int / 2, -1) ]
+   horizon this bench reaches. [Scenario.fault_plan] compiles it into a
+   plan that is not [quiet], so the environment's hook stays enabled —
+   the hot loop pays the compiled [fh_down] predicate per robot per
+   round, exactly what any active crash plan costs while no crash is in
+   its window. *)
+let idle_faults =
+  [ ("crashes", Param.String (Printf.sprintf "0@%d" (max_int / 2))) ]
 
 let measure_overhead () =
-  let tree =
-    Tree_gen.of_family "comb" ~rng:(Rng.create seed) ~n:(sized 4000)
-      ~depth_hint:60
-  in
-  (* A direct loop: this times the round loop itself. *)
-  let side fault () =
-    let env = Env.create tree ~k:overhead_k ~fault in
-    let x = Exec_env.of_env (Algo_registry.instantiate "bfdn" env) env in
-    fun ~on_round -> Exec_env.run ~on_round x
+  let side faults ~on_round =
+    (Scenario.run ~on_round
+       (Scenario.make ~algo:"bfdn" ~k:overhead_k ~seed ~faults
+          (Scenario.generated ~family:"comb" ~n:(sized 4000) ~depth_hint:60)))
+      .Scenario.result
   in
   let pairs = match !scale with Quick -> 3 | Normal -> 16 | Full -> 32 in
-  match
-    ab_overhead ~pairs
-      [ [| side Env.fault_noop; side (Injector.hook idle_plan) |] ]
-  with
+  match ab_overhead ~pairs [ [| side []; side idle_faults |] ] with
   | [ (warm, [| tp; ti |]) ] ->
       let pct = 100.0 *. ((ti /. Float.max 1e-12 tp) -. 1.0) in
       (pct, warm.Exec_env.rounds, tp, ti)

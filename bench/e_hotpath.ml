@@ -17,7 +17,11 @@
    when this experiment is regenerated.
 
    The instances are the paper's adversarial regime — deep combs and the
-   CTE trap tree — where per-round costs dominate sweep wall time. *)
+   CTE trap tree — where per-round costs dominate sweep wall time. Every
+   exploration runs through [Scenario.run_on_tree] ([run_tree]), the
+   path of `explore run --tree-file`, so a row's wall includes building
+   and releasing the environment; the A/B segments start at the first
+   round and leave both out. *)
 
 open Bench_common
 module Table = Bfdn_util.Table
@@ -66,22 +70,17 @@ let seed_baseline : ((string * string * int) * float) list =
 let baseline_for key =
   if !scale <> Normal then None else List.assoc_opt key seed_baseline
 
-let algo_of ?probe name env = Algo_registry.instantiate ?probe name env
-
 type sample = {
   s_rounds : int;
   s_events : int;
   s_wall : float;
 }
 
-(* One full exploration, prepared untimed and run by the returned
-   function: an A/B side of [overhead_rows], and with [~on_round:ignore]
-   one repetition of [measure]. A direct loop: this times the round loop
-   itself. *)
-let prepare ?(probe = Probe.noop) tree k algo_name () =
-  let env = Env.create tree ~k in
-  let x = Exec_env.of_env (algo_of ~probe algo_name env) env in
-  fun ~on_round -> Exec_env.run ~probe ~on_round x
+(* One full exploration through [Scenario.run_on_tree], the path every
+   product run takes: an A/B side of [overhead_rows], and with
+   [~on_round:ignore] one repetition of [measure]. *)
+let explore ?probe tree k algo ~on_round =
+  (run_tree ?probe ~on_round algo tree k).Scenario.result
 
 let sample_of (r : Exec_env.result) wall =
   if not r.explored then failwith "e_hotpath: instance not explored";
@@ -90,12 +89,12 @@ let sample_of (r : Exec_env.result) wall =
 let rps s = float_of_int s.s_rounds /. Float.max 1e-9 s.s_wall
 let eps s = float_of_int s.s_events /. Float.max 1e-9 s.s_wall
 
-(* The committed rows and the gate rows alike: the best of 2–6
-   repetitions within 0.4 s. *)
+(* The committed rows and the gate rows alike: the best of the
+   repetitions within 0.4 s, at least 2. *)
 let measure tree k algo =
   let r, t =
-    (repeat ~budget:0.4 ~min_reps:2 ~max_reps:6
-       [| (fun () -> prepare tree k algo () ~on_round:ignore) |]).(0)
+    (repeat ~budget:0.4 ~min_reps:2
+       [| (fun () -> explore tree k algo ~on_round:ignore) |]).(0)
   in
   sample_of r t.best
 
@@ -190,7 +189,7 @@ let overhead_rows () =
           (fun algo ->
             let reg = Metrics.create () in
             let probe = Probe.of_metrics reg in
-            let side p = prepare ~probe:p tree overhead_k algo in
+            let side p = explore ~probe:p tree overhead_k algo in
             (* With tracing disabled [Probe.traced] returns the metrics
                probe physically untouched, so the disabled side times
                the very same closures as the probed side: the measured
@@ -199,16 +198,13 @@ let overhead_rows () =
               Probe.traced Span.disabled ~parent:Span.none reg probe
             in
             (* A fresh recorder per exploration, as the server does per
-               job: recorder setup and span close are part of the cost
-               being measured. *)
-            let enabled () =
+               job. *)
+            let enabled ~on_round =
               let sp = Span.create ~trace_id:"e20" () in
               let p, finish = Probe.traced sp ~parent:Span.none reg probe in
-              let go = side p () in
-              fun ~on_round ->
-                let r = go ~on_round in
-                finish ~state:"done";
-                r
+              let r = side p ~on_round in
+              finish ~state:"done";
+              r
             in
             ( (family, algo, reg),
               [| side Probe.noop; side probe; side disabled; enabled |] ))
@@ -404,7 +400,7 @@ let smoke () =
   in
   let once ?probe algo =
     let t0 = Clock.now () in
-    let r = prepare ?probe tree 8 algo () ~on_round:ignore in
+    let r = explore ?probe tree 8 algo ~on_round:ignore in
     sample_of r (Clock.now () -. t0)
   in
   let a = once "bfdn" in
@@ -442,14 +438,8 @@ let smoke () =
    BENCH_hotpath.json value (a >40% regression). The committed numbers
    come from whatever machine last ran E16 at the default scale, so the
    floor is deliberately loose: it catches accidental algorithmic
-   slowdowns on the hot path, not machine-to-machine variance.
-
-   The rows read low on a shared machine: [measure] stops at 6
-   repetitions, which for random/bfdn k=64 (2.7 ms per run) is about
-   16 ms of work, so that row read 0.63–0.75x in 12 measurements on a
-   2-core VM, and 0.78–1.18x without the cap. The cap stays: the
-   committed rows and E20's maxima were measured with it, and lifting it
-   without regenerating E16 would loosen the row. *)
+   slowdowns on the hot path, not machine-to-machine variance. The gate
+   rows and the committed rows are timed by the same [measure]. *)
 
 let gate_floor = 0.6
 

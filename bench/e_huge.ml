@@ -1,8 +1,12 @@
 (* E19 — huge scale tier: millions-of-nodes instances on the paged node
    store with lazily materialized worlds. Each measurement
    runs in its own subprocess (re-exec of this binary with a hidden
-   --huge-probe argument) so VmHWM — the kernel's monotone per-process
-   high-water mark — attributes peak RSS to exactly one configuration.
+   --huge-probe=MODE:SPEC argument, SPEC a scenario's wire form) so
+   VmHWM — the kernel's monotone per-process high-water mark —
+   attributes peak RSS to exactly one configuration. A lazy probe is
+   [Scenario.run]; an eager one runs the same spec on
+   [Scenario.materialize]'s tree, so the random rows explore the
+   instance the scenario derives from the seed.
 
    Three claims land in BENCH_huge.json:
    - throughput: rounds/sec of full explorations at n = 10^6, k up to
@@ -22,79 +26,68 @@
 open Bench_common
 module Table = Bfdn_util.Table
 module Gc_probe = Bfdn_obs.Gc_probe
-module Lazy_world = Bfdn_sim.Lazy_world
-module Partial_tree = Bfdn_sim.Partial_tree
 
 let report_path = "BENCH_huge.json"
 
-(* ---- probe protocol ---- *)
+(* ---- probe protocol ----
 
-type spec = {
-  sp_mode : string; (* "lazy" | "eager" (eager = materialized baseline) *)
-  sp_family : string;
-  sp_n : int;
-  sp_depth_hint : int;
-  sp_k : int;
-  sp_max_rounds : int; (* 0 = run to full exploration *)
-}
+   A probe argument is [MODE:SPEC]: the mode — "lazy", or "eager" for
+   the fully materialized baseline — then the spec's wire form
+   ([Scenario.to_string]). *)
 
-let spec_to_arg s =
-  Printf.sprintf "mode=%s,family=%s,n=%d,depth_hint=%d,k=%d,max_rounds=%d"
-    s.sp_mode s.sp_family s.sp_n s.sp_depth_hint s.sp_k s.sp_max_rounds
+let probe_arg (mode, spec) = mode ^ ":" ^ Scenario.to_string spec
 
-let spec_of_arg str =
-  let kv = ref [] in
-  List.iter
-    (fun part ->
-      match String.index_opt part '=' with
-      | Some i ->
-          kv :=
-            ( String.sub part 0 i,
-              String.sub part (i + 1) (String.length part - i - 1) )
-            :: !kv
-      | None -> failwith ("e_huge: malformed probe spec field " ^ part))
-    (String.split_on_char ',' str);
-  let str k = try List.assoc k !kv with Not_found -> failwith ("e_huge: probe spec missing " ^ k) in
-  let int k = int_of_string (str k) in
-  {
-    sp_mode = str "mode";
-    sp_family = str "family";
-    sp_n = int "n";
-    sp_depth_hint = int "depth_hint";
-    sp_k = int "k";
-    sp_max_rounds = int "max_rounds";
-  }
+let probe_of_arg arg =
+  match String.index_opt arg ':' with
+  | None -> failwith ("e_huge: probe argument is not MODE:SPEC: " ^ arg)
+  | Some i -> (
+      let wire = String.sub arg (i + 1) (String.length arg - i - 1) in
+      match Scenario.of_string wire with
+      | Ok spec -> (String.sub arg 0 i, spec)
+      | Error msg -> failwith ("e_huge: probe spec: " ^ msg))
 
-(* One measurement, in-process. The GC probe ticks from the runner's
-   round hook, so the pause histogram is at exploration-round
-   granularity — exactly the stall number a robot round would observe.
-   A direct loop: this times the round loop itself. *)
-let measure_spec s =
+(* A lazy world of [family] at [n] nodes, explored by BFDN. *)
+let huge_spec ?max_rounds family depth_hint n k =
+  Scenario.make ~algo:"bfdn" ~k ~seed ?max_rounds
+    (Scenario.world
+       ~params:
+         [
+           ("depth_hint", Param.Int depth_hint); ("n", Param.Int n);
+           ("scale", Param.String "lazy");
+         ]
+       family)
+
+(* The node count a spec asks for. *)
+let spec_n (sp : Scenario.t) =
+  match sp.instance with
+  | World { params; _ } -> (
+      match List.assoc_opt "n" params with Some (Param.Int n) -> n | _ -> 0)
+  | Adversarial _ -> 0
+
+(* One measurement, in-process. The GC probe ticks from the round hook,
+   so the pause histogram is at exploration-round granularity — exactly
+   the stall number a robot round would observe. *)
+let measure_probe (mode, (sp : Scenario.t)) =
   let reg = Metrics.create () in
   let gc = Gc_probe.create reg in
-  let lw =
-    Lazy_world.make ~family:s.sp_family ~n:s.sp_n ~depth_hint:s.sp_depth_hint
-      ~seed
+  let revealed = ref 0 in
+  let on_round (x : Exec_env.t) =
+    Gc_probe.tick gc;
+    revealed := x.revealed ()
   in
-  let env =
-    match s.sp_mode with
-    | "lazy" -> Env.of_world (Lazy_world.world lw) ~k:s.sp_k
+  let run =
+    match mode with
+    | "lazy" -> fun () -> Scenario.run ~on_round sp
     | "eager" ->
         (* Fully materialized baseline: the same instance (identical
            rules, run to exhaustion) as a plain up-front tree. *)
-        Env.create (Lazy_world.materialize lw) ~k:s.sp_k
+        let tree = Scenario.materialize sp in
+        fun () -> Scenario.run_on_tree ~on_round sp tree
     | m -> failwith ("e_huge: unknown probe mode " ^ m)
   in
-  let algo = Bfdn.Bfdn_algo.algo (Bfdn.Bfdn_algo.make env) in
-  let on_round _ = Gc_probe.tick gc in
-  let t0 = Batch.now () in
-  let exec = Exec_env.of_env algo env in
-  let r =
-    if s.sp_max_rounds > 0 then
-      Exec_env.run ~max_rounds:s.sp_max_rounds ~on_round exec
-    else Exec_env.run ~on_round exec
-  in
-  let wall = Batch.now () -. t0 in
+  let t0 = Clock.now () in
+  let r = (run ()).Scenario.result in
+  let wall = Clock.now () -. t0 in
   Gc_probe.snapshot gc;
   Gc_probe.dispose gc;
   let pauses =
@@ -102,22 +95,20 @@ let measure_spec s =
     | Some h -> Metrics.hist_count h
     | None -> 0
   in
-  let revealed = Partial_tree.num_explored (Env.view env) in
   Json.Obj
     [
-      ("mode", Json.String s.sp_mode);
-      ("family", Json.String s.sp_family);
-      ("n", Json.Int s.sp_n);
-      ("k", Json.Int s.sp_k);
-      ("max_rounds", Json.Int s.sp_max_rounds);
-      ("rounds", Json.Int r.Exec_env.rounds);
-      ("explored", Json.Bool r.Exec_env.explored);
-      ("edge_events", Json.Int r.Exec_env.edge_events);
-      ("nodes_revealed", Json.Int revealed);
+      ("mode", Json.String mode);
+      ("family", Json.String (Scenario.instance_label sp));
+      ("n", Json.Int (spec_n sp));
+      ("k", Json.Int sp.k);
+      ("max_rounds", Json.Int (Option.value ~default:0 sp.max_rounds));
+      ("rounds", Json.Int r.rounds);
+      ("explored", Json.Bool r.explored);
+      ("edge_events", Json.Int r.edge_events);
+      ("nodes_revealed", Json.Int !revealed);
       ("wall_seconds", Json.Float wall);
       ( "rounds_per_sec",
-        Json.Float
-          (float_of_int r.Exec_env.rounds /. Float.max 1e-9 wall) );
+        Json.Float (float_of_int r.rounds /. Float.max 1e-9 wall) );
       ( "peak_rss_bytes",
         match Engine_report.peak_rss_bytes () with
         | Some b -> Json.Int b
@@ -127,19 +118,18 @@ let measure_spec s =
       ("gc_metrics", Metrics.to_json reg);
     ]
 
-(* Entry point of the hidden --huge-probe=<spec> argument: one
+(* Entry point of the hidden --huge-probe=MODE:SPEC argument: one
    measurement on an otherwise fresh process, one JSON line on stdout. *)
 let probe_main arg =
-  let j = measure_spec (spec_of_arg arg) in
+  let j = measure_probe (probe_of_arg arg) in
   print_string (Json.to_string j);
   print_newline ()
 
 (* ---- parent side: spawn probes, collect rows ---- *)
 
-let run_probe s =
+let run_probe p =
   let cmd =
-    Filename.quote_command Sys.executable_name
-      [ "--huge-probe=" ^ spec_to_arg s ]
+    Filename.quote_command Sys.executable_name [ "--huge-probe=" ^ probe_arg p ]
   in
   let ic = Unix.open_process_in cmd in
   let out = In_channel.input_all ic in
@@ -161,6 +151,11 @@ let jfloat j key =
   | Some (Json.Int v) -> float_of_int v
   | _ -> failwith ("e_huge: probe row missing float " ^ key)
 
+let jstr j key =
+  match Json.member key j with
+  | Some (Json.String v) -> v
+  | _ -> failwith ("e_huge: probe row missing string " ^ key)
+
 let jbool j key =
   match Json.member key j with
   | Some (Json.Bool v) -> v
@@ -170,37 +165,28 @@ let rss_mb j = float_of_int (jint j "peak_rss_bytes") /. (1024. *. 1024.)
 
 (* ---- configurations ---- *)
 
-let lazy_spec ?(mode = "lazy") ?(max_rounds = 0) family depth_hint n k =
-  {
-    sp_mode = mode;
-    sp_family = family;
-    sp_n = n;
-    sp_depth_hint = depth_hint;
-    sp_k = k;
-    sp_max_rounds = max_rounds;
-  }
-
 (* Full explorations at the million-node tier; k spans 2^10 to 10^4. *)
-let throughput_specs () =
+let throughput_probes () =
   let n = sized 1_000_000 in
-  [
-    lazy_spec "binary" 20 n 1024;
-    lazy_spec "random" 25 n 1024;
-    lazy_spec "binary" 20 n 10_000;
-  ]
+  List.map
+    (fun sp -> ("lazy", sp))
+    [
+      huge_spec "binary" 20 n 1024;
+      huge_spec "random" 25 n 1024;
+      huge_spec "binary" 20 n 10_000;
+    ]
 
 (* Bounded prefix of an n = 10^7 world: only the explored region is ever
    materialized (at most k reveals per round), so this stays in tens of
    MB where the eager tier would hold gigabytes. *)
-let reach_spec () =
-  lazy_spec ~max_rounds:300 "random" 25 (sized 10_000_000) 1024
+let reach_probe () =
+  ("lazy", huge_spec ~max_rounds:300 "random" 25 (sized 10_000_000) 1024)
 
 (* The memory claim: identical bounded run, lazy vs fully materialized.
    64 rounds at k = 256 reveal a few thousand nodes of the million. *)
-let rss_specs () =
-  let n = sized 1_000_000 in
-  ( lazy_spec ~max_rounds:64 "random" 25 n 256,
-    lazy_spec ~mode:"eager" ~max_rounds:64 "random" 25 n 256 )
+let rss_probes () =
+  let sp = huge_spec ~max_rounds:64 "random" 25 (sized 1_000_000) 256 in
+  (("lazy", sp), ("eager", sp))
 
 (* Target for lazy/eager peak RSS on the bounded run. The headline claim
    is <= ~25%; the recorded bar leaves room for base-process RSS noise. *)
@@ -208,9 +194,7 @@ let rss_ratio_budget = 0.30
 
 (* Gate row: fixed size whatever the scale flag says, so the committed
    number is comparable across runs (and cheap enough for CI). *)
-let gate_spec =
-  { sp_mode = "lazy"; sp_family = "binary"; sp_n = 100_000;
-    sp_depth_hint = 20; sp_k = 256; sp_max_rounds = 0 }
+let gate_probe = ("lazy", huge_spec "binary" 20 100_000 256)
 
 (* CI ceiling for the gate row's peak RSS: about twice the 15 MB a full
    n = 10^5 lazy exploration peaks at (2-core x86-64 VM, OCaml 5.1.1),
@@ -236,12 +220,7 @@ let run () =
   let add_row j =
     Table.add_row t
       [
-        (match Json.member "mode" j with
-        | Some (Json.String s) -> s
-        | _ -> "?");
-        (match Json.member "family" j with
-        | Some (Json.String s) -> s
-        | _ -> "?");
+        jstr j "mode"; jstr j "family";
         Table.fint (jint j "n"); Table.fint (jint j "k");
         Table.fint (jint j "rounds");
         (if jbool j "explored" then "full" else "prefix");
@@ -250,16 +229,16 @@ let run () =
         Table.fint (jint j "gc_major_cycles"); Table.fint (jint j "gc_pauses");
       ]
   in
-  let throughput = List.map run_probe (throughput_specs ()) in
+  let throughput = List.map run_probe (throughput_probes ()) in
   List.iter add_row throughput;
-  let reach = run_probe (reach_spec ()) in
+  let reach = run_probe (reach_probe ()) in
   add_row reach;
-  let rss_lazy_spec, rss_eager_spec = rss_specs () in
-  let rss_lazy = run_probe rss_lazy_spec in
-  let rss_eager = run_probe rss_eager_spec in
+  let rss_lazy_probe, rss_eager_probe = rss_probes () in
+  let rss_lazy = run_probe rss_lazy_probe in
+  let rss_eager = run_probe rss_eager_probe in
   add_row rss_lazy;
   add_row rss_eager;
-  let gate = run_probe gate_spec in
+  let gate = run_probe gate_probe in
   add_row gate;
   Table.print t;
   let ratio =
@@ -277,12 +256,7 @@ let run () =
        (Engine_report.meta ~seed ~workers:1
        @ [
            ("label", Json.String "E19 huge scale tier");
-           ( "scale",
-             Json.String
-               (match !scale with
-               | Quick -> "quick"
-               | Normal -> "normal"
-               | Full -> "full") );
+           ("scale", Json.String (scale_name ()));
            ("throughput", Json.List throughput);
            ("reach", reach);
            ( "rss_comparison",
@@ -300,10 +274,12 @@ let run () =
   Printf.printf "report written to %s\n" report_path
 
 (* ---- CI smoke (--huge-smoke): the gate row must fully explore within
-   an absolute RSS ceiling ---- *)
+   an absolute RSS ceiling. The probe's raw row (RSS, GC pause
+   histogram) is printed first, as one JSON line, for CI to keep. ---- *)
 
 let smoke () =
-  let j = run_probe gate_spec in
+  let j = run_probe gate_probe in
+  print_endline (Json.to_string j);
   let rss = jint j "peak_rss_bytes" in
   let explored = jbool j "explored" in
   let rounds = jint j "rounds" in
@@ -315,8 +291,8 @@ let smoke () =
   (* The binary family snaps to a complete tree (2^d - 1 nodes, rounding
      n up), so the revealed count is checked against a range. *)
   explored && rounds > 0
-  && jint j "nodes_revealed" > gate_spec.sp_n / 2
-  && jint j "nodes_revealed" <= 2 * gate_spec.sp_n
+  && jint j "nodes_revealed" > jint j "n" / 2
+  && jint j "nodes_revealed" <= 2 * jint j "n"
   && rss > 0
   && rss <= smoke_rss_ceiling_bytes
 
@@ -330,9 +306,10 @@ let perf_gate () =
     (Printf.sprintf "gate row rounds/s >= %.2fx the committed %s" gate_floor
        report_path);
   let committed = committed ~table:"gate" ~where:[] report_path "rounds_per_sec" in
+  let j = run_probe gate_probe in
   check_gate ~gate:"E19"
     ~name:
-      (Printf.sprintf "%s n=%d k=%d r/s" gate_spec.sp_family gate_spec.sp_n
-         gate_spec.sp_k)
-    (jfloat (run_probe gate_spec) "rounds_per_sec")
+      (Printf.sprintf "%s n=%d k=%d r/s"
+         (jstr j "family") (jint j "n") (jint j "k"))
+    (jfloat j "rounds_per_sec")
     (Relative { committed; floor = gate_floor })

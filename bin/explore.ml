@@ -508,7 +508,6 @@ let plain_list () =
         let kind =
           match e.kind with
           | World_registry.Tree _ -> "tree"
-          | World_registry.Grid _ -> "grid"
           | World_registry.Graph _ -> "graph"
         in
         Printf.printf "  %-14s [%s]\n      %s\n" e.name kind e.doc;
@@ -1120,7 +1119,7 @@ let tail_cmd =
         match Json.of_string line with
         | Error _ -> print_endline line
         | Ok j ->
-            if Tail.kind_of j = Tail.Span then spans := j :: !spans;
+            if Sink.kind_of j = Some Sink.Span then spans := j :: !spans;
             print_endline (Tail.render_line j)
     in
     let ic = open_in file in

@@ -5,8 +5,7 @@ module Probe = Bfdn_obs.Probe
 let now () = Unix.gettimeofday ()
 
 let map ?(probe = Probe.noop) ?workers
-    ?(progress = fun ~completed:_ ~total:_ -> ())
-    ?(on_pool_stats = fun _ -> ()) f xs =
+    ?(progress = fun ~completed:_ ~total:_ -> ()) f xs =
   let total = Array.length xs in
   let results = Array.make total (Error "not executed") in
   let run_one i =
@@ -49,16 +48,13 @@ let map ?(probe = Probe.noop) ?workers
                 progress ~completed:!completed ~total)))
       xs;
     Pool.join pool;
-    on_pool_stats (Pool.executed pool);
     Pool.shutdown pool
   end;
   results
 
-let run ?probe ?workers ?progress ?on_pool_stats jobs =
+let run ?probe ?workers ?progress jobs =
   let arr = Array.of_list jobs in
-  let res =
-    map ?probe ?workers ?progress ?on_pool_stats Bfdn_scenario.Scenario.run arr
-  in
+  let res = map ?probe ?workers ?progress Bfdn_scenario.Scenario.run arr in
   List.mapi (fun i j -> (j, res.(i))) jobs
 
 type agg = {

@@ -13,7 +13,6 @@ val map :
   ?probe:Bfdn_obs.Probe.t ->
   ?workers:int ->
   ?progress:(completed:int -> total:int -> unit) ->
-  ?on_pool_stats:(int array -> unit) ->
   ('a -> 'b) ->
   'a array ->
   ('b, string) result array
@@ -25,8 +24,7 @@ val map :
     the calling domain (the sequential baseline — no pool is spawned).
     [progress] is called after each completion with a monotonically
     increasing [completed] (serialized, possibly from worker domains: it
-    must not touch the pool). [on_pool_stats] receives the per-worker
-    task counts after the pool drains.
+    must not touch the pool).
 
     [probe] (default {!Bfdn_obs.Probe.noop}) is handed to the pool for
     per-job queue-wait/latency reporting (see {!Pool.create}); on the
@@ -38,7 +36,6 @@ val run :
   ?probe:Bfdn_obs.Probe.t ->
   ?workers:int ->
   ?progress:(completed:int -> total:int -> unit) ->
-  ?on_pool_stats:(int array -> unit) ->
   Bfdn_scenario.Scenario.t list ->
   (Bfdn_scenario.Scenario.t * (Bfdn_scenario.Scenario.outcome, string) result)
   list

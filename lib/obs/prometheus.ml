@@ -25,7 +25,7 @@ let float_str v =
 
 let quantiles = [ ("p50", 0.5); ("p90", 0.9); ("p99", 0.99) ]
 
-let render ?(namespace = "bfdn") reg =
+let render reg =
   let buf = Buffer.create 1024 in
   let typ name kind = Printf.bprintf buf "# TYPE %s %s\n" name kind in
   let gauge_sample name v =
@@ -34,7 +34,7 @@ let render ?(namespace = "bfdn") reg =
   in
   List.iter
     (fun name ->
-      let fn = namespace ^ "_" ^ name in
+      let fn = "bfdn_" ^ name in
       match Metrics.find_counter reg name with
       | Some c ->
           typ fn "counter";

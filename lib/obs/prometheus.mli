@@ -7,12 +7,12 @@
     cumulative [<name>_bucket{le="..."}] series ending at [+Inf],
     [<name>_sum] and [<name>_count], plus [_p50]/[_p90]/[_p99]
     quantile-estimate gauges from {!Metrics.quantile}. Metric names
-    are prefixed with [<namespace>_] (default ["bfdn"]). *)
+    are prefixed with [bfdn_]. *)
 
 val content_type : string
 (** The exposition content type, ["text/plain; version=0.0.4"]. *)
 
-val render : ?namespace:string -> Metrics.t -> string
+val render : Metrics.t -> string
 (** The registry in exposition format, metrics in registration order,
     one [# TYPE] comment per family. *)
 

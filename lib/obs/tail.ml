@@ -1,16 +1,5 @@
 module Ascii = Bfdn_util.Ascii
 
-type kind = Span | Log | Frame | Row | Status | Other
-
-let kind_of j =
-  match Sink.kind_of j with
-  | Some Sink.Span -> Span
-  | Some Sink.Log -> Log
-  | Some Sink.Frame -> Frame
-  | Some Sink.Row -> Row
-  | Some Sink.Status -> Status
-  | None -> Other
-
 let str_member key j =
   match Json.member key j with Some (Json.String s) -> Some s | _ -> None
 
@@ -34,8 +23,8 @@ let attrs_str j =
   | _ -> ""
 
 let render_line j =
-  match kind_of j with
-  | Log ->
+  match Sink.kind_of j with
+  | Some Log ->
       let trace =
         match str_member "trace" j with
         | Some id -> Printf.sprintf " [%s]" id
@@ -44,20 +33,20 @@ let render_line j =
       Printf.sprintf "%-5s%s %s%s"
         (String.uppercase_ascii (sstr "level" j))
         trace (sstr "msg" j) (attrs_str j)
-  | Span ->
+  | Some Span ->
       Printf.sprintf "span  %-28s +%9.3fms %10.3fms  [%s]%s" (sstr "name" j)
         (ms (istr "start_ns" j))
         (ms (istr "dur_ns" j))
         (sstr "trace" j) (attrs_str j)
-  | Frame ->
+  | Some Frame ->
       Printf.sprintf "round %6d  explored %8d  dangling %5d" (istr "round" j)
         (istr "explored" j) (istr "dangling" j)
-  | Row ->
+  | Some Row ->
       Printf.sprintf "row   seed %d  %s" (istr "seed" j) (sstr "fingerprint" j)
-  | Status ->
+  | Some Status ->
       Printf.sprintf "job   %d %s  [%s]" (istr "id" j) (sstr "status" j)
         (sstr "trace" j)
-  | Other -> Json.to_string j
+  | None -> Json.to_string j
 
 (* ---- span timeline ---- *)
 
@@ -71,8 +60,8 @@ type srec = {
 }
 
 let srec_of j =
-  match kind_of j with
-  | Span ->
+  match Sink.kind_of j with
+  | Some Span ->
       Some
         {
           r_trace = sstr "trace" j;

@@ -4,12 +4,6 @@
     the ASCII dashboard renderer ({!Bfdn_util.Ascii}) for the aggregate
     charts. *)
 
-type kind = Span | Log | Frame | Row | Status | Other
-
-val kind_of : Json.t -> kind
-(** The record's [kind] member ({!Sink.record}); [Other] when it has
-    none or an unknown one. *)
-
 val render_line : Json.t -> string
 (** One aligned text line (no trailing newline) for any record kind,
     with a span's or log line's [attrs] as [key=value] pairs; unknown

@@ -223,18 +223,3 @@ let cli_choices =
   List.concat_map
     (fun e -> List.map (fun n -> (n, e.name)) (e.name :: e.aliases))
     all
-
-let instantiate ?(probe = Probe.noop) ?rng ?(params = []) ?fault name env =
-  match find name with
-  | None -> invalid_arg ("Algo_registry: unknown algorithm " ^ name)
-  | Some ({ make = Tree { algo; _ }; _ } as e) -> (
-      match Param.validate ~schema:e.params params with
-      | Error msg ->
-          invalid_arg (Printf.sprintf "Algo_registry: %s: %s" e.name msg)
-      | Ok () ->
-          let rng = match rng with Some r -> r | None -> Rng.create 0 in
-          algo { rng; probe; params; fault } env)
-  | Some _ ->
-      invalid_arg
-        ("Algo_registry: " ^ name
-       ^ " does not run on the synchronous tree environment")

@@ -7,12 +7,12 @@
     continuous-time relaxation ({!Bfdn_sim.Async_env}). Capability flags
     are {e derived} from that constructor ({!caps}), so listings can
     never drift from what a run accepts: {!Scenario} pairs the
-    constructor with a spec's world once, when it plans the run. The CLI
-    ([bin/explore.ml]), the bench harness and the engine's
-    {!Bfdn_engine.Batch} all resolve algorithm names here — none of them
-    carries its own name→constructor match any more, so a variant
-    registered once is reachable everywhere (asserted in
-    [test/test_scenario.ml]). *)
+    constructor with a spec's world once, when it plans the run, and is
+    the only code that calls a constructor — the CLI ([bin/explore.ml]),
+    the bench harness, the tests and the engine's {!Bfdn_engine.Batch}
+    build a registry algorithm only through a spec. None of them
+    carries its own name→constructor match, so a variant registered once
+    is reachable everywhere (asserted in [test/test_scenario.ml]). *)
 
 type caps = {
   tree : bool;
@@ -95,17 +95,3 @@ val cli_choices : (string * string) list
 (** [(token, canonical)] for every name {e and} its aliases: the single
     source of the CLI's [--algo] enum. Whether the algorithm drives the
     chosen world is {!Scenario.validate}'s call. *)
-
-val instantiate :
-  ?probe:Bfdn_obs.Probe.t ->
-  ?rng:Bfdn_util.Rng.t ->
-  ?params:Param.binding list ->
-  ?fault:Bfdn_faults.Fault_plan.t ->
-  string ->
-  Bfdn_sim.Env.t ->
-  Bfdn_sim.Exec_env.algo
-(** Construct a named algorithm on a tree environment — for harnesses
-    that build their own environment (bench, tests). [rng] defaults to
-    a fresh deterministic stream (seed 0) — deterministic algorithms
-    never touch it. @raise Invalid_argument on an unknown name, an algorithm
-    with no tree constructor, or parameters violating the schema. *)

@@ -440,7 +440,6 @@ let registry_json () =
         let kind =
           match e.kind with
           | World_registry.Tree _ -> "tree"
-          | World_registry.Grid _ -> "grid"
           | World_registry.Graph _ -> "graph"
         in
         Json.Obj

@@ -9,7 +9,6 @@ type ctx = { rng : Rng.t; params : Param.binding list }
 
 type kind =
   | Tree of (ctx -> Bfdn_trees.Tree.t)
-  | Grid of (ctx -> Bfdn_graphs.Grid.t)
   | Graph of (ctx -> Bfdn_graphs.Graph.t * int)
 
 type entry = {
@@ -132,16 +131,19 @@ let grid_entry =
        bfdn-graph";
     params = grid_params;
     kind =
-      Grid
+      Graph
         (fun c ->
           let gi k = Param.get_int ~schema:grid_params c.params k in
           let width = gi "width" and height = gi "height" in
           let max_side =
             match gi "max_side" with 0 -> max 2 (width / 7) | m -> m
           in
-          Bfdn_graphs.Grid.make
-            (Bfdn_graphs.Grid.random_spec ~rng:c.rng ~width ~height
-               ~obstacle_count:(gi "obstacles") ~max_side));
+          let g =
+            Bfdn_graphs.Grid.make
+              (Bfdn_graphs.Grid.random_spec ~rng:c.rng ~width ~height
+                 ~obstacle_count:(gi "obstacles") ~max_side)
+          in
+          (Bfdn_graphs.Grid.graph g, Bfdn_graphs.Grid.origin g));
     size =
       (fun params ->
         let gi k = Param.get_int ~schema:grid_params params k in
@@ -211,12 +213,12 @@ let find name = List.find_opt (fun e -> String.equal e.name name) worlds
 
 let tree_names =
   List.filter_map
-    (fun e -> match e.kind with Tree _ -> Some e.name | Grid _ | Graph _ -> None)
+    (fun e -> match e.kind with Tree _ -> Some e.name | Graph _ -> None)
     worlds
 
 let graph_names =
   List.filter_map
-    (fun e -> match e.kind with Grid _ | Graph _ -> Some e.name | Tree _ -> None)
+    (fun e -> match e.kind with Graph _ -> Some e.name | Tree _ -> None)
     worlds
 
 (* ---- adaptive adversary policies ---- *)
@@ -417,11 +419,6 @@ let world_source name params =
                     Eager_tree
                       { build = cached name params build; deterministic = true }
                   else Eager_tree { build; deterministic = false }
-              | Grid build ->
-                  Graph_world
-                    (fun rng ->
-                      let grid = build { rng; params } in
-                      (Bfdn_graphs.Grid.graph grid, Bfdn_graphs.Grid.origin grid))
               | Graph build -> Graph_world (fun rng -> build { rng; params })))
 
 let policy_source name params =

@@ -13,11 +13,9 @@ type ctx = { rng : Bfdn_util.Rng.t; params : Param.binding list }
 type kind =
   | Tree of (ctx -> Bfdn_trees.Tree.t)
       (** a fixed hidden tree, generated up front *)
-  | Grid of (ctx -> Bfdn_graphs.Grid.t)
-      (** a warehouse grid — a graph world that keeps its geometry; its
-          source is a [Graph_world] *)
   | Graph of (ctx -> Bfdn_graphs.Graph.t * int)
-      (** a general connected graph with its origin *)
+      (** a connected graph with its origin; the warehouse grid yields
+          its underlying graph and origin cell *)
 
 type entry = {
   name : string;
@@ -62,8 +60,7 @@ type source =
       (** a tree grown online by an adversary policy *)
   | Graph_world of
       (Bfdn_util.Rng.t -> Bfdn_graphs.Graph.t * Bfdn_graphs.Graph.node)
-      (** a port-labeled graph with its origin; grid worlds yield their
-          underlying graph and origin cell *)
+      (** a port-labeled graph with its origin *)
 
 val max_eager_nodes : int
 (** [2^24]: the largest [size] an eagerly built world (tree or
@@ -79,7 +76,7 @@ val tree_names : string list
     {!Bfdn_trees.Tree_gen.families}, asserted in tests). *)
 
 val graph_names : string list
-(** Names whose kind is [Grid] or [Graph] — the worlds whose source is a
+(** Names whose kind is [Graph] — the worlds whose source is a
     [Graph_world] (the [bfdn-graph] scenario vocabulary). *)
 
 (** {2 Adaptive adversary policies} *)

@@ -43,7 +43,6 @@ type job = {
 
 type t = {
   capacity : int;
-  keep_terminal : int;
   m : Mutex.t;
   changed : Condition.t; (* broadcast on every state transition *)
   jobs : (int, job) Hashtbl.t;
@@ -53,13 +52,13 @@ type t = {
   mutable draining : bool;
 }
 
-let create ?(cap = 64) ?(keep_terminal = 256) () =
+(* Settled jobs retained for [GET /jobs/:id]. *)
+let keep_terminal = 256
+
+let create ?(cap = 64) () =
   if cap < 1 then invalid_arg "Queue_admission.create: cap must be >= 1";
-  if keep_terminal < 0 then
-    invalid_arg "Queue_admission.create: keep_terminal must be >= 0";
   {
     capacity = cap;
-    keep_terminal;
     m = Mutex.create ();
     changed = Condition.create ();
     jobs = Hashtbl.create 64;
@@ -83,7 +82,7 @@ let prune t =
   let terminal =
     Hashtbl.length t.jobs - t.inflight
   in
-  let excess = ref (terminal - t.keep_terminal) in
+  let excess = ref (terminal - keep_terminal) in
   let parked = Queue.create () in
   while !excess > 0 && not (Queue.is_empty t.order) do
     let id = Queue.pop t.order in

@@ -65,10 +65,10 @@ type job = {
 
 type t
 
-val create : ?cap:int -> ?keep_terminal:int -> unit -> t
-(** [cap] (default 64) bounds in-flight jobs; [keep_terminal] (default
-    256) bounds retained settled jobs. @raise Invalid_argument when
-    [cap < 1] or [keep_terminal < 0]. *)
+val create : ?cap:int -> unit -> t
+(** [cap] (default 64) bounds in-flight jobs; at most 256 settled jobs
+    are retained, the earliest admitted dropped first.
+    @raise Invalid_argument when [cap < 1]. *)
 
 val cap : t -> int
 

@@ -1,5 +1,4 @@
 module Tree = Bfdn_trees.Tree
-module Tree_stats = Bfdn_trees.Tree_stats
 module Mathx = Bfdn_util.Mathx
 
 (* Online worlds: the hidden tree is decided node by node as the
@@ -59,7 +58,6 @@ type t = {
   mutable max_depth : int;
   mutable max_degree : int;
   mutable revealed : int;
-  acc : Tree_stats.Acc.acc; (* streaming stats over revealed nodes *)
 }
 
 (* SplitMix64-style finalizer over (seed, node id): a pure hash, so the
@@ -149,7 +147,6 @@ let create family ~capacity ~target_depth ~remake =
       max_depth = 0;
       max_degree = 0;
       revealed = 0;
-      acc = Tree_stats.Acc.create ();
     }
   in
   Node_store.set t.depths 0 0;
@@ -169,7 +166,6 @@ let adaptive ~capacity ~depth_budget policy =
 
 let capacity t = t.capacity
 let nodes_revealed t = t.revealed
-let stats t = Tree_stats.Acc.stats t.acc
 
 let role t v = match t.role with Some c -> Node_store.get c v | None -> 0
 
@@ -249,7 +245,6 @@ let reveal_degree t ~node ~arriving ~round =
   Node_store.set t.first_kid node (if promised > 0 then first else -1);
   Node_store.set t.nkids node promised;
   t.revealed <- t.revealed + 1;
-  Tree_stats.Acc.add t.acc ~depth ~children:promised;
   let degree = promised + if node = 0 then 0 else 1 in
   if degree > t.max_degree then t.max_degree <- degree;
   degree

@@ -74,10 +74,6 @@ val capacity : t -> int
 
 val nodes_revealed : t -> int
 
-val stats : t -> Bfdn_trees.Tree_stats.t
-(** Streaming statistics over the revealed prefix (via
-    {!Tree_stats.Acc} — no tree is ever materialized for this). *)
-
 val frozen : t -> Bfdn_trees.Tree.t
 (** The tree promised so far (after a completed exploration, the full
     frozen instance). *)

@@ -15,8 +15,7 @@ val compute : Tree.t -> t
 
 (** Streaming accumulator: the same statistics built one node at a time,
     in O(1) state, without a materialized {!Tree.t}. Feed every node
-    exactly once (any order); the root is the node at [depth = 0]. Used
-    by lazily materialized worlds, whose trees are never built. *)
+    exactly once (any order); the root is the node at [depth = 0]. *)
 module Acc : sig
   type acc
 

@@ -769,10 +769,10 @@ let test_tail_renders () =
       ]
   in
   checkb "kinds" true
-    (Tail.kind_of span = Tail.Span
-    && Tail.kind_of log_line = Tail.Log
-    && Tail.kind_of frame = Tail.Frame
-    && Tail.kind_of (Json.Int 3) = Tail.Other);
+    (Sink.kind_of span = Some Sink.Span
+    && Sink.kind_of log_line = Some Sink.Log
+    && Sink.kind_of frame = Some Sink.Frame
+    && Sink.kind_of (Json.Int 3) = None);
   let has sub s =
     let n = String.length s and k = String.length sub in
     let rec go i = i + k <= n && (String.sub s i k = sub || go (i + 1)) in
@@ -892,8 +892,8 @@ let test_every_record_kind_enveloped () =
     (String.split_on_char '\n' (String.trim stream));
   let kinds =
     [
-      ("span", Tail.Span); ("log", Tail.Log); ("frame", Tail.Frame);
-      ("row", Tail.Row); ("status", Tail.Status);
+      ("span", Sink.Span); ("log", Sink.Log); ("frame", Sink.Frame);
+      ("row", Sink.Row); ("status", Sink.Status);
     ]
   in
   let seen = Hashtbl.create 8 in
@@ -904,7 +904,8 @@ let test_every_record_kind_enveloped () =
           match List.assoc_opt k kinds with
           | Some tk ->
               Hashtbl.replace seen k ();
-              checkb (k ^ ": Tail.kind_of agrees") true (Tail.kind_of j = tk)
+              checkb (k ^ ": Sink.kind_of agrees") true
+                (Sink.kind_of j = Some tk)
           | None -> Alcotest.failf "unknown kind %S" k)
       | _ -> Alcotest.failf "kind is not first in %s" (Json.to_string j))
     !records;

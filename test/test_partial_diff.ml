@@ -11,6 +11,8 @@ module Partial_tree = Bfdn_sim.Partial_tree
 module Env = Bfdn_sim.Env
 module Exec_env = Bfdn_sim.Exec_env
 module Rng = Bfdn_util.Rng
+module Param = Bfdn_scenario.Param
+module Scenario = Bfdn_scenario.Scenario
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -276,24 +278,27 @@ let test_deep_leaf_closes_ancestors () =
 (* ---- the round loop allocates nothing in steady state ---- *)
 
 (* Minor-heap words per robot-round between the end of round 1 and the
-   end of the run. Round 1 is excluded so one-time setup (env, algorithm
-   scratch, first routes) does not count; geometric scratch growth after
-   it amortizes to nothing over the run. *)
-let minor_words_per_robot_round env algo =
+   end of the run, measured through the product path ([run] is
+   [Scenario.run] or [Scenario.run_on_tree]). Round 1 is excluded so
+   one-time setup (env, algorithm scratch, first routes) does not count;
+   geometric scratch growth after it, and the outcome built once the
+   run ends, amortize to nothing over the run. *)
+let minor_words_per_robot_round k run =
   let w0 = ref 0.0 in
-  let on_round _ = if Env.round env = 1 then w0 := Gc.minor_words () in
-  let r = Exec_env.run ~on_round (Exec_env.of_env algo env) in
+  let on_round (x : Exec_env.t) =
+    if x.round () = 1 then w0 := Gc.minor_words ()
+  in
+  let r = (run ~on_round).Scenario.result in
   let words = Gc.minor_words () -. !w0 in
   checkb "explored" true r.Exec_env.explored;
-  words /. float_of_int (Env.k env * max 1 (r.Exec_env.rounds - 1))
+  words /. float_of_int (k * max 1 (r.Exec_env.rounds - 1))
 
 let test_round_loop_allocation_free () =
-  let check label env algo_name =
-    let algo = Bfdn_scenario.Algo_registry.instantiate algo_name env in
-    let w = minor_words_per_robot_round env algo in
+  let check label (spec : Scenario.t) run =
+    let w = minor_words_per_robot_round spec.k run in
     if w >= 1.0 then
       Alcotest.failf "%s/%s k=%d: %.2f minor words per robot-round (want < 1)"
-        label algo_name (Env.k env) w
+        label spec.algo spec.k w
   in
   List.iter
     (fun (family, depth_hint) ->
@@ -304,14 +309,27 @@ let test_round_loop_allocation_free () =
       List.iter
         (fun k ->
           List.iter
-            (fun algo -> check family (Env.create tree ~k) algo)
+            (fun algo ->
+              let spec =
+                Scenario.make ~algo ~k ~seed:7 (Scenario.world family)
+              in
+              check family spec (fun ~on_round ->
+                  Scenario.run_on_tree ~on_round spec tree))
             [ "bfdn"; "cte" ])
         [ 8; 64 ])
     [ ("comb", 70); ("trap", 40); ("random", 25) ];
-  let lw =
-    Bfdn_sim.Lazy_world.make ~family:"binary" ~n:100_000 ~depth_hint:17 ~seed:7
+  let lazy_binary =
+    Scenario.make ~k:256 ~seed:7
+      (Scenario.world
+         ~params:
+           [
+             ("depth_hint", Param.Int 17); ("n", Param.Int 100_000);
+             ("scale", Param.String "lazy");
+           ]
+         "binary")
   in
-  check "lazy binary" (Env.of_world (Bfdn_sim.Lazy_world.world lw) ~k:256) "bfdn"
+  check "lazy binary" lazy_binary (fun ~on_round ->
+      Scenario.run ~on_round lazy_binary)
 
 (* ---- page edges: a lazy run equals the run on its materialized tree ---- *)
 
