@@ -4,24 +4,20 @@
 
 open Bench_common
 module Table = Bfdn_util.Table
+module Fault_plan = Bfdn_faults.Fault_plan
 
-let masks k rng =
-  let memo = Hashtbl.create 4096 in
-  let random p ~round ~robot =
-    match Hashtbl.find_opt memo (p, round, robot) with
-    | Some b -> b
-    | None ->
-        let b = Rng.float rng 1.0 < p in
-        Hashtbl.add memo (p, round, robot) b;
-        b
-  in
+(* Fault_plan's move-mask vocabulary, as a spec's fault bindings. *)
+let masks =
+  let mask ?(knobs = []) m = ("mask", Param.String m) :: knobs in
   [
-    ("none (baseline)", None);
-    ("random p=0.75", Some (random 0.75));
-    ("random p=0.25", Some (random 0.25));
-    ("half fleet dead", Some (fun ~round:_ ~robot -> robot < (k + 1) / 2));
-    ("rotating thirds", Some (fun ~round ~robot -> (round + robot) mod 3 <> 0));
-    ("only one mover", Some (fun ~round:_ ~robot -> robot = 0));
+    ("none (baseline)", []);
+    ( "random 25% blocked",
+      mask "random" ~knobs:[ ("mask_p", Param.Float 0.25) ] );
+    ( "random 75% blocked",
+      mask "random" ~knobs:[ ("mask_p", Param.Float 0.75) ] );
+    ("half fleet dead", mask "half");
+    ("rotating thirds", mask "rotating" ~knobs:[ ("mask_m", Param.Int 3) ]);
+    ("only one mover", mask "solo");
   ]
 
 let run () =
@@ -36,7 +32,8 @@ let run () =
     Table.create
       ~caption:
         (Printf.sprintf
-           "k = %d; A(M) = allowed (round, robot) slots per robot at completion;\n\
+           "k = %d; rounds = first round with every edge explored;\n\
+            A(M) = allowed (round, robot) slots per robot by then;\n\
             ok = tree fully explored before A(M) reached the threshold."
            k)
       [
@@ -46,34 +43,34 @@ let run () =
       ]
   in
   List.iter
-    (fun (name, mask) ->
-      (* A direct loop: the check reads Env.allowed_total every round. *)
-      let env = Env.create ?fault:(Option.map Env.mask_hook mask) tree ~k in
-      let state = Bfdn.Bfdn_algo.make env in
-      let algo =
-        { (Bfdn.Bfdn_algo.algo state) with Exec_env.finished = Env.fully_explored }
+    (fun (name, faults) ->
+      let spec =
+        Scenario.make ~algo:"bfdn" ~k ~seed ~faults (Scenario.world "path")
       in
-      let threshold =
-        Bfdn.Bounds.bfdn_breakdown ~n:(Env.oracle_n env) ~k ~d:(Env.oracle_depth env)
+      let explored_at = ref None in
+      let on_round x =
+        if !explored_at = None && x.Exec_env.explored () then
+          explored_at := Some (x.Exec_env.round ())
       in
-      let violated = ref false in
-      let watch _ =
-        if
-          float_of_int (Env.allowed_total env) /. float_of_int k >= threshold
-          && not (Env.fully_explored env)
-        then violated := true
+      let o = Scenario.run_on_tree ~on_round spec tree in
+      (* A(M) is a function of the plan: no counter in the round loop. *)
+      let plan =
+        Option.value (Scenario.fault_plan spec) ~default:(Fault_plan.none ~k)
       in
-      let r =
-        Exec_env.run ~max_rounds:2_000_000 ~on_round:watch
-          (Exec_env.of_env algo env)
+      let a rounds =
+        float_of_int (Fault_plan.allowed_slots plan ~rounds) /. float_of_int k
       in
-      let avg = float_of_int (Env.allowed_total env) /. float_of_int k in
+      let threshold = Bfdn.Bounds.bfdn_breakdown ~n:o.n ~k ~d:o.depth in
+      let rounds = Option.value !explored_at ~default:o.result.rounds in
+      (* The watchdog: A(M) had not reached the threshold one round
+         before the last edge was explored. *)
+      let ok = !explored_at <> None && a (rounds - 1) < threshold in
       Table.add_row t
         [
-          name; Table.fint r.rounds; Table.ffloat ~decimals:0 avg;
+          name; Table.fint rounds; Table.ffloat ~decimals:0 (a rounds);
           Table.ffloat ~decimals:0 threshold;
-          Table.fratio (avg /. threshold);
-          Table.fbool (r.explored && not !violated);
+          Table.fratio (a rounds /. threshold);
+          Table.fbool ok;
         ])
-    (masks k (Rng.create (seed + 4)));
+    masks;
   Table.print t

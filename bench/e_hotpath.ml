@@ -7,13 +7,16 @@
    loop landed), so every future PR can be judged against it.
 
    E20 rides on the same interleaved measurement: what span tracing
-   adds to the server's metrics-probed job, disabled (must be within 1%
-   of the metrics-probed loop — the server then runs the metrics probe
-   untouched) and enabled (within 3% — a fresh recorder plus three
-   phase spans closed from the phase counters), at k = 512. Both sides
-   build the job's probe with [Probe.traced], the function the server's
-   job execution calls. --perf-gate checks the maxima committed in
-   BENCH_hotpath.json against both budgets; they are re-measured only
+   adds to the server's metrics-probed job at k = 512, enabled (within
+   3% — a fresh recorder plus three phase spans closed from the phase
+   counters) and disabled. Both sides build the job's probe with
+   [Probe.traced], the function the server's job execution calls. On a
+   disabled recorder that function returns the metrics probe itself,
+   so the disabled side times the probed side's closures again: an A/A
+   comparison, reported as the protocol's noise floor. That tracing
+   disabled costs nothing is the identity the obs test-suite checks,
+   not a timed budget. --perf-gate checks the enabled maximum committed
+   in BENCH_hotpath.json against its budget; it is re-measured only
    when this experiment is regenerated.
 
    The instances are the paper's adversarial regime — deep combs and the
@@ -163,9 +166,9 @@ type overhead_row = {
   (* E20 — span-tracing overhead, measured against the metrics-probed
      side (the server always runs the metrics probe; tracing is the
      increment on top): *)
-  o_disabled : sample; (* the metrics probe, untouched *)
+  o_disabled : sample; (* the metrics probe, untouched: A/A noise *)
   o_enabled : sample; (* the metrics probe traced into a recorder *)
-  o_dis_ratio : float; (* disabled/probed — must stay within 1% *)
+  o_dis_ratio : float; (* disabled/probed — the A/A noise floor *)
   o_en_ratio : float; (* enabled/probed — must stay within 3% *)
 }
 
@@ -191,9 +194,10 @@ let overhead_rows () =
             let probe = Probe.of_metrics reg in
             let side p = explore ~probe:p tree overhead_k algo in
             (* With tracing disabled [Probe.traced] returns the metrics
-               probe physically untouched, so the disabled side times
-               the very same closures as the probed side: the measured
-               delta is the noise floor of the comparison. *)
+               probe physically untouched (test_obs pins the identity),
+               so the disabled side times the very same closures as the
+               probed side: the measured delta is the noise floor of the
+               comparison. *)
             let disabled, _ =
               Probe.traced Span.disabled ~parent:Span.none reg probe
             in
@@ -348,8 +352,8 @@ let run () =
   let max_dis = worst tracing_disabled_pct in
   let max_en = worst tracing_enabled_pct in
   Printf.printf
-    "max tracing overhead: disabled %+.2f%% (target <= 1%%), enabled %+.2f%% \
-     (target <= 3%%)\n"
+    "max tracing overhead: disabled %+.2f%% (A/A noise floor), enabled \
+     %+.2f%% (target <= 3%%)\n"
     max_dis max_en;
   let pt =
     Table.create
@@ -446,19 +450,20 @@ let gate_floor = 0.6
 let gate_subset =
   [ ("comb", "bfdn", 8); ("comb", "cte", 8); ("random", "bfdn", 64) ]
 
-(* E20 budgets: the committed report's worst-case tracing overheads
-   must stay inside them. The gate re-reads the committed maxima and
-   re-measures nothing (a 1% effect re-measured on a noisy CI runner
-   would flake); they are re-measured only when E16 is regenerated. *)
-let tracing_disabled_budget_pct = 1.0
+(* E20 budget: the committed report's worst-case enabled-tracing
+   overhead must stay inside it. The gate re-reads the committed maximum
+   and re-measures nothing (a 3% effect re-measured on a noisy CI runner
+   would flake); it is re-measured only when E16 is regenerated. The
+   disabled side has no budget: it is an A/A comparison, and its zero
+   cost is an identity the obs test-suite checks. *)
 let tracing_enabled_budget_pct = 3.0
 
 let perf_gate () =
   scale := Normal;
   header "PERF GATE (hot path)"
     (Printf.sprintf
-       "rounds/s >= %.2fx the committed %s; its E20 tracing maxima \
-        within budget"
+       "rounds/s >= %.2fx the committed %s; its E20 enabled-tracing \
+        maximum within budget"
        gate_floor
        report_path);
   List.iter
@@ -480,11 +485,6 @@ let perf_gate () =
         (rps (measure tree k algo))
         (Relative { committed; floor = gate_floor }))
     gate_subset;
-  List.iter
-    (fun (member, budget) ->
-      check_gate ~gate:"E20" ~name:(member ^ " (<= budget)")
-        (committed report_path member) (At_most budget))
-    [
-      ("max_tracing_disabled_pct", tracing_disabled_budget_pct);
-      ("max_tracing_enabled_pct", tracing_enabled_budget_pct);
-    ]
+  let member = "max_tracing_enabled_pct" in
+  check_gate ~gate:"E20" ~name:(member ^ " (<= budget)")
+    (committed report_path member) (At_most tracing_enabled_budget_pct)

@@ -79,8 +79,11 @@ let measure_probe (mode, (sp : Scenario.t)) =
     match mode with
     | "lazy" -> fun () -> Scenario.run ~on_round sp
     | "eager" ->
-        (* Fully materialized baseline: the same instance (identical
-           rules, run to exhaustion) as a plain up-front tree. *)
+        (* Fully materialized baseline: the same spec's world expanded
+           breadth-first into a plain up-front tree. A lazy random
+           world hashes child counts on node ids, which follow reveal
+           order, so for [random] this tree is not the one a lazy run
+           discovers. *)
         let tree = Scenario.materialize sp in
         fun () -> Scenario.run_on_tree ~on_round sp tree
     | m -> failwith ("e_huge: unknown probe mode " ^ m)
@@ -182,8 +185,11 @@ let throughput_probes () =
 let reach_probe () =
   ("lazy", huge_spec ~max_rounds:300 "random" 25 (sized 10_000_000) 1024)
 
-(* The memory claim: identical bounded run, lazy vs fully materialized.
-   64 rounds at k = 256 reveal a few thousand nodes of the million. *)
+(* The memory claim: one bounded spec, lazy vs fully materialized.
+   64 rounds at k = 256 reveal a few thousand nodes of the million. The
+   two runs are not identical: on [random] they explore different
+   prefixes (see the eager probe), and the report records each side's
+   nodes revealed and edge events. *)
 let rss_probes () =
   let sp = huge_spec ~max_rounds:64 "random" 25 (sized 1_000_000) 256 in
   (("lazy", sp), ("eager", sp))

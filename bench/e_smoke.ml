@@ -7,8 +7,9 @@
 
 open Bench_common
 
-let gen family algo k s =
-  Scenario.make ~algo ~k ~seed:s (Scenario.generated ~family ~n:120 ~depth_hint:10)
+let gen ?algo_params ?faults family algo k s =
+  Scenario.make ~algo ?algo_params ?faults ~k ~seed:s
+    (Scenario.generated ~family ~n:120 ~depth_hint:10)
 
 let explored_within_thm1 cell =
   let o = ok_outcome cell in
@@ -57,18 +58,9 @@ let checks : (string * (unit -> bool)) list =
     ("E5 planner", fun () -> all_explored [ gen "random" "bfdn-wr" 8 5 ]);
     ( "E6 breakdowns",
       fun () ->
-        map_ok
-          (fun seed' ->
-            let tree =
-              Bfdn_trees.Tree_gen.of_family "random" ~rng:(Rng.create seed')
-                ~n:100 ~depth_hint:8
-            in
-            let mask ~round:_ ~robot = robot < 4 in
-            let env = Env.create ~fault:(Env.mask_hook mask) tree ~k:8 in
-            let algo = Bfdn.Bfdn_algo.(algo (make env)) in
-            let r = Exec_env.run (Exec_env.of_env algo env) in
-            r.explored)
-          [| 6; 7 |] );
+        let faults = [ ("mask", Param.String "half") ] in
+        all_explored
+          [ gen ~faults "random" "bfdn" 8 6; gen ~faults "random" "bfdn" 8 7 ] );
     ("E8 recursive", fun () -> all_explored [ gen "trap" "bfdn-rec" 8 10 ]);
     ("E9 cte", fun () -> all_explored [ gen "hidden-path" "cte" 8 11 ]);
     ( "E10 alloc",
@@ -95,18 +87,12 @@ let checks : (string * (unit -> bool)) list =
       fun () -> all_explored [ gen "random" "bfdn" 4 13; gen "random" "bfdn" 32 14 ] );
     ( "E13 async",
       fun () ->
-        map_ok
-          (fun speeds ->
-            let module Aenv = Bfdn_sim.Async_env in
-            let tree =
-              Bfdn_trees.Tree_gen.of_family "random" ~rng:(Rng.create 15)
-                ~n:80 ~depth_hint:6
-            in
-            let env = Aenv.create ~speeds tree ~k:4 in
-            let decide = Bfdn.Bfdn_async.decide (Bfdn.Bfdn_async.make env) in
-            ignore (Exec_env.run (Exec_env.of_async decide env));
-            Aenv.fully_explored env)
-          [| Array.make 4 1.0; [| 2.0; 1.0; 0.5; 0.25 |] |] );
+        let spread = [ ("speed_spread", Param.Float 3.0) ] in
+        all_explored
+          [
+            gen "random" "bfdn-async" 4 15;
+            gen ~algo_params:spread "random" "bfdn-async" 4 15;
+          ] );
     ( "E14 memory",
       fun () -> all_explored [ gen "caterpillar" "bfdn-wr" 8 16 ] );
     ( "A1 ablation",

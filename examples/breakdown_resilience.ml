@@ -6,9 +6,11 @@
    Run with: dune exec examples/breakdown_resilience.exe *)
 
 module Tree_gen = Bfdn_trees.Tree_gen
-module Env = Bfdn_sim.Env
 module Exec_env = Bfdn_sim.Exec_env
 module Rng = Bfdn_util.Rng
+module Param = Bfdn_scenario.Param
+module Scenario = Bfdn_scenario.Scenario
+module Fault_plan = Bfdn_faults.Fault_plan
 
 let () =
   let tree = Tree_gen.random_tree ~rng:(Rng.create 5) ~n:4000 () in
@@ -17,40 +19,45 @@ let () =
   Format.printf "Exploring %a with k=%d robots under failures:@." Bfdn_trees.Tree_stats.pp
     stats k;
   let threshold = Bfdn.Bounds.bfdn_breakdown ~n:stats.n ~k ~d:stats.depth in
-  let failure_rng = Rng.create 99 in
-  let memo = Hashtbl.create 4096 in
-  let flaky p ~round ~robot =
-    match Hashtbl.find_opt memo (p, round, robot) with
-    | Some b -> b
-    | None ->
-        let b = Rng.float failure_rng 1.0 < p in
-        Hashtbl.add memo (p, round, robot) b;
-        b
-  in
+  let dropped p = [ ("mask", Param.String "random"); ("mask_p", Param.Float p) ] in
+  (* robots 3 .. k-1 crash for good at round 300 *)
+  let crashes = List.init (k - 3) (fun i -> Printf.sprintf "%d@300" (i + 3)) in
   let scenarios =
     [
-      ("no failures", fun ~round:_ ~robot:_ -> true);
-      ("10% of moves dropped", flaky 0.9);
-      ("60% of moves dropped", flaky 0.4);
-      ("half the fleet is dead", fun ~round:_ ~robot -> robot < k / 2);
-      ("fleet dies after round 300", fun ~round ~robot -> robot < 3 || round < 300);
+      ("no failures", []);
+      ("10% of moves dropped", dropped 0.1);
+      ("60% of moves dropped", dropped 0.6);
+      ("half the fleet is dead", [ ("mask", Param.String "half") ]);
+      ( "fleet dies after round 300",
+        [ ("crashes", Param.String (String.concat "," crashes)) ] );
     ]
   in
   List.iter
-    (fun (name, mask) ->
-      let env = Env.create ~fault:(Env.mask_hook mask) tree ~k in
-      let state = Bfdn.Bfdn_algo.make env in
-      (* blocked robots may never make it home: require full edge coverage
-         only (the paper drops the return requirement here) *)
-      let algo =
-        { (Bfdn.Bfdn_algo.algo state) with Exec_env.finished = Env.fully_explored }
+    (fun (name, faults) ->
+      (* blocked robots may never make it home: count the rounds to full
+         edge coverage only (the paper drops the return requirement here),
+         and cap the wait for crashed robots that never return *)
+      let spec =
+        Scenario.make ~k ~seed:99 ~max_rounds:20_000 ~faults
+          (Scenario.world "path")
       in
-      let r = Exec_env.run ~max_rounds:5_000_000 (Exec_env.of_env algo env) in
-      let avg_allowed = float_of_int (Env.allowed_total env) /. float_of_int k in
+      let explored_at = ref None in
+      let on_round x =
+        if !explored_at = None && x.Exec_env.explored () then
+          explored_at := Some (x.Exec_env.round ())
+      in
+      let o = Scenario.run_on_tree ~on_round spec tree in
+      let rounds = Option.value !explored_at ~default:o.result.rounds in
+      let plan =
+        Option.value (Scenario.fault_plan spec) ~default:(Fault_plan.none ~k)
+      in
+      let avg_allowed =
+        float_of_int (Fault_plan.allowed_slots plan ~rounds) /. float_of_int k
+      in
       Printf.printf
         "  %-26s explored=%b in %6d rounds; allowed moves per robot %6.0f \
          (threshold %5.0f, used %4.1f%%)\n"
-        name r.explored r.rounds avg_allowed threshold
+        name (!explored_at <> None) rounds avg_allowed threshold
         (100.0 *. avg_allowed /. threshold))
     scenarios;
   print_newline ();

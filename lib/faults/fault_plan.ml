@@ -141,4 +141,13 @@ let stats t ~rounds =
   done;
   (!crashes, !restarts)
 
+let allowed_slots t ~rounds =
+  let n = ref 0 in
+  for round = 0 to rounds - 1 do
+    for robot = 0 to t.k - 1 do
+      if not (down t ~round ~robot) then incr n
+    done
+  done;
+  !n
+
 let equal (a : t) b = a = b

@@ -101,5 +101,11 @@ val survivors : t -> int
 val stats : t -> rounds:int -> int * int
 (** [(crashes, restarts)] that a run of [rounds] rounds injected. *)
 
+val allowed_slots : t -> rounds:int -> int
+(** The (round, robot) slots of rounds [0 .. rounds-1] in which the
+    robot is not {!down}: [k * A(M)] of Section 4.2 over a run of
+    [rounds] rounds, computed from the plan alone — the slots the
+    environment lets move, with no reactive blocker installed. *)
+
 val equal : t -> t -> bool
 

@@ -32,15 +32,15 @@ type t = {
    to ~2s. *)
 let pause_bounds_ns = Array.map (fun s -> s *. 1e9) Metrics.latency_bounds
 
-let create ?(prefix = "gc") registry =
+let create registry =
   let cycles = ref 0 in
   let t =
     {
       registry;
       cycles;
       pause =
-        Metrics.histogram ~bounds:pause_bounds_ns registry (prefix ^ "_pause_ns");
-      cycle_ctr = Metrics.counter registry (prefix ^ "_major_cycles");
+        Metrics.histogram ~bounds:pause_bounds_ns registry "gc_pause_ns";
+      cycle_ctr = Metrics.counter registry "gc_major_cycles";
       seen_cycles = 0;
       last_ns = Clock.now_ns ();
       alarm = None;
@@ -66,21 +66,18 @@ let major_cycles t =
 (* End-of-run totals from the runtime's own accounting. Allocates (and
    [Gc.quick_stat] is not free), so this is for run boundaries, never
    the round loop. *)
-let snapshot ?(prefix = "gc") t =
+let snapshot t =
   let s = Gc.quick_stat () in
-  Metrics.set (Metrics.gauge t.registry (prefix ^ "_minor_collections"))
-    (float_of_int s.Gc.minor_collections);
-  Metrics.set (Metrics.gauge t.registry (prefix ^ "_major_collections"))
-    (float_of_int s.Gc.major_collections);
-  Metrics.set (Metrics.gauge t.registry (prefix ^ "_compactions"))
-    (float_of_int s.Gc.compactions);
-  Metrics.set (Metrics.gauge t.registry (prefix ^ "_heap_words"))
-    (float_of_int s.Gc.heap_words);
-  Metrics.set (Metrics.gauge t.registry (prefix ^ "_top_heap_words"))
-    (float_of_int s.Gc.top_heap_words);
-  Metrics.set
-    (Metrics.gauge t.registry (prefix ^ "_minor_words"))
-    s.Gc.minor_words
+  List.iter
+    (fun (name, v) -> Metrics.set (Metrics.gauge t.registry ("gc_" ^ name)) v)
+    [
+      ("minor_collections", float_of_int s.Gc.minor_collections);
+      ("major_collections", float_of_int s.Gc.major_collections);
+      ("compactions", float_of_int s.Gc.compactions);
+      ("heap_words", float_of_int s.Gc.heap_words);
+      ("top_heap_words", float_of_int s.Gc.top_heap_words);
+      ("minor_words", s.Gc.minor_words);
+    ]
 
 let alarm_active t = t.alarm <> None
 

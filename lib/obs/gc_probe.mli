@@ -6,7 +6,7 @@
     major collection cycle — with a host-driven {!tick} called at the
     workload's natural cadence (per exploration round, per HTTP
     request). A tick whose interval saw a major-cycle end records the
-    interval length into a [<prefix>_pause_ns] histogram: an upper bound
+    interval length into a [gc_pause_ns] histogram: an upper bound
     on the pause, and at round granularity exactly the round-stall
     number the huge scale tier reports.
 
@@ -15,12 +15,11 @@
 
 type t
 
-val create : ?prefix:string -> Metrics.t -> t
-(** Install the major-cycle alarm and register [<prefix>_pause_ns]
+val create : Metrics.t -> t
+(** Install the major-cycle alarm and register [gc_pause_ns]
     (histogram, nanosecond ladder mirroring {!Metrics.latency_bounds})
-    and [<prefix>_major_cycles] (counter) in the registry. [prefix]
-    defaults to ["gc"]. Call {!dispose} when done: the alarm otherwise
-    outlives the probe. *)
+    and [gc_major_cycles] (counter) in the registry. Call {!dispose}
+    when done: the alarm otherwise outlives the probe. *)
 
 val tick : t -> unit
 (** Advance the interval clock; record the elapsed interval as a pause
@@ -32,10 +31,11 @@ val major_cycles : t -> int
 (** Major cycles ended since {!create}, including any not yet folded
     into the counter by a tick. *)
 
-val snapshot : ?prefix:string -> t -> unit
+val snapshot : t -> unit
 (** Export end-of-run totals from [Gc.quick_stat] as gauges
-    ([<prefix>_minor_collections], [_major_collections], [_compactions],
-    [_heap_words], [_top_heap_words], [_minor_words]). Allocates — for
+    ([gc_minor_collections], [gc_major_collections], [gc_compactions],
+    [gc_heap_words], [gc_top_heap_words], [gc_minor_words]) into the
+    registry {!create} was given. Allocates — for
     run boundaries, not the round loop. *)
 
 val alarm_active : t -> bool

@@ -80,7 +80,6 @@ type t = {
   mutable edge_events : int;
   store : Node_store.t; (* the view's, holding the two columns below *)
   up_seen : Node_store.col; (* flag: first child-to-parent crossing seen *)
-  mutable allowed_total : int;
   mutable multi_reveals : int;
   (* Per-round scratch, reused across every {!apply} call so the steady
      state round loop allocates nothing. *)
@@ -118,7 +117,6 @@ let of_world ?(fault = fault_noop) world ~k =
     edge_events = 0;
     store;
     up_seen = Node_store.flags store;
-    allowed_total = 0;
     multi_reveals = 0;
     eff = Array.make k Stay;
     tgt_dst = Array.make k (-1);
@@ -164,7 +162,6 @@ let restarts t = t.restarts
 let moves_total t = t.moves_total
 let moves_of_robot t i = t.moves_per_robot.(i)
 let edge_events t = t.edge_events
-let allowed_total t = t.allowed_total
 let multi_reveals t = t.multi_reveals
 
 let oracle_n t =
@@ -195,17 +192,14 @@ let apply t moves =
           invalid_arg "Env.apply: reactive blocker returned wrong arity";
         Some verdict
   in
-  (* Count this round's allowance and pin masked robots. *)
+  (* Pin masked robots. *)
   let fault = t.fault in
   for i = 0 to t.k - 1 do
     t.eff.(i) <- Stay;
     if
       not (fault.fh_enabled && fault.fh_down ~round:t.round ~robot:i)
       && (match reactive with None -> true | Some v -> v.(i))
-    then begin
-      t.allowed_total <- t.allowed_total + 1;
-      t.eff.(i) <- moves.(i)
-    end
+    then t.eff.(i) <- moves.(i)
   done;
   (* Validate and resolve all targets before mutating anything: moves are
      synchronous. Targets are int-encoded ([tgt_dst] = -1 for Stay,

@@ -53,7 +53,10 @@ val fault_noop : fault_hook
 
 val mask_hook : mask -> fault_hook
 (** The hook that pins exactly the robots the mask blocks, and never
-    restarts one. [mask] must be pure, like [fh_down]. *)
+    restarts one. [mask] must be pure, like [fh_down]. The environment
+    counts no allowance: a plan's [k * A(M)] is
+    [Bfdn_faults.Fault_plan.allowed_slots], and for a closure mask the
+    caller sums [mask] over the rounds it ran. *)
 
 type reactive_blocker = round:int -> selected:move array -> bool array
 (** Remark 8's stronger adversary: it observes the moves the robots have
@@ -163,11 +166,6 @@ val moves_of_robot : t -> robot -> int
 val edge_events : t -> int
 (** Number of edge events (Section 5): first parent-to-child crossings plus
     first child-to-parent crossings; at most [2*(n-1)]. *)
-
-val allowed_total : t -> int
-(** Total number of (round, robot) slots the fault hook (and any
-    reactive blocker) allowed so far —
-    [k * A(M)] restricted to the elapsed rounds (Section 4.2). *)
 
 val multi_reveals : t -> int
 (** Number of first-time edge traversals performed by two or more robots

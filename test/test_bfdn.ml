@@ -258,14 +258,20 @@ let breakdown_threshold env k =
   Bounds.bfdn_breakdown ~n:(Env.oracle_n env) ~k ~d:(Env.oracle_depth env)
 
 (* Run BFDN under a mask; assert that whenever the average allowed moves
-   A(M) passes the Proposition 7 threshold, the tree is fully explored. *)
+   A(M) passes the Proposition 7 threshold, the tree is fully explored.
+   The mask is pure, so A(M) sums it over the rounds applied so far. *)
 let check_prop7 tree k mask =
   let env = Env.create ~fault:(Env.mask_hook mask) tree ~k in
   let t = Bfdn_algo.make env in
   let algo = { (Bfdn_algo.algo t) with Exec_env.finished = Env.fully_explored } in
   let violated = ref false in
+  let allowed = ref 0 in
   let watch _ =
-    let avg = float_of_int (Env.allowed_total env) /. float_of_int k in
+    let round = Env.round env - 1 in
+    for robot = 0 to k - 1 do
+      if mask ~round ~robot then incr allowed
+    done;
+    let avg = float_of_int !allowed /. float_of_int k in
     if avg >= breakdown_threshold env k && not (Env.fully_explored env) then
       violated := true
   in
@@ -333,7 +339,12 @@ let test_reactive_blocker_can_stall () =
   let k = 8 in
   let env = Env.create tree ~k in
   let view = Env.view env in
-  Env.set_reactive_blocker env (discovery_veto env view);
+  (* No fault hook: the allowed slots are the blocker's [true] verdicts. *)
+  let allowed = ref 0 in
+  Env.set_reactive_blocker env (fun ~round ~selected ->
+      let verdict = discovery_veto env view ~round ~selected in
+      Array.iter (fun ok -> if ok then incr allowed) verdict;
+      verdict);
   let t = Bfdn_algo.make env in
   let algo = { (Bfdn_algo.algo t) with Exec_env.finished = Env.fully_explored } in
   let r = Exec_env.run ~max_rounds:20_000 (Exec_env.of_env algo env) in
@@ -344,7 +355,7 @@ let test_reactive_blocker_can_stall () =
     Bounds.bfdn_breakdown ~n:(Env.oracle_n env) ~k ~d:(Env.oracle_depth env)
   in
   checkb "A(M) far beyond the oblivious threshold" true
-    (float_of_int (Env.allowed_total env) /. float_of_int k > threshold)
+    (float_of_int !allowed /. float_of_int k > threshold)
 
 let test_reactive_blocker_intermittent_completes () =
   (* If the reactive adversary must relent periodically (discovery allowed

@@ -413,6 +413,48 @@ let prop_survivor_implies_coverage =
       o.Scenario.result.Exec_env.explored
       && not o.Scenario.result.Exec_env.hit_round_limit)
 
+(* [Fault_plan.allowed_slots] is k * A(M) computed from the plan alone:
+   it must equal the slots an [Env] driven by the plan's hook reports as
+   [allowed], round by round — the round indexing E6's watchdog reads. *)
+let prop_allowed_slots_match_env =
+  let open QCheck2.Gen in
+  let gen =
+    let* k = int_range 1 8 in
+    let* mask =
+      oneof
+        [
+          return Fault_plan.No_mask;
+          map (fun m -> Fault_plan.Rotating m) (int_range 2 5);
+          map (fun p -> Fault_plan.Random p) (float_range 0.0 1.0);
+          return Fault_plan.Half;
+          return Fault_plan.Solo;
+        ]
+    in
+    let* crashes =
+      list_size (int_range 0 k)
+        (let* robot = int_range 0 (k - 1) in
+         let* round = int_range 1 30 in
+         let* restart = oneofl [ -1; 0; 1; 7 ] in
+         return (robot, round, restart))
+    in
+    let* seed = int_range 0 10_000 in
+    let* rounds = int_range 0 50 in
+    return (k, mask, crashes, seed, rounds)
+  in
+  let tree = Tree_gen.of_family "comb" ~rng:(Rng.create 4) ~n:40 ~depth_hint:6 in
+  QCheck2.Test.make ~count:300 ~name:"allowed_slots = Env.allowed summed" gen
+    (fun (k, mask, crashes, seed, rounds) ->
+      let plan = Fault_plan.make ~mask ~seed ~k crashes in
+      let env = Env.create tree ~k ~fault:(Injector.hook plan) in
+      let allowed = ref 0 in
+      for _ = 1 to rounds do
+        for i = 0 to k - 1 do
+          if Env.allowed env i then incr allowed
+        done;
+        Env.apply env (Array.make k Env.Stay)
+      done;
+      Fault_plan.allowed_slots plan ~rounds = !allowed)
+
 let suite =
   let tc name f = Alcotest.test_case name `Quick f in
   ( "faults",
@@ -434,4 +476,5 @@ let suite =
       tc "determinism: 1 vs 2 workers" test_determinism_across_workers;
       tc "determinism: trace frames" test_trace_frames_identical;
       QCheck_alcotest.to_alcotest prop_survivor_implies_coverage;
+      QCheck_alcotest.to_alcotest prop_allowed_slots_match_env;
     ] )

@@ -599,6 +599,20 @@ let test_span_disabled_noop () =
   Span.finish ~dur_ns:5 sp s;
   checki "nothing recorded" 0 (Span.length sp)
 
+(* Tracing disabled costs nothing because [Probe.traced] hands back the
+   metrics probe itself — the same closures, not a wrapper — and a closer
+   that records nothing. This identity is what E20's disabled side
+   relies on; it is checked here rather than timed. *)
+let test_traced_disabled_identity () =
+  let reg = Metrics.create () in
+  let probe = Probe.of_metrics reg in
+  let names = Metrics.names reg in
+  let p, close = Probe.traced Span.disabled ~parent:Span.none reg probe in
+  checkb "the metrics probe, physically" true (p == probe);
+  close ~state:"done";
+  checki "closer records no span" 0 (Span.length Span.disabled);
+  checkb "closer registers no metric" true (Metrics.names reg = names)
+
 let test_span_capacity () =
   let sp = Span.create ~capacity:2 ~trace_id:"t" () in
   let a = Span.start sp "a" in
@@ -941,6 +955,8 @@ let suite =
       tc "span tree" test_span_tree;
       tc "span finish keeps dur_ns" test_span_finish_dur_ns;
       tc "span disabled no-op" test_span_disabled_noop;
+      tc "traced on a disabled recorder is the identity"
+        test_traced_disabled_identity;
       tc "span capacity and dropped" test_span_capacity;
       tc "log levels and shape" test_log_levels;
       tc "histogram quantiles" test_quantiles;
