@@ -674,7 +674,7 @@ let sweep_cmd =
       if metrics then Probe.pool_probe worker_regs else Probe.noop
     in
     let t0 = Batch.now () in
-    (* The probe times whole cells on the pool. Seed_batch.run gets none:
+    (* The probe times whole cells on the workers. Seed_batch.run gets none:
        an enabled probe would disable its identical-lane collapse. *)
     let reports =
       Batch.map ~probe ~workers:jobs
@@ -859,7 +859,7 @@ let bounds_cmd =
     in
     let row name v = Bfdn_util.Table.add_row t [ name; Bfdn_util.Table.ffloat ~decimals:0 v ] in
     row "offline lower bound" (B.offline_lb ~n ~k ~d);
-    row "offline split 2(n/k+D)" (B.offline_split ~n ~k ~d);
+    row "offline split 2D+ceil(2(n-1)/k)" (B.offline_split ~n ~k ~d);
     row "single-robot DFS" (B.dfs ~n);
     row "CTE [10] (n/log2 k + D)" (B.cte ~n ~k ~d);
     row "Yo* [13]" (B.yostar ~n ~k ~d);

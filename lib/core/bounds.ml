@@ -12,7 +12,10 @@ let log_safe x = log (Float.max 2.0 x)
 let offline_lb ~n ~k ~d =
   Float.max (fi (Bfdn_util.Mathx.ceil_div (2 * (n - 1)) k)) (2.0 *. fi d)
 
-let offline_split ~n ~k ~d = 2.0 *. ((fi n /. fi k) +. fi d)
+(* Each robot walks to its segment of the Euler tour (at most D), covers
+   at most ceil(2(n-1)/k) tour steps and walks back (at most D). *)
+let offline_split ~n ~k ~d =
+  fi ((2 * d) + Bfdn_util.Mathx.ceil_div (2 * (n - 1)) k)
 
 let dfs ~n = 2.0 *. fi (n - 1)
 

@@ -12,7 +12,11 @@ val offline_lb : n:int -> k:int -> d:int -> float
     reached and left. *)
 
 val offline_split : n:int -> k:int -> d:int -> float
-(** [2 (n/k + d)] — the constructive offline baseline of [7, 13]. *)
+(** [2d + ceil (2(n-1)/k)] — the rounds the constructive offline
+    baseline of [7, 13] (the [offline] algorithm) takes at most:
+    each robot covers one of [k] equal segments of the Euler tour and
+    walks to and from it. The literature's [2 (n/k + d)] is lower on
+    small trees: 6 nodes of depth 2 at [k = 8] take 6 rounds, not 5.5. *)
 
 val dfs : n:int -> float
 (** [2 (n - 1)] — single-robot depth-first search. *)

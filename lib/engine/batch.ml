@@ -8,49 +8,47 @@ let map ?(probe = Probe.noop) ?workers
     ?(progress = fun ~completed:_ ~total:_ -> ()) f xs =
   let total = Array.length xs in
   let results = Array.make total (Error "not executed") in
-  let run_one i =
-    results.(i) <- (try Ok (f xs.(i)) with e -> Error (Printexc.to_string e))
-  in
   let w =
     match workers with
-    | Some w -> max 1 w
-    | None -> Domain.recommended_domain_count ()
+    | Some w -> max 1 (min Pool.max_workers w)
+    | None -> min Pool.max_workers (Domain.recommended_domain_count ())
   in
-  if w <= 1 || total <= 1 then
-    Array.iteri
-      (fun i _ ->
-        (* Inline baseline: everything runs as "worker 0" with no queue,
-           so the wait component is identically zero. *)
-        if probe.Probe.enabled then begin
-          let t0 = Clock.now_ns () in
-          run_one i;
-          let t1 = Clock.now_ns () in
-          probe.Probe.on_job ~worker:0 ~wait_ns:0 ~run_ns:(t1 - t0)
-        end
-        else run_one i;
-        progress ~completed:(i + 1) ~total)
-      xs
-  else begin
-    let pool = Pool.create ~probe ~workers:w () in
-    (* The count is taken and reported under one lock: counting outside
-       it would let a later completion report before an earlier one. *)
-    let completed = ref 0 in
-    let progress_mutex = Mutex.create () in
-    Array.iteri
-      (fun i _ ->
-        Pool.submit pool (fun () ->
-            run_one i;
-            Mutex.lock progress_mutex;
-            Fun.protect
-              ~finally:(fun () -> Mutex.unlock progress_mutex)
-              (fun () ->
-                incr completed;
-                progress ~completed:!completed ~total)))
-      xs;
-    Pool.join pool;
-    Pool.shutdown pool
-  end;
-  results
+  let next = Atomic.make 0 and completed = ref 0 and lock = Mutex.create () in
+  let start_ns = Clock.now_ns () in
+  (* Each worker takes the next index until none is left. The count is
+     taken and reported under one lock: counting outside it would let a
+     later completion report before an earlier one. *)
+  let rec work worker =
+    let i = Atomic.fetch_and_add next 1 in
+    if i < total then begin
+      let t0 = if probe.Probe.enabled then Clock.now_ns () else 0 in
+      results.(i) <- (try Ok (f xs.(i)) with e -> Error (Printexc.to_string e));
+      if probe.Probe.enabled then
+        probe.Probe.on_job ~worker ~wait_ns:(t0 - start_ns)
+          ~run_ns:(Clock.now_ns () - t0);
+      Mutex.protect lock (fun () ->
+          incr completed;
+          progress ~completed:!completed ~total);
+      work worker
+    end
+  in
+  (* The caller is worker 0. A raising [progress] stops every worker at
+     its next take, and is re-raised once all helpers have joined. *)
+  let stop () = Atomic.set next total in
+  let helper worker () =
+    match work worker with () -> None | exception e -> stop (); Some e
+  in
+  let helpers = ref [] and errors = ref [] in
+  Fun.protect
+    ~finally:(fun () ->
+      stop ();
+      errors := List.filter_map Domain.join !helpers)
+    (fun () ->
+      for h = 1 to min w total - 1 do
+        helpers := Domain.spawn (helper h) :: !helpers
+      done;
+      work 0);
+  match !errors with [] -> results | e :: _ -> raise e
 
 let run ?probe ?workers ?progress jobs =
   let arr = Array.of_list jobs in

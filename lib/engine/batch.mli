@@ -16,21 +16,22 @@ val map :
   ('a -> 'b) ->
   'a array ->
   ('b, string) result array
-(** [map f xs] applies [f] to every element on a fresh {!Pool} (shut down
-    before returning) and returns the results {e in input order}. An
-    element on which [f] raises yields [Error] carrying the exception
-    text; the remaining elements still run. [workers] defaults to
-    [Domain.recommended_domain_count ()]; [workers <= 1] runs inline in
-    the calling domain (the sequential baseline — no pool is spawned).
-    [progress] is called after each completion with a monotonically
-    increasing [completed] (serialized, possibly from worker domains: it
-    must not touch the pool).
+(** [map f xs] applies [f] to every element and returns the results
+    {e in input order}. An element on which [f] raises yields [Error]
+    carrying the exception text; the remaining elements still run.
+    [workers] defaults to [Domain.recommended_domain_count ()] and is
+    clamped to [[1, Pool.max_workers]]. The calling domain is worker [0]
+    and spawns [min workers (length xs) - 1] helper domains, each taking
+    the next index from one atomic counter; all are joined before [map]
+    returns or raises. [progress] is called after each completion with a
+    monotonically increasing [completed] (serialized, possibly from a
+    helper); if it raises, the workers stop and [map] re-raises.
 
-    [probe] (default {!Bfdn_obs.Probe.noop}) is handed to the pool for
-    per-job queue-wait/latency reporting (see {!Pool.create}); on the
-    inline [workers <= 1] path every element reports as worker [0] with
-    zero wait. The probe observes timing only — results and their order
-    are identical with or without it. *)
+    An enabled [probe] (default {!Bfdn_obs.Probe.noop}) gets [on_job
+    ~worker ~wait_ns ~run_ns] per element, on that worker's domain (so
+    it must be domain-safe, as {!Bfdn_obs.Probe.pool_probe} is), with
+    the wait measured from the start of the batch. The probe observes
+    timing only — results and their order are identical without it. *)
 
 val run :
   ?probe:Bfdn_obs.Probe.t ->

@@ -19,7 +19,6 @@ type t = {
   idle : Condition.t;
   mutable pending : int;  (* submitted, not yet finished *)
   mutable stopped : bool;
-  counts : int array;
   probe : Probe.t;
   mutable domains : unit Domain.t list;
 }
@@ -53,7 +52,6 @@ let worker t i () =
       end
       else (try task () with _ -> ());
       Mutex.lock t.mutex;
-      t.counts.(i) <- t.counts.(i) + 1;
       t.pending <- t.pending - 1;
       if t.pending = 0 then Condition.broadcast t.idle;
       Mutex.unlock t.mutex;
@@ -79,7 +77,6 @@ let create ?(probe = Probe.noop) ?workers () =
       idle = Condition.create ();
       pending = 0;
       stopped = false;
-      counts = Array.make n_workers 0;
       probe;
       domains = [];
     }
@@ -119,9 +116,3 @@ let shutdown t =
     List.iter Domain.join t.domains;
     t.domains <- []
   end
-
-let executed t =
-  Mutex.lock t.mutex;
-  let c = Array.copy t.counts in
-  Mutex.unlock t.mutex;
-  c

@@ -1,21 +1,23 @@
-(** Domain-based worker pool.
+(** Domain-based worker pool for the server.
 
     A fixed set of worker domains drains a FIFO task queue. Tasks are
     [unit -> unit] thunks; a raising task is contained (the exception is
     swallowed at the worker loop) so one bad task can never take a worker
-    — let alone the pool — down. Error reporting is the submitter's job:
-    {!Batch} wraps every job so failures surface as per-job [Error]
-    values.
+    — let alone the pool — down. The server's only task, [Server.exec],
+    contains its own errors: a failed job settles as an error response
+    and a postmortem bundle. Batches do not use this pool: {!Batch.map}
+    runs on the calling domain and helper domains of its own.
 
-    The pool is safe to drive from the spawning domain only ([submit],
-    [join] and [shutdown] are not re-entrant from worker tasks). *)
+    The pool is safe to drive from the spawning domain only ([submit]
+    and [shutdown] are not re-entrant from worker tasks). *)
 
 type t
 
 val max_workers : int
-(** [127]: the most worker domains {!create} can spawn. The OCaml 5.1
-    runtime runs at most 128 domains at once, and the spawning domain is
-    one of them. *)
+(** [127]: the most worker domains {!create} can spawn, and the most
+    workers {!Batch.map} runs (its caller plus 126 helpers). The OCaml
+    5.1 runtime runs at most 128 domains at once, and the spawning domain
+    is one of them. *)
 
 val create : ?probe:Bfdn_obs.Probe.t -> ?workers:int -> unit -> t
 (** Spawn the worker domains. [workers] defaults to
@@ -60,17 +62,9 @@ val check : token -> unit
 
 val submit : ?token:token -> t -> (unit -> unit) -> unit
 (** Enqueue a task. A [token] cancelled before the task is dequeued
-    causes the pool to drop the task unrun (it still counts in
-    {!executed} and unblocks {!join} as usual).
+    causes the pool to drop the task unrun.
     @raise Invalid_argument after {!shutdown}. *)
 
-val join : t -> unit
-(** Block until every submitted task has finished (the queue is empty and
-    no worker is mid-task). The pool stays usable for further [submit]s. *)
-
 val shutdown : t -> unit
-(** {!join}, then stop and join every worker domain. Idempotent. *)
-
-val executed : t -> int array
-(** Per-worker count of tasks completed so far (index = worker id). Call
-    after {!join} for a consistent snapshot. *)
+(** Wait until every submitted task has finished, then stop and join
+    every worker domain. Idempotent. *)

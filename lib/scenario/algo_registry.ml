@@ -139,10 +139,10 @@ let all =
       (fun _ env -> Bfdn_baselines.Dfs_single.make env);
     tree_entry ~name:"offline" ~adaptive:false
       ~doc:
-        "offline Euler-tour split — 2(n/k + D) rounds with full knowledge of \
-         the tree"
-      (* Reads the hidden tree up front (oracle), so it is meaningless
-         against a lazily materialized adversarial world. *)
+        "offline Euler-tour split — at most 2D + ceil(2(n-1)/k) rounds with \
+         full knowledge of the tree"
+      (* Reads the hidden tree up front (oracle), so it is meaningless on
+         a world decided as it is explored: an adversary's or a lazy one. *)
       (fun _ env -> Bfdn_baselines.Offline_split.make env);
     tree_entry ~name:"random-walk"
       ~doc:"independent uniform random walks — naive randomized baseline"

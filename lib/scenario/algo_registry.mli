@@ -46,8 +46,10 @@ type make =
       adaptive : bool;
       algo : ctx -> Bfdn_sim.Env.t -> Bfdn_sim.Exec_env.algo;
     }
-      (** a synchronous tree algorithm; [adaptive] when it is sound
-          against a lazily materialized adversarial world *)
+      (** a synchronous tree algorithm; [adaptive] when it is sound on
+          a world decided as it is explored (an adversary's, or a
+          [scale=lazy] family): one that plans from the whole tree up
+          front is not *)
   | Graph of (ctx -> Bfdn_graphs.Graph_env.t -> Bfdn_sim.Exec_env.t)
       (** a graph algorithm; the caller threads the fault hook into
           {!Bfdn_graphs.Graph_env.create} *)

@@ -152,9 +152,8 @@ let driver_for t (e : Algo_registry.entry) (source : World_registry.source) =
   let no fmt = Printf.ksprintf (fun msg -> Error msg) fmt in
   match (source, e.make) with
   | Graph_world _, Graph _
-  | (Eager_tree _ | Lazy_tree _), Tree _
-  | Eager_tree _, Async _
-  | Adaptive _, Tree { adaptive = true; _ } ->
+  | Eager_tree _, (Tree _ | Async _)
+  | (Lazy_tree _ | Adaptive _), Tree { adaptive = true; _ } ->
       Ok e.make
   | Graph_world _, _ ->
       no
@@ -168,7 +167,7 @@ let driver_for t (e : Algo_registry.entry) (source : World_registry.source) =
         t.algo
   | (Eager_tree _ | Lazy_tree _), Graph _ ->
       no "algorithm %S does not run on tree worlds" t.algo
-  | Adaptive _, _ ->
+  | (Lazy_tree _ | Adaptive _), Tree _ | Adaptive _, _ ->
       no
         "algorithm %S is not adaptive-capable and cannot face an adversarial \
          world"

@@ -22,11 +22,13 @@ module Mathx = Bfdn_util.Mathx
    values the view reads once the node is revealed.
 
    Family shapes are driven by a per-node [role] decided at promise time
-   from the parent's role, so every family is exploration-order
-   independent (the "random" family derives child counts from
-   hash(seed, id), again order-independent; only its budget truncation
-   tail can depend on reveal order, and it is a deterministic function of
-   the exploration). A policy is free to depend on anything. *)
+   from the parent's role, so every deterministic family is
+   exploration-order independent. The "random" family is not: it derives
+   child counts from hash(seed, id), but ids are handed out in reveal
+   order and the node budget runs out wherever the exploration is, so its
+   tree is a deterministic function of the spec {e and} of the order the
+   algorithm reveals nodes in (two algorithms on one spec explore
+   different trees). A policy is free to depend on anything. *)
 
 type policy =
   node:int -> depth:int -> arriving:int -> round:int -> remaining:int -> int

@@ -17,13 +17,17 @@
 
     Child ids are allocated densely at the parent's reveal, in promise
     order, before the child's own subtree shape is decided, so the
-    discovered tree never leaks hidden information. Family shapes are
-    exploration-order independent: each promised node carries a family
-    role fixed at promise time; the ["random"] family draws child counts
-    from a pure hash of [(seed, node id)]. Node {e ids} follow reveal
-    order and therefore differ from the eager generator's DFS ids — the
-    instances are equal as port-numbered trees up to relabeling, with
-    identical summary statistics. *)
+    discovered tree never leaks hidden information. The deterministic
+    family shapes are exploration-order independent: each promised node
+    carries a family role fixed at promise time. Node {e ids} follow
+    reveal order and therefore differ from the eager generator's DFS ids
+    — those instances are equal as port-numbered trees up to relabeling,
+    with identical summary statistics. The ["random"] family is not
+    order independent: it draws child counts from a hash of
+    [(seed, node id)], and since ids follow reveal order (and the node
+    budget runs out wherever the exploration is), the tree depends on the
+    order the algorithm reveals nodes in, and differs from
+    {!materialize}'s breadth-first expansion of the same spec. *)
 
 type t
 

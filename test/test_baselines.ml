@@ -82,6 +82,67 @@ let prop_offline_beats_bound =
       && float_of_int r.rounds
          <= (2.0 *. ((float_of_int n /. float_of_int k) +. float_of_int d)) +. 2.0)
 
+(* Every ordered tree of [n] nodes, once each: nodes are numbered in
+   preorder, so node i hangs off the rightmost path of nodes 0..i-1
+   ([path.(0..len-1)], root first). [f] sees one shared parent array. *)
+let iter_ordered_trees ~n f =
+  let parents = Array.make n (-1) and path = Array.make n 0 in
+  let rec go i len =
+    if i = n then f parents
+    else
+      for d = 0 to len - 1 do
+        parents.(i) <- path.(d);
+        let saved = path.(d + 1) in
+        path.(d + 1) <- i;
+        go (i + 1) (d + 2);
+        path.(d + 1) <- saved
+      done
+  in
+  go 1 1
+
+(* Bounds.offline_split is what the split takes at most, and it is
+   reached; the literature's 2(n/k + D) is not, on 35 small trees at
+   k = 8. *)
+let test_offline_split_bound_exhaustive () =
+  let below_old = ref 0 and reached = ref 0 in
+  List.iter
+    (fun (n, catalan) ->
+      let trees = ref 0 in
+      iter_ordered_trees ~n (fun parents ->
+          incr trees;
+          let tree = Tree.of_parents parents in
+          let d = Tree.depth tree in
+          List.iter
+            (fun k ->
+              let _, r = run Offline_split.make tree k in
+              let bound = Bfdn.Bounds.offline_split ~n ~k ~d in
+              let what =
+                Printf.sprintf "[%s] k=%d"
+                  (String.concat ";"
+                     (Array.to_list (Array.map string_of_int parents)))
+                  k
+              in
+              checkb (what ^ " explored") true r.explored;
+              checkb (what ^ " at root") true r.at_root;
+              if float_of_int r.rounds > bound then
+                Alcotest.failf "%s: %d rounds > %g" what r.rounds bound;
+              if float_of_int r.rounds = bound then incr reached;
+              let old =
+                2.0 *. ((float_of_int n /. float_of_int k) +. float_of_int d)
+              in
+              if float_of_int r.rounds > old then incr below_old)
+            [ 1; 2; 3; 4; 8 ]);
+      checki (Printf.sprintf "Catalan(%d) trees of %d nodes" (n - 1) n) catalan
+        !trees)
+    [ (2, 1); (3, 2); (4, 5); (5, 14); (6, 42); (7, 132) ];
+  checkb "the bound is reached" true (!reached > 0);
+  checki "runs over 2(n/k + D)" 35 !below_old;
+  let tree = Tree.of_parents [| -1; 0; 0; 0; 3; 3 |] in
+  let _, r = run Offline_split.make tree 8 in
+  checki "n=6 D=2 k=8 takes 6 rounds" 6 r.rounds;
+  Alcotest.(check (float 0.0)) "its bound" 6.0
+    (Bfdn.Bounds.offline_split ~n:6 ~k:8 ~d:2)
+
 (* The raw itineraries are well-formed walks: consecutive nodes adjacent,
    starting and ending at the root, covering each tour edge. *)
 let test_offline_itinerary_structure () =
@@ -185,6 +246,8 @@ let suite =
       tc "offline planned = run" test_offline_planned_matches_run;
       qc prop_offline_beats_bound;
       tc "offline itinerary structure" test_offline_itinerary_structure;
+      tc "offline split bound on every tree of 2-7 nodes"
+        test_offline_split_bound_exhaustive;
       tc "cte families" test_cte_families;
       tc "cte single robot is dfs" test_cte_single_robot_is_dfs;
       qc prop_cte_explores;

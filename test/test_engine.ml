@@ -23,20 +23,14 @@ let test_pool_drains () =
       for _ = 1 to 50 do
         Pool.submit pool (fun () -> Atomic.incr hits)
       done;
-      Pool.join pool;
+      Pool.shutdown pool;
       checki
         (Printf.sprintf "all tasks ran (workers=%d)" workers)
-        50 (Atomic.get hits);
-      (* The pool stays usable after a join. *)
-      Pool.submit pool (fun () -> Atomic.incr hits);
-      Pool.join pool;
-      checki "usable after join" 51 (Atomic.get hits);
-      let per_worker = Pool.executed pool in
-      checki "per-worker stats account for every task" 51
-        (Array.fold_left ( + ) 0 per_worker);
-      Pool.shutdown pool)
+        50 (Atomic.get hits))
     [ 1; 2; Domain.recommended_domain_count () ]
 
+(* Every third task raises; the workers survive them, so the tasks
+   queued behind them (the last one included) still run. *)
 let test_pool_survives_raising_task () =
   let pool = Pool.create ~workers:2 () in
   let hits = Atomic.make 0 in
@@ -45,12 +39,9 @@ let test_pool_survives_raising_task () =
         if i mod 3 = 0 then failwith "boom";
         Atomic.incr hits)
   done;
-  Pool.join pool;
-  checki "non-raising tasks all ran" 20 (Atomic.get hits);
-  (* Workers survived: the pool still executes new tasks. *)
   Pool.submit pool (fun () -> Atomic.incr hits);
   Pool.shutdown pool;
-  checki "pool alive after exceptions" 21 (Atomic.get hits)
+  checki "non-raising tasks all ran" 21 (Atomic.get hits)
 
 let test_pool_shutdown_idempotent () =
   let pool = Pool.create ~workers:2 () in
@@ -183,15 +174,114 @@ let test_batch_error_isolated () =
       | Ok _ -> ())
     errs
 
+(* The probe's records, one per element: (worker, wait_ns). Each domain
+   appends under a lock, so the hook is domain-safe. *)
+let recording_probe () =
+  let lock = Mutex.create () and jobs = ref [] in
+  let probe =
+    Bfdn_obs.Probe.make
+      ~on_job:(fun ~worker ~wait_ns ~run_ns:_ ->
+        Mutex.protect lock (fun () -> jobs := (worker, wait_ns) :: !jobs))
+      ()
+  in
+  (probe, jobs)
+
+(* Every third element raises, and element costs vary, so workers
+   finish out of order; the slots still come back in input order. *)
 let test_batch_map_generic () =
-  let xs = Array.init 100 (fun i -> i) in
-  let res = Batch.map ~workers:3 (fun x -> x * x) xs in
-  Array.iteri
-    (fun i r ->
-      match r with
-      | Ok v -> checki "square in order" (i * i) v
-      | Error e -> Alcotest.failf "unexpected error %s" e)
-    res
+  let xs = Array.init 60 (fun i -> i) in
+  let f x =
+    if x mod 3 = 2 then failwith (string_of_int x);
+    let acc = ref 0 in
+    for j = 1 to (x * 7919 mod 13) * 2000 do
+      acc := !acc + j
+    done;
+    ignore (Sys.opaque_identity !acc);
+    x * x
+  in
+  let expect =
+    Array.map
+      (fun x ->
+        if x mod 3 = 2 then
+          Error (Printexc.to_string (Failure (string_of_int x)))
+        else Ok (x * x))
+      xs
+  in
+  List.iter
+    (fun workers ->
+      List.iter
+        (fun probed ->
+          let probe, jobs = recording_probe () in
+          let probe = if probed then probe else Bfdn_obs.Probe.noop in
+          let got = Batch.map ~probe ~workers f xs in
+          checkb
+            (Printf.sprintf "input order (workers=%d, probe=%b)" workers probed)
+            true (got = expect);
+          checki "probe records" (if probed then 60 else 0)
+            (List.length !jobs))
+        [ false; true ])
+    [ 1; 2; 3; 8 ]
+
+(* on_job fires once per element, from workers 0 .. min(w, n) - 1, with
+   a wait measured from the start of the batch. *)
+let test_batch_map_probe () =
+  List.iter
+    (fun (workers, n) ->
+      let probe, jobs = recording_probe () in
+      ignore (Batch.map ~probe ~workers (fun x -> x) (Array.make n 0));
+      let what = Printf.sprintf "workers=%d n=%d" workers n in
+      checki (what ^ ": one record per element") n (List.length !jobs);
+      List.iter
+        (fun (worker, wait_ns) ->
+          checkb (what ^ ": worker id in range") true
+            (worker >= 0 && worker < min workers n);
+          checkb (what ^ ": wait >= 0") true (wait_ns >= 0))
+        !jobs)
+    [ (1, 10); (2, 10); (3, 40); (8, 5); (8, 1); (3, 0) ]
+
+(* A raising [progress], on the caller or on a helper, reaches the
+   caller only after every helper has joined: by then no element is
+   running, and none starts afterwards. *)
+let test_batch_map_progress_raises () =
+  let caller = Domain.self () in
+  List.iter
+    (fun (where, raise_here) ->
+      let started = Atomic.make 0 and finished = Atomic.make 0 in
+      let f x =
+        Atomic.incr started;
+        Unix.sleepf 0.001;
+        Atomic.incr finished;
+        x
+      in
+      let progress ~completed:_ ~total:_ =
+        if raise_here (Domain.self () = caller) then failwith where
+      in
+      (match Batch.map ~workers:3 ~progress f (Array.make 200 0) with
+      | _ -> Alcotest.failf "%s: the progress exception was lost" where
+      | exception Failure msg ->
+          Alcotest.(check string) "the raised one" where msg);
+      let s = Atomic.get started in
+      checki (where ^ ": no element running") s (Atomic.get finished);
+      Unix.sleepf 0.02;
+      checki (where ^ ": no element started afterwards") s (Atomic.get started))
+    [ ("on the caller", Fun.id); ("on a helper", not) ]
+
+(* Domain ids are handed out in spawn order, so a probe domain spawned
+   after [map] has the id after the one spawned before it exactly when
+   [map] spawned none. *)
+let test_batch_map_small_spawns_nothing () =
+  let probe_id () = (Domain.join (Domain.spawn Domain.self) :> int) in
+  List.iter
+    (fun n ->
+      let before = probe_id () in
+      let res = Batch.map ~workers:8 (fun x -> x + 1) (Array.make n 1) in
+      checki (Printf.sprintf "n=%d: no helper spawned" n) (before + 1)
+        (probe_id ());
+      checkb "result" true (Array.for_all (( = ) (Ok 2)) res))
+    [ 0; 1 ];
+  let before = probe_id () in
+  ignore (Batch.map ~workers:3 Fun.id (Array.make 10 0));
+  checki "n=10, workers=3: two helpers" (before + 3) (probe_id ())
 
 let test_aggregate () =
   let jobs =
@@ -386,6 +476,11 @@ let suite =
       tc "batch: progress monotone, collection ordered" test_batch_progress_and_order;
       tc "batch: per-job errors are isolated" test_batch_error_isolated;
       tc "batch: generic map" test_batch_map_generic;
+      tc "batch: on_job once per element" test_batch_map_probe;
+      tc "batch: raising progress joins helpers first"
+        test_batch_map_progress_raises;
+      tc "batch: 0 or 1 elements spawn no helper"
+        test_batch_map_small_spawns_nothing;
       tc "batch: aggregate summaries" test_aggregate;
       tc "report: json rendering" test_report_json;
       tc "report: sweep body" test_report_of_sweep;

@@ -151,6 +151,13 @@ let test_validate_rejects () =
   expect_error "oracle-reading algo vs adaptive adversary"
     (Scenario.make ~algo:"offline"
        (Scenario.adversarial ~policy:"miser" ~capacity:10 ~depth_budget:5));
+  (* a lazy world is revealed as it is explored: offline would plan on
+     the root star and stop unexplored *)
+  expect_error "oracle-reading algo vs lazy world"
+    (Scenario.make ~algo:"offline" ~k:8
+       (Scenario.world
+          ~params:[ ("n", Param.Int 2000); ("scale", Param.String "lazy") ]
+          "comb"));
   (* parameter schema *)
   expect_error "unknown algo param"
     (Scenario.make ~algo_params:[ ("nope", Param.Int 1) ]
@@ -380,8 +387,15 @@ let spec_gen =
      bindings_for ~world entry.params >>= fun params ->
      return (Scenario.World { world; params }))
   >>= fun instance ->
+  (* a world decided as it is explored takes adaptive algorithms only *)
+  let revealed =
+    match instance with
+    | Scenario.World { params; _ } ->
+        List.assoc_opt "scale" params = Some (Param.String "lazy")
+    | _ -> true
+  in
   oneofl
-    (if adversarial then Algo_registry.adaptive_names
+    (if revealed then Algo_registry.adaptive_names
      else Algo_registry.tree_names)
   >>= fun algo ->
   bindings_for (Option.get (Algo_registry.find algo)).params
