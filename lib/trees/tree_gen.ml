@@ -263,6 +263,24 @@ let hidden_path ~k ~blocks =
   done;
   Builder.build b
 
+(* Nodes are numbered in preorder, so node i hangs off the rightmost
+   path of nodes 0..i-1 ([path.(0..len-1)], root first). *)
+let iter_ordered ~n f =
+  if n < 1 then invalid_arg "Tree_gen.iter_ordered: n must be >= 1";
+  let parents = Array.make n (-1) and path = Array.make n 0 in
+  let rec go i len =
+    if i = n then f parents
+    else
+      for d = 0 to len - 1 do
+        parents.(i) <- path.(d);
+        let saved = path.(d + 1) in
+        path.(d + 1) <- i;
+        go (i + 1) (d + 2);
+        path.(d + 1) <- saved
+      done
+  in
+  go 1 1
+
 let families =
   [
     "path"; "star"; "binary"; "ternary"; "spider"; "caterpillar"; "comb";

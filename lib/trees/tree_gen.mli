@@ -81,6 +81,13 @@ val hidden_path : k:int -> blocks:int -> Tree.t
     only gradually, which is adversarial for proportional-splitting
     exploration (the tightness regime of CTE, cf. [11]). *)
 
+val iter_ordered : n:int -> (int array -> unit) -> unit
+(** [iter_ordered ~n f] calls [f] once on every ordered (plane) tree of
+    [n >= 1] nodes — Catalan(n-1) of them — as a parent array in
+    preorder ([parents.(0) = -1], [parents.(i) < i]), ready for
+    {!Tree.of_parents}. [f] sees one shared array, overwritten between
+    calls: copy it to keep it. *)
+
 val of_family :
   string -> rng:Bfdn_util.Rng.t -> n:int -> depth_hint:int -> Tree.t
 (** Name-indexed dispatch used by the CLI and the bench harness. Accepted

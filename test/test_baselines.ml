@@ -82,24 +82,6 @@ let prop_offline_beats_bound =
       && float_of_int r.rounds
          <= (2.0 *. ((float_of_int n /. float_of_int k) +. float_of_int d)) +. 2.0)
 
-(* Every ordered tree of [n] nodes, once each: nodes are numbered in
-   preorder, so node i hangs off the rightmost path of nodes 0..i-1
-   ([path.(0..len-1)], root first). [f] sees one shared parent array. *)
-let iter_ordered_trees ~n f =
-  let parents = Array.make n (-1) and path = Array.make n 0 in
-  let rec go i len =
-    if i = n then f parents
-    else
-      for d = 0 to len - 1 do
-        parents.(i) <- path.(d);
-        let saved = path.(d + 1) in
-        path.(d + 1) <- i;
-        go (i + 1) (d + 2);
-        path.(d + 1) <- saved
-      done
-  in
-  go 1 1
-
 (* Bounds.offline_split is what the split takes at most, and it is
    reached; the literature's 2(n/k + D) is not, on 35 small trees at
    k = 8. *)
@@ -108,7 +90,7 @@ let test_offline_split_bound_exhaustive () =
   List.iter
     (fun (n, catalan) ->
       let trees = ref 0 in
-      iter_ordered_trees ~n (fun parents ->
+      Tree_gen.iter_ordered ~n (fun parents ->
           incr trees;
           let tree = Tree.of_parents parents in
           let d = Tree.depth tree in

@@ -11,6 +11,7 @@ let () =
       Test_partial_diff.suite;
       Test_bfdn.suite;
       Test_golden.suite;
+      Test_equiv.suite;
       Test_urn.suite;
       Test_planner.suite;
       Test_graphs.suite;
