@@ -22,7 +22,7 @@ let make env =
      instead of being cleared: [grp_cnt] ranks the robots at a node,
      [br_off]/[br_len] point into the shared [br_buf] segment holding the
      node's unfinished branches for this round. *)
-  let moves = Array.make k Env.Stay in
+  let moves = Array.make k Env.stay in
   let epoch = ref 0 in
   let grp_stamp = Array.make n (-1) in
   let grp_cnt = Array.make n 0 in
@@ -31,18 +31,6 @@ let make env =
   let br_len = Array.make n 0 in
   let br_buf = ref (Array.make 16 0) in
   let br_fill = ref 0 in
-  let via_cache = ref (Array.init 8 (fun p -> Env.Via_port p)) in
-  let via p =
-    let len = Array.length !via_cache in
-    if p >= len then begin
-      let l = ref len in
-      while p >= !l do
-        l := 2 * !l
-      done;
-      via_cache := Array.init !l (fun q -> Env.Via_port q)
-    end;
-    (!via_cache).(p)
-  in
   let compute_branches pos =
     let nports = Partial_tree.num_ports view pos in
     while cursor.(pos) < nports && not (unfinished view pos cursor.(pos)) do
@@ -84,8 +72,8 @@ let make env =
       if br_stamp.(pos) <> !epoch then compute_branches pos;
       let m = br_len.(pos) in
       moves.(i) <-
-        (if m = 0 then if pos <> root then Env.Up else Env.Stay
-         else via (!br_buf).(br_off.(pos) + (j mod m)))
+        (if m = 0 then if pos <> root then Env.up else Env.stay
+         else Env.via (!br_buf).(br_off.(pos) + (j mod m)))
     done;
     moves
   in

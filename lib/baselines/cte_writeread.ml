@@ -43,7 +43,7 @@ let make env =
   in
   let select env =
     let k = Env.k env in
-    let moves = Array.make k Env.Stay in
+    let moves = Array.make k Env.stay in
     let by_node = Hashtbl.create 16 in
     for i = k - 1 downto 0 do
       let pos = Env.position env i in
@@ -55,13 +55,13 @@ let make env =
       if locally_finished pos then begin
         if pos <> root then begin
           mark_done_at_parent pos;
-          List.iter (fun i -> moves.(i) <- Env.Up) robots
+          List.iter (fun i -> moves.(i) <- Env.up) robots
         end
       end
       else begin
         let ports = Array.of_list (unfinished_branches pos) in
         let m = Array.length ports in
-        List.iteri (fun j i -> moves.(i) <- Env.Via_port ports.(j mod m)) robots
+        List.iteri (fun j i -> moves.(i) <- Env.via ports.(j mod m)) robots
       end
     in
     Hashtbl.iter handle_node by_node;

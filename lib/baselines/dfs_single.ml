@@ -22,13 +22,13 @@ let make env =
     scan ()
   in
   let select env =
-    let moves = Array.make (Env.k env) Env.Stay in
+    let moves = Array.make (Env.k env) Env.stay in
     let pos = Env.position env 0 in
     (match next_dangling pos with
     | Some p ->
         cursor.(pos) <- p + 1;
-        moves.(0) <- Env.Via_port p
-    | None -> if pos <> Partial_tree.root view then moves.(0) <- Env.Up);
+        moves.(0) <- Env.via p
+    | None -> if pos <> Partial_tree.root view then moves.(0) <- Env.up);
     moves
   in
   {

@@ -31,8 +31,8 @@ let moves_of_itinerary tree nodes =
   let rec pairs = function
     | a :: (b :: _ as rest) ->
         let step =
-          if Tree.parent tree a = Some b then Env.Up
-          else Env.Via_port (Tree.port_of_child tree a b)
+          if Tree.parent tree a = Some b then Env.up
+          else Env.via (Tree.port_of_child tree a b)
         in
         step :: pairs rest
     | [ _ ] | [] -> []
@@ -53,7 +53,7 @@ let make env =
   let select env =
     Array.init (Env.k env) (fun i ->
         match !(plans.(i)) with
-        | [] -> Env.Stay
+        | [] -> Env.stay
         | m :: rest ->
             plans.(i) := rest;
             m)

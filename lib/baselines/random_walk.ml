@@ -8,7 +8,7 @@ let make ~rng env =
     Array.init (Env.k env) (fun i ->
         let pos = Env.position env i in
         let nports = Partial_tree.num_ports view pos in
-        if nports = 0 then Env.Stay else Env.Via_port (Rng.int rng nports))
+        if nports = 0 then Env.stay else Env.via (Rng.int rng nports))
   in
   {
     Bfdn_sim.Exec_env.select;

@@ -202,7 +202,7 @@ let select t =
   let view = Env.view t.env in
   let root = Partial_tree.root view in
   let k = Env.k t.env in
-  let moves = Array.make k Env.Stay in
+  let moves = Array.make k Env.stay in
   (* 1. Deliver pending local writes and refresh anchor snapshots. *)
   for i = 0 to k - 1 do
     let r = t.robots.(i) in
@@ -236,7 +236,7 @@ let select t =
       ensure_board t pos;
       Whiteboard.mark_dispatched t.wb pos p;
       r.path <- (pos, p) :: r.path;
-      moves.(i) <- Env.Via_port p
+      moves.(i) <- Env.via p
     in
     let go_up () =
       match r.path with
@@ -252,7 +252,7 @@ let select t =
           ensure_board t pos;
           if Whiteboard.all_finished t.wb pos then
             r.pending_mark <- Some (parent, port);
-          moves.(i) <- Env.Up
+          moves.(i) <- Env.up
       | [] -> () (* at the root: wait *)
     in
     let dfs_step () =

@@ -66,7 +66,7 @@ let make ~ell env =
        load);
     dangle_cursor = Array.make n 0;
     selected = Hashtbl.create 16;
-    moves = Array.make k Env.Stay;
+    moves = Array.make k Env.stay;
     top = None;
     j = 0;
     calls = 0;
@@ -146,24 +146,24 @@ let leaf_step_robot t l i =
   match t.walk.(i) with
   | W_up :: rest ->
       t.walk.(i) <- rest;
-      t.moves.(i) <- Env.Up
+      t.moves.(i) <- Env.up
   | W_port p :: rest ->
       t.walk.(i) <- rest;
-      t.moves.(i) <- Env.Via_port p
+      t.moves.(i) <- Env.via p
   | [] -> (
       if pos = l.l_root && t.stack.(i) = [] then leaf_reanchor t l i;
       match t.stack.(i) with
       | p :: rest ->
           t.stack.(i) <- rest;
-          t.moves.(i) <- Env.Via_port p
+          t.moves.(i) <- Env.via p
       | [] -> (
           match next_dangling t pos with
           | Some p ->
               Hashtbl.replace t.selected (pos, p) ();
-              t.moves.(i) <- Env.Via_port p
+              t.moves.(i) <- Env.via p
           | None ->
               if pos <> l.l_root && pos <> Partial_tree.root (view t) then
-                t.moves.(i) <- Env.Up))
+                t.moves.(i) <- Env.up))
 
 (* ---- divide-depth (Algorithm 3) ---- *)
 
@@ -351,7 +351,7 @@ let start_call t =
 
 let select t =
   Hashtbl.reset t.selected;
-  Array.fill t.moves 0 (Env.k t.env) Env.Stay;
+  Array.fill t.moves 0 (Env.k t.env) Env.stay;
   (match t.top with
   | None -> start_call t
   | Some _ -> ());

@@ -2,7 +2,13 @@ module Tree = Bfdn_trees.Tree
 
 type robot = int
 
-type move = Stay | Up | Via_port of int
+(* Immediate move codes: a port is its own code, so resolving one is a
+   range check. *)
+type move = int
+
+let stay = -2
+let up = -1
+let[@inline] via p = p
 
 type mask = round:int -> robot:robot -> bool
 
@@ -83,7 +89,6 @@ type t = {
   mutable multi_reveals : int;
   (* Per-round scratch, reused across every {!apply} call so the steady
      state round loop allocates nothing. *)
-  eff : move array; (* selected moves after masking, length k *)
   tgt_dst : int array; (* resolved target node, -1 = no move, length k *)
   tgt_port : int array; (* dangling port being crossed, -1 = none, length k *)
   arriving : Node_store.col; (* per-node arrival counts of one round *)
@@ -118,7 +123,6 @@ let of_world ?(fault = fault_noop) world ~k =
     store;
     up_seen = Node_store.flags store;
     multi_reveals = 0;
-    eff = Array.make k Stay;
     tgt_dst = Array.make k (-1);
     tgt_port = Array.make k (-1);
     arriving = Node_store.column store ~fill:0;
@@ -145,7 +149,7 @@ let round t = t.round
 let view t = t.view
 let position t i = t.positions.(i)
 let positions t = Array.copy t.positions
-let allowed t i =
+let[@inline] allowed t i =
   not (t.fault.fh_enabled && t.fault.fh_down ~round:t.round ~robot:i)
 
 let fully_explored t = Partial_tree.complete t.view
@@ -192,47 +196,47 @@ let apply t moves =
           invalid_arg "Env.apply: reactive blocker returned wrong arity";
         Some verdict
   in
-  (* Pin masked robots. *)
-  let fault = t.fault in
-  for i = 0 to t.k - 1 do
-    t.eff.(i) <- Stay;
-    if
-      not (fault.fh_enabled && fault.fh_down ~round:t.round ~robot:i)
-      && (match reactive with None -> true | Some v -> v.(i))
-    then t.eff.(i) <- moves.(i)
-  done;
   (* Validate and resolve all targets before mutating anything: moves are
-     synchronous. Targets are int-encoded ([tgt_dst] = -1 for Stay,
-     [tgt_port] = the dangling port being crossed or -1) so resolution
-     allocates nothing. *)
+     synchronous. A robot the fault hook or the blocker pins stays, and
+     its code goes unchecked. Targets are int-encoded ([tgt_dst] = -1 for
+     a robot that stays, [tgt_port] = the dangling port being crossed or
+     -1) so resolution allocates nothing. *)
+  let fault = t.fault in
   let dsts = t.tgt_dst and ports = t.tgt_port in
   for i = 0 to t.k - 1 do
     let pos = t.positions.(i) in
-    match t.eff.(i) with
-    | Stay ->
-        dsts.(i) <- -1;
+    let m = moves.(i) in
+    if
+      m = stay
+      || (fault.fh_enabled && fault.fh_down ~round:t.round ~robot:i)
+      || match reactive with None -> false | Some v -> not v.(i)
+    then begin
+      dsts.(i) <- -1;
+      ports.(i) <- -1
+    end
+    else if m = up then begin
+      let p = Partial_tree.parent_id t.view pos in
+      if p < 0 then invalid_arg "Env.apply: Up selected at the root";
+      dsts.(i) <- p;
+      ports.(i) <- -1
+    end
+    else begin
+      let nports = Partial_tree.num_ports t.view pos in
+      if m < 0 || m >= nports then invalid_arg "Env.apply: port out of range";
+      if Partial_tree.is_port_dangling t.view pos m then begin
+        (* Fresh ids enter only here: back them in every column. *)
+        let dst = t.world.w_child pos m in
+        if dst < 0 || dst >= t.store.Node_store.bound then
+          Node_store.ensure t.store dst;
+        dsts.(i) <- dst;
+        ports.(i) <- m
+      end
+      else begin
+        let c = Partial_tree.port_child_id t.view pos m in
+        dsts.(i) <- (if c >= 0 then c else Partial_tree.parent_id t.view pos);
         ports.(i) <- -1
-    | Up ->
-        let p = Partial_tree.parent_id t.view pos in
-        if p < 0 then invalid_arg "Env.apply: Up selected at the root";
-        dsts.(i) <- p;
-        ports.(i) <- -1
-    | Via_port p ->
-        let nports = Partial_tree.num_ports t.view pos in
-        if p < 0 || p >= nports then invalid_arg "Env.apply: port out of range";
-        if Partial_tree.is_port_dangling t.view pos p then begin
-          (* Fresh ids enter only here: back them in every column. *)
-          let dst = t.world.w_child pos p in
-          if dst < 0 || dst >= t.store.Node_store.bound then
-            Node_store.ensure t.store dst;
-          dsts.(i) <- dst;
-          ports.(i) <- p
-        end
-        else begin
-          let c = Partial_tree.port_child_id t.view pos p in
-          dsts.(i) <- (if c >= 0 then c else Partial_tree.parent_id t.view pos);
-          ports.(i) <- -1
-        end
+      end
+    end
   done;
   (* Arrival counts in O(k): clear only the entries this round touches,
      then count. The scratch array persists across rounds. *)

@@ -143,10 +143,10 @@ let register t ~width ~fill =
 let column t ~fill = register t ~width:4 ~fill
 let flags t = register t ~width:1 ~fill:0
 
-let get c i =
+let[@inline] get c i =
   Int32.to_int (get32u c.(i lsr page_bits) ((i land page_mask) lsl 2))
 
-let set c i v =
+let[@inline] set c i v =
   set32u c.(i lsr page_bits) ((i land page_mask) lsl 2) (Int32.of_int v)
 
 (* The round loop's access: [get] and [set] without the directory's

@@ -76,10 +76,10 @@ let pool_alloc t len =
 
 let[@inline] pool t v p = vget t.port_pool (get t.port_base v + p)
 
-let unexplored name = invalid_arg (name ^ ": unexplored node")
+let[@inline never] unexplored name = invalid_arg (name ^ ": unexplored node")
 let[@inline] check_explored t v name = if not (is_explored t v) then unexplored name
 
-let num_ports t v =
+let[@inline] num_ports t v =
   check_explored t v "Partial_tree.num_ports";
   get t.nports v
 
@@ -92,11 +92,11 @@ let port t v p =
   else if e = enc_dangling then Dangling
   else Child e
 
-let is_port_dangling t v p =
+let[@inline] is_port_dangling t v p =
   check_explored t v "Partial_tree.is_port_dangling";
   pool t v p = enc_dangling
 
-let port_child_id t v p =
+let[@inline] port_child_id t v p =
   check_explored t v "Partial_tree.port_child_id";
   let e = pool t v p in
   if e >= 0 then e else -1
@@ -118,30 +118,30 @@ let parent t v =
   check_explored t v "Partial_tree.parent";
   if v = t.root then None else Some (get t.parents v)
 
-let parent_id t v =
+let[@inline] parent_id t v =
   check_explored t v "Partial_tree.parent_id";
   if v = t.root then -1 else get t.parents v
 
-let parent_port t v =
+let[@inline] parent_port t v =
   check_explored t v "Partial_tree.parent_port";
   get t.parent_ports v
 
-let depth_of t v =
+let[@inline] depth_of t v =
   check_explored t v "Partial_tree.depth_of";
   get t.depths v
 
 let is_open t v = is_explored t v && get t.dangling_cnt v > 0
 
-let subtree_open t v =
+let[@inline] subtree_open t v =
   check_explored t v "Partial_tree.subtree_open";
   get t.open_cnt v > 0
 
-let max_depth_index t = Array.length t.open_at - 1
+let[@inline] max_depth_index t = Array.length t.open_at - 1
 
-let bucket_len t d =
+let[@inline] bucket_len t d =
   match t.open_at.(d) with None -> 0 | Some b -> b.len
 
-let min_open_depth_raw t =
+let[@inline] min_open_depth_raw t =
   if t.total_dangling = 0 then -1
   else begin
     let d = ref t.min_open_ptr in
@@ -156,10 +156,10 @@ let min_open_depth t =
   let d = min_open_depth_raw t in
   if d < 0 then None else Some d
 
-let num_open_at_depth t d =
+let[@inline] num_open_at_depth t d =
   if d < 0 || d > max_depth_index t then 0 else bucket_len t d
 
-let nth_open_at_depth t d i =
+let[@inline] nth_open_at_depth t d i =
   if i < 0 || i >= num_open_at_depth t d then
     invalid_arg "Partial_tree.nth_open_at_depth: index out of range";
   match t.open_at.(d) with None -> assert false | Some b -> slot b i

@@ -328,10 +328,9 @@ let test_blocked_robot_never_moves () =
 let discovery_veto env view ~round:_ ~selected =
   Array.mapi
     (fun i m ->
-      match m with
-      | Env.Via_port p ->
-          Partial_tree.port view (Env.position env i) p <> Partial_tree.Dangling
-      | Env.Stay | Env.Up -> true)
+      m = Env.stay || m = Env.up
+      || Partial_tree.port view (Env.position env i) (m :> int)
+         <> Partial_tree.Dangling)
     selected
 
 let test_reactive_blocker_can_stall () =
@@ -377,7 +376,7 @@ let test_reactive_blocker_arity_checked () =
   Env.set_reactive_blocker env (fun ~round:_ ~selected:_ -> [| true |]);
   checkb "bad arity rejected" true
     (try
-       Env.apply env [| Env.Stay; Env.Stay; Env.Stay |];
+       Env.apply env [| Env.stay; Env.stay; Env.stay |];
        false
      with Invalid_argument _ -> true)
 

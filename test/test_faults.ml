@@ -451,7 +451,7 @@ let prop_allowed_slots_match_env =
         for i = 0 to k - 1 do
           if Env.allowed env i then incr allowed
         done;
-        Env.apply env (Array.make k Env.Stay)
+        Env.apply env (Array.make k Env.stay)
       done;
       Fault_plan.allowed_slots plan ~rounds = !allowed)
 

@@ -330,7 +330,7 @@ let test_pool_released_env_raises () =
     | () -> Alcotest.failf "%s did not raise" name
     | exception Invalid_argument _ -> ()
   in
-  raises "Env.apply" (fun () -> Env.apply env (Array.make 3 Env.Stay));
+  raises "Env.apply" (fun () -> Env.apply env (Array.make 3 Env.stay));
   raises "Node_store.ensure" (fun () ->
       Node_store.ensure (Partial_tree.store view) 150);
   raises "Node_store.column" (fun () ->

@@ -17,6 +17,14 @@ let checki = Alcotest.(check int)
 let checks = Alcotest.(check string)
 let checkf = Alcotest.(check (float 0.0))
 
+(* A committed example spec: one level up under [dune runtest] (the test
+   runs in _build/default/test, where its deps are copied), else from the
+   repository root, as [dune exec test/test_main.exe] runs it. *)
+let load_example name =
+  let path = "examples/" ^ name ^ ".json" in
+  let path = if Sys.file_exists ("../" ^ path) then "../" ^ path else path in
+  Bfdn_scenario.Scenario.load path
+
 let raises_invalid f =
   try
     f ();
@@ -376,7 +384,7 @@ let test_probe_observations_pinned () =
   let module Scenario = Bfdn_scenario.Scenario in
   let module Param = Bfdn_scenario.Param in
   let example name =
-    match Scenario.load (Printf.sprintf "../examples/%s.json" name) with
+    match load_example name with
     | Ok spec -> ("examples/" ^ name, spec)
     | Error e -> Alcotest.failf "%s: %s" name e
   in
@@ -851,7 +859,7 @@ let test_every_record_kind_enveloped () =
   let module Server = Bfdn_serve.Server in
   let module Client = Bfdn_serve.Client in
   let spec =
-    match Scenario.load "../examples/cte_hidden_path.json" with
+    match load_example "cte_hidden_path" with
     | Ok spec -> spec
     | Error e -> Alcotest.fail e
   in

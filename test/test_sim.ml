@@ -44,24 +44,75 @@ let test_single_node_tree () =
 
 let test_up_at_root_rejected () =
   let env = Env.create (small ()) ~k:1 in
-  checkb "Up at root" true (raises_invalid (fun () -> Env.apply env [| Env.Up |]))
+  checkb "Up at root" true (raises_invalid (fun () -> Env.apply env [| Env.up |]))
 
 let test_bad_port_rejected () =
   let env = Env.create (small ()) ~k:1 in
   checkb "port out of range" true
-    (raises_invalid (fun () -> Env.apply env [| Env.Via_port 2 |]))
+    (raises_invalid (fun () -> Env.apply env [| Env.via 2 |]))
 
 let test_wrong_arity_rejected () =
   let env = Env.create (small ()) ~k:2 in
   checkb "wrong arity" true
-    (raises_invalid (fun () -> Env.apply env [| Env.Stay |]))
+    (raises_invalid (fun () -> Env.apply env [| Env.stay |]))
+
+(* ---- move codes ---- *)
+
+let test_move_codes () =
+  checki "stay" (-2) (Env.stay :> int);
+  checki "up" (-1) (Env.up :> int);
+  checki "via" 3 (Env.via 3 :> int)
+
+(* A rejected round leaves the environment as it was: every code is
+   resolved before anything moves. *)
+let test_bad_codes_rejected () =
+  let rejects msg moves =
+    let env = Env.create (small ()) ~k:2 in
+    Env.apply env [| Env.via 0; Env.via 1 |];
+    Alcotest.check_raises msg (Invalid_argument msg) (fun () ->
+        Env.apply env moves);
+    checki "round unchanged" 1 (Env.round env);
+    checkb "positions unchanged" true (Env.positions env = [| 1; 2 |])
+  in
+  rejects "Env.apply: port out of range" [| Env.stay; Env.via (-3) |];
+  rejects "Env.apply: port out of range" [| Env.via (-3); Env.stay |];
+  (* node 1 has ports 0..2, node 2 has 0..1 *)
+  rejects "Env.apply: port out of range" [| Env.via 3; Env.stay |];
+  rejects "Env.apply: port out of range" [| Env.up; Env.via 2 |];
+  let env = Env.create (small ()) ~k:2 in
+  Alcotest.check_raises "up at the root"
+    (Invalid_argument "Env.apply: Up selected at the root") (fun () ->
+      Env.apply env [| Env.stay; Env.up |])
+
+let test_masked_code_not_validated () =
+  let mask ~round:_ ~robot = robot = 0 in
+  let env = Env.create ~fault:(Env.mask_hook mask) (small ()) ~k:3 in
+  Env.apply env [| Env.via 0; Env.via (-5); Env.up |];
+  Env.apply env [| Env.via 1; Env.via 9; Env.via 0 |];
+  checkb "masked robots stay" true (Env.positions env = [| 3; 0; 0 |]);
+  checki "moves" 2 (Env.moves_total env)
+
+let test_reactive_blocker_sees_codes () =
+  let env = Env.create (small ()) ~k:3 in
+  let seen = ref [] in
+  Env.set_reactive_blocker env (fun ~round:_ ~selected ->
+      seen := Array.to_list (Array.map (fun (m : Env.move) -> (m :> int)) selected);
+      (* the blocker holds a copy: scribbling on it changes nothing *)
+      Array.fill selected 0 3 Env.up;
+      [| true; false; true |]);
+  let moves = [| Env.via 1; Env.via (-4); Env.stay |] in
+  Env.apply env moves;
+  checkb "selected codes" true (!seen = [ 1; -4; -2 ]);
+  checkb "the caller's array is untouched" true
+    (moves = [| Env.via 1; Env.via (-4); Env.stay |]);
+  checkb "blocked robot stays" true (Env.positions env = [| 2; 0; 0 |])
 
 (* ---- discovery semantics ---- *)
 
 let test_discovery () =
   let env = Env.create (small ()) ~k:1 in
   let view = Env.view env in
-  Env.apply env [| Env.Via_port 0 |];
+  Env.apply env [| Env.via 0 |];
   (* robot moved to node 1 *)
   checki "position" 1 (Env.position env 0);
   checkb "1 explored" true (Partial_tree.is_explored view 1);
@@ -76,7 +127,7 @@ let test_discovery () =
 let test_two_robots_same_dangling () =
   let env = Env.create (small ()) ~k:2 in
   let view = Env.view env in
-  Env.apply env [| Env.Via_port 0; Env.Via_port 0 |];
+  Env.apply env [| Env.via 0; Env.via 0 |];
   checki "both at 1" 1 (Env.position env 0);
   checki "both at 1 (bis)" 1 (Env.position env 1);
   checki "explored" 2 (Partial_tree.num_explored view);
@@ -85,17 +136,17 @@ let test_two_robots_same_dangling () =
 
 let test_up_event_counted_once () =
   let env = Env.create (small ()) ~k:1 in
-  Env.apply env [| Env.Via_port 0 |];
-  Env.apply env [| Env.Up |];
+  Env.apply env [| Env.via 0 |];
+  Env.apply env [| Env.up |];
   checki "down+up events" 2 (Env.edge_events env);
-  Env.apply env [| Env.Via_port 0 |];
-  Env.apply env [| Env.Up |];
+  Env.apply env [| Env.via 0 |];
+  Env.apply env [| Env.up |];
   checki "revisits are free" 2 (Env.edge_events env)
 
 let test_metrics_moves () =
   let env = Env.create (small ()) ~k:2 in
-  Env.apply env [| Env.Via_port 0; Env.Stay |];
-  Env.apply env [| Env.Up; Env.Via_port 1 |];
+  Env.apply env [| Env.via 0; Env.stay |];
+  Env.apply env [| Env.up; Env.via 1 |];
   checki "total moves" 3 (Env.moves_total env);
   checki "robot 0 moves" 2 (Env.moves_of_robot env 0);
   checki "robot 1 moves" 1 (Env.moves_of_robot env 1);
@@ -108,16 +159,16 @@ let test_mask_pins_robot () =
   let env = Env.create ~fault:(Env.mask_hook mask) (small ()) ~k:2 in
   checkb "robot 0 blocked" false (Env.allowed env 0);
   checkb "robot 1 allowed" true (Env.allowed env 1);
-  Env.apply env [| Env.Via_port 0; Env.Via_port 1 |];
+  Env.apply env [| Env.via 0; Env.via 1 |];
   checki "robot 0 pinned" 0 (Env.position env 0);
   checki "robot 1 moved" 2 (Env.position env 1)
 
 let test_mask_round_dependent () =
   let mask ~round ~robot:_ = round mod 2 = 1 in
   let env = Env.create ~fault:(Env.mask_hook mask) (small ()) ~k:1 in
-  Env.apply env [| Env.Via_port 0 |];
+  Env.apply env [| Env.via 0 |];
   checki "even round blocked" 0 (Env.position env 0);
-  Env.apply env [| Env.Via_port 0 |];
+  Env.apply env [| Env.via 0 |];
   checki "odd round moves" 1 (Env.position env 0)
 
 (* ---- partial tree direct exercises ---- *)
@@ -132,15 +183,15 @@ let test_min_open_depth_progression () =
   let env = Env.create (Tree_gen.path 5) ~k:1 in
   let view = Env.view env in
   checkb "starts at 0" true (Partial_tree.min_open_depth view = Some 0);
-  Env.apply env [| Env.Via_port 0 |];
+  Env.apply env [| Env.via 0 |];
   checkb "moves to 1" true (Partial_tree.min_open_depth view = Some 1);
   checkb "open nodes at min depth" true (Partial_tree.open_nodes_at_min_depth view = [ 1 ])
 
 let test_ports_from_root () =
   let env = Env.create (small ()) ~k:1 in
   let view = Env.view env in
-  Env.apply env [| Env.Via_port 0 |];
-  Env.apply env [| Env.Via_port 1 |];
+  Env.apply env [| Env.via 0 |];
+  Env.apply env [| Env.via 1 |];
   (* robot is now at node 3 (first child of 1) *)
   checkb "path root->3" true (Partial_tree.ports_from_root view 3 = [ 0; 1 ]);
   checkb "is_ancestor in view" true (Partial_tree.is_ancestor view 1 3);
@@ -149,7 +200,7 @@ let test_ports_from_root () =
 let test_subtree_open () =
   let env = Env.create (small ()) ~k:1 in
   let view = Env.view env in
-  Env.apply env [| Env.Via_port 0 |];
+  Env.apply env [| Env.via 0 |];
   checkb "whole tree open" true (Partial_tree.subtree_open view 0);
   checkb "subtree of 1 open" true (Partial_tree.subtree_open view 1)
 
@@ -168,7 +219,7 @@ let prop_invariants_under_random_walk =
           Array.init k (fun i ->
               let pos = Env.position env i in
               let nports = Partial_tree.num_ports view pos in
-              if nports = 0 then Env.Stay else Env.Via_port (Rng.int r nports))
+              if nports = 0 then Env.stay else Env.via (Rng.int r nports))
         in
         Env.apply env moves
       done;
@@ -189,7 +240,7 @@ let prop_edge_events_bounded =
           Array.init 3 (fun i ->
               let pos = Env.position env i in
               let nports = Partial_tree.num_ports view pos in
-              if nports = 0 then Env.Stay else Env.Via_port (Rng.int r nports))
+              if nports = 0 then Env.stay else Env.via (Rng.int r nports))
         in
         Env.apply env moves
       done;
@@ -209,7 +260,7 @@ let prop_positions_always_explored =
           Array.init k (fun i ->
               let pos = Env.position env i in
               let nports = Partial_tree.num_ports view pos in
-              if nports = 0 then Env.Stay else Env.Via_port (Rng.int r nports))
+              if nports = 0 then Env.stay else Env.via (Rng.int r nports))
         in
         Env.apply env moves;
         Array.iter
@@ -269,7 +320,7 @@ let test_whiteboard_uninitialized () =
 let test_runner_round_limit () =
   let env = Env.create (small ()) ~k:1 in
   let algo =
-    { Exec_env.select = (fun env -> Array.make (Env.k env) Env.Stay);
+    { Exec_env.select = (fun env -> Array.make (Env.k env) Env.stay);
       finished = (fun _ -> false) }
   in
   let r = Exec_env.run ~max_rounds:10 (Exec_env.of_env algo env) in
@@ -284,7 +335,7 @@ let test_trace_records () =
   let env = Env.create (small ()) ~k:1 in
   let trace = Ring.create 4096 in
   record trace env;
-  Env.apply env [| Env.Via_port 0 |];
+  Env.apply env [| Env.via 0 |];
   record trace env;
   checki "frames" 2 (Ring.pushed trace);
   let frames = Ring.to_list trace in
@@ -322,7 +373,7 @@ let test_trace_render_golden_multi () =
   checks "initial"
     "round 0: 1 explored, 2 dangling\n0 (+2?)  <- robots [0,1]\n"
     (Trace.render_frame env);
-  Env.apply env [| Env.Via_port 0; Env.Via_port 1 |];
+  Env.apply env [| Env.via 0; Env.via 1 |];
   checks "after one round"
     ("round 1: 3 explored, 3 dangling\n" ^ "0\n"
    ^ "  1 (+2?)  <- robots [0]\n" ^ "  2 (+1?)  <- robots [1]\n")
@@ -351,11 +402,11 @@ let test_trace_timeline_golden_multi_depth () =
   let env = Env.create (Tree_gen.path 3) ~k:1 in
   let trace = Ring.create 4096 in
   record trace env;
-  Env.apply env [| Env.Via_port 0 |];
+  Env.apply env [| Env.via 0 |];
   record trace env;
   (* Port 0 of a non-root node is the parent edge; the dangling child
      port of a path node is port 1. *)
-  Env.apply env [| Env.Via_port 1 |];
+  Env.apply env [| Env.via 1 |];
   record trace env;
   let legend =
     Bfdn_util.Ascii.legend
@@ -385,7 +436,7 @@ let test_trace_ring_bounded () =
 
 let test_trace_json_frame () =
   let env = Env.create (small ()) ~k:2 in
-  Env.apply env [| Env.Via_port 0; Env.Via_port 1 |];
+  Env.apply env [| Env.via 0; Env.via 1 |];
   checks "frame json"
     {|{"kind":"frame","round":1,"explored":3,"dangling":3,"positions":[1,2]}|}
     (Bfdn_obs.Json.to_string (Trace.json_of_frame (Trace.frame_of_env env)))
@@ -442,6 +493,10 @@ let suite =
       tc "up at root rejected" test_up_at_root_rejected;
       tc "bad port rejected" test_bad_port_rejected;
       tc "wrong arity rejected" test_wrong_arity_rejected;
+      tc "move codes" test_move_codes;
+      tc "bad codes rejected" test_bad_codes_rejected;
+      tc "masked code not validated" test_masked_code_not_validated;
+      tc "reactive blocker sees codes" test_reactive_blocker_sees_codes;
       tc "discovery" test_discovery;
       tc "two robots same dangling" test_two_robots_same_dangling;
       tc "up event counted once" test_up_event_counted_once;
