@@ -28,8 +28,8 @@ type t = {
     round:int -> moved:int -> idle:int -> revealed:int -> edge_events:int -> unit;
       (** After each round (fired by the round loop, [Exec_env.run],
           right after the environment applied the moves): the new round
-          number, robots that moved, robots whose effective move was
-          [Stay] (computed for free as [k - moved]), nodes revealed and
+          number, robots that moved, robots that stayed (computed for
+          free as [k - moved]), nodes revealed and
           edge events of that round. *)
   on_phase : phase -> int -> unit;
       (** Phase duration in monotonic nanoseconds, once per round and

@@ -18,8 +18,11 @@
 
 type algo = {
   select : Env.t -> Env.move array;
-      (** Produce this round's selection for every robot. Must not mutate
-          the environment. *)
+      (** Produce this round's selection for every robot: one
+          {!Env.move} code each ({!Env.stay}, {!Env.up} or {!Env.via}),
+          indexed by robot. The array may be the algorithm's own buffer,
+          refilled every round: the loop hands it to {!Env.apply} before
+          the next [select]. Must not mutate the environment. *)
   finished : Env.t -> bool;
       (** The algorithm's own termination condition, evaluated before each
           round. *)
