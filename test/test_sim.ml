@@ -107,6 +107,81 @@ let test_reactive_blocker_sees_codes () =
     (moves = [| Env.via 1; Env.via (-4); Env.stay |]);
   checkb "blocked robot stays" true (Env.positions env = [| 2; 0; 0 |])
 
+(* ---- apply on a recording world ---- *)
+
+(* [small ()] as a world whose [w_degree] records each call as
+   (node, arriving, round), latest first. The environment reveals the
+   root with [arriving = k] at round 0. *)
+let recording_world () =
+  let w = Env.world_of_tree (small ()) in
+  let seen = ref [] in
+  let w_degree ~node ~arriving ~round =
+    seen := (node, arriving, round) :: !seen;
+    w.Env.w_degree ~node ~arriving ~round
+  in
+  ({ w with Env.w_degree }, seen)
+
+let check_reveals msg want seen =
+  checkb msg true (List.rev !seen = want)
+
+let test_apply_reveal_arrivals () =
+  let world, seen = recording_world () in
+  let env = Env.of_world world ~k:3 in
+  (* two robots cross root port 0 together, the third stays *)
+  Env.apply env [| Env.via 0; Env.via 0; Env.stay |];
+  check_reveals "one reveal, arriving 2" [ (0, 3, 0); (1, 2, 0) ] seen;
+  checki "multi reveals" 1 (Env.multi_reveals env);
+  checki "one edge event" 1 (Env.edge_events env);
+  (* a reveal next to an up move and a move down to an explored child:
+     only the robot crossing the dangling port arrives at node 3 *)
+  Env.apply env [| Env.via 1; Env.up; Env.via 0 |];
+  check_reveals "node 3 alone" [ (0, 3, 0); (1, 2, 0); (3, 1, 1) ] seen;
+  checkb "positions" true (Env.positions env = [| 3; 0; 1 |]);
+  checki "down, up" 3 (Env.edge_events env);
+  (* three robots pile on explored nodes in a round without a reveal *)
+  Env.apply env [| Env.up; Env.via 0; Env.stay |];
+  checkb "positions (bis)" true (Env.positions env = [| 1; 1; 1 |]);
+  (* two reveals in one round are made in robot order *)
+  Env.apply env [| Env.via 2; Env.up; Env.via 2 |];
+  check_reveals "node 4 by two robots"
+    [ (0, 3, 0); (1, 2, 0); (3, 1, 1); (4, 2, 3) ]
+    seen;
+  Env.apply env [| Env.up; Env.via 1; Env.up |];
+  check_reveals "node 2 by one robot"
+    [ (0, 3, 0); (1, 2, 0); (3, 1, 1); (4, 2, 3); (2, 1, 4) ]
+    seen;
+  checki "multi reveals (bis)" 2 (Env.multi_reveals env);
+  checki "edge events" 7 (Env.edge_events env);
+  Partial_tree.check_invariants (Env.view env)
+
+(* Leaving a non-root node through port 0 is the up move: its edge event
+   is counted once, in the same round as with [up]. *)
+let test_apply_via_parent_port_is_up () =
+  let events up_code =
+    let env = Env.create (small ()) ~k:1 in
+    List.map
+      (fun m ->
+        Env.apply env [| m |];
+        Env.edge_events env)
+      Env.[ via 0; via 1; up_code; up_code; via 0; via 1; up_code; via 2;
+            up_code; up_code ]
+  in
+  let via0 = events (Env.via 0) in
+  checkb "same events as up" true (via0 = events Env.up);
+  checkb "events" true (via0 = [ 1; 2; 3; 4; 4; 4; 4; 5; 6; 6 ])
+
+let test_apply_masked_robot_not_arriving () =
+  let world, seen = recording_world () in
+  let mask ~round:_ ~robot = robot <> 1 in
+  let env = Env.of_world ~fault:(Env.mask_hook mask) world ~k:3 in
+  Env.apply env [| Env.via 0; Env.via 0; Env.via 0 |];
+  Env.apply env [| Env.via 1; Env.via 9; Env.via 2 |];
+  check_reveals "the masked robot never arrives"
+    [ (0, 3, 0); (1, 2, 0); (3, 1, 1); (4, 1, 1) ]
+    seen;
+  checkb "positions" true (Env.positions env = [| 3; 0; 4 |]);
+  checki "multi reveals" 1 (Env.multi_reveals env)
+
 (* ---- discovery semantics ---- *)
 
 let test_discovery () =
@@ -497,6 +572,9 @@ let suite =
       tc "bad codes rejected" test_bad_codes_rejected;
       tc "masked code not validated" test_masked_code_not_validated;
       tc "reactive blocker sees codes" test_reactive_blocker_sees_codes;
+      tc "apply reveal arrivals" test_apply_reveal_arrivals;
+      tc "apply via parent port is up" test_apply_via_parent_port_is_up;
+      tc "apply masked robot not arriving" test_apply_masked_robot_not_arriving;
       tc "discovery" test_discovery;
       tc "two robots same dangling" test_two_robots_same_dangling;
       tc "up event counted once" test_up_event_counted_once;
