@@ -4,10 +4,8 @@ module Partial_tree = Bfdn_sim.Partial_tree
 (* Unfinished branch test for one port of [v]: dangling, or an explored
    child whose discovered subtree still has a dangling edge. *)
 let unfinished view v p =
-  Partial_tree.is_port_dangling view v p
-  ||
-  let c = Partial_tree.port_child_id view v p in
-  c >= 0 && Partial_tree.subtree_open view c
+  let c = Partial_tree.port_code view v p in
+  c = -2 || (c >= 0 && Partial_tree.subtree_open view c)
 
 let make env =
   let view = Env.view env in

@@ -4,31 +4,29 @@ module Partial_tree = Bfdn_sim.Partial_tree
 let make env =
   let view = Env.view env in
   let n = Env.capacity env in
+  let root = Partial_tree.root view in
   (* Monotone cursor over each node's ports (everything before it has been
      tried); gives O(1) amortized next-dangling lookups. *)
   let cursor = Array.make n 0 in
-  let next_dangling pos =
-    let nports = Partial_tree.num_ports view pos in
-    let rec scan () =
-      let c = cursor.(pos) in
-      if c >= nports then None
-      else
-        match Partial_tree.port view pos c with
-        | Partial_tree.Dangling -> Some c
-        | Partial_tree.To_parent | Partial_tree.Child _ ->
-            cursor.(pos) <- c + 1;
-            scan ()
-    in
-    scan ()
-  in
+  (* One move array per run: robots other than 0 always stay. *)
+  let moves = Array.make (Env.k env) Env.stay in
   let select env =
-    let moves = Array.make (Env.k env) Env.stay in
     let pos = Env.position env 0 in
-    (match next_dangling pos with
-    | Some p ->
-        cursor.(pos) <- p + 1;
-        moves.(0) <- Env.via p
-    | None -> if pos <> Partial_tree.root view then moves.(0) <- Env.up);
+    let nports = Partial_tree.num_ports view pos in
+    (* [-2] is a dangling port's code. *)
+    while
+      cursor.(pos) < nports && Partial_tree.port_code view pos cursor.(pos) <> -2
+    do
+      cursor.(pos) <- cursor.(pos) + 1
+    done;
+    let p = cursor.(pos) in
+    moves.(0) <-
+      (if p < nports then begin
+         cursor.(pos) <- p + 1;
+         Env.via p
+       end
+       else if pos <> root then Env.up
+       else Env.stay);
     moves
   in
   {

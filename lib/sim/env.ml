@@ -72,6 +72,11 @@ let world_of_tree tree =
     w_store = None;
   }
 
+(* The class of a free robot's move that crosses no dangling port
+   ([apply]'s [tgt_class]); a crossing's class is its port. *)
+let to_parent = -1
+let to_child = -2
+
 type t = {
   world : world;
   view : Partial_tree.t;
@@ -90,8 +95,11 @@ type t = {
   (* Per-round scratch, reused across every {!apply} call so the steady
      state round loop allocates nothing. *)
   tgt_dst : int array; (* resolved target node, -1 = no move, length k *)
-  tgt_port : int array; (* dangling port being crossed, -1 = none, length k *)
-  arriving : Node_store.col; (* per-node arrival counts of one round *)
+  tgt_class : int array;
+      (* a mover's class: the dangling port it crosses (>= 0), [to_parent]
+         or [to_child]; length k *)
+  revealers : int array; (* the round's dangling-port crossers, in order *)
+  arriving : Node_store.col; (* per-node arrival counts of a reveal round *)
   mutable released : bool; (* [release] handed the store's pages back *)
 }
 
@@ -124,7 +132,8 @@ let of_world ?(fault = fault_noop) world ~k =
     up_seen = Node_store.flags store;
     multi_reveals = 0;
     tgt_dst = Array.make k (-1);
-    tgt_port = Array.make k (-1);
+    tgt_class = Array.make k 0;
+    revealers = Array.make k 0;
     arriving = Node_store.column store ~fill:0;
     released = false;
   }
@@ -196,57 +205,65 @@ let apply t moves =
           invalid_arg "Env.apply: reactive blocker returned wrong arity";
         Some verdict
   in
-  (* Validate and resolve all targets before mutating anything: moves are
-     synchronous. A robot the fault hook or the blocker pins stays, and
-     its code goes unchecked. Targets are int-encoded ([tgt_dst] = -1 for
-     a robot that stays, [tgt_port] = the dangling port being crossed or
-     -1) so resolution allocates nothing. *)
-  let fault = t.fault in
-  let dsts = t.tgt_dst and ports = t.tgt_port in
+  (* Validate and classify every move before mutating anything: moves
+     are synchronous. A robot the fault hook or the blocker pins stays,
+     and its code goes unchecked. A free robot's move reads its node's
+     port code once ([up] reads as the parent port): it goes up, down to
+     an explored child, or across a dangling port. Targets are
+     int-encoded ([tgt_dst] = -1 for a robot that stays), so resolution
+     allocates nothing. *)
+  let fault = t.fault and view = t.view in
+  let dsts = t.tgt_dst and cls = t.tgt_class and revealers = t.revealers in
+  let nrev = ref 0 in
   for i = 0 to t.k - 1 do
-    let pos = t.positions.(i) in
     let m = moves.(i) in
     if
       m = stay
       || (fault.fh_enabled && fault.fh_down ~round:t.round ~robot:i)
       || match reactive with None -> false | Some v -> not v.(i)
-    then begin
-      dsts.(i) <- -1;
-      ports.(i) <- -1
-    end
-    else if m = up then begin
-      let p = Partial_tree.parent_id t.view pos in
-      if p < 0 then invalid_arg "Env.apply: Up selected at the root";
-      dsts.(i) <- p;
-      ports.(i) <- -1
-    end
+    then dsts.(i) <- -1
     else begin
-      let nports = Partial_tree.num_ports t.view pos in
-      if m < 0 || m >= nports then invalid_arg "Env.apply: port out of range";
-      if Partial_tree.is_port_dangling t.view pos m then begin
+      let pos = t.positions.(i) in
+      let code =
+        if m = up then -1
+        else begin
+          if m < 0 || m >= Partial_tree.num_ports view pos then
+            invalid_arg "Env.apply: port out of range";
+          Partial_tree.port_code view pos m
+        end
+      in
+      if code >= 0 then begin
+        dsts.(i) <- code;
+        cls.(i) <- to_child
+      end
+      else if code = -1 then begin
+        let p = Partial_tree.parent_id view pos in
+        if p < 0 then invalid_arg "Env.apply: Up selected at the root";
+        dsts.(i) <- p;
+        cls.(i) <- to_parent
+      end
+      else begin
         (* Fresh ids enter only here: back them in every column. *)
         let dst = t.world.w_child pos m in
         if dst < 0 || dst >= t.store.Node_store.bound then
           Node_store.ensure t.store dst;
         dsts.(i) <- dst;
-        ports.(i) <- m
-      end
-      else begin
-        let c = Partial_tree.port_child_id t.view pos m in
-        dsts.(i) <- (if c >= 0 then c else Partial_tree.parent_id t.view pos);
-        ports.(i) <- -1
+        cls.(i) <- m;
+        revealers.(!nrev) <- i;
+        incr nrev
       end
     end
   done;
-  (* Arrival counts in O(k): clear only the entries this round touches,
-     then count. The scratch array persists across rounds. *)
+  (* Arrival counts, for the worlds that decide a node at its reveal: an
+     unexplored node is reached only across a dangling port, so only a
+     reveal round counts, and only over its crossers. *)
   let arr = t.arriving in
-  for i = 0 to t.k - 1 do
-    if dsts.(i) >= 0 then Node_store.unsafe_set arr dsts.(i) 0
+  for j = 0 to !nrev - 1 do
+    Node_store.unsafe_set arr dsts.(revealers.(j)) 0
   done;
-  for i = 0 to t.k - 1 do
-    let d = dsts.(i) in
-    if d >= 0 then Node_store.unsafe_set arr d (Node_store.unsafe_get arr d + 1)
+  for j = 0 to !nrev - 1 do
+    let d = dsts.(revealers.(j)) in
+    Node_store.unsafe_set arr d (Node_store.unsafe_get arr d + 1)
   done;
   (* Apply. Dangling ports are resolved at most once even when several
      robots cross the same new edge in the same round. *)
@@ -257,21 +274,19 @@ let apply t moves =
       t.positions.(i) <- dst;
       t.moves_total <- t.moves_total + 1;
       t.moves_per_robot.(i) <- t.moves_per_robot.(i) + 1;
-      if Partial_tree.is_explored t.view dst then begin
+      let c = cls.(i) in
+      if c = to_parent then begin
         (* First child-to-parent crossing is an edge event. *)
-        if
-          Partial_tree.depth_of t.view dst < Partial_tree.depth_of t.view src
-          && not (Node_store.unsafe_get_flag t.up_seen src)
-        then begin
+        if not (Node_store.unsafe_get_flag t.up_seen src) then begin
           Node_store.unsafe_set_flag t.up_seen src;
           t.edge_events <- t.edge_events + 1
         end
       end
-      else begin
+      else if c >= 0 && not (Partial_tree.is_explored view dst) then begin
         (* New node: reveal it through the crossed dangling port. *)
         let arriving = Node_store.unsafe_get arr dst in
         if arriving > 1 then t.multi_reveals <- t.multi_reveals + 1;
-        Partial_tree.Internal.reveal_child t.view src ports.(i) dst
+        Partial_tree.Internal.reveal_child view src c dst
           ~num_ports:(t.world.w_degree ~node:dst ~arriving ~round:t.round);
         t.edge_events <- t.edge_events + 1
       end

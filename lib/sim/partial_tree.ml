@@ -96,10 +96,9 @@ let[@inline] is_port_dangling t v p =
   check_explored t v "Partial_tree.is_port_dangling";
   pool t v p = enc_dangling
 
-let[@inline] port_child_id t v p =
-  check_explored t v "Partial_tree.port_child_id";
-  let e = pool t v p in
-  if e >= 0 then e else -1
+let[@inline] port_code t v p =
+  check_explored t v "Partial_tree.port_code";
+  pool t v p
 
 let iter_dangling_ports t v f =
   check_explored t v "Partial_tree.iter_dangling_ports";

@@ -53,9 +53,13 @@ val is_port_dangling : t -> node -> int -> bool
     accessor: the port index must be in [0, num_ports t v) and is not
     checked. *)
 
-val port_child_id : t -> node -> int -> node
-(** The explored child behind a port, or [-1] when the port leads to the
-    parent or is dangling. Allocation-free hot-path accessor. *)
+val port_code : t -> node -> int -> int
+(** One port's state as an immediate code: [-1] the port leads to the
+    parent, [-2] it is dangling, otherwise the explored child's id — the
+    port pool's own encoding, so reading it allocates nothing and takes
+    one load. Hot-path accessor: it checks that the node is explored
+    (@raise Invalid_argument otherwise), but the port index must be in
+    [0, num_ports t v) and is not checked. *)
 
 val iter_dangling_ports : t -> node -> (int -> unit) -> unit
 (** Apply a function to each dangling port in increasing order, without

@@ -120,9 +120,12 @@ let compare_states pt rt =
         checkb "port state" true (Partial_tree.port pt v p = want);
         checkb "is_port_dangling" (want = Partial_tree.Dangling)
           (Partial_tree.is_port_dangling pt v p);
-        checki "port_child_id"
-          (match want with Partial_tree.Child c -> c | _ -> -1)
-          (Partial_tree.port_child_id pt v p)
+        checki "port_code"
+          (match want with
+          | Partial_tree.To_parent -> -1
+          | Partial_tree.Dangling -> -2
+          | Partial_tree.Child c -> c)
+          (Partial_tree.port_code pt v p)
       done;
       checki "depth" (Ref_tree.depth rt v) (Partial_tree.depth_of pt v);
       checkb "parent" true (Ref_tree.parent rt v = Partial_tree.parent pt v);
@@ -307,16 +310,13 @@ let test_round_loop_allocation_free () =
           ~depth_hint
       in
       List.iter
-        (fun k ->
-          List.iter
-            (fun algo ->
-              let spec =
-                Scenario.make ~algo ~k ~seed:7 (Scenario.world family)
-              in
-              check family spec (fun ~on_round ->
-                  Scenario.run_on_tree ~on_round spec tree))
-            [ "bfdn"; "cte" ])
-        [ 8; 64 ])
+        (fun (algo, k) ->
+          let spec = Scenario.make ~algo ~k ~seed:7 (Scenario.world family) in
+          check family spec (fun ~on_round ->
+              Scenario.run_on_tree ~on_round spec tree))
+        [
+          ("bfdn", 8); ("bfdn", 64); ("cte", 8); ("cte", 64); ("dfs", 1);
+        ])
     [ ("comb", 70); ("trap", 40); ("random", 25) ];
   let lazy_binary =
     Scenario.make ~k:256 ~seed:7
