@@ -157,6 +157,15 @@ val apply : t -> move array -> unit
     (length [k]). Robots the fault hook or a reactive blocker pins
     {!stay}, whatever they selected: their codes are not validated. A
     reactive blocker sees a copy of the selected codes.
+
+    Every code is validated and resolved before anything moves, one
+    port read per free robot ({!Partial_tree.port_code}): the robot
+    stays, goes up (so does [via 0] at a non-root node), goes down to an
+    explored child, or crosses a dangling port. A node reached across a
+    dangling port is revealed once, in robot order, and the world's
+    [w_degree] receives as [arriving] the number of robots that crossed
+    into it this round; rounds without such a crossing count no
+    arrivals.
     @raise Invalid_argument on an illegal selection of a robot free to
     move (a port out of range or a code below [-2], {!up} at the root),
     on a wrong array length, or on a released environment. *)
